@@ -7,14 +7,15 @@ failed on the given instance (the signal worth grepping for).
 
 import argparse
 import json
+import random
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, is_dataclass
 from fractions import Fraction
+from math import factorial
 
 from . import __version__
 from .errors import LogcavityError, UsageError
-from .linalg import Graph, QMatrix, laplacian, spanning_tree_count
+from .linalg import Graph, QMatrix, inertia, reduced_incidence_matrix
 from .matroids import Matroid
 from .polynomials import (
     MPoly,
@@ -41,21 +42,19 @@ from .discriminants import (
 )
 from .hodge import (
     annihilator_containment_probe,
-    facet_theorem_scan,
     graded_dims,
     hl_check,
     hr_form,
     hrr_check,
+    in_annihilator,
     mobius_pairing,
     socle_check,
 )
 from .stanley import (
-    B_count,
     g_polynomial,
     mixed_volume_zonotopes,
     ratio_condition_check,
     stanley_matroid_sequence,
-    zonotope_volume,
 )
 from . import zoo
 
@@ -313,12 +312,8 @@ def cmd_stanley(args):
     r = m.rank
     q_labels = [e for e in m.ground if e not in set(r_labels)]
     g = g_polynomial(m, [r_labels, q_labels])
-    from math import factorial
-
     cols = None
     if getattr(args, "graph", None):
-        from .linalg import reduced_incidence_matrix
-
         graph = Graph.from_json(_load_json(args.graph, "graph"))
         if not graph.has_loop:
             ri = reduced_incidence_matrix(graph)
@@ -379,9 +374,7 @@ def cmd_discriminant(args):
     value = mixed_discriminant_perm(mats)
     results = {"value": str(value), "n": mats[0].rows, "count": len(mats)}
     violations = []
-    from .linalg import inertia as _inertia
-
-    if all(m.is_symmetric and _inertia(m).n_neg == 0 for m in mats):
+    if all(m.is_symmetric and inertia(m).n_neg == 0 for m in mats):
         if value < 0:
             violations.append("positivity failed for PSD tuple")
         results["psd_inputs"] = True
@@ -420,9 +413,7 @@ def cmd_hodge(args):
             "inertia": iner.as_tuple(),
         }
         q = hr_form(m, k, point)
-        from .linalg import inertia as _inertia
-
-        results["hr_form_inertia"] = _inertia(q.matrix).as_tuple()
+        results["hr_form_inertia"] = inertia(q.matrix).as_tuple()
         f = basis_generating_poly(m)
         if f.evaluate(point) > 0:
             results["hl"] = hl_check(m, k, point)
@@ -450,18 +441,10 @@ def cmd_probe(args):
     elements = (
         _parse_labels(m, args.e) if getattr(args, "e", None) else list(m.ground)
     )
-    jobs = max(1, args.jobs)
-
-    def run(e):
+    for e in elements:
         if e in coloops:
-            return e, None
-        return e, annihilator_containment_probe(m, e)
-
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        probes = list(pool.map(run, elements))
-    for e, probe in probes:
-        if probe is None:
             continue
+        probe = annihilator_containment_probe(m, e)
         results["elements_probed"].append(str(e))
         if not probe.contained:
             k, subsets, vec = probe.counterexample
@@ -497,8 +480,6 @@ def cmd_selftest(args):
     count, iner = mobius_pairing(mk23, 2)
     record("k23_pairing", count == 15 and iner.as_tuple() == (6, 6, 3))
 
-    from .hodge import in_annihilator
-
     mA = zoo.linear_3x5_matroid()
     record(
         "explicit_annihilator",
@@ -525,15 +506,12 @@ def cmd_selftest(args):
         and all(verdict.ratio_two_conditions),
     )
 
-    from .zoo import random_psd_with_factor
-    import random as _random
-
-    rng = _random.Random(1)
+    rng = random.Random(1)
     ok = True
     for _ in range(5):
-        a1, x1 = random_psd_with_factor(rng, 3)
-        a2, x2 = random_psd_with_factor(rng, 3)
-        a3, x3 = random_psd_with_factor(rng, 3)
+        a1, x1 = zoo.random_psd_with_factor(rng, 3)
+        a2, x2 = zoo.random_psd_with_factor(rng, 3)
+        a3, x3 = zoo.random_psd_with_factor(rng, 3)
         ok &= mixed_discriminant_perm([a1, a2, a3]) == mixed_discriminant_gram(
             [x1, x2, x3]
         )
@@ -558,7 +536,6 @@ def build_parser():
     def common(p, matroid=False, poset=False):
         p.add_argument("--out", help="write the JSON report here")
         p.add_argument("--format", choices=["json", "csv"], default="json")
-        p.add_argument("--jobs", type=int, default=1)
         p.add_argument("--cap-extensions", type=int, default=3_628_800)
         p.add_argument("--cap-elements", type=int, default=16)
         if matroid:
@@ -620,7 +597,9 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
     except SystemExit as e:
-        return int(e.code or 0)
+        # --help and --version exit 0; argparse reports usage errors as 2,
+        # which is the theorem-failure code here
+        return 0 if e.code in (0, None) else 1
     try:
         report = args.func(args)
     except UsageError as e:

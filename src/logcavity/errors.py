@@ -61,6 +61,10 @@ class DimensionMismatch(LogcavityError):
     pass
 
 
+class SingularSystem(DimensionMismatch):
+    """A linear system has no unique solution."""
+
+
 class IndexOutOfRange(LogcavityError):
     pass
 

@@ -19,6 +19,7 @@ from .errors import (
     NonpositiveValue,
     RankBoundViolated,
     RankTooLow,
+    SingularSystem,
 )
 from .linalg import (
     Inertia,
@@ -29,7 +30,7 @@ from .linalg import (
     row_space_basis_indices,
     solve,
 )
-from .matroids import FlatLattice, Matroid, _bits, _popcount
+from .matroids import FlatLattice, Matroid, _popcount
 from .polynomials import MPoly, basis_generating_poly
 
 
@@ -201,7 +202,6 @@ def _primitive_basis(m: Matroid, k, point, cache):
     basis_k = [ev_k.row_masks[i] for i in ev_k.basis_positions]
     if k == 0:
         rows = [[Fraction(0)] for _ in basis_k]
-        power = m.rank + 1
         u = QMatrix(rows)  # A^{r+1} = 0, so everything is primitive
         return basis_k, kernel_basis(u.T)
     ev_prev = cache.evaluation(k - 1)
@@ -355,7 +355,7 @@ def facet_theorem_scan(m: Matroid, subset_size_cap=2) -> FacetScanReport:
             sub = deleted_hessian_full.submatrix(keep, keep)
             try:
                 x = solve(sub, grad)
-            except Exception:
+            except SingularSystem:
                 inverse_hessian.append((e, False))
                 continue
             value = sum(g * xi for g, xi in zip(grad, x))

@@ -1,13 +1,22 @@
 """Exact rational matrices: determinants, inertia, kernels, graph Laplacians.
 
-All arithmetic is over fractions.Fraction; nothing here touches floating point.
+Entries are fractions.Fraction; nothing here touches floating point. Every
+elimination clears denominators once per row and runs one fraction-free
+integer (Bareiss) update.
 """
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import Disconnected, DimensionMismatch, LoopEdge, NonSquare, NotSymmetric
+from .errors import (
+    Disconnected,
+    DimensionMismatch,
+    LoopEdge,
+    NonSquare,
+    NotSymmetric,
+    SingularSystem,
+)
 
 
 def _q(x) -> Fraction:
@@ -153,91 +162,117 @@ class Inertia:
         return (self.n_pos, self.n_neg, self.n_zero)
 
 
+def _integer_rows(rows):
+    """Each rational row times the lcm of its denominators, as int lists, and
+    the product of those multipliers."""
+    out = []
+    scale = 1
+    for row in rows:
+        d = math.lcm(*[x.denominator for x in row])
+        scale *= d
+        out.append([x.numerator * (d // x.denominator) for x in row])
+    return out, scale
+
+
+def _bareiss(a, r, c, prev, targets, lo):
+    """Exact-division Bareiss update: with pivot p = a[r][c] and previous
+    pivot prev, row i of targets becomes (a[i]*p - a[i][c]*a[r]) // prev from
+    column lo on. Every result is a minor of the input, so the division is
+    exact (Bareiss, Math. Comp. 1968)."""
+    pivot_row = a[r][lo:]
+    p = a[r][c]
+    for i in targets:
+        row = a[i]
+        f = row[c]
+        row[lo:] = [(x * p - f * y) // prev for x, y in zip(row[lo:], pivot_row)]
+
+
+def _eliminate(a, ncols, jordan=False):
+    """Fraction-free elimination of the integer rows a, in place, pivoting on
+    the first nonzero entry at or below the current row in columns
+    0..ncols-1.
+
+    Rows below each pivot are cleared, leaving an echelon form whose last
+    pivot is, up to the swap sign, the minor on the pivot rows and columns.
+    With jordan=True the rows above are cleared too, leaving d * RREF with d
+    the last pivot. Returns (pivot columns, last pivot, swap sign)."""
+    rows = len(a)
+    pivots = []
+    prev = 1
+    sign = 1
+    for c in range(ncols):
+        r = len(pivots)
+        if r == rows:
+            break
+        piv = next((i for i in range(r, rows) if a[i][c]), None)
+        if piv is None:
+            continue
+        if piv != r:
+            a[r], a[piv] = a[piv], a[r]
+            sign = -sign
+        _bareiss(a, r, c, prev, range(r + 1, rows), c)
+        if jordan:
+            _bareiss(a, r, c, prev, range(r), 0)
+        pivots.append(c)
+        prev = a[r][c]
+    return pivots, prev, sign
+
+
 def det(m: QMatrix) -> Fraction:
-    """Exact determinant by fraction-free (Bareiss) elimination on a cleared-
-    denominator integer copy."""
+    """Exact determinant: swap sign times the last fraction-free pivot, over
+    the product of the row multipliers that cleared denominators."""
     if not m.is_square:
         raise NonSquare("determinant requires a square matrix")
-    n = m.rows
-    if n == 0:
-        return Fraction(1)
-    a = []
-    scale = 1
-    for row in m.m:
-        d = math.lcm(*(x.denominator for x in row))
-        scale *= d
-        a.append([int(x * d) for x in row])
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return Fraction(0)
-        pivot = a[k][k]
-        for i in range(k + 1, n):
-            aik = a[i][k]
-            row_i = a[i]
-            row_k = a[k]
-            for j in range(k + 1, n):
-                row_i[j] = (row_i[j] * pivot - aik * row_k[j]) // prev
-            row_i[k] = 0
-        prev = pivot
-    return Fraction(sign * a[n - 1][n - 1], scale)
+    a, scale = _integer_rows(m.m)
+    pivots, last, sign = _eliminate(a, m.cols)
+    if len(pivots) < m.rows:
+        return Fraction(0)
+    return Fraction(sign * last, scale)
 
 
 def inertia(m: QMatrix) -> Inertia:
     """Exact inertia via congruence diagonalization (Sylvester's law).
 
-    Symmetric Gaussian elimination; a zero diagonal pivot with a nonzero
-    off-diagonal entry is resolved by the row+column addition congruence.
-    """
+    Symmetric fraction-free elimination on diagonal pivots; a zero diagonal
+    with a nonzero off-diagonal entry is resolved by the row+column addition
+    congruence. The k-th pivot of the LDL^T form is pivot_k / pivot_(k-1),
+    so its sign is the product of their signs."""
     if not m.is_symmetric:
         raise NotSymmetric("inertia requires a symmetric matrix")
-    n = m.rows
-    a = [list(row) for row in m.m]
-    active = list(range(n))
-    n_pos = n_neg = n_zero = 0
+    # one common multiplier keeps the integer copy symmetric and congruent
+    d = math.lcm(*(x.denominator for row in m.m for x in row))
+    a = [[x.numerator * (d // x.denominator) for x in row] for row in m.m]
+    active = list(range(m.rows))
+    n_pos = n_neg = 0
+    prev = 1
     while active:
-        piv = next((i for i in active if a[i][i] != 0), None)
+        piv = next((i for i in active if a[i][i]), None)
         if piv is None:
-            off = None
-            for idx, i in enumerate(active):
-                for j in active[idx + 1 :]:
-                    if a[i][j] != 0:
-                        off = (i, j)
-                        break
-                if off:
-                    break
+            off = next(
+                (
+                    (i, j)
+                    for idx, i in enumerate(active)
+                    for j in active[idx + 1 :]
+                    if a[i][j]
+                ),
+                None,
+            )
             if off is None:
-                n_zero += len(active)
                 break
             i, j = off
-            for k in range(n):
-                a[i][k] += a[j][k]
-            for k in range(n):
+            a[i] = [x + y for x, y in zip(a[i], a[j])]
+            for k in active:
                 a[k][i] += a[k][j]
             piv = i
         p = a[piv][piv]
-        if p > 0:
+        if (p > 0) == (prev > 0):
             n_pos += 1
         else:
             n_neg += 1
         active.remove(piv)
-        for i in active:
-            f = a[i][piv] / p
-            if f == 0:
-                continue
-            for j in active:
-                a[i][j] -= f * a[piv][j]
-        for i in active:
-            a[i][piv] = Fraction(0)
-            a[piv][i] = Fraction(0)
-    return Inertia(n_pos, n_neg, n_zero)
+        _bareiss(a, piv, piv, prev, active, 0)
+        prev = p
+    return Inertia(n_pos, n_neg, len(active))
 
 
 def count_eigs_below(m: QMatrix, t) -> int:
@@ -249,84 +284,33 @@ def count_eigs_below(m: QMatrix, t) -> int:
 
 
 def rank_of_matrix(m: QMatrix) -> int:
-    a = [list(row) for row in m.m]
-    rank = 0
-    col = 0
-    rows, cols = m.rows, m.cols
-    while rank < rows and col < cols:
-        piv = next((i for i in range(rank, rows) if a[i][col] != 0), None)
-        if piv is None:
-            col += 1
-            continue
-        a[rank], a[piv] = a[piv], a[rank]
-        p = a[rank][col]
-        for i in range(rank + 1, rows):
-            f = a[i][col] / p
-            if f:
-                for j in range(col, cols):
-                    a[i][j] -= f * a[rank][j]
-        rank += 1
-        col += 1
-    return rank
-
-
-def rref(m: QMatrix):
-    """Reduced row echelon form; returns (rows as lists, pivot column list)."""
-    a = [list(row) for row in m.m]
-    rows, cols = m.rows, m.cols
-    pivots = []
-    r = 0
-    for c in range(cols):
-        piv = next((i for i in range(r, rows) if a[i][c] != 0), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        p = a[r][c]
-        a[r] = [x / p for x in a[r]]
-        for i in range(rows):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    return a, pivots
+    a, _ = _integer_rows(m.m)
+    return len(_eliminate(a, m.cols)[0])
 
 
 def kernel_basis(m: QMatrix):
-    """Basis of the right null space {v : m v = 0}, as tuples of Fractions."""
-    a, pivots = rref(m)
-    cols = m.cols
-    free = [c for c in range(cols) if c not in pivots]
+    """Basis of the right null space {v : m v = 0}, as tuples of Fractions,
+    one per free column of the RREF in column order."""
+    a, _ = _integer_rows(m.m)
+    pivots = _eliminate(a, m.cols, jordan=True)[0]
+    pivot_set = set(pivots)
     basis = []
-    for f in free:
-        v = [Fraction(0)] * cols
+    for f in range(m.cols):
+        if f in pivot_set:
+            continue
+        v = [Fraction(0)] * m.cols
         v[f] = Fraction(1)
         for r, c in enumerate(pivots):
-            v[c] = -a[r][f]
+            v[c] = Fraction(-a[r][f], a[r][c])
         basis.append(tuple(v))
     return basis
 
 
 def row_space_basis_indices(m: QMatrix):
-    """Indices of a maximal independent set of rows, greedy in row order."""
-    reduced = []
-    chosen = []
-    for idx in range(m.rows):
-        v = list(m.m[idx])
-        for lead, pivot_row in reduced:
-            if v[lead] != 0:
-                f = v[lead]
-                v = [x - f * y for x, y in zip(v, pivot_row)]
-        lead = next((j for j, x in enumerate(v) if x != 0), None)
-        if lead is None:
-            continue
-        p = v[lead]
-        v = [x / p for x in v]
-        reduced.append((lead, v))
-        chosen.append(idx)
-    return chosen
+    """Indices of a maximal independent set of rows, greedy in row order: the
+    pivot columns of the transpose."""
+    a, _ = _integer_rows(m.m)
+    return _eliminate([list(col) for col in zip(*a)], m.rows)[0]
 
 
 def solve(m: QMatrix, b):
@@ -334,19 +318,11 @@ def solve(m: QMatrix, b):
     if not m.is_square:
         raise NonSquare("solve requires a square matrix")
     n = m.rows
-    a = [list(row) + [_q(x)] for row, x in zip(m.m, b)]
-    for c in range(n):
-        piv = next((i for i in range(c, n) if a[i][c] != 0), None)
-        if piv is None:
-            raise DimensionMismatch("singular system")
-        a[c], a[piv] = a[piv], a[c]
-        p = a[c][c]
-        a[c] = [x / p for x in a[c]]
-        for i in range(n):
-            if i != c and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[c])]
-    return tuple(a[i][n] for i in range(n))
+    a, _ = _integer_rows([row + (_q(x),) for row, x in zip(m.m, b)])
+    pivots = _eliminate(a, n, jordan=True)[0]
+    if len(pivots) < n:
+        raise SingularSystem("singular system")
+    return tuple(Fraction(a[r][n], a[r][r]) for r in range(n))
 
 
 @dataclass(frozen=True)

@@ -53,15 +53,16 @@ class Matroid:
     def __repr__(self):
         return f"Matroid(n={self.n}, rank={self.rank}, bases={len(self.bases)})"
 
+    def _key(self):
+        """Equality ignores the order of the ground set: labels compare by
+        their strings, bases as label sets."""
+        return tuple(sorted(map(str, self.ground))), self.basis_label_sets()
+
     def __eq__(self, other):
-        return (
-            isinstance(other, Matroid)
-            and sorted(map(str, self.ground)) == sorted(map(str, other.ground))
-            and self.basis_label_sets() == other.basis_label_sets()
-        )
+        return isinstance(other, Matroid) and self._key() == other._key()
 
     def __hash__(self):
-        return hash((self.ground, self.bases))
+        return hash(self._key())
 
     @property
     def n(self):
@@ -412,9 +413,6 @@ class FlatLattice:
             ),
         )
 
-    def all_flats(self):
-        return [f for level in self.flats_by_rank for f in level]
-
     def rank_counts(self):
         return [len(level) for level in self.flats_by_rank]
 
@@ -464,11 +462,6 @@ def _forest_rank(graph: Graph, nonloops):
             parent[ru] = rv
             rank += 1
     return rank
-
-
-def loops_and_coloops(m: Matroid):
-    """(loops, coloops): elements in no basis, elements in every basis."""
-    return m.loops(), m.coloops()
 
 
 def unimodular_coordinatization_check(m: Matroid, matrix: QMatrix) -> bool:

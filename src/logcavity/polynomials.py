@@ -5,7 +5,7 @@ variable counts here are tiny, so no monomial-order machinery is used.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
@@ -16,7 +16,7 @@ from .errors import (
     MixedDegrees,
     NegativeCoefficient,
 )
-from .linalg import QMatrix
+from .linalg import QMatrix, inertia
 from .matroids import Matroid, _bits
 
 
@@ -335,9 +335,7 @@ def lorentzian_check(f: MPoly, sample_points=None) -> LorentzianReport:
                 continue
             for point in sample_points:
                 h = g.hessian_at(point)
-                from .linalg import inertia as _inertia
-
-                if _inertia(h).n_pos != 1:
+                if inertia(h).n_pos != 1:
                     failures.append((alpha, point))
     passed = mcx and not failures
     return LorentzianReport(passed, homogeneous, mcx, tuple(failures), sample_points)

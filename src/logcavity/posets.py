@@ -5,7 +5,7 @@ Elements carry user labels; internally the order is a pair of bitmask tables
 (up-sets and down-sets over indices 0..n-1).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import (
     InvalidMarks,
@@ -183,50 +183,6 @@ class Poset:
             if up[k] >> i & 1:
                 up[k] |= self.up[j]
         return Poset(self.labels, up)
-
-    def with_bounds(self, bot_label=None, top_label=None):
-        """Adjoin a global minimum / maximum where missing.
-
-        Returns (poset, adjoined_count)."""
-        full = (1 << self.n) - 1
-        need_bot = not any(self.up[i] == full for i in range(self.n))
-        need_top = not any(self.down[i] == full for i in range(self.n))
-        if self.n == 0:
-            need_bot, need_top = True, True
-        if not (need_bot or need_top):
-            return self, 0
-        labels = list(self.labels)
-        relations = []
-        for i in range(self.n):
-            scan = self.strict_up_mask(i)
-            while scan:
-                j = (scan & -scan).bit_length() - 1
-                scan &= scan - 1
-                relations.append((self.labels[i], self.labels[j]))
-        adjoined = 0
-        if need_bot:
-            bot = bot_label or _fresh_label("bot", labels)
-            relations += [(bot, lab) for lab in labels]
-            labels.insert(0, bot)
-            adjoined += 1
-        if need_top:
-            top = top_label or _fresh_label("top", labels)
-            relations += [(lab, top) for lab in labels if lab != top]
-            labels.append(top)
-            adjoined += 1
-        return Poset.from_relations(labels, relations), adjoined
-
-    def subposet(self, keep_labels):
-        keep = [self.index(lab) for lab in keep_labels]
-        pos = {old: new for new, old in enumerate(keep)}
-        up = []
-        for old in keep:
-            mask = 0
-            for other in keep:
-                if self.up[old] >> other & 1:
-                    mask |= 1 << pos[other]
-            up.append(mask)
-        return Poset([self.labels[i] for i in keep], up)
 
     def to_json(self):
         rels = [

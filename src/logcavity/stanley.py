@@ -18,16 +18,10 @@ from .errors import (
     LoopPresent,
     RankDeficient,
     TooLarge,
-    UnknownElement,
 )
 from .linalg import Graph, QMatrix, det
 from .matroids import Matroid, _bits, _popcount
-
-
-@dataclass(frozen=True)
-class BasisCountSpec:
-    matroid: Matroid
-    tuple_spec: tuple  # ((subset, multiplicity), ...)
+from .polynomials import basis_generating_poly
 
 
 @dataclass(frozen=True)
@@ -325,8 +319,6 @@ def parallel_replicate(m: Matroid, r_copies, q_copies):
 def g_polynomial(m: Matroid, subsets):
     """The substituted basis generating polynomial over one variable per
     subset: x_e -> sum of y_i over subsets containing e."""
-    from .polynomials import basis_generating_poly
-
     cols = len(subsets)
     masks = [m._mask(s) for s in subsets]
     a = QMatrix(

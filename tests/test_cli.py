@@ -89,6 +89,18 @@ class TestErrors:
     def test_unknown_element_in_flag(self, capsys, k23_file):
         assert main(["stanley", "--matroid", k23_file, "--R", "99"]) == 1
 
+    @pytest.mark.parametrize(
+        "argv", [["selftest", "--bogus"], ["hodge", "--k", "x"]]
+    )
+    def test_usage_error_exits_one(self, capsys, argv):
+        # 2 is reserved for theorem-level failures
+        assert main(argv) == 1
+        assert "usage:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["--help"], ["--version"]])
+    def test_help_and_version_exit_zero(self, capsys, argv):
+        assert main(argv) == 0
+
 
 class TestReportContract:
     def test_deterministic_output(self, capsys, k23_file):
@@ -132,7 +144,7 @@ class TestReportContract:
             json.dumps({"type": "graphic", "graph": k4_graph().to_json()})
         )
         code, report = run_json(
-            capsys, ["probe", "--matroid", str(path), "--e", "0", "--jobs", "2"]
+            capsys, ["probe", "--matroid", str(path), "--e", "0"]
         )
         assert code == 0  # findings are not violations
         assert report["findings"]

@@ -5,7 +5,15 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from logcavity.errors import Disconnected, LoopEdge, NonSquare, NotSymmetric
+import linalg_oracle as oracle
+from logcavity.errors import (
+    DimensionMismatch,
+    Disconnected,
+    LoopEdge,
+    NonSquare,
+    NotSymmetric,
+    SingularSystem,
+)
 from logcavity.linalg import (
     Graph,
     Inertia,
@@ -18,6 +26,8 @@ from logcavity.linalg import (
     laplacian,
     rank_of_matrix,
     reduced_incidence_matrix,
+    row_space_basis_indices,
+    solve,
     spanning_tree_count,
 )
 
@@ -226,3 +236,111 @@ class TestKernels:
     def test_reduced_incidence_columns(self):
         ri = reduced_incidence_matrix(K3)
         assert ri.rows == 2 and ri.cols == 3
+
+
+class TestSolve:
+    def test_singular_raises_dedicated_error(self):
+        with pytest.raises(SingularSystem):
+            solve(QMatrix([[1, 2], [2, 4]]), [1, 2])
+        assert issubclass(SingularSystem, DimensionMismatch)
+
+
+# Properties pairing each public elimination with its Fraction oracle in
+# tests/linalg_oracle.py; outputs must be identical, not just equivalent.
+
+RATIONALS = st.one_of(
+    st.integers(min_value=-4, max_value=4),
+    st.fractions(min_value=-6, max_value=6, max_denominator=7),
+)
+
+
+@st.composite
+def rational_matrices(draw, min_rows=0, max_rows=6, cols=None):
+    rows = draw(st.integers(min_value=min_rows, max_value=max_rows))
+    if cols is None:
+        cols = draw(st.integers(min_value=1, max_value=7))
+    return QMatrix(
+        [[draw(RATIONALS) for _ in range(cols)] for _ in range(rows)]
+    )
+
+
+@st.composite
+def rank_deficient_products(draw):
+    inner = draw(st.integers(min_value=1, max_value=3))
+    left = draw(rational_matrices(min_rows=1, cols=inner))
+    right = draw(rational_matrices(min_rows=inner, max_rows=inner))
+    return left * right
+
+
+MATRICES = st.one_of(
+    rational_matrices(),
+    rank_deficient_products(),
+    rational_matrices(min_rows=1, max_rows=1),
+    st.just(QMatrix([])),
+)
+
+
+def _square(m):
+    n = min(m.rows, m.cols)
+    return m.submatrix(range(n), range(n))
+
+
+@st.composite
+def symmetric_matrices(draw):
+    n = draw(st.integers(min_value=0, max_value=6))
+    zero_diagonal = draw(st.booleans())
+    entries = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            if i == j and zero_diagonal:
+                continue
+            entries[i][j] = entries[j][i] = draw(RATIONALS)
+    m = QMatrix(entries)
+    if n and draw(st.booleans()):
+        # B D B^T has rank at most its inner dimension
+        inner = draw(st.integers(min_value=1, max_value=n))
+        b = QMatrix([[draw(RATIONALS) for _ in range(inner)] for _ in range(n)])
+        d = QMatrix.diagonal([draw(RATIONALS) for _ in range(inner)])
+        m = b * d * b.T
+    return m
+
+
+class TestAgainstFractionOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(MATRICES)
+    def test_rank(self, m):
+        assert rank_of_matrix(m) == oracle.rank_of_matrix(m)
+
+    @settings(max_examples=150, deadline=None)
+    @given(MATRICES)
+    def test_row_space_basis_indices(self, m):
+        assert row_space_basis_indices(m) == oracle.row_space_basis_indices(m)
+
+    @settings(max_examples=150, deadline=None)
+    @given(MATRICES)
+    def test_kernel_basis(self, m):
+        assert kernel_basis(m) == oracle.kernel_basis(m)
+
+    @settings(max_examples=150, deadline=None)
+    @given(MATRICES)
+    def test_det(self, m):
+        square = _square(m)
+        assert det(square) == oracle.det(square)
+
+    @settings(max_examples=150, deadline=None)
+    @given(MATRICES, st.lists(RATIONALS, min_size=7, max_size=7))
+    def test_solve(self, m, b):
+        square = _square(m)
+        b = b[: square.rows]
+        try:
+            expected = oracle.solve(square, b)
+        except DimensionMismatch:
+            with pytest.raises(SingularSystem):
+                solve(square, b)
+        else:
+            assert solve(square, b) == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(symmetric_matrices())
+    def test_inertia(self, m):
+        assert inertia(m) == oracle.inertia(m)

@@ -303,3 +303,12 @@ class TestSerialization:
             {"type": "graphic", "graph": k3_graph().to_json()}
         )
         assert len(g.bases) == 3
+
+
+class TestEquality:
+    def test_ground_order_ignored_by_eq_and_hash(self):
+        a = Matroid.from_bases([1, 2], [[1]])
+        b = Matroid.from_bases([2, 1], [[1]])
+        assert a == b
+        assert hash(a) == hash(b)
+        assert len({a, b}) == 1
