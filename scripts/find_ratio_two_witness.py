@@ -14,6 +14,7 @@ import sys
 
 sys.path.insert(0, "src")
 
+from logcavity.errors import TooLarge
 from logcavity.posets import MarkedPoset, kahn_saks_extremal_classify, kahn_saks_sequence
 from logcavity.zoo import random_marks, random_poset, ratio_two_witness_poset
 
@@ -54,7 +55,9 @@ def main():
         p = random_poset(rng, n, density=rng.choice((0.2, 0.35, 0.5)))
         x, y = random_marks(rng, p)
         mp = MarkedPoset(p, x, y)
-        if p.count_extensions(cap=50000) > 40000:
+        try:
+            p.count_extensions(cap=40000)
+        except TooLarge:
             continue
         if inspect(mp, f"trial {trial}"):
             found += 1

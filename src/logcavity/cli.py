@@ -24,6 +24,7 @@ from .polynomials import (
     lorentzian_check,
 )
 from .posets import (
+    KahnSaksInstance,
     MarkedPoset,
     Poset,
     extension_extremes,
@@ -189,12 +190,12 @@ def cmd_poset(args):
     obj = _load_json(args.poset, "poset")
     p = Poset.from_json(obj)
     cap = args.cap_extensions
-    count = p.count_extensions(cap)
-    results = {"n": p.n, "extensions": count}
+    results = {"n": p.n}
     violations = []
     x = getattr(args, "x", None) or obj.get("x")
     if x is not None:
         seq = stanley_sequence(p, x, cap)
+        results["extensions"] = sum(seq)
         results["stanley_N"] = seq
         lc = all(
             seq[k] * seq[k] >= seq[k - 1] * seq[k + 1]
@@ -204,14 +205,17 @@ def cmd_poset(args):
         if not lc:
             violations.append("stanley poset log-concavity failed")
     else:
-        results["position_counts"] = stanley_all_positions(p, cap)
+        table = stanley_all_positions(p, cap)
+        # every extension places each element once; the empty poset has one
+        results["extensions"] = sum(table[p.labels[0]]) if p.n else 1
+        results["position_counts"] = table
     return RunReport("poset", {"poset": obj}, results, violations=violations)
 
 
 def cmd_kahnsaks(args):
     mp = _load_marked_poset(args)
-    cap = args.cap_extensions
-    seq = kahn_saks_sequence(mp, cap)
+    ks = KahnSaksInstance(mp, args.cap_extensions)
+    seq = kahn_saks_sequence(ks)
     results = {"N": seq}
     violations = []
     lc = all(
@@ -223,13 +227,13 @@ def cmd_kahnsaks(args):
         violations.append("kahn-saks log-concavity failed")
     per_k = {}
     for k in range(1, len(seq) + 1):
-        zero, reason = kahn_saks_positivity(mp, k)
+        zero, reason = kahn_saks_positivity(ks, k)
         if zero != (seq[k - 1] == 0):
             violations.append(f"positivity criterion mismatch at k={k}")
         entry = {"N_k": seq[k - 1], "zero_criterion": zero, "reason": reason}
-        entry.update(midway_check(mp, k))
+        entry.update(midway_check(ks, k))
         if seq[k - 1] > 0 and 2 <= k <= len(seq) - 1:
-            verdict = kahn_saks_extremal_classify(mp, k, cap)
+            verdict = kahn_saks_extremal_classify(ks, k)
             entry["equality"] = verdict.equality
             entry["ratio"] = verdict.ratio
             entry["ratio_two_conditions"] = list(verdict.ratio_two_conditions)
@@ -240,16 +244,8 @@ def cmd_kahnsaks(args):
                 violations.append(f"midway biconditional failed at k={k}")
         per_k[str(k)] = entry
     results["per_k"] = per_k
-    results["extremes"] = extension_extremes(mp, cap)
-    regions = region_partition(mp)
-    results["regions"] = {
-        "end_x": regions.end_x,
-        "end_y": regions.end_y,
-        "mid": regions.mid,
-        "mid_x": regions.mid_x,
-        "mid_y": regions.mid_y,
-        "incomparable_both": regions.incomparable_both,
-    }
+    results["extremes"] = extension_extremes(ks)
+    results["regions"] = region_partition(ks)
     return RunReport(
         "kahnsaks", {"poset": mp.to_json()}, results, violations=violations
     )

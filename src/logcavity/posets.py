@@ -1,11 +1,15 @@
-"""Finite posets, linear-extension enumeration, and the Stanley / Kahn-Saks
-counting statistics with their equality-case classifications.
+"""Finite posets and the Stanley / Kahn-Saks counting statistics with their
+equality-case classifications.
 
 Elements carry user labels; internally the order is a pair of bitmask tables
-(up-sets and down-sets over indices 0..n-1).
+(up-sets and down-sets over indices 0..n-1). Every statistic is a sum over
+linear extensions, read off path counts in the lattice of order ideals
+(De Loof, De Meyer and De Baets, Exploiting the lattice of ideals
+representation of a poset, Fundam. Inform. 2006); no extension is listed.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import (
     InvalidMarks,
@@ -104,9 +108,6 @@ class Poset:
     def lt(self, a, b):
         return a != b and self.leq(a, b)
 
-    def comparable(self, a, b):
-        return self.leq(a, b) or self.leq(b, a)
-
     def strict_up_mask(self, i):
         return self.up[i] & ~(1 << i)
 
@@ -130,12 +131,6 @@ class Poset:
                     out.append((i, j))
         return out
 
-    def minimal_indices(self):
-        return [i for i in range(self.n) if self.strict_down_mask(i) == 0]
-
-    def maximal_indices(self):
-        return [i for i in range(self.n) if self.strict_up_mask(i) == 0]
-
     def has_bounds(self):
         full = (1 << self.n) - 1
         has_min = any(self.up[i] == full for i in range(self.n))
@@ -144,7 +139,10 @@ class Poset:
 
     def extensions(self, cap=DEFAULT_EXTENSION_CAP):
         """Yield every linear extension exactly once as a tuple of indices in
-        increasing rank order; lexicographic backtracking over minimal elements."""
+        increasing rank order; lexicographic backtracking over minimal elements.
+
+        The statistics below never list extensions; tests use this as their
+        independent route."""
         n = self.n
         downs = [self.strict_down_mask(i) for i in range(n)]
         order = []
@@ -155,7 +153,7 @@ class Poset:
             if len(order) == n:
                 produced += 1
                 if cap is not None and produced > cap:
-                    raise TooLarge(f"extension count exceeds cap {cap}")
+                    raise _cap_exceeded(cap)
                 yield tuple(order)
                 return
             for i in range(n):
@@ -170,7 +168,8 @@ class Poset:
         yield from rec(0)
 
     def count_extensions(self, cap=DEFAULT_EXTENSION_CAP):
-        return sum(1 for _ in self.extensions(cap))
+        """e(P); raises TooLarge iff e(P) > cap (never for the empty poset)."""
+        return _IdealLattice(self, cap).count
 
     def add_relation(self, a, b):
         """New poset with a <= b adjoined: z1 <= z2 iff z1 <= z2 already, or
@@ -195,6 +194,105 @@ class Poset:
         return Poset.from_relations(
             obj["elements"], [tuple(r) for r in obj.get("relations", [])]
         )
+
+
+def _cap_exceeded(cap):
+    return TooLarge(
+        f"extension count exceeds cap {cap} (raise it with --cap-extensions)"
+    )
+
+
+class _IdealLattice:
+    """The order ideals of a poset, as index bitmasks grouped by size.
+
+    levels[s] maps each ideal of size s to its down count, the number of ways
+    to build it from the empty ideal one element at a time; up maps each ideal
+    to the number of ways to finish it to the whole poset. A path from the
+    empty ideal to the whole poset is a linear extension, so the down counts
+    on level s sum to the number of extension prefixes of length s. That sum
+    never decreases with s and is e(P) at s = n, so stopping as soon as it
+    passes the cap raises TooLarge iff e(P) > cap.
+    """
+
+    def __init__(self, p: Poset, cap):
+        n = self.n = p.n
+        below = [p.strict_down_mask(i) for i in range(n)]
+        self.full = (1 << n) - 1
+        self.moves = {self.full: []}  # ideal -> elements that can join it
+        self.levels = [{0: 1}]
+        for _ in range(n):
+            level, prefixes = {}, 0
+            for ideal, ways in self.levels[-1].items():
+                addable = self.moves[ideal] = [
+                    e
+                    for e in range(n)
+                    if not ideal >> e & 1 and below[e] & ~ideal == 0
+                ]
+                prefixes += ways * len(addable)
+                if cap is not None and prefixes > cap:
+                    raise _cap_exceeded(cap)
+                for e in addable:
+                    grown = ideal | 1 << e
+                    level[grown] = level.get(grown, 0) + ways
+            self.levels.append(level)
+        self.up = {self.full: 1}
+        for level in reversed(self.levels[:-1]):
+            for ideal in level:
+                self.up[ideal] = sum(self.up[ideal | 1 << e] for e in self.moves[ideal])
+        self.count = self.levels[n][self.full]
+
+    def rank_counts(self):
+        """counts[e][k - 1]: extensions placing element e at rank k."""
+        counts = [[0] * self.n for _ in range(self.n)]
+        for size, level in enumerate(self.levels):
+            for ideal, ways in level.items():
+                for e in self.moves[ideal]:
+                    counts[e][size] += ways * self.up[ideal | 1 << e]
+        return counts
+
+    def fixed_rank_count(self, fixed):
+        """Extensions placing each element of `fixed` ({index: rank}) at its
+        rank: a forward pass in which a fixed element joins only at its rank."""
+        ways = {0: 1}
+        for size in range(self.n):
+            grown = {}
+            for ideal, w in ways.items():
+                for e in self.moves[ideal]:
+                    if fixed.get(e, size + 1) == size + 1:
+                        key = ideal | 1 << e
+                        grown[key] = grown.get(key, 0) + w
+            ways = grown
+        return ways.get(self.full, 0)
+
+    def gap_counts(self, x, y):
+        """gaps[k]: extensions with rank(y) - rank(x) = k, for k = 1..n-1."""
+        gaps = [0] * self.n
+        holding_x = {}  # ideal with x but not y -> {rank of x: ways to build}
+        for size, level in enumerate(self.levels):
+            for ideal, ways in level.items():
+                if ideal >> y & 1:
+                    continue
+                if not ideal >> x & 1:
+                    if x in self.moves[ideal]:
+                        ranks = holding_x.setdefault(ideal | 1 << x, {})
+                        ranks[size + 1] = ranks.get(size + 1, 0) + ways
+                    continue
+                ranks = holding_x.pop(ideal)
+                for e in self.moves[ideal]:
+                    if e == y:
+                        finish = self.up[ideal | 1 << y]
+                        for j, w in ranks.items():
+                            gaps[size + 1 - j] += w * finish
+                        continue
+                    grown = holding_x.setdefault(ideal | 1 << e, {})
+                    for j, w in ranks.items():
+                        grown[j] = grown.get(j, 0) + w
+        return gaps
+
+
+def _members(mask):
+    """Indices of the set bits of mask, in increasing order."""
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
 
 
 def _fresh_label(base, existing):
@@ -225,10 +323,6 @@ class MarkedPoset:
         obj["x"], obj["y"] = self.x, self.y
         return obj
 
-    @staticmethod
-    def from_json(obj):
-        return MarkedPoset(Poset.from_json(obj), obj["x"], obj["y"])
-
 
 @dataclass(frozen=True)
 class RegionPartition:
@@ -240,81 +334,84 @@ class RegionPartition:
     incomparable_both: frozenset
 
 
-@dataclass(frozen=True)
-class _KSContext:
-    """Normalized Kahn-Saks instance: bounded poset with x <= y adjoined."""
+class KahnSaksInstance:
+    """A marked poset normalized once for the Kahn-Saks statistics.
 
-    marked: MarkedPoset
-    base_n: int  # size before bound adjunction; sequence runs 1..base_n-1
-    adjoined: int
+    The normalized poset has the relation x <= y adjoined and global bounds
+    present. A fresh bound is adjoined when one is missing, and also when the
+    existing extreme is the mark itself: the equality-case machinery needs
+    some element strictly below x and strictly above y. The Kahn-Saks
+    sequence is unchanged by either modification. The elements other than
+    the marks fall into the regions of `RegionPartition`, kept as bitmasks.
+
+    The statistics below take a MarkedPoset or an instance. Passed one
+    instance, they share its normalization and its one order-ideal lattice,
+    built on first use under the extension cap the instance was made with.
+    """
+
+    def __init__(self, mp: MarkedPoset, cap=DEFAULT_EXTENSION_CAP):
+        p = mp.poset
+        if not p.leq(mp.x, mp.y):
+            p = p.add_relation(mp.x, mp.y)
+        self.base_n = p.n  # size before bound adjunction
+        full = (1 << p.n) - 1
+        xi, yi = p.index(mp.x), p.index(mp.y)
+        mins = [i for i in range(p.n) if p.up[i] == full]
+        maxs = [i for i in range(p.n) if p.down[i] == full]
+        need_bot = not mins or mins[0] == xi
+        need_top = not maxs or maxs[0] == yi
+        if need_bot or need_top:
+            labels, up = list(p.labels), list(p.up)
+            if need_bot:  # index 0, below everything
+                labels.insert(0, _fresh_label("bot", labels))
+                up = [(2 << len(up)) - 1] + [mask << 1 for mask in up]
+            if need_top:  # last index, above everything
+                labels.append(_fresh_label("top", labels))
+                up = [mask | 1 << len(up) for mask in up] + [1 << len(up)]
+            p = Poset(labels, up)
+        self.marked = MarkedPoset(p, mp.x, mp.y)
+        self.poset, self.cap = p, cap
+        xi, yi = self.xi, self.yi = p.index(mp.x), p.index(mp.y)
+        self.end_x = p.strict_down_mask(xi)
+        self.end_y = p.strict_up_mask(yi)
+        rest = ((1 << p.n) - 1) & ~(self.end_x | self.end_y | 1 << xi | 1 << yi)
+        self.mid = rest & p.up[xi] & p.down[yi]
+        self.mid_x = rest & p.up[xi] & ~p.down[yi]
+        self.mid_y = rest & p.down[yi] & ~p.up[xi]
+        self.loose = rest & ~p.up[xi] & ~p.down[yi]
+
+    @cached_property
+    def _lattice(self):
+        return _IdealLattice(self.poset, self.cap)
+
+    @cached_property
+    def sequence(self):
+        """(N_1, ..., N_{base_n - 1}): N_k counts the extensions of the
+        normalized poset with f(y) - f(x) = k; larger gaps are impossible."""
+        return tuple(self._lattice.gap_counts(self.xi, self.yi)[1 : self.base_n])
+
+
+def _instance(mp, cap=DEFAULT_EXTENSION_CAP) -> KahnSaksInstance:
+    return mp if isinstance(mp, KahnSaksInstance) else KahnSaksInstance(mp, cap)
 
 
 def normalize(mp: MarkedPoset) -> MarkedPoset:
     """Marked poset with the relation x <= y adjoined and global bounds present.
 
     Idempotent; the Kahn-Saks sequence is unchanged by either modification."""
-    return _normalize_meta(mp).marked
-
-
-def _normalize_meta(mp: MarkedPoset) -> _KSContext:
-    p = mp.poset
-    if not p.leq(mp.x, mp.y):
-        p = p.add_relation(mp.x, mp.y)
-    base_n = p.n
-    # A fresh bound is adjoined when missing, and also when the existing
-    # extreme is the mark itself: the equality-case machinery needs some
-    # element strictly below x and strictly above y.
-    full = (1 << p.n) - 1
-    xi, yi = p.index(mp.x), p.index(mp.y)
-    mins = [i for i in range(p.n) if p.up[i] == full]
-    maxs = [i for i in range(p.n) if p.down[i] == full]
-    need_bot = not mins or mins[0] == xi
-    need_top = not maxs or maxs[0] == yi
-    adjoined = 0
-    if need_bot or need_top:
-        labels = list(p.labels)
-        relations = [
-            (p.labels[i], p.labels[j]) for i, j in p.covers()
-        ]
-        if need_bot:
-            bot = _fresh_label("bot", labels)
-            relations += [(bot, lab) for lab in labels]
-            labels.insert(0, bot)
-            adjoined += 1
-        if need_top:
-            top = _fresh_label("top", labels)
-            relations += [(lab, top) for lab in labels if lab != top]
-            labels.append(top)
-            adjoined += 1
-        p = Poset.from_relations(labels, relations)
-    return _KSContext(MarkedPoset(p, mp.x, mp.y), base_n, adjoined)
-
-
-def _positions(order):
-    pos = {}
-    for rank, idx in enumerate(order, start=1):
-        pos[idx] = rank
-    return pos
+    return KahnSaksInstance(mp).marked
 
 
 def stanley_sequence(p: Poset, x, cap=DEFAULT_EXTENSION_CAP):
-    """N_k = number of linear extensions placing x at rank k, for k = 1..n."""
-    xi = p.index(x)
-    counts = [0] * (p.n + 1)
-    for order in p.extensions(cap):
-        counts[order.index(xi) + 1] += 1
-    return counts[1:]
+    """N_k = number of linear extensions placing x at rank k, for k = 1..n:
+    N_k = sum of down(I) * up(I + x) over ideals I of size k - 1."""
+    counts = _IdealLattice(p, cap).rank_counts()
+    return counts[p.index(x)]
 
 
 def stanley_all_positions(p: Poset, cap=DEFAULT_EXTENSION_CAP):
-    """Position-count table for every element in one enumeration pass.
-
-    Returns {label: [N_1..N_n]}."""
-    table = {lab: [0] * p.n for lab in p.labels}
-    for order in p.extensions(cap):
-        for rank, idx in enumerate(order):
-            table[p.labels[idx]][rank] += 1
-    return table
+    """Position-count table for every element: {label: [N_1..N_n]}."""
+    return dict(zip(p.labels, _IdealLattice(p, cap).rank_counts()))
 
 
 def stanley_chain_counts(p: Poset, chain, positions, cap=DEFAULT_EXTENSION_CAP):
@@ -327,13 +424,7 @@ def stanley_chain_counts(p: Poset, chain, positions, cap=DEFAULT_EXTENSION_CAP):
             raise NotAChain("elements do not form a strictly increasing chain")
     if len(positions) != len(idxs):
         raise NotAChain("one position per chain element is required")
-    want = dict(zip(idxs, positions))
-    count = 0
-    for order in p.extensions(cap):
-        pos = _positions(order)
-        if all(pos[i] == k for i, k in want.items()):
-            count += 1
-    return count
+    return _IdealLattice(p, cap).fixed_rank_count(dict(zip(idxs, positions)))
 
 
 @dataclass(frozen=True)
@@ -349,11 +440,12 @@ def stanley_equality_classify(
 ) -> StanleyEqualityVerdict:
     n = p.n
     xi = p.index(x)
-    seq = stanley_sequence(p, x, cap)
+    lattice = _IdealLattice(p, cap)
+    seq = lattice.rank_counts()[xi]
     ni = seq[i - 1] if 1 <= i <= n else 0
     if ni == 0:
-        below = bin(p.strict_down_mask(xi)).count("1")
-        above = bin(p.strict_up_mask(xi)).count("1")
+        below = p.strict_down_mask(xi).bit_count()
+        above = p.strict_up_mask(xi).bit_count()
         raise ZeroAtIndex(
             f"N_{i} = 0 (|P<x| = {below} > {i - 1} or |P>x| = {above} > {n - i})"
         )
@@ -361,143 +453,76 @@ def stanley_equality_classify(
     nxt = seq[i] if i < n else 0
     holds_a = ni * ni == prev * nxt
     holds_b = ni == prev == nxt
-    holds_c = True
-    for order in p.extensions(cap):
-        pos = _positions(order)
-        if pos[xi] != i:
-            continue
-        for rank in (i - 1, i + 1):
-            if 1 <= rank <= n:
-                other = order[rank - 1]
-                if p.up[xi] >> other & 1 or p.up[other] >> xi & 1:
-                    holds_c = False
-        if not holds_c:
-            break
-    holds_d = True
-    scan = p.strict_up_mask(xi)
-    while scan:
-        y = (scan & -scan).bit_length() - 1
-        scan &= scan - 1
-        if bin(p.strict_down_mask(y)).count("1") <= i:
-            holds_d = False
-    scan = p.strict_down_mask(xi)
-    while scan:
-        y = (scan & -scan).bit_length() - 1
-        scan &= scan - 1
-        if bin(p.strict_up_mask(y)).count("1") <= n - i + 1:
-            holds_d = False
+    # an element below x can only flank it at rank i - 1, one above at i + 1
+    holds_c = not any(
+        lattice.fixed_rank_count({xi: i, z: i - 1 if p.up[z] >> xi & 1 else i + 1})
+        for z in _members(p.strict_down_mask(xi) | p.strict_up_mask(xi))
+    )
+    holds_d = all(
+        p.strict_down_mask(y).bit_count() > i for y in _members(p.strict_up_mask(xi))
+    ) and all(
+        p.strict_up_mask(y).bit_count() > n - i + 1
+        for y in _members(p.strict_down_mask(xi))
+    )
     return StanleyEqualityVerdict(holds_a, holds_b, holds_c, holds_d)
 
 
-def kahn_saks_sequence(mp: MarkedPoset, cap=DEFAULT_EXTENSION_CAP):
+def kahn_saks_sequence(mp, cap=DEFAULT_EXTENSION_CAP):
     """N_k = number of extensions f of the normalized poset with f(y) - f(x) = k.
 
     The list runs k = 1..n-1 for n the marked poset size before bound
     adjunction; larger gaps are impossible."""
-    ctx = _normalize_meta(mp)
-    return _ks_sequence_ctx(ctx, cap)
+    return list(_instance(mp, cap).sequence)
 
 
-def _ks_sequence_ctx(ctx: _KSContext, cap=DEFAULT_EXTENSION_CAP):
-    p = ctx.marked.poset
-    xi, yi = p.index(ctx.marked.x), p.index(ctx.marked.y)
-    counts = [0] * (p.n + 1)
-    for order in p.extensions(cap):
-        pos = _positions(order)
-        counts[pos[yi] - pos[xi]] += 1
-    return counts[1 : ctx.base_n]
-
-
-def kahn_saks_positivity(mp: MarkedPoset, k):
+def kahn_saks_positivity(mp, k):
     """(is_zero, reason): the combinatorial zero criterion for N_k.
 
     N_k = 0 iff |P<x| + |P>y| > n-k-1 or |P between x,y| > k-1, on the
     normalized poset of size n."""
-    ctx = _normalize_meta(mp)
-    p = ctx.marked.poset
-    n = p.n
-    xi, yi = p.index(ctx.marked.x), p.index(ctx.marked.y)
-    below = bin(p.strict_down_mask(xi)).count("1")
-    above = bin(p.strict_up_mask(yi)).count("1")
-    mid = bin(p.between_mask(xi, yi)).count("1")
-    if below + above > n - k - 1:
-        return True, f"|P<x| + |P>y| = {below + above} > {n - k - 1}"
-    if mid > k - 1:
-        return True, f"|P between| = {mid} > {k - 1}"
+    ks = _instance(mp)
+    n = ks.poset.n
+    outside = ks.end_x.bit_count() + ks.end_y.bit_count()
+    if outside > n - k - 1:
+        return True, f"|P<x| + |P>y| = {outside} > {n - k - 1}"
+    if ks.mid.bit_count() > k - 1:
+        return True, f"|P between| = {ks.mid.bit_count()} > {k - 1}"
     return False, "positive"
 
 
-def region_partition(mp: MarkedPoset) -> RegionPartition:
-    ctx = _normalize_meta(mp)
-    p = ctx.marked.poset
-    xi, yi = p.index(ctx.marked.x), p.index(ctx.marked.y)
-    end_x, end_y, mid, mid_x, mid_y, loose = [], [], [], [], [], []
-    for i in range(p.n):
-        if i in (xi, yi):
-            continue
-        below_x = p.up[i] >> xi & 1
-        above_x = p.up[xi] >> i & 1
-        below_y = p.up[i] >> yi & 1
-        above_y = p.up[yi] >> i & 1
-        lab = p.labels[i]
-        if below_x:
-            end_x.append(lab)
-        elif above_y:
-            end_y.append(lab)
-        elif above_x and below_y:
-            mid.append(lab)
-        elif above_x:
-            mid_x.append(lab)
-        elif below_y:
-            mid_y.append(lab)
-        else:
-            loose.append(lab)
+def region_partition(mp) -> RegionPartition:
+    ks = _instance(mp)
+    regions = (ks.end_x, ks.end_y, ks.mid, ks.mid_x, ks.mid_y, ks.loose)
     return RegionPartition(
-        frozenset(end_x),
-        frozenset(end_y),
-        frozenset(mid),
-        frozenset(mid_x),
-        frozenset(mid_y),
-        frozenset(loose),
+        *(frozenset(ks.poset.labels[i] for i in _members(m)) for m in regions)
     )
 
 
-def midway_check(mp: MarkedPoset, k):
+def _ends_far(ks, k):
+    """Whether every z < x has more than k elements strictly between z and y,
+    and every z > y more than k strictly between x and z."""
+    p = ks.poset
+    return (
+        all(p.between_mask(z, ks.yi).bit_count() > k for z in _members(ks.end_x)),
+        all(p.between_mask(ks.xi, z).bit_count() > k for z in _members(ks.end_y)),
+    )
+
+
+def midway_check(mp, k):
     """Evaluate the k-midway and dual k-midway properties on the normalized poset.
 
     Returns {"midway": bool, "dual_midway": bool}."""
-    ctx = _normalize_meta(mp)
-    p = ctx.marked.poset
-    n = p.n
-    xi, yi = p.index(ctx.marked.x), p.index(ctx.marked.y)
-    size = lambda mask: bin(mask).count("1")
-
-    # z ranges over elements other than the marks themselves (the regions
-    # MID, MID_x, END_x for midway; MID, MID_y, END_y for the dual).
-    midway = True
-    for z in range(n):
-        if z in (xi, yi):
-            continue
-        if p.up[xi] >> z & 1 and not (p.up[yi] >> z & 1):
-            if size(p.strict_down_mask(z)) + size(p.strict_up_mask(yi)) <= n - k:
-                midway = False
-    for z in range(n):
-        if p.up[z] >> xi & 1 and z != xi:
-            if size(p.between_mask(z, yi)) <= k:
-                midway = False
-
-    dual = True
-    for z in range(n):
-        if z in (xi, yi):
-            continue
-        if p.up[z] >> yi & 1 and not (p.up[z] >> xi & 1):
-            if size(p.strict_up_mask(z)) + size(p.strict_down_mask(xi)) <= n - k:
-                dual = False
-    for z in range(n):
-        if p.up[yi] >> z & 1 and z != yi:
-            if size(p.between_mask(xi, z)) <= k:
-                dual = False
-
+    ks = _instance(mp)
+    p, n = ks.poset, ks.poset.n
+    far_x, far_y = _ends_far(ks, k)
+    midway = far_x and all(
+        p.strict_down_mask(z).bit_count() + ks.end_y.bit_count() > n - k
+        for z in _members(ks.mid | ks.mid_x)
+    )
+    dual = far_y and all(
+        p.strict_up_mask(z).bit_count() + ks.end_x.bit_count() > n - k
+        for z in _members(ks.mid | ks.mid_y)
+    )
     return {"midway": midway, "dual_midway": dual}
 
 
@@ -509,10 +534,10 @@ class KahnSaksExtremalVerdict:
 
 
 def kahn_saks_extremal_classify(
-    mp: MarkedPoset, k, cap=DEFAULT_EXTENSION_CAP
+    mp, k, cap=DEFAULT_EXTENSION_CAP
 ) -> KahnSaksExtremalVerdict:
-    ctx = _normalize_meta(mp)
-    seq = _ks_sequence_ctx(ctx, cap)
+    ks = _instance(mp, cap)
+    seq = ks.sequence
     nk = seq[k - 1] if 1 <= k <= len(seq) else 0
     if nk == 0:
         raise ZeroAtIndex(f"N_{k} = 0")
@@ -525,80 +550,31 @@ def kahn_saks_extremal_classify(
     elif nxt == 2 * nk and nk == 2 * prev:
         ratio = 2
 
-    p = ctx.marked.poset
-    n = p.n
-    xi, yi = p.index(ctx.marked.x), p.index(ctx.marked.y)
-    size = lambda mask: bin(mask).count("1")
-
-    cond1 = True
-    for z in range(n):
-        if p.up[z] >> xi & 1 and z != xi:  # z in END_x
-            if size(p.between_mask(z, yi)) <= k:
-                cond1 = False
-        if p.up[yi] >> z & 1 and z != yi:  # z in END_y
-            if size(p.between_mask(xi, z)) <= k:
-                cond1 = False
-
-    cond2 = all(
-        z in (xi, yi)
-        or p.up[z] >> xi & 1
-        or p.up[xi] >> z & 1
-        or p.up[z] >> yi & 1
-        or p.up[yi] >> z & 1
-        for z in range(n)
+    p = ks.poset
+    cond1 = all(_ends_far(ks, k))
+    cond2 = ks.loose == 0
+    cond3 = ks.mid == 0
+    cond4 = all(
+        p.between_mask(z, ks.yi).bit_count() + p.between_mask(ks.xi, zp).bit_count()
+        >= k - 1
+        for z in _members(ks.mid_y)
+        for zp in _members(ks.mid_x)
+        if p.up[z] >> zp & 1
     )
-
-    cond3 = p.between_mask(xi, yi) == 0
-
-    cond4 = True
-    mid_x = [
-        z
-        for z in range(n)
-        if p.up[xi] >> z & 1
-        and z != xi
-        and not p.comparable(p.labels[z], ctx.marked.y)
-    ]
-    mid_y = [
-        z
-        for z in range(n)
-        if p.up[z] >> yi & 1
-        and z != yi
-        and not p.comparable(p.labels[z], ctx.marked.x)
-    ]
-    for z in mid_y:
-        for zp in mid_x:
-            if p.up[z] >> zp & 1 and z != zp:
-                if (
-                    size(p.between_mask(z, yi)) + size(p.between_mask(xi, zp))
-                    < k - 1
-                ):
-                    cond4 = False
-
     return KahnSaksExtremalVerdict(equality, ratio, (cond1, cond2, cond3, cond4))
 
 
-def extension_extremes(mp: MarkedPoset, cap=DEFAULT_EXTENSION_CAP):
+def extension_extremes(mp, cap=DEFAULT_EXTENSION_CAP):
     """Measured extremal statistics of extensions of the normalized poset.
 
     min_gap should equal |P between x,y| + 1; an extension realizing
     f(x) = |P<x|+1 and f(y) = n-|P>y| simultaneously should exist."""
-    ctx = _normalize_meta(mp)
-    p = ctx.marked.poset
-    xi, yi = p.index(ctx.marked.x), p.index(ctx.marked.y)
-    n = p.n
-    below = bin(p.strict_down_mask(xi)).count("1")
-    above = bin(p.strict_up_mask(yi)).count("1")
-    min_gap = None
-    wide = False
-    for order in p.extensions(cap):
-        pos = _positions(order)
-        gap = pos[yi] - pos[xi]
-        if min_gap is None or gap < min_gap:
-            min_gap = gap
-        if pos[xi] == below + 1 and pos[yi] == n - above:
-            wide = True
+    ks = _instance(mp, cap)
+    wide = {ks.xi: ks.end_x.bit_count() + 1, ks.yi: ks.poset.n - ks.end_y.bit_count()}
     return {
-        "min_gap": min_gap,
-        "narrow_target": bin(p.between_mask(xi, yi)).count("1") + 1,
-        "wide_exists": wide,
+        # every gap of an extension is in the sequence, and x < y leaves at
+        # least one extension
+        "min_gap": next(k for k, count in enumerate(ks.sequence, 1) if count),
+        "narrow_target": ks.mid.bit_count() + 1,
+        "wide_exists": ks._lattice.fixed_rank_count(wide) > 0,
     }

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from logcavity.cli import RunReport, _emit, main
+from logcavity.posets import Poset
 from logcavity.zoo import k23_graph, ratio_two_witness_poset
 
 
@@ -61,6 +62,23 @@ class TestKahnSaksCommand:
         assert code == 0
         assert report["results"]["N"][:3] == [1, 2, 4]
         assert report["results"]["per_k"]["2"]["ratio"] == 2
+
+
+class TestPosetCommand:
+    def test_cap_fails_fast_and_names_flag(self, capsys, tmp_path, monkeypatch):
+        # 11! extensions exceed the default cap of 10!; the prefix count of
+        # the ideal lattice passes it at size 8, before any extension exists
+        path = tmp_path / "antichain11.json"
+        path.write_text(json.dumps(Poset.antichain(range(11)).to_json()))
+
+        def listed(*args, **kwargs):
+            raise AssertionError("linear extensions were listed")
+
+        monkeypatch.setattr(Poset, "extensions", listed)
+        assert main(["poset", "--poset", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "TooLarge" in err and "cap 3628800" in err
+        assert "--cap-extensions" in err
 
 
 class TestStanleyCommand:

@@ -1,7 +1,12 @@
+from contextlib import nullcontext
 from fractions import Fraction
+from functools import partial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import poset_oracle as oracle
 from logcavity.errors import (
     InvalidMarks,
     InvalidPoset,
@@ -19,6 +24,7 @@ from logcavity.posets import (
     midway_check,
     normalize,
     region_partition,
+    stanley_all_positions,
     stanley_chain_counts,
     stanley_equality_classify,
     stanley_sequence,
@@ -67,7 +73,7 @@ class TestPosetBasics:
         assert Fraction(e, 2) == 1  # e(P)/n! = Vol([0,1]^2)
 
     def test_extension_cap(self):
-        with pytest.raises(TooLarge):
+        with pytest.raises(TooLarge, match=r"cap 100 \(raise it with --cap-extensions\)"):
             Poset.antichain(range(6)).count_extensions(cap=100)
 
     def test_covers_regenerate(self):
@@ -389,3 +395,80 @@ class TestRegions:
             assert union == set(nm.poset.labels)
             total = sum(len(s) for s in parts)
             assert total == nm.poset.n - 2
+
+
+@st.composite
+def small_posets(draw, max_n=8):
+    """Posets on up to max_n elements: relations only go forward in a drawn
+    order of the labels, so the relation list is acyclic."""
+    n = draw(st.integers(0, max_n))
+    labels = draw(st.permutations([f"e{i}" for i in range(n)]))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return Poset.from_relations(labels, [(labels[i], labels[j]) for i, j in chosen])
+
+
+class TestAgainstEnumerationOracle:
+    """Each order-ideal route against listing every extension, n <= 8."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(small_posets())
+    def test_count_and_cap(self, p):
+        count = oracle.count_extensions(p, None)
+        assert p.count_extensions(None) == count
+        for cap in (count - 1, count, 0, None):
+            # the empty poset never raises
+            too_large = p.n > 0 and cap is not None and count > cap
+            for route in (p.count_extensions, partial(oracle.count_extensions, p)):
+                with pytest.raises(TooLarge) if too_large else nullcontext():
+                    route(cap)
+
+    @settings(max_examples=100, deadline=None)
+    @given(small_posets(), st.data())
+    def test_positions_and_sequence(self, p, data):
+        assert stanley_all_positions(p) == oracle.stanley_all_positions(p)
+        if p.n:
+            x = data.draw(st.sampled_from(p.labels))
+            assert stanley_sequence(p, x) == oracle.stanley_sequence(p, x)
+
+    @settings(max_examples=100, deadline=None)
+    @given(small_posets(), st.data())
+    def test_chain_counts(self, p, data):
+        chain = [data.draw(st.sampled_from(p.labels))] if p.n else []
+        while chain and data.draw(st.booleans()):
+            above = [b for b in p.labels if p.lt(chain[-1], b)]
+            if not above:
+                break
+            chain.append(data.draw(st.sampled_from(above)))
+        ranks = st.integers(0, p.n + 1)
+        positions = data.draw(st.lists(ranks, min_size=len(chain), max_size=len(chain)))
+        assert stanley_chain_counts(p, chain, positions) == oracle.stanley_chain_counts(
+            p, chain, positions
+        )
+
+    @settings(max_examples=100, deadline=None)
+    @given(small_posets(), st.data())
+    def test_flank_verdict(self, p, data):
+        if not p.n:
+            return
+        x = data.draw(st.sampled_from(p.labels))
+        seq = stanley_sequence(p, x)
+        i = data.draw(st.sampled_from([k for k in range(1, p.n + 1) if seq[k - 1]]))
+        verdict = stanley_equality_classify(p, x, i)
+        assert verdict.holds_c == oracle.flank_holds(p, x, i)
+
+    @settings(max_examples=100, deadline=None)
+    @given(small_posets(), st.data())
+    def test_kahn_saks_sequence_and_extremes(self, p, data):
+        if p.n < 2:
+            return
+        pairs = [(a, b) for a in p.labels for b in p.labels if a != b and not p.lt(b, a)]
+        mp = MarkedPoset(p, *data.draw(st.sampled_from(pairs)))
+        assert kahn_saks_sequence(mp) == oracle.kahn_saks_sequence(mp)
+        assert extension_extremes(mp) == oracle.extension_extremes(mp)
+
+    def test_empty_poset(self):
+        empty = Poset.antichain([])
+        assert empty.count_extensions(cap=0) == oracle.count_extensions(empty, 0) == 1
+        assert stanley_all_positions(empty, cap=0) == {}
+        assert stanley_chain_counts(empty, [], [], cap=0) == 1
