@@ -6,6 +6,7 @@ failed on the given instance (the signal worth grepping for).
 """
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -543,61 +544,57 @@ def build_parser():
     p = sub.add_parser("poset", help="linear extension statistics")
     common(p, poset=True)
     p.add_argument("--x", help="distinguished element")
-    p.set_defaults(func=cmd_poset)
 
     p = sub.add_parser("kahnsaks", help="Kahn-Saks sequence and extremals")
     common(p, poset=True)
     p.add_argument("--x")
     p.add_argument("--y")
-    p.set_defaults(func=cmd_kahnsaks)
 
     p = sub.add_parser("matroid", help="matroid structure summary")
     common(p, matroid=True)
-    p.set_defaults(func=cmd_matroid)
 
     p = sub.add_parser("stanley", help="basis counting sequence for a split")
     common(p, matroid=True)
     p.add_argument("--R", help="comma-separated elements of the R side")
     p.add_argument("--report", dest="out", help="alias of --out")
-    p.set_defaults(func=cmd_stanley)
 
     p = sub.add_parser("lorentzian", help="Lorentzian certificate")
     common(p, matroid=True)
     p.add_argument("--poly", help="polynomial JSON file")
-    p.set_defaults(func=cmd_lorentzian)
 
     p = sub.add_parser("discriminant", help="mixed discriminants")
     common(p)
     p.add_argument("--tuple", required=True, help="matrix tuple JSON file")
-    p.set_defaults(func=cmd_discriminant)
 
     p = sub.add_parser("hodge", help="Gorenstein quotient certification")
     common(p, matroid=True)
     p.add_argument("--k", type=int, default=1)
     p.add_argument("--point", help="comma-separated rational coordinates")
-    p.set_defaults(func=cmd_hodge)
 
     p = sub.add_parser("probe", help="open-question probes (report only)")
     common(p, matroid=True)
     p.add_argument("--e", help="probe only these elements")
-    p.set_defaults(func=cmd_probe)
 
     p = sub.add_parser("selftest", help="run the pinned fixtures")
     common(p)
-    p.set_defaults(func=cmd_selftest)
     return parser
 
 
+@functools.cache
+def _parser():
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as e:
         # --help and --version exit 0; argparse reports usage errors as 2,
         # which is the theorem-failure code here
         return 0 if e.code in (0, None) else 1
     try:
-        report = args.func(args)
+        # by name at call time: the cached parser pins no cmd_* function
+        report = globals()["cmd_" + args.command](args)
     except UsageError as e:
         sys.stderr.write(f"error: {e}\n")
         return 1

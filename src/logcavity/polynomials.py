@@ -140,15 +140,6 @@ class MPoly:
             out[tuple(new)] = c * e[i]
         return MPoly(self.nvars, out)
 
-    def partial_multi(self, alpha):
-        out = self
-        for i, k in enumerate(alpha):
-            for _ in range(k):
-                out = out.partial(i)
-                if out.is_zero():
-                    return out
-        return out
-
     def evaluate(self, point):
         if len(point) != self.nvars:
             raise DimensionMismatch("point length must equal nvars")
@@ -161,9 +152,6 @@ class MPoly:
                     v *= x**k
             total += v
         return total
-
-    def gradient_at(self, point):
-        return tuple(self.partial(i).evaluate(point) for i in range(self.nvars))
 
     def hessian_at(self, point) -> QMatrix:
         n = self.nvars
@@ -292,117 +280,87 @@ def m_convex(support) -> bool:
     return True
 
 
-def default_sample_points(nvars):
-    """The all-ones point plus one rational perturbation pencil."""
-    ones = tuple(Fraction(1) for _ in range(nvars))
-    pencil = tuple(Fraction(10 + i, 10) for i in range(nvars))
-    return (ones, pencil)
-
-
 @dataclass(frozen=True)
 class LorentzianReport:
     passed: bool
     homogeneous: bool
     m_convex_support: bool
-    failures: tuple  # (alpha, point) pairs where the Hessian test failed
-    sample_points: tuple
+    failures: tuple  # order-(d-2) exponents alpha whose Hessian test failed
 
 
-def lorentzian_check(f: MPoly, sample_points=None) -> LorentzianReport:
-    """Desk-scale Lorentzian certificate: nonnegative coefficients, M-convex
-    support, and for every derivative order up to codegree 2 the Hessian has
-    exactly one positive eigenvalue at each (positive) sample point.
+def constant_hessians(f: MPoly) -> dict:
+    """{alpha: Hessian of d^alpha f} over the exponents alpha of order
+    deg f - 2 with a nonzero partial, for homogeneous f. Each d^alpha f is a
+    quadratic, so its Hessian is constant and is read off the terms: entry
+    (i, j) is gamma! c_gamma with gamma = alpha + e_i + e_j."""
+    n = f.nvars
+    rows = {}
+    for gamma, c in f.terms.items():
+        weight = c * math.prod(math.factorial(g) for g in gamma)
+        for i in range(n):
+            if not gamma[i]:
+                continue
+            for j in range(i, n):
+                if not gamma[j] or (i == j and gamma[i] < 2):
+                    continue
+                alpha = list(gamma)
+                alpha[i] -= 1
+                alpha[j] -= 1
+                h = rows.setdefault(tuple(alpha), [[0] * n for _ in range(n)])
+                h[i][j] = h[j][i] = weight
+    return {alpha: QMatrix(h) for alpha, h in sorted(rows.items())}
 
-    The positivity quantifier of the definition ranges over all positive
-    points; sampling is the exact-arithmetic surrogate used here."""
+
+def lorentzian_check(f: MPoly) -> LorentzianReport:
+    """Exact Lorentzian certificate (Brändén and Huh, Lorentzian
+    polynomials): nonnegative coefficients, M-convex support, and for every
+    alpha of order d - 2 the constant Hessian of the quadratic d^alpha f has
+    exactly one positive eigenvalue. M-convexity passes to the support of
+    every partial, so the recursive definition needs no other check."""
     if not f.has_nonneg_coefficients():
         raise NegativeCoefficient("Lorentzian candidates need nonneg coefficients")
-    if sample_points is None:
-        sample_points = default_sample_points(f.nvars)
-    sample_points = tuple(tuple(_q(x) for x in p) for p in sample_points)
-    homogeneous = f.is_homogeneous()
     if f.is_zero():
-        return LorentzianReport(True, True, True, (), sample_points)
-    if not homogeneous:
-        return LorentzianReport(False, False, False, (), sample_points)
+        return LorentzianReport(True, True, True, ())
+    if not f.is_homogeneous():
+        return LorentzianReport(False, False, False, ())
     mcx = m_convex(f.support())
-    failures = []
-    d = f.degree()
-    if d >= 2:
-        for alpha in _exponents_up_to(f.nvars, d - 2):
-            g = f.partial_multi(alpha)
-            if g.is_zero():
-                continue
-            for point in sample_points:
-                h = g.hessian_at(point)
-                if inertia(h).n_pos != 1:
-                    failures.append((alpha, point))
-    passed = mcx and not failures
-    return LorentzianReport(passed, homogeneous, mcx, tuple(failures), sample_points)
-
-
-def _exponents_up_to(n, max_total):
-    """All exponent vectors in n variables of total degree <= max_total."""
-
-    def rec(pos, remaining):
-        if pos == n:
-            yield ()
-            return
-        for k in range(remaining + 1):
-            for rest in rec(pos + 1, remaining - k):
-                yield (k,) + rest
-
-    for total in range(max_total + 1):
-        for e in rec(0, total):
-            if sum(e) == total:
-                yield e
-
-
-def _exponents_of_degree(n, total):
-    def rec(pos, remaining):
-        if pos == n - 1:
-            yield (remaining,)
-            return
-        for k in range(remaining + 1):
-            for rest in rec(pos + 1, remaining - k):
-                yield (k,) + rest
-
-    if n == 0:
-        if total == 0:
-            yield ()
-        return
-    yield from rec(0, total)
+    failures = tuple(
+        alpha
+        for alpha, h in constant_hessians(f).items()
+        if inertia(h).n_pos != 1
+    )
+    return LorentzianReport(mcx and not failures, True, mcx, failures)
 
 
 def coefficient_logconcavity(f: MPoly) -> bool:
     """Normalized-coefficient log-concavity: with f = sum c_a/a! x^a, checks
-    c_a^2 >= c_{a+ei-ej} c_{a-ei+ej} over the whole degree simplex."""
+    c_a^2 >= c_{a+ei-ej} c_{a-ei+ej} over the whole degree simplex. The right
+    side vanishes unless both beta = a+ei-ej and gamma = beta-2ei+2ej lie in
+    the support, so only such support pairs are visited."""
     if not f.is_homogeneous():
         raise DegreeMismatch("needs a homogeneous polynomial")
-    d = f.degree()
-    n = f.nvars
-
-    def c(exp):
-        if any(e < 0 for e in exp):
-            return Fraction(0)
-        coeff = f.terms.get(tuple(exp), Fraction(0))
-        for e in exp:
-            coeff *= math.factorial(e)
-        return coeff
-
-    for alpha in _exponents_of_degree(n, d):
-        ca = c(alpha)
-        for i in range(n):
-            for j in range(n):
-                if i == j:
+    c = {
+        e: coeff * math.prod(math.factorial(k) for k in e)
+        for e, coeff in f.terms.items()
+    }
+    for beta, cb in c.items():
+        for i, bi in enumerate(beta):
+            if bi < 2:
+                continue
+            for j in range(f.nvars):
+                if j == i:
                     continue
-                up = list(alpha)
-                up[i] += 1
-                up[j] -= 1
-                down = list(alpha)
-                down[i] -= 1
-                down[j] += 1
-                if ca * ca < c(up) * c(down):
+                gamma = list(beta)
+                gamma[i] -= 2
+                gamma[j] += 2
+                cg = c.get(tuple(gamma))
+                if cg is None:
+                    continue
+                alpha = list(beta)
+                alpha[i] -= 1
+                alpha[j] += 1
+                ca = c.get(tuple(alpha), 0)
+                if ca * ca < cb * cg:
                     return False
     return True
 

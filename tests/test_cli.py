@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from logcavity import cli
 from logcavity.cli import RunReport, _emit, main
+from logcavity.polynomials import MPoly
 from logcavity.posets import Poset
 from logcavity.zoo import k23_graph, ratio_two_witness_poset
 
@@ -93,6 +95,43 @@ class TestStanleyCommand:
         )
 
 
+class TestLorentzianCommand:
+    def poly_file(self, tmp_path):
+        # x0^2 + x0 x1 + x1^2: M-convex support, Hessian [[2, 1], [1, 2]]
+        path = tmp_path / "poly.json"
+        path.write_text(
+            json.dumps(MPoly(2, {(2, 0): 1, (1, 1): 1, (0, 2): 1}).to_json())
+        )
+        return str(path)
+
+    def test_poly_fails_hessian_without_violation(self, capsys, tmp_path):
+        code, report = run_json(
+            capsys, ["lorentzian", "--poly", self.poly_file(tmp_path)]
+        )
+        assert code == 0  # a poly source has no violations
+        assert report["results"] == {
+            "passed": False,
+            "homogeneous": True,
+            "m_convex_support": True,
+            "hessian_failures": 1,
+            "coefficient_log_concavity": False,
+        }
+        assert report["violations"] == []
+
+    def test_zoo_matroid_passes(self, capsys, k23_file):
+        code, report = run_json(capsys, ["lorentzian", "--matroid", k23_file])
+        assert code == 0
+        assert report["results"]["passed"] is True
+        assert report["results"]["hessian_failures"] == 0
+
+    def test_deterministic_bytes(self, capsys, tmp_path):
+        argv = ["lorentzian", "--poly", self.poly_file(tmp_path)]
+        main(argv)
+        first = capsys.readouterr().out
+        main(argv)
+        assert capsys.readouterr().out == first
+
+
 class TestErrors:
     def test_malformed_json(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
@@ -169,3 +208,38 @@ class TestReportContract:
         assert report["findings"][0]["kind"] == (
             "annihilator-containment-counterexample"
         )
+
+
+class TestParserReuse:
+    """`main` builds its parser once per process; no call may leak into the
+    next one."""
+
+    @pytest.fixture
+    def poset_file(self, tmp_path):
+        path = tmp_path / "poset.json"
+        path.write_text(
+            json.dumps({"elements": ["a", "b", "c"], "relations": [["a", "b"]]})
+        )
+        return str(path)
+
+    @pytest.mark.parametrize(
+        "before, code",
+        [
+            (["poset", "--poset", "POSET", "--x", "a"], 0),
+            (["poset", "--poset", "POSET", "--bogus"], 1),
+            (["--help"], 0),
+        ],
+        ids=["other-flags", "usage-error", "help"],
+    )
+    def test_later_report_matches_first_call(
+        self, capsys, poset_file, before, code
+    ):
+        argv = ["poset", "--poset", poset_file]
+        cli._parser.cache_clear()
+        assert main(argv) == 0
+        first = capsys.readouterr().out
+        cli._parser.cache_clear()
+        assert main([poset_file if a == "POSET" else a for a in before]) == code
+        capsys.readouterr()
+        assert main(argv) == 0
+        assert capsys.readouterr().out == first

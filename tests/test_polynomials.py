@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lorentzian_oracle as oracle
 from logcavity.errors import (
     DegreeMismatch,
     DimensionMismatch,
@@ -17,7 +18,7 @@ from logcavity.polynomials import (
     MPoly,
     basis_generating_poly,
     coefficient_logconcavity,
-    default_sample_points,
+    constant_hessians,
     lorentzian_check,
     m_convex,
     polarization,
@@ -196,7 +197,7 @@ class TestLorentzian:
 
     def test_inertia_of_hessian_at_samples(self):
         f = basis_generating_poly(linear_3x5_matroid())
-        for point in default_sample_points(f.nvars):
+        for point in oracle.default_sample_points(f.nvars):
             assert inertia(f.partial(0).hessian_at(point)).n_pos == 1
 
 
@@ -216,6 +217,105 @@ class TestCoefficientLogConcavity:
     def test_handcrafted_violation(self):
         f = MPoly(2, {(2, 0): Fraction(1, 2), (0, 2): Fraction(1, 2)})
         assert not coefficient_logconcavity(f)
+
+
+# Properties pairing the exact Lorentzian certificate and the support-pair
+# coefficient log-concavity with the slow routes in tests/lorentzian_oracle.py,
+# on homogeneous polynomials with n <= 4 and d <= 4 (zoo substitutions reach
+# the zoo's ranks, which are at most 4).
+
+NONNEG = st.one_of(
+    st.integers(min_value=1, max_value=4),
+    st.fractions(min_value=0, max_value=5, max_denominator=6),
+)
+SIGNED = st.one_of(
+    st.integers(min_value=-4, max_value=4),
+    st.fractions(min_value=-5, max_value=5, max_denominator=6),
+)
+
+
+def _monomials(n, d):
+    return [e for e in oracle.exponents_up_to(n, d) if sum(e) == d]
+
+
+def _unit(n, i):
+    return tuple(int(j == i) for j in range(n))
+
+
+@st.composite
+def random_polys(draw, coeffs=NONNEG):
+    n = draw(st.integers(min_value=1, max_value=4))
+    monos = _monomials(n, draw(st.integers(min_value=0, max_value=4)))
+    if draw(st.booleans()):
+        support = monos
+    else:
+        support = draw(st.lists(st.sampled_from(monos), unique=True))
+    return MPoly(n, {e: draw(coeffs) for e in support})
+
+
+@st.composite
+def linear_products(draw, coeffs=NONNEG):
+    n = draw(st.integers(min_value=1, max_value=4))
+    f = MPoly.constant(n, 1)
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+        f = f * MPoly(n, {_unit(n, i): draw(coeffs) for i in range(n)})
+    if f.terms and draw(st.booleans()):
+        # rescale one coefficient: the support stays, the Hessians move
+        e = draw(st.sampled_from(sorted(f.terms)))
+        f = f + MPoly(n, {e: f.terms[e] * (draw(coeffs) - 1)})
+    return f
+
+
+@st.composite
+def zoo_substitutions(draw, coeffs=NONNEG):
+    m = draw(st.sampled_from(list(matroid_zoo().values())))
+    k = draw(st.integers(min_value=1, max_value=4))
+    a = QMatrix([[draw(coeffs) for _ in range(k)] for _ in range(m.n)])
+    return basis_generating_poly(m).substitute_linear(a)
+
+
+NONNEG_POLYS = st.one_of(random_polys(), linear_products(), zoo_substitutions())
+SIGNED_POLYS = st.one_of(
+    random_polys(SIGNED), linear_products(SIGNED), zoo_substitutions(SIGNED)
+)
+
+
+class TestOracleProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(NONNEG_POLYS, SIGNED_POLYS))
+    def test_constant_hessians_are_hessians_of_partials(self, f):
+        d = f.degree()
+        expected = {}
+        for alpha in _monomials(f.nvars, d - 2):
+            g = oracle.partial_multi(f, alpha)
+            if not g.is_zero():
+                expected[alpha] = g.hessian_at((1,) * f.nvars)
+        assert constant_hessians(f) == expected
+
+    @settings(max_examples=150, deadline=None)
+    @given(NONNEG_POLYS)
+    def test_exact_certificate_matches_recursive_definition(self, f):
+        report = lorentzian_check(f)
+        assert report.passed == oracle.recursive_lorentzian(f)
+        assert report.m_convex_support == m_convex(f.support())
+
+    @settings(max_examples=150, deadline=None)
+    @given(NONNEG_POLYS)
+    def test_exact_pass_implies_sampled_pass(self, f):
+        report = lorentzian_check(f)
+        passed, failures = oracle.sampled_lorentzian(f)
+        if report.passed:
+            assert passed and not failures
+        # the sampled route tests the constant order-(d-2) Hessians too
+        order = f.degree() - 2
+        assert set(report.failures) == {
+            alpha for alpha, _ in failures if sum(alpha) == order
+        }
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(NONNEG_POLYS, SIGNED_POLYS))
+    def test_support_pairs_match_whole_simplex(self, f):
+        assert coefficient_logconcavity(f) == oracle.simplex_logconcavity(f)
 
 
 class TestAFAnalog:
