@@ -43,6 +43,7 @@ from .discriminants import (
     mixed_discriminant_perm,
 )
 from .hodge import (
+    GorensteinRing,
     annihilator_containment_probe,
     graded_dims,
     hl_check,
@@ -128,14 +129,29 @@ def _flatten(obj, prefix=""):
     return out
 
 
+class _InputObject(dict):
+    """A JSON object read from an input file. Looking up a key it lacks is
+    an input error that names the key, wherever a reader looks it up."""
+
+    def __init__(self, what, pairs):
+        super().__init__(pairs)
+        self.what = what
+
+    def __missing__(self, key):
+        raise UsageError(f"{self.what} JSON has no key {key!r}")
+
+
 def _load_json(path, what):
     try:
         with open(path) as fh:
-            return json.load(fh)
+            obj = json.load(fh, object_hook=lambda d: _InputObject(what, d))
     except FileNotFoundError:
         raise UsageError(f"{what} file not found: {path}")
     except json.JSONDecodeError as e:
         raise UsageError(f"{what} file is not valid JSON: {e}")
+    if not isinstance(obj, dict):
+        raise UsageError(f"{what} file holds a {type(obj).__name__}, not a JSON object")
+    return obj
 
 
 def _load_matroid(args) -> Matroid:
@@ -411,8 +427,7 @@ def cmd_hodge(args):
         }
         q = hr_form(m, k, point)
         results["hr_form_inertia"] = inertia(q.matrix).as_tuple()
-        f = basis_generating_poly(m)
-        if f.evaluate(point) > 0:
+        if GorensteinRing.of(m).value(point) > 0:
             results["hl"] = hl_check(m, k, point)
             results["hrr"] = hrr_check(m, k, point)
             if k == 1 and all(x > 0 for x in point) and not results["hrr"]:

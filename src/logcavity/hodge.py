@@ -8,6 +8,7 @@ the basis generating polynomial is multilinear, every evaluation matrix is
 """
 
 import math
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -22,7 +23,6 @@ from .errors import (
     SingularSystem,
 )
 from .linalg import (
-    Inertia,
     QMatrix,
     inertia,
     kernel_basis,
@@ -30,8 +30,7 @@ from .linalg import (
     row_space_basis_indices,
     solve,
 )
-from .matroids import FlatLattice, Matroid, _popcount
-from .polynomials import MPoly, basis_generating_poly
+from .matroids import FlatLattice, Matroid, _bits, _popcount
 
 
 def _subset_masks(n, k):
@@ -88,7 +87,8 @@ def graded_evaluation(m: Matroid, k, rows="independent") -> GradedEvaluation:
 
 def graded_dims(m: Matroid):
     """dim A^0 .. dim A^rank; palindromic by Poincare duality."""
-    return [graded_evaluation(m, k).dimension for k in range(m.rank + 1)]
+    ring = GorensteinRing.of(m)
+    return [ring.evaluation(k).dimension for k in range(m.rank + 1)]
 
 
 @dataclass(frozen=True)
@@ -129,41 +129,6 @@ def in_annihilator(m: Matroid, coeffs) -> bool:
     return True
 
 
-class _RingCache:
-    """Per-matroid cache of the generating polynomial, its derivatives, and
-    evaluation data."""
-
-    def __init__(self, m: Matroid):
-        self.m = m
-        self.f = basis_generating_poly(m)
-        self._partials = {0: self.f}
-        self._evals = {}
-
-    def partial(self, mask) -> MPoly:
-        cached = self._partials.get(mask)
-        if cached is None:
-            low = mask & -mask
-            i = low.bit_length() - 1
-            cached = self.partial(mask & ~low).partial(i)
-            self._partials[mask] = cached
-        return cached
-
-    def evaluation(self, k) -> GradedEvaluation:
-        if k not in self._evals:
-            self._evals[k] = graded_evaluation(self.m, k)
-        return self._evals[k]
-
-
-def _pair_value(cache: _RingCache, a_mask, b_mask, power, point):
-    """deg(d^a d^b l^power) = power! * (d^(a|b) f)(point) for disjoint a, b."""
-    if a_mask & b_mask:
-        return Fraction(0)
-    g = cache.partial(a_mask | b_mask)
-    if g.is_zero():
-        return Fraction(0)
-    return math.factorial(power) * g.evaluate(point)
-
-
 @dataclass(frozen=True)
 class HRFormMatrix:
     k: int
@@ -172,95 +137,144 @@ class HRFormMatrix:
     matrix: QMatrix  # Q^k on that basis
 
 
-def hr_form(m: Matroid, k, point, cache=None) -> HRFormMatrix:
+class GorensteinRing:
+    """The Gorenstein quotient of one matroid's basis generating polynomial f:
+    graded evaluations, derivative values and Hodge-Riemann forms.
+
+    `GorensteinRing.of(m)` keeps it on the matroid instance, never in a dict
+    keyed by matroid equality: equal matroids may order their grounds
+    differently, and every table here is keyed by masks over that order."""
+
+    def __init__(self, m: Matroid):
+        # weak, so that the ring goes with its matroid instead of waiting in
+        # a reference cycle for the cycle collector
+        self._matroid = weakref.ref(m)
+        self._evals = {}
+        self._derivatives = {}
+        self._forms = {}
+
+    @property
+    def m(self) -> Matroid:
+        return self._matroid()
+
+    @staticmethod
+    def of(m: Matroid) -> "GorensteinRing":
+        if m._ring is None:
+            object.__setattr__(m, "_ring", GorensteinRing(m))
+        return m._ring
+
+    def evaluation(self, k) -> GradedEvaluation:
+        if k not in self._evals:
+            self._evals[k] = graded_evaluation(self.m, k)
+        return self._evals[k]
+
+    def derivatives(self, size, point):
+        """{S: d^S f(point)} over the independent S of this size; dependent S
+        have no entry, as d^S f = 0. f is multilinear, so d^S f(p) is the sum
+        over bases B containing S of the product of p_i over B - S: one pass
+        over the bases, in integers over a common denominator. f(p) is the
+        entry of the empty set."""
+        key = (size, point)
+        if key not in self._derivatives:
+            den = math.lcm(*(x.denominator for x in point))
+            nums = [x.numerator * (den // x.denominator) for x in point]
+            free = self.m.rank - size
+            sums = {}
+            for b in self.m.bases:
+                for rest in combinations(list(_bits(b)), free):
+                    s, term = b, 1
+                    for i in rest:
+                        s, term = s ^ 1 << i, term * nums[i]
+                    sums[s] = sums.get(s, 0) + term
+            scale = den**free
+            self._derivatives[key] = {s: Fraction(v, scale) for s, v in sums.items()}
+        return self._derivatives[key]
+
+    def value(self, point) -> Fraction:
+        return self.derivatives(0, point)[0]
+
+    def form(self, k, point) -> HRFormMatrix:
+        """Q^k(a, b) = (-1)^k deg(a b l^(r-2k)) on the degree-k basis."""
+        key = (k, point)
+        if key not in self._forms:
+            basis = self._basis(k)
+            q = QMatrix(self._pairing(basis, basis, 2 * k, point))
+            labels = tuple(self.m._labels(mask) for mask in basis)
+            self._forms[key] = HRFormMatrix(k, point, labels, q.scale((-1) ** k))
+        return self._forms[key]
+
+    def _basis(self, k):
+        ev = self.evaluation(k)
+        return [ev.row_masks[i] for i in ev.basis_positions]
+
+    def _pairing(self, rows, cols, size, point):
+        """deg(a b l^p) = p! d^(a|b) f(point) with p = rank - size, for a in
+        rows and b in cols with |a| + |b| = size. When a and b meet, a|b is
+        too small to have an entry, and the value is 0."""
+        table = self.derivatives(size, point) if cols else {}
+        weight = math.factorial(self.m.rank - size)
+        return [[weight * table.get(a | b, 0) for b in cols] for a in rows]
+
+
+def _point(m: Matroid, point):
+    point = tuple(Fraction(x) for x in point)
+    if len(point) != m.n:
+        raise DimensionMismatch("point length must equal ground size")
+    return point
+
+
+def _ring_at(m: Matroid, point):
+    """The ring of m and the point, at which f must be positive."""
+    ring = GorensteinRing.of(m)
+    point = _point(m, point)
+    if ring.value(point) <= 0:
+        raise NonpositiveValue("criteria require f(point) > 0")
+    return ring, point
+
+
+def hr_form(m: Matroid, k, point) -> HRFormMatrix:
     """Hodge-Riemann form Q^k(x1, x2) = (-1)^k deg(x1 x2 l^(r-2k)) on the
     selected basis of the degree-k piece."""
     if 2 * k > m.rank:
         raise DegreeTooHigh(f"need 2k <= rank, got k={k}, rank={m.rank}")
-    point = tuple(Fraction(x) for x in point)
-    if len(point) != m.n:
-        raise DimensionMismatch("point length must equal ground size")
-    cache = cache or _RingCache(m)
-    ev = cache.evaluation(k)
-    basis_masks = [ev.row_masks[i] for i in ev.basis_positions]
-    power = m.rank - 2 * k
-    sign = (-1) ** k
-    rows = []
-    for a in basis_masks:
-        rows.append(
-            [sign * _pair_value(cache, a, b, power, point) for b in basis_masks]
-        )
-    return HRFormMatrix(
-        k, point, tuple(m._labels(mask) for mask in basis_masks), QMatrix(rows)
-    )
-
-
-def _primitive_basis(m: Matroid, k, point, cache):
-    """Kernel of multiplication by l^(r-2k+1) from degree k into degree
-    r-k+1, detected through the pairing against degree k-1."""
-    ev_k = cache.evaluation(k)
-    basis_k = [ev_k.row_masks[i] for i in ev_k.basis_positions]
-    if k == 0:
-        rows = [[Fraction(0)] for _ in basis_k]
-        u = QMatrix(rows)  # A^{r+1} = 0, so everything is primitive
-        return basis_k, kernel_basis(u.T)
-    ev_prev = cache.evaluation(k - 1)
-    basis_prev = [ev_prev.row_masks[i] for i in ev_prev.basis_positions]
-    power = m.rank - 2 * k + 1
-    u = QMatrix(
-        [
-            [_pair_value(cache, a, b, power, point) for b in basis_prev]
-            for a in basis_k
-        ]
-    )
-    return basis_k, kernel_basis(u.T)
+    return GorensteinRing.of(m).form(k, _point(m, point))
 
 
 def hl_check(m: Matroid, k, point) -> bool:
     """Hard Lefschetz in degree k at the point: the Lefschetz map has full
     rank, equivalently the Hodge-Riemann form is non-degenerate (its matrix
     is the Lefschetz map written through the Poincare pairing)."""
-    cache = _RingCache(m)
-    point = tuple(Fraction(x) for x in point)
-    if cache.f.evaluate(point) <= 0:
-        raise NonpositiveValue("criteria require f(point) > 0")
-    q = hr_form(m, k, point, cache)
-    return inertia(q.matrix).n_zero == 0
+    _, point = _ring_at(m, point)
+    return inertia(hr_form(m, k, point).matrix).n_zero == 0
 
 
 def hrr_check(m: Matroid, k, point) -> bool:
     """Hodge-Riemann relations in degree k at the point: Q^k positive
     definite on the primitive subspace."""
-    cache = _RingCache(m)
-    point = tuple(Fraction(x) for x in point)
-    if cache.f.evaluate(point) <= 0:
-        raise NonpositiveValue("criteria require f(point) > 0")
-    return _hrr_verdict(m, k, point, cache)
+    ring, point = _ring_at(m, point)
+    return _hrr_verdict(ring, k, point)
 
 
-def _hrr_verdict(m: Matroid, k, point, cache) -> bool:
-    if 2 * k > m.rank:
-        raise DegreeTooHigh(f"need 2k <= rank, got k={k}")
-    q = hr_form(m, k, point, cache)
-    basis_k, primitive = _primitive_basis(m, k, point, cache)
-    if not primitive:
-        return True
-    kmat = QMatrix(zip(*primitive))  # columns = primitive basis vectors
-    restricted = kmat.T * q.matrix * kmat
-    iner = inertia(restricted)
-    return iner.n_pos == len(primitive) and iner.n_neg == 0 and iner.n_zero == 0
+def _hrr_verdict(ring: GorensteinRing, k, point) -> bool:
+    """Q^k positive definite on the primitive classes: the kernel of U^T,
+    where U(a, b) = deg(a b l^(r-2k+1)) pairs degree k with degree k-1 (no
+    columns when k = 0, as A^(r+1) = 0)."""
+    q = hr_form(ring.m, k, point).matrix
+    basis = ring._basis(k)
+    lower = ring._basis(k - 1) if k else []
+    u = QMatrix(ring._pairing(basis, lower, 2 * k - 1, point))
+    return _positive_on_kernel(q, u)
 
 
-def hrr_signature_route(m: Matroid, point) -> bool:
-    """Degree-1 shortcut: with f(point) > 0, HRR_1 holds iff -Q^1 has
-    signature (+, -, ..., -)."""
-    cache = _RingCache(m)
-    point = tuple(Fraction(x) for x in point)
-    if cache.f.evaluate(point) <= 0:
-        raise NonpositiveValue("signature criterion requires f(point) > 0")
-    q = hr_form(m, 1, point, cache)
-    neg = q.matrix.scale(-1)
-    return inertia(neg) == Inertia(1, neg.rows - 1, 0)
+def _positive_on_kernel(q: QMatrix, u: QMatrix) -> bool:
+    """Whether the symmetric q is positive definite on ker u^T. For u of any
+    rank rho, In([[q, u], [u^T, 0]]) = In(q on ker u^T) + (rho, rho,
+    cols(u) - rho) (Haynsworth 1968; Chabrillac and Crouzeix 1984), so q is
+    exactly when the bordered matrix has rows(q) positive eigenvalues."""
+    zeros = (0,) * u.cols
+    bordered = [a + b for a, b in zip(q.m, u.m)]
+    bordered += [col + zeros for col in zip(*u.m)]
+    return inertia(QMatrix(bordered)).n_pos == q.rows
 
 
 @dataclass(frozen=True)
@@ -301,14 +315,14 @@ def facet_theorem_scan(m: Matroid, subset_size_cap=2) -> FacetScanReport:
     subset facets and the inverse-Hessian determinant identity."""
     if m.rank < 2:
         raise RankTooLow("facet scan needs rank >= 2")
-    cache = _RingCache(m)
+    ring = GorensteinRing.of(m)
     coloops = m.coloops()
     per_element = []
     for e in m.ground:
         verdicts = []
         for pencil in (False, True):
             point = facet_point(m, [e], pencil)
-            verdicts.append(_hrr_verdict(m, 1, point, cache))
+            verdicts.append(_hrr_verdict(ring, 1, point))
         is_coloop = e in coloops
         per_element.append(
             FacetElementReport(
@@ -333,9 +347,9 @@ def facet_theorem_scan(m: Matroid, subset_size_cap=2) -> FacetScanReport:
             point = facet_point(m, combo)
             complement = [e for e in m.ground if e not in combo]
             if m.rank_of(complement) < m.rank:
-                degenerate.append((combo, _hrr_verdict(m, 1, point, cache)))
+                degenerate.append((combo, _hrr_verdict(ring, 1, point)))
                 continue
-            subset_checks.append((combo, _hrr_verdict(m, 1, point, cache)))
+            subset_checks.append((combo, _hrr_verdict(ring, 1, point)))
     inverse_hessian = []
     simple = not m.loops() and all(
         len(c) == 1 for c in m.parallel_data().classes
@@ -345,14 +359,19 @@ def facet_theorem_scan(m: Matroid, subset_size_cap=2) -> FacetScanReport:
             if e in coloops:
                 continue
             point = facet_point(m, [e])
-            if cache.f.evaluate(point) <= 0:
+            if ring.value(point) <= 0:
                 continue
+            # gradient of d_e f and Hessian of f - x_e d_e f at p_e = 0: the
+            # bases through e carry the factor p_e, so both read off the
+            # size-2 table, with a zero diagonal as f is multilinear
+            d2 = ring.derivatives(2, point)
             idx = m._index[e]
             keep = [i for i in range(m.n) if i != idx]
-            contracted = cache.partial(1 << idx)
-            grad = [contracted.partial(i).evaluate(point) for i in keep]
-            deleted_hessian_full = (cache.f - MPoly.variable(m.n, idx) * contracted).hessian_at(point)
-            sub = deleted_hessian_full.submatrix(keep, keep)
+            grad = [d2.get(1 << idx | 1 << i, 0) for i in keep]
+            sub = QMatrix(
+                [d2.get(1 << i | 1 << j, 0) if i != j else 0 for j in keep]
+                for i in keep
+            )
             try:
                 x = solve(sub, grad)
             except SingularSystem:
@@ -377,37 +396,30 @@ def facet_theorem_scan(m: Matroid, subset_size_cap=2) -> FacetScanReport:
 
 def socle_check(m: Matroid, k, S) -> bool:
     """Triviality of {x in degree k : x kills every contraction derivative
-    away from S}; requires rank(S) <= rank - k - 1."""
+    away from S}; requires rank(S) <= rank - k - 1.
+
+    The constraint for e outside S and an independent (r-k-1)-set gamma
+    avoiding e is the column of the degree-k evaluation matrix at gamma + e,
+    or zero when that set is dependent. So the socle is trivial exactly when
+    the columns at the independent (r-k)-sets not inside S span the column
+    space. Under the rank bound no independent (r-k)-set lies inside S:
+    every column is reached and no elimination runs."""
     s_mask = m._mask(S)
     if m._rank_mask(s_mask) > m.rank - k - 1:
         raise RankBoundViolated(
             "socle statement needs rank(S) <= rank(M) - k - 1"
         )
-    alphas = m.independent_subsets(k)
-    gammas = m.independent_subsets(m.rank - k - 1)
-    base_set = set(m.bases)
-    rows = []
-    for e in range(m.n):
-        if s_mask >> e & 1:
-            continue
-        e_bit = 1 << e
-        for gamma in gammas:
-            if gamma & e_bit:
-                continue
-            row = [
-                Fraction(1)
-                if a & (gamma | e_bit) == 0 and (a | gamma | e_bit) in base_set
-                else Fraction(0)
-                for a in alphas
-            ]
-            rows.append(row)
-    constraint = QMatrix(rows) if rows else QMatrix.zero(0, len(alphas))
-    ev = graded_evaluation(m, k)
-    for v in kernel_basis(constraint):
-        image = ev.matrix.T.apply(v)
-        if any(x != 0 for x in image):
-            return False
-    return True
+    ev = GorensteinRing.of(m).evaluation(k)
+    reached = [j for j, beta in enumerate(ev.col_masks) if beta & ~s_mask]
+    return _columns_span(ev.matrix, reached)
+
+
+def _columns_span(matrix: QMatrix, positions) -> bool:
+    """Whether the columns at the distinct positions span every column."""
+    if len(positions) == matrix.cols:
+        return True
+    chosen = matrix.submatrix(range(matrix.rows), positions)
+    return rank_of_matrix(chosen) == rank_of_matrix(matrix)
 
 
 def simplification_isomorphism_check(m: Matroid, points=None) -> bool:
@@ -499,7 +511,7 @@ def mobius_pairing_zero_count_identity(m: Matroid, k) -> bool:
     the Gorenstein quotient of the flat-basis monomials)."""
     count, iner = mobius_pairing(m, k)
     alg = MobiusAlgebra(m)
-    ev = graded_evaluation(m, k)
+    ev = GorensteinRing.of(m).evaluation(k)
     pos = {mask: idx for idx, mask in enumerate(ev.row_masks)}
     rows = []
     for F in alg.flats_of_rank(k):
@@ -579,17 +591,11 @@ def signature_formula_check(m: Matroid, k, point):
     equals the alternating sum of graded dimension increments.
 
     Returns (hypotheses_hold, formula_holds)."""
-    cache = _RingCache(m)
-    point = tuple(Fraction(x) for x in point)
-    if cache.f.evaluate(point) <= 0:
-        raise NonpositiveValue("requires f(point) > 0")
+    point = _ring_at(m, point)[1]
     for i in range(1, k + 1):
-        q = hr_form(m, i, point, cache)
-        if inertia(q.matrix).n_zero != 0:
+        if not (hl_check(m, i, point) and hrr_check(m, i, point)):
             return False, False
-        if not _hrr_verdict(m, i, point, cache):
-            return False, False
-    q = hr_form(m, k, point, cache)
+    q = hr_form(m, k, point)
     signed = q.matrix.scale((-1) ** k) if k % 2 else q.matrix
     sigma = inertia(signed).net_signature
     dims = graded_dims(m)

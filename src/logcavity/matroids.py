@@ -32,7 +32,9 @@ def _bits(mask):
 
 
 class Matroid:
-    __slots__ = ("ground", "_index", "bases", "rank", "_rank_cache")
+    __slots__ = (
+        "ground", "_index", "bases", "rank", "_rank_cache", "_ring", "__weakref__"
+    )
 
     def __init__(self, ground, basis_masks):
         object.__setattr__(self, "ground", tuple(ground))
@@ -46,6 +48,8 @@ class Matroid:
         object.__setattr__(self, "bases", masks)
         object.__setattr__(self, "rank", _popcount(masks[0]))
         object.__setattr__(self, "_rank_cache", {})
+        # the Gorenstein ring (hodge.GorensteinRing.of), built on first use
+        object.__setattr__(self, "_ring", None)
 
     def __setattr__(self, *a):
         raise AttributeError("Matroid is immutable")

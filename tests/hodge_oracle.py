@@ -1,0 +1,149 @@
+"""Slow routes for the Gorenstein ring of a matroid, used only as test
+oracles.
+
+Derivative values walk a chain of `MPoly.partial` and then evaluate; HRR_k
+takes a kernel basis of the Lefschetz pairing and runs the inertia of
+K^T Q K, and HRR_1 also reads the signature of -Q^1; socle triviality takes
+the kernel of the constraint matrix and applies the transposed evaluation
+matrix to each kernel vector. The library reads derivative values off the
+basis masks, decides HRR_k by one bordered inertia and socle triviality by a
+column containment.
+"""
+
+import math
+from fractions import Fraction
+
+from logcavity.errors import SingularSystem
+from logcavity.hodge import facet_point, graded_evaluation
+from logcavity.linalg import Inertia, QMatrix, inertia, kernel_basis, solve
+from logcavity.matroids import _bits
+from logcavity.polynomials import MPoly, basis_generating_poly
+
+
+def derivative(m, mask, point):
+    """d^S f(point) for the set S given by mask, through MPoly.partial."""
+    g = basis_generating_poly(m)
+    for i in _bits(mask):
+        g = g.partial(i)
+    return g.evaluate(point)
+
+
+def pairing(m, rows, cols, point):
+    """deg(a b l^p) = p! d^(a|b) f(point), 0 when a and b meet."""
+    out = []
+    for a in rows:
+        row = []
+        for b in cols:
+            if a & b:
+                row.append(Fraction(0))
+                continue
+            power = m.rank - bin(a | b).count("1")
+            row.append(math.factorial(power) * derivative(m, a | b, point))
+        out.append(row)
+    return out
+
+
+def _basis(m, k):
+    ev = graded_evaluation(m, k)
+    return [ev.row_masks[i] for i in ev.basis_positions]
+
+
+def hr_form(m, k, point):
+    """Q^k on the selected basis of degree k."""
+    basis = _basis(m, k)
+    return QMatrix(pairing(m, basis, basis, point)).scale((-1) ** k)
+
+
+def positive_on_kernel(q, u):
+    """q positive definite on ker u^T: kernel basis K, then inertia of
+    K^T q K."""
+    if u.cols:
+        kernel = kernel_basis(u.T)
+    else:  # no constraint: every vector is in the kernel
+        kernel = list(QMatrix.identity(q.rows).m)
+    if not kernel:
+        return True
+    kmat = QMatrix(zip(*kernel))
+    iner = inertia(kmat.T * q * kmat)
+    return iner.n_pos == len(kernel) and iner.n_neg == 0 and iner.n_zero == 0
+
+
+def hrr_verdict(m, k, point):
+    """Q^k positive definite on the kernel of the pairing with degree k-1."""
+    basis = _basis(m, k)
+    lower = _basis(m, k - 1) if k else []
+    u = QMatrix(pairing(m, basis, lower, point))
+    return positive_on_kernel(hr_form(m, k, point), u)
+
+
+def hrr_signature_route(m, point):
+    """Degree-1 route: where f(point) > 0, HRR_1 holds iff -Q^1 has
+    signature (+, -, ..., -)."""
+    neg = hr_form(m, 1, point).scale(-1)
+    return inertia(neg) == Inertia(1, neg.rows - 1, 0)
+
+
+def kernel_contained(constraint, target):
+    """Whether ker constraint is inside ker target: kernel vectors of the
+    constraint, each applied to the target. A constraint with no rows
+    leaves the whole space."""
+    if constraint.rows:
+        kernel = kernel_basis(constraint)
+    else:
+        kernel = QMatrix.identity(target.cols).m
+    for v in kernel:
+        if any(x != 0 for x in target.apply(v)):
+            return False
+    return True
+
+
+def socle_check(m, k, S):
+    """Constraint rows (e, gamma) for e outside S and independent
+    (r-k-1)-sets gamma, against the transposed degree-k evaluation."""
+    s_mask = m._mask(S)
+    alphas = m.independent_subsets(k)
+    base_set = set(m.bases)
+    rows = []
+    for e in range(m.n):
+        if s_mask >> e & 1:
+            continue
+        e_bit = 1 << e
+        for gamma in m.independent_subsets(m.rank - k - 1):
+            if gamma & e_bit:
+                continue
+            rows.append(
+                [
+                    int(a & (gamma | e_bit) == 0
+                        and (a | gamma | e_bit) in base_set)
+                    for a in alphas
+                ]
+            )
+    return kernel_contained(QMatrix(rows), graded_evaluation(m, k).matrix.T)
+
+
+def inverse_hessian_nonzero(m):
+    """The inverse-Hessian determinant identity of `facet_theorem_scan`
+    through polynomial arithmetic: (element, ok) per non-coloop e with
+    f > 0 at the facet point."""
+    f = basis_generating_poly(m)
+    coloops = m.coloops()
+    out = []
+    for e in m.ground:
+        if e in coloops:
+            continue
+        point = facet_point(m, [e])
+        if f.evaluate(point) <= 0:
+            continue
+        idx = m._index[e]
+        keep = [i for i in range(m.n) if i != idx]
+        contracted = f.partial(idx)
+        grad = [contracted.partial(i).evaluate(point) for i in keep]
+        deleted = f - MPoly.variable(m.n, idx) * contracted
+        sub = deleted.hessian_at(point).submatrix(keep, keep)
+        try:
+            x = solve(sub, grad)
+        except SingularSystem:
+            out.append((e, False))
+            continue
+        out.append((e, sum(g * xi for g, xi in zip(grad, x)) != 0))
+    return tuple(out)

@@ -140,6 +140,31 @@ class TestErrors:
         assert code == 1
         assert "JSON" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command, flag, payload, named",
+        [
+            ("matroid", "--matroid", {"type": "uniform", "n": 7, "r": 3}, "'k'"),
+            ("matroid", "--matroid", {"type": "graphic"}, "'graph'"),
+            ("matroid", "--matroid", {"type": "bases", "ground": [1]}, "'bases'"),
+            ("matroid", "--matroid", {"type": "linear"}, "'matrix'"),
+            ("matroid", "--graph", {"vertices": 3}, "'edges'"),
+            ("poset", "--poset", {"relations": []}, "'elements'"),
+            ("lorentzian", "--poly", {"nvars": 2}, "'terms'"),
+            ("discriminant", "--tuple", {"mat": []}, "'mats'"),
+            ("matroid", "--matroid", [1, 2], "JSON object"),
+            ("poset", "--poset", ["a", "b"], "JSON object"),
+        ],
+    )
+    def test_malformed_input_is_an_input_error(
+        self, capsys, tmp_path, command, flag, payload, named
+    ):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(payload))
+        assert main([command, flag, str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert named in err
+
     def test_missing_file(self, capsys):
         assert main(["matroid", "--matroid", "/nonexistent.json"]) == 1
 

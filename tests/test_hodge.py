@@ -1,8 +1,12 @@
 import math
+import weakref
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import hodge_oracle as oracle
 from logcavity.errors import (
     ColoopElement,
     DegreeTooHigh,
@@ -13,7 +17,11 @@ from logcavity.errors import (
 from logcavity.linalg import Graph, Inertia, QMatrix, inertia
 from logcavity.matroids import Matroid
 from logcavity.hodge import (
+    GorensteinRing,
     MobiusAlgebra,
+    _columns_span,
+    _hrr_verdict,
+    _positive_on_kernel,
     annihilator_containment_probe,
     annihilator_kernel,
     facet_point,
@@ -23,7 +31,6 @@ from logcavity.hodge import (
     hl_check,
     hr_form,
     hrr_check,
-    hrr_signature_route,
     in_annihilator,
     mobius_pairing,
     mobius_pairing_zero_count_identity,
@@ -46,6 +53,22 @@ from logcavity.zoo import (
 U23 = Matroid.uniform(2, 3)
 MK4 = Matroid.graphic(k4_graph())
 MK23 = Matroid.graphic(k23_graph())
+
+
+class TestGorensteinRing:
+    def test_one_ring_per_instance(self):
+        m = Matroid.uniform(2, 3)
+        assert GorensteinRing.of(m) is GorensteinRing.of(m)
+        # equal matroids with another ground order get their own masks
+        other = Matroid.from_bases([2, 1, 0], [[0, 1], [0, 2], [1, 2]])
+        assert other == m and GorensteinRing.of(other) is not GorensteinRing.of(m)
+
+    def test_ring_goes_with_its_matroid(self):
+        m = Matroid.uniform(2, 3)
+        ring = weakref.ref(GorensteinRing.of(m))
+        assert hrr_check(m, 1, [1, 1, 1])
+        del m
+        assert ring() is None  # freed by reference counting, not a cycle
 
 
 class TestGradedDims:
@@ -167,7 +190,7 @@ class TestHLHRR:
         for m in (U23, MK4, tripled_u23(), linear_3x5_matroid()):
             for _ in range(3):
                 point = [Fraction(rng.randint(1, 4)) for _ in range(m.n)]
-                assert hrr_signature_route(m, point) == hrr_check(m, 1, point)
+                assert oracle.hrr_signature_route(m, point) == hrr_check(m, 1, point)
 
     def test_hl_iff_hrr_on_nonneg_points(self, rng):
         # Lorentzian polynomials: HL_1 and HRR_1 agree wherever f(a) > 0
@@ -378,3 +401,144 @@ class TestSignatureFormula:
     def test_k23_hypotheses_fail_quietly(self):
         held, _ = signature_formula_check(MK23, 2, [1] * 6)
         assert not held  # HRR_2 fails, so the formula is not asserted
+
+
+POSITIVE = st.fractions(min_value=Fraction(1, 7), max_value=5, max_denominator=7)
+SMALL = st.integers(min_value=-3, max_value=3)
+
+
+@st.composite
+def small_matroids(draw):
+    """Uniform, graphic multigraph (loops allowed) and linear matroids on at
+    most 7 elements."""
+    kind = draw(st.sampled_from(["uniform", "graphic", "linear"]))
+    if kind == "uniform":
+        n = draw(st.integers(min_value=1, max_value=7))
+        return Matroid.uniform(draw(st.integers(min_value=0, max_value=n)), n)
+    if kind == "graphic":
+        v = draw(st.integers(min_value=2, max_value=5))
+        end = st.integers(min_value=0, max_value=v - 1)
+        edges = draw(st.lists(st.tuples(end, end), min_size=1, max_size=7))
+        return Matroid.graphic(Graph(v, tuple(edges)))
+    rows = draw(st.integers(min_value=1, max_value=4))
+    cols = draw(st.integers(min_value=1, max_value=7))
+    row = st.lists(SMALL, min_size=cols, max_size=cols)
+    return Matroid.linear(QMatrix(draw(st.lists(row, min_size=rows, max_size=rows))))
+
+
+@st.composite
+def instances(draw):
+    """(matroid, k with 2k <= rank, point): positive, or on a facet."""
+    m = draw(small_matroids())
+    # counted down from the top, so that shrinking keeps k >= 1 where it can
+    k = m.rank // 2 - draw(st.integers(min_value=0, max_value=m.rank // 2))
+    point = [draw(POSITIVE) for _ in range(m.n)]
+    if draw(st.booleans()):
+        zeros = draw(st.sets(st.integers(min_value=0, max_value=m.n - 1)))
+        for i in zeros:
+            point[i] = Fraction(0)
+    return m, k, tuple(point)
+
+
+@st.composite
+def rank_bound_sets(draw):
+    """(matroid, k, S) with S grown in a random order up to rank r-k-1."""
+    m = draw(small_matroids().filter(lambda m: m.rank >= 1))
+    k = draw(st.integers(min_value=0, max_value=min(m.rank // 2, m.rank - 1)))
+    S = []
+    for e in draw(st.permutations(m.ground)):
+        if m.rank_of(S + [e]) <= m.rank - k - 1:
+            S.append(e)
+    return m, k, S
+
+
+@st.composite
+def rank_deficient(draw, rows, cols):
+    """A rows x cols product through an inner dimension of 0 to 3."""
+    inner = draw(st.integers(min_value=0, max_value=3))
+    a = [[draw(SMALL) for _ in range(inner)] for _ in range(rows)]
+    b = [[draw(SMALL) for _ in range(cols)] for _ in range(inner)]
+    return QMatrix(
+        [sum(x * y for x, y in zip(ar, bc)) for bc in zip(*b)] if b else [0] * cols
+        for ar in a
+    )
+
+
+@st.composite
+def bordered_instances(draw):
+    """(q symmetric, u) with d <= 5 rows and a border of 0 to 4 columns,
+    mostly rank-deficient; q is sometimes a Gram matrix."""
+    d = draw(st.integers(min_value=0, max_value=5))
+    e = draw(st.integers(min_value=0, max_value=4))
+    if draw(st.booleans()):
+        x = [[draw(SMALL) for _ in range(d)] for _ in range(d)]
+        q = [[sum(r[i] * r[j] for r in x) for j in range(d)] for i in range(d)]
+    else:
+        q = [[0] * d for _ in range(d)]
+        for i in range(d):
+            for j in range(i, d):
+                q[i][j] = q[j][i] = draw(POSITIVE) - 2
+    return QMatrix(q), draw(rank_deficient(d, e))
+
+
+class TestOracleProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(instances())
+    def test_derivative_tables_match_partials(self, inst):
+        m, _, point = inst
+        ring = GorensteinRing.of(m)
+        for size in range(m.rank + 1):
+            table = ring.derivatives(size, point)
+            for mask in range(1 << m.n):
+                if bin(mask).count("1") != size:
+                    continue
+                expected = oracle.derivative(m, mask, point)
+                assert table.get(mask, 0) == expected, (size, mask)
+
+    @settings(max_examples=60, deadline=None)
+    @given(instances())
+    def test_forms_and_hrr_match(self, inst):
+        m, k, point = inst
+        assert hr_form(m, k, point).matrix == oracle.hr_form(m, k, point)
+        ring = GorensteinRing.of(m)
+        assert _hrr_verdict(ring, k, point) == oracle.hrr_verdict(m, k, point)
+
+    @settings(max_examples=60, deadline=None)
+    @given(rank_bound_sets())
+    def test_socle_matches(self, inst):
+        m, k, S = inst
+        assert socle_check(m, k, S) == oracle.socle_check(m, k, S)
+
+    @settings(max_examples=40, deadline=None)
+    @given(small_matroids().filter(lambda m: m.rank >= 2))
+    def test_facet_inverse_hessian_matches(self, m):
+        simple = not m.loops() and all(
+            len(c) == 1 for c in m.parallel_data().classes
+        )
+        expected = oracle.inverse_hessian_nonzero(m) if simple else ()
+        scan = facet_theorem_scan(m, subset_size_cap=1)
+        assert scan.inverse_hessian_nonzero == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(bordered_instances())
+    def test_bordered_inertia_rule(self, inst):
+        q, u = inst
+        assert _positive_on_kernel(q, u) == oracle.positive_on_kernel(q, u)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_column_containment(self, data):
+        rows = data.draw(st.integers(min_value=1, max_value=5))
+        cols = data.draw(st.integers(min_value=2, max_value=6))
+        matrix = data.draw(rank_deficient(rows, cols))
+        positions = sorted(
+            data.draw(
+                st.sets(
+                    st.integers(min_value=0, max_value=cols - 1),
+                    max_size=cols - 1,
+                )
+            )
+        )
+        chosen = matrix.submatrix(range(rows), positions)
+        expected = oracle.kernel_contained(chosen.T, matrix.T)
+        assert _columns_span(matrix, positions) == expected
