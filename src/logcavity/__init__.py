@@ -46,6 +46,7 @@ from .polynomials import (
 from .discriminants import (
     alexandrov_check,
     hyperbolic_check,
+    mixed_discriminant,
     mixed_discriminant_gram,
     mixed_discriminant_perm,
     mixed_discriminant_sequence,

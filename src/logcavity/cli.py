@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import factorial
 
 from . import __version__
-from .errors import LogcavityError, UsageError
+from .errors import LogcavityError, MalformedInput, UsageError
 from .linalg import Graph, QMatrix, inertia, reduced_incidence_matrix
 from .matroids import Matroid
 from .polynomials import (
@@ -39,6 +39,7 @@ from .posets import (
 )
 from .discriminants import (
     alexandrov_check,
+    mixed_discriminant,
     mixed_discriminant_gram,
     mixed_discriminant_perm,
 )
@@ -379,15 +380,21 @@ def cmd_lorentzian(args):
 
 def cmd_discriminant(args):
     obj = _load_json(args.tuple, "matrix tuple")
+    entries = obj["mats"]
+    if not isinstance(entries, list) or not entries:
+        raise MalformedInput("matrix tuple 'mats' must be a nonempty list")
     mats = []
-    for entry in obj["mats"]:
-        mat = QMatrix.from_json(entry["matrix"])
-        for _ in range(entry.get("mult", 1)):
-            mats.append(mat)
-    value = mixed_discriminant_perm(mats)
+    for entry in entries:
+        if not isinstance(entry, dict):
+            raise MalformedInput("each entry of 'mats' must be a JSON object")
+        mult = entry.get("mult", 1)
+        if isinstance(mult, bool) or not isinstance(mult, int) or mult < 1:
+            raise MalformedInput(f"'mult' must be an integer >= 1, got {mult!r}")
+        mats += [QMatrix.from_json(entry["matrix"])] * mult
+    value = mixed_discriminant(mats)
     results = {"value": str(value), "n": mats[0].rows, "count": len(mats)}
     violations = []
-    if all(m.is_symmetric and inertia(m).n_neg == 0 for m in mats):
+    if all(m.is_symmetric and inertia(m).n_neg == 0 for m in dict.fromkeys(mats)):
         if value < 0:
             violations.append("positivity failed for PSD tuple")
         results["psd_inputs"] = True
@@ -524,9 +531,9 @@ def cmd_selftest(args):
         a1, x1 = zoo.random_psd_with_factor(rng, 3)
         a2, x2 = zoo.random_psd_with_factor(rng, 3)
         a3, x3 = zoo.random_psd_with_factor(rng, 3)
-        ok &= mixed_discriminant_perm([a1, a2, a3]) == mixed_discriminant_gram(
-            [x1, x2, x3]
-        )
+        perm = mixed_discriminant_perm([a1, a2, a3])
+        ok &= perm == mixed_discriminant([a1, a2, a3])
+        ok &= perm == mixed_discriminant_gram([x1, x2, x3])
     record("mixed_discriminant_routes", ok)
 
     record(

@@ -2,21 +2,18 @@
 its equality case, and hyperbolicity of symmetric matrices."""
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations, product
 
 from .errors import DimensionMismatch, NotPSD, NotSymmetric, IrrationalFactor
-from .linalg import Inertia, QMatrix, det, inertia
+from .linalg import QMatrix, det, inertia, integer_det
+from .polynomials import polarization_sum
 
 
-def _q(x):
-    return x if isinstance(x, Fraction) else Fraction(x)
-
-
-def mixed_discriminant_perm(mats) -> Fraction:
-    """(1/n!) sum over permutations of the determinant whose j-th column is
-    column j of the sigma(j)-th matrix."""
+def _square_tuple(mats):
+    """The n matrices of a mixed discriminant, all n x n, as a list."""
     mats = list(mats)
     if not mats:
         raise DimensionMismatch("need at least one matrix")
@@ -25,6 +22,43 @@ def mixed_discriminant_perm(mats) -> Fraction:
         raise DimensionMismatch("all matrices must be n x n")
     if len(mats) != n:
         raise DimensionMismatch(f"need exactly {n} matrices for dimension {n}")
+    return mats
+
+
+def mixed_discriminant(mats) -> Fraction:
+    """D(A_1, ..., A_n) as the polarization of det (Bapat, Mixed
+    discriminants of positive semidefinite matrices, 1989): with distinct
+    matrices A_i taken m_i times, n! D is the sum over 0 <= j_i <= m_i of
+    (-1)^(n - sum j) prod C(m_i, j_i) det(sum j_i A_i). The entries are
+    scaled once by their common denominator d, so every determinant is of
+    integers, and the sum is divided by n! d^n."""
+    mats = _square_tuple(mats)
+    n = len(mats)
+    groups = Counter(mats)
+    d = math.lcm(*(x.denominator for a in groups for row in a.m for x in row))
+    # each matrix as one flat row-major list of d-scaled integer entries
+    scaled = [
+        [x.numerator * (d // x.denominator) for row in a.m for x in row]
+        for a in groups
+    ]
+
+    def value(js):
+        flat = [0] * (n * n)
+        for j, a in zip(js, scaled):
+            if j:
+                flat = [x + j * y for x, y in zip(flat, a)]
+        return integer_det([flat[r * n : (r + 1) * n] for r in range(n)])
+
+    total = polarization_sum(list(groups.values()), value)
+    return Fraction(total, math.factorial(n) * d**n)
+
+
+def mixed_discriminant_perm(mats) -> Fraction:
+    """(1/n!) sum over permutations of the determinant whose j-th column is
+    column j of the sigma(j)-th matrix: the defining formula, kept as the
+    reference route for `mixed_discriminant`."""
+    mats = _square_tuple(mats)
+    n = len(mats)
     cols = [[a.column(j) for j in range(n)] for a in mats]
     total = Fraction(0)
     for sigma in permutations(range(n)):
@@ -167,16 +201,16 @@ def alexandrov_check(x: QMatrix, y: QMatrix, fixed) -> AlexandrovReport:
         raise DimensionMismatch("X and Y must be n x n")
     if len(fixed) != n - 2:
         raise DimensionMismatch(f"need n-2 = {n - 2} fixed matrices")
-    for a in fixed:
+    for a in dict.fromkeys(fixed):
         if not a.is_symmetric:
             raise NotSymmetric("fixed matrices must be symmetric")
         if inertia(a).n_neg != 0:
             raise NotPSD("fixed matrices must be positive semidefinite")
     if not (x.is_symmetric and y.is_symmetric):
         raise NotSymmetric("X and Y must be symmetric")
-    mixed = mixed_discriminant_perm([x, y] + fixed)
-    xx = mixed_discriminant_perm([x, x] + fixed)
-    yy = mixed_discriminant_perm([y, y] + fixed)
+    mixed = mixed_discriminant([x, y] + fixed)
+    xx = mixed_discriminant([x, x] + fixed)
+    yy = mixed_discriminant([y, y] + fixed)
     lhs = mixed * mixed
     rhs = xx * yy
     equal = lhs == rhs
@@ -201,7 +235,7 @@ def mixed_discriminant_sequence(a: QMatrix, b: QMatrix):
     """D_k = D(a taken k times, b taken n-k times), k = 0..n."""
     n = a.rows
     return [
-        mixed_discriminant_perm([a] * k + [b] * (n - k)) for k in range(n + 1)
+        mixed_discriminant([a] * k + [b] * (n - k)) for k in range(n + 1)
     ]
 
 

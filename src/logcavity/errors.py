@@ -127,3 +127,7 @@ class ColoopElement(LogcavityError):
 
 class UsageError(LogcavityError):
     pass
+
+
+class MalformedInput(UsageError):
+    """A JSON input value has the wrong type or shape."""

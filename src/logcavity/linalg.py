@@ -13,6 +13,7 @@ from .errors import (
     Disconnected,
     DimensionMismatch,
     LoopEdge,
+    MalformedInput,
     NonSquare,
     NotSymmetric,
     SingularSystem,
@@ -23,6 +24,17 @@ def _q(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
     return Fraction(x)
+
+
+_JSON_KINDS = {int: "an integer", list: "a list", dict: "a JSON object"}
+
+
+def _expect(value, kind, what):
+    """value, if it is of the JSON kind int (booleans excluded), list or
+    dict; else an input error naming what."""
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise MalformedInput(f"{what} must be {_JSON_KINDS[kind]}, got {value!r}")
+    return value
 
 
 class QMatrix:
@@ -135,8 +147,14 @@ class QMatrix:
 
     @staticmethod
     def from_json(obj):
-        r, c = obj["rows"], obj["cols"]
-        flat = [Fraction(str(x)) for x in obj["entries"]]
+        _expect(obj, dict, "matrix")
+        r = _expect(obj["rows"], int, "matrix 'rows'")
+        c = _expect(obj["cols"], int, "matrix 'cols'")
+        entries = _expect(obj["entries"], list, "matrix 'entries'")
+        try:
+            flat = [Fraction(str(x)) for x in entries]
+        except (ValueError, ZeroDivisionError):
+            raise MalformedInput("matrix entries must be rationals like 3 or -1/2")
         if len(flat) != r * c:
             raise DimensionMismatch("entry count does not match rows*cols")
         return QMatrix(flat[i * c : (i + 1) * c] for i in range(r))
@@ -218,16 +236,23 @@ def _eliminate(a, ncols, jordan=False):
     return pivots, prev, sign
 
 
+def integer_det(rows) -> int:
+    """Determinant of a square matrix of ints, given as rows: swap sign
+    times the last fraction-free pivot. The rows are copied, not changed."""
+    a = [list(row) for row in rows]
+    if any(len(row) != len(a) for row in a):
+        raise NonSquare("determinant requires a square matrix")
+    pivots, last, sign = _eliminate(a, len(a))
+    return sign * last if len(pivots) == len(a) else 0
+
+
 def det(m: QMatrix) -> Fraction:
-    """Exact determinant: swap sign times the last fraction-free pivot, over
-    the product of the row multipliers that cleared denominators."""
+    """Exact determinant: the integer determinant of the rows with their
+    denominators cleared, over the product of the row multipliers."""
     if not m.is_square:
         raise NonSquare("determinant requires a square matrix")
     a, scale = _integer_rows(m.m)
-    pivots, last, sign = _eliminate(a, m.cols)
-    if len(pivots) < m.rows:
-        return Fraction(0)
-    return Fraction(sign * last, scale)
+    return Fraction(integer_det(a), scale)
 
 
 def inertia(m: QMatrix) -> Inertia:
@@ -365,7 +390,15 @@ class Graph:
 
     @staticmethod
     def from_json(obj):
-        return Graph(obj["vertices"], tuple(tuple(e) for e in obj["edges"]))
+        _expect(obj, dict, "graph")
+        vertices = _expect(obj["vertices"], int, "graph 'vertices'")
+        edges = _expect(obj["edges"], list, "graph 'edges'")
+        for e in edges:
+            if not isinstance(e, list) or len(e) != 2:
+                raise MalformedInput(f"a graph edge must be a pair [u, v], got {e!r}")
+            _expect(e[0], int, "a graph edge endpoint")
+            _expect(e[1], int, "a graph edge endpoint")
+        return Graph(vertices, tuple(tuple(e) for e in edges))
 
 
 def laplacian(graph: Graph) -> QMatrix:

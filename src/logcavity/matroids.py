@@ -11,11 +11,12 @@ from .errors import (
     EmptyBases,
     ExchangeViolation,
     DimensionMismatch,
+    MalformedInput,
     TooLarge,
     UnequalSizes,
     UnknownElement,
 )
-from .linalg import Graph, QMatrix, det, rank_of_matrix
+from .linalg import Graph, QMatrix, _expect, det, rank_of_matrix
 
 DEFAULT_ELEMENT_CAP = 16
 
@@ -365,19 +366,36 @@ class Matroid:
     def from_json(obj):
         kind = obj.get("type", "bases")
         if kind == "uniform":
-            return Matroid.uniform(obj["k"], obj["n"])
+            return Matroid.uniform(
+                _expect(obj["k"], int, "uniform 'k'"),
+                _expect(obj["n"], int, "uniform 'n'"),
+            )
         if kind == "graphic":
             return Matroid.graphic(Graph.from_json(obj["graph"]))
         if kind == "linear":
+            ground = obj.get("ground")
             return Matroid.linear(
-                QMatrix.from_json(obj["matrix"]), obj.get("ground")
+                QMatrix.from_json(obj["matrix"]),
+                None if ground is None else _json_labels(ground, "matroid 'ground'"),
             )
         if kind == "bases":
-            ground = obj["ground"]
+            ground = _json_labels(obj["ground"], "matroid 'ground'")
             index = {str(g): g for g in ground}
-            bases = [[index.get(str(e), e) for e in b] for b in obj["bases"]]
+            bases = [
+                [index.get(str(e), e) for e in _json_labels(b, "a basis")]
+                for b in _expect(obj["bases"], list, "matroid 'bases'")
+            ]
             return Matroid.from_bases(ground, bases)
         raise UnknownElement(f"unknown matroid type {kind!r}")
+
+
+def _json_labels(value, what):
+    """value, if it is a JSON list of element labels (no lists or objects);
+    else an input error naming what."""
+    for x in _expect(value, list, what):
+        if isinstance(x, (list, dict)):
+            raise MalformedInput(f"{what} must hold element labels, got {x!r}")
+    return value
 
 
 @dataclass(frozen=True)

@@ -5,9 +5,10 @@ variable counts here are tiny, so no monomial-order machinery is used.
 """
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import product
 
 from .errors import (
     DegreeMismatch,
@@ -221,10 +222,28 @@ def basis_generating_poly(m: Matroid) -> MPoly:
     return MPoly(m.n, terms)
 
 
+def polarization_sum(multiplicities, value):
+    """Inclusion-exclusion over subset sums, with repeats taken together.
+
+    For items x_1, ..., x_k taken m_1, ..., m_k times (n = sum of the m_i),
+    returns the sum over 0 <= j_i <= m_i of
+    (-1)^(n - sum j) * prod C(m_i, j_i) * value(j). With value(j) =
+    f(sum j_i x_i) for f homogeneous of degree n, this is n! times the
+    polarization form of f at the n items: the 2^n subsets of the items meet
+    only these sums, C(m_i, j_i) subsets for each."""
+    n = sum(multiplicities)
+    total = 0
+    for js in product(*(range(m + 1) for m in multiplicities)):
+        weight = math.prod(math.comb(m, j) for m, j in zip(multiplicities, js))
+        total += (-1) ** (n - sum(js)) * weight * value(js)
+    return total
+
+
 def polarization(f: MPoly, vectors) -> Fraction:
     """Polarization form F_f(v_1, ..., v_d): the symmetric multilinear form
     with F_f(v, ..., v) = f(v), extracted by inclusion-exclusion over subset
-    sums (exact finite differencing of the degree-d polynomial)."""
+    sums (exact finite differencing of the degree-d polynomial), equal
+    vectors taken together by `polarization_sum`."""
     if not f.is_homogeneous():
         raise DegreeMismatch("polarization needs a homogeneous polynomial")
     d = f.degree()
@@ -234,18 +253,14 @@ def polarization(f: MPoly, vectors) -> Fraction:
     for v in vectors:
         if len(v) != f.nvars:
             raise DimensionMismatch("vector length must equal nvars")
-    if d == 0:
-        return f.evaluate((0,) * f.nvars)
-    total = Fraction(0)
-    for size in range(d + 1):
-        sign = (-1) ** (d - size)
-        for subset in combinations(range(d), size):
-            point = [Fraction(0)] * f.nvars
-            for i in subset:
-                for j in range(f.nvars):
-                    point[j] += vectors[i][j]
-            total += sign * f.evaluate(point)
-    return total / math.factorial(d)
+    groups = Counter(vectors)
+
+    def value(js):
+        return f.evaluate(
+            [sum(j * v[i] for j, v in zip(js, groups)) for i in range(f.nvars)]
+        )
+
+    return Fraction(polarization_sum(list(groups.values()), value), math.factorial(d))
 
 
 def m_convex(support) -> bool:

@@ -7,9 +7,10 @@ polynomial-substitution routes are cross-checks.
 """
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 from .errors import (
     BadMultiplicities,
@@ -19,7 +20,7 @@ from .errors import (
     RankDeficient,
     TooLarge,
 )
-from .linalg import Graph, QMatrix, det
+from .linalg import Graph, QMatrix, integer_det
 from .matroids import Matroid, _bits, _popcount
 from .polynomials import basis_generating_poly
 
@@ -178,6 +179,29 @@ def graphic_equality_check(graph: Graph, R_indices) -> GraphicEqualityVerdict:
     return GraphicEqualityVerdict(a_holds, b_holds, c_holds, ratio)
 
 
+def _transversal_sum(groups) -> Fraction:
+    """Sum of |det| over the square matrices whose rows are m distinct
+    positions of each group (vectors, m). Denominators are cleared once by
+    their common lcm d, so every determinant is of integers; equal vectors
+    of a group are taken once, weighted by their count, and zero vectors not
+    at all, since a repeated or zero row has determinant 0."""
+    d = math.lcm(*(x.denominator for vectors, _ in groups for v in vectors for x in v))
+    choices = []
+    for vectors, m in groups:
+        counts = Counter(
+            tuple(x.numerator * (d // x.denominator) for x in v)
+            for v in vectors
+            if any(v)
+        )
+        choices.append(combinations(counts.items(), m))
+    total = 0
+    for choice in product(*choices):
+        rows = [v for picked in choice for v, _ in picked]
+        weight = math.prod(c for picked in choice for _, c in picked)
+        total += weight * abs(integer_det(rows))
+    return Fraction(total, d ** sum(m for _, m in groups))
+
+
 def zonotope_volume(vectors) -> Fraction:
     """Volume of the zonotope spanned by the segments [0, v_i]: the sum of
     absolute determinants over n-subsets (duplicates contribute by
@@ -188,24 +212,15 @@ def zonotope_volume(vectors) -> Fraction:
     n = len(vectors[0])
     if any(len(v) != n for v in vectors):
         raise DimensionMismatch("all vectors must have the same dimension")
-    mult = {}
-    for v in vectors:
-        mult[v] = mult.get(v, 0) + 1
-    distinct = sorted(mult)
-    total = Fraction(0)
-    for combo in combinations(distinct, n):
-        weight = 1
-        for v in combo:
-            weight *= mult[v]
-        d = det(QMatrix(zip(*combo)))
-        total += weight * abs(d)
-    return total
+    return _transversal_sum([(vectors, n)])
 
 
 def mixed_volume_zonotopes(lists) -> Fraction:
-    """Mixed volume V_r(Z(T_1), ..., Z(T_r)) by the inversion formula over
-    volumes of Minkowski sums (a sum of zonotopes is the zonotope on the
-    concatenated generators)."""
+    """Mixed volume V_r(Z(T_1), ..., Z(T_r)) by the transversal formula
+    (Shephard 1974): r! V = sum of |det(v_1, ..., v_r)| over v_i in T_i.
+    Equal lists are taken together: a list repeated m times contributes
+    m! times the sum over its m-subsets, so V = prod m! / r! times the
+    transversal sum over those subsets. With no zonotopes the value is 0."""
     lists = [tuple(tuple(Fraction(x) for x in v) for v in t) for t in lists]
     r = len(lists)
     for t in lists:
@@ -214,13 +229,11 @@ def mixed_volume_zonotopes(lists) -> Fraction:
                 raise DimensionMismatch(
                     "ambient dimension must equal the number of zonotopes"
                 )
-    total = Fraction(0)
-    for size in range(r + 1):
-        sign = (-1) ** (r - size)
-        for subset in combinations(range(r), size):
-            gens = [v for i in subset for v in lists[i]]
-            total += sign * zonotope_volume(gens) if gens else 0
-    return total / math.factorial(r)
+    if not r:
+        return Fraction(0)
+    groups = Counter(lists)
+    weight = math.prod(math.factorial(m) for m in groups.values())
+    return weight * _transversal_sum(list(groups.items())) / math.factorial(r)
 
 
 @dataclass(frozen=True)

@@ -1,0 +1,45 @@
+"""Slow routes for zonotope volumes and mixed volumes, used only as test
+oracles.
+
+`zonotope_volume_by_subsets` sums |det| over every index subset of the
+generators with `linalg.det` on Fraction matrices, taking no shortcut for
+repeated or zero vectors. `mixed_volume_by_inversion` is the inversion
+formula over the volumes of the 2^r Minkowski sums of the zonotopes (a sum of
+zonotopes is the zonotope on the concatenated generators). The library uses
+the transversal formula instead, with equal lists taken together.
+"""
+
+import math
+from fractions import Fraction
+from itertools import combinations
+
+from logcavity.errors import DimensionMismatch
+from logcavity.linalg import QMatrix, det
+
+
+def zonotope_volume_by_subsets(vectors):
+    """Volume of the zonotope on the segments [0, v]: the sum of |det| over
+    the index subsets of size n, where n is the dimension."""
+    vectors = [tuple(Fraction(x) for x in v) for v in vectors]
+    if not vectors:
+        return Fraction(0)
+    n = len(vectors[0])
+    total = Fraction(0)
+    for subset in combinations(range(len(vectors)), n):
+        total += abs(det(QMatrix([vectors[i] for i in subset])))
+    return total
+
+
+def mixed_volume_by_inversion(lists):
+    """V(Z(T_1), ..., Z(T_r)) = (1/r!) sum over subsets S of [r] of
+    (-1)^(r - |S|) vol(sum of Z(T_i), i in S); 0 when r = 0."""
+    lists = [[tuple(Fraction(x) for x in v) for v in t] for t in lists]
+    r = len(lists)
+    if any(len(v) != r for t in lists for v in t):
+        raise DimensionMismatch("ambient dimension must equal the number of zonotopes")
+    total = Fraction(0)
+    for size in range(r + 1):
+        for subset in combinations(range(r), size):
+            gens = [v for i in subset for v in lists[i]]
+            total += (-1) ** (r - size) * zonotope_volume_by_subsets(gens)
+    return total / math.factorial(r)

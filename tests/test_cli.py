@@ -25,6 +25,9 @@ def witness_file(tmp_path):
     return str(path)
 
 
+I2 = {"rows": 2, "cols": 2, "entries": ["1", "0", "0", "1"]}
+
+
 def run_json(capsys, argv):
     code = main(argv)
     out = capsys.readouterr().out
@@ -36,6 +39,20 @@ class TestSelftest:
         code, report = run_json(capsys, ["selftest"])
         assert code == 0
         assert all(report["results"]["checks"].values())
+
+
+class TestDiscriminantCommand:
+    def test_repeated_matrix(self, capsys, tmp_path):
+        # D(A, A, B) for A = diag(1, 1, 2), B = diag(3, 1, 1):
+        # (1/3)(a1 a2 b3 + a1 b2 a3 + b1 a2 a3) = (1 + 2 + 6) / 3
+        path = tmp_path / "tuple.json"
+        a = {"rows": 3, "cols": 3, "entries": ["1", "0", "0", "0", "1", "0", "0", "0", "2"]}
+        b = {"rows": 3, "cols": 3, "entries": ["3", "0", "0", "0", "1", "0", "0", "0", "1"]}
+        path.write_text(json.dumps({"mats": [{"matrix": a, "mult": 2}, {"matrix": b}]}))
+        code, report = run_json(capsys, ["discriminant", "--tuple", str(path)])
+        assert code == 0
+        assert report["results"]["value"] == "3"
+        assert report["results"]["count"] == 3 and report["results"]["psd_inputs"]
 
 
 class TestHodgeCommand:
@@ -153,6 +170,14 @@ class TestErrors:
             ("discriminant", "--tuple", {"mat": []}, "'mats'"),
             ("matroid", "--matroid", [1, 2], "JSON object"),
             ("poset", "--poset", ["a", "b"], "JSON object"),
+            ("matroid", "--matroid", {"type": "uniform", "k": "3", "n": 7}, "'k'"),
+            ("matroid", "--graph", {"vertices": 2, "edges": [[0]]}, "[0]"),
+            ("matroid", "--matroid", {"ground": [1], "bases": 5}, "'bases'"),
+            ("discriminant", "--tuple", {"mats": 5}, "'mats'"),
+            ("discriminant", "--tuple", {"mats": []}, "'mats'"),
+            ("discriminant", "--tuple", {"mats": [{"matrix": I2, "mult": "2"}]}, "'mult'"),
+            ("discriminant", "--tuple", {"mats": [{"matrix": I2, "mult": -1}]}, "'mult'"),
+            ("discriminant", "--tuple", {"mats": [{"matrix": I2, "mult": 0}]}, "'mult'"),
         ],
     )
     def test_malformed_input_is_an_input_error(

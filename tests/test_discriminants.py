@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from logcavity.errors import DimensionMismatch, NotPSD, NotSymmetric
 from logcavity.discriminants import (
@@ -8,6 +10,7 @@ from logcavity.discriminants import (
     GramFactor,
     alexandrov_check,
     hyperbolic_check,
+    mixed_discriminant,
     mixed_discriminant_gram,
     mixed_discriminant_perm,
     mixed_discriminant_sequence,
@@ -90,6 +93,61 @@ class TestPermRoute:
 
             coeff = symbolic_det_coefficient(mats)
             assert coeff == math.factorial(n) * mixed_discriminant_perm(mats)
+
+
+ENTRY = st.one_of(
+    st.integers(min_value=-3, max_value=3),
+    st.fractions(min_value=-3, max_value=3, max_denominator=4),
+)
+
+
+@st.composite
+def square_matrices(draw, n):
+    """A rational n x n matrix, not symmetric in general; one time in three
+    the rank-one outer product u v^T, singular for n >= 2."""
+    if draw(st.integers(min_value=0, max_value=2)):
+        return QMatrix([[draw(ENTRY) for _ in range(n)] for _ in range(n)])
+    u = [draw(ENTRY) for _ in range(n)]
+    v = [draw(ENTRY) for _ in range(n)]
+    return QMatrix([[a * b for b in v] for a in u])
+
+
+@st.composite
+def matrix_tuples(draw, max_n=5):
+    """n <= max_n matrices of size n x n drawn from a pool of at most three,
+    so matrices repeat."""
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    pool = draw(st.lists(square_matrices(n), min_size=1, max_size=3))
+    return [draw(st.sampled_from(pool)) for _ in range(n)]
+
+
+class TestPolarizationRoute:
+    @settings(max_examples=80, deadline=None)
+    @given(matrix_tuples())
+    def test_matches_permutation_route(self, mats):
+        assert mixed_discriminant(mats) == mixed_discriminant_perm(mats)
+
+    @settings(max_examples=30, deadline=None)
+    @given(matrix_tuples(max_n=4), st.data())
+    def test_sequence_matches_permutation_route(self, mats, data):
+        n = len(mats)
+        a = mats[0]
+        b = data.draw(square_matrices(n))
+        assert mixed_discriminant_sequence(a, b) == [
+            mixed_discriminant_perm([a] * k + [b] * (n - k)) for k in range(n + 1)
+        ]
+
+    def test_repeated_matrix_is_its_determinant(self):
+        # D(A, ..., A) = det A needs the binomial weights and the signs
+        assert mixed_discriminant([PD3] * 3) == det(PD3) == 8
+        a = QMatrix([[1, 2], [3, 4]])
+        assert mixed_discriminant([a, a]) == -2
+
+    def test_shape_errors_match_permutation_route(self):
+        for mats in ([], [PD3, PD3], [PD3, QMatrix.identity(2), PD3]):
+            for route in (mixed_discriminant, mixed_discriminant_perm):
+                with pytest.raises(DimensionMismatch):
+                    route(mats)
 
 
 class TestGramRoute:

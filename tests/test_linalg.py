@@ -22,6 +22,7 @@ from logcavity.linalg import (
     det,
     incidence_matrix,
     inertia,
+    integer_det,
     kernel_basis,
     laplacian,
     rank_of_matrix,
@@ -82,6 +83,14 @@ class TestDet:
 
     def test_singular(self):
         assert det(QMatrix([[1, 2], [2, 4]])) == 0
+
+    def test_integer_rows(self):
+        rows = [[0, 2, 1], [3, 1, 0], [1, 0, 4]]
+        assert integer_det(rows) == det(QMatrix(rows)) == -25
+        assert rows == [[0, 2, 1], [3, 1, 0], [1, 0, 4]]  # left unchanged
+        assert integer_det([]) == 1
+        with pytest.raises(NonSquare):
+            integer_det([[1, 2]])
 
 
 class TestInertia:

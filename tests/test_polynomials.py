@@ -1,5 +1,6 @@
+import math
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings
@@ -23,6 +24,7 @@ from logcavity.polynomials import (
     m_convex,
     polarization,
     polarization_af_analog_check,
+    polarization_sum,
 )
 from logcavity.zoo import k4_graph, linear_3x5_matroid, matroid_zoo, tripled_u23
 
@@ -142,6 +144,48 @@ class TestPolarization:
         assert polarization(detpoly, [flat(a), flat(b)]) == (
             mixed_discriminant_perm([a, b])
         )
+
+
+def polarization_by_subsets(f, vectors):
+    """Oracle: (1/d!) sum over all 2^d subsets S of the d vectors of
+    (-1)^(d - |S|) f(sum of S), one evaluation per subset."""
+    d = len(vectors)
+    total = Fraction(0)
+    for size in range(d + 1):
+        for subset in combinations(range(d), size):
+            point = [Fraction(0)] * f.nvars
+            for i in subset:
+                point = [x + y for x, y in zip(point, vectors[i])]
+            total += (-1) ** (d - size) * f.evaluate(point)
+    return total / math.factorial(d)
+
+
+@st.composite
+def polys_with_repeated_vectors(draw):
+    """A homogeneous polynomial of degree d <= 4 and d vectors drawn from a
+    pool of at most three, so that vectors repeat."""
+    f = draw(random_polys(SIGNED))
+    vector = st.tuples(*[SIGNED] * f.nvars)
+    pool = draw(st.lists(vector, min_size=1, max_size=3))
+    return f, [draw(st.sampled_from(pool)) for _ in range(f.degree())]
+
+
+class TestPolarizationSum:
+    @settings(max_examples=80, deadline=None)
+    @given(polys_with_repeated_vectors())
+    def test_matches_one_evaluation_per_subset(self, case):
+        f, vectors = case
+        assert polarization(f, vectors) == polarization_by_subsets(f, vectors)
+
+    def test_repeated_vector_is_the_value(self):
+        # F(v, v, v) = f(v) needs the binomial weights C(3, j)
+        f = MPoly(2, {(3, 0): 1, (1, 2): 2})
+        assert polarization(f, [(1, 2)] * 3) == f.evaluate((1, 2)) == 9
+
+    def test_weights_and_signs(self):
+        # t^3 at the items (1, 1, 2), the 1 taken twice: 3! * 1 * 1 * 2
+        assert polarization_sum([2, 1], lambda js: (js[0] + 2 * js[1]) ** 3) == 12
+        assert polarization_sum([], lambda js: 7) == 7
 
 
 class TestMConvex:

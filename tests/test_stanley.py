@@ -3,10 +3,13 @@ from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from logcavity.errors import (
     BadMultiplicities,
     DegenerateEnds,
+    DimensionMismatch,
     LoopPresent,
     RankDeficient,
 )
@@ -35,6 +38,7 @@ from logcavity.zoo import (
     matroid_zoo,
     random_connected_multigraph,
 )
+from stanley_oracle import mixed_volume_by_inversion, zonotope_volume_by_subsets
 
 U23 = Matroid.uniform(2, 3)
 
@@ -260,6 +264,62 @@ class TestZonotopes:
         cols = [tuple(ri.column(j)) for j in range(ri.cols)]
         v = mixed_volume_zonotopes([cols, cols])
         assert math.factorial(2) * v == math.factorial(2) * len(m.bases)
+
+
+ENTRY = st.one_of(
+    st.integers(min_value=-2, max_value=2),
+    st.fractions(min_value=-2, max_value=2, max_denominator=3),
+)
+
+
+@st.composite
+def zonotope_lists(draw, dims=st.integers(min_value=0, max_value=4)):
+    """r lists of vectors in dimension r, r <= 4. The vectors come from a
+    small pool with the zero vector in it, and the lists from a pool of at
+    most three, so vectors repeat within a list and lists repeat; a list
+    may be empty."""
+    r = draw(dims)
+    vectors = draw(st.lists(st.tuples(*[ENTRY] * r), min_size=1, max_size=3))
+    vectors.append((0,) * r)
+    vector_lists = draw(
+        st.lists(st.lists(st.sampled_from(vectors), max_size=3), min_size=1, max_size=3)
+    )
+    return [draw(st.sampled_from(vector_lists)) for _ in range(r)]
+
+
+class TestTransversalFormula:
+    @settings(max_examples=120, deadline=None)
+    @given(zonotope_lists())
+    def test_matches_inversion_formula(self, lists):
+        assert mixed_volume_zonotopes(lists) == mixed_volume_by_inversion(lists)
+
+    @settings(max_examples=40, deadline=None)
+    @given(zonotope_lists(dims=st.integers(min_value=1, max_value=4)))
+    def test_zonotope_volume_matches_subsets(self, lists):
+        vectors = [v for t in lists for v in t]
+        assert zonotope_volume(vectors) == zonotope_volume_by_subsets(vectors)
+
+    @settings(max_examples=20, deadline=None)
+    @given(zonotope_lists(dims=st.integers(min_value=1, max_value=3)), st.data())
+    def test_wrong_dimension_is_rejected(self, lists, data):
+        i = data.draw(st.integers(min_value=0, max_value=len(lists) - 1))
+        lists[i] = list(lists[i]) + [(1,) * (len(lists) + 1)]
+        for route in (mixed_volume_zonotopes, mixed_volume_by_inversion):
+            with pytest.raises(DimensionMismatch):
+                route(lists)
+
+    def test_no_zonotopes(self):
+        # the bare transversal sum would give the 0 x 0 determinant, 1
+        assert mixed_volume_zonotopes([]) == 0 == mixed_volume_by_inversion([])
+
+    def test_repeated_lists_weight(self):
+        # V(Z, Z) = vol(Z) for the unit square Z: needs the weight 2! of the
+        # repeated list
+        square = [(1, 0), (0, 1)]
+        assert mixed_volume_zonotopes([square, square]) == 1
+        cube = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+        assert mixed_volume_zonotopes([cube] * 3) == 1
+        assert mixed_volume_zonotopes([cube, cube, [(0, 0, 2)]]) == Fraction(2, 3)
 
 
 class TestMason:
