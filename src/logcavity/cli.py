@@ -172,11 +172,21 @@ def _load_matroid(args) -> Matroid:
 
 def _load_marked_poset(args) -> MarkedPoset:
     obj = _load_json(args.poset, "poset")
-    x = getattr(args, "x", None) or obj.get("x")
-    y = getattr(args, "y", None) or obj.get("y")
+    x, y = _mark(args, obj, "x"), _mark(args, obj, "y")
     if x is None or y is None:
         raise UsageError("marks x and y are required (flags or poset JSON)")
     return MarkedPoset(Poset.from_json(obj), x, y)
+
+
+def _mark(args, obj, key):
+    """The mark from its flag, else from the poset JSON, where it must be an
+    element label, not a list or an object."""
+    value = getattr(args, key, None) or obj.get(key)
+    if isinstance(value, (list, dict)):
+        raise MalformedInput(
+            f"poset mark '{key}' must be an element label, got {value!r}"
+        )
+    return value
 
 
 def _parse_labels(m: Matroid, csv):
@@ -210,7 +220,7 @@ def cmd_poset(args):
     cap = args.cap_extensions
     results = {"n": p.n}
     violations = []
-    x = getattr(args, "x", None) or obj.get("x")
+    x = _mark(args, obj, "x")
     if x is not None:
         seq = stanley_sequence(p, x, cap)
         results["extensions"] = sum(seq)
@@ -424,8 +434,6 @@ def cmd_hodge(args):
     dims = graded_dims(m)
     results = {"graded_dims": dims, "k": k}
     violations = []
-    if dims != dims[::-1]:
-        violations.append("graded dimensions are not palindromic")
     if 2 * k <= m.rank:
         count, iner = mobius_pairing(m, k)
         results["mobius_pairing"] = {

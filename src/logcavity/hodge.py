@@ -4,7 +4,8 @@ socle checks, the graded Moebius algebra pairing, and open-question probes.
 
 Degree-k classes are represented on independent squarefree k-subsets; because
 the basis generating polynomial is multilinear, every evaluation matrix is
-0/1 and ranks, kernels, and forms stay in exact rational arithmetic.
+0/1, held as int rows, and its row bases and kernels come from fraction-free
+integer elimination; forms stay in exact rational arithmetic.
 """
 
 import math
@@ -25,20 +26,11 @@ from .errors import (
 from .linalg import (
     QMatrix,
     inertia,
-    kernel_basis,
-    rank_of_matrix,
-    row_space_basis_indices,
+    integer_kernel,
+    integer_row_basis,
     solve,
 )
 from .matroids import FlatLattice, Matroid, _bits, _popcount
-
-
-def _subset_masks(n, k):
-    for combo in combinations(range(n), k):
-        mask = 0
-        for i in combo:
-            mask |= 1 << i
-        yield mask
 
 
 @dataclass(frozen=True)
@@ -53,7 +45,7 @@ class GradedEvaluation:
     k: int
     row_masks: tuple
     col_masks: tuple
-    matrix: QMatrix
+    entries: tuple  # 0/1 int rows, one per row mask
     basis_positions: tuple  # indices into row_masks giving a row-space basis
 
     @property
@@ -61,34 +53,37 @@ class GradedEvaluation:
         return len(self.basis_positions)
 
 
-def graded_evaluation(m: Matroid, k, rows="independent") -> GradedEvaluation:
+def _row_masks(m: Matroid, k, rows):
     if not 0 <= k <= m.rank:
         raise DegreeTooHigh(f"degree {k} outside 0..rank")
     if rows == "independent":
-        row_masks = tuple(m.independent_subsets(k))
-    elif rows == "squarefree":
-        row_masks = tuple(_subset_masks(m.n, k))
-    else:
-        raise DimensionMismatch(f"unknown row mode {rows!r}")
-    col_masks = tuple(m.independent_subsets(m.rank - k))
+        return tuple(m.independent_subsets(k))
+    if rows == "squarefree":
+        return tuple(sum(1 << i for i in c) for c in combinations(range(m.n), k))
+    raise DimensionMismatch(f"unknown row mode {rows!r}")
+
+
+def _evaluation_entries(m: Matroid, row_masks, col_masks):
+    """0/1 int rows: 1 iff row | col is a basis. Row and column sizes sum to
+    the rank, so the union is a basis only when they are disjoint."""
     base_set = set(m.bases)
-    mat = QMatrix(
-        [
-            Fraction(1)
-            if (a & c) == 0 and (a | c) in base_set
-            else Fraction(0)
-            for c in col_masks
-        ]
-        for a in row_masks
-    )
-    basis_positions = tuple(row_space_basis_indices(mat))
-    return GradedEvaluation(k, row_masks, col_masks, mat, basis_positions)
+    return [[1 if a | c in base_set else 0 for c in col_masks] for a in row_masks]
+
+
+def graded_evaluation(m: Matroid, k, rows="independent") -> GradedEvaluation:
+    row_masks = _row_masks(m, k, rows)
+    col_masks = tuple(m.independent_subsets(m.rank - k))
+    entries = tuple(map(tuple, _evaluation_entries(m, row_masks, col_masks)))
+    basis_positions = tuple(integer_row_basis(entries))
+    return GradedEvaluation(k, row_masks, col_masks, entries, basis_positions)
 
 
 def graded_dims(m: Matroid):
-    """dim A^0 .. dim A^rank; palindromic by Poincare duality."""
+    """dim A^0 .. dim A^rank. With independent rows, E_(r-k) is E_k
+    transposed, so dim A^(r-k) = dim A^k: one elimination serves both, and
+    the dimensions are palindromic by construction."""
     ring = GorensteinRing.of(m)
-    return [ring.evaluation(k).dimension for k in range(m.rank + 1)]
+    return [ring.evaluation(min(k, m.rank - k)).dimension for k in range(m.rank + 1)]
 
 
 @dataclass(frozen=True)
@@ -98,15 +93,24 @@ class KernelReport:
     vectors: tuple  # tuples of Fractions spanning the degree-k annihilator
 
 
+def _annihilator(m: Matroid, k, rows):
+    """(row masks, d, integer kernel vectors) of the transposed degree-k
+    evaluation: each vector is d times an annihilator element over the rows
+    (`linalg.integer_kernel`)."""
+    row_masks = _row_masks(m, k, rows)
+    col_masks = m.independent_subsets(m.rank - k)
+    transposed = _evaluation_entries(m, col_masks, row_masks)
+    return (row_masks, *integer_kernel(transposed, len(row_masks)))
+
+
 def annihilator_kernel(m: Matroid, k, rows="squarefree") -> KernelReport:
     """Basis of the degree-k annihilator over squarefree monomial coordinates
     (dependent monomials and parallel differences land here)."""
-    ev = graded_evaluation(m, k, rows=rows)
-    vectors = kernel_basis(ev.matrix.T)
+    row_masks, d, vectors = _annihilator(m, k, rows)
     return KernelReport(
         k,
-        tuple(m._labels(mask) for mask in ev.row_masks),
-        tuple(vectors),
+        tuple(m._labels(mask) for mask in row_masks),
+        tuple(tuple(Fraction(x, d) for x in v) for v in vectors),
     )
 
 
@@ -403,23 +407,24 @@ def socle_check(m: Matroid, k, S) -> bool:
     or zero when that set is dependent. So the socle is trivial exactly when
     the columns at the independent (r-k)-sets not inside S span the column
     space. Under the rank bound no independent (r-k)-set lies inside S:
-    every column is reached and no elimination runs."""
+    every column is reached, and no matrix is built."""
     s_mask = m._mask(S)
     if m._rank_mask(s_mask) > m.rank - k - 1:
         raise RankBoundViolated(
             "socle statement needs rank(S) <= rank(M) - k - 1"
         )
-    ev = GorensteinRing.of(m).evaluation(k)
-    reached = [j for j, beta in enumerate(ev.col_masks) if beta & ~s_mask]
-    return _columns_span(ev.matrix, reached)
-
-
-def _columns_span(matrix: QMatrix, positions) -> bool:
-    """Whether the columns at the distinct positions span every column."""
-    if len(positions) == matrix.cols:
+    cols = m.independent_subsets(m.rank - k)
+    reached = [j for j, beta in enumerate(cols) if beta & ~s_mask]
+    if len(reached) == len(cols):
         return True
-    chosen = matrix.submatrix(range(matrix.rows), positions)
-    return rank_of_matrix(chosen) == rank_of_matrix(matrix)
+    return _columns_span(GorensteinRing.of(m).evaluation(k).entries, reached)
+
+
+def _columns_span(rows, positions) -> bool:
+    """Whether the columns of the int rows at the distinct positions span
+    every column: the same rank with and without the other columns."""
+    chosen = [[row[j] for j in positions] for row in rows]
+    return len(integer_row_basis(chosen)) == len(integer_row_basis(rows))
 
 
 def simplification_isomorphism_check(m: Matroid, points=None) -> bool:
@@ -455,22 +460,15 @@ class MobiusAlgebra:
 
     def product(self, F, G):
         m = self.matroid
-        join = m.closure_of(set(F) | set(G))
-        if m.rank_of(join) == m.rank_of(F) + m.rank_of(G):
-            return join
+        f, g = m._mask(F), m._mask(G)
+        if m._rank_mask(f | g) == m._rank_mask(f) + m._rank_mask(g):
+            return m._labels(m._closure_mask(f | g))
         return None
 
     def theta_image(self, F):
         """A basis of the flat F (greedy), the image monomial of y_F."""
         m = self.matroid
-        mask = 0
-        r = 0
-        for e in F:
-            cand = mask | 1 << m._index[e]
-            if m._rank_mask(cand) > r:
-                mask = cand
-                r += 1
-        return m._labels(mask)
+        return m._labels(m._greedy(m._mask(F))[0])
 
 
 def mobius_pairing(m: Matroid, k):
@@ -483,27 +481,25 @@ def mobius_pairing(m: Matroid, k):
     alg = MobiusAlgebra(m)
     flats = alg.flats_of_rank(k)
     base_set = set(m.bases)
-    n = len(flats)
+    masks = [m._mask(F) for F in flats]
+    thetas = [m._mask(alg.theta_image(F)) for F in flats]
     rows = []
-    for F in flats:
-        bf = m._mask(alg.theta_image(F))
+    for F, f, bf in zip(flats, masks, thetas):
         row = []
-        for G in flats:
-            joined = alg.product(F, G)
-            rank_route = (
-                joined is not None and m.rank_of(joined) == m.rank
-            )
-            bg = m._mask(alg.theta_image(G))
-            union_route = bf & bg == 0 and (bf | bg) in base_set
+        for G, g, bg in zip(flats, masks, thetas):
+            # y_F y_G = y_(F join G) iff rank(F | G) = 2k, and it pairs to 1
+            # iff that is the top degree
+            rank_route = 2 * k == m.rank == m._rank_mask(f | g)
+            union_route = bf | bg in base_set
             if rank_route != union_route:
                 raise AssertionError(
                     "pairing formulations disagree on "
                     f"{sorted(F)} vs {sorted(G)}"
                 )
-            row.append(Fraction(1 if rank_route else 0))
+            row.append(1 if rank_route else 0)
         rows.append(row)
     matrix = QMatrix(rows) if rows else QMatrix.zero(0, 0)
-    return n, inertia(matrix)
+    return len(flats), inertia(matrix)
 
 
 def mobius_pairing_zero_count_identity(m: Matroid, k) -> bool:
@@ -513,12 +509,9 @@ def mobius_pairing_zero_count_identity(m: Matroid, k) -> bool:
     alg = MobiusAlgebra(m)
     ev = GorensteinRing.of(m).evaluation(k)
     pos = {mask: idx for idx, mask in enumerate(ev.row_masks)}
-    rows = []
-    for F in alg.flats_of_rank(k):
-        mask = m._mask(alg.theta_image(F))
-        rows.append(ev.matrix[pos[mask]])
-    theta_rank = rank_of_matrix(QMatrix(rows)) if rows else 0
-    return iner.n_zero == count - theta_rank
+    thetas = [m._mask(alg.theta_image(F)) for F in alg.flats_of_rank(k)]
+    rows = [ev.entries[pos[theta]] for theta in thetas]
+    return iner.n_zero == count - len(integer_row_basis(rows))
 
 
 @dataclass(frozen=True)
@@ -530,30 +523,29 @@ class ContainmentProbe:
 
 def annihilator_containment_probe(m: Matroid, e) -> ContainmentProbe:
     """Whether the annihilator of the deletion embeds into that of the
-    contraction (open question; reported, never asserted)."""
+    contraction (open question; reported, never asserted).
+
+    Per degree, one integer kernel of the deletion's transposed evaluation
+    gives d times each annihilator element. Deletion and contraction keep the
+    ground order, so a row mask of the deletion is the same set in the
+    contraction; each contraction column gamma is tested by an integer sum
+    over the rows a with a | gamma a basis of the contraction."""
     if e in m.coloops():
         raise ColoopElement("the question is posed for non-coloops")
     deleted = m.delete([e])
     contracted = m.contract([e])
     base_set = set(contracted.bases)
-    for k in range(1, deleted.rank + 1):
-        report = annihilator_kernel(deleted, k, rows="independent")
-        if contracted.rank - k < 0:
-            continue
-        gammas = contracted.independent_subsets(contracted.rank - k)
-        for vec in report.vectors:
-            for gamma in gammas:
-                total = Fraction(0)
-                for coeff, labels in zip(vec, report.row_subsets):
-                    if coeff == 0:
-                        continue
-                    mask = contracted._mask(labels)
-                    if mask & gamma == 0 and (mask | gamma) in base_set:
-                        total += coeff
-                if total != 0:
-                    return ContainmentProbe(
-                        e, False, (k, report.row_subsets, vec)
-                    )
+    for k in range(1, min(deleted.rank, contracted.rank) + 1):
+        row_masks, d, vectors = _annihilator(deleted, k, "independent")
+        supports = [
+            [i for i, a in enumerate(row_masks) if a | gamma in base_set]
+            for gamma in contracted.independent_subsets(contracted.rank - k)
+        ]
+        for v in vectors:
+            if any(sum(v[i] for i in support) for support in supports):
+                subsets = tuple(deleted._labels(mask) for mask in row_masks)
+                vec = tuple(Fraction(x, d) for x in v)
+                return ContainmentProbe(e, False, (k, subsets, vec))
     return ContainmentProbe(e, True, None)
 
 
@@ -567,23 +559,15 @@ def theta_consistency_check(m: Matroid) -> bool:
             if len(bases_of_f) < 2:
                 continue
             first = bases_of_f[0]
-            k = len(first)
             for other in bases_of_f[1:]:
-                if not in_annihilator(
-                    m, {frozenset(first): 1, frozenset(other): -1}
-                ):
+                if not in_annihilator(m, {first: 1, other: -1}):
                     return False
     return True
 
 
 def _bases_of_flat(m: Matroid, F):
-    members = sorted(F, key=lambda e: m._index[e])
-    r = m.rank_of(F)
-    out = []
-    for combo in combinations(members, r):
-        if m.is_independent(combo):
-            out.append(combo)
-    return out
+    f = m._mask(F)
+    return [m._labels(b) for b in m.independent_subsets(m._rank_mask(f)) if b & ~f == 0]
 
 
 def signature_formula_check(m: Matroid, k, point):

@@ -37,6 +37,15 @@ def _expect(value, kind, what):
     return value
 
 
+def _json_labels(value, what):
+    """value, if it is a JSON list of element labels (no lists or objects);
+    else an input error naming what."""
+    for x in _expect(value, list, what):
+        if isinstance(x, (list, dict)):
+            raise MalformedInput(f"{what} must hold element labels, got {x!r}")
+    return value
+
+
 class QMatrix:
     """Immutable dense matrix with Fraction entries, row-major."""
 
@@ -246,6 +255,30 @@ def integer_det(rows) -> int:
     return sign * last if len(pivots) == len(a) else 0
 
 
+def integer_row_basis(rows):
+    """Indices of a maximal independent set of the integer rows, greedy in
+    row order: the pivot columns of the transpose."""
+    return _eliminate([list(col) for col in zip(*rows)], len(rows))[0]
+
+
+def integer_kernel(rows, ncols):
+    """(d, vectors): a basis of the right null space of the integer rows, one
+    int vector per free column f of the RREF in column order. Every pivot of
+    the fraction-free Jordan form a equals its last pivot d, so a is d RREF
+    and v = d e_f - sum_r a[r][f] e_(pivot r) is d times the RREF kernel
+    vector. The rows are copied, not changed."""
+    a = [list(row) for row in rows]
+    pivots, d, _ = _eliminate(a, ncols, jordan=True)
+    vectors = []
+    for f in sorted(set(range(ncols)) - set(pivots)):
+        v = [0] * ncols
+        v[f] = d
+        for r, c in enumerate(pivots):
+            v[c] = -a[r][f]
+        vectors.append(v)
+    return d, vectors
+
+
 def det(m: QMatrix) -> Fraction:
     """Exact determinant: the integer determinant of the rows with their
     denominators cleared, over the product of the row multipliers."""
@@ -316,26 +349,13 @@ def rank_of_matrix(m: QMatrix) -> int:
 def kernel_basis(m: QMatrix):
     """Basis of the right null space {v : m v = 0}, as tuples of Fractions,
     one per free column of the RREF in column order."""
-    a, _ = _integer_rows(m.m)
-    pivots = _eliminate(a, m.cols, jordan=True)[0]
-    pivot_set = set(pivots)
-    basis = []
-    for f in range(m.cols):
-        if f in pivot_set:
-            continue
-        v = [Fraction(0)] * m.cols
-        v[f] = Fraction(1)
-        for r, c in enumerate(pivots):
-            v[c] = Fraction(-a[r][f], a[r][c])
-        basis.append(tuple(v))
-    return basis
+    d, vectors = integer_kernel(_integer_rows(m.m)[0], m.cols)
+    return [tuple(Fraction(x, d) for x in v) for v in vectors]
 
 
 def row_space_basis_indices(m: QMatrix):
-    """Indices of a maximal independent set of rows, greedy in row order: the
-    pivot columns of the transpose."""
-    a, _ = _integer_rows(m.m)
-    return _eliminate([list(col) for col in zip(*a)], m.rows)[0]
+    """Indices of a maximal independent set of rows, greedy in row order."""
+    return integer_row_basis(_integer_rows(m.m)[0])
 
 
 def solve(m: QMatrix, b):

@@ -11,12 +11,11 @@ from .errors import (
     EmptyBases,
     ExchangeViolation,
     DimensionMismatch,
-    MalformedInput,
     TooLarge,
     UnequalSizes,
     UnknownElement,
 )
-from .linalg import Graph, QMatrix, _expect, det, rank_of_matrix
+from .linalg import Graph, QMatrix, _expect, _json_labels, det, rank_of_matrix
 
 DEFAULT_ELEMENT_CAP = 16
 
@@ -34,7 +33,7 @@ def _bits(mask):
 
 class Matroid:
     __slots__ = (
-        "ground", "_index", "bases", "rank", "_rank_cache", "_ring", "__weakref__"
+        "ground", "_index", "bases", "rank", "_indep", "_ring", "__weakref__"
     )
 
     def __init__(self, ground, basis_masks):
@@ -48,7 +47,8 @@ class Matroid:
             raise EmptyBases("a matroid must have at least one basis")
         object.__setattr__(self, "bases", masks)
         object.__setattr__(self, "rank", _popcount(masks[0]))
-        object.__setattr__(self, "_rank_cache", {})
+        # the independence complex (_independent), built on first use
+        object.__setattr__(self, "_indep", None)
         # the Gorenstein ring (hodge.GorensteinRing.of), built on first use
         object.__setattr__(self, "_ring", None)
 
@@ -141,7 +141,7 @@ class Matroid:
         rank = _forest_rank(graph, nonloops)
         masks = []
         for combo in combinations(nonloops, rank):
-            if _is_forest(graph, combo):
+            if _forest_rank(graph, combo) == rank:
                 mask = 0
                 for i in combo:
                     mask |= 1 << i
@@ -187,25 +187,54 @@ class Matroid:
     def basis_label_sets(self):
         return frozenset(self._labels(b) for b in self.bases)
 
+    def _independent(self):
+        """The independence complex, the down-closure of the bases: levels[s]
+        is the set of independent s-sets as masks, and levels[rank + 1] is
+        empty, so a lookup one past the rank needs no guard. The element cap
+        bounds it by 2^16 masks."""
+        if self._indep is None:
+            if self.n > DEFAULT_ELEMENT_CAP:
+                raise TooLarge(
+                    f"independence complex over {DEFAULT_ELEMENT_CAP} elements"
+                )
+            levels = [frozenset(self.bases), frozenset()]
+            while len(levels) <= self.rank + 1:
+                levels.insert(
+                    0, frozenset(i ^ 1 << e for i in levels[0] for e in _bits(i))
+                )
+            object.__setattr__(self, "_indep", tuple(levels))
+        return self._indep
+
     def is_independent(self, S):
         mask = self._mask(S)
-        return any(mask & ~b == 0 for b in self.bases)
+        return mask in self._independent()[min(_popcount(mask), self.rank + 1)]
+
+    def _greedy(self, mask):
+        """(a maximal independent subset of mask, grown in index order, and its
+        size). Every maximal independent subset of a set has the same size,
+        the rank of the set (Oxley, Matroid Theory), so n lookups decide it."""
+        levels = self._independent()
+        b = r = 0
+        for e in _bits(mask):
+            if b | 1 << e in levels[r + 1]:
+                b |= 1 << e
+                r += 1
+        return b, r
 
     def _rank_mask(self, mask):
-        cached = self._rank_cache.get(mask)
-        if cached is None:
-            cached = max(_popcount(mask & b) for b in self.bases)
-            self._rank_cache[mask] = cached
-        return cached
+        return self._greedy(mask)[1]
 
     def rank_of(self, S):
         return self._rank_mask(self._mask(S))
 
     def _closure_mask(self, mask):
-        r = self._rank_mask(mask)
-        out = mask
+        """e is in the closure iff B + e is dependent, for a maximal
+        independent subset B of mask."""
+        b, r = self._greedy(mask)
+        up = self._independent()[r + 1]
+        out = 0
         for e in range(self.n):
-            if not mask >> e & 1 and self._rank_mask(mask | 1 << e) == r:
+            if b | 1 << e not in up:
                 out |= 1 << e
         return out
 
@@ -214,15 +243,7 @@ class Matroid:
 
     def independent_subsets(self, k):
         """All independent k-subsets as bitmasks, sorted."""
-        seen = set()
-        for b in self.bases:
-            idx = list(_bits(b))
-            for combo in combinations(idx, k):
-                mask = 0
-                for i in combo:
-                    mask |= 1 << i
-                seen.add(mask)
-        return sorted(seen)
+        return sorted(self._independent()[k]) if 0 <= k <= self.rank else []
 
     def independent_count(self, k):
         return len(self.independent_subsets(k))
@@ -288,18 +309,14 @@ class Matroid:
 
     def restrict(self, T):
         t_mask = self._mask(T)
-        keep = [i for i in _bits(t_mask)]
-        r = self._rank_mask(t_mask)
+        keep = list(_bits(t_mask))
         pos = {old: new for new, old in enumerate(keep)}
         masks = set()
-        for combo in combinations(keep, r):
-            mask = 0
-            for i in combo:
-                mask |= 1 << i
-            if any(mask & ~b == 0 for b in self.bases):
+        for i in self._independent()[self._rank_mask(t_mask)]:
+            if i & ~t_mask == 0:
                 new = 0
-                for i in combo:
-                    new |= 1 << pos[i]
+                for e in _bits(i):
+                    new |= 1 << pos[e]
                 masks.add(new)
         return Matroid(tuple(self.ground[i] for i in keep), sorted(masks))
 
@@ -312,12 +329,7 @@ class Matroid:
         """Contraction by T, computed over a basis B_T of the restriction."""
         t_mask = self._mask(T)
         if basis_of_T is None:
-            bt = 0
-            r = 0
-            for i in _bits(t_mask):
-                if self._rank_mask(bt | 1 << i) > r:
-                    bt |= 1 << i
-                    r += 1
+            bt = self._greedy(t_mask)[0]
         else:
             bt = self._mask(basis_of_T)
         keep = [i for i in range(self.n) if not t_mask >> i & 1]
@@ -389,15 +401,6 @@ class Matroid:
         raise UnknownElement(f"unknown matroid type {kind!r}")
 
 
-def _json_labels(value, what):
-    """value, if it is a JSON list of element labels (no lists or objects);
-    else an input error naming what."""
-    for x in _expect(value, list, what):
-        if isinstance(x, (list, dict)):
-            raise MalformedInput(f"{what} must hold element labels, got {x!r}")
-    return value
-
-
 @dataclass(frozen=True)
 class ParallelData:
     loops: frozenset
@@ -449,25 +452,8 @@ class FlatLattice:
         return self.flats_by_rank[1] if len(self.flats_by_rank) > 1 else ()
 
 
-def _is_forest(graph: Graph, edge_indices):
-    parent = list(range(graph.vertices))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for i in edge_indices:
-        u, v = graph.edges[i]
-        ru, rv = find(u), find(v)
-        if ru == rv:
-            return False
-        parent[ru] = rv
-    return True
-
-
-def _forest_rank(graph: Graph, nonloops):
+def _forest_rank(graph: Graph, edge_indices):
+    """The size of a spanning forest of the given edges (union-find)."""
     parent = list(range(graph.vertices))
 
     def find(x):
@@ -477,7 +463,7 @@ def _forest_rank(graph: Graph, nonloops):
         return x
 
     rank = 0
-    for i in nonloops:
+    for i in edge_indices:
         u, v = graph.edges[i]
         ru, rv = find(u), find(v)
         if ru != rv:

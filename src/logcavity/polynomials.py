@@ -14,10 +14,11 @@ from .errors import (
     DegreeMismatch,
     DimensionMismatch,
     IndexOutOfRange,
+    MalformedInput,
     MixedDegrees,
     NegativeCoefficient,
 )
-from .linalg import QMatrix, inertia
+from .linalg import QMatrix, _expect, inertia
 from .matroids import Matroid, _bits
 
 
@@ -190,11 +191,28 @@ class MPoly:
 
     @staticmethod
     def from_json(obj):
-        terms = {
-            tuple(t["exp"]): Fraction(int(t["num"]), int(t["den"]))
-            for t in obj["terms"]
-        }
-        return MPoly(obj["nvars"], terms)
+        terms = {}
+        for t in _expect(obj["terms"], list, "polynomial 'terms'"):
+            _expect(t, dict, "a polynomial term")
+            exp = _expect(t["exp"], list, "a term's 'exp'")
+            for e in exp:
+                _expect(e, int, "an exponent")
+            den = _json_int(t["den"], "a term's 'den'")
+            if den == 0:
+                raise MalformedInput("a term's 'den' must not be 0")
+            terms[tuple(exp)] = Fraction(_json_int(t["num"], "a term's 'num'"), den)
+        return MPoly(_expect(obj["nvars"], int, "polynomial 'nvars'"), terms)
+
+
+def _json_int(value, what):
+    """An int, given as a JSON integer or a string of one; else an input
+    error naming what."""
+    if isinstance(value, str):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    return _expect(value, int, what)
 
 
 def _unit(n, j):

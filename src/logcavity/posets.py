@@ -14,11 +14,13 @@ from functools import cached_property
 from .errors import (
     InvalidMarks,
     InvalidPoset,
+    MalformedInput,
     NotAChain,
     TooLarge,
     UnknownElement,
     ZeroAtIndex,
 )
+from .linalg import _expect, _json_labels
 
 DEFAULT_EXTENSION_CAP = 3_628_800  # 10!
 
@@ -191,8 +193,15 @@ class Poset:
 
     @staticmethod
     def from_json(obj):
+        relations = _expect(obj.get("relations", []), list, "poset 'relations'")
+        for r in relations:
+            if len(_json_labels(r, "a poset relation")) != 2:
+                raise MalformedInput(
+                    f"a poset relation must be a pair [a, b], got {r!r}"
+                )
         return Poset.from_relations(
-            obj["elements"], [tuple(r) for r in obj.get("relations", [])]
+            _json_labels(obj["elements"], "poset 'elements'"),
+            [tuple(r) for r in relations],
         )
 
 

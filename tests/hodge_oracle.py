@@ -5,19 +5,23 @@ Derivative values walk a chain of `MPoly.partial` and then evaluate; HRR_k
 takes a kernel basis of the Lefschetz pairing and runs the inertia of
 K^T Q K, and HRR_1 also reads the signature of -Q^1; socle triviality takes
 the kernel of the constraint matrix and applies the transposed evaluation
-matrix to each kernel vector. The library reads derivative values off the
-basis masks, decides HRR_k by one bordered inertia and socle triviality by a
-column containment.
+matrix to each kernel vector; graded dimensions take one `Fraction` rank per
+degree; the containment probe takes `Fraction` kernels and sums. The library
+reads derivative values off the basis masks, decides HRR_k by one bordered
+inertia and socle triviality by a column containment, reads dim A^(r-k) off
+E_k, and runs the probe on integer kernels and integer sums.
 """
 
 import math
 from fractions import Fraction
 
+import linalg_oracle
 from logcavity.errors import SingularSystem
 from logcavity.hodge import facet_point, graded_evaluation
 from logcavity.linalg import Inertia, QMatrix, inertia, kernel_basis, solve
 from logcavity.matroids import _bits
 from logcavity.polynomials import MPoly, basis_generating_poly
+from matroid_oracle import independent_subsets
 
 
 def derivative(m, mask, point):
@@ -118,7 +122,8 @@ def socle_check(m, k, S):
                     for a in alphas
                 ]
             )
-    return kernel_contained(QMatrix(rows), graded_evaluation(m, k).matrix.T)
+    target = QMatrix(zip(*graded_evaluation(m, k).entries))
+    return kernel_contained(QMatrix(rows), target)
 
 
 def inverse_hessian_nonzero(m):
@@ -147,3 +152,49 @@ def inverse_hessian_nonzero(m):
             continue
         out.append((e, sum(g * xi for g, xi in zip(grad, x)) != 0))
     return tuple(out)
+
+
+def containment_probe(m, e):
+    """(contained, counterexample) of the annihilator containment probe by
+    its `Fraction` route: the kernel of the transposed deletion evaluation by
+    `Fraction` elimination, each kernel vector tested against every
+    contraction column by a `Fraction` sum over label sets."""
+    deleted = m.delete([e])
+    contracted = m.contract([e])
+    base_set = set(contracted.bases)
+    for k in range(1, deleted.rank + 1):
+        rows = independent_subsets(deleted, k)
+        cols = independent_subsets(deleted, deleted.rank - k)
+        bases = set(deleted.bases)
+        matrix = QMatrix(
+            [Fraction(int(a & c == 0 and a | c in bases)) for a in rows]
+            for c in cols
+        )
+        vectors = linalg_oracle.kernel_basis(matrix)
+        subsets = tuple(deleted._labels(a) for a in rows)
+        if contracted.rank - k < 0:
+            continue
+        for vec in vectors:
+            for gamma in independent_subsets(contracted, contracted.rank - k):
+                total = Fraction(0)
+                for coeff, labels in zip(vec, subsets):
+                    if coeff == 0:
+                        continue
+                    mask = contracted._mask(labels)
+                    if mask & gamma == 0 and (mask | gamma) in base_set:
+                        total += coeff
+                if total != 0:
+                    return False, (k, subsets, vec)
+    return True, None
+
+
+def graded_dims(m):
+    """dim A^k as the rank of a `Fraction` evaluation matrix, for every k."""
+    bases = set(m.bases)
+    dims = []
+    for k in range(m.rank + 1):
+        rows = independent_subsets(m, k)
+        cols = independent_subsets(m, m.rank - k)
+        matrix = QMatrix([Fraction(int(a | c in bases)) for c in cols] for a in rows)
+        dims.append(linalg_oracle.rank_of_matrix(matrix))
+    return dims

@@ -1,0 +1,79 @@
+"""Slow routes for matroid rank and its relatives, used only as test oracles,
+and the hypothesis strategy of small matroids the oracle tests share.
+
+Rank is the largest intersection with a basis, closure adds every element
+that keeps that rank, and independent sets are the subsets of the bases.
+The library reads all of these off its independence complex instead: rank
+by greedy insertion, closure by one greedy basis plus n lookups.
+"""
+
+from itertools import combinations
+
+from hypothesis import strategies as st
+
+from logcavity.linalg import Graph, QMatrix
+from logcavity.matroids import Matroid, _bits
+
+SMALL = st.integers(min_value=-3, max_value=3)
+
+
+@st.composite
+def small_matroids(draw):
+    """Uniform, graphic multigraph (loops allowed) and linear matroids on at
+    most 7 elements."""
+    kind = draw(st.sampled_from(["uniform", "graphic", "linear"]))
+    if kind == "uniform":
+        n = draw(st.integers(min_value=1, max_value=7))
+        return Matroid.uniform(draw(st.integers(min_value=0, max_value=n)), n)
+    if kind == "graphic":
+        v = draw(st.integers(min_value=2, max_value=5))
+        end = st.integers(min_value=0, max_value=v - 1)
+        edges = draw(st.lists(st.tuples(end, end), min_size=1, max_size=7))
+        return Matroid.graphic(Graph(v, tuple(edges)))
+    rows = draw(st.integers(min_value=1, max_value=4))
+    cols = draw(st.integers(min_value=1, max_value=7))
+    row = st.lists(SMALL, min_size=cols, max_size=cols)
+    return Matroid.linear(QMatrix(draw(st.lists(row, min_size=rows, max_size=rows))))
+
+
+def rank(m, mask):
+    return max(bin(mask & b).count("1") for b in m.bases)
+
+
+def closure(m, mask):
+    r = rank(m, mask)
+    out = mask
+    for e in range(m.n):
+        if rank(m, mask | 1 << e) == r:
+            out |= 1 << e
+    return out
+
+
+def is_independent(m, mask):
+    return any(mask & ~b == 0 for b in m.bases)
+
+
+def independent_subsets(m, k):
+    """All independent k-subsets as sorted bitmasks: the k-subsets of the
+    bases."""
+    seen = set()
+    for b in m.bases:
+        for combo in combinations(list(_bits(b)), k):
+            mask = 0
+            for i in combo:
+                mask |= 1 << i
+            seen.add(mask)
+    return sorted(seen)
+
+
+def restrict(m, t_mask):
+    """The bases of the restriction to t_mask: its independent sets of size
+    rank(t_mask), in the positions of t_mask's elements."""
+    keep = list(_bits(t_mask))
+    r = rank(m, t_mask)
+    masks = set()
+    for combo in combinations(range(len(keep)), r):
+        if is_independent(m, sum(1 << keep[i] for i in combo)):
+            masks.add(sum(1 << i for i in combo))
+    return Matroid(tuple(m.ground[i] for i in keep), sorted(masks))
+

@@ -28,6 +28,11 @@ def witness_file(tmp_path):
 I2 = {"rows": 2, "cols": 2, "entries": ["1", "0", "0", "1"]}
 
 
+def poly(term):
+    """A one-variable polynomial JSON with the single given term."""
+    return {"nvars": 1, "terms": [term]}
+
+
 def run_json(capsys, argv):
     code = main(argv)
     out = capsys.readouterr().out
@@ -178,6 +183,17 @@ class TestErrors:
             ("discriminant", "--tuple", {"mats": [{"matrix": I2, "mult": "2"}]}, "'mult'"),
             ("discriminant", "--tuple", {"mats": [{"matrix": I2, "mult": -1}]}, "'mult'"),
             ("discriminant", "--tuple", {"mats": [{"matrix": I2, "mult": 0}]}, "'mult'"),
+            ("poset", "--poset", {"elements": 5, "relations": []}, "'elements'"),
+            ("poset", "--poset", {"elements": ["a", ["b"]]}, "'elements'"),
+            ("poset", "--poset", {"elements": ["a"], "relations": [["a"]]}, "pair"),
+            ("poset", "--poset", {"elements": ["a"], "relations": 5}, "'relations'"),
+            ("kahnsaks", "--poset", {"elements": ["a", "b"], "x": ["a"], "y": "b"}, "'x'"),
+            ("lorentzian", "--poly", {"nvars": 2, "terms": 5}, "'terms'"),
+            ("lorentzian", "--poly", {"nvars": 1, "terms": [5]}, "term"),
+            ("lorentzian", "--poly", poly({"exp": ["a"], "num": "1", "den": "1"}), "exponent"),
+            ("lorentzian", "--poly", poly({"exp": [1], "num": "x", "den": "1"}), "'num'"),
+            ("lorentzian", "--poly", poly({"exp": [1], "num": "1", "den": "0"}), "'den'"),
+            ("lorentzian", "--poly", {"nvars": "1", "terms": []}, "'nvars'"),
         ],
     )
     def test_malformed_input_is_an_input_error(

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hodge_oracle as oracle
+from matroid_oracle import SMALL, small_matroids
 from logcavity.errors import (
     ColoopElement,
     DegreeTooHigh,
@@ -404,28 +405,6 @@ class TestSignatureFormula:
 
 
 POSITIVE = st.fractions(min_value=Fraction(1, 7), max_value=5, max_denominator=7)
-SMALL = st.integers(min_value=-3, max_value=3)
-
-
-@st.composite
-def small_matroids(draw):
-    """Uniform, graphic multigraph (loops allowed) and linear matroids on at
-    most 7 elements."""
-    kind = draw(st.sampled_from(["uniform", "graphic", "linear"]))
-    if kind == "uniform":
-        n = draw(st.integers(min_value=1, max_value=7))
-        return Matroid.uniform(draw(st.integers(min_value=0, max_value=n)), n)
-    if kind == "graphic":
-        v = draw(st.integers(min_value=2, max_value=5))
-        end = st.integers(min_value=0, max_value=v - 1)
-        edges = draw(st.lists(st.tuples(end, end), min_size=1, max_size=7))
-        return Matroid.graphic(Graph(v, tuple(edges)))
-    rows = draw(st.integers(min_value=1, max_value=4))
-    cols = draw(st.integers(min_value=1, max_value=7))
-    row = st.lists(SMALL, min_size=cols, max_size=cols)
-    return Matroid.linear(QMatrix(draw(st.lists(row, min_size=rows, max_size=rows))))
-
-
 @st.composite
 def instances(draw):
     """(matroid, k with 2k <= rank, point): positive, or on a facet."""
@@ -541,4 +520,33 @@ class TestOracleProperties:
         )
         chosen = matrix.submatrix(range(rows), positions)
         expected = oracle.kernel_contained(chosen.T, matrix.T)
-        assert _columns_span(matrix, positions) == expected
+        rows = [[int(x) for x in row] for row in matrix.m]
+        assert _columns_span(rows, positions) == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_matroids())
+    def test_evaluation_transpose_and_dims(self, m):
+        # E_(r-k) is E_k transposed, as int rows, which graded_dims uses
+        for k in range(m.rank + 1):
+            top = graded_evaluation(m, m.rank - k).entries
+            assert top == tuple(zip(*graded_evaluation(m, k).entries))
+        assert graded_dims(m) == oracle.graded_dims(m)
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_matroids(), st.data())
+    def test_probe_matches_fraction_route(self, m, data):
+        candidates = [e for e in m.ground if e not in m.coloops()]
+        if not candidates:
+            return
+        e = data.draw(st.sampled_from(candidates))
+        probe = annihilator_containment_probe(m, e)
+        assert (probe.contained, probe.counterexample) == oracle.containment_probe(m, e)
+
+    def test_probe_matches_fraction_route_on_zoo(self):
+        for name, m in matroid_zoo().items():
+            for e in m.ground:
+                if e in m.coloops():
+                    continue
+                probe = annihilator_containment_probe(m, e)
+                expected = oracle.containment_probe(m, e)
+                assert (probe.contained, probe.counterexample) == expected, (name, e)

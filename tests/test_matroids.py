@@ -1,10 +1,16 @@
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import matroid_oracle as oracle
+from matroid_oracle import small_matroids
 
 from logcavity.errors import (
     EmptyBases,
     ExchangeViolation,
+    TooLarge,
     UnequalSizes,
     UnknownElement,
 )
@@ -25,6 +31,7 @@ from logcavity.zoo import (
     k4_graph,
     k23_graph,
     linear_3x5_matroid,
+    matroid_zoo,
     three_by_five_matrix,
     tripled_u23,
 )
@@ -312,3 +319,40 @@ class TestEquality:
         assert a == b
         assert hash(a) == hash(b)
         assert len({a, b}) == 1
+
+
+def assert_matches_oracle(m):
+    """Greedy rank, closure and independence equal the max-over-bases routes
+    on every mask, and the independent k-sets equal the subsets of bases."""
+    for mask in range(1 << m.n):
+        labels = m._labels(mask)
+        assert m.rank_of(labels) == oracle.rank(m, mask), mask
+        assert m._closure_mask(mask) == oracle.closure(m, mask), mask
+        assert m.is_independent(labels) == oracle.is_independent(m, mask), mask
+    for k in range(m.n + 2):
+        assert m.independent_subsets(k) == oracle.independent_subsets(m, k), k
+
+
+class TestOracleProperties:
+    @settings(max_examples=80, deadline=None)
+    @given(small_matroids())
+    def test_complex_matches_bases(self, m):
+        assert_matches_oracle(m)
+
+    def test_zoo_matches_bases(self):
+        for m in matroid_zoo().values():
+            assert_matches_oracle(m)
+
+    @settings(max_examples=80, deadline=None)
+    @given(small_matroids(), st.data())
+    def test_restrict_matches_bases(self, m, data):
+        t_mask = data.draw(st.integers(min_value=0, max_value=(1 << m.n) - 1))
+        restricted = m.restrict(m._labels(t_mask))
+        expected = oracle.restrict(m, t_mask)
+        assert restricted.ground == expected.ground
+        assert restricted.bases == expected.bases
+
+    def test_independence_complex_is_capped(self):
+        wide = Matroid.from_bases(range(17), [range(17)], validate=False)
+        with pytest.raises(TooLarge, match="independence complex"):
+            wide.rank_of([0])
