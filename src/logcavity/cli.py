@@ -39,6 +39,7 @@ from .posets import (
 )
 from .discriminants import (
     alexandrov_check,
+    is_psd,
     mixed_discriminant,
     mixed_discriminant_gram,
     mixed_discriminant_perm,
@@ -404,7 +405,9 @@ def cmd_discriminant(args):
     value = mixed_discriminant(mats)
     results = {"value": str(value), "n": mats[0].rows, "count": len(mats)}
     violations = []
-    if all(m.is_symmetric and inertia(m).n_neg == 0 for m in dict.fromkeys(mats)):
+    # one inertia per distinct matrix, shared with alexandrov_check below
+    psd = functools.cache(is_psd)
+    if all(psd(m) for m in dict.fromkeys(mats)):
         if value < 0:
             violations.append("positivity failed for PSD tuple")
         results["psd_inputs"] = True
@@ -413,7 +416,7 @@ def cmd_discriminant(args):
     if len(mats) == mats[0].rows and len(mats) >= 2:
         x, y, rest = mats[0], mats[1], mats[2:]
         try:
-            rep = alexandrov_check(x, y, rest)
+            rep = alexandrov_check(x, y, rest, mixed=value, psd=psd)
             results["alexandrov"] = {
                 "lhs": str(rep.lhs),
                 "rhs": str(rep.rhs),

@@ -192,9 +192,20 @@ class AlexandrovReport:
     proportional: bool
 
 
-def alexandrov_check(x: QMatrix, y: QMatrix, fixed) -> AlexandrovReport:
+def is_psd(a: QMatrix) -> bool:
+    """Whether a is symmetric and positive semidefinite: one inertia."""
+    return a.is_symmetric and inertia(a).n_neg == 0
+
+
+def alexandrov_check(
+    x: QMatrix, y: QMatrix, fixed, mixed=None, psd=is_psd
+) -> AlexandrovReport:
     """Alexandrov's inequality for mixed discriminants, with exact equality
-    detection and proportionality extraction."""
+    detection and proportionality extraction.
+
+    A caller that already holds D(X, Y, fixed) passes it as mixed, and one
+    that already tests matrices for positive semidefiniteness passes its
+    (memoized) test as psd, so that neither is computed twice."""
     fixed = list(fixed)
     n = x.rows
     if y.rows != n or y.cols != n or x.cols != n:
@@ -204,11 +215,12 @@ def alexandrov_check(x: QMatrix, y: QMatrix, fixed) -> AlexandrovReport:
     for a in dict.fromkeys(fixed):
         if not a.is_symmetric:
             raise NotSymmetric("fixed matrices must be symmetric")
-        if inertia(a).n_neg != 0:
+        if not psd(a):
             raise NotPSD("fixed matrices must be positive semidefinite")
     if not (x.is_symmetric and y.is_symmetric):
         raise NotSymmetric("X and Y must be symmetric")
-    mixed = mixed_discriminant([x, y] + fixed)
+    if mixed is None:
+        mixed = mixed_discriminant([x, y] + fixed)
     xx = mixed_discriminant([x, x] + fixed)
     yy = mixed_discriminant([y, y] + fixed)
     lhs = mixed * mixed

@@ -2,7 +2,8 @@
 
 Entries are fractions.Fraction; nothing here touches floating point. Every
 elimination clears denominators once per row and runs one fraction-free
-integer (Bareiss) update.
+integer (Bareiss) update, applied lazily: a row is rescaled only when it
+has a nonzero in the pivot column or must hold its eager value.
 """
 
 import math
@@ -201,17 +202,40 @@ def _integer_rows(rows):
     return out, scale
 
 
-def _bareiss(a, r, c, prev, targets, lo):
-    """Exact-division Bareiss update: with pivot p = a[r][c] and previous
-    pivot prev, row i of targets becomes (a[i]*p - a[i][c]*a[r]) // prev from
-    column lo on. Every result is a minor of the input, so the division is
-    exact (Bareiss, Math. Comp. 1968)."""
+def _raise(a, level, rows, to, lo=0):
+    """Bring each of the given integer rows up to the level to, from column
+    lo on (the entries before lo are zero): row i becomes a[i] * to //
+    level[i], which is exact because it is the row's eager value."""
+    for i in rows:
+        lvl = level[i]
+        if lvl != to:
+            a[i][lo:] = [x * to // lvl for x in a[i][lo:]]
+            level[i] = to
+
+
+def _update(a, level, r, c, targets, lo):
+    """The one fraction-free (Bareiss) row update, done lazily.
+
+    Row i of a is stored at level[i], the pivot it was last scaled to, and
+    equals its eager Bareiss value times level[i] / prev, prev being the
+    last pivot. Pivot row r must already hold its eager value, so that
+    p = a[r][c] is the eager pivot. A target row with a zero in column c
+    would only be multiplied by p / prev, so it is left as it is; a target
+    with f = a[i][c] != 0 becomes (a[i]*p - f*a[r]) // level[i] from column
+    lo on, which is its eager value (x*p - f*y) // prev with x and f scaled
+    by prev / level[i], and takes the level p. Every quotient is an eager
+    value, a minor of the input, so every division is exact (Bareiss,
+    Sylvester's identity and multistep integer-preserving Gaussian
+    elimination, Math. Comp. 1968)."""
     pivot_row = a[r][lo:]
     p = a[r][c]
     for i in targets:
         row = a[i]
         f = row[c]
-        row[lo:] = [(x * p - f * y) // prev for x, y in zip(row[lo:], pivot_row)]
+        if f:
+            lvl = level[i]
+            row[lo:] = [(x * p - f * y) // lvl for x, y in zip(row[lo:], pivot_row)]
+            level[i] = p
 
 
 def _eliminate(a, ncols, jordan=False):
@@ -222,8 +246,17 @@ def _eliminate(a, ncols, jordan=False):
     Rows below each pivot are cleared, leaving an echelon form whose last
     pivot is, up to the swap sign, the minor on the pivot rows and columns.
     With jordan=True the rows above are cleared too, leaving d * RREF with d
-    the last pivot. Returns (pivot columns, last pivot, swap sign)."""
+    the last pivot. Returns (pivot columns, last pivot, swap sign).
+
+    The update is lazy (`_update`): row i equals its eager value times
+    level[i] / prev, is touched only where it has a nonzero in the pivot
+    column, and each pivot row is first raised to prev. Every quotient is
+    an eager value, a minor of the input, so each division is exact
+    (Bareiss 1968) and the pivots, last pivot and swap sign are the eager
+    ones. With jordan=True every row is raised to d at the end, giving the
+    eager d * RREF."""
     rows = len(a)
+    level = [1] * rows
     pivots = []
     prev = 1
     sign = 1
@@ -236,12 +269,16 @@ def _eliminate(a, ncols, jordan=False):
             continue
         if piv != r:
             a[r], a[piv] = a[piv], a[r]
+            level[r], level[piv] = level[piv], level[r]
             sign = -sign
-        _bareiss(a, r, c, prev, range(r + 1, rows), c)
+        _raise(a, level, (r,), prev, c)
+        _update(a, level, r, c, range(r + 1, rows), c)
         if jordan:
-            _bareiss(a, r, c, prev, range(r), 0)
+            _update(a, level, r, c, range(r), 0)
         pivots.append(c)
-        prev = a[r][c]
+        prev = level[r] = a[r][c]
+    if jordan:
+        _raise(a, level, range(rows), prev)
     return pivots, prev, sign
 
 
@@ -294,12 +331,20 @@ def inertia(m: QMatrix) -> Inertia:
     Symmetric fraction-free elimination on diagonal pivots; a zero diagonal
     with a nonzero off-diagonal entry is resolved by the row+column addition
     congruence. The k-th pivot of the LDL^T form is pivot_k / pivot_(k-1),
-    so its sign is the product of their signs."""
+    so its sign is the product of their signs.
+
+    The update is the lazy one of `_eliminate`: an active row equals its
+    eager value times its level / prev, and each pivot row is raised to
+    prev before its diagonal is read. The congruence, the only step that
+    adds one row to another, first raises every active row to prev. Every
+    quotient is an eager value, a minor of the input after its congruences,
+    so each division is exact (Bareiss 1968)."""
     if not m.is_symmetric:
         raise NotSymmetric("inertia requires a symmetric matrix")
     # one common multiplier keeps the integer copy symmetric and congruent
     d = math.lcm(*(x.denominator for row in m.m for x in row))
     a = [[x.numerator * (d // x.denominator) for x in row] for row in m.m]
+    level = [1] * m.rows
     active = list(range(m.rows))
     n_pos = n_neg = 0
     prev = 1
@@ -317,18 +362,20 @@ def inertia(m: QMatrix) -> Inertia:
             )
             if off is None:
                 break
+            _raise(a, level, active, prev)
             i, j = off
             a[i] = [x + y for x, y in zip(a[i], a[j])]
             for k in active:
                 a[k][i] += a[k][j]
             piv = i
+        active.remove(piv)
+        _raise(a, level, (piv,), prev)
         p = a[piv][piv]
         if (p > 0) == (prev > 0):
             n_pos += 1
         else:
             n_neg += 1
-        active.remove(piv)
-        _bareiss(a, piv, piv, prev, active, 0)
+        _update(a, level, piv, piv, active, 0)
         prev = p
     return Inertia(n_pos, n_neg, len(active))
 

@@ -1,10 +1,14 @@
-"""Reference eliminations over fractions.Fraction, used only as test oracles.
+"""Reference eliminations, used only as test oracles.
 
-Each routine is plain Gaussian elimination on rational entries, written
-independently of the fraction-free integer kernel in `logcavity.linalg`, and
-returns exactly what the public entry point of the same name returns.
+Each routine but the last two is plain Gaussian elimination on rational
+entries, written independently of the fraction-free integer kernel in
+`logcavity.linalg`, and returns exactly what the public entry point of the
+same name returns. The last two, `eager_eliminate` and `eager_inertia`, are
+the eager Bareiss eliminations that rescale every row at every step; the
+lazy kernel must reproduce their pivots and rows bit for bit.
 """
 
+import math
 from fractions import Fraction
 
 from logcavity.errors import DimensionMismatch, NonSquare, NotSymmetric
@@ -180,3 +184,79 @@ def solve(m: QMatrix, b):
                 f = a[i][c]
                 a[i] = [x - f * y for x, y in zip(a[i], a[c])]
     return tuple(a[i][n] for i in range(n))
+
+
+def _bareiss(a, r, c, prev, targets, lo):
+    """Eager Bareiss update: with pivot p = a[r][c] and previous pivot prev,
+    row i of targets becomes (a[i]*p - a[i][c]*a[r]) // prev from column lo
+    on, whether or not a[i][c] is zero."""
+    pivot_row = a[r][lo:]
+    p = a[r][c]
+    for i in targets:
+        row = a[i]
+        f = row[c]
+        row[lo:] = [(x * p - f * y) // prev for x, y in zip(row[lo:], pivot_row)]
+
+
+def eager_eliminate(a, ncols, jordan=False):
+    """What `linalg._eliminate` returns, by the eager update: the integer
+    rows a are changed in place to the same final rows."""
+    rows = len(a)
+    pivots = []
+    prev = 1
+    sign = 1
+    for c in range(ncols):
+        r = len(pivots)
+        if r == rows:
+            break
+        piv = next((i for i in range(r, rows) if a[i][c]), None)
+        if piv is None:
+            continue
+        if piv != r:
+            a[r], a[piv] = a[piv], a[r]
+            sign = -sign
+        _bareiss(a, r, c, prev, range(r + 1, rows), c)
+        if jordan:
+            _bareiss(a, r, c, prev, range(r), 0)
+        pivots.append(c)
+        prev = a[r][c]
+    return pivots, prev, sign
+
+
+def eager_inertia(m: QMatrix) -> Inertia:
+    """What `linalg.inertia` returns, by the eager symmetric update."""
+    if not m.is_symmetric:
+        raise NotSymmetric("inertia requires a symmetric matrix")
+    d = math.lcm(*(x.denominator for row in m.m for x in row))
+    a = [[x.numerator * (d // x.denominator) for x in row] for row in m.m]
+    active = list(range(m.rows))
+    n_pos = n_neg = 0
+    prev = 1
+    while active:
+        piv = next((i for i in active if a[i][i]), None)
+        if piv is None:
+            off = next(
+                (
+                    (i, j)
+                    for idx, i in enumerate(active)
+                    for j in active[idx + 1 :]
+                    if a[i][j]
+                ),
+                None,
+            )
+            if off is None:
+                break
+            i, j = off
+            a[i] = [x + y for x, y in zip(a[i], a[j])]
+            for k in active:
+                a[k][i] += a[k][j]
+            piv = i
+        p = a[piv][piv]
+        if (p > 0) == (prev > 0):
+            n_pos += 1
+        else:
+            n_neg += 1
+        active.remove(piv)
+        _bareiss(a, piv, piv, prev, active, 0)
+        prev = p
+    return Inertia(n_pos, n_neg, len(active))

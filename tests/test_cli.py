@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from logcavity import cli
+from logcavity import cli, discriminants
 from logcavity.cli import RunReport, _emit, main
 from logcavity.polynomials import MPoly
 from logcavity.posets import Poset
@@ -58,6 +58,34 @@ class TestDiscriminantCommand:
         assert code == 0
         assert report["results"]["value"] == "3"
         assert report["results"]["count"] == 3 and report["results"]["psd_inputs"]
+
+    def test_each_value_computed_once(self, capsys, tmp_path, monkeypatch):
+        # A given twice as separate entries: two distinct matrices, one
+        # inertia each, and D(A, B, A) once, shared with the Alexandrov check
+        calls = {"inertia": 0, "mixed_discriminant": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            return wrapper
+
+        iner = counted("inertia", discriminants.inertia)
+        monkeypatch.setattr(discriminants, "inertia", iner)
+        monkeypatch.setattr(cli, "inertia", iner)
+        md = counted("mixed_discriminant", discriminants.mixed_discriminant)
+        monkeypatch.setattr(discriminants, "mixed_discriminant", md)
+        monkeypatch.setattr(cli, "mixed_discriminant", md)
+        path = tmp_path / "tuple.json"
+        a = {"rows": 3, "cols": 3, "entries": ["2", "1", "0", "1", "2", "0", "0", "0", "1"]}
+        b = {"rows": 3, "cols": 3, "entries": ["3", "0", "0", "0", "1", "0", "0", "0", "1"]}
+        path.write_text(json.dumps({"mats": [{"matrix": a}, {"matrix": b}, {"matrix": a}]}))
+        code, report = run_json(capsys, ["discriminant", "--tuple", str(path)])
+        assert code == 0 and report["results"]["psd_inputs"]
+        assert "alexandrov" in report["results"]
+        # D(A, B, A), D(A, A, A) and D(B, B, A)
+        assert calls == {"inertia": 2, "mixed_discriminant": 3}
 
 
 class TestHodgeCommand:

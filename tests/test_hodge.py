@@ -20,7 +20,6 @@ from logcavity.matroids import Matroid
 from logcavity.hodge import (
     GorensteinRing,
     MobiusAlgebra,
-    _columns_span,
     _hrr_verdict,
     _positive_on_kernel,
     annihilator_containment_probe,
@@ -503,25 +502,6 @@ class TestOracleProperties:
     def test_bordered_inertia_rule(self, inst):
         q, u = inst
         assert _positive_on_kernel(q, u) == oracle.positive_on_kernel(q, u)
-
-    @settings(max_examples=200, deadline=None)
-    @given(st.data())
-    def test_column_containment(self, data):
-        rows = data.draw(st.integers(min_value=1, max_value=5))
-        cols = data.draw(st.integers(min_value=2, max_value=6))
-        matrix = data.draw(rank_deficient(rows, cols))
-        positions = sorted(
-            data.draw(
-                st.sets(
-                    st.integers(min_value=0, max_value=cols - 1),
-                    max_size=cols - 1,
-                )
-            )
-        )
-        chosen = matrix.submatrix(range(rows), positions)
-        expected = oracle.kernel_contained(chosen.T, matrix.T)
-        rows = [[int(x) for x in row] for row in matrix.m]
-        assert _columns_span(rows, positions) == expected
 
     @settings(max_examples=60, deadline=None)
     @given(small_matroids())

@@ -2,7 +2,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import linalg_oracle as oracle
@@ -15,6 +15,7 @@ from logcavity.errors import (
     SingularSystem,
 )
 from logcavity.linalg import (
+    _eliminate,
     Graph,
     Inertia,
     QMatrix,
@@ -353,3 +354,82 @@ class TestAgainstFractionOracle:
     @given(symmetric_matrices())
     def test_inertia(self, m):
         assert inertia(m) == oracle.inertia(m)
+
+
+# Properties pairing the lazy fraction-free kernel with the eager Bareiss
+# oracles in tests/linalg_oracle.py: pivots, signs and rows must be the same
+# ints. Sparse inputs make rows skip steps, so that levels differ.
+
+SPARSE = st.sampled_from((0, 0, 0, 1))
+SMALL = st.sampled_from((0, 0, 0, 1, -1, 2, -3))
+
+
+@st.composite
+def integer_grids(draw, entries, min_rows=1, max_rows=7):
+    rows = draw(st.integers(min_value=min_rows, max_value=max_rows))
+    cols = draw(st.integers(min_value=1, max_value=8))
+    return [[draw(entries) for _ in range(cols)] for _ in range(rows)]
+
+
+@st.composite
+def rank_deficient_ints(draw):
+    left = draw(integer_grids(SMALL, max_rows=7))
+    inner = len(left[0])
+    right = draw(integer_grids(SMALL, min_rows=inner, max_rows=inner))
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*right)] for row in left]
+
+
+INTEGER_GRIDS = st.one_of(
+    integer_grids(SPARSE),
+    integer_grids(SMALL),
+    rank_deficient_ints(),
+    integer_grids(SMALL, max_rows=1),
+    st.just([]),
+    st.integers(min_value=1, max_value=7).map(lambda rows: [[]] * rows),
+)
+
+
+@st.composite
+def sparse_symmetric(draw):
+    """Symmetric int matrices whose diagonal is mostly or wholly zero, so
+    the congruence step runs, often after a non-unit pivot."""
+    zero_diagonal = draw(st.booleans())
+    n = draw(st.integers(min_value=4 if zero_diagonal else 1, max_value=7))
+    diagonal = st.just(0) if zero_diagonal else SMALL
+    a = [[0] * n for _ in range(n)]
+    for i in range(n):
+        a[i][i] = draw(diagonal)
+        for j in range(i + 1, n):
+            a[i][j] = a[j][i] = draw(SMALL)
+    return QMatrix(a)
+
+
+class TestLazyAgainstEager:
+    @settings(max_examples=400, deadline=None)
+    @given(INTEGER_GRIDS, st.booleans(), st.data())
+    def test_eliminate(self, grid, jordan, data):
+        width = len(grid[0]) if grid else 0
+        ncols = data.draw(st.integers(min_value=0, max_value=width))
+        lazy = [list(row) for row in grid]
+        eager = [list(row) for row in grid]
+        expected = oracle.eager_eliminate(eager, ncols, jordan)
+        assert _eliminate(lazy, ncols, jordan) == expected
+        if jordan:
+            assert lazy == eager
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.one_of(sparse_symmetric(), symmetric_matrices()))
+    # two congruences, the second between rows at different levels
+    @example(
+        QMatrix(
+            [
+                [0, -1, 0, -1, 0],
+                [-1, 0, 0, 0, 0],
+                [0, 0, 0, -1, 0],
+                [-1, 0, -1, 0, 1],
+                [0, 0, 0, 1, 0],
+            ]
+        )
+    )
+    def test_inertia(self, m):
+        assert inertia(m) == oracle.eager_inertia(m)
