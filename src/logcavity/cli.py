@@ -16,7 +16,7 @@ from math import factorial
 
 from . import __version__
 from .errors import LogcavityError, MalformedInput, UsageError
-from .linalg import Graph, QMatrix, inertia, reduced_incidence_matrix
+from .linalg import Graph, QMatrix, reduced_incidence_matrix
 from .matroids import Matroid
 from .polynomials import (
     MPoly,
@@ -49,7 +49,6 @@ from .hodge import (
     annihilator_containment_probe,
     graded_dims,
     hl_check,
-    hr_form,
     hrr_check,
     in_annihilator,
     mobius_pairing,
@@ -211,7 +210,7 @@ def _parse_point(csv, n):
         raise UsageError(f"point needs {n} coordinates, got {len(parts)}")
     try:
         return tuple(Fraction(p) for p in parts)
-    except ValueError:
+    except (ValueError, ZeroDivisionError):
         raise UsageError("point coordinates must be rationals like 0, 1, 3/2")
 
 
@@ -443,9 +442,9 @@ def cmd_hodge(args):
             "flats": count,
             "inertia": iner.as_tuple(),
         }
-        q = hr_form(m, k, point)
-        results["hr_form_inertia"] = inertia(q.matrix).as_tuple()
-        if GorensteinRing.of(m).value(point) > 0:
+        ring = GorensteinRing.of(m)
+        results["hr_form_inertia"] = ring.hr_inertia(k, point)[0].as_tuple()
+        if ring.value(point) > 0:
             results["hl"] = hl_check(m, k, point)
             results["hrr"] = hrr_check(m, k, point)
             if k == 1 and all(x > 0 for x in point) and not results["hrr"]:

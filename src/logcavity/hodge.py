@@ -4,10 +4,11 @@ socle checks, the graded Moebius algebra pairing, and open-question probes.
 
 Degree-k classes are represented on independent squarefree k-subsets; because
 the basis generating polynomial is multilinear, every evaluation matrix is
-0/1, held as int rows, and its row bases and kernels come from fraction-free
-integer elimination; forms stay in exact rational arithmetic.
+0/1, held as int rows, and its row bases and kernels, like the inertias of
+the Hodge-Riemann forms, come from fraction-free integer elimination.
 """
 
+import functools
 import math
 import weakref
 from dataclasses import dataclass
@@ -25,7 +26,8 @@ from .errors import (
 )
 from .linalg import (
     QMatrix,
-    inertia,
+    inertia,  # noqa: F401  -- perfbench's tracer self-test wraps hodge.inertia
+    integer_inertia,
     integer_kernel,
     integer_row_basis,
     solve,
@@ -154,8 +156,8 @@ class GorensteinRing:
         # a reference cycle for the cycle collector
         self._matroid = weakref.ref(m)
         self._evals = {}
-        self._derivatives = {}
-        self._forms = {}
+        self._tables = {}
+        self._inertias = {}
 
     @property
     def m(self) -> Matroid:
@@ -172,14 +174,13 @@ class GorensteinRing:
             self._evals[k] = graded_evaluation(self.m, k)
         return self._evals[k]
 
-    def derivatives(self, size, point):
-        """{S: d^S f(point)} over the independent S of this size; dependent S
-        have no entry, as d^S f = 0. f is multilinear, so d^S f(p) is the sum
-        over bases B containing S of the product of p_i over B - S: one pass
-        over the bases, in integers over a common denominator. f(p) is the
-        entry of the empty set."""
+    def _sums(self, size, point):
+        """({S: c d^S f(point)}, c = den^(r - size)) over the independent S of
+        this size, den being the lcm of the point's denominators. f is
+        multilinear, so d^S f(p) sums, over the bases B containing S, the
+        product of p_i over B - S: one pass over the bases, in integers."""
         key = (size, point)
-        if key not in self._derivatives:
+        if key not in self._tables:
             den = math.lcm(*(x.denominator for x in point))
             nums = [x.numerator * (den // x.denominator) for x in point]
             free = self.m.rank - size
@@ -190,34 +191,50 @@ class GorensteinRing:
                     for i in rest:
                         s, term = s ^ 1 << i, term * nums[i]
                     sums[s] = sums.get(s, 0) + term
-            scale = den**free
-            self._derivatives[key] = {s: Fraction(v, scale) for s, v in sums.items()}
-        return self._derivatives[key]
+            self._tables[key] = (sums, den**free)
+        return self._tables[key]
+
+    def derivatives(self, size, point):
+        sums, scale = self._sums(size, point)
+        return {s: Fraction(v, scale) for s, v in sums.items()}
 
     def value(self, point) -> Fraction:
         return self.derivatives(0, point)[0]
 
-    def form(self, k, point) -> HRFormMatrix:
-        """Q^k(a, b) = (-1)^k deg(a b l^(r-2k)) on the degree-k basis."""
+    def hr_inertia(self, k, point):
+        """(In(Q^k), In([[Q^k, U], [U^T, 0]])) by one `integer_inertia`, with
+        U(a, b) = deg(a b l^(r-2k+1)) pairing degree k with k-1 (no columns
+        when k = 0). deg(a b l^p) = p! d^(a|b) f(point), so Q^k = a (-1)^k
+        S_2k and U = b S_2k-1 in the integer sums, with a, b > 0: scaling
+        the whole by 1/a and the congruence diag(I, (a/b) I) show that
+        [[(-1)^k S_2k, S_2k-1], [S_2k-1^T, 0]] has the same two inertias."""
+        _check_degree(self.m, k)
         key = (k, point)
-        if key not in self._forms:
+        if key not in self._inertias:
             basis = self._basis(k)
-            q = QMatrix(self._pairing(basis, basis, 2 * k, point))
-            labels = tuple(self.m._labels(mask) for mask in basis)
-            self._forms[key] = HRFormMatrix(k, point, labels, q.scale((-1) ** k))
-        return self._forms[key]
+            lower = self._basis(k - 1) if k else []
+            sign = (-1) ** k
+            q = self._pairing(basis, basis, 2 * k, point)
+            u = self._pairing(basis, lower, 2 * k - 1, point)
+            rows = [[sign * x for x in qr] + ur for qr, ur in zip(q, u)]
+            rows += [list(col) + [0] * len(lower) for col in zip(*u)]
+            self._inertias[key] = integer_inertia(rows, len(basis))
+        return self._inertias[key]
 
     def _basis(self, k):
         ev = self.evaluation(k)
         return [ev.row_masks[i] for i in ev.basis_positions]
 
     def _pairing(self, rows, cols, size, point):
-        """deg(a b l^p) = p! d^(a|b) f(point) with p = rank - size, for a in
-        rows and b in cols with |a| + |b| = size. When a and b meet, a|b is
-        too small to have an entry, and the value is 0."""
-        table = self.derivatives(size, point) if cols else {}
-        weight = math.factorial(self.m.rank - size)
-        return [[weight * table.get(a | b, 0) for b in cols] for a in rows]
+        """The int rows c d^(a|b) f(point) of `_sums`, for a in rows and b in
+        cols with |a| + |b| = size; 0 when a and b meet."""
+        table = self._sums(size, point)[0] if cols else {}
+        return [[table.get(a | b, 0) for b in cols] for a in rows]
+
+
+def _check_degree(m: Matroid, k):
+    if not 0 <= 2 * k <= m.rank:
+        raise DegreeTooHigh(f"need 0 <= 2k <= rank, got k={k}, rank={m.rank}")
 
 
 def _point(m: Matroid, point):
@@ -238,18 +255,22 @@ def _ring_at(m: Matroid, point):
 
 def hr_form(m: Matroid, k, point) -> HRFormMatrix:
     """Hodge-Riemann form Q^k(x1, x2) = (-1)^k deg(x1 x2 l^(r-2k)) on the
-    selected basis of the degree-k piece."""
-    if 2 * k > m.rank:
-        raise DegreeTooHigh(f"need 2k <= rank, got k={k}, rank={m.rank}")
-    return GorensteinRing.of(m).form(k, _point(m, point))
+    selected basis of the degree-k piece, deg(a b l^p) being p! d^(a|b) f."""
+    _check_degree(m, k)
+    ring, point = GorensteinRing.of(m), _point(m, point)
+    basis = ring._basis(k)
+    scale = ring._sums(2 * k, point)[1]
+    weight = Fraction((-1) ** k * math.factorial(m.rank - 2 * k), scale)
+    q = QMatrix(ring._pairing(basis, basis, 2 * k, point)).scale(weight)
+    return HRFormMatrix(k, point, tuple(m._labels(b) for b in basis), q)
 
 
 def hl_check(m: Matroid, k, point) -> bool:
     """Hard Lefschetz in degree k at the point: the Lefschetz map has full
     rank, equivalently the Hodge-Riemann form is non-degenerate (its matrix
     is the Lefschetz map written through the Poincare pairing)."""
-    _, point = _ring_at(m, point)
-    return inertia(hr_form(m, k, point).matrix).n_zero == 0
+    ring, point = _ring_at(m, point)
+    return ring.hr_inertia(k, point)[0].n_zero == 0
 
 
 def hrr_check(m: Matroid, k, point) -> bool:
@@ -260,25 +281,12 @@ def hrr_check(m: Matroid, k, point) -> bool:
 
 
 def _hrr_verdict(ring: GorensteinRing, k, point) -> bool:
-    """Q^k positive definite on the primitive classes: the kernel of U^T,
-    where U(a, b) = deg(a b l^(r-2k+1)) pairs degree k with degree k-1 (no
-    columns when k = 0, as A^(r+1) = 0)."""
-    q = hr_form(ring.m, k, point).matrix
-    basis = ring._basis(k)
-    lower = ring._basis(k - 1) if k else []
-    u = QMatrix(ring._pairing(basis, lower, 2 * k - 1, point))
-    return _positive_on_kernel(q, u)
-
-
-def _positive_on_kernel(q: QMatrix, u: QMatrix) -> bool:
-    """Whether the symmetric q is positive definite on ker u^T. For u of any
-    rank rho, In([[q, u], [u^T, 0]]) = In(q on ker u^T) + (rho, rho,
-    cols(u) - rho) (Haynsworth 1968; Chabrillac and Crouzeix 1984), so q is
-    exactly when the bordered matrix has rows(q) positive eigenvalues."""
-    zeros = (0,) * u.cols
-    bordered = [a + b for a, b in zip(q.m, u.m)]
-    bordered += [col + zeros for col in zip(*u.m)]
-    return inertia(QMatrix(bordered)).n_pos == q.rows
+    """Q^k positive definite on the primitive classes, the kernel of U^T:
+    for U of any rank rho, In([[Q, U], [U^T, 0]]) = In(Q on ker U^T) +
+    (rho, rho, cols(U) - rho) (Haynsworth 1968; Chabrillac and Crouzeix
+    1984), so exactly when the bordered matrix has rows(Q) positives."""
+    block, bordered = ring.hr_inertia(k, point)
+    return bordered.n_pos == block.dimension
 
 
 @dataclass(frozen=True)
@@ -441,11 +449,13 @@ class MobiusAlgebra:
 
     def __init__(self, m: Matroid):
         self.matroid = m
-        self.lattice = FlatLattice.of(m)
+
+    @functools.cached_property
+    def lattice(self):
+        return FlatLattice.of(self.matroid)
 
     def flats_of_rank(self, k):
-        levels = self.lattice.flats_by_rank
-        return levels[k] if k < len(levels) else ()
+        return tuple(self.matroid._labels(f) for f in _flat_masks(self.matroid, k))
 
     def product(self, F, G):
         m = self.matroid
@@ -454,10 +464,11 @@ class MobiusAlgebra:
             return m._labels(m._closure_mask(f | g))
         return None
 
-    def theta_image(self, F):
-        """A basis of the flat F (greedy), the image monomial of y_F."""
-        m = self.matroid
-        return m._labels(m._greedy(m._mask(F))[0])
+
+def _flat_masks(m: Matroid, k):
+    """The rank-k flats as sorted masks: the closures of the independent
+    k-sets, since every rank-k flat is spanned by one."""
+    return sorted({m._closure_mask(s) for s in m.independent_subsets(k)})
 
 
 def mobius_pairing(m: Matroid, k):
@@ -465,40 +476,33 @@ def mobius_pairing(m: Matroid, k):
 
     Entry (F, G) is 1 iff rank(F join G) = 2k = rank(M); the union-of-bases
     formulation is asserted to coincide."""
-    if 2 * k > m.rank:
-        raise DegreeTooHigh("pairing needs 2k <= rank")
-    alg = MobiusAlgebra(m)
-    flats = alg.flats_of_rank(k)
+    _check_degree(m, k)
+    # each rank-k flat with its greedy basis, the monomial theta(y_F)
+    flats = [(f, m._greedy(f)[0]) for f in _flat_masks(m, k)]
     base_set = set(m.bases)
-    masks = [m._mask(F) for F in flats]
-    thetas = [m._mask(alg.theta_image(F)) for F in flats]
-    rows = []
-    for F, f, bf in zip(flats, masks, thetas):
-        row = []
-        for G, g, bg in zip(flats, masks, thetas):
-            # y_F y_G = y_(F join G) iff rank(F | G) = 2k, and it pairs to 1
-            # iff that is the top degree
-            rank_route = 2 * k == m.rank == m._rank_mask(f | g)
-            union_route = bf | bg in base_set
-            if rank_route != union_route:
-                raise AssertionError(
-                    "pairing formulations disagree on "
-                    f"{sorted(F)} vs {sorted(G)}"
-                )
-            row.append(1 if rank_route else 0)
-        rows.append(row)
-    matrix = QMatrix(rows) if rows else QMatrix.zero(0, 0)
-    return len(flats), inertia(matrix)
+
+    def entry(f, bf, g, bg):
+        # y_F y_G = y_(F join G) iff rank(F | G) = 2k, and it pairs to 1
+        # iff that is the top degree
+        rank_route = 2 * k == m.rank == m._rank_mask(f | g)
+        if rank_route != (bf | bg in base_set):
+            raise AssertionError(
+                "pairing formulations disagree on "
+                f"{sorted(m._labels(f))} vs {sorted(m._labels(g))}"
+            )
+        return int(rank_route)
+
+    rows = [[entry(*fb, *gb) for gb in flats] for fb in flats]
+    return len(rows), integer_inertia(rows, len(rows))[1]
 
 
 def mobius_pairing_zero_count_identity(m: Matroid, k) -> bool:
     """Zero eigenvalues of the pairing = (number of rank-k flats) - (rank in
     the Gorenstein quotient of the flat-basis monomials)."""
     count, iner = mobius_pairing(m, k)
-    alg = MobiusAlgebra(m)
     ev = GorensteinRing.of(m).evaluation(k)
     pos = {mask: idx for idx, mask in enumerate(ev.row_masks)}
-    thetas = [m._mask(alg.theta_image(F)) for F in alg.flats_of_rank(k)]
+    thetas = [m._greedy(f)[0] for f in _flat_masks(m, k)]
     rows = [ev.entries[pos[theta]] for theta in thetas]
     return iner.n_zero == count - len(integer_row_basis(rows))
 
@@ -564,13 +568,12 @@ def signature_formula_check(m: Matroid, k, point):
     equals the alternating sum of graded dimension increments.
 
     Returns (hypotheses_hold, formula_holds)."""
-    point = _ring_at(m, point)[1]
+    ring, point = _ring_at(m, point)
     for i in range(1, k + 1):
         if not (hl_check(m, i, point) and hrr_check(m, i, point)):
             return False, False
-    q = hr_form(m, k, point)
-    signed = q.matrix.scale((-1) ** k) if k % 2 else q.matrix
-    sigma = inertia(signed).net_signature
+    # the net signature of (-1)^k Q^k
+    sigma = (-1) ** k * ring.hr_inertia(k, point)[0].net_signature
     dims = graded_dims(m)
     expect = 0
     for i in range(k + 1):

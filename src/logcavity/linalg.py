@@ -9,6 +9,7 @@ has a nonzero in the pivot column or must hold its eager value.
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 
 from .errors import (
     Disconnected,
@@ -213,28 +214,26 @@ def _raise(a, level, rows, to, lo=0):
             level[i] = to
 
 
-def _update(a, level, r, c, targets, lo):
-    """The one fraction-free (Bareiss) row update, done lazily.
-
-    Row i of a is stored at level[i], the pivot it was last scaled to, and
-    equals its eager Bareiss value times level[i] / prev, prev being the
-    last pivot. Pivot row r must already hold its eager value, so that
-    p = a[r][c] is the eager pivot. A target row with a zero in column c
-    would only be multiplied by p / prev, so it is left as it is; a target
-    with f = a[i][c] != 0 becomes (a[i]*p - f*a[r]) // level[i] from column
-    lo on, which is its eager value (x*p - f*y) // prev with x and f scaled
-    by prev / level[i], and takes the level p. Every quotient is an eager
-    value, a minor of the input, so every division is exact (Bareiss,
-    Sylvester's identity and multistep integer-preserving Gaussian
-    elimination, Math. Comp. 1968)."""
-    pivot_row = a[r][lo:]
-    p = a[r][c]
+def _update(a, level, pivot_row, c, targets, lo):
+    """The one fraction-free (Bareiss) row update, done lazily: row i of a
+    is stored at level[i], the pivot it was last scaled to, and equals its
+    eager value times level[i] / prev, prev being the last pivot. With
+    p = pivot_row[c] the eager pivot, a target with f = a[i][c] != 0
+    becomes (a[i]*p - f*pivot_row) // level[i] from column lo on, its eager
+    value (x*p - f*y) // prev with x and f scaled by prev / level[i], and
+    takes the level p; a target with f = 0 would only be multiplied by
+    p / prev, so it is left as it is. Every quotient is an eager value, a
+    minor of the input, so every division is exact (Bareiss, Sylvester's
+    identity and multistep integer-preserving Gaussian elimination, Math.
+    Comp. 1968)."""
+    tail = pivot_row[lo:]
+    p = pivot_row[c]
     for i in targets:
         row = a[i]
         f = row[c]
         if f:
             lvl = level[i]
-            row[lo:] = [(x * p - f * y) // lvl for x, y in zip(row[lo:], pivot_row)]
+            row[lo:] = [(x * p - f * y) // lvl for x, y in zip(row[lo:], tail)]
             level[i] = p
 
 
@@ -248,13 +247,10 @@ def _eliminate(a, ncols, jordan=False):
     With jordan=True the rows above are cleared too, leaving d * RREF with d
     the last pivot. Returns (pivot columns, last pivot, swap sign).
 
-    The update is lazy (`_update`): row i equals its eager value times
-    level[i] / prev, is touched only where it has a nonzero in the pivot
-    column, and each pivot row is first raised to prev. Every quotient is
-    an eager value, a minor of the input, so each division is exact
-    (Bareiss 1968) and the pivots, last pivot and swap sign are the eager
-    ones. With jordan=True every row is raised to d at the end, giving the
-    eager d * RREF."""
+    The update is the lazy `_update`, each pivot row first raised to prev,
+    so the pivots, last pivot and swap sign are the eager ones; with
+    jordan=True every row is raised to d at the end, giving the eager
+    d * RREF."""
     rows = len(a)
     level = [1] * rows
     pivots = []
@@ -272,9 +268,9 @@ def _eliminate(a, ncols, jordan=False):
             level[r], level[piv] = level[piv], level[r]
             sign = -sign
         _raise(a, level, (r,), prev, c)
-        _update(a, level, r, c, range(r + 1, rows), c)
+        _update(a, level, a[r], c, range(r + 1, rows), c)
         if jordan:
-            _update(a, level, r, c, range(r), 0)
+            _update(a, level, a[r], c, range(r), 0)
         pivots.append(c)
         prev = level[r] = a[r][c]
     if jordan:
@@ -325,59 +321,61 @@ def det(m: QMatrix) -> Fraction:
     return Fraction(integer_det(a), scale)
 
 
-def inertia(m: QMatrix) -> Inertia:
-    """Exact inertia via congruence diagonalization (Sylvester's law).
-
-    Symmetric fraction-free elimination on diagonal pivots; a zero diagonal
-    with a nonzero off-diagonal entry is resolved by the row+column addition
-    congruence. The k-th pivot of the LDL^T form is pivot_k / pivot_(k-1),
-    so its sign is the product of their signs.
-
-    The update is the lazy one of `_eliminate`: an active row equals its
-    eager value times its level / prev, and each pivot row is raised to
-    prev before its diagonal is read. The congruence, the only step that
-    adds one row to another, first raises every active row to prev. Every
-    quotient is an eager value, a minor of the input after its congruences,
-    so each division is exact (Bareiss 1968)."""
-    if not m.is_symmetric:
-        raise NotSymmetric("inertia requires a symmetric matrix")
-    # one common multiplier keeps the integer copy symmetric and congruent
-    d = math.lcm(*(x.denominator for row in m.m for x in row))
-    a = [[x.numerator * (d // x.denominator) for x in row] for row in m.m]
-    level = [1] * m.rows
-    active = list(range(m.rows))
-    n_pos = n_neg = 0
+def integer_inertia(rows, lead):
+    """(In of the leading lead x lead block, In of the whole) of a symmetric
+    int matrix given as rows (copied, not changed), by congruence
+    diagonalization (Sylvester's law): diagonal pivots, and the row+column
+    addition congruence where the diagonal is zero. Both are taken inside
+    the leading block until it is zero, which gives its In, then over all
+    rows; every step is a congruence of the whole (Haynsworth 1968). The
+    k-th LDL^T pivot is pivot_k / pivot_(k-1), so its sign is the product
+    of theirs. The pivot row is popped and its column deleted, so no update
+    touches a retired column. The update is the lazy one of `_eliminate`
+    (Bareiss 1968), and the congruence first raises every row to prev."""
+    a = [list(row) for row in rows]
+    level = [1] * len(a)
+    signs = [0, 0]  # positive and negative LDL^T pivots so far
     prev = 1
-    while active:
-        piv = next((i for i in active if a[i][i]), None)
+    block = None
+    lim = lead
+    while True:
+        piv = next((i for i in range(lim) if a[i][i]), None)
         if piv is None:
-            off = next(
-                (
-                    (i, j)
-                    for idx, i in enumerate(active)
-                    for j in active[idx + 1 :]
-                    if a[i][j]
-                ),
-                None,
-            )
+            pairs = combinations(range(lim), 2)
+            off = next(((i, j) for i, j in pairs if a[i][j]), None)
             if off is None:
-                break
-            _raise(a, level, active, prev)
+                block = block or Inertia(*signs, lim)
+                if lim == len(a):
+                    break
+                lim = len(a)
+                continue
+            _raise(a, level, range(len(a)), prev)
             i, j = off
             a[i] = [x + y for x, y in zip(a[i], a[j])]
-            for k in active:
-                a[k][i] += a[k][j]
+            for row in a:
+                row[i] += row[j]
             piv = i
-        active.remove(piv)
         _raise(a, level, (piv,), prev)
-        p = a[piv][piv]
-        if (p > 0) == (prev > 0):
-            n_pos += 1
-        else:
-            n_neg += 1
-        _update(a, level, piv, piv, active, 0)
+        pivot_row = a.pop(piv)
+        del level[piv]
+        p = pivot_row[piv]
+        signs[(p > 0) != (prev > 0)] += 1
+        _update(a, level, pivot_row, piv, range(len(a)), 0)
+        for row in a:
+            del row[piv]
         prev = p
-    return Inertia(n_pos, n_neg, len(active))
+        lim -= 1
+    return block, Inertia(*signs, len(a))
+
+
+def inertia(m: QMatrix) -> Inertia:
+    """Exact inertia: `integer_inertia` of the matrix times one common
+    multiplier, which keeps the integer copy symmetric and congruent."""
+    if not m.is_symmetric:
+        raise NotSymmetric("inertia requires a symmetric matrix")
+    d = math.lcm(*(x.denominator for row in m.m for x in row))
+    a = [[x.numerator * (d // x.denominator) for x in row] for row in m.m]
+    return integer_inertia(a, m.rows)[1]
 
 
 def count_eigs_below(m: QMatrix, t) -> int:

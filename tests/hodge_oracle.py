@@ -6,20 +6,23 @@ takes a kernel basis of the Lefschetz pairing and runs the inertia of
 K^T Q K, and HRR_1 also reads the signature of -Q^1; socle triviality takes
 the kernel of the constraint matrix and applies the transposed evaluation
 matrix to each kernel vector; graded dimensions take one `Fraction` rank per
-degree; the containment probe takes `Fraction` kernels and sums. The library
-reads derivative values off the basis masks, decides HRR_k by one bordered
+degree; the containment probe takes `Fraction` kernels and sums; the Moebius
+pairing walks the full lattice of flats. The library reads derivative values
+off the basis masks, decides In(Q^k) and HRR_k by one integer bordered
 inertia and socle triviality by a column containment, reads dim A^(r-k) off
-E_k, and runs the probe on integer kernels and integer sums.
+E_k, runs the probe on integer kernels and integer sums, and pairs only the
+closures of the independent k-sets.
 """
 
 import math
 from fractions import Fraction
 
 import linalg_oracle
+import matroid_oracle
 from logcavity.errors import SingularSystem
 from logcavity.hodge import facet_point, graded_evaluation
 from logcavity.linalg import Inertia, QMatrix, inertia, kernel_basis, solve
-from logcavity.matroids import _bits
+from logcavity.matroids import FlatLattice, _bits
 from logcavity.polynomials import MPoly, basis_generating_poly
 from matroid_oracle import independent_subsets
 
@@ -198,3 +201,15 @@ def graded_dims(m):
         matrix = QMatrix([Fraction(int(a | c in bases)) for c in cols] for a in rows)
         dims.append(linalg_oracle.rank_of_matrix(matrix))
     return dims
+
+
+def mobius_pairing(m, k):
+    """(number of rank-k flats, inertia of the top-degree pairing) on the
+    full lattice of flats: entry (F, G) is 1 iff rank(F | G) = 2k = rank(M),
+    by the oracle rank and `Fraction` elimination."""
+    flats = FlatLattice.of(m).flats_by_rank[k]
+    rows = [
+        [int(2 * k == m.rank == matroid_oracle.rank(m, m._mask(F | G))) for G in flats]
+        for F in flats
+    ]
+    return len(flats), linalg_oracle.inertia(QMatrix(rows))

@@ -1,12 +1,19 @@
 import json
+from fractions import Fraction
 
 import pytest
 
-from logcavity import cli, discriminants
+from logcavity import cli, discriminants, hodge
 from logcavity.cli import RunReport, _emit, main
 from logcavity.polynomials import MPoly
 from logcavity.posets import Poset
-from logcavity.zoo import k23_graph, ratio_two_witness_poset
+from logcavity.zoo import (
+    k23_graph,
+    matroid_zoo,
+    random_positive_definite,
+    random_psd_with_factor,
+    ratio_two_witness_poset,
+)
 
 
 @pytest.fixture
@@ -73,7 +80,6 @@ class TestDiscriminantCommand:
 
         iner = counted("inertia", discriminants.inertia)
         monkeypatch.setattr(discriminants, "inertia", iner)
-        monkeypatch.setattr(cli, "inertia", iner)
         md = counted("mixed_discriminant", discriminants.mixed_discriminant)
         monkeypatch.setattr(discriminants, "mixed_discriminant", md)
         monkeypatch.setattr(cli, "mixed_discriminant", md)
@@ -106,6 +112,34 @@ class TestHodgeCommand:
         )
         assert code == 0
         assert report["results"]["hrr"] is True  # edge 0 is not a bridge
+
+    @pytest.mark.parametrize(
+        "flags", [["--point", "1/0,1,1,1,1,1"], ["--k", "-1"]], ids=["zero-den", "k<0"]
+    )
+    def test_bad_point_or_degree_is_an_input_error(self, capsys, k23_file, flags):
+        assert main(["hodge", "--matroid", k23_file] + flags) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_one_elimination_per_hr_degree(self, capsys, k23_file, monkeypatch, k):
+        # one for the Moebius pairing and one for In(Q^k), HL_k and HRR_k
+        leads = []
+        original = hodge.integer_inertia
+
+        def counted(rows, lead):
+            leads.append(lead)
+            return original(rows, lead)
+
+        monkeypatch.setattr(hodge, "integer_inertia", counted)
+        point = "1,1/2,2,3/4,1,5/3"
+        code, report = run_json(
+            capsys, ["hodge", "--matroid", k23_file, "--k", str(k), "--point", point]
+        )
+        assert code == 0 and "hrr" in report["results"]
+        flats = report["results"]["mobius_pairing"]["flats"]
+        dims = report["results"]["graded_dims"]
+        assert leads == [flats, dims[k]]
 
 
 class TestKahnSaksCommand:
@@ -337,3 +371,82 @@ class TestParserReuse:
         capsys.readouterr()
         assert main(argv) == 0
         assert capsys.readouterr().out == first
+
+
+class TestExitCodes:
+    """Across the matroid-reading commands and `discriminant`: a run exits 2
+    only when its written report lists violations, and every input error
+    exits 1 with one `error:` line and no report."""
+
+    def run(self, capsys, tmp_path, argv):
+        out = tmp_path / "report.json"
+        out.unlink(missing_ok=True)
+        code = main(argv + ["--out", str(out)])
+        err = capsys.readouterr().err
+        if code == 1:
+            assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+            assert not out.exists()
+        else:
+            report = json.loads(out.read_text())
+            assert code == (2 if report["violations"] else 0), argv
+        return code
+
+    def write(self, tmp_path, name, obj):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(obj))
+        return str(path)
+
+    def test_seeded_zoo(self, capsys, tmp_path, rng):
+        for name, m in matroid_zoo().items():
+            path = self.write(tmp_path, name, m.to_json())
+            point = ",".join(
+                str(Fraction(rng.randint(0, 4), rng.randint(1, 3))) for _ in m.ground
+            )
+            split = ",".join(str(e) for e in m.ground if rng.random() < 0.5)
+            for argv in (
+                ["hodge", "--k", "1"],
+                ["hodge", "--k", str(m.rank // 2), "--point", point],
+                ["hodge", "--k", str(m.rank)],
+                ["probe"],
+                ["matroid"],
+                ["lorentzian"],
+                ["stanley", "--R", split or str(m.ground[0])],
+            ):
+                code = self.run(capsys, tmp_path, argv + ["--matroid", path])
+                assert code != 1, (name, argv)
+        for n in (2, 3):
+            mats = [random_positive_definite(rng, n), random_psd_with_factor(rng, n)[0]]
+            mats.append(mats[0] - mats[1].scale(2))  # often indefinite
+            entries = [{"matrix": a.to_json()} for a in mats]
+            path = self.write(tmp_path, f"tuple{n}", {"mats": entries[:n]})
+            assert self.run(capsys, tmp_path, ["discriminant", "--tuple", path]) != 1
+
+    def test_malformed_inputs(self, capsys, tmp_path):
+        k23 = self.write(
+            tmp_path, "k23", {"type": "graphic", "graph": k23_graph().to_json()}
+        )
+        no_k = self.write(tmp_path, "no_k", {"type": "uniform", "n": 4})
+        bad_bases = self.write(tmp_path, "bad_bases", {"ground": [1, 2], "bases": 5})
+        bad_edge = self.write(
+            tmp_path, "bad_edge", {"vertices": 2, "edges": [[0, 1, 2]]}
+        )
+        ragged = {"rows": 2, "cols": 2, "entries": ["1", "0", "1"]}
+        bad_tuple = self.write(tmp_path, "bad_tuple", {"mats": [{"matrix": ragged}]})
+        cases = [
+            ["hodge", "--matroid", k23, "--k", "-1"],
+            ["hodge", "--matroid", k23, "--k", "-2", "--point", "1,1,1,1,1,1"],
+            ["hodge", "--matroid", k23, "--point", "1/0,1,1,1,1,1"],
+            ["hodge", "--matroid", k23, "--point", "1,1"],
+            ["hodge", "--matroid", k23, "--point", "x,1,1,1,1,1"],
+            ["stanley", "--matroid", k23, "--R", "99"],
+            ["stanley", "--matroid", k23],
+            ["probe", "--matroid", k23, "--e", "99"],
+            ["discriminant", "--tuple", bad_tuple],
+            ["hodge"],
+        ]
+        for command in ("hodge", "probe", "matroid", "stanley", "lorentzian"):
+            split = ["--R", "1"] if command == "stanley" else []
+            cases += [[command, "--matroid", p] + split for p in (no_k, bad_bases)]
+            cases.append([command, "--graph", bad_edge] + split)
+        for argv in cases:
+            assert self.run(capsys, tmp_path, argv) == 1, argv

@@ -15,13 +15,12 @@ from logcavity.errors import (
     RankBoundViolated,
     RankTooLow,
 )
-from logcavity.linalg import Graph, Inertia, QMatrix, inertia
-from logcavity.matroids import Matroid
+from logcavity.linalg import Graph, Inertia, QMatrix, inertia, integer_inertia
+from logcavity.matroids import FlatLattice, Matroid
 from logcavity.hodge import (
     GorensteinRing,
     MobiusAlgebra,
     _hrr_verdict,
-    _positive_on_kernel,
     annihilator_containment_probe,
     annihilator_kernel,
     facet_point,
@@ -176,6 +175,11 @@ class TestHRForm:
         with pytest.raises(DegreeTooHigh):
             hr_form(U23, 2, [1, 1, 1])
 
+    @pytest.mark.parametrize("check", [hr_form, hl_check, hrr_check])
+    def test_negative_degree(self, check):
+        with pytest.raises(DegreeTooHigh):
+            check(U23, -1, [1, 1, 1])
+
 
 class TestHLHRR:
     def test_positive_point_hrr1(self):
@@ -308,6 +312,11 @@ class TestMobius:
     def test_degree_too_high(self):
         with pytest.raises(DegreeTooHigh):
             mobius_pairing(U23, 2)
+
+    def test_negative_degree(self):
+        # flats_of_rank(-1) has no flats; the pairing must not be empty
+        with pytest.raises(DegreeTooHigh):
+            mobius_pairing(MK23, -1)
 
     def test_zero_count_identity(self):
         # the pairing is scalar-valued only in complementary degree 2k = rank
@@ -477,8 +486,10 @@ class TestOracleProperties:
     @given(instances())
     def test_forms_and_hrr_match(self, inst):
         m, k, point = inst
-        assert hr_form(m, k, point).matrix == oracle.hr_form(m, k, point)
+        form = oracle.hr_form(m, k, point)
+        assert hr_form(m, k, point).matrix == form
         ring = GorensteinRing.of(m)
+        assert ring.hr_inertia(k, point)[0] == inertia(form)
         assert _hrr_verdict(ring, k, point) == oracle.hrr_verdict(m, k, point)
 
     @settings(max_examples=60, deadline=None)
@@ -500,8 +511,27 @@ class TestOracleProperties:
     @settings(max_examples=300, deadline=None)
     @given(bordered_instances())
     def test_bordered_inertia_rule(self, inst):
+        # q is positive definite on ker u^T iff [[q, u], [u^T, 0]] has
+        # rows(q) positive eigenvalues; one positive multiplier d clears
+        # the denominators without changing either inertia
         q, u = inst
-        assert _positive_on_kernel(q, u) == oracle.positive_on_kernel(q, u)
+        bordered = [a + b for a, b in zip(q.m, u.m)]
+        bordered += [col + (0,) * u.cols for col in zip(*u.m)]
+        d = math.lcm(*(x.denominator for row in bordered for x in row))
+        rows = [[int(x * d) for x in row] for row in bordered]
+        block, whole = integer_inertia(rows, q.rows)
+        assert block == inertia(q)
+        assert (whole.n_pos == q.rows) == oracle.positive_on_kernel(q, u)
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_matroids(), st.data())
+    def test_mobius_route_matches_full_lattice(self, m, data):
+        levels = FlatLattice.of(m).flats_by_rank
+        alg = MobiusAlgebra(m)
+        for k in range(m.rank + 1):
+            assert alg.flats_of_rank(k) == levels[k]
+        k = data.draw(st.integers(min_value=0, max_value=m.rank // 2))
+        assert mobius_pairing(m, k) == oracle.mobius_pairing(m, k)
 
     @settings(max_examples=60, deadline=None)
     @given(small_matroids())

@@ -24,6 +24,7 @@ from logcavity.linalg import (
     incidence_matrix,
     inertia,
     integer_det,
+    integer_inertia,
     kernel_basis,
     laplacian,
     rank_of_matrix,
@@ -433,3 +434,39 @@ class TestLazyAgainstEager:
     )
     def test_inertia(self, m):
         assert inertia(m) == oracle.eager_inertia(m)
+
+
+@st.composite
+def symmetric_ints(draw):
+    """Symmetric int matrices of size 0 to 7 whose diagonal is often sparse
+    or zero, so that congruences run inside a leading block and across it;
+    half of them are bordered, with a zero trailing block."""
+    n = draw(st.integers(min_value=0, max_value=7))
+    diagonal = draw(st.sampled_from((SMALL, SPARSE, st.just(0))))
+    a = [[0] * n for _ in range(n)]
+    for i in range(n):
+        a[i][i] = draw(diagonal)
+        for j in range(i + 1, n):
+            a[i][j] = a[j][i] = draw(SMALL)
+    if draw(st.booleans()):
+        border = draw(st.integers(min_value=0, max_value=n))
+        for i in range(n - border, n):
+            a[i][n - border :] = [0] * border
+    return a
+
+
+class TestIntegerInertia:
+    @settings(max_examples=400, deadline=None)
+    @given(symmetric_ints())
+    @example([])
+    @example([[0]])
+    @example([[-2]])
+    # a zero leading block whose congruence comes after a non-unit pivot
+    @example([[0, 1, 0, 2], [1, 0, 3, 0], [0, 3, 2, 1], [2, 0, 1, 0]])
+    def test_block_and_whole_match_eager(self, a):
+        rows = [list(row) for row in a]
+        whole = oracle.eager_inertia(QMatrix(a))
+        for lead in range(len(a) + 1):
+            block = oracle.eager_inertia(QMatrix([row[:lead] for row in a[:lead]]))
+            assert integer_inertia(rows, lead) == (block, whole), lead
+        assert rows == a  # copied, not changed
