@@ -74,6 +74,8 @@ class RunReport:
 
 
 def _jsonable(x):
+    if type(x) in (str, int, bool, type(None)):
+        return x
     if isinstance(x, Fraction):
         return str(x) if x.denominator != 1 else int(x)
     if is_dataclass(x) and not isinstance(x, type):
@@ -157,17 +159,24 @@ def _load_json(path, what):
 
 def _load_matroid(args) -> Matroid:
     if getattr(args, "matroid", None):
-        m = Matroid.from_json(_load_json(args.matroid, "matroid"))
+        obj = _load_json(args.matroid, "matroid")
+        if isinstance(obj.get("ground"), list):
+            _cap_elements(args, len(obj["ground"]))  # before bases are validated
+        m = Matroid.from_json(obj)
     elif getattr(args, "graph", None):
         m = Matroid.graphic(Graph.from_json(_load_json(args.graph, "graph")))
     else:
         raise UsageError("a --matroid or --graph file is required")
-    cap = getattr(args, "cap_elements", None)
-    if cap is not None and m.n > cap:
-        raise UsageError(
-            f"matroid has {m.n} elements, over the --cap-elements limit {cap}"
-        )
+    _cap_elements(args, m.n)
     return m
+
+
+def _cap_elements(args, n):
+    cap = getattr(args, "cap_elements", None)
+    if cap is not None and n > cap:
+        raise UsageError(
+            f"matroid has {n} elements, over the --cap-elements limit {cap}"
+        )
 
 
 def _load_marked_poset(args) -> MarkedPoset:

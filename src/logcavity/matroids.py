@@ -5,7 +5,9 @@ over the ground tuple); every derived quantity is computed from it.
 """
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import combinations
+from operator import and_, or_
 
 from .errors import (
     EmptyBases,
@@ -29,6 +31,83 @@ def _bits(mask):
         low = mask & -mask
         yield low.bit_length() - 1
         mask &= mask - 1
+
+
+def _down_closure(masks, rank):
+    """The complex of the subsets of masks, all of size rank: levels[s] is
+    the frozenset of its s-sets, and levels[rank + 1] is empty, so a lookup
+    one past the rank needs no guard."""
+    levels = [frozenset(masks), frozenset()]
+    while len(levels) <= rank + 1:
+        levels.insert(0, frozenset(i ^ 1 << e for i in levels[0] for e in _bits(i)))
+    return tuple(levels)
+
+
+def _exchange_failure(masks):
+    """Basis exchange: for x in B1\\B2 some y in B2\\B1 has B1-x+y a basis.
+    Returns the first (B1, B2) where it fails, else None."""
+    bases = set(masks)
+    for b1 in masks:
+        for b2 in masks:
+            if b1 == b2:
+                continue
+            for x in _bits(b1 & ~b2):
+                if not any(
+                    (b1 & ~(1 << x)) | (1 << y) in bases for y in _bits(b2 & ~b1)
+                ):
+                    return b1, b2
+    return None
+
+
+def _links_multipartite(levels):
+    """A pure complex (as from `_down_closure`) is the independence complex
+    of a matroid iff for every face K and distinct a, b, c outside it, K+a
+    and K+b+c in the complex imply K+a+b or K+a+c in it: the 1-skeleton of
+    every link is complete multipartite.
+
+    Necessity is augmentation of K+a from K+b+c. Sufficiency: for faces I, J
+    with |J| = |I| + 1, some e in J - I has I+e a face, by induction on
+    |I - J|. If I is inside J, e is J - I. Else take a in I - J and y in
+    J - I: induction on I-a, J-y gives b in J - I with I-a+b a face, then on
+    I-a+b, J gives c != b in J - I with I-a+b+c a face, and the rule at
+    K = I-a gives I+b or I+c. That is the augmentation axiom (Oxley, Matroid
+    Theory), so the facets, all of one size, are the bases of a matroid.
+
+    Only faces of size <= rank - 2 have such b, c. up[F] is the mask of the
+    link vertices of F, so the neighbours of a in the link of K are up[K+a];
+    the graph is complete multipartite iff for each neighbour set N the
+    vertices having it form a part P with N | P the whole link."""
+    up = {}
+    for level in levels[1:-1]:
+        for g in level:
+            for e in _bits(g):
+                up[g ^ 1 << e] = up.get(g ^ 1 << e, 0) | 1 << e
+    for level in levels[:-3]:
+        for k in level:
+            link, parts = up[k], {}
+            for a in _bits(link):
+                nbrs = up[k | 1 << a]
+                parts[nbrs] = parts.get(nbrs, 0) | 1 << a
+            if any(nbrs | part != link for nbrs, part in parts.items()):
+                return False
+    return True
+
+
+def _is_basis_family(masks):
+    """Whether the masks, all of one size, are the bases of a matroid.
+    Elements in every mask are dropped and complements taken when smaller
+    (a family is the bases of a matroid iff its complements are), leaving
+    sets of size r. Then the link test runs on a complex of at most
+    |B| 2^r masks, or the exchange scan takes |B|^2 r^2 steps, whichever
+    bound is smaller."""
+    common, free = reduce(and_, masks), reduce(or_, masks)
+    masks, free = [m ^ common for m in masks], free ^ common
+    r = _popcount(masks[0])
+    if 2 * r > _popcount(free):
+        masks, r = [m ^ free for m in masks], _popcount(free) - r
+    if 1 << r <= len(masks) * r * r:
+        return _links_multipartite(_down_closure(masks, r))
+    return _exchange_failure(masks) is None
 
 
 class Matroid:
@@ -95,26 +174,13 @@ class Matroid:
         if len(sizes) != 1:
             raise UnequalSizes(f"bases of different sizes: {sorted(sizes)}")
         m = Matroid(ground, masks)
-        if validate:
-            m._check_exchange()
+        if validate and not _is_basis_family(m.bases):
+            b1, b2 = _exchange_failure(m.bases)
+            raise ExchangeViolation(
+                "exchange fails for bases "
+                f"{sorted(m._labels(b1))} and {sorted(m._labels(b2))}"
+            )
         return m
-
-    def _check_exchange(self):
-        """Basis exchange: for x in B1\\B2 some y in B2\\B1 has B1-x+y a basis."""
-        bases = set(self.bases)
-        for b1 in self.bases:
-            for b2 in self.bases:
-                if b1 == b2:
-                    continue
-                for x in _bits(b1 & ~b2):
-                    if not any(
-                        (b1 & ~(1 << x)) | (1 << y) in bases
-                        for y in _bits(b2 & ~b1)
-                    ):
-                        raise ExchangeViolation(
-                            "exchange fails for bases "
-                            f"{sorted(self._labels(b1))} and {sorted(self._labels(b2))}"
-                        )
 
     @staticmethod
     def uniform(k, n):
@@ -197,12 +263,7 @@ class Matroid:
                 raise TooLarge(
                     f"independence complex over {DEFAULT_ELEMENT_CAP} elements"
                 )
-            levels = [frozenset(self.bases), frozenset()]
-            while len(levels) <= self.rank + 1:
-                levels.insert(
-                    0, frozenset(i ^ 1 << e for i in levels[0] for e in _bits(i))
-                )
-            object.__setattr__(self, "_indep", tuple(levels))
+            object.__setattr__(self, "_indep", _down_closure(self.bases, self.rank))
         return self._indep
 
     def is_independent(self, S):
@@ -295,7 +356,6 @@ class Matroid:
             reps.append(rep)
             for e in cls:
                 fiber[e] = rep
-        rep_mask_index = {self._index[rep]: i for i, rep in enumerate(reps)}
         masks = set()
         for b in self.bases:
             mask = 0

@@ -19,7 +19,7 @@ from .errors import (
     NegativeCoefficient,
 )
 from .linalg import QMatrix, _expect, inertia
-from .matroids import Matroid, _bits
+from .matroids import Matroid, _bits, _is_basis_family
 
 
 def _q(x):
@@ -166,19 +166,23 @@ class MPoly:
         return QMatrix(rows)
 
     def substitute_linear(self, a: QMatrix):
-        """Compose with the linear map x = A y: returns f(Ay) in a.cols variables."""
+        """Compose with the linear map x = A y: returns f(Ay) in a.cols
+        variables, each term expanded one linear form at a time in a dict."""
         if a.rows != self.nvars:
             raise DimensionMismatch("matrix must have one row per variable")
         m = a.cols
-        lin = [MPoly(m, {_unit(m, j): a[i][j] for j in range(m)}) for i in range(self.nvars)]
-        out = MPoly.zero(m)
+        lin = [[(j, x) for j, x in enumerate(a[i]) if x] for i in range(self.nvars)]
+        out = Counter()
         for e, c in self.terms.items():
-            term = MPoly.constant(m, c)
-            for i, k in enumerate(e):
-                for _ in range(k):
-                    term = term * lin[i]
-            out = out + term
-        return out
+            term = {(0,) * m: c}
+            for i in (i for i, k in enumerate(e) for _ in range(k)):
+                nxt = Counter()
+                for exp, x in term.items():
+                    for j, y in lin[i]:
+                        nxt[exp[:j] + (exp[j] + 1,) + exp[j + 1 :]] += x * y
+                term = nxt
+            out.update(term)
+        return MPoly(m, out)
 
     def to_json(self):
         return {
@@ -213,12 +217,6 @@ def _json_int(value, what):
         except ValueError:
             pass
     return _expect(value, int, what)
-
-
-def _unit(n, j):
-    e = [0] * n
-    e[j] = 1
-    return tuple(e)
 
 
 @dataclass(frozen=True)
@@ -282,7 +280,9 @@ def polarization(f: MPoly, vectors) -> Fraction:
 
 
 def m_convex(support) -> bool:
-    """Exchange property on exponent vectors, checked exhaustively."""
+    """Exchange property on exponent vectors. A 0/1 support is M-convex iff
+    it is the bases of a matroid (Brändén and Huh, Lorentzian polynomials),
+    decided by `matroids._is_basis_family`; others are checked on all pairs."""
     if isinstance(support, SupportSet):
         exps = list(support.exponents)
     else:
@@ -292,6 +292,9 @@ def m_convex(support) -> bool:
     degs = {sum(e) for e in exps}
     if len(degs) > 1:
         raise MixedDegrees("support mixes total degrees")
+    if all(x in (0, 1) for e in exps for x in e):
+        masks = [sum(1 << i for i, x in enumerate(e) if x) for e in exps]
+        return _is_basis_family(masks)
     expset = set(exps)
     n = len(exps[0])
     for alpha in exps:

@@ -4,8 +4,9 @@ log-concavity, used only as test oracles.
 `recursive_lorentzian` follows the recursive definition of Brändén and Huh
 through `MPoly.partial`; `sampled_lorentzian` tests Hessians of partials of
 every order at positive sample points; `simplex_logconcavity` scans the whole
-degree simplex. The library reads the order-(d-2) Hessians off the terms and
-visits support pairs instead.
+degree simplex; `m_convex_pairs` checks exchange over every pair of support
+points. The library reads the order-(d-2) Hessians off the terms, visits
+support pairs, and decides a 0/1 support as a matroid basis family instead.
 """
 
 import math
@@ -13,6 +14,30 @@ from fractions import Fraction
 
 from logcavity.linalg import inertia
 from logcavity.polynomials import m_convex
+
+
+def m_convex_pairs(exps):
+    """Exchange over every ordered pair of equal-degree exponent vectors:
+    for alpha_i > beta_i some j with alpha_j < beta_j has
+    alpha - e_i + e_j in the set."""
+    expset = set(map(tuple, exps))
+
+    def moved(alpha, i, j):
+        out = list(alpha)
+        out[i] -= 1
+        out[j] += 1
+        return tuple(out)
+
+    return all(
+        any(
+            alpha[j] < beta[j] and moved(alpha, i, j) in expset
+            for j in range(len(alpha))
+        )
+        for alpha in expset
+        for beta in expset
+        for i in range(len(alpha))
+        if alpha[i] > beta[i]
+    )
 
 
 def recursive_lorentzian(f):

@@ -4,7 +4,10 @@ and the hypothesis strategy of small matroids the oracle tests share.
 Rank is the largest intersection with a basis, closure adds every element
 that keeps that rank, and independent sets are the subsets of the bases.
 The library reads all of these off its independence complex instead: rank
-by greedy insertion, closure by one greedy basis plus n lookups.
+by greedy insertion, closure by one greedy basis plus n lookups. A basis
+list is validated here by exchange over every pair of bases, and in the
+library by one local-augmentation test per face of the complex unless
+the family has few bases for its rank.
 """
 
 from itertools import combinations
@@ -34,6 +37,18 @@ def small_matroids(draw):
     cols = draw(st.integers(min_value=1, max_value=7))
     row = st.lists(SMALL, min_size=cols, max_size=cols)
     return Matroid.linear(QMatrix(draw(st.lists(row, min_size=rows, max_size=rows))))
+
+
+def exchange_holds(bases):
+    """Basis exchange over every ordered pair of bases (masks): for x in
+    B1 - B2 some y in B2 - B1 has B1 - x + y a basis."""
+    bases = set(bases)
+    for b1 in bases:
+        for b2 in bases:
+            for x in _bits(b1 & ~b2):
+                if not any(b1 ^ (1 << x | 1 << y) in bases for y in _bits(b2 & ~b1)):
+                    return False
+    return True
 
 
 def rank(m, mask):

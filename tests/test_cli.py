@@ -1,9 +1,10 @@
 import json
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
-from logcavity import cli, discriminants, hodge
+from logcavity import cli, discriminants, hodge, matroids
 from logcavity.cli import RunReport, _emit, main
 from logcavity.polynomials import MPoly
 from logcavity.posets import Poset
@@ -207,6 +208,28 @@ class TestLorentzianCommand:
         assert code == 0
         assert report["results"]["passed"] is True
         assert report["results"]["hessian_failures"] == 0
+
+    def test_bases_input_capped_before_validation(self, capsys, tmp_path, monkeypatch):
+        # U(3, 20) given as bases: the ground size alone is over the cap
+        path = tmp_path / "u3_20.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "ground": list(range(20)),
+                    "bases": [list(b) for b in combinations(range(20), 3)],
+                }
+            )
+        )
+
+        def validated(*args, **kwargs):
+            raise AssertionError("the basis list was validated")
+
+        monkeypatch.setattr(matroids, "_is_basis_family", validated)
+        monkeypatch.setattr(matroids, "_exchange_failure", validated)
+        assert main(["lorentzian", "--matroid", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "20 elements, over the --cap-elements limit 16" in err
 
     def test_deterministic_bytes(self, capsys, tmp_path):
         argv = ["lorentzian", "--poly", self.poly_file(tmp_path)]

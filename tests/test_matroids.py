@@ -1,3 +1,4 @@
+import time
 from itertools import combinations
 
 import pytest
@@ -20,9 +21,13 @@ from logcavity.linalg import (
     reduced_incidence_matrix,
     spanning_tree_count,
 )
+from logcavity import matroids
 from logcavity.matroids import (
     FlatLattice,
     Matroid,
+    _bits,
+    _down_closure,
+    _links_multipartite,
     unimodular_coordinatization_check,
 )
 from logcavity.polynomials import basis_generating_poly, MPoly
@@ -356,3 +361,121 @@ class TestOracleProperties:
         wide = Matroid.from_bases(range(17), [range(17)], validate=False)
         with pytest.raises(TooLarge, match="independence complex"):
             wide.rank_of([0])
+
+
+def families(n):
+    """Every nonempty family of equal-size subsets of range(n), as masks."""
+    for r in range(n + 1):
+        sets = [sum(1 << i for i in c) for c in combinations(range(n), r)]
+        for pick in range(1, 1 << len(sets)):
+            yield [s for i, s in enumerate(sets) if pick >> i & 1]
+
+
+def validates(n, masks):
+    """True iff from_bases accepts the family, False iff it raises
+    ExchangeViolation."""
+    bases = [list(_bits(b)) for b in masks]
+    try:
+        Matroid.from_bases(range(n), bases)
+    except ExchangeViolation:
+        return False
+    return True
+
+
+@st.composite
+def basis_families(draw):
+    """Families of equal-size subsets of 5-8 elements: an arbitrary family,
+    or the bases of a small matroid with one set added or removed, or none."""
+    if draw(st.booleans()):
+        m = draw(small_matroids().filter(lambda m: m.n >= 5))
+        masks = set(m.bases)
+        n, r = m.n, m.rank
+    else:
+        n = draw(st.integers(min_value=5, max_value=8))
+        r = draw(st.integers(min_value=0, max_value=n))
+        masks = set()
+    sets = [sum(1 << i for i in c) for c in combinations(range(n), r)]
+    change = draw(st.sampled_from(["none", "add", "remove", "random"]))
+    if change == "add":
+        masks.add(draw(st.sampled_from(sets)))
+    elif change == "remove" and len(masks) > 1:
+        masks.discard(draw(st.sampled_from(sorted(masks))))
+    elif change == "random" or not masks:
+        masks = set(draw(st.lists(st.sampled_from(sets), min_size=1, max_size=12)))
+    return n, sorted(masks)
+
+
+def refused(*args, **kwargs):
+    raise AssertionError("the other route was taken")
+
+
+class TestLinkTest:
+    """from_bases validates by one local-augmentation test per face of the
+    independence complex, or by the exchange scan when the family has few
+    bases for its rank; the exchange scan of the oracle checks both."""
+
+    def test_every_family_on_five_elements(self):
+        total = matroids_seen = 0
+        for n in range(1, 6):
+            for masks in families(n):
+                expected = oracle.exchange_holds(masks)
+                assert validates(n, masks) == expected, (n, masks)
+                complex_ = _down_closure(masks, bin(masks[0]).count("1"))
+                assert _links_multipartite(complex_) == expected, (n, masks)
+                total += 1
+                matroids_seen += expected
+        assert (total, matroids_seen) == (2228, 497)
+
+    @settings(max_examples=300, deadline=None)
+    @given(basis_families())
+    def test_random_families(self, family):
+        n, masks = family
+        expected = oracle.exchange_holds(masks)
+        assert validates(n, masks) == expected
+        complex_ = _down_closure(masks, bin(masks[0]).count("1"))
+        assert _links_multipartite(complex_) == expected
+
+    def test_violation_names_two_bases(self):
+        message = r"exchange fails for bases \[1, 2\] and \[3, 4\]"
+        with pytest.raises(ExchangeViolation, match=message):
+            Matroid.from_bases([1, 2, 3, 4], [[1, 2], [3, 4]])
+
+    def test_validation_leaves_the_complex_lazy(self):
+        m = Matroid.from_bases([0, 1, 2], [[0, 1], [0, 2], [1, 2]])
+        assert m._indep is None
+        assert m.independent_subsets(1) == [1, 2, 4]
+
+    def test_seventeen_elements_validate(self, monkeypatch):
+        monkeypatch.setattr(matroids, "_exchange_failure", refused)
+        bases = [list(c) for c in combinations(range(17), 3)]
+        m = Matroid.from_bases(range(17), bases)
+        assert m.rank == 3 and len(m.bases) == 680
+        # two disjoint 8-sets: 2^8 masks against 2 * 8^2 exchange steps
+        monkeypatch.undo()
+        monkeypatch.setattr(matroids, "_down_closure", refused)
+        with pytest.raises(ExchangeViolation):
+            Matroid.from_bases(range(17), [range(8), range(8, 16)])
+
+    def test_few_large_bases_take_the_exchange_scan(self, monkeypatch):
+        monkeypatch.setattr(matroids, "_down_closure", refused)
+        start = time.perf_counter()
+        free = Matroid.from_bases(range(30), [range(30)])
+        with pytest.raises(ExchangeViolation):
+            Matroid.from_bases(range(40), [range(20), range(20, 40)])
+        assert time.perf_counter() - start < 1
+        assert free.rank == 30
+
+    def test_coloops_and_corank_one_reduce_to_rank_one(self, monkeypatch):
+        # U(1, 40) plus 20 coloops, and U(39, 40): after dropping the
+        # coloops, or taking complements, the family has rank 1
+        monkeypatch.setattr(matroids, "_exchange_failure", refused)
+        coloops = list(range(40, 60))
+        with_coloops = Matroid.from_bases(range(60), [[e] + coloops for e in range(40)])
+        corank_one = Matroid.from_bases(range(40), combinations(range(40), 39))
+        assert (with_coloops.rank, corank_one.rank) == (21, 39)
+
+    def test_uniform_7_14_given_as_bases(self):
+        start = time.perf_counter()
+        m = Matroid.from_bases(range(14), combinations(range(14), 7))
+        assert time.perf_counter() - start < 1
+        assert len(m.bases) == 3432

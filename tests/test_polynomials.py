@@ -1,4 +1,5 @@
 import math
+import time
 from fractions import Fraction
 from itertools import combinations, permutations
 
@@ -13,6 +14,7 @@ from logcavity.errors import (
     MixedDegrees,
     NegativeCoefficient,
 )
+from logcavity import matroids
 from logcavity.linalg import QMatrix, inertia
 from logcavity.matroids import Matroid
 from logcavity.polynomials import (
@@ -389,3 +391,51 @@ class TestSerialization:
     def test_round_trip(self):
         f = basis_generating_poly(tripled_u23())
         assert MPoly.from_json(f.to_json()) == f
+
+
+@st.composite
+def zero_one_supports(draw):
+    """Equal-degree 0/1 exponent sets on 1-8 variables, matroid bases or
+    not, often with a variable in every point or in none."""
+    n = draw(st.integers(min_value=1, max_value=8))
+    r = draw(st.integers(min_value=0, max_value=n))
+    sets = list(combinations(range(n), r))
+    picked = draw(st.lists(st.sampled_from(sets), min_size=1, max_size=16))
+    return [tuple(int(i in s) for i in range(n)) for s in picked]
+
+
+class TestMConvexZeroOne:
+    """A 0/1 support is decided as a matroid basis family; the exchange scan
+    over all pairs of points is the oracle."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(zero_one_supports())
+    def test_matches_pair_scan(self, exps):
+        assert m_convex(exps) == oracle.m_convex_pairs(exps)
+
+    def test_zoo_and_complements(self):
+        for m in matroid_zoo().values():
+            exps = list(basis_generating_poly(m).terms)
+            dual = [tuple(1 - x for x in e) for e in exps]
+            assert m_convex(exps) and m_convex(dual)
+            if len(exps) > 1:
+                assert m_convex(exps[1:]) == oracle.m_convex_pairs(exps[1:])
+
+    def test_common_variables_are_dropped(self):
+        # every variable is in the one point, so the complex is {empty set}
+        assert m_convex([(1,) * 40])
+        assert not m_convex([(1, 1, 0, 0) + (1,) * 30, (0, 0, 1, 1) + (1,) * 30])
+
+    def test_two_disjoint_halves_answer_at_once(self, monkeypatch):
+        # 2^20 faces against 2 * 20^2 exchange steps: the scan is chosen
+        def refused(*args):
+            raise AssertionError("the complex was built")
+
+        monkeypatch.setattr(matroids, "_down_closure", refused)
+        start = time.perf_counter()
+        assert not m_convex([(1,) * 20 + (0,) * 20, (0,) * 20 + (1,) * 20])
+        assert time.perf_counter() - start < 1
+
+    def test_other_integer_points_take_the_pair_scan(self):
+        points = [(-1, 1), (1, -1)]
+        assert m_convex(points) == oracle.m_convex_pairs(points) is False
