@@ -25,7 +25,6 @@ from .polynomials import (
     lorentzian_check,
 )
 from .posets import (
-    KahnSaksInstance,
     MarkedPoset,
     Poset,
     extension_extremes,
@@ -55,6 +54,7 @@ from .hodge import (
     socle_check,
 )
 from .stanley import (
+    _log_concave,
     g_polynomial,
     mixed_volume_zonotopes,
     ratio_condition_check,
@@ -181,16 +181,24 @@ def _cap_elements(args, n):
 
 def _load_marked_poset(args) -> MarkedPoset:
     obj = _load_json(args.poset, "poset")
-    x, y = _mark(args, obj, "x"), _mark(args, obj, "y")
+    p = Poset.from_json(obj)
+    x, y = _mark(args, obj, p, "x"), _mark(args, obj, p, "y")
     if x is None or y is None:
         raise UsageError("marks x and y are required (flags or poset JSON)")
-    return MarkedPoset(Poset.from_json(obj), x, y)
+    return MarkedPoset(p, x, y)
 
 
-def _mark(args, obj, key):
-    """The mark from its flag, else from the poset JSON, where it must be an
-    element label, not a list or an object."""
-    value = getattr(args, key, None) or obj.get(key)
+def _mark(args, obj, p, key):
+    """The mark from its flag, matched to the element label whose string it
+    is, else from the poset JSON, where it must be an element label, not a
+    list or an object."""
+    flag = getattr(args, key, None)
+    if flag:
+        by_str = {str(lab): lab for lab in p.labels}
+        if flag not in by_str:
+            raise UsageError(f"unknown poset element {flag!r}")
+        return by_str[flag]
+    value = obj.get(key)
     if isinstance(value, (list, dict)):
         raise MalformedInput(
             f"poset mark '{key}' must be an element label, got {value!r}"
@@ -229,15 +237,12 @@ def cmd_poset(args):
     cap = args.cap_extensions
     results = {"n": p.n}
     violations = []
-    x = _mark(args, obj, "x")
+    x = _mark(args, obj, p, "x")
     if x is not None:
         seq = stanley_sequence(p, x, cap)
         results["extensions"] = sum(seq)
         results["stanley_N"] = seq
-        lc = all(
-            seq[k] * seq[k] >= seq[k - 1] * seq[k + 1]
-            for k in range(1, len(seq) - 1)
-        )
+        lc = _log_concave(seq)
         results["stanley_log_concave"] = lc
         if not lc:
             violations.append("stanley poset log-concavity failed")
@@ -251,26 +256,23 @@ def cmd_poset(args):
 
 def cmd_kahnsaks(args):
     mp = _load_marked_poset(args)
-    ks = KahnSaksInstance(mp, args.cap_extensions)
-    seq = kahn_saks_sequence(ks)
+    cap = args.cap_extensions
+    seq = kahn_saks_sequence(mp, cap)
     results = {"N": seq}
     violations = []
-    lc = all(
-        seq[k] * seq[k] >= seq[k - 1] * seq[k + 1]
-        for k in range(1, len(seq) - 1)
-    )
+    lc = _log_concave(seq)
     results["log_concave"] = lc
     if not lc:
         violations.append("kahn-saks log-concavity failed")
     per_k = {}
     for k in range(1, len(seq) + 1):
-        zero, reason = kahn_saks_positivity(ks, k)
+        zero, reason = kahn_saks_positivity(mp, k)
         if zero != (seq[k - 1] == 0):
             violations.append(f"positivity criterion mismatch at k={k}")
         entry = {"N_k": seq[k - 1], "zero_criterion": zero, "reason": reason}
-        entry.update(midway_check(ks, k))
+        entry.update(midway_check(mp, k))
         if seq[k - 1] > 0 and 2 <= k <= len(seq) - 1:
-            verdict = kahn_saks_extremal_classify(ks, k)
+            verdict = kahn_saks_extremal_classify(mp, k, cap)
             entry["equality"] = verdict.equality
             entry["ratio"] = verdict.ratio
             entry["ratio_two_conditions"] = list(verdict.ratio_two_conditions)
@@ -281,8 +283,8 @@ def cmd_kahnsaks(args):
                 violations.append(f"midway biconditional failed at k={k}")
         per_k[str(k)] = entry
     results["per_k"] = per_k
-    results["extremes"] = extension_extremes(ks)
-    results["regions"] = region_partition(ks)
+    results["extremes"] = extension_extremes(mp, cap)
+    results["regions"] = region_partition(mp)
     return RunReport(
         "kahnsaks", {"poset": mp.to_json()}, results, violations=violations
     )

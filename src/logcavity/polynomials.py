@@ -18,7 +18,7 @@ from .errors import (
     MixedDegrees,
     NegativeCoefficient,
 )
-from .linalg import QMatrix, _expect, inertia
+from .linalg import QMatrix, _expect, integer_inertia
 from .matroids import Matroid, _bits, _is_basis_family
 
 
@@ -324,15 +324,14 @@ class LorentzianReport:
     failures: tuple  # order-(d-2) exponents alpha whose Hessian test failed
 
 
-def constant_hessians(f: MPoly) -> dict:
-    """{alpha: Hessian of d^alpha f} over the exponents alpha of order
-    deg f - 2 with a nonzero partial, for homogeneous f. Each d^alpha f is a
-    quadratic, so its Hessian is constant and is read off the terms: entry
-    (i, j) is gamma! c_gamma with gamma = alpha + e_i + e_j."""
+def _hessian_rows(f: MPoly):
+    """(d, {alpha: int rows}): the constant Hessians of `constant_hessians`
+    times d, the lcm of the coefficient denominators of f."""
     n = f.nvars
+    d = math.lcm(*(c.denominator for c in f.terms.values()))
     rows = {}
     for gamma, c in f.terms.items():
-        weight = c * math.prod(math.factorial(g) for g in gamma)
+        weight = int(c * d) * math.prod(math.factorial(g) for g in gamma)
         for i in range(n):
             if not gamma[i]:
                 continue
@@ -344,7 +343,16 @@ def constant_hessians(f: MPoly) -> dict:
                 alpha[j] -= 1
                 h = rows.setdefault(tuple(alpha), [[0] * n for _ in range(n)])
                 h[i][j] = h[j][i] = weight
-    return {alpha: QMatrix(h) for alpha, h in sorted(rows.items())}
+    return d, dict(sorted(rows.items()))
+
+
+def constant_hessians(f: MPoly) -> dict:
+    """{alpha: Hessian of d^alpha f} over the exponents alpha of order
+    deg f - 2 with a nonzero partial, for homogeneous f. Each d^alpha f is a
+    quadratic, so its Hessian is constant and is read off the terms: entry
+    (i, j) is gamma! c_gamma with gamma = alpha + e_i + e_j."""
+    d, rows = _hessian_rows(f)
+    return {alpha: QMatrix(h).scale(Fraction(1, d)) for alpha, h in rows.items()}
 
 
 def lorentzian_check(f: MPoly) -> LorentzianReport:
@@ -352,7 +360,8 @@ def lorentzian_check(f: MPoly) -> LorentzianReport:
     polynomials): nonnegative coefficients, M-convex support, and for every
     alpha of order d - 2 the constant Hessian of the quadratic d^alpha f has
     exactly one positive eigenvalue. M-convexity passes to the support of
-    every partial, so the recursive definition needs no other check."""
+    every partial, so the recursive definition needs no other check. Each
+    Hessian is tested as int rows times d > 0, which keeps its inertia."""
     if not f.has_nonneg_coefficients():
         raise NegativeCoefficient("Lorentzian candidates need nonneg coefficients")
     if f.is_zero():
@@ -362,8 +371,8 @@ def lorentzian_check(f: MPoly) -> LorentzianReport:
     mcx = m_convex(f.support())
     failures = tuple(
         alpha
-        for alpha, h in constant_hessians(f).items()
-        if inertia(h).n_pos != 1
+        for alpha, h in _hessian_rows(f)[1].items()
+        if integer_inertia(h, f.nvars)[1].n_pos != 1
     )
     return LorentzianReport(mcx and not failures, True, mcx, failures)
 

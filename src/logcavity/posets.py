@@ -32,7 +32,7 @@ class Poset:
     relation lists whose closure violates antisymmetry.
     """
 
-    __slots__ = ("labels", "_index", "up", "down", "n")
+    __slots__ = ("labels", "_index", "up", "down", "n", "_lattice")
 
     def __init__(self, labels, up_masks):
         object.__setattr__(self, "labels", tuple(labels))
@@ -44,11 +44,13 @@ class Poset:
             raise InvalidPoset("duplicate element labels")
         object.__setattr__(self, "up", tuple(up_masks))
         down = [0] * self.n
-        for i in range(self.n):
-            for j in range(self.n):
-                if self.up[i] >> j & 1:
-                    down[j] |= 1 << i
+        for i, scan in enumerate(self.up):
+            while scan:
+                low = scan & -scan
+                down[low.bit_length() - 1] |= 1 << i
+                scan ^= low
         object.__setattr__(self, "down", tuple(down))
+        object.__setattr__(self, "_lattice", None)
 
     def __setattr__(self, *a):
         raise AttributeError("Poset is immutable")
@@ -169,9 +171,19 @@ class Poset:
             return
         yield from rec(0)
 
+    def _ideals(self, cap):
+        """The one order-ideal lattice of this poset, built on first use under
+        that call's cap (a build that raises caches nothing). Every call checks
+        its own cap: each raises TooLarge iff e(P) > cap, never if P is empty."""
+        if self._lattice is None:
+            object.__setattr__(self, "_lattice", _IdealLattice(self, cap))
+        elif self.n and cap is not None and self._lattice.count > cap:
+            raise _cap_exceeded(cap)
+        return self._lattice
+
     def count_extensions(self, cap=DEFAULT_EXTENSION_CAP):
         """e(P); raises TooLarge iff e(P) > cap (never for the empty poset)."""
-        return _IdealLattice(self, cap).count
+        return self._ideals(cap).count
 
     def add_relation(self, a, b):
         """New poset with a <= b adjoined: z1 <= z2 iff z1 <= z2 already, or
@@ -327,6 +339,11 @@ class MarkedPoset:
         if self.poset.lt(self.y, self.x):
             raise InvalidMarks("mark y must not lie below x")
 
+    @cached_property
+    def _ks(self):
+        """The one Kahn-Saks normalization, shared by every statistic below."""
+        return _KahnSaks(self)
+
     def to_json(self):
         obj = self.poset.to_json()
         obj["x"], obj["y"] = self.x, self.y
@@ -343,7 +360,7 @@ class RegionPartition:
     incomparable_both: frozenset
 
 
-class KahnSaksInstance:
+class _KahnSaks:
     """A marked poset normalized once for the Kahn-Saks statistics.
 
     The normalized poset has the relation x <= y adjoined and global bounds
@@ -352,13 +369,9 @@ class KahnSaksInstance:
     some element strictly below x and strictly above y. The Kahn-Saks
     sequence is unchanged by either modification. The elements other than
     the marks fall into the regions of `RegionPartition`, kept as bitmasks.
-
-    The statistics below take a MarkedPoset or an instance. Passed one
-    instance, they share its normalization and its one order-ideal lattice,
-    built on first use under the extension cap the instance was made with.
     """
 
-    def __init__(self, mp: MarkedPoset, cap=DEFAULT_EXTENSION_CAP):
+    def __init__(self, mp: MarkedPoset):
         p = mp.poset
         if not p.leq(mp.x, mp.y):
             p = p.add_relation(mp.x, mp.y)
@@ -378,8 +391,7 @@ class KahnSaksInstance:
                 labels.append(_fresh_label("top", labels))
                 up = [mask | 1 << len(up) for mask in up] + [1 << len(up)]
             p = Poset(labels, up)
-        self.marked = MarkedPoset(p, mp.x, mp.y)
-        self.poset, self.cap = p, cap
+        self.poset = p
         xi, yi = self.xi, self.yi = p.index(mp.x), p.index(mp.y)
         self.end_x = p.strict_down_mask(xi)
         self.end_y = p.strict_up_mask(yi)
@@ -388,39 +400,34 @@ class KahnSaksInstance:
         self.mid_x = rest & p.up[xi] & ~p.down[yi]
         self.mid_y = rest & p.down[yi] & ~p.up[xi]
         self.loose = rest & ~p.up[xi] & ~p.down[yi]
+        self._sequence = None
 
-    @cached_property
-    def _lattice(self):
-        return _IdealLattice(self.poset, self.cap)
-
-    @cached_property
-    def sequence(self):
-        """(N_1, ..., N_{base_n - 1}): N_k counts the extensions of the
-        normalized poset with f(y) - f(x) = k; larger gaps are impossible."""
-        return tuple(self._lattice.gap_counts(self.xi, self.yi)[1 : self.base_n])
-
-
-def _instance(mp, cap=DEFAULT_EXTENSION_CAP) -> KahnSaksInstance:
-    return mp if isinstance(mp, KahnSaksInstance) else KahnSaksInstance(mp, cap)
+    def sequence(self, cap):
+        """(N_1, ..., N_{base_n - 1}): N_k counts the extensions of the normalized
+        poset with f(y) - f(x) = k; computed once, after this call's cap check."""
+        lattice = self.poset._ideals(cap)
+        if self._sequence is None:
+            self._sequence = tuple(lattice.gap_counts(self.xi, self.yi)[1 : self.base_n])
+        return self._sequence
 
 
 def normalize(mp: MarkedPoset) -> MarkedPoset:
     """Marked poset with the relation x <= y adjoined and global bounds present.
 
     Idempotent; the Kahn-Saks sequence is unchanged by either modification."""
-    return KahnSaksInstance(mp).marked
+    return MarkedPoset(mp._ks.poset, mp.x, mp.y)
 
 
 def stanley_sequence(p: Poset, x, cap=DEFAULT_EXTENSION_CAP):
     """N_k = number of linear extensions placing x at rank k, for k = 1..n:
     N_k = sum of down(I) * up(I + x) over ideals I of size k - 1."""
-    counts = _IdealLattice(p, cap).rank_counts()
+    counts = p._ideals(cap).rank_counts()
     return counts[p.index(x)]
 
 
 def stanley_all_positions(p: Poset, cap=DEFAULT_EXTENSION_CAP):
     """Position-count table for every element: {label: [N_1..N_n]}."""
-    return dict(zip(p.labels, _IdealLattice(p, cap).rank_counts()))
+    return dict(zip(p.labels, p._ideals(cap).rank_counts()))
 
 
 def stanley_chain_counts(p: Poset, chain, positions, cap=DEFAULT_EXTENSION_CAP):
@@ -433,7 +440,7 @@ def stanley_chain_counts(p: Poset, chain, positions, cap=DEFAULT_EXTENSION_CAP):
             raise NotAChain("elements do not form a strictly increasing chain")
     if len(positions) != len(idxs):
         raise NotAChain("one position per chain element is required")
-    return _IdealLattice(p, cap).fixed_rank_count(dict(zip(idxs, positions)))
+    return p._ideals(cap).fixed_rank_count(dict(zip(idxs, positions)))
 
 
 @dataclass(frozen=True)
@@ -449,7 +456,7 @@ def stanley_equality_classify(
 ) -> StanleyEqualityVerdict:
     n = p.n
     xi = p.index(x)
-    lattice = _IdealLattice(p, cap)
+    lattice = p._ideals(cap)
     seq = lattice.rank_counts()[xi]
     ni = seq[i - 1] if 1 <= i <= n else 0
     if ni == 0:
@@ -476,20 +483,20 @@ def stanley_equality_classify(
     return StanleyEqualityVerdict(holds_a, holds_b, holds_c, holds_d)
 
 
-def kahn_saks_sequence(mp, cap=DEFAULT_EXTENSION_CAP):
+def kahn_saks_sequence(mp: MarkedPoset, cap=DEFAULT_EXTENSION_CAP):
     """N_k = number of extensions f of the normalized poset with f(y) - f(x) = k.
 
     The list runs k = 1..n-1 for n the marked poset size before bound
     adjunction; larger gaps are impossible."""
-    return list(_instance(mp, cap).sequence)
+    return list(mp._ks.sequence(cap))
 
 
-def kahn_saks_positivity(mp, k):
+def kahn_saks_positivity(mp: MarkedPoset, k):
     """(is_zero, reason): the combinatorial zero criterion for N_k.
 
     N_k = 0 iff |P<x| + |P>y| > n-k-1 or |P between x,y| > k-1, on the
     normalized poset of size n."""
-    ks = _instance(mp)
+    ks = mp._ks
     n = ks.poset.n
     outside = ks.end_x.bit_count() + ks.end_y.bit_count()
     if outside > n - k - 1:
@@ -499,8 +506,8 @@ def kahn_saks_positivity(mp, k):
     return False, "positive"
 
 
-def region_partition(mp) -> RegionPartition:
-    ks = _instance(mp)
+def region_partition(mp: MarkedPoset) -> RegionPartition:
+    ks = mp._ks
     regions = (ks.end_x, ks.end_y, ks.mid, ks.mid_x, ks.mid_y, ks.loose)
     return RegionPartition(
         *(frozenset(ks.poset.labels[i] for i in _members(m)) for m in regions)
@@ -517,11 +524,11 @@ def _ends_far(ks, k):
     )
 
 
-def midway_check(mp, k):
+def midway_check(mp: MarkedPoset, k):
     """Evaluate the k-midway and dual k-midway properties on the normalized poset.
 
     Returns {"midway": bool, "dual_midway": bool}."""
-    ks = _instance(mp)
+    ks = mp._ks
     p, n = ks.poset, ks.poset.n
     far_x, far_y = _ends_far(ks, k)
     midway = far_x and all(
@@ -543,10 +550,10 @@ class KahnSaksExtremalVerdict:
 
 
 def kahn_saks_extremal_classify(
-    mp, k, cap=DEFAULT_EXTENSION_CAP
+    mp: MarkedPoset, k, cap=DEFAULT_EXTENSION_CAP
 ) -> KahnSaksExtremalVerdict:
-    ks = _instance(mp, cap)
-    seq = ks.sequence
+    ks = mp._ks
+    seq = ks.sequence(cap)
     nk = seq[k - 1] if 1 <= k <= len(seq) else 0
     if nk == 0:
         raise ZeroAtIndex(f"N_{k} = 0")
@@ -573,17 +580,17 @@ def kahn_saks_extremal_classify(
     return KahnSaksExtremalVerdict(equality, ratio, (cond1, cond2, cond3, cond4))
 
 
-def extension_extremes(mp, cap=DEFAULT_EXTENSION_CAP):
+def extension_extremes(mp: MarkedPoset, cap=DEFAULT_EXTENSION_CAP):
     """Measured extremal statistics of extensions of the normalized poset.
 
     min_gap should equal |P between x,y| + 1; an extension realizing
     f(x) = |P<x|+1 and f(y) = n-|P>y| simultaneously should exist."""
-    ks = _instance(mp, cap)
+    ks = mp._ks
     wide = {ks.xi: ks.end_x.bit_count() + 1, ks.yi: ks.poset.n - ks.end_y.bit_count()}
     return {
         # every gap of an extension is in the sequence, and x < y leaves at
         # least one extension
-        "min_gap": next(k for k, count in enumerate(ks.sequence, 1) if count),
+        "min_gap": next(k for k, count in enumerate(ks.sequence(cap), 1) if count),
         "narrow_target": ks.mid.bit_count() + 1,
-        "wide_exists": ks._lattice.fixed_rank_count(wide) > 0,
+        "wide_exists": ks.poset._ideals(cap).fixed_rank_count(wide) > 0,
     }

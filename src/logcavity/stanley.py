@@ -25,6 +25,11 @@ from .matroids import Matroid, _bits, _popcount
 from .polynomials import basis_generating_poly
 
 
+def _log_concave(seq):
+    """seq[k]^2 >= seq[k - 1] seq[k + 1] at every inner index k."""
+    return all(seq[k] ** 2 >= seq[k - 1] * seq[k + 1] for k in range(1, len(seq) - 1))
+
+
 @dataclass(frozen=True)
 class StanleySequence:
     counts: tuple  # N_0..N_r
@@ -35,10 +40,7 @@ class StanleySequence:
         return sum(self.counts)
 
     def log_concave(self):
-        n = self.normalized
-        return all(
-            n[k] * n[k] >= n[k - 1] * n[k + 1] for k in range(1, len(n) - 1)
-        )
+        return _log_concave(self.normalized)
 
     def equality_indices(self):
         n = self.normalized
@@ -116,18 +118,17 @@ def ratio_condition_check(m: Matroid, R) -> RatioVerdict:
     if m.loops():
         raise LoopPresent("ratio condition is stated for loopless matroids")
     r_set = frozenset(R)
-    ratio = None
-    for cls in m.parallel_data().classes:
-        in_r = len(cls & r_set)
-        in_q = len(cls) - in_r
-        if in_r == 0 or in_q == 0:
-            return RatioVerdict(False, None)
-        current = Fraction(in_r, in_q)
-        if ratio is None:
-            ratio = current
-        elif ratio != current:
-            return RatioVerdict(False, None)
-    return RatioVerdict(True, ratio)
+    pairs = [(len(c & r_set), len(c - r_set)) for c in m.parallel_data().classes]
+    return RatioVerdict(*_constant_ratio(pairs))
+
+
+def _constant_ratio(pairs):
+    """(holds, ratio): whether every (r, q) count pair is positive with one
+    common r/q, and that ratio; (True, None) when there are no pairs."""
+    ratios = {Fraction(r, q) if r and q else None for r, q in pairs}
+    if None in ratios or len(ratios) > 1:
+        return False, None
+    return True, next(iter(ratios), None)
 
 
 @dataclass(frozen=True)
@@ -153,29 +154,10 @@ def graphic_equality_check(graph: Graph, R_indices) -> GraphicEqualityVerdict:
     a_holds = bool(eq)
     b_holds = len(eq) == max(len(seq.normalized) - 2, 0)
 
-    pair_counts = {}
+    pair_counts = {}  # vertex pair -> [edges in R, edges in Q]
     for idx, (u, v) in enumerate(graph.edges):
-        key = (min(u, v), max(u, v))
-        r_cnt, q_cnt = pair_counts.get(key, (0, 0))
-        if idx in r_set:
-            r_cnt += 1
-        else:
-            q_cnt += 1
-        pair_counts[key] = (r_cnt, q_cnt)
-    ratio = None
-    c_holds = True
-    for r_cnt, q_cnt in pair_counts.values():
-        if r_cnt == 0 or q_cnt == 0:
-            c_holds = False
-            break
-        current = Fraction(r_cnt, q_cnt)
-        if ratio is None:
-            ratio = current
-        elif ratio != current:
-            c_holds = False
-            break
-    if not c_holds:
-        ratio = None
+        pair_counts.setdefault((min(u, v), max(u, v)), [0, 0])[idx not in r_set] += 1
+    c_holds, ratio = _constant_ratio(pair_counts.values())
     return GraphicEqualityVerdict(a_holds, b_holds, c_holds, ratio)
 
 
@@ -249,10 +231,7 @@ def mason_sequence(m: Matroid, element_cap=12) -> MasonReport:
         raise TooLarge(f"mason check capped at {element_cap} elements")
     r = m.rank
     counts = tuple(m.independent_count(k) for k in range(r + 1))
-    lc = all(
-        counts[k] * counts[k] >= counts[k - 1] * counts[k + 1]
-        for k in range(1, r)
-    )
+    lc = _log_concave(counts)
     boolean = _fresh_boolean(m, r)
     summed = boolean.direct_sum(m)
     trunc = summed

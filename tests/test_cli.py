@@ -151,6 +151,37 @@ class TestKahnSaksCommand:
         assert report["results"]["per_k"]["2"]["ratio"] == 2
 
 
+class TestPosetMarks:
+    """A mark given by flag is the element label whose string it is, so
+    integer labels can be marked from the command line as from the JSON."""
+
+    @pytest.fixture
+    def marked_file(self, tmp_path):
+        path = tmp_path / "marked.json"
+        path.write_text(
+            json.dumps(
+                {"elements": [0, 1, 2, 3], "relations": [[0, 1], [2, 3]], "x": 0, "y": 3}
+            )
+        )
+        return str(path)
+
+    @pytest.mark.parametrize(
+        "command, flags",
+        [("kahnsaks", ["--x", "0", "--y", "3"]), ("poset", ["--x", "0"])],
+    )
+    def test_flag_marks_match_json_marks(self, capsys, marked_file, command, flags):
+        assert main([command, "--poset", marked_file]) == 0
+        from_json = capsys.readouterr().out
+        assert main([command, "--poset", marked_file] + flags) == 0
+        assert capsys.readouterr().out == from_json
+
+    @pytest.mark.parametrize("command", ["kahnsaks", "poset"])
+    def test_flag_naming_no_element(self, capsys, marked_file, command):
+        assert main([command, "--poset", marked_file, "--x", "7"]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: unknown poset element '7'\n"
+
+
 class TestPosetCommand:
     def test_cap_fails_fast_and_names_flag(self, capsys, tmp_path, monkeypatch):
         # 11! extensions exceed the default cap of 10!; the prefix count of

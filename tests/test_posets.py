@@ -3,10 +3,11 @@ from fractions import Fraction
 from functools import partial
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import poset_oracle as oracle
+from logcavity import posets
 from logcavity.errors import (
     InvalidMarks,
     InvalidPoset,
@@ -413,15 +414,31 @@ class TestAgainstEnumerationOracle:
 
     @settings(max_examples=100, deadline=None)
     @given(small_posets())
+    @example(Poset.antichain([]))
     def test_count_and_cap(self, p):
         count = oracle.count_extensions(p, None)
         assert p.count_extensions(None) == count
+        routes = (
+            p.count_extensions,
+            partial(oracle.count_extensions, p),
+            partial(stanley_all_positions, p),
+        )
+        # every cap is checked against the lattice built uncapped above; the
+        # empty poset never raises
         for cap in (count - 1, count, 0, None):
-            # the empty poset never raises
             too_large = p.n > 0 and cap is not None and count > cap
-            for route in (p.count_extensions, partial(oracle.count_extensions, p)):
+            for route in routes:
                 with pytest.raises(TooLarge) if too_large else nullcontext():
                     route(cap)
+        if p.n >= 2:
+            # the labels run in a linear extension, so these marks are valid
+            mp = MarkedPoset(p, p.labels[0], p.labels[1])
+            seq = kahn_saks_sequence(mp, None)
+            assert seq == oracle.kahn_saks_sequence(mp, None)
+            for cap in (sum(seq) - 1, sum(seq), 0, None):
+                too_large = cap is not None and sum(seq) > cap
+                with pytest.raises(TooLarge) if too_large else nullcontext():
+                    kahn_saks_sequence(mp, cap)
 
     @settings(max_examples=100, deadline=None)
     @given(small_posets(), st.data())
@@ -472,3 +489,63 @@ class TestAgainstEnumerationOracle:
         assert empty.count_extensions(cap=0) == oracle.count_extensions(empty, 0) == 1
         assert stanley_all_positions(empty, cap=0) == {}
         assert stanley_chain_counts(empty, [], [], cap=0) == 1
+
+
+class TestSharing:
+    """Each Poset builds one order-ideal lattice and each MarkedPoset one
+    normalization, whatever statistics are asked of them."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        built = {"lattices": [], "normalizations": 0, "gap_passes": 0}
+        lattice, normalization = posets._IdealLattice, posets._KahnSaks
+        gap_counts = lattice.gap_counts
+
+        def counted_lattice(p, cap):
+            built["lattices"].append(p)
+            return lattice(p, cap)
+
+        def counted_normalization(mp):
+            built["normalizations"] += 1
+            return normalization(mp)
+
+        def counted_gaps(self, x, y):
+            built["gap_passes"] += 1
+            return gap_counts(self, x, y)
+
+        monkeypatch.setattr(posets, "_IdealLattice", counted_lattice)
+        monkeypatch.setattr(posets, "_KahnSaks", counted_normalization)
+        monkeypatch.setattr(lattice, "gap_counts", counted_gaps)
+        return built
+
+    def test_one_lattice_per_poset(self, built):
+        p = Poset.from_relations("abcde", [("a", "b"), ("a", "c"), ("d", "e")])
+        with pytest.raises(TooLarge):
+            p.count_extensions(cap=1)  # a build that raises caches nothing
+        count = p.count_extensions()
+        assert sum(stanley_sequence(p, "a")) == count
+        assert len(stanley_all_positions(p)) == 5
+        assert stanley_chain_counts(p, ["a", "b"], [1, 2]) > 0
+        stanley_equality_classify(p, "c", 3)
+        assert built["lattices"] == [p, p]
+        # an equal poset is another object with its own lattice
+        twin = Poset.from_relations("abcde", [("a", "b"), ("a", "c"), ("d", "e")])
+        assert twin.count_extensions() == count
+        assert built["lattices"] == [p, p, twin]
+
+    def test_one_normalization_per_marked_poset(self, built):
+        mp = MarkedPoset(Poset.antichain("xyz"), "x", "y")
+        seq = kahn_saks_sequence(mp)
+        for k in range(1, len(seq) + 1):
+            kahn_saks_positivity(mp, k)
+            midway_check(mp, k)
+            if seq[k - 1]:
+                kahn_saks_extremal_classify(mp, k)
+        extension_extremes(mp)
+        region_partition(mp)
+        assert built["normalizations"] == 1
+        assert built["gap_passes"] == 1
+        assert len(built["lattices"]) == 1
+        # the normalized poset carries the lattice, not the input poset
+        assert built["lattices"][0] is not mp.poset
+        assert built["lattices"][0].n == 5
