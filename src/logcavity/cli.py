@@ -189,11 +189,13 @@ def _load_marked_poset(args) -> MarkedPoset:
 
 
 def _mark(args, obj, p, key):
-    """The mark from its flag, matched to the element label whose string it
-    is, else from the poset JSON, where it must be an element label, not a
-    list or an object."""
+    """The mark from its flag, which is a string label itself or else names
+    the label whose string it is, else from the poset JSON, where it must be
+    an element label, not a list or an object."""
     flag = getattr(args, key, None)
     if flag:
+        if flag in p.labels:
+            return flag
         by_str = {str(lab): lab for lab in p.labels}
         if flag not in by_str:
             raise UsageError(f"unknown poset element {flag!r}")

@@ -407,7 +407,8 @@ class _KahnSaks:
         poset with f(y) - f(x) = k; computed once, after this call's cap check."""
         lattice = self.poset._ideals(cap)
         if self._sequence is None:
-            self._sequence = tuple(lattice.gap_counts(self.xi, self.yi)[1 : self.base_n])
+            gaps = lattice.gap_counts(self.xi, self.yi)
+            self._sequence = tuple(gaps[1 : self.base_n])
         return self._sequence
 
 

@@ -26,8 +26,10 @@ from .polynomials import basis_generating_poly
 
 
 def _log_concave(seq):
-    """seq[k]^2 >= seq[k - 1] seq[k + 1] at every inner index k."""
-    return all(seq[k] ** 2 >= seq[k - 1] * seq[k + 1] for k in range(1, len(seq) - 1))
+    """seq[k] seq[k] >= seq[k - 1] seq[k + 1] at every inner index k."""
+    return all(
+        seq[k] * seq[k] >= seq[k - 1] * seq[k + 1] for k in range(1, len(seq) - 1)
+    )
 
 
 @dataclass(frozen=True)
@@ -156,7 +158,11 @@ def graphic_equality_check(graph: Graph, R_indices) -> GraphicEqualityVerdict:
 
     pair_counts = {}  # vertex pair -> [edges in R, edges in Q]
     for idx, (u, v) in enumerate(graph.edges):
-        pair_counts.setdefault((min(u, v), max(u, v)), [0, 0])[idx not in r_set] += 1
+        counts = pair_counts.setdefault((min(u, v), max(u, v)), [0, 0])
+        if idx in r_set:
+            counts[0] += 1
+        else:
+            counts[1] += 1
     c_holds, ratio = _constant_ratio(pair_counts.values())
     return GraphicEqualityVerdict(a_holds, b_holds, c_holds, ratio)
 

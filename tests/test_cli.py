@@ -175,6 +175,24 @@ class TestPosetMarks:
         assert main([command, "--poset", marked_file] + flags) == 0
         assert capsys.readouterr().out == from_json
 
+    @pytest.mark.parametrize(
+        "command, flags",
+        [("kahnsaks", ["--x", "1", "--y", "2"]), ("poset", ["--x", "1"])],
+    )
+    def test_string_label_before_printed_label(self, capsys, tmp_path, command, flags):
+        # "1" and 1 print alike; the flag 1 marks the string label "1", as the
+        # JSON mark does, and not the integer 1, which gives another report
+        obj = {"elements": ["1", 1, 2], "relations": [["1", 2]]}
+        paths, reports = [], []
+        for x in ("1", 1):
+            paths.append(tmp_path / f"marked_{x!r}.json")
+            paths[-1].write_text(json.dumps(dict(obj, x=x, y=2)))
+            assert main([command, "--poset", str(paths[-1])]) == 0
+            reports.append(capsys.readouterr().out)
+        assert reports[0] != reports[1]
+        assert main([command, "--poset", str(paths[0])] + flags) == 0
+        assert capsys.readouterr().out == reports[0]
+
     @pytest.mark.parametrize("command", ["kahnsaks", "poset"])
     def test_flag_naming_no_element(self, capsys, marked_file, command):
         assert main([command, "--poset", marked_file, "--x", "7"]) == 1

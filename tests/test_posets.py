@@ -422,9 +422,11 @@ class TestAgainstEnumerationOracle:
             p.count_extensions,
             partial(oracle.count_extensions, p),
             partial(stanley_all_positions, p),
+            # a fresh poset builds its lattice under this very cap
+            lambda cap: Poset(p.labels, p.up).count_extensions(cap),
         )
-        # every cap is checked against the lattice built uncapped above; the
-        # empty poset never raises
+        # every cap is checked against the lattice built uncapped above and
+        # by a fresh build; the empty poset never raises
         for cap in (count - 1, count, 0, None):
             too_large = p.n > 0 and cap is not None and count > cap
             for route in routes:
@@ -437,8 +439,10 @@ class TestAgainstEnumerationOracle:
             assert seq == oracle.kahn_saks_sequence(mp, None)
             for cap in (sum(seq) - 1, sum(seq), 0, None):
                 too_large = cap is not None and sum(seq) > cap
-                with pytest.raises(TooLarge) if too_large else nullcontext():
-                    kahn_saks_sequence(mp, cap)
+                fresh = MarkedPoset(Poset(p.labels, p.up), mp.x, mp.y)
+                for marked in (mp, fresh):
+                    with pytest.raises(TooLarge) if too_large else nullcontext():
+                        kahn_saks_sequence(marked, cap)
 
     @settings(max_examples=100, deadline=None)
     @given(small_posets(), st.data())
