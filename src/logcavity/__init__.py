@@ -33,7 +33,9 @@ from .posets import (
     stanley_equality_classify,
     stanley_sequence,
 )
-from .matroids import FlatLattice, Matroid, ParallelData, unimodular_coordinatization_check
+from .matroids import (
+    FlatLattice, Matroid, ParallelData, unimodular_coordinatization_check
+)
 from .polynomials import (
     MPoly,
     basis_generating_poly,

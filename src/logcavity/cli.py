@@ -17,7 +17,7 @@ from math import factorial
 from . import __version__
 from .errors import LogcavityError, MalformedInput, UsageError
 from .linalg import Graph, QMatrix, reduced_incidence_matrix
-from .matroids import Matroid
+from .matroids import DEFAULT_ELEMENT_CAP, Matroid
 from .polynomials import (
     MPoly,
     basis_generating_poly,
@@ -25,6 +25,7 @@ from .polynomials import (
     lorentzian_check,
 )
 from .posets import (
+    DEFAULT_EXTENSION_CAP,
     MarkedPoset,
     Poset,
     extension_extremes,
@@ -86,8 +87,6 @@ def _jsonable(x):
         return [_jsonable(v) for v in x]
     if isinstance(x, (set, frozenset)):
         return sorted((_jsonable(v) for v in x), key=str)
-    if isinstance(x, QMatrix):
-        return x.to_json()
     return x
 
 
@@ -172,8 +171,8 @@ def _load_matroid(args) -> Matroid:
 
 
 def _cap_elements(args, n):
-    cap = getattr(args, "cap_elements", None)
-    if cap is not None and n > cap:
+    cap = args.cap_elements
+    if n > cap:
         raise UsageError(
             f"matroid has {n} elements, over the --cap-elements limit {cap}"
         )
@@ -578,12 +577,12 @@ def build_parser():
     def common(p, matroid=False, poset=False):
         p.add_argument("--out", help="write the JSON report here")
         p.add_argument("--format", choices=["json", "csv"], default="json")
-        p.add_argument("--cap-extensions", type=int, default=3_628_800)
-        p.add_argument("--cap-elements", type=int, default=16)
         if matroid:
+            p.add_argument("--cap-elements", type=int, default=DEFAULT_ELEMENT_CAP)
             p.add_argument("--matroid", help="matroid JSON file")
             p.add_argument("--graph", help="graph JSON file (graphic matroid)")
         if poset:
+            p.add_argument("--cap-extensions", type=int, default=DEFAULT_EXTENSION_CAP)
             p.add_argument("--poset", required=True, help="poset JSON file")
 
     p = sub.add_parser("poset", help="linear extension statistics")

@@ -26,13 +26,14 @@ from .errors import (
 )
 from .linalg import (
     QMatrix,
+    _bits,
     inertia,  # noqa: F401  -- perfbench's tracer self-test wraps hodge.inertia
     integer_inertia,
     integer_kernel,
     integer_row_basis,
     solve,
 )
-from .matroids import FlatLattice, Matroid, _bits, _popcount
+from .matroids import FlatLattice, Matroid
 
 
 @dataclass(frozen=True)
@@ -120,7 +121,7 @@ def in_annihilator(m: Matroid, coeffs) -> bool:
     """Whether sum of coeff * X^S (squarefree S of one common size) kills the
     basis generating polynomial. coeffs: {frozenset of labels: rational}."""
     items = [(m._mask(s), Fraction(c)) for s, c in coeffs.items()]
-    sizes = {_popcount(mask) for mask, _ in items}
+    sizes = {mask.bit_count() for mask, _ in items}
     if len(sizes) != 1:
         raise DimensionMismatch("mixed degrees in annihilator test")
     k = sizes.pop()
@@ -544,23 +545,15 @@ def annihilator_containment_probe(m: Matroid, e) -> ContainmentProbe:
 
 def theta_consistency_check(m: Matroid) -> bool:
     """The flat-to-monomial map is basis-independent: any two bases of a flat
-    give the same Gorenstein class."""
-    lattice = FlatLattice.of(m)
-    for level in lattice.flats_by_rank:
-        for F in level:
-            bases_of_f = _bases_of_flat(m, F)
-            if len(bases_of_f) < 2:
-                continue
-            first = bases_of_f[0]
-            for other in bases_of_f[1:]:
-                if not in_annihilator(m, {first: 1, other: -1}):
-                    return False
+    give the same Gorenstein class, that is, the same evaluation row."""
+    for k in range(m.rank + 1):
+        cols = m.independent_subsets(m.rank - k)
+        for f in _flat_masks(m, k):
+            bases_of_f = [b for b in m.independent_subsets(k) if b & ~f == 0]
+            rows = _evaluation_entries(m, bases_of_f, cols)
+            if any(row != rows[0] for row in rows):
+                return False
     return True
-
-
-def _bases_of_flat(m: Matroid, F):
-    f = m._mask(F)
-    return [m._labels(b) for b in m.independent_subsets(m._rank_mask(f)) if b & ~f == 0]
 
 
 def signature_formula_check(m: Matroid, k, point):

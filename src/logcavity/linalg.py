@@ -39,6 +39,14 @@ def _expect(value, kind, what):
     return value
 
 
+def _bits(mask):
+    """The indices of the set bits of mask, in increasing order."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 def _json_labels(value, what):
     """value, if it is a JSON list of element labels (no lists or objects);
     else an input error naming what."""
@@ -51,7 +59,7 @@ def _json_labels(value, what):
 class QMatrix:
     """Immutable dense matrix with Fraction entries, row-major."""
 
-    __slots__ = ("m", "rows", "cols")
+    __slots__ = ("m", "rows", "cols", "_hash")
 
     def __init__(self, rows_of_entries):
         m = tuple(tuple(_q(x) for x in row) for row in rows_of_entries)
@@ -60,6 +68,8 @@ class QMatrix:
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "rows", len(m))
         object.__setattr__(self, "cols", len(m[0]) if m else 0)
+        # hash(self.m), computed on first use: it hashes every Fraction
+        object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, *a):
         raise AttributeError("QMatrix is immutable")
@@ -71,7 +81,9 @@ class QMatrix:
         return isinstance(other, QMatrix) and self.m == other.m
 
     def __hash__(self):
-        return hash(self.m)
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash(self.m))
+        return self._hash
 
     def __repr__(self):
         return "QMatrix(%s)" % "; ".join(" ".join(str(x) for x in r) for r in self.m)
@@ -434,9 +446,8 @@ class Graph:
     def has_loop(self):
         return any(u == v for u, v in self.edges)
 
-    def is_connected(self):
-        if self.vertices <= 1:
-            return True
+    def _forest_rank(self, edge_indices):
+        """The size of a spanning forest of the given edges (union-find)."""
         parent = list(range(self.vertices))
 
         def find(x):
@@ -445,10 +456,18 @@ class Graph:
                 x = parent[x]
             return x
 
-        for u, v in self.edges:
-            parent[find(u)] = find(v)
-        root = find(0)
-        return all(find(v) == root for v in range(self.vertices))
+        rank = 0
+        for i in edge_indices:
+            u, v = self.edges[i]
+            ru, rv = find(u), find(v)
+            if ru != rv:
+                parent[ru] = rv
+                rank += 1
+        return rank
+
+    def is_connected(self):
+        forest = self._forest_rank(range(len(self.edges)))
+        return self.vertices <= 1 or forest == self.vertices - 1
 
     def to_json(self):
         return {"vertices": self.vertices, "edges": [list(e) for e in self.edges]}

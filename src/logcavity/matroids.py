@@ -17,20 +17,23 @@ from .errors import (
     UnequalSizes,
     UnknownElement,
 )
-from .linalg import Graph, QMatrix, _expect, _json_labels, det, rank_of_matrix
+from .linalg import Graph, QMatrix, _bits, _expect, _json_labels, det, rank_of_matrix
 
 DEFAULT_ELEMENT_CAP = 16
 
 
-def _popcount(x):
-    return bin(x).count("1")
+def _subsets(candidates, r, accept):
+    """The masks of the r-subsets of candidates (indices) that accept, given
+    the subset as an index tuple, takes."""
+    return [sum(1 << i for i in c) for c in combinations(candidates, r) if accept(c)]
 
 
-def _bits(mask):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask &= mask - 1
+def _moved(mask, pos):
+    """mask with each set bit i moved to position pos[i]."""
+    out = 0
+    for i in _bits(mask):
+        out |= 1 << pos[i]
+    return out
 
 
 def _down_closure(masks, rank):
@@ -102,9 +105,9 @@ def _is_basis_family(masks):
     bound is smaller."""
     common, free = reduce(and_, masks), reduce(or_, masks)
     masks, free = [m ^ common for m in masks], free ^ common
-    r = _popcount(masks[0])
-    if 2 * r > _popcount(free):
-        masks, r = [m ^ free for m in masks], _popcount(free) - r
+    r = masks[0].bit_count()
+    if 2 * r > free.bit_count():
+        masks, r = [m ^ free for m in masks], free.bit_count() - r
     if 1 << r <= len(masks) * r * r:
         return _links_multipartite(_down_closure(masks, r))
     return _exchange_failure(masks) is None
@@ -125,7 +128,7 @@ class Matroid:
         if not masks:
             raise EmptyBases("a matroid must have at least one basis")
         object.__setattr__(self, "bases", masks)
-        object.__setattr__(self, "rank", _popcount(masks[0]))
+        object.__setattr__(self, "rank", masks[0].bit_count())
         # the independence complex (_independent), built on first use
         object.__setattr__(self, "_indep", None)
         # the Gorenstein ring (hodge.GorensteinRing.of), built on first use
@@ -165,12 +168,12 @@ class Matroid:
                 if e not in index:
                     raise UnknownElement(f"basis element {e!r} not in ground set")
                 mask |= 1 << index[e]
-            if _popcount(mask) != len(tuple(b)):
+            if mask.bit_count() != len(tuple(b)):
                 raise UnknownElement(f"basis {b!r} repeats an element")
             masks.append(mask)
         if not masks:
             raise EmptyBases("no bases given")
-        sizes = {_popcount(m) for m in masks}
+        sizes = {m.bit_count() for m in masks}
         if len(sizes) != 1:
             raise UnequalSizes(f"bases of different sizes: {sorted(sizes)}")
         m = Matroid(ground, masks)
@@ -188,14 +191,7 @@ class Matroid:
             raise DimensionMismatch("uniform matroid needs 0 <= k <= n")
         if n > DEFAULT_ELEMENT_CAP:
             raise TooLarge(f"ground set larger than {DEFAULT_ELEMENT_CAP}")
-        ground = tuple(range(n))
-        masks = []
-        for combo in combinations(range(n), k):
-            mask = 0
-            for i in combo:
-                mask |= 1 << i
-            masks.append(mask)
-        return Matroid(ground, masks)
+        return Matroid(tuple(range(n)), _subsets(range(n), k, lambda c: True))
 
     @staticmethod
     def graphic(graph: Graph):
@@ -204,14 +200,8 @@ class Matroid:
         if m > DEFAULT_ELEMENT_CAP:
             raise TooLarge(f"more than {DEFAULT_ELEMENT_CAP} edges")
         nonloops = [i for i, (u, v) in enumerate(graph.edges) if u != v]
-        rank = _forest_rank(graph, nonloops)
-        masks = []
-        for combo in combinations(nonloops, rank):
-            if _forest_rank(graph, combo) == rank:
-                mask = 0
-                for i in combo:
-                    mask |= 1 << i
-                masks.append(mask)
+        rank = graph._forest_rank(nonloops)
+        masks = _subsets(nonloops, rank, lambda c: graph._forest_rank(c) == rank)
         return Matroid(tuple(range(m)), masks)
 
     @staticmethod
@@ -225,16 +215,10 @@ class Matroid:
         if cols > DEFAULT_ELEMENT_CAP:
             raise TooLarge(f"more than {DEFAULT_ELEMENT_CAP} columns")
         r = rank_of_matrix(matrix)
-        if r == 0:
-            return Matroid(ground, [0])
         rows = range(matrix.rows)
-        masks = []
-        for combo in combinations(range(cols), r):
-            if rank_of_matrix(matrix.submatrix(rows, combo)) == r:
-                mask = 0
-                for i in combo:
-                    mask |= 1 << i
-                masks.append(mask)
+        masks = _subsets(
+            range(cols), r, lambda c: rank_of_matrix(matrix.submatrix(rows, c)) == r
+        )
         return Matroid(ground, masks)
 
     # -- queries -----------------------------------------------------------
@@ -268,7 +252,7 @@ class Matroid:
 
     def is_independent(self, S):
         mask = self._mask(S)
-        return mask in self._independent()[min(_popcount(mask), self.rank + 1)]
+        return mask in self._independent()[min(mask.bit_count(), self.rank + 1)]
 
     def _greedy(self, mask):
         """(a maximal independent subset of mask, grown in index order, and its
@@ -310,35 +294,26 @@ class Matroid:
         return len(self.independent_subsets(k))
 
     def loops(self):
-        covered = 0
-        for b in self.bases:
-            covered |= b
-        return self._labels(((1 << self.n) - 1) & ~covered)
+        return self._labels(((1 << self.n) - 1) & ~reduce(or_, self.bases))
 
     def coloops(self):
-        common = (1 << self.n) - 1
-        for b in self.bases:
-            common &= b
-        return self._labels(common)
+        return self._labels(reduce(and_, self.bases))
 
     def flats(self):
         return FlatLattice.of(self)
 
     def parallel_data(self):
+        """The loops, and the parallel classes in order of least element: the
+        class of a non-loop e is its closure minus the loops (Oxley, Matroid
+        Theory)."""
         loops_mask = self._mask(self.loops())
         classes = []
-        assigned = 0
+        assigned = loops_mask
         for e in range(self.n):
-            if loops_mask >> e & 1 or assigned >> e & 1:
-                continue
-            cls = 1 << e
-            for f in range(e + 1, self.n):
-                if loops_mask >> f & 1:
-                    continue
-                if self._rank_mask((1 << e) | (1 << f)) == 1:
-                    cls |= 1 << f
-            assigned |= cls
-            classes.append(self._labels(cls))
+            if not assigned >> e & 1:
+                cls = self._closure_mask(1 << e) & ~loops_mask
+                assigned |= cls
+                classes.append(self._labels(cls))
         return ParallelData(self._labels(loops_mask), tuple(classes))
 
     def simplify(self):
@@ -346,23 +321,14 @@ class Matroid:
 
         The representative of each class is its smallest-index member; the
         fiber map sends every non-loop to its representative."""
-        data = self.parallel_data()
-        reps = []
-        fiber = {}
-        for cls in sorted(
-            data.classes, key=lambda c: min(self._index[e] for e in c)
-        ):
+        reps, fiber, pos = [], {}, {}
+        for cls in self.parallel_data().classes:
             rep = min(cls, key=lambda e: self._index[e])
-            reps.append(rep)
             for e in cls:
                 fiber[e] = rep
-        masks = set()
-        for b in self.bases:
-            mask = 0
-            for i in _bits(b):
-                rep = fiber[self.ground[i]]
-                mask |= 1 << reps.index(rep)
-            masks.add(mask)
+                pos[self._index[e]] = len(reps)
+            reps.append(rep)
+        masks = {_moved(b, pos) for b in self.bases}
         return Matroid(tuple(reps), sorted(masks)), fiber
 
     # -- operations --------------------------------------------------------
@@ -371,13 +337,11 @@ class Matroid:
         t_mask = self._mask(T)
         keep = list(_bits(t_mask))
         pos = {old: new for new, old in enumerate(keep)}
-        masks = set()
-        for i in self._independent()[self._rank_mask(t_mask)]:
-            if i & ~t_mask == 0:
-                new = 0
-                for e in _bits(i):
-                    new |= 1 << pos[e]
-                masks.add(new)
+        masks = {
+            _moved(i, pos)
+            for i in self._independent()[self._rank_mask(t_mask)]
+            if i & ~t_mask == 0
+        }
         return Matroid(tuple(self.ground[i] for i in keep), sorted(masks))
 
     def delete(self, T):
@@ -394,13 +358,7 @@ class Matroid:
             bt = self._mask(basis_of_T)
         keep = [i for i in range(self.n) if not t_mask >> i & 1]
         pos = {old: new for new, old in enumerate(keep)}
-        masks = set()
-        for b in self.bases:
-            if b & t_mask == bt:
-                new = 0
-                for i in _bits(b & ~t_mask):
-                    new |= 1 << pos[i]
-                masks.add(new)
+        masks = {_moved(b & ~t_mask, pos) for b in self.bases if b & t_mask == bt}
         if not masks:
             # rank(B_T) < rank(T) cannot happen; empty means T spans everything
             masks = {0}
@@ -510,26 +468,6 @@ class FlatLattice:
     @property
     def atoms(self):
         return self.flats_by_rank[1] if len(self.flats_by_rank) > 1 else ()
-
-
-def _forest_rank(graph: Graph, edge_indices):
-    """The size of a spanning forest of the given edges (union-find)."""
-    parent = list(range(graph.vertices))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    rank = 0
-    for i in edge_indices:
-        u, v = graph.edges[i]
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[ru] = rv
-            rank += 1
-    return rank
 
 
 def unimodular_coordinatization_check(m: Matroid, matrix: QMatrix) -> bool:

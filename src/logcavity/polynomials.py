@@ -18,8 +18,8 @@ from .errors import (
     MixedDegrees,
     NegativeCoefficient,
 )
-from .linalg import QMatrix, _expect, integer_inertia
-from .matroids import Matroid, _bits, _is_basis_family
+from .linalg import QMatrix, _bits, _expect, integer_inertia
+from .matroids import Matroid, _is_basis_family
 
 
 def _q(x):

@@ -20,7 +20,7 @@ from .errors import (
     UnknownElement,
     ZeroAtIndex,
 )
-from .linalg import _expect, _json_labels
+from .linalg import _bits, _expect, _json_labels
 
 DEFAULT_EXTENSION_CAP = 3_628_800  # 10!
 
@@ -44,11 +44,9 @@ class Poset:
             raise InvalidPoset("duplicate element labels")
         object.__setattr__(self, "up", tuple(up_masks))
         down = [0] * self.n
-        for i, scan in enumerate(self.up):
-            while scan:
-                low = scan & -scan
-                down[low.bit_length() - 1] |= 1 << i
-                scan ^= low
+        for i, above in enumerate(self.up):
+            for j in _bits(above):
+                down[j] |= 1 << i
         object.__setattr__(self, "down", tuple(down))
         object.__setattr__(self, "_lattice", None)
 
@@ -65,21 +63,15 @@ class Poset:
         up = [1 << i for i in range(n)]
         for a, b in relations:
             if a not in index or b not in index:
-                raise UnknownElement(f"relation mentions unknown element {a!r} or {b!r}")
+                raise UnknownElement(
+                    f"relation mentions unknown element {a!r} or {b!r}"
+                )
             up[index[a]] |= 1 << index[b]
-        changed = True
-        while changed:
-            changed = False
+        # Warshall, A theorem on Boolean matrices, J. ACM 1962
+        for k in range(n):
             for i in range(n):
-                acc = up[i]
-                scan = acc
-                while scan:
-                    j = (scan & -scan).bit_length() - 1
-                    scan &= scan - 1
-                    acc |= up[j]
-                if acc != up[i]:
-                    up[i] = acc
-                    changed = True
+                if up[i] >> k & 1:
+                    up[i] |= up[k]
         for i in range(n):
             for j in range(i + 1, n):
                 if up[i] >> j & 1 and up[j] >> i & 1:
@@ -127,10 +119,7 @@ class Poset:
         out = []
         for i in range(self.n):
             ups = self.strict_up_mask(i)
-            scan = ups
-            while scan:
-                j = (scan & -scan).bit_length() - 1
-                scan &= scan - 1
+            for j in _bits(ups):
                 if not (ups & self.strict_down_mask(j)):
                     out.append((i, j))
         return out
@@ -262,6 +251,11 @@ class _IdealLattice:
                 self.up[ideal] = sum(self.up[ideal | 1 << e] for e in self.moves[ideal])
         self.count = self.levels[n][self.full]
 
+    @cached_property
+    def _positions(self):
+        """`rank_counts()` once per lattice, as tuples that no caller can change."""
+        return tuple(map(tuple, self.rank_counts()))
+
     def rank_counts(self):
         """counts[e][k - 1]: extensions placing element e at rank k."""
         counts = [[0] * self.n for _ in range(self.n)]
@@ -309,11 +303,6 @@ class _IdealLattice:
                     for j, w in ranks.items():
                         grown[j] = grown.get(j, 0) + w
         return gaps
-
-
-def _members(mask):
-    """Indices of the set bits of mask, in increasing order."""
-    return [i for i in range(mask.bit_length()) if mask >> i & 1]
 
 
 def _fresh_label(base, existing):
@@ -422,13 +411,12 @@ def normalize(mp: MarkedPoset) -> MarkedPoset:
 def stanley_sequence(p: Poset, x, cap=DEFAULT_EXTENSION_CAP):
     """N_k = number of linear extensions placing x at rank k, for k = 1..n:
     N_k = sum of down(I) * up(I + x) over ideals I of size k - 1."""
-    counts = p._ideals(cap).rank_counts()
-    return counts[p.index(x)]
+    return list(p._ideals(cap)._positions[p.index(x)])
 
 
 def stanley_all_positions(p: Poset, cap=DEFAULT_EXTENSION_CAP):
     """Position-count table for every element: {label: [N_1..N_n]}."""
-    return dict(zip(p.labels, p._ideals(cap).rank_counts()))
+    return dict(zip(p.labels, map(list, p._ideals(cap)._positions)))
 
 
 def stanley_chain_counts(p: Poset, chain, positions, cap=DEFAULT_EXTENSION_CAP):
@@ -458,7 +446,7 @@ def stanley_equality_classify(
     n = p.n
     xi = p.index(x)
     lattice = p._ideals(cap)
-    seq = lattice.rank_counts()[xi]
+    seq = lattice._positions[xi]
     ni = seq[i - 1] if 1 <= i <= n else 0
     if ni == 0:
         below = p.strict_down_mask(xi).bit_count()
@@ -473,13 +461,13 @@ def stanley_equality_classify(
     # an element below x can only flank it at rank i - 1, one above at i + 1
     holds_c = not any(
         lattice.fixed_rank_count({xi: i, z: i - 1 if p.up[z] >> xi & 1 else i + 1})
-        for z in _members(p.strict_down_mask(xi) | p.strict_up_mask(xi))
+        for z in _bits(p.strict_down_mask(xi) | p.strict_up_mask(xi))
     )
     holds_d = all(
-        p.strict_down_mask(y).bit_count() > i for y in _members(p.strict_up_mask(xi))
+        p.strict_down_mask(y).bit_count() > i for y in _bits(p.strict_up_mask(xi))
     ) and all(
         p.strict_up_mask(y).bit_count() > n - i + 1
-        for y in _members(p.strict_down_mask(xi))
+        for y in _bits(p.strict_down_mask(xi))
     )
     return StanleyEqualityVerdict(holds_a, holds_b, holds_c, holds_d)
 
@@ -511,7 +499,7 @@ def region_partition(mp: MarkedPoset) -> RegionPartition:
     ks = mp._ks
     regions = (ks.end_x, ks.end_y, ks.mid, ks.mid_x, ks.mid_y, ks.loose)
     return RegionPartition(
-        *(frozenset(ks.poset.labels[i] for i in _members(m)) for m in regions)
+        *(frozenset(ks.poset.labels[i] for i in _bits(m)) for m in regions)
     )
 
 
@@ -520,8 +508,8 @@ def _ends_far(ks, k):
     and every z > y more than k strictly between x and z."""
     p = ks.poset
     return (
-        all(p.between_mask(z, ks.yi).bit_count() > k for z in _members(ks.end_x)),
-        all(p.between_mask(ks.xi, z).bit_count() > k for z in _members(ks.end_y)),
+        all(p.between_mask(z, ks.yi).bit_count() > k for z in _bits(ks.end_x)),
+        all(p.between_mask(ks.xi, z).bit_count() > k for z in _bits(ks.end_y)),
     )
 
 
@@ -534,11 +522,11 @@ def midway_check(mp: MarkedPoset, k):
     far_x, far_y = _ends_far(ks, k)
     midway = far_x and all(
         p.strict_down_mask(z).bit_count() + ks.end_y.bit_count() > n - k
-        for z in _members(ks.mid | ks.mid_x)
+        for z in _bits(ks.mid | ks.mid_x)
     )
     dual = far_y and all(
         p.strict_up_mask(z).bit_count() + ks.end_x.bit_count() > n - k
-        for z in _members(ks.mid | ks.mid_y)
+        for z in _bits(ks.mid | ks.mid_y)
     )
     return {"midway": midway, "dual_midway": dual}
 
@@ -574,8 +562,8 @@ def kahn_saks_extremal_classify(
     cond4 = all(
         p.between_mask(z, ks.yi).bit_count() + p.between_mask(ks.xi, zp).bit_count()
         >= k - 1
-        for z in _members(ks.mid_y)
-        for zp in _members(ks.mid_x)
+        for z in _bits(ks.mid_y)
+        for zp in _bits(ks.mid_x)
         if p.up[z] >> zp & 1
     )
     return KahnSaksExtremalVerdict(equality, ratio, (cond1, cond2, cond3, cond4))

@@ -20,8 +20,8 @@ from .errors import (
     RankDeficient,
     TooLarge,
 )
-from .linalg import Graph, QMatrix, integer_det
-from .matroids import Matroid, _bits, _popcount
+from .linalg import Graph, QMatrix, _bits, integer_det
+from .matroids import Matroid
 from .polynomials import basis_generating_poly
 
 
@@ -100,7 +100,7 @@ def stanley_matroid_sequence(m: Matroid, R) -> StanleySequence:
     r = m.rank
     counts = [0] * (r + 1)
     for b in m.bases:
-        counts[_popcount(b & r_mask)] += 1
+        counts[(b & r_mask).bit_count()] += 1
     normalized = tuple(
         Fraction(counts[k], math.comb(r, k)) for k in range(r + 1)
     )
@@ -297,20 +297,11 @@ def parallel_replicate(m: Matroid, r_copies, q_copies):
             ground.append(lab)
             if i < r_copies:
                 r_labels.append(lab)
+    # copy i of element e is bit per * e + i; a basis takes one copy of each
     masks = set()
-    offsets = {e: per * idx for idx, e in enumerate(m.ground)}
-
-    def expand(mask_bits, acc, picked):
-        if not mask_bits:
-            masks.add(picked)
-            return
-        e = mask_bits[0]
-        base = offsets[m.ground[e]]
-        for i in range(per):
-            expand(mask_bits[1:], acc, picked | 1 << (base + i))
-
     for b in m.bases:
-        expand(list(_bits(b)), 0, 0)
+        copies = [[1 << (per * e + i) for i in range(per)] for e in _bits(b)]
+        masks.update(sum(picked) for picked in product(*copies))
     return Matroid(tuple(ground), sorted(masks)), frozenset(r_labels)
 
 

@@ -21,8 +21,8 @@ import linalg_oracle
 import matroid_oracle
 from logcavity.errors import SingularSystem
 from logcavity.hodge import facet_point, graded_evaluation
-from logcavity.linalg import Inertia, QMatrix, inertia, kernel_basis, solve
-from logcavity.matroids import FlatLattice, _bits
+from logcavity.linalg import Inertia, QMatrix, _bits, inertia, kernel_basis, solve
+from logcavity.matroids import FlatLattice
 from logcavity.polynomials import MPoly, basis_generating_poly
 from matroid_oracle import independent_subsets
 

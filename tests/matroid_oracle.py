@@ -2,20 +2,22 @@
 and the hypothesis strategy of small matroids the oracle tests share.
 
 Rank is the largest intersection with a basis, closure adds every element
-that keeps that rank, and independent sets are the subsets of the bases.
-The library reads all of these off its independence complex instead: rank
-by greedy insertion, closure by one greedy basis plus n lookups. A basis
-list is validated here by exchange over every pair of bases, and in the
-library by one local-augmentation test per face of the complex unless
-the family has few bases for its rank.
+that keeps that rank, independent sets are the subsets of the bases, and
+parallel classes come from the rank of every pair. The library reads all of
+these off its independence complex instead: rank by greedy insertion,
+closure by one greedy basis plus n lookups, and the parallel class of a
+point as its closure minus the loops. A basis list is validated here by
+exchange over every pair of bases, and in the library by one
+local-augmentation test per face of the complex unless the family has few
+bases for its rank.
 """
 
 from itertools import combinations
 
 from hypothesis import strategies as st
 
-from logcavity.linalg import Graph, QMatrix
-from logcavity.matroids import Matroid, _bits
+from logcavity.linalg import Graph, QMatrix, _bits
+from logcavity.matroids import Matroid
 
 SMALL = st.integers(min_value=-3, max_value=3)
 
@@ -62,6 +64,23 @@ def closure(m, mask):
         if rank(m, mask | 1 << e) == r:
             out |= 1 << e
     return out
+
+
+def parallel_classes(m):
+    """(loop mask, class masks in order of least element) by pairwise rank:
+    non-loops e and f are parallel iff {e, f} has rank 1."""
+    loops = sum(1 << e for e in range(m.n) if rank(m, 1 << e) == 0)
+    classes, assigned = [], loops
+    for e in range(m.n):
+        if assigned >> e & 1:
+            continue
+        cls = 1 << e
+        for f in range(e + 1, m.n):
+            if not loops >> f & 1 and rank(m, 1 << e | 1 << f) == 1:
+                cls |= 1 << f
+        assigned |= cls
+        classes.append(cls)
+    return loops, classes
 
 
 def is_independent(m, mask):

@@ -347,7 +347,16 @@ class TestErrors:
         assert main(["stanley", "--matroid", k23_file, "--R", "99"]) == 1
 
     @pytest.mark.parametrize(
-        "argv", [["selftest", "--bogus"], ["hodge", "--k", "x"]]
+        "argv",
+        [
+            ["selftest", "--bogus"],
+            ["hodge", "--k", "x"],
+            # a cap flag exists only where it bounds something
+            ["discriminant", "--tuple", "t.json", "--cap-extensions", "5"],
+            ["selftest", "--cap-elements", "5"],
+            ["hodge", "--matroid", "m.json", "--cap-extensions", "5"],
+            ["kahnsaks", "--poset", "p.json", "--cap-elements", "5"],
+        ],
     )
     def test_usage_error_exits_one(self, capsys, argv):
         # 2 is reserved for theorem-level failures

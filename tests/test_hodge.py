@@ -391,6 +391,32 @@ class TestProbes:
         for m in (U23, MK4, tripled_u23(), linear_3x5_matroid()):
             assert theta_consistency_check(m)
 
+    @staticmethod
+    def theta_pair_route(m):
+        """Oracle: each basis of each flat against the first, as a label
+        difference tested by `in_annihilator`."""
+        for level in FlatLattice.of(m).flats_by_rank:
+            for F in level:
+                f = m._mask(F)
+                bases = [
+                    m._labels(b)
+                    for b in m.independent_subsets(m._rank_mask(f))
+                    if b & ~f == 0
+                ]
+                for other in bases[1:]:
+                    if not in_annihilator(m, {bases[0]: 1, other: -1}):
+                        return False
+        return True
+
+    def test_theta_consistency_matches_pair_route(self):
+        for m in matroid_zoo().values():
+            assert theta_consistency_check(m) == self.theta_pair_route(m)
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_matroids())
+    def test_theta_consistency_matches_pair_route_small(self, m):
+        assert theta_consistency_check(m) == self.theta_pair_route(m)
+
 
 class TestSignatureFormula:
     def test_u23_degree_one(self):

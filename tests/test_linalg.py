@@ -63,6 +63,23 @@ def brute_force_spanning_trees(graph):
     return count
 
 
+class TestQMatrixHash:
+    def test_equal_matrices_hash_equally_and_stably(self):
+        a = QMatrix([[1, Fraction(1, 2)], [Fraction(1, 2), 3]])
+        b = QMatrix([[Fraction(2, 2), "1/2"], [Fraction(3, 6), 3]])
+        assert a == b and a is not b
+        assert hash(a) == hash(b) == hash(a) == hash(a.m)
+
+    def test_hash_is_computed_once(self, monkeypatch):
+        a = QMatrix([[1, 2], [3, 4]])
+        calls = []
+        monkeypatch.setattr(
+            Fraction, "__hash__", lambda x: calls.append(x) or hash(x.numerator)
+        )
+        first = hash(a)
+        assert hash(a) == first and len(calls) == 4
+
+
 class TestDet:
     def test_identity(self):
         assert det(QMatrix.identity(3)) == 1
@@ -229,6 +246,47 @@ class TestSpanningTrees:
     def test_disconnected(self):
         with pytest.raises(Disconnected):
             spanning_tree_count(Graph(4, ((0, 1), (2, 3))))
+
+
+def bfs_connected(graph):
+    """Whether a breadth-first search from vertex 0 reaches every vertex."""
+    if graph.vertices == 0:
+        return True
+    seen, frontier = {0}, [0]
+    while frontier:
+        step = []
+        for u, v in graph.edges:
+            for a, b in ((u, v), (v, u)):
+                if a in frontier and b not in seen:
+                    seen.add(b)
+                    step.append(b)
+        frontier = step
+    return len(seen) == graph.vertices
+
+
+@st.composite
+def multigraphs(draw):
+    """Multigraphs on 0-6 vertices; loops, parallel and isolated vertices
+    allowed."""
+    n = draw(st.integers(min_value=0, max_value=6))
+    if n == 0:
+        return Graph(0, ())
+    end = st.integers(min_value=0, max_value=n - 1)
+    return Graph(n, tuple(draw(st.lists(st.tuples(end, end), max_size=8))))
+
+
+class TestConnected:
+    @settings(max_examples=200, deadline=None)
+    @given(multigraphs())
+    @example(Graph(0, ()))
+    @example(Graph(1, ()))
+    @example(Graph(1, ((0, 0),)))
+    @example(Graph(2, ((0, 0), (1, 1))))
+    @example(Graph(3, ((0, 1), (2, 2))))  # a loop at an isolated vertex
+    @example(Graph(3, ((0, 1), (0, 1), (1, 2))))
+    @example(Graph(4, ((0, 1), (1, 2), (2, 0))))  # n - 1 edges, not a tree
+    def test_matches_bfs(self, graph):
+        assert graph.is_connected() == bfs_connected(graph)
 
 
 class TestKernels:

@@ -2,7 +2,7 @@ import time
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import matroid_oracle as oracle
@@ -18,6 +18,7 @@ from logcavity.errors import (
 from logcavity.linalg import (
     Graph,
     QMatrix,
+    _bits,
     reduced_incidence_matrix,
     spanning_tree_count,
 )
@@ -25,7 +26,6 @@ from logcavity import matroids
 from logcavity.matroids import (
     FlatLattice,
     Matroid,
-    _bits,
     _down_closure,
     _links_multipartite,
     unimodular_coordinatization_check,
@@ -92,6 +92,13 @@ class TestConstruction:
             )
         }
         assert linear_3x5_matroid().basis_label_sets() == expected
+
+    def test_linear_rank_zero(self):
+        # the one basis is the empty set, whether or not there are columns
+        zero = Matroid.linear(QMatrix.zero(2, 3), "abc")
+        assert zero.bases == (0,) and zero.loops() == {"a", "b", "c"}
+        empty = Matroid.linear(QMatrix([]))
+        assert empty.ground == () and empty.bases == (0,)
 
     def test_graphic_matches_matrix_tree(self):
         for graph in (k3_graph(), k4_graph(), k23_graph()):
@@ -197,6 +204,23 @@ class TestParallel:
         simple, _ = tripled_u23().simplify()
         again, _ = simple.simplify()
         assert again == simple
+
+    @staticmethod
+    def assert_matches_pairwise_rank(m):
+        loops, classes = oracle.parallel_classes(m)
+        data = m.parallel_data()
+        assert data.loops == m._labels(loops)
+        assert data.classes == tuple(m._labels(c) for c in classes)
+
+    @settings(max_examples=80, deadline=None)
+    @given(small_matroids())
+    @example(Matroid.graphic(Graph(3, ((0, 1), (0, 1), (1, 2), (2, 2)))))
+    def test_matches_pairwise_rank(self, m):
+        self.assert_matches_pairwise_rank(m)
+
+    def test_zoo_matches_pairwise_rank(self):
+        for m in matroid_zoo().values():
+            self.assert_matches_pairwise_rank(m)
 
 
 class TestMinors:

@@ -47,7 +47,55 @@ def gap_counts_raw(p, x, y, upper):
     return counts[1:]
 
 
+def reachable(n, relations):
+    """reach[i]: the mask of the elements reachable from i along the raw
+    relations, i included, by depth-first search."""
+    reach = []
+    for i in range(n):
+        seen, todo = {i}, [i]
+        while todo:
+            a = todo.pop()
+            for x, y in relations:
+                if x == a and y not in seen:
+                    seen.add(y)
+                    todo.append(y)
+        reach.append(sum(1 << j for j in seen))
+    return reach
+
+
+@st.composite
+def relation_lists(draw):
+    """(n, relations on range(n)) for n <= 8: arbitrary pairs, cycles likely,
+    or pairs that follow a random order of the elements, so none."""
+    n = draw(st.integers(min_value=0, max_value=8))
+    if n == 0:
+        return 0, []
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    if draw(st.booleans()):
+        order = draw(st.permutations(range(n)))
+        pairs = pairs.map(lambda ab: (order[min(ab)], order[max(ab)]))
+    return n, draw(st.lists(pairs, max_size=14))
+
+
 class TestPosetBasics:
+    @settings(max_examples=300, deadline=None)
+    @given(relation_lists())
+    @example((4, [(0, 2), (2, 1), (1, 3)]))  # a row pass in order misses 0 < 3
+    @example((3, [(0, 1), (1, 2), (2, 0)]))
+    def test_closure_matches_reachability(self, case):
+        n, relations = case
+        reach = reachable(n, relations)
+        pairs = [(i, j) for i in range(n) for j in range(i)]
+        if any(reach[i] >> j & 1 and reach[j] >> i & 1 for i, j in pairs):
+            with pytest.raises(InvalidPoset, match="antisymmetry"):
+                Poset.from_relations(range(n), relations)
+            return
+        p = Poset.from_relations(range(n), relations)
+        assert list(p.up) == reach
+        assert all(
+            p.down[j] >> i & 1 == reach[i] >> j & 1 for i in range(n) for j in range(n)
+        )
+
     def test_cycle_rejected(self):
         with pytest.raises(InvalidPoset):
             Poset.from_relations([1, 2, 3], [(1, 2), (2, 3), (3, 1)])
@@ -536,6 +584,30 @@ class TestSharing:
         twin = Poset.from_relations("abcde", [("a", "b"), ("a", "c"), ("d", "e")])
         assert twin.count_extensions() == count
         assert built["lattices"] == [p, p, twin]
+
+    def test_one_stanley_table_per_lattice(self, monkeypatch):
+        builds = []
+        rank_counts = posets._IdealLattice.rank_counts
+
+        def counted(lattice):
+            builds.append(lattice)
+            return rank_counts(lattice)
+
+        monkeypatch.setattr(posets._IdealLattice, "rank_counts", counted)
+        p = Poset.from_relations("abcd", [("a", "b"), ("a", "c")])
+        seq = stanley_sequence(p, "a")
+        table = stanley_all_positions(p)
+        verdict = stanley_equality_classify(p, "d", 2)
+        assert len(builds) == 1
+        expected_seq, expected_table = list(seq), {e: list(t) for e, t in table.items()}
+        # what a caller does to a returned list leaks into no later answer
+        seq[0] += 100
+        table["a"][0] += 100
+        table["d"].append(1)
+        assert stanley_sequence(p, "a") == expected_seq
+        assert stanley_all_positions(p) == expected_table
+        assert stanley_equality_classify(p, "d", 2) == verdict
+        assert len(builds) == 1
 
     def test_one_normalization_per_marked_poset(self, built):
         mp = MarkedPoset(Poset.antichain("xyz"), "x", "y")
