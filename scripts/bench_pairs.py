@@ -16,9 +16,11 @@ hits both sides alike.
 
 The file records the machine, the Python version, the parent's SHA and the
 SHA the working tree is on, a digest of the files each side ran, every
-run's metrics, and per side the median, quartiles and IQR of each
-end-to-end metric, with the number of pairs the change won (by the metric's
-`better` direction in BENCHMARK.json).
+run's metrics and its `<command>_ref_s` lines (the reference seconds per
+command that run.py prints before its JSON line), and per side the median,
+quartiles and IQR of each end-to-end metric, with the number of pairs the
+change won (by the metric's `better` direction in BENCHMARK.json), and of
+each command's reference seconds.
 """
 
 import argparse
@@ -27,6 +29,7 @@ import io
 import json
 import os
 import platform
+import re
 import statistics
 import subprocess
 import sys
@@ -35,6 +38,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+COMMAND_LINE = re.compile(r"^\s+(\w+_ref_s) (\S+)$")
 
 
 def parse_args(argv=None):
@@ -80,13 +84,20 @@ def materialize(rev, directory):
 
 
 def run_once(directory, workload, seed, seconds):
-    """One benchmark run; returns its last line, parsed."""
+    """One benchmark run; returns its last line, parsed, and its
+    {<command>_ref_s: seconds}."""
     done = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "0"],
         cwd=directory, capture_output=True, text=True, check=True,
     )
-    return json.loads(done.stdout.strip().splitlines()[-1])
+    lines = done.stdout.strip().splitlines()
+    commands = {}
+    for line in lines[:-1]:
+        match = COMMAND_LINE.match(line)
+        if match:
+            commands[match[1]] = float(match[2])
+    return json.loads(lines[-1]), commands
 
 
 def summary(values):
@@ -102,8 +113,9 @@ def measure(workload, sides, args, spec):
         order = ["parent", "change"] if i % 2 == 0 else ["change", "parent"]
         runs = {}
         for side in order:
-            out = run_once(sides[side], workload, seed, spec["run_seconds"])
+            out, commands = run_once(sides[side], workload, seed, spec["run_seconds"])
             runs[side] = {
+                "commands": commands,
                 "correct": out["correct"],
                 "failed": out["failed"],
                 "attempted": out["attempted"],
@@ -132,11 +144,17 @@ def measure(workload, sides, args, spec):
             "median_gap": gap if lower else -gap,
             "gap_exceeds_parent_iqr": (gap if lower else -gap) > stats["parent"]["iqr"],
         }
+    commands = {}
+    for name in sorted({c for p in pairs for s in sides for c in p[s]["commands"]}):
+        commands[name] = {
+            side: summary([p[side]["commands"][name] for p in pairs]) for side in sides
+        }
     return {
         "all_correct": all(
             p[s]["correct"] and not p[s]["failed"] for p in pairs for s in sides
         ),
         "metrics": metrics,
+        "commands": commands,
         "pairs": pairs,
     }
 

@@ -13,7 +13,7 @@ import math
 import weakref
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, compress
 
 from .errors import (
     ColoopElement,
@@ -33,7 +33,7 @@ from .linalg import (
     integer_row_basis,
     solve,
 )
-from .matroids import FlatLattice, Matroid
+from .matroids import FlatLattice, Matroid, _subsets
 
 
 @dataclass(frozen=True)
@@ -62,7 +62,7 @@ def _row_masks(m: Matroid, k, rows):
     if rows == "independent":
         return tuple(m.independent_subsets(k))
     if rows == "squarefree":
-        return tuple(sum(1 << i for i in c) for c in combinations(range(m.n), k))
+        return tuple(_subsets(range(m.n), k, lambda c: True))
     raise DimensionMismatch(f"unknown row mode {rows!r}")
 
 
@@ -96,20 +96,14 @@ class KernelReport:
     vectors: tuple  # tuples of Fractions spanning the degree-k annihilator
 
 
-def _annihilator(m: Matroid, k, rows):
-    """(row masks, d, integer kernel vectors) of the transposed degree-k
-    evaluation: each vector is d times an annihilator element over the rows
-    (`linalg.integer_kernel`)."""
+def annihilator_kernel(m: Matroid, k, rows="squarefree") -> KernelReport:
+    """Basis of the degree-k annihilator over squarefree monomial coordinates
+    (dependent monomials and parallel differences land here): the integer
+    kernel of the transposed evaluation is d times it."""
     row_masks = _row_masks(m, k, rows)
     col_masks = m.independent_subsets(m.rank - k)
     transposed = _evaluation_entries(m, col_masks, row_masks)
-    return (row_masks, *integer_kernel(transposed, len(row_masks)))
-
-
-def annihilator_kernel(m: Matroid, k, rows="squarefree") -> KernelReport:
-    """Basis of the degree-k annihilator over squarefree monomial coordinates
-    (dependent monomials and parallel differences land here)."""
-    row_masks, d, vectors = _annihilator(m, k, rows)
+    d, vectors = integer_kernel(transposed, len(row_masks))
     return KernelReport(
         k,
         tuple(m._labels(mask) for mask in row_masks),
@@ -127,11 +121,8 @@ def in_annihilator(m: Matroid, coeffs) -> bool:
     k = sizes.pop()
     base_set = set(m.bases)
     for gamma in m.independent_subsets(m.rank - k):
-        total = Fraction(0)
-        for mask, c in items:
-            if mask & gamma == 0 and (mask | gamma) in base_set:
-                total += c
-        if total != 0:
+        # sizes add to the rank, so a union that is a basis is disjoint
+        if sum(c for mask, c in items if mask | gamma in base_set):
             return False
     return True
 
@@ -467,9 +458,8 @@ class MobiusAlgebra:
 
 
 def _flat_masks(m: Matroid, k):
-    """The rank-k flats as sorted masks: the closures of the independent
-    k-sets, since every rank-k flat is spanned by one."""
-    return sorted({m._closure_mask(s) for s in m.independent_subsets(k)})
+    """The rank-k flats as sorted masks, the closures of the independent k-sets."""
+    return sorted(set(m._flats(k).values()))
 
 
 def mobius_pairing(m: Matroid, k):
@@ -519,27 +509,42 @@ def annihilator_containment_probe(m: Matroid, e) -> ContainmentProbe:
     """Whether the annihilator of the deletion embeds into that of the
     contraction (open question; reported, never asserted).
 
-    Per degree, one integer kernel of the deletion's transposed evaluation
-    gives d times each annihilator element. Deletion and contraction keep the
-    ground order, so a row mask of the deletion is the same set in the
-    contraction; each contraction column gamma is tested by an integer sum
-    over the rows a with a | gamma a basis of the contraction."""
+    Both minors are read inside M. For a non-loop e, the degree-k rows and
+    columns of M\\e are the independent k- and (r-k)-sets of M avoiding e,
+    in the deletion's order (no mask holds the dropped bit), the columns of
+    M/e are the independent (r-k)-sets containing e, and an entry is 1 iff
+    row | column is a basis of M. a | c is a basis iff rank(cl(a) | c) = r,
+    so rows spanning one flat are equal in both matrices: a later row's
+    kernel vector is d (e_j - e_i), which never fails, or the first row's
+    vector plus that, which fails iff the first row's does. So one integer
+    kernel over one column per flat, in row order, and one row per column
+    flat gives every vector that can fail first; the failing one gets zeros
+    elsewhere. A loop has M/e = M\\e."""
+    bit = m._mask([e])
     if e in m.coloops():
         raise ColoopElement("the question is posed for non-coloops")
-    deleted = m.delete([e])
-    contracted = m.contract([e])
-    base_set = set(contracted.bases)
-    for k in range(1, min(deleted.rank, contracted.rank) + 1):
-        row_masks, d, vectors = _annihilator(deleted, k, "independent")
-        supports = [
-            [i for i, a in enumerate(row_masks) if a | gamma in base_set]
-            for gamma in contracted.independent_subsets(contracted.rank - k)
-        ]
+    if e in m.loops():
+        return ContainmentProbe(e, True, None)
+    for k in range(1, m.rank):
+        flats = m._flats(k)
+        row_masks = [a for a in m.independent_subsets(k) if not a & bit]
+        firsts = {}
+        for i, a in enumerate(row_masks):
+            firsts.setdefault(flats[a], i)
+        reps = [row_masks[i] for i in firsts.values()]
+        cols = ({}, {})  # one column per flat, of the deletion and contraction
+        for c, f in m._flats(m.rank - k).items():
+            cols[c & bit != 0][f] = c
+        deletion = _evaluation_entries(m, cols[0].values(), reps)
+        contraction = _evaluation_entries(m, cols[1].values(), reps)
+        d, vectors = integer_kernel(deletion, len(reps))
         for v in vectors:
-            if any(sum(v[i] for i in support) for support in supports):
-                subsets = tuple(deleted._labels(mask) for mask in row_masks)
-                vec = tuple(Fraction(x, d) for x in v)
-                return ContainmentProbe(e, False, (k, subsets, vec))
+            if any(sum(compress(v, row)) for row in contraction):
+                vec = [Fraction(0)] * len(row_masks)
+                for i, x in zip(firsts.values(), v):
+                    vec[i] = Fraction(x, d)
+                subsets = tuple(m._labels(mask) for mask in row_masks)
+                return ContainmentProbe(e, False, (k, subsets, tuple(vec)))
     return ContainmentProbe(e, True, None)
 
 

@@ -46,6 +46,26 @@ def _down_closure(masks, rank):
     return tuple(levels)
 
 
+def _label_mask(index, labels, unknown="unknown element {!r}"):
+    """The mask of the labels' positions in index; a label not in it raises."""
+    mask = 0
+    for e in labels:
+        if e not in index:
+            raise UnknownElement(unknown.format(e))
+        mask |= 1 << index[e]
+    return mask
+
+
+def _link_masks(level):
+    """{F: the mask of the e with F + e in level}, over the faces F one size
+    below the masks of level."""
+    up = {}
+    for g in level:
+        for e in _bits(g):
+            up[g ^ 1 << e] = up.get(g ^ 1 << e, 0) | 1 << e
+    return up
+
+
 def _exchange_failure(masks):
     """Basis exchange: for x in B1\\B2 some y in B2\\B1 has B1-x+y a basis.
     Returns the first (B1, B2) where it fails, else None."""
@@ -82,9 +102,7 @@ def _links_multipartite(levels):
     vertices having it form a part P with N | P the whole link."""
     up = {}
     for level in levels[1:-1]:
-        for g in level:
-            for e in _bits(g):
-                up[g ^ 1 << e] = up.get(g ^ 1 << e, 0) | 1 << e
+        up.update(_link_masks(level))
     for level in levels[:-3]:
         for k in level:
             link, parts = up[k], {}
@@ -115,7 +133,7 @@ def _is_basis_family(masks):
 
 class Matroid:
     __slots__ = (
-        "ground", "_index", "bases", "rank", "_indep", "_ring", "__weakref__"
+        "ground", "_index", "bases", "rank", "_indep", "_cl", "_ring", "__weakref__"
     )
 
     def __init__(self, ground, basis_masks):
@@ -131,6 +149,8 @@ class Matroid:
         object.__setattr__(self, "rank", masks[0].bit_count())
         # the independence complex (_independent), built on first use
         object.__setattr__(self, "_indep", None)
+        # closures of the independent sets by size (_flats), each on first use
+        object.__setattr__(self, "_cl", {})
         # the Gorenstein ring (hodge.GorensteinRing.of), built on first use
         object.__setattr__(self, "_ring", None)
 
@@ -163,11 +183,7 @@ class Matroid:
         index = {lab: i for i, lab in enumerate(ground)}
         masks = []
         for b in bases:
-            mask = 0
-            for e in b:
-                if e not in index:
-                    raise UnknownElement(f"basis element {e!r} not in ground set")
-                mask |= 1 << index[e]
+            mask = _label_mask(index, b, "basis element {!r} not in ground set")
             if mask.bit_count() != len(tuple(b)):
                 raise UnknownElement(f"basis {b!r} repeats an element")
             masks.append(mask)
@@ -227,12 +243,7 @@ class Matroid:
         return frozenset(self.ground[i] for i in _bits(mask))
 
     def _mask(self, labels):
-        mask = 0
-        for e in labels:
-            if e not in self._index:
-                raise UnknownElement(f"unknown element {e!r}")
-            mask |= 1 << self._index[e]
-        return mask
+        return _label_mask(self._index, labels)
 
     def basis_label_sets(self):
         return frozenset(self._labels(b) for b in self.bases)
@@ -272,16 +283,21 @@ class Matroid:
     def rank_of(self, S):
         return self._rank_mask(self._mask(S))
 
+    def _flats(self, k):
+        """{I: cl(I)} over the independent k-sets I (k <= rank + 1), as masks:
+        e outside I is outside cl(I) iff I + e is independent, so cl(I) is
+        the complement of the link of I, read off level k + 1 of the complex."""
+        if k not in self._cl:
+            levels = self._independent()
+            full = (1 << self.n) - 1
+            links = _link_masks(levels[k + 1]) if k < self.rank else {}
+            self._cl[k] = {i: full ^ links.get(i, 0) for i in levels[k]}
+        return self._cl[k]
+
     def _closure_mask(self, mask):
-        """e is in the closure iff B + e is dependent, for a maximal
-        independent subset B of mask."""
+        """The closure of mask is that of a maximal independent subset."""
         b, r = self._greedy(mask)
-        up = self._independent()[r + 1]
-        out = 0
-        for e in range(self.n):
-            if b | 1 << e not in up:
-                out |= 1 << e
-        return out
+        return self._flats(r)[b]
 
     def closure_of(self, S):
         return self._labels(self._closure_mask(self._mask(S)))
@@ -306,15 +322,10 @@ class Matroid:
         """The loops, and the parallel classes in order of least element: the
         class of a non-loop e is its closure minus the loops (Oxley, Matroid
         Theory)."""
-        loops_mask = self._mask(self.loops())
-        classes = []
-        assigned = loops_mask
-        for e in range(self.n):
-            if not assigned >> e & 1:
-                cls = self._closure_mask(1 << e) & ~loops_mask
-                assigned |= cls
-                classes.append(self._labels(cls))
-        return ParallelData(self._labels(loops_mask), tuple(classes))
+        loops = self._flats(0)[0]
+        points = sorted(self._flats(1).items())
+        classes = dict.fromkeys(f & ~loops for _, f in points)
+        return ParallelData(self._labels(loops), tuple(map(self._labels, classes)))
 
     def simplify(self):
         """(simple matroid on parallel-class representatives, fiber map).
@@ -367,11 +378,8 @@ class Matroid:
     def truncate(self):
         if self.rank == 0:
             raise UnequalSizes("cannot truncate a rank-0 matroid")
-        masks = set()
-        for b in self.bases:
-            for i in _bits(b):
-                masks.add(b & ~(1 << i))
-        return Matroid(self.ground, sorted(masks))
+        # the faces one size below the bases, the keys of their links
+        return Matroid(self.ground, _link_masks(self.bases))
 
     def direct_sum(self, other):
         if set(self.ground) & set(other.ground):
@@ -434,27 +442,14 @@ class FlatLattice:
 
     @staticmethod
     def of(matroid: Matroid):
+        """Every rank-k flat is the closure of an independent k-set."""
         if matroid.n > DEFAULT_ELEMENT_CAP:
             raise TooLarge("ground set too large for flat enumeration")
         by_rank = []
-        current = {matroid._closure_mask(0)}
-        by_rank.append(tuple(sorted(current)))
-        while True:
-            nxt = set()
-            for f in current:
-                for e in range(matroid.n):
-                    if not f >> e & 1:
-                        nxt.add(matroid._closure_mask(f | 1 << e))
-            if not nxt:
-                break
-            current = nxt
-            by_rank.append(tuple(sorted(current)))
-        return FlatLattice(
-            matroid,
-            tuple(
-                tuple(matroid._labels(m) for m in level) for level in by_rank
-            ),
-        )
+        for k in range(matroid.rank + 1):
+            level = sorted(set(matroid._flats(k).values()))
+            by_rank.append(tuple(matroid._labels(f) for f in level))
+        return FlatLattice(matroid, tuple(by_rank))
 
     def rank_counts(self):
         return [len(level) for level in self.flats_by_rank]

@@ -2,11 +2,13 @@
 and the hypothesis strategy of small matroids the oracle tests share.
 
 Rank is the largest intersection with a basis, closure adds every element
-that keeps that rank, independent sets are the subsets of the bases, and
-parallel classes come from the rank of every pair. The library reads all of
+that keeps that rank, flats are found breadth first from the closure of the
+empty set, independent sets are the subsets of the bases, and parallel
+classes come from the rank of every pair. The library reads all of
 these off its independence complex instead: rank by greedy insertion,
-closure by one greedy basis plus n lookups, and the parallel class of a
-point as its closure minus the loops. A basis list is validated here by
+the closure of an independent set as the complement of its link, the flats
+of rank k as the closures of the independent k-sets, and the parallel class
+of a point as its closure minus the loops. A basis list is validated here by
 exchange over every pair of bases, and in the library by one
 local-augmentation test per face of the complex unless the family has few
 bases for its rank.
@@ -64,6 +66,23 @@ def closure(m, mask):
         if rank(m, mask | 1 << e) == r:
             out |= 1 << e
     return out
+
+
+def flats_by_rank(m):
+    """The flats as sorted masks, by rank, breadth first: the closure of the
+    empty set, then the closures of each flat of the last rank plus one
+    element outside it, until no flat has an element outside it."""
+    by_rank = []
+    current = {closure(m, 0)}
+    while current:
+        by_rank.append(sorted(current))
+        nxt = set()
+        for f in current:
+            for e in range(m.n):
+                if not f >> e & 1:
+                    nxt.add(closure(m, f | 1 << e))
+        current = nxt
+    return by_rank
 
 
 def parallel_classes(m):

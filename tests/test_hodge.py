@@ -14,6 +14,7 @@ from logcavity.errors import (
     NonpositiveValue,
     RankBoundViolated,
     RankTooLow,
+    UnknownElement,
 )
 from logcavity.linalg import Graph, Inertia, QMatrix, inertia, integer_inertia
 from logcavity.matroids import FlatLattice, Matroid
@@ -52,6 +53,32 @@ from logcavity.zoo import (
 U23 = Matroid.uniform(2, 3)
 MK4 = Matroid.graphic(k4_graph())
 MK23 = Matroid.graphic(k23_graph())
+
+# Matroids whose probes tell apart kernel columns taken in row order from
+# any other order: the first failing vector depends on it.
+PROBE_MATROIDS = {
+    "K5": Matroid.graphic(
+        Graph(5, tuple((i, j) for i in range(5) for j in range(i + 1, 5)))
+    ),
+    "K33": Matroid.graphic(
+        Graph(6, tuple((i, j) for i in range(3) for j in range(3, 6)))
+    ),
+    "multigraph": Matroid.graphic(
+        Graph(
+            5,
+            (
+                (2, 4), (4, 0), (4, 3), (0, 1), (1, 4),
+                (2, 1), (1, 3), (1, 0), (3, 1), (1, 2),
+            ),
+        )
+    ),
+}
+PROBE_CASES = [
+    (name, e)
+    for name, m in PROBE_MATROIDS.items()
+    for e in m.ground
+    if e not in m.coloops()
+]
 
 
 class TestGorensteinRing:
@@ -577,6 +604,25 @@ class TestOracleProperties:
         e = data.draw(st.sampled_from(candidates))
         probe = annihilator_containment_probe(m, e)
         assert (probe.contained, probe.counterexample) == oracle.containment_probe(m, e)
+
+    @pytest.mark.parametrize(
+        "name, e", PROBE_CASES, ids=[f"{name}-{e}" for name, e in PROBE_CASES]
+    )
+    def test_probe_matches_fraction_route_on_graphs(self, name, e):
+        m = PROBE_MATROIDS[name]
+        probe = annihilator_containment_probe(m, e)
+        assert (probe.contained, probe.counterexample) == oracle.containment_probe(m, e)
+
+    def test_probe_of_a_loop_is_contained(self):
+        m = matroid_zoo()["with_loop"]
+        assert m.loops() == {3}
+        probe = annihilator_containment_probe(m, 3)
+        assert (probe.contained, probe.counterexample) == (True, None)
+        assert oracle.containment_probe(m, 3) == (True, None)
+
+    def test_probe_of_an_unknown_element_raises(self):
+        with pytest.raises(UnknownElement, match="unknown element 'z'"):
+            annihilator_containment_probe(MK4, "z")
 
     def test_probe_matches_fraction_route_on_zoo(self):
         for name, m in matroid_zoo().items():

@@ -69,6 +69,26 @@ class TestConstruction:
         with pytest.raises(UnknownElement):
             Matroid.from_bases([1, 2], [[1, 7]])
 
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (
+                lambda: Matroid.from_bases([1, 2], [[1, 7]]),
+                "basis element 7 not in ground set",
+            ),
+            (
+                lambda: Matroid.from_bases(["a", "b"], [("a", "a")]),
+                "basis ('a', 'a') repeats an element",
+            ),
+            (lambda: U23.rank_of([0, "x"]), "unknown element 'x'"),
+        ],
+        ids=["unknown-basis-element", "repeated-element", "unknown-element"],
+    )
+    def test_label_error_messages(self, build, message):
+        with pytest.raises(UnknownElement) as excinfo:
+            build()
+        assert str(excinfo.value) == message
+
     def test_literal_five_basis_list_is_valid(self):
         m = Matroid.from_bases(
             [1, 2, 3, 4, 5],
@@ -380,6 +400,41 @@ class TestOracleProperties:
         expected = oracle.restrict(m, t_mask)
         assert restricted.ground == expected.ground
         assert restricted.bases == expected.bases
+
+    @staticmethod
+    def assert_closure_table_matches(m):
+        """_flats(k) maps each independent k-set to its oracle closure, and
+        is empty one past the rank."""
+        for k in range(m.rank + 1):
+            expected = {
+                i: oracle.closure(m, i) for i in oracle.independent_subsets(m, k)
+            }
+            assert m._flats(k) == expected, k
+        assert m._flats(m.rank + 1) == {}
+
+    @settings(max_examples=80, deadline=None)
+    @given(small_matroids())
+    def test_closure_table_matches_oracle(self, m):
+        self.assert_closure_table_matches(m)
+
+    def test_zoo_closure_table_matches_oracle(self):
+        for m in matroid_zoo().values():
+            self.assert_closure_table_matches(m)
+
+    @staticmethod
+    def assert_lattice_matches_breadth_first(m):
+        levels = oracle.flats_by_rank(m)
+        expected = tuple(tuple(m._labels(f) for f in level) for level in levels)
+        assert FlatLattice.of(m).flats_by_rank == expected
+
+    @settings(max_examples=80, deadline=None)
+    @given(small_matroids())
+    def test_flat_lattice_matches_breadth_first(self, m):
+        self.assert_lattice_matches_breadth_first(m)
+
+    def test_zoo_flat_lattice_matches_breadth_first(self):
+        for m in matroid_zoo().values():
+            self.assert_lattice_matches_breadth_first(m)
 
     def test_independence_complex_is_capped(self):
         wide = Matroid.from_bases(range(17), [range(17)], validate=False)
