@@ -32,7 +32,7 @@ def probe_containment(name, m):
             continue
         probe = annihilator_containment_probe(m, e)
         if not probe.contained:
-            degree, subsets, vec = probe.counterexample
+            degree, coeffs = probe.counterexample
             emit(
                 {
                     "probe": "annihilator-containment",
@@ -41,8 +41,7 @@ def probe_containment(name, m):
                     "degree": degree,
                     "witness": [
                         {"subset": sorted(map(str, s)), "coeff": str(c)}
-                        for s, c in zip(subsets, vec)
-                        if c != 0
+                        for s, c in coeffs.items()
                     ],
                 }
             )

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations, product
 
-from .errors import DimensionMismatch, NotPSD, NotSymmetric, IrrationalFactor
+from .errors import DimensionMismatch, NotPSD, NotSymmetric
 from .linalg import QMatrix, det, inertia, integer_det
 from .polynomials import polarization_sum
 
@@ -138,8 +138,7 @@ class PSDFactorization:
 
 
 def _rational_sqrt(x: Fraction):
-    if x < 0:
-        return None
+    """The rational root of a pivot x >= 0 of `psd_decompose`, else None."""
     pn = math.isqrt(x.numerator)
     pd = math.isqrt(x.denominator)
     if pn * pn == x.numerator and pd * pd == x.denominator:
@@ -147,7 +146,7 @@ def _rational_sqrt(x: Fraction):
     return None
 
 
-def psd_decompose(a: QMatrix, require_sqrt=False) -> PSDFactorization:
+def psd_decompose(a: QMatrix) -> PSDFactorization:
     """Rational LDL^T of a symmetric PSD matrix; raises NotPSD on any
     negative pivot or on a zero pivot with a nonzero residual row."""
     if not a.is_symmetric:
@@ -178,8 +177,6 @@ def psd_decompose(a: QMatrix, require_sqrt=False) -> PSDFactorization:
         sqrt_factor = QMatrix(
             [lower[i][j] * roots[j] for j in range(n)] for i in range(n)
         )
-    elif require_sqrt:
-        raise IrrationalFactor("pivots are not all rational squares")
     return PSDFactorization(QMatrix(lower), tuple(diag), sqrt_factor)
 
 

@@ -101,10 +101,6 @@ class NotPSD(LogcavityError):
     pass
 
 
-class IrrationalFactor(LogcavityError):
-    pass
-
-
 class DegreeTooHigh(LogcavityError):
     pass
 

@@ -40,10 +40,9 @@ from .matroids import FlatLattice, Matroid, _subsets
 class GradedEvaluation:
     """Evaluation pairing of degree k against degree r-k.
 
-    rows: squarefree k-subsets (independent ones by default); cols:
-    independent (r-k)-subsets; entry 1 iff the disjoint union is a basis.
-    The degree-k graded piece has dimension = rank, with the selected rows
-    as a working basis."""
+    rows: independent k-subsets; cols: independent (r-k)-subsets; entry 1
+    iff the disjoint union is a basis. The degree-k graded piece has
+    dimension = rank, with the selected rows as a working basis."""
 
     k: int
     row_masks: tuple
@@ -56,25 +55,16 @@ class GradedEvaluation:
         return len(self.basis_positions)
 
 
-def _row_masks(m: Matroid, k, rows):
-    if not 0 <= k <= m.rank:
-        raise DegreeTooHigh(f"degree {k} outside 0..rank")
-    if rows == "independent":
-        return tuple(m.independent_subsets(k))
-    if rows == "squarefree":
-        return tuple(_subsets(range(m.n), k, lambda c: True))
-    raise DimensionMismatch(f"unknown row mode {rows!r}")
-
-
 def _evaluation_entries(m: Matroid, row_masks, col_masks):
     """0/1 int rows: 1 iff row | col is a basis. Row and column sizes sum to
     the rank, so the union is a basis only when they are disjoint."""
-    base_set = set(m.bases)
+    base_set = m._independent()[m.rank]
     return [[1 if a | c in base_set else 0 for c in col_masks] for a in row_masks]
 
 
-def graded_evaluation(m: Matroid, k, rows="independent") -> GradedEvaluation:
-    row_masks = _row_masks(m, k, rows)
+def graded_evaluation(m: Matroid, k) -> GradedEvaluation:
+    _check_in_range(m, k)
+    row_masks = tuple(m.independent_subsets(k))
     col_masks = tuple(m.independent_subsets(m.rank - k))
     entries = tuple(map(tuple, _evaluation_entries(m, row_masks, col_masks)))
     basis_positions = tuple(integer_row_basis(entries))
@@ -96,11 +86,12 @@ class KernelReport:
     vectors: tuple  # tuples of Fractions spanning the degree-k annihilator
 
 
-def annihilator_kernel(m: Matroid, k, rows="squarefree") -> KernelReport:
+def annihilator_kernel(m: Matroid, k) -> KernelReport:
     """Basis of the degree-k annihilator over squarefree monomial coordinates
     (dependent monomials and parallel differences land here): the integer
     kernel of the transposed evaluation is d times it."""
-    row_masks = _row_masks(m, k, rows)
+    _check_in_range(m, k)
+    row_masks = _subsets(range(m.n), k, lambda c: True)
     col_masks = m.independent_subsets(m.rank - k)
     transposed = _evaluation_entries(m, col_masks, row_masks)
     d, vectors = integer_kernel(transposed, len(row_masks))
@@ -119,7 +110,7 @@ def in_annihilator(m: Matroid, coeffs) -> bool:
     if len(sizes) != 1:
         raise DimensionMismatch("mixed degrees in annihilator test")
     k = sizes.pop()
-    base_set = set(m.bases)
+    base_set = m._independent()[m.rank]
     for gamma in m.independent_subsets(m.rank - k):
         # sizes add to the rank, so a union that is a basis is disjoint
         if sum(c for mask, c in items if mask | gamma in base_set):
@@ -222,6 +213,11 @@ class GorensteinRing:
         cols with |a| + |b| = size; 0 when a and b meet."""
         table = self._sums(size, point)[0] if cols else {}
         return [[table.get(a | b, 0) for b in cols] for a in rows]
+
+
+def _check_in_range(m: Matroid, k):
+    if not 0 <= k <= m.rank:
+        raise DegreeTooHigh(f"degree {k} outside 0..rank")
 
 
 def _check_degree(m: Matroid, k):
@@ -362,9 +358,8 @@ def facet_theorem_scan(m: Matroid, subset_size_cap=2) -> FacetScanReport:
         for e in m.ground:
             if e in coloops:
                 continue
+            # f(point) > 0 here: some basis avoids the non-coloop e
             point = facet_point(m, [e])
-            if ring.value(point) <= 0:
-                continue
             # gradient of d_e f and Hessian of f - x_e d_e f at p_e = 0: the
             # bases through e carry the factor p_e, so both read off the
             # size-2 table, with a zero diagonal as f is multilinear
@@ -416,16 +411,16 @@ def socle_check(m: Matroid, k, S) -> bool:
     return True
 
 
-def simplification_isomorphism_check(m: Matroid, points=None) -> bool:
+def simplification_isomorphism_check(m: Matroid) -> bool:
     """Graded dimensions agree with the simplification, and degree-1 HRR
-    verdicts transfer along the class-summing map on linear forms."""
+    verdicts, at all-ones and at the 1 + i/10 pencil, transfer along the
+    class-summing map on linear forms."""
     simple, fiber = m.simplify()
     if graded_dims(m) != graded_dims(simple):
         return False
-    if points is None:
-        points = [tuple(Fraction(1) for _ in range(m.n))]
-        points.append(tuple(Fraction(10 + i, 10) for i in range(m.n)))
-    for point in points:
+    ones = tuple(Fraction(1) for _ in range(m.n))
+    pencil = tuple(Fraction(10 + i, 10) for i in range(m.n))
+    for point in (ones, pencil):
         mapped = [Fraction(0)] * simple.n
         for i, e in enumerate(m.ground):
             if e in fiber:
@@ -470,7 +465,7 @@ def mobius_pairing(m: Matroid, k):
     _check_degree(m, k)
     # each rank-k flat with its greedy basis, the monomial theta(y_F)
     flats = [(f, m._greedy(f)[0]) for f in _flat_masks(m, k)]
-    base_set = set(m.bases)
+    base_set = m._independent()[m.rank]
 
     def entry(f, bf, g, bg):
         # y_F y_G = y_(F join G) iff rank(F | G) = 2k, and it pairs to 1
@@ -502,7 +497,7 @@ def mobius_pairing_zero_count_identity(m: Matroid, k) -> bool:
 class ContainmentProbe:
     element: object
     contained: bool
-    counterexample: object  # (degree, labels tuple, coefficients) or None
+    counterexample: object  # (degree, {label frozenset: coefficient}) or None
 
 
 def annihilator_containment_probe(m: Matroid, e) -> ContainmentProbe:
@@ -518,8 +513,9 @@ def annihilator_containment_probe(m: Matroid, e) -> ContainmentProbe:
     kernel vector is d (e_j - e_i), which never fails, or the first row's
     vector plus that, which fails iff the first row's does. So one integer
     kernel over one column per flat, in row order, and one row per column
-    flat gives every vector that can fail first; the failing one gets zeros
-    elsewhere. A loop has M/e = M\\e."""
+    flat gives every vector that can fail first. The first that fails is
+    reported by its nonzero coefficients, in row order, keyed by their rows'
+    label sets: the shape `in_annihilator` takes. A loop has M/e = M\\e."""
     bit = m._mask([e])
     if e in m.coloops():
         raise ColoopElement("the question is posed for non-coloops")
@@ -540,11 +536,12 @@ def annihilator_containment_probe(m: Matroid, e) -> ContainmentProbe:
         d, vectors = integer_kernel(deletion, len(reps))
         for v in vectors:
             if any(sum(compress(v, row)) for row in contraction):
-                vec = [Fraction(0)] * len(row_masks)
-                for i, x in zip(firsts.values(), v):
-                    vec[i] = Fraction(x, d)
-                subsets = tuple(m._labels(mask) for mask in row_masks)
-                return ContainmentProbe(e, False, (k, subsets, tuple(vec)))
+                coeffs = {
+                    m._labels(row_masks[i]): Fraction(x, d)
+                    for i, x in zip(firsts.values(), v)
+                    if x
+                }
+                return ContainmentProbe(e, False, (k, coeffs))
     return ContainmentProbe(e, True, None)
 
 

@@ -526,8 +526,7 @@ def spanning_tree_count(graph: Graph) -> int:
         raise LoopEdge("spanning tree counting requires a loopless graph")
     if not graph.is_connected():
         raise Disconnected("graph is not connected")
-    if graph.vertices == 1:
-        return 1
+    # one vertex leaves a 0 x 0 reduced Laplacian, of determinant 1
     lap = laplacian(graph)
     reduced = lap.submatrix(range(lap.rows - 1), range(lap.cols - 1))
     value = det(reduced)

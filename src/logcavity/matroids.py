@@ -178,7 +178,7 @@ class Matroid:
     # -- construction -----------------------------------------------------
 
     @staticmethod
-    def from_bases(ground, bases, validate=True):
+    def from_bases(ground, bases):
         ground = tuple(ground)
         index = {lab: i for i, lab in enumerate(ground)}
         masks = []
@@ -193,7 +193,7 @@ class Matroid:
         if len(sizes) != 1:
             raise UnequalSizes(f"bases of different sizes: {sorted(sizes)}")
         m = Matroid(ground, masks)
-        if validate and not _is_basis_family(m.bases):
+        if not _is_basis_family(m.bases):
             b1, b2 = _exchange_failure(m.bases)
             raise ExchangeViolation(
                 "exchange fails for bases "
@@ -360,19 +360,15 @@ class Matroid:
         keep = [self.ground[i] for i in range(self.n) if not t_mask >> i & 1]
         return self.restrict(keep)
 
-    def contract(self, T, basis_of_T=None):
-        """Contraction by T, computed over a basis B_T of the restriction."""
+    def contract(self, T):
+        """Contraction by T: the bases are B - T over the bases B that meet T
+        in B_T, a greedy basis of T (Oxley, Matroid Theory). B_T extends to a
+        basis, which meets T in B_T alone, so there is at least one."""
         t_mask = self._mask(T)
-        if basis_of_T is None:
-            bt = self._greedy(t_mask)[0]
-        else:
-            bt = self._mask(basis_of_T)
+        bt = self._greedy(t_mask)[0]
         keep = [i for i in range(self.n) if not t_mask >> i & 1]
         pos = {old: new for new, old in enumerate(keep)}
         masks = {_moved(b & ~t_mask, pos) for b in self.bases if b & t_mask == bt}
-        if not masks:
-            # rank(B_T) < rank(T) cannot happen; empty means T spans everything
-            masks = {0}
         return Matroid(tuple(self.ground[i] for i in keep), sorted(masks))
 
     def truncate(self):
@@ -442,9 +438,8 @@ class FlatLattice:
 
     @staticmethod
     def of(matroid: Matroid):
-        """Every rank-k flat is the closure of an independent k-set."""
-        if matroid.n > DEFAULT_ELEMENT_CAP:
-            raise TooLarge("ground set too large for flat enumeration")
+        """Every rank-k flat is the closure of an independent k-set (capped
+        in `_flats`)."""
         by_rank = []
         for k in range(matroid.rank + 1):
             level = sorted(set(matroid._flats(k).values()))

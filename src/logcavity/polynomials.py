@@ -18,12 +18,8 @@ from .errors import (
     MixedDegrees,
     NegativeCoefficient,
 )
-from .linalg import QMatrix, _bits, _expect, integer_inertia
+from .linalg import QMatrix, _bits, _expect, _q, integer_inertia
 from .matroids import Matroid, _is_basis_family
-
-
-def _q(x):
-    return x if isinstance(x, Fraction) else Fraction(x)
 
 
 class MPoly:
@@ -98,7 +94,8 @@ class MPoly:
         return self.terms.get(tuple(exp), Fraction(0))
 
     def support(self):
-        return SupportSet(frozenset(self.terms))
+        """The exponent tuples of the nonzero terms, as a frozenset."""
+        return frozenset(self.terms)
 
     def has_nonneg_coefficients(self):
         return all(c >= 0 for c in self.terms.values())
@@ -219,14 +216,6 @@ def _json_int(value, what):
     return _expect(value, int, what)
 
 
-@dataclass(frozen=True)
-class SupportSet:
-    exponents: frozenset
-
-    def degrees(self):
-        return {sum(e) for e in self.exponents}
-
-
 def basis_generating_poly(m: Matroid) -> MPoly:
     """Sum of squarefree monomials over the bases; homogeneous of degree rank."""
     terms = {}
@@ -280,13 +269,11 @@ def polarization(f: MPoly, vectors) -> Fraction:
 
 
 def m_convex(support) -> bool:
-    """Exchange property on exponent vectors. A 0/1 support is M-convex iff
-    it is the bases of a matroid (Brändén and Huh, Lorentzian polynomials),
-    decided by `matroids._is_basis_family`; others are checked on all pairs."""
-    if isinstance(support, SupportSet):
-        exps = list(support.exponents)
-    else:
-        exps = [tuple(e) for e in support]
+    """Exchange property on exponent vectors, given as any iterable of them.
+    A 0/1 support is M-convex iff it is the bases of a matroid (Brändén and
+    Huh, Lorentzian polynomials), decided by `matroids._is_basis_family`;
+    others are checked on all pairs."""
+    exps = [tuple(e) for e in support]
     if not exps:
         return True
     degs = {sum(e) for e in exps}

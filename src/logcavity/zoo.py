@@ -140,7 +140,7 @@ def random_psd_with_factor(rng: random.Random, n, spread=3):
     return x * x.T, x
 
 
-def random_positive_definite(rng: random.Random, n, spread=3):
+def random_positive_definite(rng: random.Random, n):
     """Positive definite rational matrix: X X^T + I for random X."""
-    a, _ = random_psd_with_factor(rng, n, spread)
+    a, _ = random_psd_with_factor(rng, n)
     return a + QMatrix.identity(n)

@@ -161,7 +161,9 @@ def containment_probe(m, e):
     """(contained, counterexample) of the annihilator containment probe by
     its `Fraction` route: the kernel of the transposed deletion evaluation by
     `Fraction` elimination, each kernel vector tested against every
-    contraction column by a `Fraction` sum over label sets."""
+    contraction column by a `Fraction` sum over label sets. A counterexample
+    is (k, {label frozenset: coefficient}) over the nonzero coefficients, in
+    row order."""
     deleted = m.delete([e])
     contracted = m.contract([e])
     base_set = set(contracted.bases)
@@ -187,7 +189,8 @@ def containment_probe(m, e):
                     if mask & gamma == 0 and (mask | gamma) in base_set:
                         total += coeff
                 if total != 0:
-                    return False, (k, subsets, vec)
+                    coeffs = {s: c for s, c in zip(subsets, vec) if c != 0}
+                    return False, (k, coeffs)
     return True, None
 
 

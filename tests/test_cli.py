@@ -6,8 +6,10 @@ import pytest
 
 from logcavity import cli, discriminants, hodge, matroids
 from logcavity.cli import RunReport, _emit, main
+from logcavity.matroids import Matroid
 from logcavity.polynomials import MPoly
 from logcavity.posets import Poset
+from logcavity.stanley import parallel_replicate
 from logcavity.zoo import (
     k23_graph,
     matroid_zoo,
@@ -150,6 +152,28 @@ class TestKahnSaksCommand:
         assert report["results"]["N"][:3] == [1, 2, 4]
         assert report["results"]["per_k"]["2"]["ratio"] == 2
 
+    def test_fresh_bounds_beside_bot_and_top_labels(self, capsys, tmp_path):
+        # "bot" and "top" bound nothing here, so the adjoined bounds take the
+        # fresh labels bot0 and top0; the sequence does not see the names
+        reports = []
+        for low, high in (("bot", "top"), ("b", "t")):
+            path = tmp_path / f"{low}.json"
+            obj = {
+                "elements": ["x", "y", low, high],
+                "relations": [["x", "y"], [low, high]],
+                "x": "x",
+                "y": "y",
+            }
+            path.write_text(json.dumps(obj))
+            code, report = run_json(capsys, ["kahnsaks", "--poset", str(path)])
+            assert code == 0
+            reports.append(report["results"])
+        relabelled = reports[1]["regions"]
+        assert (relabelled["end_x"], relabelled["end_y"]) == (["bot"], ["top"])
+        regions = reports[0]["regions"]
+        assert (regions["end_x"], regions["end_y"]) == (["bot0"], ["top0"])
+        assert reports[0]["N"] == reports[1]["N"]
+
 
 class TestPosetMarks:
     """A mark given by flag is the element label whose string it is, so
@@ -228,6 +252,20 @@ class TestStanleyCommand:
             v == "0" for v in report["results"]["cross_check_deltas"].values()
         )
 
+    def test_ratio_step_verified(self, capsys, tmp_path):
+        # U(2, 3) with one R-clone and two Q-clones of each element: every
+        # parallel class splits 1 : 2, so the normalized sequence steps by
+        # one constant ratio
+        m, r_side = parallel_replicate(Matroid.uniform(2, 3), 1, 2)
+        path = tmp_path / "replicated.json"
+        path.write_text(json.dumps(m.to_json()))
+        argv = ["stanley", "--matroid", str(path), "--R", ",".join(sorted(r_side))]
+        code, report = run_json(capsys, argv)
+        assert code == 0
+        assert report["results"]["ratio_condition"]["holds"] is True
+        assert report["results"]["ratio_step_verified"] is True
+        assert report["violations"] == []
+
 
 class TestLorentzianCommand:
     def poly_file(self, tmp_path):
@@ -250,6 +288,17 @@ class TestLorentzianCommand:
             "hessian_failures": 1,
             "coefficient_log_concavity": False,
         }
+        assert report["violations"] == []
+
+    def test_non_homogeneous_poly(self, capsys, tmp_path):
+        # x0^2 + x1: no Lorentzian certificate, and no coefficient test
+        path = tmp_path / "mixed.json"
+        path.write_text(json.dumps(MPoly(2, {(2, 0): 1, (0, 1): 1}).to_json()))
+        code, report = run_json(capsys, ["lorentzian", "--poly", str(path)])
+        assert code == 0
+        results = report["results"]
+        assert results["passed"] is False and results["homogeneous"] is False
+        assert results["coefficient_log_concavity"] is None
         assert report["violations"] == []
 
     def test_zoo_matroid_passes(self, capsys, k23_file):

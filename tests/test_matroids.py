@@ -248,14 +248,28 @@ class TestMinors:
         contracted = U23.contract([0])
         assert contracted == Matroid.from_bases([1, 2], [[1], [2]])
 
-    def test_contraction_basis_independence(self):
-        m = Matroid.graphic(k4_graph())
-        t = [0, 1, 2]
-        restriction = m.restrict(t)
-        results = set()
-        for bt in restriction.basis_label_sets():
-            results.add(m.contract(t, basis_of_T=bt))
-        assert len(results) == 1
+    @staticmethod
+    def assert_contraction_matches_definition(m):
+        # the bases of M/T are B - T over the bases B that meet T in a basis
+        # of T (Oxley, Matroid Theory), for every T, by the oracle rank
+        for t in range(1 << m.n):
+            rank_t = oracle.rank(m, t)
+            expected = {
+                m._labels(b & ~t) for b in m.bases if (b & t).bit_count() == rank_t
+            }
+            contracted = m.contract(m._labels(t))
+            rest = tuple(e for i, e in enumerate(m.ground) if not t >> i & 1)
+            assert contracted.ground == rest
+            assert contracted.basis_label_sets() == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_matroids())
+    def test_contraction_matches_definition(self, m):
+        self.assert_contraction_matches_definition(m)
+
+    def test_zoo_contraction_matches_definition(self):
+        for m in matroid_zoo().values():
+            self.assert_contraction_matches_definition(m)
 
     def test_deletion_contraction_polynomial(self):
         # f_M = x_e f_{M/e} + f_{M \ e} for a non-coloop e, checked symbolically
@@ -437,7 +451,7 @@ class TestOracleProperties:
             self.assert_lattice_matches_breadth_first(m)
 
     def test_independence_complex_is_capped(self):
-        wide = Matroid.from_bases(range(17), [range(17)], validate=False)
+        wide = Matroid.from_bases(range(17), [range(17)])
         with pytest.raises(TooLarge, match="independence complex"):
             wide.rank_of([0])
 
