@@ -10,7 +10,7 @@ import functools
 import json
 import random
 import sys
-from dataclasses import asdict, dataclass, field, is_dataclass
+from dataclasses import dataclass, field, fields, is_dataclass
 from fractions import Fraction
 from math import factorial
 
@@ -74,58 +74,74 @@ class RunReport:
     version: str = __version__
 
 
-def _jsonable(x):
-    if type(x) in (str, int, bool, type(None)):
-        return x
-    if isinstance(x, Fraction):
-        return str(x) if x.denominator != 1 else int(x)
-    if is_dataclass(x) and not isinstance(x, type):
-        return _jsonable(asdict(x))
-    if isinstance(x, dict):
-        return {str(k): _jsonable(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_jsonable(v) for v in x]
-    if isinstance(x, (set, frozenset)):
-        return sorted((_jsonable(v) for v in x), key=str)
-    return x
+_quote = json.encoder.encode_basestring_ascii
+_LITERALS = {True: "true", False: "false", None: "null"}
+
+
+def _text(value, pad=""):
+    """json.dumps(_tree(value), sort_keys=True, indent=2), its lines after the
+    first indented by pad, with no tree built for dicts and lists."""
+    if not isinstance(value, (dict, list)):
+        value = _tree(value)
+    if isinstance(value, dict):
+        value = sorted({str(k): v for k, v in value.items()}.items())
+        value, ends = [(_quote(k) + ": ", v) for k, v in value], "{}"
+    elif isinstance(value, list):
+        value, ends = [("", v) for v in value], "[]"
+    else:
+        return json.dumps(value)
+    inner = pad + "  "
+    parts = []
+    for head, v in value:
+        kind = type(v)
+        if kind is str:
+            v = _quote(v)
+        elif kind is int:
+            v = int.__repr__(v)
+        elif kind is bool or v is None:
+            v = _LITERALS[v]
+        else:
+            v = _text(v, inner)
+        parts.append(head + v)
+    body = f",\n{inner}".join(parts)
+    return f"{ends[0]}\n{inner}{body}\n{pad}{ends[1]}" if parts else ends
+
+
+def _tree(v):
+    """The JSON tree a report value stands for: a Fraction is an int or a
+    string, a dataclass the dict of its fields, dict keys go through str (the
+    last wins), a tuple is a list and a set its members' trees sorted by str."""
+    if isinstance(v, Fraction):
+        return str(v) if v.denominator != 1 else int(v)
+    if is_dataclass(v) and not isinstance(v, type):
+        v = {f.name: getattr(v, f.name) for f in fields(v)}
+    if isinstance(v, dict):
+        return {str(k): _tree(x) for k, x in v.items()}
+    if isinstance(v, (list, tuple, set, frozenset)):
+        items = [_tree(x) for x in v]
+        return items if isinstance(v, (list, tuple)) else sorted(items, key=str)
+    return v
 
 
 def _emit(report: RunReport, args) -> int:
-    payload = _jsonable(
-        {
-            "command": report.command,
-            "inputs": report.inputs,
-            "results": report.results,
-            "findings": report.findings,
-            "violations": report.violations,
-            "version": report.version,
-        }
-    )
+    text = _text(vars(report)) + "\n"  # its fields; _tree would copy them
     if getattr(args, "format", "json") == "csv":
-        lines = ["key,value"]
-        flat = _flatten(payload)
-        for k in sorted(flat):
-            lines.append(f"{k},{flat[k]}")
-        text = "\n".join(lines) + "\n"
-    else:
-        text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        flat = _flatten(json.loads(text), "", {})  # read back from the JSON text
+        text = "key,value\n" + "".join(f"{k},{flat[k]}\n" for k in sorted(flat))
     out = getattr(args, "out", None)
     if out:
-        with open(out, "w") as fh:
+        with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
     return 2 if report.violations else 0
 
 
-def _flatten(obj, prefix=""):
-    out = {}
-    if isinstance(obj, dict):
-        for k, v in obj.items():
-            out.update(_flatten(v, f"{prefix}{k}."))
-    elif isinstance(obj, list):
-        for i, v in enumerate(obj):
-            out.update(_flatten(v, f"{prefix}{i}."))
+def _flatten(obj, prefix, out):
+    """Add each leaf of a JSON tree to out under its dotted path."""
+    if isinstance(obj, (dict, list)):
+        for k, v in obj.items() if isinstance(obj, dict) else enumerate(obj):
+            _flatten(v, f"{prefix}{k}.", out)
     else:
         out[prefix.rstrip(".")] = json.dumps(obj)
     return out
@@ -145,7 +161,7 @@ class _InputObject(dict):
 
 def _load_json(path, what):
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             obj = json.load(fh, object_hook=lambda d: _InputObject(what, d))
     except FileNotFoundError:
         raise UsageError(f"{what} file not found: {path}")

@@ -107,8 +107,10 @@ def in_annihilator(m: Matroid, coeffs) -> bool:
     basis generating polynomial. coeffs: {frozenset of labels: rational}."""
     items = [(m._mask(s), Fraction(c)) for s, c in coeffs.items()]
     sizes = {mask.bit_count() for mask, _ in items}
-    if len(sizes) != 1:
+    if len(sizes) > 1:
         raise DimensionMismatch("mixed degrees in annihilator test")
+    if not sizes:
+        return True  # the empty combination is the zero class
     k = sizes.pop()
     base_set = m._independent()[m.rank]
     for gamma in m.independent_subsets(m.rank - k):

@@ -1,11 +1,21 @@
+import io
 import json
+import os
+import subprocess
+import sys
+from contextlib import redirect_stdout
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from logcavity import cli, discriminants, hodge, matroids
-from logcavity.cli import RunReport, _emit, main
+import report_oracle as oracle
+from logcavity import __version__, cli, discriminants, hodge, matroids
+from logcavity.cli import RunReport, _InputObject, _emit, _text, main
 from logcavity.matroids import Matroid
 from logcavity.polynomials import MPoly
 from logcavity.posets import Poset
@@ -35,12 +45,22 @@ def witness_file(tmp_path):
     return str(path)
 
 
+GOLDEN = Path(__file__).resolve().parent / "golden"
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
 I2 = {"rows": 2, "cols": 2, "entries": ["1", "0", "0", "1"]}
 
 
 def poly(term):
     """A one-variable polynomial JSON with the single given term."""
     return {"nvars": 1, "terms": [term]}
+
+
+def golden_csv(name):
+    """A CSV report pinned from the earlier encoder, whose last row, the
+    version, is left out of the file."""
+    return (GOLDEN / name).read_text() + f"version,{json.dumps(__version__)}\n"
 
 
 def run_json(capsys, argv):
@@ -448,8 +468,43 @@ class TestReportContract:
             ]
         )
         assert code == 0
-        text = out.read_text()
-        assert text.startswith("key,value")
+        assert out.read_text() == golden_csv("matroid_k23.csv")
+
+    def test_kahnsaks_csv(self, witness_file, capsys):
+        code = main(["kahnsaks", "--poset", witness_file, "--format", "csv"])
+        assert code == 0
+        assert capsys.readouterr().out == golden_csv("kahnsaks_witness.csv")
+
+    def test_csv_ignores_key_insertion_order(self):
+        # "a" → [5] and "a.0" flatten to one key; the JSON text, whose keys
+        # are sorted, decides which value the row keeps
+        rows = [
+            emitted(RunReport("demo", {}, results), "csv")
+            for results in ({"a": [5], "a.0": 7}, {"a.0": 7, "a": [5]})
+        ]
+        assert rows[0] == rows[1]
+        assert "results.a.0,7\n" in rows[0]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["selftest", "--out", "r.json"],
+            ["poset", "--poset", "witness.json", "--x", "x"],
+        ],
+    )
+    def test_files_are_utf8_whatever_the_locale(self, tmp_path, witness_file, argv):
+        # input and report files name their encoding, so no default is read;
+        # witness_file is tmp_path / "witness.json"
+        done = subprocess.run(
+            [sys.executable, "-X", "warn_default_encoding"]
+            + ["-W", "error::EncodingWarning", "-m", "logcavity.cli", *argv],
+            cwd=tmp_path,
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
 
     def test_probe_findings(self, capsys, tmp_path):
         from logcavity.zoo import k4_graph
@@ -466,6 +521,100 @@ class TestReportContract:
         assert report["findings"][0]["kind"] == (
             "annihilator-containment-counterexample"
         )
+
+
+@dataclass(frozen=True)
+class Pair:
+    # fields out of name order, as a report's dataclasses may declare them
+    right: object
+    left: object
+
+
+@dataclass
+class Box:
+    items: object
+    label: str
+
+
+STRINGS = st.text() | st.text(st.characters(categories=["Cc", "Cs"]), max_size=4)
+SCALARS = (
+    STRINGS
+    | st.integers()
+    | st.integers(2**64, 2**300)
+    | st.integers(-(2**300), -(2**64))
+    | st.booleans()
+    | st.none()
+    | st.fractions()
+    | st.floats()  # no case of the encoder's own: json.dumps writes it
+)
+HASHABLES = st.recursive(
+    SCALARS,
+    lambda inner: st.lists(inner, max_size=3).map(tuple)
+    | st.frozensets(inner, max_size=3)
+    | st.builds(Pair, inner, inner),
+    max_leaves=6,
+)
+KEYS = (
+    STRINGS
+    | st.integers(-3, 3)
+    | st.sampled_from(["1", "-1", "True", "None", "1/2"])
+    | st.booleans()
+    | st.none()
+    | st.fractions(max_denominator=3)
+)
+
+
+def containers(inner):
+    return (
+        st.lists(inner, max_size=4)
+        | st.lists(inner, max_size=4).map(tuple)
+        | st.dictionaries(KEYS, inner, max_size=4)
+        | st.tuples(inner, inner).map(lambda ab: {1: ab[0], "1": ab[1]})
+        | st.sets(HASHABLES, max_size=4)
+        | st.frozensets(HASHABLES, max_size=4)
+        | st.builds(Box, inner, STRINGS)
+        | st.builds(Pair, inner, inner)
+        | st.sampled_from([[], {}, (), set(), frozenset(), Box([], "")])
+    )
+
+
+VALUES = st.recursive(SCALARS | HASHABLES, containers, max_leaves=20)
+
+
+def emitted(report, fmt):
+    """The report text `cli._emit` writes in the format fmt."""
+
+    class Args:
+        format = fmt
+        out = None
+
+    with redirect_stdout(io.StringIO()) as out:
+        _emit(report, Args())
+    return out.getvalue()
+
+
+class TestReportEncoder:
+    """`cli._text` and `cli._emit` against the old route of `report_oracle`."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(VALUES)
+    def test_text_matches_old_route(self, value):
+        assert _text(value) == oracle.text(value)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.dictionaries(KEYS, VALUES, max_size=3), VALUES, st.lists(VALUES))
+    def test_report_matches_old_route(self, inputs, results, findings):
+        report = RunReport(
+            "demo", {"file": _InputObject("demo", inputs)}, results, findings
+        )
+        assert emitted(report, "json") == oracle.report_bytes(report)
+
+    @settings(max_examples=100, deadline=None)
+    @given(VALUES)
+    def test_csv_is_old_flatten_of_the_json_text(self, results):
+        report = RunReport("demo", {}, {"r": results})
+        tree = json.loads(oracle.report_bytes(report))
+        assert emitted(report, "csv") == oracle.csv_text(tree)
 
 
 class TestParserReuse:

@@ -11,6 +11,7 @@ from matroid_oracle import SMALL, small_matroids
 from logcavity.errors import (
     ColoopElement,
     DegreeTooHigh,
+    DimensionMismatch,
     NonpositiveValue,
     RankBoundViolated,
     RankTooLow,
@@ -141,6 +142,12 @@ class TestAnnihilator:
                 frozenset({3, 4}): -1,
             },
         )
+
+    def test_empty_combination_is_zero(self):
+        # the zero class kills f; only a combination of two sizes is refused
+        assert in_annihilator(U23, {})
+        with pytest.raises(DimensionMismatch, match="mixed degrees"):
+            in_annihilator(U23, {frozenset({0}): 1, frozenset({0, 1}): 1})
 
     def test_explicit_element_in_kernel_span(self):
         m = linear_3x5_matroid()
