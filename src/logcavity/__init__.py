@@ -11,7 +11,6 @@ from .linalg import (
     Graph,
     Inertia,
     QMatrix,
-    count_eigs_below,
     det,
     incidence_matrix,
     inertia,
@@ -27,15 +26,11 @@ from .posets import (
     kahn_saks_positivity,
     kahn_saks_sequence,
     midway_check,
-    normalize,
     region_partition,
-    stanley_chain_counts,
     stanley_equality_classify,
     stanley_sequence,
 )
-from .matroids import (
-    FlatLattice, Matroid, ParallelData, unimodular_coordinatization_check
-)
+from .matroids import FlatLattice, Matroid, ParallelData
 from .polynomials import (
     MPoly,
     basis_generating_poly,
@@ -47,20 +42,15 @@ from .polynomials import (
 )
 from .discriminants import (
     alexandrov_check,
-    hyperbolic_check,
     mixed_discriminant,
     mixed_discriminant_gram,
     mixed_discriminant_perm,
-    mixed_discriminant_sequence,
-    psd_decompose,
 )
 from .stanley import (
     B_count,
     StanleySequence,
     g_polynomial,
-    graphic_equality_check,
     mason_sequence,
-    minkowski_route_check,
     mixed_volume_zonotopes,
     parallel_replicate,
     ratio_condition_check,
@@ -68,16 +58,12 @@ from .stanley import (
     zonotope_volume,
 )
 from .hodge import (
-    MobiusAlgebra,
     annihilator_containment_probe,
-    annihilator_kernel,
     facet_theorem_scan,
     graded_dims,
     hl_check,
-    hr_form,
     hrr_check,
     in_annihilator,
     mobius_pairing,
-    simplification_isomorphism_check,
     socle_check,
 )

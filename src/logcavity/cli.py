@@ -126,8 +126,15 @@ def _tree(v):
 def _emit(report: RunReport, args) -> int:
     text = _text(vars(report)) + "\n"  # its fields; _tree would copy them
     if getattr(args, "format", "json") == "csv":
+        import csv  # here, not at the top: only a CSV report needs it
+        import io
+
         flat = _flatten(json.loads(text), "", {})  # read back from the JSON text
-        text = "key,value\n" + "".join(f"{k},{flat[k]}\n" for k in sorted(flat))
+        rows = io.StringIO()
+        writer = csv.writer(rows, lineterminator="\n")
+        writer.writerow(("key", "value"))
+        writer.writerows((k, flat[k]) for k in sorted(flat))
+        text = rows.getvalue()
     out = getattr(args, "out", None)
     if out:
         with open(out, "w", encoding="utf-8") as fh:
@@ -138,12 +145,16 @@ def _emit(report: RunReport, args) -> int:
 
 
 def _flatten(obj, prefix, out):
-    """Add each leaf of a JSON tree to out under its dotted path."""
+    """Add each leaf of a JSON tree to out, as its JSON text, under its path:
+    the keys and indices from the root, each followed by "." in prefix, with
+    "\\" and "." inside a key escaped by "\\", so distinct leaves keep
+    distinct paths."""
     if isinstance(obj, (dict, list)):
         for k, v in obj.items() if isinstance(obj, dict) else enumerate(obj):
-            _flatten(v, f"{prefix}{k}.", out)
+            key = str(k).replace("\\", "\\\\").replace(".", "\\.")
+            _flatten(v, f"{prefix}{key}.", out)
     else:
-        out[prefix.rstrip(".")] = json.dumps(obj)
+        out[prefix[:-1]] = json.dumps(obj)
     return out
 
 

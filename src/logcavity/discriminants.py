@@ -1,5 +1,5 @@
-"""Mixed discriminants by independent routes, Alexandrov's inequality with
-its equality case, and hyperbolicity of symmetric matrices."""
+"""Mixed discriminants by independent routes, and Alexandrov's inequality
+with its equality case."""
 
 import math
 from collections import Counter
@@ -82,15 +82,6 @@ class GramFactor:
             tuple(Fraction(1) for _ in range(x.cols)),
         )
 
-    def psd_matrix(self) -> QMatrix:
-        n = len(self.columns[0]) if self.columns else 0
-        acc = [[Fraction(0)] * n for _ in range(n)]
-        for col, w in zip(self.columns, self.weights):
-            for i in range(n):
-                for j in range(n):
-                    acc[i][j] += w * col[i] * col[j]
-        return QMatrix(acc)
-
 
 def mixed_discriminant_gram(factors) -> Fraction:
     """(1/n!) sum over column choices of weight-scaled squared determinants.
@@ -120,64 +111,6 @@ def mixed_discriminant_gram(factors) -> Fraction:
         d = det(QMatrix(zip(*cols)))
         total += w * d * d
     return total / math.factorial(n)
-
-
-@dataclass(frozen=True)
-class PSDFactorization:
-    """LDL^T data for a rational PSD matrix: lower unitriangular L and the
-    nonnegative pivot diagonal; sqrt_factor is L sqrt(D) when every pivot is
-    a rational square, else None."""
-
-    lower: QMatrix
-    diag: tuple
-    sqrt_factor: object
-
-    def gram_factor(self) -> GramFactor:
-        cols = tuple(self.lower.column(j) for j in range(self.lower.cols))
-        return GramFactor(cols, self.diag)
-
-
-def _rational_sqrt(x: Fraction):
-    """The rational root of a pivot x >= 0 of `psd_decompose`, else None."""
-    pn = math.isqrt(x.numerator)
-    pd = math.isqrt(x.denominator)
-    if pn * pn == x.numerator and pd * pd == x.denominator:
-        return Fraction(pn, pd)
-    return None
-
-
-def psd_decompose(a: QMatrix) -> PSDFactorization:
-    """Rational LDL^T of a symmetric PSD matrix; raises NotPSD on any
-    negative pivot or on a zero pivot with a nonzero residual row."""
-    if not a.is_symmetric:
-        raise NotSymmetric("decomposition requires a symmetric matrix")
-    n = a.rows
-    m = [list(row) for row in a.m]
-    lower = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    diag = []
-    for k in range(n):
-        pivot = m[k][k]
-        if pivot < 0:
-            raise NotPSD(f"negative pivot at position {k}")
-        diag.append(pivot)
-        if pivot == 0:
-            if any(m[k][j] != 0 for j in range(k, n)):
-                raise NotPSD(f"zero pivot with nonzero row at position {k}")
-            continue
-        for i in range(k + 1, n):
-            f = m[i][k] / pivot
-            lower[i][k] = f
-            for j in range(k, n):
-                m[i][j] -= f * m[k][j]
-        for i in range(k + 1, n):
-            m[k][i] = Fraction(0)
-    roots = [_rational_sqrt(d) for d in diag]
-    sqrt_factor = None
-    if all(r is not None for r in roots):
-        sqrt_factor = QMatrix(
-            [lower[i][j] * roots[j] for j in range(n)] for i in range(n)
-        )
-    return PSDFactorization(QMatrix(lower), tuple(diag), sqrt_factor)
 
 
 @dataclass(frozen=True)
@@ -238,18 +171,3 @@ def alexandrov_check(
             lam = witness
             proportional = True
     return AlexandrovReport(lhs, rhs, equal, lam, proportional)
-
-
-def mixed_discriminant_sequence(a: QMatrix, b: QMatrix):
-    """D_k = D(a taken k times, b taken n-k times), k = 0..n."""
-    n = a.rows
-    return [
-        mixed_discriminant([a] * k + [b] * (n - k)) for k in range(n + 1)
-    ]
-
-
-def hyperbolic_check(m: QMatrix) -> bool:
-    """True iff the positive eigenspace has dimension at most one."""
-    if not m.is_symmetric:
-        raise NotSymmetric("hyperbolicity is about symmetric matrices")
-    return inertia(m).n_pos <= 1

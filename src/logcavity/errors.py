@@ -33,10 +33,6 @@ class InvalidMarks(LogcavityError):
     pass
 
 
-class NotAChain(LogcavityError):
-    pass
-
-
 class ZeroAtIndex(LogcavityError):
     """A sequence value required to be positive is zero."""
 
@@ -86,14 +82,6 @@ class BadMultiplicities(LogcavityError):
 
 
 class LoopPresent(LogcavityError):
-    pass
-
-
-class RankDeficient(LogcavityError):
-    pass
-
-
-class DegenerateEnds(LogcavityError):
     pass
 
 

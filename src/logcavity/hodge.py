@@ -1,6 +1,7 @@
 """The Gorenstein quotient of the basis generating polynomial: graded
-dimensions, annihilator kernels, Hodge-Riemann forms, HL/HRR certification,
-socle checks, the graded Moebius algebra pairing, and open-question probes.
+dimensions, annihilator membership, Hodge-Riemann forms, HL/HRR
+certification, facet scans, socle checks, the graded Moebius algebra
+pairing, and open-question probes.
 
 Degree-k classes are represented on independent squarefree k-subsets; because
 the basis generating polynomial is multilinear, every evaluation matrix is
@@ -8,7 +9,6 @@ the basis generating polynomial is multilinear, every evaluation matrix is
 the Hodge-Riemann forms, come from fraction-free integer elimination.
 """
 
-import functools
 import math
 import weakref
 from dataclasses import dataclass
@@ -33,7 +33,7 @@ from .linalg import (
     integer_row_basis,
     solve,
 )
-from .matroids import FlatLattice, Matroid, _subsets
+from .matroids import Matroid
 
 
 @dataclass(frozen=True)
@@ -63,7 +63,8 @@ def _evaluation_entries(m: Matroid, row_masks, col_masks):
 
 
 def graded_evaluation(m: Matroid, k) -> GradedEvaluation:
-    _check_in_range(m, k)
+    if not 0 <= k <= m.rank:
+        raise DegreeTooHigh(f"degree {k} outside 0..rank")
     row_masks = tuple(m.independent_subsets(k))
     col_masks = tuple(m.independent_subsets(m.rank - k))
     entries = tuple(map(tuple, _evaluation_entries(m, row_masks, col_masks)))
@@ -77,29 +78,6 @@ def graded_dims(m: Matroid):
     the dimensions are palindromic by construction."""
     ring = GorensteinRing.of(m)
     return [ring.evaluation(min(k, m.rank - k)).dimension for k in range(m.rank + 1)]
-
-
-@dataclass(frozen=True)
-class KernelReport:
-    k: int
-    row_subsets: tuple  # label frozensets indexing coordinates
-    vectors: tuple  # tuples of Fractions spanning the degree-k annihilator
-
-
-def annihilator_kernel(m: Matroid, k) -> KernelReport:
-    """Basis of the degree-k annihilator over squarefree monomial coordinates
-    (dependent monomials and parallel differences land here): the integer
-    kernel of the transposed evaluation is d times it."""
-    _check_in_range(m, k)
-    row_masks = _subsets(range(m.n), k, lambda c: True)
-    col_masks = m.independent_subsets(m.rank - k)
-    transposed = _evaluation_entries(m, col_masks, row_masks)
-    d, vectors = integer_kernel(transposed, len(row_masks))
-    return KernelReport(
-        k,
-        tuple(m._labels(mask) for mask in row_masks),
-        tuple(tuple(Fraction(x, d) for x in v) for v in vectors),
-    )
 
 
 def in_annihilator(m: Matroid, coeffs) -> bool:
@@ -118,14 +96,6 @@ def in_annihilator(m: Matroid, coeffs) -> bool:
         if sum(c for mask, c in items if mask | gamma in base_set):
             return False
     return True
-
-
-@dataclass(frozen=True)
-class HRFormMatrix:
-    k: int
-    point: tuple
-    basis: tuple  # label frozensets for the chosen degree-k basis
-    matrix: QMatrix  # Q^k on that basis
 
 
 class GorensteinRing:
@@ -217,11 +187,6 @@ class GorensteinRing:
         return [[table.get(a | b, 0) for b in cols] for a in rows]
 
 
-def _check_in_range(m: Matroid, k):
-    if not 0 <= k <= m.rank:
-        raise DegreeTooHigh(f"degree {k} outside 0..rank")
-
-
 def _check_degree(m: Matroid, k):
     if not 0 <= 2 * k <= m.rank:
         raise DegreeTooHigh(f"need 0 <= 2k <= rank, got k={k}, rank={m.rank}")
@@ -243,16 +208,17 @@ def _ring_at(m: Matroid, point):
     return ring, point
 
 
-def hr_form(m: Matroid, k, point) -> HRFormMatrix:
+def hr_form(m: Matroid, k, point) -> QMatrix:
     """Hodge-Riemann form Q^k(x1, x2) = (-1)^k deg(x1 x2 l^(r-2k)) on the
-    selected basis of the degree-k piece, deg(a b l^p) being p! d^(a|b) f."""
+    selected basis of the degree-k piece, deg(a b l^p) being p! d^(a|b) f.
+    No command reads the matrix (`hr_inertia` takes its inertia from the
+    integer sums); the benchmark's per-layer metrics time it by this name."""
     _check_degree(m, k)
     ring, point = GorensteinRing.of(m), _point(m, point)
     basis = ring._basis(k)
     scale = ring._sums(2 * k, point)[1]
     weight = Fraction((-1) ** k * math.factorial(m.rank - 2 * k), scale)
-    q = QMatrix(ring._pairing(basis, basis, 2 * k, point)).scale(weight)
-    return HRFormMatrix(k, point, tuple(m._labels(b) for b in basis), q)
+    return QMatrix(ring._pairing(basis, basis, 2 * k, point)).scale(weight)
 
 
 def hl_check(m: Matroid, k, point) -> bool:
@@ -413,47 +379,6 @@ def socle_check(m: Matroid, k, S) -> bool:
     return True
 
 
-def simplification_isomorphism_check(m: Matroid) -> bool:
-    """Graded dimensions agree with the simplification, and degree-1 HRR
-    verdicts, at all-ones and at the 1 + i/10 pencil, transfer along the
-    class-summing map on linear forms."""
-    simple, fiber = m.simplify()
-    if graded_dims(m) != graded_dims(simple):
-        return False
-    ones = tuple(Fraction(1) for _ in range(m.n))
-    pencil = tuple(Fraction(10 + i, 10) for i in range(m.n))
-    for point in (ones, pencil):
-        mapped = [Fraction(0)] * simple.n
-        for i, e in enumerate(m.ground):
-            if e in fiber:
-                mapped[simple._index[fiber[e]]] += point[i]
-        if hrr_check(m, 1, point) != hrr_check(simple, 1, tuple(mapped)):
-            return False
-    return True
-
-
-class MobiusAlgebra:
-    """Graded Moebius algebra on the lattice of flats: y_F y_G = y_{F join G}
-    when ranks add, else zero."""
-
-    def __init__(self, m: Matroid):
-        self.matroid = m
-
-    @functools.cached_property
-    def lattice(self):
-        return FlatLattice.of(self.matroid)
-
-    def flats_of_rank(self, k):
-        return tuple(self.matroid._labels(f) for f in _flat_masks(self.matroid, k))
-
-    def product(self, F, G):
-        m = self.matroid
-        f, g = m._mask(F), m._mask(G)
-        if m._rank_mask(f | g) == m._rank_mask(f) + m._rank_mask(g):
-            return m._labels(m._closure_mask(f | g))
-        return None
-
-
 def _flat_masks(m: Matroid, k):
     """The rank-k flats as sorted masks, the closures of the independent k-sets."""
     return sorted(set(m._flats(k).values()))
@@ -482,17 +407,6 @@ def mobius_pairing(m: Matroid, k):
 
     rows = [[entry(*fb, *gb) for gb in flats] for fb in flats]
     return len(rows), integer_inertia(rows, len(rows))[1]
-
-
-def mobius_pairing_zero_count_identity(m: Matroid, k) -> bool:
-    """Zero eigenvalues of the pairing = (number of rank-k flats) - (rank in
-    the Gorenstein quotient of the flat-basis monomials)."""
-    count, iner = mobius_pairing(m, k)
-    ev = GorensteinRing.of(m).evaluation(k)
-    pos = {mask: idx for idx, mask in enumerate(ev.row_masks)}
-    thetas = [m._greedy(f)[0] for f in _flat_masks(m, k)]
-    rows = [ev.entries[pos[theta]] for theta in thetas]
-    return iner.n_zero == count - len(integer_row_basis(rows))
 
 
 @dataclass(frozen=True)
@@ -545,35 +459,3 @@ def annihilator_containment_probe(m: Matroid, e) -> ContainmentProbe:
                 }
                 return ContainmentProbe(e, False, (k, coeffs))
     return ContainmentProbe(e, True, None)
-
-
-def theta_consistency_check(m: Matroid) -> bool:
-    """The flat-to-monomial map is basis-independent: any two bases of a flat
-    give the same Gorenstein class, that is, the same evaluation row."""
-    for k in range(m.rank + 1):
-        cols = m.independent_subsets(m.rank - k)
-        for f in _flat_masks(m, k):
-            bases_of_f = [b for b in m.independent_subsets(k) if b & ~f == 0]
-            rows = _evaluation_entries(m, bases_of_f, cols)
-            if any(row != rows[0] for row in rows):
-                return False
-    return True
-
-
-def signature_formula_check(m: Matroid, k, point):
-    """When HL_i and HRR_i hold for i <= k, the net signature of (-1)^k Q^k
-    equals the alternating sum of graded dimension increments.
-
-    Returns (hypotheses_hold, formula_holds)."""
-    ring, point = _ring_at(m, point)
-    for i in range(1, k + 1):
-        if not (hl_check(m, i, point) and hrr_check(m, i, point)):
-            return False, False
-    # the net signature of (-1)^k Q^k
-    sigma = (-1) ** k * ring.hr_inertia(k, point)[0].net_signature
-    dims = graded_dims(m)
-    expect = 0
-    for i in range(k + 1):
-        prev = dims[i - 1] if i >= 1 else 0
-        expect += (-1) ** i * (dims[i] - prev)
-    return True, sigma == expect

@@ -127,15 +127,6 @@ class QMatrix:
         s = _q(s)
         return QMatrix([x * s for x in row] for row in self.m)
 
-    def apply(self, vector):
-        """Matrix-vector product, returning a tuple of Fractions."""
-        if len(vector) != self.cols:
-            raise DimensionMismatch("vector length does not match column count")
-        return tuple(
-            sum((a * _q(b) for a, b in zip(row, vector)), Fraction(0))
-            for row in self.m
-        )
-
     def submatrix(self, row_idx, col_idx):
         return QMatrix([self.m[i][j] for j in col_idx] for i in row_idx)
 
@@ -151,15 +142,6 @@ class QMatrix:
     @staticmethod
     def zero(rows, cols):
         return QMatrix([Fraction(0)] * cols for _ in range(rows))
-
-    @staticmethod
-    def diagonal(entries):
-        entries = [_q(x) for x in entries]
-        n = len(entries)
-        return QMatrix(
-            [entries[i] if i == j else Fraction(0) for j in range(n)]
-            for i in range(n)
-        )
 
     def to_json(self):
         return {
@@ -194,10 +176,6 @@ class Inertia:
     @property
     def dimension(self):
         return self.n_pos + self.n_neg + self.n_zero
-
-    @property
-    def net_signature(self):
-        return self.n_pos - self.n_neg
 
     def as_tuple(self):
         return (self.n_pos, self.n_neg, self.n_zero)
@@ -388,14 +366,6 @@ def inertia(m: QMatrix) -> Inertia:
     d = math.lcm(*(x.denominator for row in m.m for x in row))
     a = [[x.numerator * (d // x.denominator) for x in row] for row in m.m]
     return integer_inertia(a, m.rows)[1]
-
-
-def count_eigs_below(m: QMatrix, t) -> int:
-    """Number of eigenvalues strictly below the rational probe t."""
-    if not m.is_symmetric:
-        raise NotSymmetric("eigenvalue counting requires a symmetric matrix")
-    shifted = m - QMatrix.identity(m.rows).scale(_q(t))
-    return inertia(shifted).n_neg
 
 
 def rank_of_matrix(m: QMatrix) -> int:

@@ -1,4 +1,4 @@
-"""Matroids given by explicit basis lists, with derived structure and minors.
+"""Matroids given by explicit basis lists, with derived structure.
 
 The canonical representation is the sorted list of bases (as index bitmasks
 over the ground tuple); every derived quantity is computed from it.
@@ -17,7 +17,7 @@ from .errors import (
     UnequalSizes,
     UnknownElement,
 )
-from .linalg import Graph, QMatrix, _bits, _expect, _json_labels, det, rank_of_matrix
+from .linalg import Graph, QMatrix, _bits, _expect, _json_labels, rank_of_matrix
 
 DEFAULT_ELEMENT_CAP = 16
 
@@ -26,14 +26,6 @@ def _subsets(candidates, r, accept):
     """The masks of the r-subsets of candidates (indices) that accept, given
     the subset as an index tuple, takes."""
     return [sum(1 << i for i in c) for c in combinations(candidates, r) if accept(c)]
-
-
-def _moved(mask, pos):
-    """mask with each set bit i moved to position pos[i]."""
-    out = 0
-    for i in _bits(mask):
-        out |= 1 << pos[i]
-    return out
 
 
 def _down_closure(masks, rank):
@@ -261,10 +253,6 @@ class Matroid:
             object.__setattr__(self, "_indep", _down_closure(self.bases, self.rank))
         return self._indep
 
-    def is_independent(self, S):
-        mask = self._mask(S)
-        return mask in self._independent()[min(mask.bit_count(), self.rank + 1)]
-
     def _greedy(self, mask):
         """(a maximal independent subset of mask, grown in index order, and its
         size). Every maximal independent subset of a set has the same size,
@@ -326,50 +314,6 @@ class Matroid:
         points = sorted(self._flats(1).items())
         classes = dict.fromkeys(f & ~loops for _, f in points)
         return ParallelData(self._labels(loops), tuple(map(self._labels, classes)))
-
-    def simplify(self):
-        """(simple matroid on parallel-class representatives, fiber map).
-
-        The representative of each class is its smallest-index member; the
-        fiber map sends every non-loop to its representative."""
-        reps, fiber, pos = [], {}, {}
-        for cls in self.parallel_data().classes:
-            rep = min(cls, key=lambda e: self._index[e])
-            for e in cls:
-                fiber[e] = rep
-                pos[self._index[e]] = len(reps)
-            reps.append(rep)
-        masks = {_moved(b, pos) for b in self.bases}
-        return Matroid(tuple(reps), sorted(masks)), fiber
-
-    # -- operations --------------------------------------------------------
-
-    def restrict(self, T):
-        t_mask = self._mask(T)
-        keep = list(_bits(t_mask))
-        pos = {old: new for new, old in enumerate(keep)}
-        masks = {
-            _moved(i, pos)
-            for i in self._independent()[self._rank_mask(t_mask)]
-            if i & ~t_mask == 0
-        }
-        return Matroid(tuple(self.ground[i] for i in keep), sorted(masks))
-
-    def delete(self, T):
-        t_mask = self._mask(T)
-        keep = [self.ground[i] for i in range(self.n) if not t_mask >> i & 1]
-        return self.restrict(keep)
-
-    def contract(self, T):
-        """Contraction by T: the bases are B - T over the bases B that meet T
-        in B_T, a greedy basis of T (Oxley, Matroid Theory). B_T extends to a
-        basis, which meets T in B_T alone, so there is at least one."""
-        t_mask = self._mask(T)
-        bt = self._greedy(t_mask)[0]
-        keep = [i for i in range(self.n) if not t_mask >> i & 1]
-        pos = {old: new for new, old in enumerate(keep)}
-        masks = {_moved(b & ~t_mask, pos) for b in self.bases if b & t_mask == bt}
-        return Matroid(tuple(self.ground[i] for i in keep), sorted(masks))
 
     def truncate(self):
         if self.rank == 0:
@@ -451,25 +395,3 @@ class FlatLattice:
 
     def join(self, F, G):
         return self.matroid.closure_of(set(F) | set(G))
-
-    def meet(self, F, G):
-        return frozenset(F) & frozenset(G)
-
-    @property
-    def atoms(self):
-        return self.flats_by_rank[1] if len(self.flats_by_rank) > 1 else ()
-
-
-def unimodular_coordinatization_check(m: Matroid, matrix: QMatrix) -> bool:
-    """True iff every square submatrix has determinant in {0, +-1} and the
-    column matroid of the matrix has exactly the bases of m."""
-    if matrix.cols != m.n or matrix.rows != m.rank:
-        raise DimensionMismatch(
-            "matrix must have one column per element and rank(m) rows"
-        )
-    for k in range(1, min(matrix.rows, matrix.cols) + 1):
-        for rows in combinations(range(matrix.rows), k):
-            for cols in combinations(range(matrix.cols), k):
-                if det(matrix.submatrix(rows, cols)) not in (-1, 0, 1):
-                    return False
-    return Matroid.linear(matrix, m.ground) == m

@@ -70,16 +70,6 @@ class MPoly:
     def zero(nvars):
         return MPoly(nvars, {})
 
-    @staticmethod
-    def constant(nvars, c):
-        return MPoly(nvars, {(0,) * nvars: c})
-
-    @staticmethod
-    def variable(nvars, i):
-        exp = [0] * nvars
-        exp[i] = 1
-        return MPoly(nvars, {tuple(exp): Fraction(1)})
-
     def is_zero(self):
         return not self.terms
 
@@ -312,8 +302,11 @@ class LorentzianReport:
 
 
 def _hessian_rows(f: MPoly):
-    """(d, {alpha: int rows}): the constant Hessians of `constant_hessians`
-    times d, the lcm of the coefficient denominators of f."""
+    """(d, {alpha: int rows}) over the exponents alpha of order deg f - 2
+    with a nonzero partial, for homogeneous f: the Hessian of d^alpha f
+    times d, the lcm of the coefficient denominators of f. Each d^alpha f is
+    a quadratic, so its Hessian is constant and is read off the terms: entry
+    (i, j) is gamma! c_gamma with gamma = alpha + e_i + e_j."""
     n = f.nvars
     d = math.lcm(*(c.denominator for c in f.terms.values()))
     rows = {}
@@ -331,15 +324,6 @@ def _hessian_rows(f: MPoly):
                 h = rows.setdefault(tuple(alpha), [[0] * n for _ in range(n)])
                 h[i][j] = h[j][i] = weight
     return d, dict(sorted(rows.items()))
-
-
-def constant_hessians(f: MPoly) -> dict:
-    """{alpha: Hessian of d^alpha f} over the exponents alpha of order
-    deg f - 2 with a nonzero partial, for homogeneous f. Each d^alpha f is a
-    quadratic, so its Hessian is constant and is read off the terms: entry
-    (i, j) is gamma! c_gamma with gamma = alpha + e_i + e_j."""
-    d, rows = _hessian_rows(f)
-    return {alpha: QMatrix(h).scale(Fraction(1, d)) for alpha, h in rows.items()}
 
 
 def lorentzian_check(f: MPoly) -> LorentzianReport:

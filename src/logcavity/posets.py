@@ -15,7 +15,6 @@ from .errors import (
     InvalidMarks,
     InvalidPoset,
     MalformedInput,
-    NotAChain,
     TooLarge,
     UnknownElement,
     ZeroAtIndex,
@@ -88,10 +87,6 @@ class Poset:
             labs, [(labs[i], labs[i + 1]) for i in range(len(labs) - 1)]
         )
 
-    @staticmethod
-    def antichain(labels):
-        return Poset.from_relations(tuple(labels), [])
-
     def index(self, label):
         try:
             return self._index[label]
@@ -123,12 +118,6 @@ class Poset:
                 if not (ups & self.strict_down_mask(j)):
                     out.append((i, j))
         return out
-
-    def has_bounds(self):
-        full = (1 << self.n) - 1
-        has_min = any(self.up[i] == full for i in range(self.n))
-        has_max = any(self.down[i] == full for i in range(self.n))
-        return has_min and has_max
 
     def extensions(self, cap=DEFAULT_EXTENSION_CAP):
         """Yield every linear extension exactly once as a tuple of indices in
@@ -401,13 +390,6 @@ class _KahnSaks:
         return self._sequence
 
 
-def normalize(mp: MarkedPoset) -> MarkedPoset:
-    """Marked poset with the relation x <= y adjoined and global bounds present.
-
-    Idempotent; the Kahn-Saks sequence is unchanged by either modification."""
-    return MarkedPoset(mp._ks.poset, mp.x, mp.y)
-
-
 def stanley_sequence(p: Poset, x, cap=DEFAULT_EXTENSION_CAP):
     """N_k = number of linear extensions placing x at rank k, for k = 1..n:
     N_k = sum of down(I) * up(I + x) over ideals I of size k - 1."""
@@ -417,19 +399,6 @@ def stanley_sequence(p: Poset, x, cap=DEFAULT_EXTENSION_CAP):
 def stanley_all_positions(p: Poset, cap=DEFAULT_EXTENSION_CAP):
     """Position-count table for every element: {label: [N_1..N_n]}."""
     return dict(zip(p.labels, map(list, p._ideals(cap)._positions)))
-
-
-def stanley_chain_counts(p: Poset, chain, positions, cap=DEFAULT_EXTENSION_CAP):
-    """Number of extensions sending the chain x_1 < ... < x_k to the given
-    rank positions; positions incompatible with the chain order simply admit
-    no extension and count zero."""
-    idxs = [p.index(c) for c in chain]
-    for a, b in zip(idxs, idxs[1:]):
-        if not (a != b and p.up[a] >> b & 1):
-            raise NotAChain("elements do not form a strictly increasing chain")
-    if len(positions) != len(idxs):
-        raise NotAChain("one position per chain element is required")
-    return p._ideals(cap).fixed_rank_count(dict(zip(idxs, positions)))
 
 
 @dataclass(frozen=True)

@@ -12,15 +12,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 
-from .errors import (
-    BadMultiplicities,
-    DegenerateEnds,
-    DimensionMismatch,
-    LoopPresent,
-    RankDeficient,
-    TooLarge,
-)
-from .linalg import Graph, QMatrix, _bits, integer_det
+from .errors import BadMultiplicities, DimensionMismatch, LoopPresent, TooLarge
+from .linalg import QMatrix, _bits, integer_det
 from .matroids import Matroid
 from .polynomials import basis_generating_poly
 
@@ -133,40 +126,6 @@ def _constant_ratio(pairs):
     return True, next(iter(ratios), None)
 
 
-@dataclass(frozen=True)
-class GraphicEqualityVerdict:
-    a_holds: bool  # equality at some k
-    b_holds: bool  # equality at all k
-    c_holds: bool  # constant R:Q edge-multiplicity ratio across adjacent pairs
-    ratio: object
-
-
-def graphic_equality_check(graph: Graph, R_indices) -> GraphicEqualityVerdict:
-    """Equality trichotomy for the spanning-tree counting sequence of a
-    connected multigraph under an edge bipartition."""
-    if graph.has_loop:
-        raise LoopPresent("graphic equality check needs a loopless graph")
-    m = Matroid.graphic(graph)
-    r_set = frozenset(R_indices)
-    q_set = frozenset(range(len(graph.edges))) - r_set
-    if m.rank_of(r_set) != m.rank or m.rank_of(q_set) != m.rank:
-        raise RankDeficient("both edge classes must contain a spanning tree")
-    seq = stanley_matroid_sequence(m, r_set)
-    eq = seq.equality_indices()
-    a_holds = bool(eq)
-    b_holds = len(eq) == max(len(seq.normalized) - 2, 0)
-
-    pair_counts = {}  # vertex pair -> [edges in R, edges in Q]
-    for idx, (u, v) in enumerate(graph.edges):
-        counts = pair_counts.setdefault((min(u, v), max(u, v)), [0, 0])
-        if idx in r_set:
-            counts[0] += 1
-        else:
-            counts[1] += 1
-    c_holds, ratio = _constant_ratio(pair_counts.values())
-    return GraphicEqualityVerdict(a_holds, b_holds, c_holds, ratio)
-
-
 def _transversal_sum(groups) -> Fraction:
     """Sum of |det| over the square matrices whose rows are m distinct
     positions of each group (vectors, m). Denominators are cleared once by
@@ -265,22 +224,6 @@ def _fresh_boolean(m: Matroid, size):
         i += 1
     full = (1 << size) - 1
     return Matroid(tuple(labels), [full])
-
-
-def minkowski_route_check(m: Matroid, R) -> bool:
-    """Checks the equivalence: Minkowski-style end equality <=> equality at
-    some k <=> equality at all k, for the normalized sequence with positive
-    ends. Returns True when the three statements agree."""
-    seq = stanley_matroid_sequence(m, R)
-    nt = seq.normalized
-    r = len(nt) - 1
-    if nt[0] == 0 or nt[r] == 0:
-        raise DegenerateEnds("both sequence ends must be positive")
-    minkowski = nt[1] ** r == nt[0] ** (r - 1) * nt[r]
-    eq = seq.equality_indices()
-    some = bool(eq)
-    everywhere = len(eq) == r - 1
-    return minkowski == some == everywhere
 
 
 def parallel_replicate(m: Matroid, r_copies, q_copies):

@@ -6,16 +6,18 @@ takes a kernel basis of the Lefschetz pairing and runs the inertia of
 K^T Q K, and HRR_1 also reads the signature of -Q^1; socle triviality takes
 the kernel of the constraint matrix and applies the transposed evaluation
 matrix to each kernel vector; graded dimensions take one `Fraction` rank per
-degree; the containment probe takes `Fraction` kernels and sums; the Moebius
-pairing walks the full lattice of flats. The library reads derivative values
-off the basis masks, decides In(Q^k) and HRR_k by one integer bordered
-inertia and socle triviality by a column containment, reads dim A^(r-k) off
-E_k, runs the probe on integer kernels and integer sums, and pairs only the
-closures of the independent k-sets.
+degree, and annihilators one `Fraction` kernel over every squarefree
+monomial; the containment probe takes `Fraction` kernels and sums on the
+minors; the Moebius pairing walks the full lattice of flats. The library
+reads derivative values off the basis masks, decides In(Q^k) and HRR_k by
+one integer bordered inertia and socle triviality by a column containment,
+reads dim A^(r-k) off E_k, runs the probe on integer kernels and integer
+sums inside M, and pairs only the closures of the independent k-sets.
 """
 
 import math
 from fractions import Fraction
+from itertools import combinations
 
 import linalg_oracle
 import matroid_oracle
@@ -24,7 +26,8 @@ from logcavity.hodge import facet_point, graded_evaluation
 from logcavity.linalg import Inertia, QMatrix, _bits, inertia, kernel_basis, solve
 from logcavity.matroids import FlatLattice
 from logcavity.polynomials import MPoly, basis_generating_poly
-from matroid_oracle import independent_subsets
+from linalg_oracle import apply
+from matroid_oracle import contract, delete, independent_subsets
 
 
 def derivative(m, mask, point):
@@ -99,7 +102,7 @@ def kernel_contained(constraint, target):
     else:
         kernel = QMatrix.identity(target.cols).m
     for v in kernel:
-        if any(x != 0 for x in target.apply(v)):
+        if any(x != 0 for x in apply(target, v)):
             return False
     return True
 
@@ -146,7 +149,8 @@ def inverse_hessian_nonzero(m):
         keep = [i for i in range(m.n) if i != idx]
         contracted = f.partial(idx)
         grad = [contracted.partial(i).evaluate(point) for i in keep]
-        deleted = f - MPoly.variable(m.n, idx) * contracted
+        x_e = MPoly(m.n, {tuple(int(i == idx) for i in range(m.n)): 1})
+        deleted = f - x_e * contracted
         sub = deleted.hessian_at(point).submatrix(keep, keep)
         try:
             x = solve(sub, grad)
@@ -164,8 +168,8 @@ def containment_probe(m, e):
     contraction column by a `Fraction` sum over label sets. A counterexample
     is (k, {label frozenset: coefficient}) over the nonzero coefficients, in
     row order."""
-    deleted = m.delete([e])
-    contracted = m.contract([e])
+    deleted = delete(m, [e])
+    contracted = contract(m, [e])
     base_set = set(contracted.bases)
     for k in range(1, deleted.rank + 1):
         rows = independent_subsets(deleted, k)
@@ -192,6 +196,17 @@ def containment_probe(m, e):
                     coeffs = {s: c for s, c in zip(subsets, vec) if c != 0}
                     return False, (k, coeffs)
     return True, None
+
+
+def annihilator_basis(m, k):
+    """(the squarefree k-sets as label sets, a `Fraction` basis of the
+    degree-k annihilator on them): the kernel of the transposed evaluation
+    over every k-set, dependent ones included."""
+    bases = set(m.bases)
+    rows = [sum(1 << i for i in c) for c in combinations(range(m.n), k)]
+    cols = independent_subsets(m, m.rank - k)
+    matrix = QMatrix([Fraction(int(a | c in bases)) for a in rows] for c in cols)
+    return [m._labels(a) for a in rows], linalg_oracle.kernel_basis(matrix)
 
 
 def graded_dims(m):

@@ -5,7 +5,9 @@ entries, written independently of the fraction-free integer kernel in
 `logcavity.linalg`, and returns exactly what the public entry point of the
 same name returns. The last two, `eager_eliminate` and `eager_inertia`, are
 the eager Bareiss eliminations that rescale every row at every step; the
-lazy kernel must reproduce their pivots and rows bit for bit.
+lazy kernel must reproduce their pivots and rows bit for bit. `diagonal`
+and `apply` build the diagonal matrices and matrix-vector products that the
+tests write by hand.
 """
 
 import math
@@ -13,6 +15,19 @@ from fractions import Fraction
 
 from logcavity.errors import DimensionMismatch, NonSquare, NotSymmetric
 from logcavity.linalg import Inertia, QMatrix
+
+
+def diagonal(entries):
+    """The square matrix with the entries on its diagonal and 0 elsewhere."""
+    n = len(entries)
+    return QMatrix([entries[i] if i == j else 0 for j in range(n)] for i in range(n))
+
+
+def apply(m: QMatrix, vector):
+    """The product m v, as a tuple of Fractions."""
+    if len(vector) != m.cols:
+        raise DimensionMismatch("vector length does not match column count")
+    return tuple(sum(a * Fraction(b) for a, b in zip(row, vector)) for row in m.m)
 
 
 def det(m: QMatrix) -> Fraction:

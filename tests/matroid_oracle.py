@@ -12,6 +12,8 @@ of a point as its closure minus the loops. A basis list is validated here by
 exchange over every pair of bases, and in the library by one
 local-augmentation test per face of the complex unless the family has few
 bases for its rank.
+
+The minors the tests build are here too, since no command builds one.
 """
 
 from itertools import combinations
@@ -119,6 +121,10 @@ def independent_subsets(m, k):
     return sorted(seen)
 
 
+def _moved(mask, pos):
+    return sum(1 << pos[i] for i in _bits(mask))
+
+
 def restrict(m, t_mask):
     """The bases of the restriction to t_mask: its independent sets of size
     rank(t_mask), in the positions of t_mask's elements."""
@@ -130,3 +136,35 @@ def restrict(m, t_mask):
             masks.add(sum(1 << i for i in combo))
     return Matroid(tuple(m.ground[i] for i in keep), sorted(masks))
 
+
+
+def delete(m, T):
+    """M \\ T: the restriction to the elements outside the labels T."""
+    return restrict(m, ((1 << m.n) - 1) & ~m._mask(T))
+
+
+def contract(m, T):
+    """M / T: the bases are B - T over the bases B that meet T in B_T, a
+    greedy basis of T (Oxley, Matroid Theory). B_T extends to a basis, which
+    meets T in B_T alone, so there is at least one."""
+    t_mask = m._mask(T)
+    bt = m._greedy(t_mask)[0]
+    keep = [i for i in range(m.n) if not t_mask >> i & 1]
+    pos = {old: new for new, old in enumerate(keep)}
+    masks = {_moved(b & ~t_mask, pos) for b in m.bases if b & t_mask == bt}
+    return Matroid(tuple(m.ground[i] for i in keep), sorted(masks))
+
+
+def simplify(m):
+    """(simple matroid on parallel-class representatives, fiber map). The
+    representative of each class is its smallest-index member; the fiber map
+    sends every non-loop to its representative."""
+    reps, fiber, pos = [], {}, {}
+    for cls in m.parallel_data().classes:
+        rep = min(cls, key=lambda e: m._index[e])
+        for e in cls:
+            fiber[e] = rep
+            pos[m._index[e]] = len(reps)
+        reps.append(rep)
+    masks = {_moved(b, pos) for b in m.bases}
+    return Matroid(tuple(reps), sorted(masks)), fiber

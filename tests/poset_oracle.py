@@ -1,12 +1,30 @@
 """Linear-extension enumeration routines, used only as test oracles.
 
-Each routine lists the extensions with `Poset.extensions` and returns exactly
-what the public entry point of the same name in `logcavity.posets` returns;
-the library computes the same statistics by dynamic programming over order
-ideals instead.
+Each routine but the first three lists the extensions with
+`Poset.extensions` and returns exactly what the public entry point of the
+same name in `logcavity.posets` returns (`stanley_chain_counts` what the
+library's `fixed_rank_count` returns); the library computes the same
+statistics by dynamic programming over order ideals instead. `antichain`,
+`has_bounds` and `normalize` build and inspect the posets the tests use.
 """
 
-from logcavity.posets import DEFAULT_EXTENSION_CAP, normalize
+from logcavity.posets import DEFAULT_EXTENSION_CAP, MarkedPoset, Poset
+
+
+def antichain(labels):
+    return Poset.from_relations(tuple(labels), [])
+
+
+def has_bounds(p):
+    """Whether p has a least and a greatest element."""
+    full = (1 << p.n) - 1
+    return full in p.up and full in p.down
+
+
+def normalize(mp):
+    """The marked poset the Kahn-Saks statistics read: x <= y adjoined and
+    global bounds present (`MarkedPoset._ks`)."""
+    return MarkedPoset(mp._ks.poset, mp.x, mp.y)
 
 
 def _positions(order):
@@ -34,6 +52,8 @@ def stanley_all_positions(p, cap=DEFAULT_EXTENSION_CAP):
 
 
 def stanley_chain_counts(p, chain, positions, cap=DEFAULT_EXTENSION_CAP):
+    """Extensions placing each element of chain, a chain or not, at its
+    position."""
     want = dict(zip((p.index(c) for c in chain), positions))
     count = 0
     for order in p.extensions(cap):

@@ -2,9 +2,8 @@
 used only as a test oracle.
 
 It copies a report into a plain tree, with `asdict` for dataclasses, and
-hands the tree to `json.dumps(..., sort_keys=True, indent=2)`; CSV was
-flattened from the same tree. The CLI writes the same bytes walking the
-report once, and flattens CSV from the JSON text.
+hands the tree to `json.dumps(..., sort_keys=True, indent=2)`. The CLI
+writes the same bytes walking the report once.
 """
 
 import json
@@ -47,26 +46,6 @@ def payload(report):
             "version": report.version,
         }
     )
-
-
-def flatten(obj, prefix=""):
-    out = {}
-    if isinstance(obj, dict):
-        for k, v in obj.items():
-            out.update(flatten(v, f"{prefix}{k}."))
-    elif isinstance(obj, list):
-        for i, v in enumerate(obj):
-            out.update(flatten(v, f"{prefix}{i}."))
-    else:
-        out[prefix.rstrip(".")] = json.dumps(obj)
-    return out
-
-
-def csv_text(tree):
-    """The CSV report of a tree: one row per leaf, keyed by its dotted path."""
-    flat = flatten(tree)
-    lines = ["key,value"] + [f"{k},{flat[k]}" for k in sorted(flat)]
-    return "\n".join(lines) + "\n"
 
 
 def report_bytes(report):

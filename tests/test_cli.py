@@ -1,3 +1,4 @@
+import csv
 import io
 import json
 import os
@@ -23,10 +24,10 @@ from logcavity.stanley import parallel_replicate
 from logcavity.zoo import (
     k23_graph,
     matroid_zoo,
-    random_positive_definite,
     random_psd_with_factor,
     ratio_two_witness_poset,
 )
+from discriminant_oracle import random_positive_definite
 
 
 @pytest.fixture
@@ -58,9 +59,10 @@ def poly(term):
 
 
 def golden_csv(name):
-    """A CSV report pinned from the earlier encoder, whose last row, the
-    version, is left out of the file."""
-    return (GOLDEN / name).read_text() + f"version,{json.dumps(__version__)}\n"
+    """A pinned CSV report, whose last row, the version (its JSON text in a
+    quoted field), is left out of the file."""
+    version = json.dumps(__version__).replace('"', '""')
+    return (GOLDEN / name).read_text() + f'version,"{version}"\n'
 
 
 def run_json(capsys, argv):
@@ -249,7 +251,7 @@ class TestPosetCommand:
         # 11! extensions exceed the default cap of 10!; the prefix count of
         # the ideal lattice passes it at size 8, before any extension exists
         path = tmp_path / "antichain11.json"
-        path.write_text(json.dumps(Poset.antichain(range(11)).to_json()))
+        path.write_text(json.dumps(Poset.from_relations(range(11), []).to_json()))
 
         def listed(*args, **kwargs):
             raise AssertionError("linear extensions were listed")
@@ -476,14 +478,27 @@ class TestReportContract:
         assert capsys.readouterr().out == golden_csv("kahnsaks_witness.csv")
 
     def test_csv_ignores_key_insertion_order(self):
-        # "a" → [5] and "a.0" flatten to one key; the JSON text, whose keys
-        # are sorted, decides which value the row keeps
+        # "a" → [5] and "a.0" keep apart, the dot inside a key escaped, in
+        # the order of the sorted keys whatever order the input had
         rows = [
             emitted(RunReport("demo", {}, results), "csv")
             for results in ({"a": [5], "a.0": 7}, {"a.0": 7, "a": [5]})
         ]
         assert rows[0] == rows[1]
-        assert "results.a.0,7\n" in rows[0]
+        assert "results.a.0,5\nresults.a\\.0,7\n" in rows[0]
+
+    def test_csv_quotes_fields_and_escapes_keys(self, tmp_path, capsys):
+        # a label with a comma is one quoted field, a string value is its
+        # JSON text, quoted, and "\\" and "." in a key are escaped
+        path = tmp_path / "poset.json"
+        path.write_text(json.dumps({"elements": ["a,b", "c"], "relations": []}))
+        assert main(["poset", "--poset", str(path), "--format", "csv"]) == 0
+        rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+        assert all(len(row) == 2 for row in rows)
+        assert ["results.position_counts.a,b.0", "1"] in rows
+        assert ["inputs.poset.elements.0", '"a,b"'] in rows
+        text = emitted(RunReport("demo", {}, {"x\\": 1, "y.z": "w"}), "csv")
+        assert 'results.x\\\\,1\nresults.y\\.z,"""w"""\n' in text
 
     @pytest.mark.parametrize(
         "argv",
@@ -593,6 +608,26 @@ def emitted(report, fmt):
     return out.getvalue()
 
 
+def path_segments(key):
+    """The keys and indices of a CSV path: split at each "." that no "\\"
+    escapes, each escape undone."""
+    segments, current, chars = [], [], iter(key)
+    for c in chars:
+        if c == ".":
+            segments.append("".join(current))
+            current = []
+        else:
+            current.append(next(chars) if c == "\\" else c)
+    return segments + ["".join(current)]
+
+
+def count_leaves(tree):
+    if isinstance(tree, (dict, list)):
+        values = tree.values() if isinstance(tree, dict) else tree
+        return sum(map(count_leaves, values))
+    return 1
+
+
 class TestReportEncoder:
     """`cli._text` and `cli._emit` against the old route of `report_oracle`."""
 
@@ -611,10 +646,22 @@ class TestReportEncoder:
 
     @settings(max_examples=100, deadline=None)
     @given(VALUES)
-    def test_csv_is_old_flatten_of_the_json_text(self, results):
+    def test_csv_round_trips_to_the_json_leaves(self, results):
+        # csv.reader reads two fields per row and one row per leaf of the
+        # JSON report, keyed by the leaf's escaped path, valued by its text
         report = RunReport("demo", {}, {"r": results})
-        tree = json.loads(oracle.report_bytes(report))
-        assert emitted(report, "csv") == oracle.csv_text(tree)
+        tree = json.loads(emitted(report, "json"))
+        rows = list(csv.reader(io.StringIO(emitted(report, "csv"))))
+        assert rows[0] == ["key", "value"]
+        assert all(len(row) == 2 for row in rows)
+        keys = [key for key, _ in rows[1:]]
+        assert keys == sorted(set(keys))
+        assert len(keys) == count_leaves(tree)
+        for key, value in rows[1:]:
+            leaf = tree
+            for segment in path_segments(key):
+                leaf = leaf[int(segment) if isinstance(leaf, list) else segment]
+            assert value == json.dumps(leaf)
 
 
 class TestParserReuse:

@@ -18,13 +18,15 @@ from logcavity.errors import (
     UnknownElement,
 )
 from logcavity.linalg import Graph, Inertia, QMatrix, inertia, integer_inertia
+from logcavity.linalg import integer_row_basis, rank_of_matrix
 from logcavity.matroids import FlatLattice, Matroid
 from logcavity.hodge import (
     GorensteinRing,
-    MobiusAlgebra,
+    _evaluation_entries,
+    _flat_masks,
     _hrr_verdict,
+    _ring_at,
     annihilator_containment_probe,
-    annihilator_kernel,
     facet_point,
     facet_theorem_scan,
     graded_dims,
@@ -34,12 +36,9 @@ from logcavity.hodge import (
     hrr_check,
     in_annihilator,
     mobius_pairing,
-    mobius_pairing_zero_count_identity,
-    signature_formula_check,
-    simplification_isomorphism_check,
     socle_check,
-    theta_consistency_check,
 )
+from matroid_oracle import contract, delete, simplify
 from logcavity.polynomials import basis_generating_poly
 from logcavity.zoo import (
     bridge_graph,
@@ -150,22 +149,19 @@ class TestAnnihilator:
             in_annihilator(U23, {frozenset({0}): 1, frozenset({0, 1}): 1})
 
     def test_explicit_element_in_kernel_span(self):
+        # the element above lies in the span of the annihilator's basis
         m = linear_3x5_matroid()
-        report = annihilator_kernel(m, 2)
+        subsets, vectors = oracle.annihilator_basis(m, 2)
         target = {
-            frozenset({1, 3}): Fraction(1),
-            frozenset({4, 5}): Fraction(1),
-            frozenset({1, 5}): Fraction(-1),
-            frozenset({3, 4}): Fraction(-1),
+            frozenset({1, 3}): 1,
+            frozenset({4, 5}): 1,
+            frozenset({1, 5}): -1,
+            frozenset({3, 4}): -1,
         }
-        vec = [target.get(s, Fraction(0)) for s in report.row_subsets]
-        # solve for membership in the kernel span by rank comparison
-        from logcavity.linalg import rank_of_matrix
-
-        rows = [list(v) for v in report.vectors]
-        base_rank = rank_of_matrix(QMatrix(rows)) if rows else 0
-        joined_rank = rank_of_matrix(QMatrix(rows + [vec]))
-        assert base_rank == joined_rank
+        vec = [target.get(s, 0) for s in subsets]
+        assert rank_of_matrix(QMatrix(vectors)) == rank_of_matrix(
+            QMatrix(vectors + [vec])
+        )
 
     def test_parallel_difference_degree_one(self):
         m = tripled_u23()
@@ -176,53 +172,52 @@ class TestAnnihilator:
 
     def test_dependent_monomial_in_kernel(self):
         m = tripled_u23()
-        report = annihilator_kernel(m, 2)
-        dependent = next(
-            s for s in report.row_subsets if not m.is_independent(s)
-        )
-        idx = report.row_subsets.index(dependent)
-        unit = [Fraction(0)] * len(report.row_subsets)
-        unit[idx] = Fraction(1)
-        from logcavity.linalg import rank_of_matrix
-
-        rows = [list(v) for v in report.vectors]
-        assert rank_of_matrix(QMatrix(rows)) == rank_of_matrix(
-            QMatrix(rows + [unit])
+        subsets, vectors = oracle.annihilator_basis(m, 2)
+        dependent = next(s for s in subsets if m.rank_of(s) < len(s))
+        assert in_annihilator(m, {dependent: 1})
+        unit = [int(s == dependent) for s in subsets]
+        assert rank_of_matrix(QMatrix(vectors)) == rank_of_matrix(
+            QMatrix(vectors + [unit])
         )
 
     def test_kernel_dimension(self):
-        # the kernel runs over all squarefree k-sets, C(n, k) coordinates
-        for m in (U23, MK4):
+        # the annihilator runs over all squarefree k-sets, C(n, k)
+        # coordinates, and has the codimension dim A^k; each vector of its
+        # basis is in the annihilator, and no basis monomial is
+        for m in (U23, MK4, tripled_u23()):
             for k in range(m.rank + 1):
                 ev = graded_evaluation(m, k)
-                report = annihilator_kernel(m, k)
-                assert len(report.row_subsets) == math.comb(m.n, k)
-                assert len(report.vectors) == math.comb(m.n, k) - ev.dimension
+                subsets, vectors = oracle.annihilator_basis(m, k)
+                assert len(subsets) == math.comb(m.n, k)
+                assert len(vectors) == math.comb(m.n, k) - ev.dimension
+                for v in vectors:
+                    assert in_annihilator(m, dict(zip(subsets, v)))
+            for b in m.basis_label_sets():  # d^B f = 1
+                assert not in_annihilator(m, {b: 1})
 
     @pytest.mark.parametrize("k", [-1, 4])
     def test_degree_outside_zero_to_rank_raises(self, k):
-        for build in (graded_evaluation, annihilator_kernel):
-            with pytest.raises(DegreeTooHigh, match=f"degree {k} outside 0..rank"):
-                build(MK4, k)
+        with pytest.raises(DegreeTooHigh, match=f"degree {k} outside 0..rank"):
+            graded_evaluation(MK4, k)
 
 
 class TestHRForm:
     def test_u23_degree_one_is_hessian(self):
         q = hr_form(U23, 1, [1, 1, 1])
-        neg = q.matrix.scale(-1)
+        neg = q.scale(-1)
         # -Q^1 = (d-2)! Hess f = adjacency of the triangle
         assert neg == QMatrix([[0, 1, 1], [1, 0, 1], [1, 1, 0]])
         assert inertia(neg) == Inertia(1, 2, 0)
 
     def test_degree_zero(self):
         q = hr_form(U23, 0, [1, 1, 1])
-        assert q.matrix == QMatrix([[6]])  # d! f(a) = 2 * 3
+        assert q == QMatrix([[6]])  # d! f(a) = 2 * 3
 
     def test_graphic_hessian_scaling(self):
         point = [Fraction(1)] * MK4.n
         q = hr_form(MK4, 1, point)
         hess = basis_generating_poly(MK4).hessian_at(point)
-        assert q.matrix.scale(-1) == hess.scale(math.factorial(MK4.rank - 2))
+        assert q.scale(-1) == hess.scale(math.factorial(MK4.rank - 2))
 
     def test_degree_too_high(self):
         with pytest.raises(DegreeTooHigh):
@@ -332,18 +327,36 @@ class TestSocle:
 
 
 class TestSimplification:
+    """The graded dimensions agree with the simplification's, and degree-1
+    HRR verdicts, at all-ones and at the 1 + i/10 pencil, transfer along the
+    class-summing map on linear forms."""
+
+    @staticmethod
+    def assert_simplification_isomorphism(m):
+        simple, fiber = simplify(m)
+        assert graded_dims(m) == graded_dims(simple)
+        ones = tuple(Fraction(1) for _ in range(m.n))
+        pencil = tuple(Fraction(10 + i, 10) for i in range(m.n))
+        for point in (ones, pencil):
+            mapped = [Fraction(0)] * simple.n
+            for i, e in enumerate(m.ground):
+                if e in fiber:
+                    mapped[simple._index[fiber[e]]] += point[i]
+            assert hrr_check(m, 1, point) == hrr_check(simple, 1, mapped)
+
     def test_simple_is_fixed_point(self):
-        assert simplification_isomorphism_check(U23)
+        assert simplify(U23) == (U23, {0: 0, 1: 1, 2: 2})
+        self.assert_simplification_isomorphism(U23)
 
     def test_tripled_dims_match(self):
-        assert simplification_isomorphism_check(tripled_u23())
+        self.assert_simplification_isomorphism(tripled_u23())
 
     def test_random_parallel_extensions(self, rng):
         from logcavity.stanley import parallel_replicate
 
         for base in (U23, Matroid.graphic(k4_graph())):
             m, _ = parallel_replicate(base, 1, rng.randint(1, 2))
-            assert simplification_isomorphism_check(m)
+            self.assert_simplification_isomorphism(m)
 
 
 class TestMobius:
@@ -372,35 +385,38 @@ class TestMobius:
             mobius_pairing(MK23, -1)
 
     def test_zero_count_identity(self):
-        # the pairing is scalar-valued only in complementary degree 2k = rank
+        # zero eigenvalues of the pairing = (number of rank-k flats) - (rank
+        # of the flat-basis monomials in the Gorenstein quotient); the
+        # pairing is scalar-valued only in complementary degree 2k = rank
         for m in (U23, MK23, Matroid.uniform(2, 2), tripled_u23()):
             if m.rank % 2:
                 continue
-            assert mobius_pairing_zero_count_identity(m, m.rank // 2)
+            k = m.rank // 2
+            count, iner = mobius_pairing(m, k)
+            ev = graded_evaluation(m, k)
+            pos = {mask: idx for idx, mask in enumerate(ev.row_masks)}
+            thetas = [m._greedy(f)[0] for f in _flat_masks(m, k)]
+            rows = [ev.entries[pos[theta]] for theta in thetas]
+            assert iner.n_zero == count - len(integer_row_basis(rows))
 
     def test_theta_embedding_ring_hom(self):
-        # y_F y_G = y_{F v G} or 0 transfers along deletion closure
+        # in the graded Moebius algebra y_F y_G = y_(F join G) when ranks
+        # add, else 0; the product transfers along F -> cl_M(F) from M \ e
         m = MK4
-        e = 5
-        deleted = m.delete([e])
-        alg_small = MobiusAlgebra(deleted)
-        alg_big = MobiusAlgebra(m)
+        deleted = delete(m, [5])
 
-        def theta(F):
-            return m.closure_of(F)
+        def product(mat, F, G):
+            if mat.rank_of(F | G) == mat.rank_of(F) + mat.rank_of(G):
+                return mat.closure_of(F | G)
+            return None
 
-        for level in alg_small.lattice.flats_by_rank:
-            for F in level:
-                for level2 in alg_small.lattice.flats_by_rank:
-                    for G in level2:
-                        prod_small = alg_small.product(F, G)
-                        lhs = (
-                            theta(prod_small)
-                            if prod_small is not None
-                            else None
-                        )
-                        rhs = alg_big.product(theta(F), theta(G))
-                        assert lhs == rhs
+        flats = [F for level in FlatLattice.of(deleted).flats_by_rank for F in level]
+        for F in flats:
+            for G in flats:
+                small = product(deleted, F, G)
+                lhs = None if small is None else m.closure_of(small)
+                rhs = product(m, m.closure_of(F), m.closure_of(G))
+                assert lhs == rhs
 
 
 class TestProbes:
@@ -415,7 +431,7 @@ class TestProbes:
         if not probe.contained:
             k, coeffs = probe.counterexample
             assert coeffs and all(c != 0 for c in coeffs.values())
-            assert in_annihilator(MK4.delete([0]), coeffs)
+            assert in_annihilator(delete(MK4, [0]), coeffs)
 
     def test_k4_counterexample_is_genuine(self):
         # the probe's witness kills the deletion polynomial but not the
@@ -423,8 +439,8 @@ class TestProbes:
         probe = annihilator_containment_probe(MK4, 0)
         assert not probe.contained
         k, coeffs = probe.counterexample
-        deleted = MK4.delete([0])
-        contracted = MK4.contract([0])
+        deleted = delete(MK4, [0])
+        contracted = contract(MK4, [0])
         fdel = basis_generating_poly(deleted)
         fcon = basis_generating_poly(contracted)
 
@@ -441,9 +457,23 @@ class TestProbes:
         assert apply_op(deleted, fdel, pairs).is_zero()
         assert not apply_op(contracted, fcon, pairs).is_zero()
 
+    @staticmethod
+    def theta_consistent(m):
+        """The flat-to-monomial map is basis-independent: any two bases of a
+        flat give the same Gorenstein class, that is, the same evaluation
+        row."""
+        for k in range(m.rank + 1):
+            cols = m.independent_subsets(m.rank - k)
+            for f in _flat_masks(m, k):
+                bases_of_f = [b for b in m.independent_subsets(k) if b & ~f == 0]
+                rows = _evaluation_entries(m, bases_of_f, cols)
+                if any(row != rows[0] for row in rows):
+                    return False
+        return True
+
     def test_theta_consistency(self):
         for m in (U23, MK4, tripled_u23(), linear_3x5_matroid()):
-            assert theta_consistency_check(m)
+            assert self.theta_consistent(m)
 
     @staticmethod
     def theta_pair_route(m):
@@ -464,17 +494,32 @@ class TestProbes:
 
     def test_theta_consistency_matches_pair_route(self):
         for m in matroid_zoo().values():
-            assert theta_consistency_check(m) == self.theta_pair_route(m)
+            assert self.theta_consistent(m) == self.theta_pair_route(m)
 
     @settings(max_examples=60, deadline=None)
     @given(small_matroids())
     def test_theta_consistency_matches_pair_route_small(self, m):
-        assert theta_consistency_check(m) == self.theta_pair_route(m)
+        assert self.theta_consistent(m) == self.theta_pair_route(m)
 
 
 class TestSignatureFormula:
+    @staticmethod
+    def signature_formula(m, k, point):
+        """(hypotheses_hold, formula_holds): when HL_i and HRR_i hold for
+        i <= k, the net signature of (-1)^k Q^k equals the alternating sum
+        of graded dimension increments."""
+        ring, point = _ring_at(m, point)
+        for i in range(1, k + 1):
+            if not (hl_check(m, i, point) and hrr_check(m, i, point)):
+                return False, False
+        block = ring.hr_inertia(k, point)[0]
+        sigma = (-1) ** k * (block.n_pos - block.n_neg)
+        dims = [0] + graded_dims(m)
+        expect = sum((-1) ** i * (dims[i + 1] - dims[i]) for i in range(k + 1))
+        return True, sigma == expect
+
     def test_u23_degree_one(self):
-        held, ok = signature_formula_check(U23, 1, [1, 1, 1])
+        held, ok = self.signature_formula(U23, 1, [1, 1, 1])
         assert held and ok
 
     def test_zoo_where_hypotheses_hold(self):
@@ -483,12 +528,12 @@ class TestSignatureFormula:
                 continue
             point = [1] * m.n
             for k in range(1, m.rank // 2 + 1):
-                held, ok = signature_formula_check(m, k, point)
+                held, ok = self.signature_formula(m, k, point)
                 if held:
                     assert ok, (name, k)
 
     def test_k23_hypotheses_fail_quietly(self):
-        held, _ = signature_formula_check(MK23, 2, [1] * 6)
+        held, _ = self.signature_formula(MK23, 2, [1] * 6)
         assert not held  # HRR_2 fails, so the formula is not asserted
 
 
@@ -567,7 +612,7 @@ class TestOracleProperties:
     def test_forms_and_hrr_match(self, inst):
         m, k, point = inst
         form = oracle.hr_form(m, k, point)
-        assert hr_form(m, k, point).matrix == form
+        assert hr_form(m, k, point) == form
         ring = GorensteinRing.of(m)
         assert ring.hr_inertia(k, point)[0] == inertia(form)
         assert _hrr_verdict(ring, k, point) == oracle.hrr_verdict(m, k, point)
@@ -607,9 +652,8 @@ class TestOracleProperties:
     @given(small_matroids(), st.data())
     def test_mobius_route_matches_full_lattice(self, m, data):
         levels = FlatLattice.of(m).flats_by_rank
-        alg = MobiusAlgebra(m)
         for k in range(m.rank + 1):
-            assert alg.flats_of_rank(k) == levels[k]
+            assert tuple(map(m._labels, _flat_masks(m, k))) == levels[k]
         k = data.draw(st.integers(min_value=0, max_value=m.rank // 2))
         assert mobius_pairing(m, k) == oracle.mobius_pairing(m, k)
 

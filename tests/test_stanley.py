@@ -6,13 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from logcavity.errors import (
-    BadMultiplicities,
-    DegenerateEnds,
-    DimensionMismatch,
-    LoopPresent,
-    RankDeficient,
-)
+from logcavity.errors import BadMultiplicities, DimensionMismatch, LoopPresent
 from logcavity.linalg import (
     Graph,
     reduced_incidence_matrix,
@@ -21,10 +15,9 @@ from logcavity.linalg import (
 from logcavity.matroids import Matroid
 from logcavity.stanley import (
     B_count,
+    _constant_ratio,
     g_polynomial,
-    graphic_equality_check,
     mason_sequence,
-    minkowski_route_check,
     mixed_volume_zonotopes,
     parallel_replicate,
     ratio_condition_check,
@@ -174,22 +167,36 @@ class TestRatioCondition:
 
 
 class TestGraphicEquality:
+    """The equality trichotomy for the spanning-tree counting sequence of a
+    connected loopless multigraph under an edge bipartition R, Q with both
+    classes spanning: (a) equality at some k, (b) equality at every k and
+    (c) one R:Q edge-multiplicity ratio across adjacent vertex pairs."""
+
+    @staticmethod
+    def trichotomy(graph, r_indices):
+        """(a, b, c, ratio), or None when a class spans no tree."""
+        m = Matroid.graphic(graph)
+        r_set = frozenset(r_indices)
+        q_set = frozenset(range(len(graph.edges))) - r_set
+        if m.rank_of(r_set) != m.rank or m.rank_of(q_set) != m.rank:
+            return None
+        seq = stanley_matroid_sequence(m, r_set)
+        eq = seq.equality_indices()
+        pair_counts = {}  # vertex pair -> [edges in R, edges in Q]
+        for idx, (u, v) in enumerate(graph.edges):
+            counts = pair_counts.setdefault((min(u, v), max(u, v)), [0, 0])
+            counts[idx not in r_set] += 1
+        c_holds, ratio = _constant_ratio(pair_counts.values())
+        return bool(eq), len(eq) == max(len(seq.normalized) - 2, 0), c_holds, ratio
+
     def test_doubled_k3_ratio_one(self):
         g = doubled_k3_graph()
-        verdict = graphic_equality_check(g, [0, 2, 4])
-        assert verdict.c_holds and verdict.ratio == 1
-        assert verdict.a_holds and verdict.b_holds
+        assert self.trichotomy(g, [0, 2, 4]) == (True, True, True, 1)
 
     def test_k4_path_split_fails(self):
         g = k4_graph()
         # R = a Hamiltonian path; the complement is also spanning
-        verdict = graphic_equality_check(g, [0, 3, 5])
-        assert not verdict.c_holds
-        assert not verdict.a_holds and not verdict.b_holds
-
-    def test_rank_deficient(self):
-        with pytest.raises(RankDeficient):
-            graphic_equality_check(k4_graph(), [0])
+        assert self.trichotomy(g, [0, 3, 5]) == (False, False, False, None)
 
     def test_three_vertex_family(self, rng):
         # multigraph family on 3 vertices: equivalence of the three conditions
@@ -201,11 +208,10 @@ class TestGraphicEquality:
             g = Graph(3, tuple(edges))
             for r_mask in range(1, 2 ** len(edges) - 1):
                 r_idx = [i for i in range(len(edges)) if r_mask >> i & 1]
-                try:
-                    verdict = graphic_equality_check(g, r_idx)
-                except RankDeficient:
+                verdict = self.trichotomy(g, r_idx)
+                if verdict is None:
                     continue
-                assert verdict.a_holds == verdict.b_holds == verdict.c_holds
+                assert verdict[0] == verdict[1] == verdict[2]
                 checked += 1
             if checked > 400:
                 break
@@ -221,11 +227,10 @@ class TestGraphicEquality:
             edges = list(range(len(g.edges)))
             rng.shuffle(edges)
             r_idx = edges[: rng.randint(1, len(edges) - 1)]
-            try:
-                verdict = graphic_equality_check(g, r_idx)
-            except RankDeficient:
+            verdict = self.trichotomy(g, r_idx)
+            if verdict is None:
                 continue
-            assert verdict.a_holds == verdict.b_holds == verdict.c_holds
+            assert verdict[0] == verdict[1] == verdict[2]
             checked += 1
 
 
@@ -341,20 +346,29 @@ class TestMason:
 
 
 class TestMinkowskiRoute:
+    """For the normalized sequence with positive ends, Minkowski-style end
+    equality, equality at some k and equality at every k agree."""
+
+    @staticmethod
+    def assert_routes_agree(m, R):
+        seq = stanley_matroid_sequence(m, R)
+        nt = seq.normalized
+        r = len(nt) - 1
+        assert nt[0] and nt[r]
+        minkowski = nt[1] ** r == nt[0] ** (r - 1) * nt[r]
+        eq = seq.equality_indices()
+        assert minkowski == bool(eq) == (len(eq) == r - 1)
+
     def test_ratio_family_true(self):
         m, r_labels = parallel_replicate(U23, 1, 2)
-        assert minkowski_route_check(m, r_labels)
+        self.assert_routes_agree(m, r_labels)
 
     def test_k4_split_consistent(self):
         g = k4_graph()
         m = Matroid.graphic(g)
         # R a Hamiltonian path, Q = the complementary path
-        assert minkowski_route_check(m, [0, 3, 5])
+        self.assert_routes_agree(m, [0, 3, 5])
 
     def test_doubled_graphic_true(self):
         m = Matroid.graphic(doubled_k3_graph())
-        assert minkowski_route_check(m, [0, 2, 4])
-
-    def test_degenerate_ends(self):
-        with pytest.raises(DegenerateEnds):
-            minkowski_route_check(U23, [0])
+        self.assert_routes_agree(m, [0, 2, 4])
