@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import factorial
 
 from . import __version__
-from .errors import LogcavityError, MalformedInput, UsageError
+from .errors import DimensionMismatch, LogcavityError, MalformedInput, UsageError
 from .linalg import Graph, QMatrix, reduced_incidence_matrix
 from .matroids import DEFAULT_ELEMENT_CAP, Matroid
 from .polynomials import (
@@ -38,6 +38,7 @@ from .posets import (
     stanley_sequence,
 )
 from .discriminants import (
+    SubsetSumTable,
     alexandrov_check,
     is_psd,
     mixed_discriminant,
@@ -56,8 +57,8 @@ from .hodge import (
 )
 from .stanley import (
     _log_concave,
+    _transversal_sums,
     g_polynomial,
-    mixed_volume_zonotopes,
     ratio_condition_check,
     stanley_matroid_sequence,
 )
@@ -375,21 +376,23 @@ def cmd_stanley(args):
     r = m.rank
     q_labels = [e for e in m.ground if e not in set(r_labels)]
     g = g_polynomial(m, [r_labels, q_labels])
-    cols = None
+    tally = None
     if getattr(args, "graph", None):
         graph = Graph.from_json(_load_json(args.graph, "graph"))
         if not graph.has_loop:
             ri = reduced_incidence_matrix(graph)
-            cols = [tuple(ri.column(j)) for j in range(ri.cols)]
+            if ri.rows != r or len(graph.edges) != m.n:
+                raise DimensionMismatch("the graph needs the matroid's size and rank")
+            cols = [ri.column(j) for j in range(ri.cols)]
+            t_r, t_q = ([cols[m._index[e]] for e in s] for s in (r_labels, q_labels))
+            tally, scale = _transversal_sums([(t_r, r), (t_q, r)], r)
     for k in range(r + 1):
-        b_enum = seq.counts[k] * factorial(k) * factorial(r - k)
-        b_poly = g.coefficient((k, r - k)) * factorial(k) * factorial(r - k)
-        delta = b_enum - b_poly
-        if cols is not None:
-            t_r = [cols[m._index[e]] for e in r_labels]
-            t_q = [cols[m._index[e]] for e in q_labels]
-            volume = mixed_volume_zonotopes([t_r] * k + [t_q] * (r - k))
-            delta += abs(b_enum - factorial(r) * volume)
+        w = factorial(k) * factorial(r - k)
+        b_enum = seq.counts[k] * w
+        delta = b_enum - g.coefficient((k, r - k)) * w
+        if tally is not None:
+            # w tally / scale is r! V(Z(T_R) k times, Z(T_Q) r - k times)
+            delta += abs(b_enum - Fraction(w * tally[k, r - k], scale))
         deltas[str(k)] = str(delta)
     results["cross_check_deltas"] = deltas
     if any(v != "0" for v in deltas.values()):
@@ -440,7 +443,8 @@ def cmd_discriminant(args):
         if isinstance(mult, bool) or not isinstance(mult, int) or mult < 1:
             raise MalformedInput(f"'mult' must be an integer >= 1, got {mult!r}")
         mats += [QMatrix.from_json(entry["matrix"])] * mult
-    value = mixed_discriminant(mats)
+    table = SubsetSumTable(mats)
+    value = mixed_discriminant(mats, table)
     results = {"value": str(value), "n": mats[0].rows, "count": len(mats)}
     violations = []
     # one inertia per distinct matrix, shared with alexandrov_check below
@@ -454,7 +458,7 @@ def cmd_discriminant(args):
     if len(mats) == mats[0].rows and len(mats) >= 2:
         x, y, rest = mats[0], mats[1], mats[2:]
         try:
-            rep = alexandrov_check(x, y, rest, mixed=value, psd=psd)
+            rep = alexandrov_check(x, y, rest, table, psd)
             results["alexandrov"] = {
                 "lhs": str(rep.lhs),
                 "rhs": str(rep.rhs),

@@ -25,32 +25,48 @@ def _square_tuple(mats):
     return mats
 
 
-def mixed_discriminant(mats) -> Fraction:
+class SubsetSumTable:
+    """det(sum j_i A_i) over the distinct matrices A_i of one command, each
+    sum once, in integers: the entries are scaled by their common denominator."""
+
+    def __init__(self, mats):
+        self.index = {a: i for i, a in enumerate(dict.fromkeys(mats))}
+        self.d = math.lcm(*(x.denominator for a in self.index for r in a.m for x in r))
+        # each matrix as one flat row-major list of d-scaled integer entries
+        self.scaled = [
+            [x.numerator * (self.d // x.denominator) for row in a.m for x in row]
+            for a in self.index
+        ]
+        self.dets = {}
+
+    def det(self, key):
+        """d^n det(sum j_i A_i) for key, the sorted pairs (i, j_i), j_i > 0."""
+        if key not in self.dets:
+            n = next(iter(self.index)).rows
+            flat = [0] * (n * n)
+            for i, j in key:
+                flat = [x + j * y for x, y in zip(flat, self.scaled[i])]
+            self.dets[key] = integer_det([flat[r * n : (r + 1) * n] for r in range(n)])
+        return self.dets[key]
+
+
+def mixed_discriminant(mats, table=None) -> Fraction:
     """D(A_1, ..., A_n) as the polarization of det (Bapat, Mixed
     discriminants of positive semidefinite matrices, 1989): with distinct
     matrices A_i taken m_i times, n! D is the sum over 0 <= j_i <= m_i of
-    (-1)^(n - sum j) prod C(m_i, j_i) det(sum j_i A_i). The entries are
-    scaled once by their common denominator d, so every determinant is of
-    integers, and the sum is divided by n! d^n."""
+    (-1)^(n - sum j) prod C(m_i, j_i) det(sum j_i A_i), each determinant
+    read from table (one of these matrices alone by default), which must
+    hold every A_i."""
     mats = _square_tuple(mats)
-    n = len(mats)
+    table = table or SubsetSumTable(mats)
     groups = Counter(mats)
-    d = math.lcm(*(x.denominator for a in groups for row in a.m for x in row))
-    # each matrix as one flat row-major list of d-scaled integer entries
-    scaled = [
-        [x.numerator * (d // x.denominator) for row in a.m for x in row]
-        for a in groups
-    ]
+    where = [table.index[a] for a in groups]
 
     def value(js):
-        flat = [0] * (n * n)
-        for j, a in zip(js, scaled):
-            if j:
-                flat = [x + j * y for x, y in zip(flat, a)]
-        return integer_det([flat[r * n : (r + 1) * n] for r in range(n)])
+        return table.det(tuple(sorted((i, j) for i, j in zip(where, js) if j)))
 
     total = polarization_sum(list(groups.values()), value)
-    return Fraction(total, math.factorial(n) * d**n)
+    return Fraction(total, math.factorial(len(mats)) * table.d ** len(mats))
 
 
 def mixed_discriminant_perm(mats) -> Fraction:
@@ -67,49 +83,21 @@ def mixed_discriminant_perm(mats) -> Fraction:
     return total / math.factorial(n)
 
 
-@dataclass(frozen=True)
-class GramFactor:
-    """Column factor X with per-column nonnegative weights: represents the
-    PSD matrix  sum_j w_j x_j x_j^T  without leaving rational arithmetic."""
-
-    columns: tuple  # tuple of column tuples
-    weights: tuple  # tuple of Fractions
-
-    @staticmethod
-    def from_matrix(x: QMatrix):
-        return GramFactor(
-            tuple(x.column(j) for j in range(x.cols)),
-            tuple(Fraction(1) for _ in range(x.cols)),
-        )
-
-
 def mixed_discriminant_gram(factors) -> Fraction:
-    """(1/n!) sum over column choices of weight-scaled squared determinants.
-
-    Each factor is a QMatrix with n rows (unit weights) or a GramFactor; the
-    value equals the permutation-formula discriminant of X_k X_k^T."""
-    norm = []
-    for f in factors:
-        if isinstance(f, QMatrix):
-            f = GramFactor.from_matrix(f)
-        norm.append(f)
-    if not norm:
+    """(1/n!) sum over column choices of squared determinants: each factor
+    X_k is a QMatrix with n rows, and the value equals the
+    permutation-formula discriminant of the X_k X_k^T."""
+    if not factors:
         raise DimensionMismatch("need at least one factor")
-    n = len(norm[0].columns[0])
-    if any(len(c) != n for f in norm for c in f.columns):
+    n = factors[0].rows
+    if any(f.rows != n for f in factors):
         raise DimensionMismatch("all factor columns must have n entries")
-    if len(norm) != n:
+    if len(factors) != n:
         raise DimensionMismatch(f"need exactly {n} factors for dimension {n}")
+    columns = [[f.column(j) for j in range(f.cols)] for f in factors]
     total = Fraction(0)
-    for choice in product(*[range(len(f.columns)) for f in norm]):
-        cols = [norm[k].columns[j] for k, j in enumerate(choice)]
-        w = Fraction(1)
-        for k, j in enumerate(choice):
-            w *= norm[k].weights[j]
-        if w == 0:
-            continue
-        d = det(QMatrix(zip(*cols)))
-        total += w * d * d
+    for cols in product(*columns):
+        total += det(QMatrix(zip(*cols))) ** 2
     return total / math.factorial(n)
 
 
@@ -128,14 +116,16 @@ def is_psd(a: QMatrix) -> bool:
 
 
 def alexandrov_check(
-    x: QMatrix, y: QMatrix, fixed, mixed=None, psd=is_psd
+    x: QMatrix, y: QMatrix, fixed, table=None, psd=is_psd
 ) -> AlexandrovReport:
     """Alexandrov's inequality for mixed discriminants, with exact equality
     detection and proportionality extraction.
 
-    A caller that already holds D(X, Y, fixed) passes it as mixed, and one
-    that already tests matrices for positive semidefiniteness passes its
-    (memoized) test as psd, so that neither is computed twice."""
+    D(X, Y, fixed), D(X, X, fixed) and D(Y, Y, fixed) share the
+    determinants of one SubsetSumTable, the caller's table if given (it
+    must hold X, Y and the fixed matrices), and a caller that already tests
+    matrices for positive semidefiniteness passes its (memoized) test as
+    psd, so that no determinant or inertia is computed twice."""
     fixed = list(fixed)
     n = x.rows
     if y.rows != n or y.cols != n or x.cols != n:
@@ -149,10 +139,10 @@ def alexandrov_check(
             raise NotPSD("fixed matrices must be positive semidefinite")
     if not (x.is_symmetric and y.is_symmetric):
         raise NotSymmetric("X and Y must be symmetric")
-    if mixed is None:
-        mixed = mixed_discriminant([x, y] + fixed)
-    xx = mixed_discriminant([x, x] + fixed)
-    yy = mixed_discriminant([y, y] + fixed)
+    table = table or SubsetSumTable([x, y] + fixed)
+    mixed = mixed_discriminant([x, y] + fixed, table)
+    xx = mixed_discriminant([x, x] + fixed, table)
+    yy = mixed_discriminant([y, y] + fixed, table)
     lhs = mixed * mixed
     rhs = xx * yy
     equal = lhs == rhs

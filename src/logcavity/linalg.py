@@ -485,9 +485,11 @@ def incidence_matrix(graph: Graph) -> QMatrix:
 
 
 def reduced_incidence_matrix(graph: Graph) -> QMatrix:
-    """Incidence matrix with the last vertex row removed."""
+    """Incidence matrix with the last vertex row of each component removed:
+    a greedy row basis, so its columns are totally unimodular in dimension
+    rank, with the spanning forests as bases."""
     b = incidence_matrix(graph)
-    return b.submatrix(range(b.rows - 1), range(b.cols))
+    return b.submatrix(integer_row_basis([map(int, r) for r in b.m]), range(b.cols))
 
 
 def spanning_tree_count(graph: Graph) -> int:

@@ -10,10 +10,10 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import product
 
 from .errors import BadMultiplicities, DimensionMismatch, LoopPresent, TooLarge
-from .linalg import QMatrix, _bits, integer_det
+from .linalg import QMatrix, _bits
 from .matroids import Matroid
 from .polynomials import basis_generating_poly
 
@@ -126,27 +126,43 @@ def _constant_ratio(pairs):
     return True, next(iter(ratios), None)
 
 
-def _transversal_sum(groups) -> Fraction:
-    """Sum of |det| over the square matrices whose rows are m distinct
-    positions of each group (vectors, m). Denominators are cleared once by
-    their common lcm d, so every determinant is of integers; equal vectors
-    of a group are taken once, weighted by their count, and zero vectors not
-    at all, since a repeated or zero row has determinant 0."""
-    d = math.lcm(*(x.denominator for vectors, _ in groups for v in vectors for x in v))
-    choices = []
-    for vectors, m in groups:
-        counts = Counter(
-            tuple(x.numerator * (d // x.denominator) for x in v)
-            for v in vectors
-            if any(v)
-        )
-        choices.append(combinations(counts.items(), m))
-    total = 0
-    for choice in product(*choices):
-        rows = [v for picked in choice for v, _ in picked]
-        weight = math.prod(c for picked in choice for _, c in picked)
-        total += weight * abs(integer_det(rows))
-    return Fraction(total, d ** sum(m for _, m in groups))
+def _transversal_sums(groups, n):
+    """(tally, d^n): tally[k] sums |det| over the n x n matrices whose rows
+    are k_i distinct positions of group i, for the groups (vectors, cap) and
+    every k with k_i <= cap_i, denominators cleared by their lcm d. A
+    depth-first pass adds one row at a time to a fraction-free (Bareiss)
+    echelon form, each later candidate reduced one step against the new
+    pivot row; the last pivot is +-det. A candidate that reduces to zero
+    depends on the rows taken, so every completion through it has det 0 and
+    it leaves the branch. Equal vectors of a group are taken once, weighted
+    by their count; zero vectors never."""
+    d = math.lcm(*(x.denominator for vs, _ in groups for v in vs for x in v))
+    items = []
+    for g, (vs, cap) in enumerate(groups):
+        scaled = Counter(tuple(x.numerator * d // x.denominator for x in v) for v in vs)
+        items += [(g, v, c) for v, c in scaled.items() if any(v) and cap]
+    taken, tally = [0] * len(groups), Counter()
+
+    def visit(cands, need, prev, weight):
+        if not need:
+            tally[tuple(taken)] += weight * abs(prev)
+            return
+        for i in range(len(cands) - need + 1):
+            g, row, c = cands[i]
+            col = next(j for j, x in enumerate(row) if x)
+            p = row[col]
+            taken[g] += 1
+            later = []
+            for h, other, w in cands[i + 1 :] if need > 1 else ():
+                f = other[col]
+                other = [(x * p - f * y) // prev for x, y in zip(other, row)]
+                if taken[h] < groups[h][1] and any(other):
+                    later.append((h, other, w))
+            visit(later, need - 1, p, weight * c)
+            taken[g] -= 1
+
+    visit(items, n, 1, 1)
+    return tally, d**n
 
 
 def zonotope_volume(vectors) -> Fraction:
@@ -159,7 +175,8 @@ def zonotope_volume(vectors) -> Fraction:
     n = len(vectors[0])
     if any(len(v) != n for v in vectors):
         raise DimensionMismatch("all vectors must have the same dimension")
-    return _transversal_sum([(vectors, n)])
+    tally, scale = _transversal_sums([(vectors, n)], n)
+    return Fraction(tally[n,], scale)
 
 
 def mixed_volume_zonotopes(lists) -> Fraction:
@@ -170,17 +187,14 @@ def mixed_volume_zonotopes(lists) -> Fraction:
     transversal sum over those subsets. With no zonotopes the value is 0."""
     lists = [tuple(tuple(Fraction(x) for x in v) for v in t) for t in lists]
     r = len(lists)
-    for t in lists:
-        for v in t:
-            if len(v) != r:
-                raise DimensionMismatch(
-                    "ambient dimension must equal the number of zonotopes"
-                )
+    if any(len(v) != r for t in lists for v in t):
+        raise DimensionMismatch("ambient dimension must equal the number of zonotopes")
     if not r:
         return Fraction(0)
     groups = Counter(lists)
     weight = math.prod(math.factorial(m) for m in groups.values())
-    return weight * _transversal_sum(list(groups.items())) / math.factorial(r)
+    tally, scale = _transversal_sums(list(groups.items()), r)
+    return Fraction(weight * tally[tuple(groups.values())], scale * math.factorial(r))
 
 
 @dataclass(frozen=True)

@@ -1,20 +1,53 @@
-"""Positive definite test matrices and the rational LDL^T that turns a PSD
-matrix into a weighted Gram factor for `mixed_discriminant_gram`, used only
-by the tests; no command decomposes a matrix."""
+"""Positive definite test matrices, the rational LDL^T that turns a PSD
+matrix into a weighted Gram factor, the Gram-factor route to the mixed
+discriminant on weighted factors, and Alexandrov's three values by three
+permutation sums, used only by the tests; no command decomposes a
+matrix."""
 
 import math
 from fractions import Fraction
+from itertools import product
 from typing import NamedTuple
 
-from logcavity.discriminants import GramFactor
+from logcavity.discriminants import mixed_discriminant_perm
 from logcavity.errors import NotPSD, NotSymmetric
-from logcavity.linalg import QMatrix
+from logcavity.linalg import QMatrix, det
 from logcavity.zoo import random_psd_with_factor
 
 
 def random_positive_definite(rng, n):
     """Positive definite rational matrix: X X^T + I for random X."""
     return random_psd_with_factor(rng, n)[0] + QMatrix.identity(n)
+
+
+class GramFactor(NamedTuple):
+    """Column factor X with per-column nonnegative weights: represents the
+    PSD matrix  sum_j w_j x_j x_j^T  without leaving rational arithmetic."""
+
+    columns: tuple  # tuple of column tuples
+    weights: tuple  # tuple of Fractions
+
+
+def weighted_gram_discriminant(factors):
+    """(1/n!) sum over column choices of the product of the chosen weights
+    times the squared determinant of the chosen columns: the mixed
+    discriminant of the psd_matrix of each factor."""
+    n = len(factors)
+    total = Fraction(0)
+    for choice in product(*(range(len(f.columns)) for f in factors)):
+        cols = [f.columns[j] for f, j in zip(factors, choice)]
+        weight = math.prod(f.weights[j] for f, j in zip(factors, choice))
+        total += weight * det(QMatrix(zip(*cols))) ** 2
+    return total / math.factorial(n)
+
+
+def alexandrov_values(x, y, fixed):
+    """D(X, Y, fixed), D(X, X, fixed) and D(Y, Y, fixed), each by its own
+    permutation sum."""
+    fixed = list(fixed)
+    return tuple(
+        mixed_discriminant_perm([a, b] + fixed) for a, b in ((x, y), (x, x), (y, y))
+    )
 
 
 class PSDFactorization(NamedTuple):

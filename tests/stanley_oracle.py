@@ -6,15 +6,18 @@ generators with `linalg.det` on Fraction matrices, taking no shortcut for
 repeated or zero vectors. `mixed_volume_by_inversion` is the inversion
 formula over the volumes of the 2^r Minkowski sums of the zonotopes (a sum of
 zonotopes is the zonotope on the concatenated generators). The library uses
-the transversal formula instead, with equal lists taken together.
+the transversal formula instead, with equal lists taken together, in one
+pruned depth-first elimination; `transversal_sum_by_combinations` is the same
+sum with one determinant per combination of rows.
 """
 
 import math
+from collections import Counter
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 from logcavity.errors import DimensionMismatch
-from logcavity.linalg import QMatrix, det
+from logcavity.linalg import QMatrix, det, integer_det
 
 
 def zonotope_volume_by_subsets(vectors):
@@ -43,3 +46,22 @@ def mixed_volume_by_inversion(lists):
             gens = [v for i in subset for v in lists[i]]
             total += (-1) ** (r - size) * zonotope_volume_by_subsets(gens)
     return total / math.factorial(r)
+
+
+def transversal_sum_by_combinations(groups):
+    """Sum of |det| over the square matrices whose rows are m distinct
+    positions of each group (vectors, m), one integer determinant per
+    combination of distinct nonzero vectors, weighted by their counts, after
+    the denominators are cleared by their common lcm d."""
+    groups = [([[Fraction(x) for x in v] for v in vs], m) for vs, m in groups]
+    d = math.lcm(*(x.denominator for vs, _ in groups for v in vs for x in v))
+    choices = []
+    for vectors, m in groups:
+        counts = Counter(tuple(int(x * d) for x in v) for v in vectors if any(v))
+        choices.append(combinations(counts.items(), m))
+    total = 0
+    for choice in product(*choices):
+        rows = [v for picked in choice for v, _ in picked]
+        weight = math.prod(c for picked in choice for _, c in picked)
+        total += weight * abs(integer_det(rows))
+    return Fraction(total, d ** sum(m for _, m in groups))

@@ -23,6 +23,8 @@ from logcavity.posets import Poset
 from logcavity.stanley import parallel_replicate
 from logcavity.zoo import (
     k23_graph,
+    k3_graph,
+    k4_graph,
     matroid_zoo,
     random_psd_with_factor,
     ratio_two_witness_poset,
@@ -93,8 +95,11 @@ class TestDiscriminantCommand:
 
     def test_each_value_computed_once(self, capsys, tmp_path, monkeypatch):
         # A given twice as separate entries: two distinct matrices, one
-        # inertia each, and D(A, B, A) once, shared with the Alexandrov check
-        calls = {"inertia": 0, "mixed_discriminant": 0}
+        # inertia each, and one determinant per distinct subset sum
+        # j_A A + j_B B across D(A, B, A), D(A, A, A) and D(B, B, A): j_A
+        # runs to 2 with j_B to 1, to 3 alone, and to 1 with j_B to 2, which
+        # is 9 sums (16 when each polarization computes its own)
+        calls = {"inertia": 0, "integer_det": 0}
 
         def counted(name, fn):
             def wrapper(*args):
@@ -105,9 +110,8 @@ class TestDiscriminantCommand:
 
         iner = counted("inertia", discriminants.inertia)
         monkeypatch.setattr(discriminants, "inertia", iner)
-        md = counted("mixed_discriminant", discriminants.mixed_discriminant)
-        monkeypatch.setattr(discriminants, "mixed_discriminant", md)
-        monkeypatch.setattr(cli, "mixed_discriminant", md)
+        dets = counted("integer_det", discriminants.integer_det)
+        monkeypatch.setattr(discriminants, "integer_det", dets)
         path = tmp_path / "tuple.json"
         a = {"rows": 3, "cols": 3, "entries": ["2", "1", "0", "1", "2", "0", "0", "0", "1"]}
         b = {"rows": 3, "cols": 3, "entries": ["3", "0", "0", "0", "1", "0", "0", "0", "1"]}
@@ -115,8 +119,11 @@ class TestDiscriminantCommand:
         code, report = run_json(capsys, ["discriminant", "--tuple", str(path)])
         assert code == 0 and report["results"]["psd_inputs"]
         assert "alexandrov" in report["results"]
-        # D(A, B, A), D(A, A, A) and D(B, B, A)
-        assert calls == {"inertia": 2, "mixed_discriminant": 3}
+        sums = {(j_a, j_b) for j_a in range(3) for j_b in range(2)}
+        sums |= {(j_a, 0) for j_a in range(4)}
+        sums |= {(j_a, j_b) for j_a in range(2) for j_b in range(3)}
+        assert len(sums) == 9
+        assert calls == {"inertia": 2, "integer_det": len(sums)}
 
 
 class TestHodgeCommand:
@@ -287,6 +294,35 @@ class TestStanleyCommand:
         assert report["results"]["ratio_condition"]["holds"] is True
         assert report["results"]["ratio_step_verified"] is True
         assert report["violations"] == []
+
+    @pytest.mark.parametrize(
+        "graph, split, rank",
+        [
+            # a triangle and a separate edge: rank 5 - 2 components = 3
+            ({"vertices": 5, "edges": [[0, 1], [1, 2], [0, 2], [3, 4]]}, "0,3", 3),
+            # an isolated vertex 3 beside a triangle with a doubled edge
+            ({"vertices": 4, "edges": [[0, 1], [0, 1], [1, 2], [0, 2]]}, "1,2", 2),
+        ],
+    )
+    def test_graph_with_components(self, capsys, tmp_path, graph, split, rank):
+        # the volume route drops one vertex row per component, so its
+        # vectors live in dimension rank
+        path = tmp_path / "graph.json"
+        path.write_text(json.dumps(graph))
+        code, report = run_json(capsys, ["stanley", "--graph", str(path), "--R", split])
+        assert code == 0
+        deltas = report["results"]["cross_check_deltas"]
+        assert len(deltas) == rank + 1 and set(deltas.values()) == {"0"}
+
+    def test_graph_must_match_the_matroid(self, capsys, tmp_path, k23_file):
+        # K(2,3) has 6 edges and rank 4; a triangle has 3 edges and rank 2,
+        # and K4 has 6 edges but rank 3
+        for graph in (k3_graph(), k4_graph()):
+            path = tmp_path / "graph.json"
+            path.write_text(json.dumps(graph.to_json()))
+            argv = ["stanley", "--matroid", k23_file, "--graph", str(path), "--R", "0"]
+            assert main(argv) == 1
+            assert "DimensionMismatch" in capsys.readouterr().err
 
 
 class TestLorentzianCommand:

@@ -1,13 +1,13 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from logcavity.errors import DimensionMismatch, NotPSD, NotSymmetric
 from logcavity.discriminants import (
     AlexandrovReport,
-    GramFactor,
+    SubsetSumTable,
     alexandrov_check,
     mixed_discriminant,
     mixed_discriminant_gram,
@@ -17,7 +17,13 @@ from logcavity.linalg import QMatrix, det, inertia
 from logcavity.matroids import Matroid
 from logcavity.polynomials import basis_generating_poly
 from logcavity.zoo import random_psd_with_factor
-from discriminant_oracle import psd_decompose, psd_matrix, random_positive_definite
+from discriminant_oracle import (
+    alexandrov_values,
+    psd_decompose,
+    psd_matrix,
+    random_positive_definite,
+    weighted_gram_discriminant,
+)
 from linalg_oracle import apply, diagonal
 
 PD3 = QMatrix([[2, 1, 0], [1, 3, 1], [0, 1, 2]])
@@ -160,6 +166,34 @@ class TestPolarizationRoute:
                     route(mats)
 
 
+@st.composite
+def alexandrov_triples(draw, max_n=4):
+    """(X, Y, fixed) with n <= max_n, all drawn from a pool of at most three
+    n x n matrices, so X == Y and a fixed block holding X or Y are common."""
+    n = draw(st.integers(min_value=2, max_value=max_n))
+    pool = draw(st.lists(square_matrices(n), min_size=1, max_size=3))
+    x, y = draw(st.sampled_from(pool)), draw(st.sampled_from(pool))
+    return x, y, [draw(st.sampled_from(pool)) for _ in range(n - 2)]
+
+
+X3 = QMatrix([[1, 2, 0], [0, 3, 1], [1, 0, 2]])
+Y3 = QMatrix([[2, 0, 1], [1, 1, 0], [0, 1, Fraction(1, 2)]])
+
+
+class TestSubsetSumTable:
+    @settings(max_examples=80, deadline=None)
+    @given(alexandrov_triples())
+    @example((X3, X3, [Y3]))  # X == Y
+    @example((X3, Y3, [X3]))  # a fixed block holding X
+    def test_alexandrov_values_match_permutation_route(self, triple):
+        # one table serves all three values, as in the discriminant command
+        x, y, fixed = triple
+        table = SubsetSumTable([x, y] + fixed)
+        pairs = ((x, y), (x, x), (y, y))
+        values = tuple(mixed_discriminant([a, b] + fixed, table) for a, b in pairs)
+        assert values == alexandrov_values(x, y, fixed)
+
+
 class TestGramRoute:
     def test_single_columns(self):
         x1 = QMatrix([[1], [0]])
@@ -185,7 +219,7 @@ class TestGramRoute:
             b, _ = random_psd_with_factor(rng, 3)
             c, _ = random_psd_with_factor(rng, 3)
             factors = [psd_decompose(m).gram_factor() for m in (a, b, c)]
-            assert mixed_discriminant_gram(factors) == (
+            assert weighted_gram_discriminant(factors) == (
                 mixed_discriminant_perm([a, b, c])
             )
 

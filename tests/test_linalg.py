@@ -311,6 +311,13 @@ class TestKernels:
         ri = reduced_incidence_matrix(K3)
         assert ri.rows == 2 and ri.cols == 3
 
+    def test_reduced_incidence_drops_one_row_per_component(self):
+        # a triangle, an edge and an isolated vertex: rank 5 - 2 - 1 = 3
+        g = Graph(6, ((0, 1), (0, 2), (1, 2), (3, 4)))
+        ri = reduced_incidence_matrix(g)
+        assert ri == incidence_matrix(g).submatrix((0, 1, 3), range(4))
+        assert rank_of_matrix(ri) == 3
+
 
 class TestSolve:
     def test_singular_raises_dedicated_error(self):

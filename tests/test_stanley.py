@@ -16,6 +16,7 @@ from logcavity.matroids import Matroid
 from logcavity.stanley import (
     B_count,
     _constant_ratio,
+    _transversal_sums,
     g_polynomial,
     mason_sequence,
     mixed_volume_zonotopes,
@@ -31,7 +32,11 @@ from logcavity.zoo import (
     matroid_zoo,
     random_connected_multigraph,
 )
-from stanley_oracle import mixed_volume_by_inversion, zonotope_volume_by_subsets
+from stanley_oracle import (
+    mixed_volume_by_inversion,
+    transversal_sum_by_combinations,
+    zonotope_volume_by_subsets,
+)
 
 U23 = Matroid.uniform(2, 3)
 
@@ -325,6 +330,66 @@ class TestTransversalFormula:
         cube = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
         assert mixed_volume_zonotopes([cube] * 3) == 1
         assert mixed_volume_zonotopes([cube, cube, [(0, 0, 2)]]) == Fraction(2, 3)
+
+
+@st.composite
+def transversal_groups(draw):
+    """(groups, n): up to three groups (vectors, cap) in dimension n <= 4,
+    the caps summing to n and possibly 0. The vectors come from a small
+    pool holding the zero vector and the sum of two pool vectors, so they
+    repeat and depend on each other; a group may be empty."""
+    n = draw(st.integers(min_value=0, max_value=4))
+    pool = draw(st.lists(st.tuples(*[ENTRY] * n), min_size=1, max_size=3))
+    pool += [(0,) * n, tuple(a + b for a, b in zip(pool[0], pool[-1]))]
+    cuts = sorted(draw(st.lists(st.integers(0, n), max_size=2)))
+    caps = [b - a for a, b in zip([0] + cuts, cuts + [n])]
+    vectors = st.lists(st.sampled_from(pool), max_size=5)
+    return [(draw(vectors), cap) for cap in caps], n
+
+
+class TestDepthFirstEngine:
+    """`_transversal_sums` against one determinant per combination of rows
+    (`stanley_oracle.transversal_sum_by_combinations`) and per index subset
+    (`zonotope_volume_by_subsets`)."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(transversal_groups())
+    def test_matches_one_determinant_per_combination(self, case):
+        groups, n = case
+        tally, scale = _transversal_sums(groups, n)
+        caps = tuple(cap for _, cap in groups)
+        assert Fraction(tally[caps], scale) == transversal_sum_by_combinations(groups)
+        # the caps sum to n, so no other count vector fits within them
+        assert set(tally) <= {caps}
+
+    @settings(max_examples=60, deadline=None)
+    @given(transversal_groups())
+    def test_one_group_is_the_zonotope_volume(self, case):
+        groups, n = case
+        vectors = [v for vs, _ in groups for v in vs]
+        tally, scale = _transversal_sums([(vectors, n)], n)
+        # with no vectors only the empty matrix, n = 0, has a determinant
+        expected = zonotope_volume_by_subsets(vectors) if vectors else int(n == 0)
+        assert Fraction(tally[n,], scale) == expected
+
+    def test_no_zonotopes(self):
+        # the empty product has one term, the 0 x 0 determinant 1
+        assert _transversal_sums([], 0) == ({(): 1}, 1)
+        assert transversal_sum_by_combinations([]) == 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(zonotope_lists(dims=st.integers(min_value=1, max_value=4)), st.data())
+    def test_split_tally_matches_each_mixed_volume(self, lists, data):
+        # one pass over T_R then T_Q, tallied by the rows taken from T_R,
+        # gives every mixed volume V(Z(T_R) k times, Z(T_Q) r - k times)
+        r = len(lists)
+        t_r, t_q = lists[0], data.draw(st.sampled_from(lists))
+        tally, scale = _transversal_sums([(t_r, r), (t_q, r)], r)
+        for k in range(r + 1):
+            w = math.factorial(k) * math.factorial(r - k)
+            assert Fraction(w * tally[k, r - k], scale * math.factorial(r)) == (
+                mixed_volume_zonotopes([t_r] * k + [t_q] * (r - k))
+            )
 
 
 class TestMason:
