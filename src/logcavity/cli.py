@@ -10,13 +10,12 @@ import functools
 import json
 import random
 import sys
-from dataclasses import dataclass, field, fields, is_dataclass
 from fractions import Fraction
 from math import factorial
 
 from . import __version__
 from .errors import DimensionMismatch, LogcavityError, MalformedInput, UsageError
-from .linalg import Graph, QMatrix, reduced_incidence_matrix
+from .linalg import Graph, QMatrix, Record, reduced_incidence_matrix
 from .matroids import DEFAULT_ELEMENT_CAP, Matroid
 from .polynomials import (
     MPoly,
@@ -65,14 +64,14 @@ from .stanley import (
 from . import zoo
 
 
-@dataclass
 class RunReport:
-    command: str
-    inputs: dict
-    results: dict
-    findings: list = field(default_factory=list)
-    violations: list = field(default_factory=list)
-    version: str = __version__
+    def __init__(self, command, inputs, results, findings=None, violations=None):
+        self.command = command
+        self.inputs = inputs
+        self.results = results
+        self.findings = [] if findings is None else findings
+        self.violations = [] if violations is None else violations
+        self.version = __version__
 
 
 _quote = json.encoder.encode_basestring_ascii
@@ -110,12 +109,12 @@ def _text(value, pad=""):
 
 def _tree(v):
     """The JSON tree a report value stands for: a Fraction is an int or a
-    string, a dataclass the dict of its fields, dict keys go through str (the
+    string, a Record the dict of its fields, dict keys go through str (the
     last wins), a tuple is a list and a set its members' trees sorted by str."""
     if isinstance(v, Fraction):
         return str(v) if v.denominator != 1 else int(v)
-    if is_dataclass(v) and not isinstance(v, type):
-        v = {f.name: getattr(v, f.name) for f in fields(v)}
+    if isinstance(v, Record):
+        v = {name: getattr(v, name) for name in v._fields}
     if isinstance(v, dict):
         return {str(k): _tree(x) for k, x in v.items()}
     if isinstance(v, (list, tuple, set, frozenset)):
@@ -128,14 +127,16 @@ def _emit(report: RunReport, args) -> int:
     text = _text(vars(report)) + "\n"  # its fields; _tree would copy them
     if getattr(args, "format", "json") == "csv":
         import csv  # here, not at the top: only a CSV report needs it
-        import io
+        from types import SimpleNamespace
 
         flat = _flatten(json.loads(text), "", {})  # read back from the JSON text
-        rows = io.StringIO()
-        writer = csv.writer(rows, lineterminator="\n")
+        # rows are written ending in "\r\n", one write each, so that a field
+        # holding "\r" is quoted, and end in "\n" in the report
+        rows = []
+        writer = csv.writer(SimpleNamespace(write=rows.append))
         writer.writerow(("key", "value"))
         writer.writerows((k, flat[k]) for k in sorted(flat))
-        text = rows.getvalue()
+        text = "".join(row[:-2] + "\n" for row in rows)
     out = getattr(args, "out", None)
     if out:
         with open(out, "w", encoding="utf-8") as fh:

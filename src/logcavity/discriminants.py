@@ -3,12 +3,11 @@ with its equality case."""
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations, product
 
 from .errors import DimensionMismatch, NotPSD, NotSymmetric
-from .linalg import QMatrix, det, inertia, integer_det
+from .linalg import QMatrix, Record, det, inertia, integer_det
 from .polynomials import polarization_sum
 
 
@@ -101,13 +100,11 @@ def mixed_discriminant_gram(factors) -> Fraction:
     return total / math.factorial(n)
 
 
-@dataclass(frozen=True)
-class AlexandrovReport:
-    lhs: Fraction  # D(X, Y, fixed)^2
-    rhs: Fraction  # D(X, X, fixed) * D(Y, Y, fixed)
-    equal: bool
-    lam: object  # the scalar with Y = lam X, when equality and PD hypotheses
-    proportional: bool
+class AlexandrovReport(Record):
+    """lhs = D(X, Y, fixed)^2 against rhs = D(X, X, fixed) D(Y, Y, fixed); lam
+    is the scalar with Y = lam X, when equality and PD hypotheses hold."""
+
+    _fields = ("lhs", "rhs", "equal", "lam", "proportional")
 
 
 def is_psd(a: QMatrix) -> bool:

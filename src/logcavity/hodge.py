@@ -11,7 +11,6 @@ the Hodge-Riemann forms, come from fraction-free integer elimination.
 
 import math
 import weakref
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, compress
 
@@ -26,6 +25,7 @@ from .errors import (
 )
 from .linalg import (
     QMatrix,
+    Record,
     _bits,
     inertia,  # noqa: F401  -- perfbench's tracer self-test wraps hodge.inertia
     integer_inertia,
@@ -36,19 +36,15 @@ from .linalg import (
 from .matroids import Matroid
 
 
-@dataclass(frozen=True)
-class GradedEvaluation:
+class GradedEvaluation(Record):
     """Evaluation pairing of degree k against degree r-k.
 
-    rows: independent k-subsets; cols: independent (r-k)-subsets; entry 1
-    iff the disjoint union is a basis. The degree-k graded piece has
-    dimension = rank, with the selected rows as a working basis."""
+    rows: independent k-subsets; cols: independent (r-k)-subsets; entries:
+    0/1 int rows, 1 iff the disjoint union is a basis. The degree-k graded
+    piece has dimension = rank, with the rows at basis_positions (a
+    row-space basis) as a working basis."""
 
-    k: int
-    row_masks: tuple
-    col_masks: tuple
-    entries: tuple  # 0/1 int rows, one per row mask
-    basis_positions: tuple  # indices into row_masks giving a row-space basis
+    _fields = ("k", "row_masks", "col_masks", "entries", "basis_positions")
 
     @property
     def dimension(self):
@@ -245,22 +241,18 @@ def _hrr_verdict(ring: GorensteinRing, k, point) -> bool:
     return bordered.n_pos == block.dimension
 
 
-@dataclass(frozen=True)
-class FacetElementReport:
-    element: object
-    coloop: bool
-    hrr_at_ones: bool
-    hrr_at_pencil: bool
-    matches_theorem: bool
+class FacetElementReport(Record):
+    _fields = ("element", "coloop", "hrr_at_ones", "hrr_at_pencil", "matches_theorem")
 
 
-@dataclass(frozen=True)
-class FacetScanReport:
-    elements: tuple
-    subset_checks: tuple  # (labels, hrr) pairs for low-rank coloop-free subsets
-    degenerate_subsets: tuple  # coloop-free low-rank S met by every basis
-    inverse_hessian_nonzero: tuple  # (element, ok) pairs where applicable
-    all_consistent: bool
+class FacetScanReport(Record):
+    _fields = (
+        "elements",
+        "subset_checks",  # (labels, hrr) pairs for low-rank coloop-free subsets
+        "degenerate_subsets",  # coloop-free low-rank S met by every basis
+        "inverse_hessian_nonzero",  # (element, ok) pairs where applicable
+        "all_consistent",
+    )
 
 
 def facet_point(m: Matroid, zero_labels, pencil=False):
@@ -409,11 +401,10 @@ def mobius_pairing(m: Matroid, k):
     return len(rows), integer_inertia(rows, len(rows))[1]
 
 
-@dataclass(frozen=True)
-class ContainmentProbe:
-    element: object
-    contained: bool
-    counterexample: object  # (degree, {label frozenset: coefficient}) or None
+class ContainmentProbe(Record):
+    """counterexample: (degree, {label frozenset: coefficient}) or None."""
+
+    _fields = ("element", "contained", "counterexample")
 
 
 def annihilator_containment_probe(m: Matroid, e) -> ContainmentProbe:

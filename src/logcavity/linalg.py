@@ -7,7 +7,6 @@ has a nonzero in the pivot column or must hold its eager value.
 """
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
@@ -54,6 +53,44 @@ def _json_labels(value, what):
         if isinstance(x, (list, dict)):
             raise MalformedInput(f"{what} must hold element labels, got {x!r}")
     return value
+
+
+class Record:
+    """An immutable record of the values named by the class attribute
+    _fields: set positionally, compared with records of the same type only,
+    hashed and shown by those values. Frozen dataclasses, without importing
+    `dataclasses` (and with it `inspect`) at every start. Subclasses keep the
+    __dict__ that functools.cached_property fills."""
+
+    __slots__ = ()
+    _fields = ()
+
+    def __init__(self, *values):
+        if len(values) != len(self._fields):
+            raise TypeError(f"{type(self).__name__} takes {len(self._fields)} values")
+        # one by one: a __dict__ filled at once makes every later read slower
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, *a):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def _values(self):
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({shown})"
 
 
 class QMatrix:
@@ -165,13 +202,10 @@ class QMatrix:
         return QMatrix(flat[i * c : (i + 1) * c] for i in range(r))
 
 
-@dataclass(frozen=True)
-class Inertia:
+class Inertia(Record):
     """Counts of positive, negative and zero eigenvalues of a symmetric matrix."""
 
-    n_pos: int
-    n_neg: int
-    n_zero: int
+    _fields = ("n_pos", "n_neg", "n_zero")
 
     @property
     def dimension(self):
@@ -397,20 +431,18 @@ def solve(m: QMatrix, b):
     return tuple(Fraction(a[r][n], a[r][r]) for r in range(n))
 
 
-@dataclass(frozen=True)
-class Graph:
+class Graph(Record):
     """Multigraph on vertices 0..n-1; parallel edges allowed, loops allowed
     at construction (rejected by operations whose contract requires looplessness)."""
 
-    vertices: int
-    edges: tuple
+    _fields = ("vertices", "edges")
 
-    def __post_init__(self):
-        edges = tuple((int(u), int(v)) for u, v in self.edges)
+    def __init__(self, vertices, edges):
+        edges = tuple((int(u), int(v)) for u, v in edges)
         for u, v in edges:
-            if not (0 <= u < self.vertices and 0 <= v < self.vertices):
+            if not (0 <= u < vertices and 0 <= v < vertices):
                 raise DimensionMismatch("edge endpoint out of range")
-        object.__setattr__(self, "edges", edges)
+        super().__init__(vertices, edges)
 
     @property
     def has_loop(self):

@@ -4,7 +4,6 @@ The canonical representation is the sorted list of bases (as index bitmasks
 over the ground tuple); every derived quantity is computed from it.
 """
 
-from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations
 from operator import and_, or_
@@ -17,7 +16,15 @@ from .errors import (
     UnequalSizes,
     UnknownElement,
 )
-from .linalg import Graph, QMatrix, _bits, _expect, _json_labels, rank_of_matrix
+from .linalg import (
+    Graph,
+    QMatrix,
+    Record,
+    _bits,
+    _expect,
+    _json_labels,
+    rank_of_matrix,
+)
 
 DEFAULT_ELEMENT_CAP = 16
 
@@ -367,18 +374,14 @@ class Matroid:
         raise UnknownElement(f"unknown matroid type {kind!r}")
 
 
-@dataclass(frozen=True)
-class ParallelData:
-    loops: frozenset
-    classes: tuple
+class ParallelData(Record):
+    _fields = ("loops", "classes")
 
 
-@dataclass(frozen=True)
-class FlatLattice:
+class FlatLattice(Record):
     """Flats grouped by rank, with lattice meet and join."""
 
-    matroid: Matroid
-    flats_by_rank: tuple
+    _fields = ("matroid", "flats_by_rank")
 
     @staticmethod
     def of(matroid: Matroid):

@@ -6,7 +6,6 @@ variable counts here are tiny, so no monomial-order machinery is used.
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
@@ -18,7 +17,7 @@ from .errors import (
     MixedDegrees,
     NegativeCoefficient,
 )
-from .linalg import QMatrix, _bits, _expect, _q, integer_inertia
+from .linalg import QMatrix, Record, _bits, _expect, _q, integer_inertia
 from .matroids import Matroid, _is_basis_family
 
 
@@ -35,7 +34,7 @@ class MPoly:
             exp = tuple(int(e) for e in exp)
             if len(exp) != nvars or any(e < 0 for e in exp):
                 raise DimensionMismatch(f"bad exponent vector {exp}")
-            clean[exp] = clean.get(exp, Fraction(0)) + c
+            clean[exp] = clean[exp] + c if exp in clean else c
         object.__setattr__(
             self, "terms", {e: c for e, c in clean.items() if c != 0}
         )
@@ -293,12 +292,10 @@ def m_convex(support) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class LorentzianReport:
-    passed: bool
-    homogeneous: bool
-    m_convex_support: bool
-    failures: tuple  # order-(d-2) exponents alpha whose Hessian test failed
+class LorentzianReport(Record):
+    """failures: the order-(d-2) exponents alpha whose Hessian test failed."""
+
+    _fields = ("passed", "homogeneous", "m_convex_support", "failures")
 
 
 def _hessian_rows(f: MPoly):

@@ -8,7 +8,6 @@ linear extensions, read off path counts in the lattice of order ideals
 representation of a poset, Fundam. Inform. 2006); no extension is listed.
 """
 
-from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import (
@@ -19,7 +18,7 @@ from .errors import (
     UnknownElement,
     ZeroAtIndex,
 )
-from .linalg import _bits, _expect, _json_labels
+from .linalg import Record, _bits, _expect, _json_labels
 
 DEFAULT_EXTENSION_CAP = 3_628_800  # 10!
 
@@ -303,19 +302,17 @@ def _fresh_label(base, existing):
     return f"{base}{k}"
 
 
-@dataclass(frozen=True)
-class MarkedPoset:
+class MarkedPoset(Record):
     """Poset with distinguished elements x and y, x below-or-incomparable to y."""
 
-    poset: Poset
-    x: object
-    y: object
+    _fields = ("poset", "x", "y")
 
-    def __post_init__(self):
-        if self.x == self.y:
+    def __init__(self, poset, x, y):
+        if x == y:
             raise InvalidMarks("marks x and y must be distinct")
-        if self.poset.lt(self.y, self.x):
+        if poset.lt(y, x):
             raise InvalidMarks("mark y must not lie below x")
+        super().__init__(poset, x, y)
 
     @cached_property
     def _ks(self):
@@ -328,14 +325,8 @@ class MarkedPoset:
         return obj
 
 
-@dataclass(frozen=True)
-class RegionPartition:
-    end_x: frozenset
-    end_y: frozenset
-    mid: frozenset
-    mid_x: frozenset
-    mid_y: frozenset
-    incomparable_both: frozenset
+class RegionPartition(Record):
+    _fields = ("end_x", "end_y", "mid", "mid_x", "mid_y", "incomparable_both")
 
 
 class _KahnSaks:
@@ -401,12 +392,12 @@ def stanley_all_positions(p: Poset, cap=DEFAULT_EXTENSION_CAP):
     return dict(zip(p.labels, map(list, p._ideals(cap)._positions)))
 
 
-@dataclass(frozen=True)
-class StanleyEqualityVerdict:
-    holds_a: bool  # N_i^2 = N_{i-1} N_{i+1}
-    holds_b: bool  # N_{i-1} = N_i = N_{i+1}
-    holds_c: bool  # extensions with sigma(x)=i flank x by incomparables
-    holds_d: bool  # the order-theoretic size conditions
+class StanleyEqualityVerdict(Record):
+    """(a) N_i^2 = N_{i-1} N_{i+1}, (b) N_{i-1} = N_i = N_{i+1}, (c) extensions
+    with sigma(x) = i flank x by incomparables, (d) the order-theoretic size
+    conditions."""
+
+    _fields = ("holds_a", "holds_b", "holds_c", "holds_d")
 
 
 def stanley_equality_classify(
@@ -500,11 +491,8 @@ def midway_check(mp: MarkedPoset, k):
     return {"midway": midway, "dual_midway": dual}
 
 
-@dataclass(frozen=True)
-class KahnSaksExtremalVerdict:
-    equality: bool
-    ratio: object  # 1, 2, or None
-    ratio_two_conditions: tuple
+class KahnSaksExtremalVerdict(Record):
+    _fields = ("equality", "ratio", "ratio_two_conditions")  # ratio: 1, 2 or None
 
 
 def kahn_saks_extremal_classify(

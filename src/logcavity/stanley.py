@@ -8,14 +8,13 @@ polynomial-substitution routes are cross-checks.
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
 from .errors import BadMultiplicities, DimensionMismatch, LoopPresent, TooLarge
-from .linalg import QMatrix, _bits
+from .linalg import QMatrix, Record, _bits
 from .matroids import Matroid
-from .polynomials import basis_generating_poly
+from .polynomials import MPoly, basis_generating_poly
 
 
 def _log_concave(seq):
@@ -25,10 +24,8 @@ def _log_concave(seq):
     )
 
 
-@dataclass(frozen=True)
-class StanleySequence:
-    counts: tuple  # N_0..N_r
-    normalized: tuple  # N_k / C(r, k)
+class StanleySequence(Record):
+    _fields = ("counts", "normalized")  # N_0..N_r and N_k / C(r, k)
 
     @property
     def total(self):
@@ -100,10 +97,8 @@ def stanley_matroid_sequence(m: Matroid, R) -> StanleySequence:
     return StanleySequence(tuple(counts), normalized)
 
 
-@dataclass(frozen=True)
-class RatioVerdict:
-    holds: bool
-    ratio: object  # Fraction q/r when holds, else None
+class RatioVerdict(Record):
+    _fields = ("holds", "ratio")  # ratio: the Fraction q/r if it holds, else None
 
 
 def ratio_condition_check(m: Matroid, R) -> RatioVerdict:
@@ -197,11 +192,11 @@ def mixed_volume_zonotopes(lists) -> Fraction:
     return Fraction(weight * tally[tuple(groups.values())], scale * math.factorial(r))
 
 
-@dataclass(frozen=True)
-class MasonReport:
-    independent_counts: tuple  # I_0..I_r
-    log_concave: bool
-    construction_identity: bool  # f_k of T^n(B_n (+) M) equals I_k C(n, n-k)
+class MasonReport(Record):
+    """independent_counts: I_0..I_r; construction_identity: whether f_k of
+    T^n(B_n (+) M) equals I_k C(n, n-k)."""
+
+    _fields = ("independent_counts", "log_concave", "construction_identity")
 
 
 def mason_sequence(m: Matroid, element_cap=12) -> MasonReport:
@@ -265,12 +260,8 @@ def parallel_replicate(m: Matroid, r_copies, q_copies):
 def g_polynomial(m: Matroid, subsets):
     """The substituted basis generating polynomial over one variable per
     subset: x_e -> sum of y_i over subsets containing e."""
-    cols = len(subsets)
+    if not m.n:  # f = 1, and a matrix of no rows has no columns
+        return MPoly(len(subsets), {(0,) * len(subsets): 1})
     masks = [m._mask(s) for s in subsets]
-    a = QMatrix(
-        [
-            [Fraction(1) if masks[j] >> i & 1 else Fraction(0) for j in range(cols)]
-            for i in range(m.n)
-        ]
-    )
+    a = QMatrix([[mask >> i & 1 for mask in masks] for i in range(m.n)])
     return basis_generating_poly(m).substitute_linear(a)

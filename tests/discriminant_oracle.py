@@ -1,17 +1,18 @@
 """Positive definite test matrices, the rational LDL^T that turns a PSD
 matrix into a weighted Gram factor, the Gram-factor route to the mixed
-discriminant on weighted factors, and Alexandrov's three values by three
-permutation sums, used only by the tests; no command decomposes a
-matrix."""
+discriminant on weighted factors, Alexandrov's three values by three
+permutation sums and the mixed discriminant read off a symbolic
+determinant, used only by the tests; no command decomposes a matrix."""
 
 import math
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 from typing import NamedTuple
 
 from logcavity.discriminants import mixed_discriminant_perm
 from logcavity.errors import NotPSD, NotSymmetric
 from logcavity.linalg import QMatrix, det
+from logcavity.polynomials import MPoly
 from logcavity.zoo import random_psd_with_factor
 
 
@@ -101,3 +102,36 @@ def psd_decompose(a: QMatrix) -> PSDFactorization:
     if None not in roots:
         sqrt_factor = QMatrix([x * r for x, r in zip(row, roots)] for row in lower)
     return PSDFactorization(QMatrix(lower), diag, sqrt_factor)
+
+
+def symbolic_det_coefficient(mats):
+    """Oracle: the coefficient of l_1 ... l_n in det(sum l_i A_i), expanded
+    literally through the multivariate polynomial ring."""
+    n = mats[0].rows
+    m = len(mats)
+    entry = [
+        [
+            MPoly(
+                m,
+                {
+                    tuple(int(t == i) for t in range(m)): mats[i][r][c]
+                    for i in range(m)
+                },
+            )
+            for c in range(n)
+        ]
+        for r in range(n)
+    ]
+    total = MPoly.zero(m)
+    for sigma in permutations(range(n)):
+        inv = sum(
+            1
+            for i in range(n)
+            for j in range(i + 1, n)
+            if sigma[i] > sigma[j]
+        )
+        prod = MPoly(m, {(0,) * m: -1 if inv % 2 else 1})
+        for r in range(n):
+            prod = prod * entry[r][sigma[r]]
+        total = total + prod
+    return total.coefficient((1,) * m)

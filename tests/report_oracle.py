@@ -1,14 +1,15 @@
 """The report route that the CLI's direct encoder `cli._text` replaced,
 used only as a test oracle.
 
-It copies a report into a plain tree, with `asdict` for dataclasses, and
+It copies a report into a plain tree, a record by its `_fields`, and
 hands the tree to `json.dumps(..., sort_keys=True, indent=2)`. The CLI
 writes the same bytes walking the report once.
 """
 
 import json
-from dataclasses import asdict, is_dataclass
 from fractions import Fraction
+
+from logcavity.linalg import Record
 
 
 def jsonable(x):
@@ -17,8 +18,8 @@ def jsonable(x):
         return x
     if isinstance(x, Fraction):
         return str(x) if x.denominator != 1 else int(x)
-    if is_dataclass(x) and not isinstance(x, type):
-        return jsonable(asdict(x))
+    if isinstance(x, Record):
+        return jsonable({name: getattr(x, name) for name in x._fields})
     if isinstance(x, dict):
         return {str(k): jsonable(v) for k, v in x.items()}
     if isinstance(x, (list, tuple)):
@@ -34,8 +35,7 @@ def text(value):
 
 
 def payload(report):
-    """The tree of a RunReport, built field by field: `asdict` cannot copy
-    the dict subclass that input files are read into."""
+    """The tree of a RunReport, built field by field."""
     return jsonable(
         {
             "command": report.command,

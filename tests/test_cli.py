@@ -5,18 +5,18 @@ import os
 import subprocess
 import sys
 from contextlib import redirect_stdout
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import report_oracle as oracle
 from logcavity import __version__, cli, discriminants, hodge, matroids
 from logcavity.cli import RunReport, _InputObject, _emit, _text, main
+from logcavity.linalg import Record
 from logcavity.matroids import Matroid
 from logcavity.polynomials import MPoly
 from logcavity.posets import Poset
@@ -302,6 +302,8 @@ class TestStanleyCommand:
             ({"vertices": 5, "edges": [[0, 1], [1, 2], [0, 2], [3, 4]]}, "0,3", 3),
             # an isolated vertex 3 beside a triangle with a doubled edge
             ({"vertices": 4, "edges": [[0, 1], [0, 1], [1, 2], [0, 2]]}, "1,2", 2),
+            # no edges: one basis, the empty set, and rank 0
+            ({"vertices": 2, "edges": []}, "", 0),
         ],
     )
     def test_graph_with_components(self, capsys, tmp_path, graph, split, rank):
@@ -574,17 +576,13 @@ class TestReportContract:
         )
 
 
-@dataclass(frozen=True)
-class Pair:
-    # fields out of name order, as a report's dataclasses may declare them
-    right: object
-    left: object
+class Pair(Record):
+    # fields out of name order, as a report's records may declare them
+    _fields = ("right", "left")
 
 
-@dataclass
-class Box:
-    items: object
-    label: str
+class Box(Record):
+    _fields = ("items", "label")
 
 
 STRINGS = st.text() | st.text(st.characters(categories=["Cc", "Cs"]), max_size=4)
@@ -682,6 +680,8 @@ class TestReportEncoder:
 
     @settings(max_examples=100, deadline=None)
     @given(VALUES)
+    @example({"\r": None})  # quoted only if the line terminator holds "\r"
+    @example({"a\r\nb": ["\n"], "\n": 1})
     def test_csv_round_trips_to_the_json_leaves(self, results):
         # csv.reader reads two fields per row and one row per leaf of the
         # JSON report, keyed by the leaf's escaped path, valued by its text

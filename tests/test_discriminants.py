@@ -22,6 +22,7 @@ from discriminant_oracle import (
     psd_decompose,
     psd_matrix,
     random_positive_definite,
+    symbolic_det_coefficient,
     weighted_gram_discriminant,
 )
 from linalg_oracle import apply, diagonal
@@ -38,43 +39,6 @@ def sequence(a, b):
 def hyperbolic(m):
     """At most one positive eigenvalue, by the inertia of m."""
     return inertia(m).n_pos <= 1
-
-
-def symbolic_det_coefficient(mats):
-    """Oracle: the coefficient of l_1 ... l_n in det(sum l_i A_i), expanded
-    literally through the multivariate polynomial ring."""
-    from itertools import permutations
-
-    from logcavity.polynomials import MPoly
-
-    n = mats[0].rows
-    m = len(mats)
-    entry = [
-        [
-            MPoly(
-                m,
-                {
-                    tuple(int(t == i) for t in range(m)): mats[i][r][c]
-                    for i in range(m)
-                },
-            )
-            for c in range(n)
-        ]
-        for r in range(n)
-    ]
-    total = MPoly.zero(m)
-    for sigma in permutations(range(n)):
-        inv = sum(
-            1
-            for i in range(n)
-            for j in range(i + 1, n)
-            if sigma[i] > sigma[j]
-        )
-        prod = MPoly(m, {(0,) * m: -1 if inv % 2 else 1})
-        for r in range(n):
-            prod = prod * entry[r][sigma[r]]
-        total = total + prod
-    return total.coefficient((1,) * m)
 
 
 class TestPermRoute:

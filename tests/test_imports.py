@@ -1,10 +1,15 @@
-"""No module of the package imports a name it never uses.
+"""No module of the package imports a name it never uses, and importing
+the CLI loads no module that only slows every start.
 
 `__init__.py` is skipped: its imports are the package's public names. An
 import marked `# noqa: F401` on its line is kept on purpose and allowed.
 """
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -43,3 +48,23 @@ def test_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_cli_import_loads_no_dataclasses_or_inspect():
+    # in a fresh interpreter, counting only what the import itself loads: a
+    # site hook may have loaded either module before
+    code = (
+        "import json, sys; before = set(sys.modules); import logcavity.cli; "
+        "print(json.dumps(sorted(set(sys.modules) - before)))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    loaded = json.loads(done.stdout)
+    assert "logcavity.cli" in loaded
+    assert {"dataclasses", "inspect"}.isdisjoint(loaded)

@@ -19,6 +19,7 @@ from logcavity.linalg import (
     Graph,
     Inertia,
     QMatrix,
+    Record,
     det,
     incidence_matrix,
     inertia,
@@ -32,6 +33,7 @@ from logcavity.linalg import (
     solve,
     spanning_tree_count,
 )
+from logcavity.posets import MarkedPoset, Poset
 
 K3 = Graph(3, ((0, 1), (0, 2), (1, 2)))
 K4 = Graph(4, tuple((i, j) for i in range(4) for j in range(i + 1, 4)))
@@ -66,6 +68,68 @@ def brute_force_spanning_trees(graph):
         if ok:
             count += 1
     return count
+
+
+class Point(Record):
+    _fields = ("x", "y")
+
+
+class Twin(Record):
+    _fields = ("x", "y")
+
+
+class TestRecord:
+    """The contract of frozen dataclasses that the package's result types
+    keep on `Record`."""
+
+    def test_equal_only_to_the_same_type(self):
+        assert Point(1, 2) == Point(1, 2) and Point(1, 2) != Point(2, 1)
+        assert Point(1, 2) != Twin(1, 2)
+        assert Point(1, 2) != (1, 2) and Inertia(1, 0, 0) != (1, 0, 0)
+        assert Point(1, 2).__eq__((1, 2)) is NotImplemented
+
+    def test_equal_records_hash_equally(self):
+        a, b = Point(1, Fraction(1, 2)), Point(Fraction(1), Fraction(2, 4))
+        assert a == b and hash(a) == hash(b)
+        assert len({Inertia(1, 2, 0), Inertia(1, 2, 0), Inertia(2, 1, 0)}) == 2
+
+    def test_repr(self):
+        assert repr(Point(1, "a")) == "Point(x=1, y='a')"
+        assert repr(Inertia(1, 2, 3)) == "Inertia(n_pos=1, n_neg=2, n_zero=3)"
+        assert repr(Graph(2, [(0, 1)])) == "Graph(vertices=2, edges=((0, 1),))"
+
+    def test_immutable(self):
+        p = Point(1, 2)
+        with pytest.raises(AttributeError):
+            p.x = 3
+        with pytest.raises(AttributeError):
+            p.z = 3
+        with pytest.raises(AttributeError):
+            del p.x
+        assert (p.x, p.y) == (1, 2) and vars(p) == {"x": 1, "y": 2}
+
+    @pytest.mark.parametrize("values", [(), (1,), (1, 2, 3)])
+    def test_wrong_number_of_values(self, values):
+        with pytest.raises(TypeError, match="Point takes 2 values"):
+            Point(*values)
+
+    def test_validating_subclasses(self):
+        # Graph normalizes and checks its edges before the fields are set
+        assert Graph(2, [[0, 1]]).edges == ((0, 1),)
+        with pytest.raises(DimensionMismatch):
+            Graph(2, [(0, 2)])
+        with pytest.raises(TypeError):
+            Graph(2)
+
+    def test_cached_property_is_computed_once(self):
+        p = Poset.from_relations("xyz", [])
+        mp = MarkedPoset(p, "x", "y")
+        ks = mp._ks
+        assert mp._ks is ks and vars(mp)["_ks"] is ks
+        # the cached value is no field: it is neither compared nor hashed
+        twin = MarkedPoset(p, "x", "y")
+        assert mp == twin and hash(mp) == hash(twin)
+        assert mp._fields == ("poset", "x", "y")
 
 
 class TestQMatrixHash:

@@ -62,6 +62,19 @@ class TestBasisPolynomial:
         assert f.partial(m._index[loop]).is_zero()
 
 
+class TestConstruction:
+    def test_repeated_exponents_merge(self):
+        # (1, 0) and ("1", 0) normalize to one exponent vector
+        f = MPoly(2, {(1, 0): 1, ("1", 0): 2, (0, 1): Fraction(1, 2)})
+        assert f.terms == {(1, 0): 3, (0, 1): Fraction(1, 2)}
+        assert all(type(c) is Fraction for c in f.terms.values())
+
+    def test_terms_that_cancel_or_are_zero_are_dropped(self):
+        assert MPoly(2, {(1, 0): 1, ("1", 0): -1, (0, 1): 0}).terms == {}
+        with pytest.raises(DimensionMismatch):
+            MPoly(2, {(1, 0, 0): 1})
+
+
 class TestCalculus:
     def test_partial_matches_contraction(self):
         f = basis_generating_poly(U23)
