@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import factorial
 
 from . import __version__
-from .errors import DimensionMismatch, LogcavityError, MalformedInput, UsageError
+from .errors import LogcavityError, TooLarge
 from .linalg import Graph, QMatrix, Record, reduced_incidence_matrix
 from .matroids import DEFAULT_ELEMENT_CAP, Matroid
 from .polynomials import (
@@ -169,7 +169,7 @@ class _InputObject(dict):
         self.what = what
 
     def __missing__(self, key):
-        raise UsageError(f"{self.what} JSON has no key {key!r}")
+        raise LogcavityError(f"{self.what} JSON has no key {key!r}")
 
 
 def _load_json(path, what):
@@ -177,11 +177,12 @@ def _load_json(path, what):
         with open(path, encoding="utf-8") as fh:
             obj = json.load(fh, object_hook=lambda d: _InputObject(what, d))
     except FileNotFoundError:
-        raise UsageError(f"{what} file not found: {path}")
+        raise LogcavityError(f"{what} file not found: {path}")
     except json.JSONDecodeError as e:
-        raise UsageError(f"{what} file is not valid JSON: {e}")
+        raise LogcavityError(f"{what} file is not valid JSON: {e}")
     if not isinstance(obj, dict):
-        raise UsageError(f"{what} file holds a {type(obj).__name__}, not a JSON object")
+        kind = type(obj).__name__
+        raise LogcavityError(f"{what} file holds a {kind}, not a JSON object")
     return obj
 
 
@@ -194,7 +195,7 @@ def _load_matroid(args) -> Matroid:
     elif getattr(args, "graph", None):
         m = Matroid.graphic(Graph.from_json(_load_json(args.graph, "graph")))
     else:
-        raise UsageError("a --matroid or --graph file is required")
+        raise LogcavityError("a --matroid or --graph file is required")
     _cap_elements(args, m.n)
     return m
 
@@ -202,7 +203,7 @@ def _load_matroid(args) -> Matroid:
 def _cap_elements(args, n):
     cap = args.cap_elements
     if n > cap:
-        raise UsageError(
+        raise TooLarge(
             f"matroid has {n} elements, over the --cap-elements limit {cap}"
         )
 
@@ -212,7 +213,7 @@ def _load_marked_poset(args) -> MarkedPoset:
     p = Poset.from_json(obj)
     x, y = _mark(args, obj, p, "x"), _mark(args, obj, p, "y")
     if x is None or y is None:
-        raise UsageError("marks x and y are required (flags or poset JSON)")
+        raise LogcavityError("marks x and y are required (flags or poset JSON)")
     return MarkedPoset(p, x, y)
 
 
@@ -226,11 +227,11 @@ def _mark(args, obj, p, key):
             return flag
         by_str = {str(lab): lab for lab in p.labels}
         if flag not in by_str:
-            raise UsageError(f"unknown poset element {flag!r}")
+            raise LogcavityError(f"unknown poset element {flag!r}")
         return by_str[flag]
     value = obj.get(key)
     if isinstance(value, (list, dict)):
-        raise MalformedInput(
+        raise LogcavityError(
             f"poset mark '{key}' must be an element label, got {value!r}"
         )
     return value
@@ -238,13 +239,13 @@ def _mark(args, obj, p, key):
 
 def _parse_labels(m: Matroid, csv):
     if csv is None:
-        raise UsageError("an element list like --R '1,4,5' is required")
+        raise LogcavityError("an element list like --R '1,4,5' is required")
     raw = [s.strip() for s in csv.split(",") if s.strip()]
     by_str = {str(g): g for g in m.ground}
     out = []
     for item in raw:
         if item not in by_str:
-            raise UsageError(f"element {item!r} is not in the ground set")
+            raise LogcavityError(f"element {item!r} is not in the ground set")
         out.append(by_str[item])
     return out
 
@@ -254,11 +255,11 @@ def _parse_point(csv, n):
         return tuple(Fraction(1) for _ in range(n))
     parts = [s.strip() for s in csv.split(",")]
     if len(parts) != n:
-        raise UsageError(f"point needs {n} coordinates, got {len(parts)}")
+        raise LogcavityError(f"point needs {n} coordinates, got {len(parts)}")
     try:
         return tuple(Fraction(p) for p in parts)
     except (ValueError, ZeroDivisionError):
-        raise UsageError("point coordinates must be rationals like 0, 1, 3/2")
+        raise LogcavityError("point coordinates must be rationals like 0, 1, 3/2")
 
 
 def cmd_poset(args):
@@ -383,7 +384,9 @@ def cmd_stanley(args):
         if not graph.has_loop:
             ri = reduced_incidence_matrix(graph)
             if ri.rows != r or len(graph.edges) != m.n:
-                raise DimensionMismatch("the graph needs the matroid's size and rank")
+                raise LogcavityError(
+                    f"the --graph needs the matroid's {m.n} edges and rank {r}"
+                )
             cols = [ri.column(j) for j in range(ri.cols)]
             t_r, t_q = ([cols[m._index[e]] for e in s] for s in (r_labels, q_labels))
             tally, scale = _transversal_sums([(t_r, r), (t_q, r)], r)
@@ -435,14 +438,14 @@ def cmd_discriminant(args):
     obj = _load_json(args.tuple, "matrix tuple")
     entries = obj["mats"]
     if not isinstance(entries, list) or not entries:
-        raise MalformedInput("matrix tuple 'mats' must be a nonempty list")
+        raise LogcavityError("matrix tuple 'mats' must be a nonempty list")
     mats = []
     for entry in entries:
         if not isinstance(entry, dict):
-            raise MalformedInput("each entry of 'mats' must be a JSON object")
+            raise LogcavityError("each entry of 'mats' must be a JSON object")
         mult = entry.get("mult", 1)
         if isinstance(mult, bool) or not isinstance(mult, int) or mult < 1:
-            raise MalformedInput(f"'mult' must be an integer >= 1, got {mult!r}")
+            raise LogcavityError(f"'mult' must be an integer >= 1, got {mult!r}")
         mats += [QMatrix.from_json(entry["matrix"])] * mult
     table = SubsetSumTable(mats)
     value = mixed_discriminant(mats, table)
@@ -456,9 +459,10 @@ def cmd_discriminant(args):
         results["psd_inputs"] = True
     else:
         results["psd_inputs"] = False
-    if len(mats) == mats[0].rows and len(mats) >= 2:
+    if len(mats) >= 2:  # the value took n matrices, each n x n
         x, y, rest = mats[0], mats[1], mats[2:]
-        try:
+        # the inequality's hypotheses: PSD fixed matrices, symmetric X and Y
+        if all(map(psd, dict.fromkeys(rest))) and x.is_symmetric and y.is_symmetric:
             rep = alexandrov_check(x, y, rest, table, psd)
             results["alexandrov"] = {
                 "lhs": str(rep.lhs),
@@ -468,8 +472,6 @@ def cmd_discriminant(args):
             }
             if rep.lhs < rep.rhs:
                 violations.append("alexandrov inequality failed")
-        except LogcavityError:
-            pass
     return RunReport("discriminant", {"tuple": obj}, results, violations=violations)
 
 
@@ -668,11 +670,10 @@ def main(argv=None) -> int:
     try:
         # by name at call time: the cached parser pins no cmd_* function
         report = globals()["cmd_" + args.command](args)
-    except UsageError as e:
-        sys.stderr.write(f"error: {e}\n")
-        return 1
     except LogcavityError as e:
-        sys.stderr.write(f"error: {type(e).__name__}: {e}\n")
+        # only a cap is named: every other message says what was wrong
+        name = "TooLarge: " if isinstance(e, TooLarge) else ""
+        sys.stderr.write(f"error: {name}{e}\n")
         return 1
     return _emit(report, args)
 

@@ -6,7 +6,7 @@ from collections import Counter
 from fractions import Fraction
 from itertools import permutations, product
 
-from .errors import DimensionMismatch, NotPSD, NotSymmetric
+from .errors import LogcavityError
 from .linalg import QMatrix, Record, det, inertia, integer_det
 from .polynomials import polarization_sum
 
@@ -15,12 +15,15 @@ def _square_tuple(mats):
     """The n matrices of a mixed discriminant, all n x n, as a list."""
     mats = list(mats)
     if not mats:
-        raise DimensionMismatch("need at least one matrix")
+        raise LogcavityError("a mixed discriminant needs at least one matrix")
     n = mats[0].rows
     if any(a.rows != n or a.cols != n for a in mats):
-        raise DimensionMismatch("all matrices must be n x n")
+        raise LogcavityError(f"mixed discriminant matrices must all be {n} x {n}")
     if len(mats) != n:
-        raise DimensionMismatch(f"need exactly {n} matrices for dimension {n}")
+        raise LogcavityError(
+            f"a mixed discriminant of {n} x {n} matrices needs {n} of them, "
+            f"got {len(mats)}"
+        )
     return mats
 
 
@@ -87,12 +90,14 @@ def mixed_discriminant_gram(factors) -> Fraction:
     X_k is a QMatrix with n rows, and the value equals the
     permutation-formula discriminant of the X_k X_k^T."""
     if not factors:
-        raise DimensionMismatch("need at least one factor")
+        raise LogcavityError("the Gram route needs at least one factor")
     n = factors[0].rows
     if any(f.rows != n for f in factors):
-        raise DimensionMismatch("all factor columns must have n entries")
+        raise LogcavityError(f"Gram route factors must all have {n} rows")
     if len(factors) != n:
-        raise DimensionMismatch(f"need exactly {n} factors for dimension {n}")
+        raise LogcavityError(
+            f"the Gram route needs {n} factors of {n} rows, got {len(factors)}"
+        )
     columns = [[f.column(j) for j in range(f.cols)] for f in factors]
     total = Fraction(0)
     for cols in product(*columns):
@@ -126,16 +131,18 @@ def alexandrov_check(
     fixed = list(fixed)
     n = x.rows
     if y.rows != n or y.cols != n or x.cols != n:
-        raise DimensionMismatch("X and Y must be n x n")
+        raise LogcavityError(f"Alexandrov check: X and Y must be {n} x {n}")
     if len(fixed) != n - 2:
-        raise DimensionMismatch(f"need n-2 = {n - 2} fixed matrices")
+        raise LogcavityError(
+            f"Alexandrov check needs n-2 = {n - 2} fixed matrices, got {len(fixed)}"
+        )
     for a in dict.fromkeys(fixed):
         if not a.is_symmetric:
-            raise NotSymmetric("fixed matrices must be symmetric")
+            raise LogcavityError("Alexandrov check: fixed matrices must be symmetric")
         if not psd(a):
-            raise NotPSD("fixed matrices must be positive semidefinite")
+            raise LogcavityError("Alexandrov check: fixed matrices must be PSD")
     if not (x.is_symmetric and y.is_symmetric):
-        raise NotSymmetric("X and Y must be symmetric")
+        raise LogcavityError("Alexandrov check: X and Y must be symmetric")
     table = table or SubsetSumTable([x, y] + fixed)
     mixed = mixed_discriminant([x, y] + fixed, table)
     xx = mixed_discriminant([x, x] + fixed, table)

@@ -10,15 +10,7 @@ import math
 from fractions import Fraction
 from itertools import combinations
 
-from .errors import (
-    Disconnected,
-    DimensionMismatch,
-    LoopEdge,
-    MalformedInput,
-    NonSquare,
-    NotSymmetric,
-    SingularSystem,
-)
+from .errors import LogcavityError
 
 
 def _q(x) -> Fraction:
@@ -34,7 +26,7 @@ def _expect(value, kind, what):
     """value, if it is of the JSON kind int (booleans excluded), list or
     dict; else an input error naming what."""
     if not isinstance(value, kind) or isinstance(value, bool):
-        raise MalformedInput(f"{what} must be {_JSON_KINDS[kind]}, got {value!r}")
+        raise LogcavityError(f"{what} must be {_JSON_KINDS[kind]}, got {value!r}")
     return value
 
 
@@ -51,7 +43,7 @@ def _json_labels(value, what):
     else an input error naming what."""
     for x in _expect(value, list, what):
         if isinstance(x, (list, dict)):
-            raise MalformedInput(f"{what} must hold element labels, got {x!r}")
+            raise LogcavityError(f"{what} must hold element labels, got {x!r}")
     return value
 
 
@@ -101,7 +93,7 @@ class QMatrix:
     def __init__(self, rows_of_entries):
         m = tuple(tuple(_q(x) for x in row) for row in rows_of_entries)
         if m and any(len(r) != len(m[0]) for r in m):
-            raise DimensionMismatch("rows of unequal length")
+            raise LogcavityError("matrix rows have unequal lengths")
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "rows", len(m))
         object.__setattr__(self, "cols", len(m[0]) if m else 0)
@@ -141,7 +133,7 @@ class QMatrix:
 
     def __add__(self, other):
         if self.rows != other.rows or self.cols != other.cols:
-            raise DimensionMismatch("shape mismatch in addition")
+            raise LogcavityError("cannot add matrices of different shapes")
         return QMatrix(
             [a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.m, other.m)
         )
@@ -153,7 +145,10 @@ class QMatrix:
         if not isinstance(other, QMatrix):
             return self.scale(other)
         if self.cols != other.rows:
-            raise DimensionMismatch("inner dimensions do not match")
+            raise LogcavityError(
+                f"cannot multiply a {self.rows}x{self.cols} matrix by a "
+                f"{other.rows}x{other.cols} matrix"
+            )
         cols = list(zip(*other.m))
         return QMatrix(
             [sum((a * b for a, b in zip(row, col)), Fraction(0)) for col in cols]
@@ -196,9 +191,11 @@ class QMatrix:
         try:
             flat = [Fraction(str(x)) for x in entries]
         except (ValueError, ZeroDivisionError):
-            raise MalformedInput("matrix entries must be rationals like 3 or -1/2")
+            raise LogcavityError("matrix entries must be rationals like 3 or -1/2")
         if len(flat) != r * c:
-            raise DimensionMismatch("entry count does not match rows*cols")
+            raise LogcavityError(
+                f"a {r}x{c} matrix needs {r * c} entries, got {len(flat)}"
+            )
         return QMatrix(flat[i * c : (i + 1) * c] for i in range(r))
 
 
@@ -307,7 +304,7 @@ def integer_det(rows) -> int:
     times the last fraction-free pivot. The rows are copied, not changed."""
     a = [list(row) for row in rows]
     if any(len(row) != len(a) for row in a):
-        raise NonSquare("determinant requires a square matrix")
+        raise LogcavityError("determinant requires a square matrix")
     pivots, last, sign = _eliminate(a, len(a))
     return sign * last if len(pivots) == len(a) else 0
 
@@ -340,7 +337,7 @@ def det(m: QMatrix) -> Fraction:
     """Exact determinant: the integer determinant of the rows with their
     denominators cleared, over the product of the row multipliers."""
     if not m.is_square:
-        raise NonSquare("determinant requires a square matrix")
+        raise LogcavityError("determinant requires a square matrix")
     a, scale = _integer_rows(m.m)
     return Fraction(integer_det(a), scale)
 
@@ -396,7 +393,7 @@ def inertia(m: QMatrix) -> Inertia:
     """Exact inertia: `integer_inertia` of the matrix times one common
     multiplier, which keeps the integer copy symmetric and congruent."""
     if not m.is_symmetric:
-        raise NotSymmetric("inertia requires a symmetric matrix")
+        raise LogcavityError("inertia requires a symmetric matrix")
     d = math.lcm(*(x.denominator for row in m.m for x in row))
     a = [[x.numerator * (d // x.denominator) for x in row] for row in m.m]
     return integer_inertia(a, m.rows)[1]
@@ -420,14 +417,14 @@ def row_space_basis_indices(m: QMatrix):
 
 
 def solve(m: QMatrix, b):
-    """Solve m x = b exactly for square nonsingular m."""
+    """The exact solution x of m x = b for square m, or None if m is singular."""
     if not m.is_square:
-        raise NonSquare("solve requires a square matrix")
+        raise LogcavityError("solve requires a square matrix")
     n = m.rows
     a, _ = _integer_rows([row + (_q(x),) for row, x in zip(m.m, b)])
     pivots = _eliminate(a, n, jordan=True)[0]
     if len(pivots) < n:
-        raise SingularSystem("singular system")
+        return None
     return tuple(Fraction(a[r][n], a[r][r]) for r in range(n))
 
 
@@ -441,7 +438,9 @@ class Graph(Record):
         edges = tuple((int(u), int(v)) for u, v in edges)
         for u, v in edges:
             if not (0 <= u < vertices and 0 <= v < vertices):
-                raise DimensionMismatch("edge endpoint out of range")
+                raise LogcavityError(
+                    f"graph edge [{u}, {v}] has an endpoint outside 0..{vertices - 1}"
+                )
         super().__init__(vertices, edges)
 
     @property
@@ -481,7 +480,7 @@ class Graph(Record):
         edges = _expect(obj["edges"], list, "graph 'edges'")
         for e in edges:
             if not isinstance(e, list) or len(e) != 2:
-                raise MalformedInput(f"a graph edge must be a pair [u, v], got {e!r}")
+                raise LogcavityError(f"a graph edge must be a pair [u, v], got {e!r}")
             _expect(e[0], int, "a graph edge endpoint")
             _expect(e[1], int, "a graph edge endpoint")
         return Graph(vertices, tuple(tuple(e) for e in edges))
@@ -490,7 +489,7 @@ class Graph(Record):
 def laplacian(graph: Graph) -> QMatrix:
     """Graph Laplacian: degrees on the diagonal, minus edge multiplicity off it."""
     if graph.has_loop:
-        raise LoopEdge("Laplacian is defined for loopless graphs")
+        raise LogcavityError("Laplacian is defined for loopless graphs")
     n = graph.vertices
     a = [[0] * n for _ in range(n)]
     for u, v in graph.edges:
@@ -504,7 +503,7 @@ def laplacian(graph: Graph) -> QMatrix:
 def incidence_matrix(graph: Graph) -> QMatrix:
     """Signed incidence matrix: +1 at the smaller endpoint, -1 at the larger."""
     if graph.has_loop:
-        raise LoopEdge("incidence matrix requires a loopless graph")
+        raise LogcavityError("incidence matrix requires a loopless graph")
     n = graph.vertices
     cols = []
     for u, v in graph.edges:
@@ -527,9 +526,9 @@ def reduced_incidence_matrix(graph: Graph) -> QMatrix:
 def spanning_tree_count(graph: Graph) -> int:
     """Matrix-tree count: determinant of the reduced Laplacian."""
     if graph.has_loop:
-        raise LoopEdge("spanning tree counting requires a loopless graph")
+        raise LogcavityError("spanning tree counting requires a loopless graph")
     if not graph.is_connected():
-        raise Disconnected("graph is not connected")
+        raise LogcavityError("spanning tree counting requires a connected graph")
     # one vertex leaves a 0 x 0 reduced Laplacian, of determinant 1
     lap = laplacian(graph)
     reduced = lap.submatrix(range(lap.rows - 1), range(lap.cols - 1))

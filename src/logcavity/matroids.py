@@ -8,14 +8,7 @@ from functools import reduce
 from itertools import combinations
 from operator import and_, or_
 
-from .errors import (
-    EmptyBases,
-    ExchangeViolation,
-    DimensionMismatch,
-    TooLarge,
-    UnequalSizes,
-    UnknownElement,
-)
+from .errors import LogcavityError, TooLarge
 from .linalg import (
     Graph,
     QMatrix,
@@ -50,7 +43,7 @@ def _label_mask(index, labels, unknown="unknown element {!r}"):
     mask = 0
     for e in labels:
         if e not in index:
-            raise UnknownElement(unknown.format(e))
+            raise LogcavityError(unknown.format(e))
         mask |= 1 << index[e]
     return mask
 
@@ -139,11 +132,11 @@ class Matroid:
         object.__setattr__(self, "ground", tuple(ground))
         index = {lab: i for i, lab in enumerate(self.ground)}
         if len(index) != len(self.ground):
-            raise UnknownElement("duplicate ground set labels")
+            raise LogcavityError("matroid ground set repeats a label")
         object.__setattr__(self, "_index", index)
         masks = tuple(sorted(set(basis_masks)))
         if not masks:
-            raise EmptyBases("a matroid must have at least one basis")
+            raise LogcavityError("a matroid must have at least one basis")
         object.__setattr__(self, "bases", masks)
         object.__setattr__(self, "rank", masks[0].bit_count())
         # the independence complex (_independent), built on first use
@@ -184,17 +177,15 @@ class Matroid:
         for b in bases:
             mask = _label_mask(index, b, "basis element {!r} not in ground set")
             if mask.bit_count() != len(tuple(b)):
-                raise UnknownElement(f"basis {b!r} repeats an element")
+                raise LogcavityError(f"basis {b!r} repeats an element")
             masks.append(mask)
-        if not masks:
-            raise EmptyBases("no bases given")
         sizes = {m.bit_count() for m in masks}
-        if len(sizes) != 1:
-            raise UnequalSizes(f"bases of different sizes: {sorted(sizes)}")
+        if len(sizes) > 1:
+            raise LogcavityError(f"bases of different sizes: {sorted(sizes)}")
         m = Matroid(ground, masks)
         if not _is_basis_family(m.bases):
             b1, b2 = _exchange_failure(m.bases)
-            raise ExchangeViolation(
+            raise LogcavityError(
                 "exchange fails for bases "
                 f"{sorted(m._labels(b1))} and {sorted(m._labels(b2))}"
             )
@@ -203,7 +194,7 @@ class Matroid:
     @staticmethod
     def uniform(k, n):
         if not 0 <= k <= n:
-            raise DimensionMismatch("uniform matroid needs 0 <= k <= n")
+            raise LogcavityError(f"uniform matroid needs 0 <= k <= n, got k={k}, n={n}")
         if n > DEFAULT_ELEMENT_CAP:
             raise TooLarge(f"ground set larger than {DEFAULT_ELEMENT_CAP}")
         return Matroid(tuple(range(n)), _subsets(range(n), k, lambda c: True))
@@ -226,7 +217,9 @@ class Matroid:
         if ground is None:
             ground = tuple(range(cols))
         if len(ground) != cols:
-            raise DimensionMismatch("ground labels must match column count")
+            raise LogcavityError(
+                f"linear matroid has {len(ground)} ground labels for {cols} columns"
+            )
         if cols > DEFAULT_ELEMENT_CAP:
             raise TooLarge(f"more than {DEFAULT_ELEMENT_CAP} columns")
         r = rank_of_matrix(matrix)
@@ -324,13 +317,13 @@ class Matroid:
 
     def truncate(self):
         if self.rank == 0:
-            raise UnequalSizes("cannot truncate a rank-0 matroid")
+            raise LogcavityError("cannot truncate a rank-0 matroid")
         # the faces one size below the bases, the keys of their links
         return Matroid(self.ground, _link_masks(self.bases))
 
     def direct_sum(self, other):
         if set(self.ground) & set(other.ground):
-            raise UnknownElement("direct sum requires disjoint ground sets")
+            raise LogcavityError("direct sum requires disjoint ground sets")
         ground = self.ground + other.ground
         shift = self.n
         masks = [
@@ -371,7 +364,7 @@ class Matroid:
                 for b in _expect(obj["bases"], list, "matroid 'bases'")
             ]
             return Matroid.from_bases(ground, bases)
-        raise UnknownElement(f"unknown matroid type {kind!r}")
+        raise LogcavityError(f"unknown matroid type {kind!r}")
 
 
 class ParallelData(Record):

@@ -9,14 +9,7 @@ from collections import Counter
 from fractions import Fraction
 from itertools import product
 
-from .errors import (
-    DegreeMismatch,
-    DimensionMismatch,
-    IndexOutOfRange,
-    MalformedInput,
-    MixedDegrees,
-    NegativeCoefficient,
-)
+from .errors import LogcavityError
 from .linalg import QMatrix, Record, _bits, _expect, _q, integer_inertia
 from .matroids import Matroid, _is_basis_family
 
@@ -33,7 +26,9 @@ class MPoly:
                 continue
             exp = tuple(int(e) for e in exp)
             if len(exp) != nvars or any(e < 0 for e in exp):
-                raise DimensionMismatch(f"bad exponent vector {exp}")
+                raise LogcavityError(
+                    f"exponent vector {exp} must have {nvars} nonnegative entries"
+                )
             clean[exp] = clean[exp] + c if exp in clean else c
         object.__setattr__(
             self, "terms", {e: c for e, c in clean.items() if c != 0}
@@ -91,7 +86,9 @@ class MPoly:
 
     def __add__(self, other):
         if self.nvars != other.nvars:
-            raise DimensionMismatch("variable counts differ")
+            raise LogcavityError(
+                f"cannot add polynomials in {self.nvars} and {other.nvars} variables"
+            )
         out = dict(self.terms)
         for e, c in other.terms.items():
             out[e] = out.get(e, Fraction(0)) + c
@@ -104,7 +101,10 @@ class MPoly:
         if not isinstance(other, MPoly):
             return self.scale(other)
         if self.nvars != other.nvars:
-            raise DimensionMismatch("variable counts differ")
+            raise LogcavityError(
+                f"cannot multiply polynomials in {self.nvars} and {other.nvars} "
+                "variables"
+            )
         out = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
@@ -118,7 +118,7 @@ class MPoly:
 
     def partial(self, i):
         if not 0 <= i < self.nvars:
-            raise IndexOutOfRange(f"no variable {i}")
+            raise LogcavityError(f"variable index {i} outside 0..{self.nvars - 1}")
         out = {}
         for e, c in self.terms.items():
             if e[i] == 0:
@@ -130,7 +130,9 @@ class MPoly:
 
     def evaluate(self, point):
         if len(point) != self.nvars:
-            raise DimensionMismatch("point length must equal nvars")
+            raise LogcavityError(
+                f"point needs {self.nvars} coordinates, got {len(point)}"
+            )
         point = [_q(x) for x in point]
         total = Fraction(0)
         for e, c in self.terms.items():
@@ -155,7 +157,10 @@ class MPoly:
         """Compose with the linear map x = A y: returns f(Ay) in a.cols
         variables, each term expanded one linear form at a time in a dict."""
         if a.rows != self.nvars:
-            raise DimensionMismatch("matrix must have one row per variable")
+            raise LogcavityError(
+                f"substitution matrix needs one row per variable, {self.nvars}, "
+                f"got {a.rows}"
+            )
         m = a.cols
         lin = [[(j, x) for j, x in enumerate(a[i]) if x] for i in range(self.nvars)]
         out = Counter()
@@ -189,7 +194,7 @@ class MPoly:
                 _expect(e, int, "an exponent")
             den = _json_int(t["den"], "a term's 'den'")
             if den == 0:
-                raise MalformedInput("a term's 'den' must not be 0")
+                raise LogcavityError("a term's 'den' must not be 0")
             terms[tuple(exp)] = Fraction(_json_int(t["num"], "a term's 'num'"), den)
         return MPoly(_expect(obj["nvars"], int, "polynomial 'nvars'"), terms)
 
@@ -239,14 +244,18 @@ def polarization(f: MPoly, vectors) -> Fraction:
     sums (exact finite differencing of the degree-d polynomial), equal
     vectors taken together by `polarization_sum`."""
     if not f.is_homogeneous():
-        raise DegreeMismatch("polarization needs a homogeneous polynomial")
+        raise LogcavityError("polarization needs a homogeneous polynomial")
     d = f.degree()
     vectors = [tuple(_q(x) for x in v) for v in vectors]
     if len(vectors) != d:
-        raise DegreeMismatch(f"need exactly {d} vectors, got {len(vectors)}")
+        raise LogcavityError(
+            f"polarization of degree {d} needs exactly {d} vectors, got {len(vectors)}"
+        )
     for v in vectors:
         if len(v) != f.nvars:
-            raise DimensionMismatch("vector length must equal nvars")
+            raise LogcavityError(
+                f"polarization vector needs {f.nvars} coordinates, got {len(v)}"
+            )
     groups = Counter(vectors)
 
     def value(js):
@@ -267,7 +276,7 @@ def m_convex(support) -> bool:
         return True
     degs = {sum(e) for e in exps}
     if len(degs) > 1:
-        raise MixedDegrees("support mixes total degrees")
+        raise LogcavityError(f"M-convex support needs one total degree: {sorted(degs)}")
     if all(x in (0, 1) for e in exps for x in e):
         masks = [sum(1 << i for i, x in enumerate(e) if x) for e in exps]
         return _is_basis_family(masks)
@@ -331,7 +340,7 @@ def lorentzian_check(f: MPoly) -> LorentzianReport:
     every partial, so the recursive definition needs no other check. Each
     Hessian is tested as int rows times d > 0, which keeps its inertia."""
     if not f.has_nonneg_coefficients():
-        raise NegativeCoefficient("Lorentzian candidates need nonneg coefficients")
+        raise LogcavityError("Lorentzian candidates need nonnegative coefficients")
     if f.is_zero():
         return LorentzianReport(True, True, True, ())
     if not f.is_homogeneous():
@@ -351,7 +360,7 @@ def coefficient_logconcavity(f: MPoly) -> bool:
     side vanishes unless both beta = a+ei-ej and gamma = beta-2ei+2ej lie in
     the support, so only such support pairs are visited."""
     if not f.is_homogeneous():
-        raise DegreeMismatch("needs a homogeneous polynomial")
+        raise LogcavityError("coefficient log-concavity needs a homogeneous polynomial")
     c = {
         e: coeff * math.prod(math.factorial(k) for k in e)
         for e, coeff in f.terms.items()

@@ -10,14 +10,7 @@ representation of a poset, Fundam. Inform. 2006); no extension is listed.
 
 from functools import cached_property
 
-from .errors import (
-    InvalidMarks,
-    InvalidPoset,
-    MalformedInput,
-    TooLarge,
-    UnknownElement,
-    ZeroAtIndex,
-)
+from .errors import LogcavityError, TooLarge
 from .linalg import Record, _bits, _expect, _json_labels
 
 DEFAULT_EXTENSION_CAP = 3_628_800  # 10!
@@ -39,7 +32,7 @@ class Poset:
             self, "_index", {lab: i for i, lab in enumerate(self.labels)}
         )
         if len(self._index) != self.n:
-            raise InvalidPoset("duplicate element labels")
+            raise LogcavityError("poset element labels must be distinct")
         object.__setattr__(self, "up", tuple(up_masks))
         down = [0] * self.n
         for i, above in enumerate(self.up):
@@ -56,12 +49,12 @@ class Poset:
         labels = tuple(elements)
         index = {lab: i for i, lab in enumerate(labels)}
         if len(index) != len(labels):
-            raise InvalidPoset("duplicate element labels")
+            raise LogcavityError("poset element labels must be distinct")
         n = len(labels)
         up = [1 << i for i in range(n)]
         for a, b in relations:
             if a not in index or b not in index:
-                raise UnknownElement(
+                raise LogcavityError(
                     f"relation mentions unknown element {a!r} or {b!r}"
                 )
             up[index[a]] |= 1 << index[b]
@@ -73,7 +66,7 @@ class Poset:
         for i in range(n):
             for j in range(i + 1, n):
                 if up[i] >> j & 1 and up[j] >> i & 1:
-                    raise InvalidPoset(
+                    raise LogcavityError(
                         f"antisymmetry fails: {labels[i]!r} and {labels[j]!r} "
                         "are in a relation cycle"
                     )
@@ -90,7 +83,7 @@ class Poset:
         try:
             return self._index[label]
         except KeyError:
-            raise UnknownElement(f"unknown poset element {label!r}") from None
+            raise LogcavityError(f"unknown poset element {label!r}") from None
 
     def leq(self, a, b):
         return self.up[self.index(a)] >> self.index(b) & 1 == 1
@@ -167,7 +160,7 @@ class Poset:
         z1 <= a and b <= z2."""
         i, j = self.index(a), self.index(b)
         if self.up[j] >> i & 1:
-            raise InvalidPoset(f"adding {a!r} <= {b!r} would break antisymmetry")
+            raise LogcavityError(f"adding {a!r} <= {b!r} would break antisymmetry")
         up = list(self.up)
         for k in range(self.n):
             if up[k] >> i & 1:
@@ -185,7 +178,7 @@ class Poset:
         relations = _expect(obj.get("relations", []), list, "poset 'relations'")
         for r in relations:
             if len(_json_labels(r, "a poset relation")) != 2:
-                raise MalformedInput(
+                raise LogcavityError(
                     f"a poset relation must be a pair [a, b], got {r!r}"
                 )
         return Poset.from_relations(
@@ -309,9 +302,9 @@ class MarkedPoset(Record):
 
     def __init__(self, poset, x, y):
         if x == y:
-            raise InvalidMarks("marks x and y must be distinct")
+            raise LogcavityError("marks x and y must be distinct")
         if poset.lt(y, x):
-            raise InvalidMarks("mark y must not lie below x")
+            raise LogcavityError("mark y must not lie below x")
         super().__init__(poset, x, y)
 
     @cached_property
@@ -411,8 +404,9 @@ def stanley_equality_classify(
     if ni == 0:
         below = p.strict_down_mask(xi).bit_count()
         above = p.strict_up_mask(xi).bit_count()
-        raise ZeroAtIndex(
-            f"N_{i} = 0 (|P<x| = {below} > {i - 1} or |P>x| = {above} > {n - i})"
+        raise LogcavityError(
+            f"no Stanley equality case at i={i}: N_{i} = 0 "
+            f"(|P<x| = {below} > {i - 1} or |P>x| = {above} > {n - i})"
         )
     prev = seq[i - 2] if i - 2 >= 0 else 0
     nxt = seq[i] if i < n else 0
@@ -502,7 +496,7 @@ def kahn_saks_extremal_classify(
     seq = ks.sequence(cap)
     nk = seq[k - 1] if 1 <= k <= len(seq) else 0
     if nk == 0:
-        raise ZeroAtIndex(f"N_{k} = 0")
+        raise LogcavityError(f"no Kahn-Saks equality case at k={k}: N_{k} = 0")
     prev = seq[k - 2] if k - 2 >= 0 else 0
     nxt = seq[k] if k < len(seq) else 0
     equality = nk * nk == prev * nxt

@@ -11,7 +11,7 @@ from collections import Counter
 from fractions import Fraction
 from itertools import product
 
-from .errors import BadMultiplicities, DimensionMismatch, LoopPresent, TooLarge
+from .errors import LogcavityError, TooLarge
 from .linalg import QMatrix, Record, _bits
 from .matroids import Matroid
 from .polynomials import MPoly, basis_generating_poly
@@ -52,7 +52,7 @@ def B_count(m: Matroid, tuple_spec) -> int:
     spec = [(m._mask(subset), int(mult)) for subset, mult in tuple_spec]
     total_mult = sum(mult for _, mult in spec)
     if total_mult != m.rank:
-        raise BadMultiplicities(
+        raise LogcavityError(
             f"multiplicities sum to {total_mult}, rank is {m.rank}"
         )
     factor = 1
@@ -106,7 +106,7 @@ def ratio_condition_check(m: Matroid, R) -> RatioVerdict:
     parallel classes; that constant is the expected step ratio of the
     normalized sequence."""
     if m.loops():
-        raise LoopPresent("ratio condition is stated for loopless matroids")
+        raise LogcavityError("ratio condition is stated for loopless matroids")
     r_set = frozenset(R)
     pairs = [(len(c & r_set), len(c - r_set)) for c in m.parallel_data().classes]
     return RatioVerdict(*_constant_ratio(pairs))
@@ -169,7 +169,7 @@ def zonotope_volume(vectors) -> Fraction:
         return Fraction(0)
     n = len(vectors[0])
     if any(len(v) != n for v in vectors):
-        raise DimensionMismatch("all vectors must have the same dimension")
+        raise LogcavityError("zonotope vectors must all have the same dimension")
     tally, scale = _transversal_sums([(vectors, n)], n)
     return Fraction(tally[n,], scale)
 
@@ -183,7 +183,7 @@ def mixed_volume_zonotopes(lists) -> Fraction:
     lists = [tuple(tuple(Fraction(x) for x in v) for v in t) for t in lists]
     r = len(lists)
     if any(len(v) != r for t in lists for v in t):
-        raise DimensionMismatch("ambient dimension must equal the number of zonotopes")
+        raise LogcavityError("ambient dimension must equal the number of zonotopes")
     if not r:
         return Fraction(0)
     groups = Counter(lists)
@@ -239,7 +239,7 @@ def parallel_replicate(m: Matroid, r_copies, q_copies):
     """Parallel extension giving every element r_copies R-clones and q_copies
     Q-clones; returns (matroid, R) realizing the constant-ratio condition."""
     if r_copies < 1 or q_copies < 1:
-        raise BadMultiplicities("each class needs at least one copy per side")
+        raise LogcavityError("parallel_replicate needs at least one copy per side")
     per = r_copies + q_copies
     ground = []
     r_labels = []

@@ -10,7 +10,7 @@ from itertools import permutations, product
 from typing import NamedTuple
 
 from logcavity.discriminants import mixed_discriminant_perm
-from logcavity.errors import NotPSD, NotSymmetric
+from logcavity.errors import LogcavityError
 from logcavity.linalg import QMatrix, det
 from logcavity.polynomials import MPoly
 from logcavity.zoo import random_psd_with_factor
@@ -81,18 +81,18 @@ def rational_sqrt(x: Fraction):
 
 
 def psd_decompose(a: QMatrix) -> PSDFactorization:
-    """Rational LDL^T of a symmetric PSD matrix; raises NotPSD on any
+    """Rational LDL^T of a symmetric PSD matrix; raises LogcavityError on any
     negative pivot or on a zero pivot with a nonzero residual row."""
     if not a.is_symmetric:
-        raise NotSymmetric("decomposition requires a symmetric matrix")
+        raise LogcavityError("decomposition requires a symmetric matrix")
     n = a.rows
     m = [list(row) for row in a.m]
     lower = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
     for k in range(n):
         if m[k][k] < 0:
-            raise NotPSD(f"negative pivot at position {k}")
+            raise LogcavityError(f"negative pivot at position {k}")
         if m[k][k] == 0 and any(m[k][k:]):
-            raise NotPSD(f"zero pivot with nonzero row at position {k}")
+            raise LogcavityError(f"zero pivot with nonzero row at position {k}")
         for i in range(k + 1, n) if m[k][k] else ():
             lower[i][k] = f = m[i][k] / m[k][k]
             m[i] = [x - f * y for x, y in zip(m[i], m[k])]

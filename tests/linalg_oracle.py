@@ -13,7 +13,7 @@ tests write by hand.
 import math
 from fractions import Fraction
 
-from logcavity.errors import DimensionMismatch, NonSquare, NotSymmetric
+from logcavity.errors import LogcavityError
 from logcavity.linalg import Inertia, QMatrix
 
 
@@ -26,14 +26,14 @@ def diagonal(entries):
 def apply(m: QMatrix, vector):
     """The product m v, as a tuple of Fractions."""
     if len(vector) != m.cols:
-        raise DimensionMismatch("vector length does not match column count")
+        raise LogcavityError("vector length does not match column count")
     return tuple(sum(a * Fraction(b) for a, b in zip(row, vector)) for row in m.m)
 
 
 def det(m: QMatrix) -> Fraction:
     """Product of the pivots of Gaussian elimination, signed by the swaps."""
     if not m.is_square:
-        raise NonSquare("determinant requires a square matrix")
+        raise LogcavityError("determinant requires a square matrix")
     n = m.rows
     a = [list(row) for row in m.m]
     value = Fraction(1)
@@ -57,7 +57,7 @@ def inertia(m: QMatrix) -> Inertia:
     """Symmetric Gaussian elimination; a zero diagonal pivot with a nonzero
     off-diagonal entry is resolved by the row+column addition congruence."""
     if not m.is_symmetric:
-        raise NotSymmetric("inertia requires a symmetric matrix")
+        raise LogcavityError("inertia requires a symmetric matrix")
     n = m.rows
     a = [list(row) for row in m.m]
     active = list(range(n))
@@ -182,15 +182,15 @@ def row_space_basis_indices(m: QMatrix):
 
 
 def solve(m: QMatrix, b):
-    """Solve m x = b exactly for square nonsingular m."""
+    """The exact solution x of m x = b for square m, or None if m is singular."""
     if not m.is_square:
-        raise NonSquare("solve requires a square matrix")
+        raise LogcavityError("solve requires a square matrix")
     n = m.rows
     a = [list(row) + [Fraction(x)] for row, x in zip(m.m, b)]
     for c in range(n):
         piv = next((i for i in range(c, n) if a[i][c] != 0), None)
         if piv is None:
-            raise DimensionMismatch("singular system")
+            return None
         a[c], a[piv] = a[piv], a[c]
         p = a[c][c]
         a[c] = [x / p for x in a[c]]
@@ -241,7 +241,7 @@ def eager_eliminate(a, ncols, jordan=False):
 def eager_inertia(m: QMatrix) -> Inertia:
     """What `linalg.inertia` returns, by the eager symmetric update."""
     if not m.is_symmetric:
-        raise NotSymmetric("inertia requires a symmetric matrix")
+        raise LogcavityError("inertia requires a symmetric matrix")
     d = math.lcm(*(x.denominator for row in m.m for x in row))
     a = [[x.numerator * (d // x.denominator) for x in row] for row in m.m]
     active = list(range(m.rows))

@@ -16,7 +16,7 @@ from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
 
-from logcavity.errors import DimensionMismatch
+from logcavity.errors import LogcavityError
 from logcavity.linalg import QMatrix, det, integer_det
 
 
@@ -39,7 +39,7 @@ def mixed_volume_by_inversion(lists):
     lists = [[tuple(Fraction(x) for x in v) for v in t] for t in lists]
     r = len(lists)
     if any(len(v) != r for t in lists for v in t):
-        raise DimensionMismatch("ambient dimension must equal the number of zonotopes")
+        raise LogcavityError("ambient dimension must equal the number of zonotopes")
     total = Fraction(0)
     for size in range(r + 1):
         for subset in combinations(range(r), size):

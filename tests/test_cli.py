@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from contextlib import redirect_stdout
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 import report_oracle as oracle
 from logcavity import __version__, cli, discriminants, hodge, matroids
 from logcavity.cli import RunReport, _InputObject, _emit, _text, main
+from logcavity.errors import LogcavityError
 from logcavity.linalg import Record
 from logcavity.matroids import Matroid
 from logcavity.polynomials import MPoly
@@ -124,6 +126,38 @@ class TestDiscriminantCommand:
         sums |= {(j_a, j_b) for j_a in range(2) for j_b in range(3)}
         assert len(sums) == 9
         assert calls == {"inertia": 2, "integer_det": len(sums)}
+
+    def test_a_failing_alexandrov_check_is_not_swallowed(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        # on a PSD tuple the check's hypotheses hold, so an error it raises
+        # is a fault to report, not a reason to leave the check out
+        def failing(*args):
+            raise LogcavityError("the check failed")
+
+        monkeypatch.setattr(cli, "alexandrov_check", failing)
+        path = tmp_path / "tuple.json"
+        path.write_text(json.dumps({"mats": [{"matrix": I2}, {"matrix": I2}]}))
+        assert main(["discriminant", "--tuple", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: the check failed\n" and captured.out == ""
+
+    def test_alexandrov_needs_psd_fixed_and_symmetric_pair(self, capsys, tmp_path):
+        # a non-PSD fixed matrix or a non-symmetric X leaves the check out
+        psd = ["1", "0", "0", "0", "1", "0", "0", "0", "1"]
+        indefinite = ["1", "0", "0", "0", "-1", "0", "0", "0", "1"]
+        skew = ["1", "1", "0", "0", "1", "0", "0", "0", "1"]
+        for x, fixed, checked in (
+            (psd, psd, True),
+            (psd, indefinite, False),
+            (skew, psd, False),
+        ):
+            entries = [x, psd, fixed]
+            mats = [{"matrix": {"rows": 3, "cols": 3, "entries": e}} for e in entries]
+            path = tmp_path / "tuple.json"
+            path.write_text(json.dumps({"mats": mats}))
+            code, report = run_json(capsys, ["discriminant", "--tuple", str(path)])
+            assert code == 0 and ("alexandrov" in report["results"]) == checked
 
 
 class TestHodgeCommand:
@@ -324,7 +358,8 @@ class TestStanleyCommand:
             path.write_text(json.dumps(graph.to_json()))
             argv = ["stanley", "--matroid", k23_file, "--graph", str(path), "--R", "0"]
             assert main(argv) == 1
-            assert "DimensionMismatch" in capsys.readouterr().err
+            err = capsys.readouterr().err
+            assert err == "error: the --graph needs the matroid's 6 edges and rank 4\n"
 
 
 class TestLorentzianCommand:
@@ -386,7 +421,7 @@ class TestLorentzianCommand:
         monkeypatch.setattr(matroids, "_exchange_failure", validated)
         assert main(["lorentzian", "--matroid", str(path)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
+        assert err.startswith("error: TooLarge: ") and err.count("\n") == 1
         assert "20 elements, over the --cap-elements limit 16" in err
 
     def test_deterministic_bytes(self, capsys, tmp_path):
@@ -738,9 +773,10 @@ class TestParserReuse:
 class TestExitCodes:
     """Across the matroid-reading commands and `discriminant`: a run exits 2
     only when its written report lists violations, and every input error
-    exits 1 with one `error:` line and no report."""
+    exits 1 with one `error:` line and no report. That line names no error
+    class, except `TooLarge` on a cap failure, and only there."""
 
-    def run(self, capsys, tmp_path, argv):
+    def run(self, capsys, tmp_path, argv, capped=False):
         out = tmp_path / "report.json"
         out.unlink(missing_ok=True)
         code = main(argv + ["--out", str(out)])
@@ -748,6 +784,10 @@ class TestExitCodes:
         if code == 1:
             assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
             assert not out.exists()
+            if capped:
+                assert err.startswith("error: TooLarge: "), (argv, err)
+            else:
+                assert not re.match(r"error: [A-Z]\w*: ", err), (argv, err)
         else:
             report = json.loads(out.read_text())
             assert code == (2 if report["violations"] else 0), argv
@@ -812,3 +852,25 @@ class TestExitCodes:
             cases.append([command, "--graph", bad_edge] + split)
         for argv in cases:
             assert self.run(capsys, tmp_path, argv) == 1, argv
+
+    def test_cap_failures(self, capsys, tmp_path):
+        k23 = self.write(
+            tmp_path, "k23", {"type": "graphic", "graph": k23_graph().to_json()}
+        )
+        edges = [[0, 1]] * 17
+        wide_graph = self.write(tmp_path, "wide", {"vertices": 2, "edges": edges})
+        u1_20 = self.write(
+            tmp_path, "u1_20", {"ground": list(range(20)), "bases": [[0], [1]]}
+        )
+        uniform = self.write(tmp_path, "u2_17", {"type": "uniform", "k": 2, "n": 17})
+        linear = {"rows": 1, "cols": 17, "entries": ["1"] * 17}
+        wide_matrix = self.write(tmp_path, "linear", {"type": "linear", "matrix": linear})
+        cases = [
+            ["matroid", "--matroid", k23, "--cap-elements", "5"],
+            ["hodge", "--graph", wide_graph],
+            ["probe", "--matroid", u1_20],
+            ["lorentzian", "--matroid", uniform],
+            ["stanley", "--matroid", wide_matrix, "--R", "0"],
+        ]
+        for argv in cases:
+            assert self.run(capsys, tmp_path, argv, capped=True) == 1, argv

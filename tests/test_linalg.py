@@ -6,14 +6,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import linalg_oracle as oracle
-from logcavity.errors import (
-    DimensionMismatch,
-    Disconnected,
-    LoopEdge,
-    NonSquare,
-    NotSymmetric,
-    SingularSystem,
-)
+from logcavity.errors import LogcavityError
 from logcavity.linalg import (
     _eliminate,
     Graph,
@@ -116,7 +109,7 @@ class TestRecord:
     def test_validating_subclasses(self):
         # Graph normalizes and checks its edges before the fields are set
         assert Graph(2, [[0, 1]]).edges == ((0, 1),)
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(LogcavityError, match=r"edge \[0, 2\] has an endpoint"):
             Graph(2, [(0, 2)])
         with pytest.raises(TypeError):
             Graph(2)
@@ -166,7 +159,7 @@ class TestDet:
         assert det(m) == Fraction(1, 2) * Fraction(4, 3) - 1
 
     def test_non_square(self):
-        with pytest.raises(NonSquare):
+        with pytest.raises(LogcavityError, match="determinant requires a square"):
             det(QMatrix([[1, 2, 3], [4, 5, 6]]))
 
     def test_singular(self):
@@ -177,7 +170,7 @@ class TestDet:
         assert integer_det(rows) == det(QMatrix(rows)) == -25
         assert rows == [[0, 2, 1], [3, 1, 0], [1, 0, 4]]  # left unchanged
         assert integer_det([]) == 1
-        with pytest.raises(NonSquare):
+        with pytest.raises(LogcavityError, match="determinant requires a square"):
             integer_det([[1, 2]])
 
 
@@ -197,7 +190,7 @@ class TestInertia:
         assert inertia(QMatrix([[0, 1], [1, 0]])) == Inertia(1, 1, 0)
 
     def test_not_symmetric(self):
-        with pytest.raises(NotSymmetric):
+        with pytest.raises(LogcavityError, match="inertia requires a symmetric"):
             inertia(QMatrix([[0, 1], [2, 0]]))
 
     def test_det_sign_consistency(self, rng):
@@ -279,7 +272,7 @@ class TestLaplacian:
         assert laplacian(g) == QMatrix([[2, -2], [-2, 2]])
 
     def test_loop_rejected(self):
-        with pytest.raises(LoopEdge):
+        with pytest.raises(LogcavityError, match="Laplacian is defined for loopless"):
             laplacian(Graph(2, ((0, 0),)))
 
     def test_equals_bbt(self, rng):
@@ -313,7 +306,7 @@ class TestSpanningTrees:
         assert spanning_tree_count(g) == 3
 
     def test_disconnected(self):
-        with pytest.raises(Disconnected):
+        with pytest.raises(LogcavityError, match="requires a connected graph"):
             spanning_tree_count(Graph(4, ((0, 1), (2, 3))))
 
 
@@ -384,10 +377,8 @@ class TestKernels:
 
 
 class TestSolve:
-    def test_singular_raises_dedicated_error(self):
-        with pytest.raises(SingularSystem):
-            solve(QMatrix([[1, 2], [2, 4]]), [1, 2])
-        assert issubclass(SingularSystem, DimensionMismatch)
+    def test_singular_gives_none(self):
+        assert solve(QMatrix([[1, 2], [2, 4]]), [1, 2]) is None
 
 
 # Properties pairing each public elimination with its Fraction oracle in
@@ -477,13 +468,8 @@ class TestAgainstFractionOracle:
     def test_solve(self, m, b):
         square = _square(m)
         b = b[: square.rows]
-        try:
-            expected = oracle.solve(square, b)
-        except DimensionMismatch:
-            with pytest.raises(SingularSystem):
-                solve(square, b)
-        else:
-            assert solve(square, b) == expected
+        # both give None for a singular matrix
+        assert solve(square, b) == oracle.solve(square, b)
 
     @settings(max_examples=200, deadline=None)
     @given(symmetric_matrices())

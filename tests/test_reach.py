@@ -10,6 +10,10 @@ methods. Every public top-level function and class, public method and name
 `__init__.py` exports must be reached: a name only unit tests call belongs
 in a test oracle or nowhere. A shared name can hide a dead definition; it
 never reports a live one.
+
+An error class is told apart only where it is caught: each class of
+`errors.py` must be named by an `except` clause or an `isinstance` call of
+the CLI module or a script, or it is one class too many.
 """
 
 import ast
@@ -73,6 +77,43 @@ def unreached(modules, entry_sources, exports=(), roots=()):
             reached.add(name)
             todo |= defs.get(name, set()) - reached
     return sorted(shown for shown, name in public.items() if name not in reached)
+
+
+def caught(source):
+    """The names the `except` clauses and `isinstance` calls of the source
+    test against."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ExceptHandler) and node.type is not None:
+            out |= _read(node.type)
+        elif isinstance(node, ast.Call) and ast.unparse(node.func) == "isinstance":
+            out |= _read(node.args[1])
+    return out
+
+
+def test_finds_a_caught_name():
+    source = """
+try:
+    pass
+except (A, errors.B):
+    pass
+except C as e:
+    if isinstance(e, (D, E)) or issubclass(F, G):
+        pass
+raise H()
+"""
+    assert caught(source) == {"A", "errors", "B", "C", "D", "E"}
+
+
+def test_every_error_class_is_caught_by_an_entry_point():
+    classes = {
+        node.name
+        for node in ast.parse((PACKAGE / "errors.py").read_text()).body
+        if isinstance(node, ast.ClassDef)
+    }
+    entries = [PACKAGE / "cli.py", *sorted((ROOT / "scripts").glob("*.py"))]
+    named = set().union(*(caught(p.read_text()) for p in entries))
+    assert sorted(classes - named) == []
 
 
 def test_finds_an_unreached_name():
