@@ -246,6 +246,8 @@ def _parse_labels(m: Matroid, csv):
     for item in raw:
         if item not in by_str:
             raise LogcavityError(f"element {item!r} is not in the ground set")
+        if by_str[item] in out:
+            raise LogcavityError(f"element {item!r} is given twice")
         out.append(by_str[item])
     return out
 

@@ -31,12 +31,12 @@ from .matroids import Matroid
 class GradedEvaluation(Record):
     """Evaluation pairing of degree k against degree r-k.
 
-    rows: independent k-subsets; cols: independent (r-k)-subsets; entries:
-    0/1 int rows, 1 iff the disjoint union is a basis. The degree-k graded
-    piece has dimension = rank, with the rows at basis_positions (a
-    row-space basis) as a working basis."""
+    row_masks: the independent k-subsets. The degree-k graded piece has
+    dimension = rank of the 0/1 matrix E_k (1 iff row | column is a basis,
+    over the independent (r-k)-subsets as columns), with the rows at
+    basis_positions (its greedy row basis) as a working basis."""
 
-    _fields = ("k", "row_masks", "col_masks", "entries", "basis_positions")
+    _fields = ("k", "row_masks", "basis_positions")
 
     @property
     def dimension(self):
@@ -50,14 +50,29 @@ def _evaluation_entries(m: Matroid, row_masks, col_masks):
     return [[1 if a | c in base_set else 0 for c in col_masks] for a in row_masks]
 
 
+def _first_per_flat(closures, masks):
+    """The indices of the first mask of each flat, in mask order; closures
+    maps each mask to its flat."""
+    firsts = {}
+    for i, a in enumerate(masks):
+        firsts.setdefault(closures[a], i)
+    return list(firsts.values())
+
+
 def graded_evaluation(m: Matroid, k) -> GradedEvaluation:
+    """E_k on one row and one column per flat. a | c is a basis iff
+    rank(cl(a) | c) = r, so a row or column depends only on its closure: a
+    later row of a flat copies an earlier one, which the greedy basis never
+    takes, and a repeated column changes no row dependency."""
     if not 0 <= k <= m.rank:
         raise LogcavityError(f"degree {k} outside 0..rank = {m.rank}")
     row_masks = tuple(m.independent_subsets(k))
-    col_masks = tuple(m.independent_subsets(m.rank - k))
-    entries = tuple(map(tuple, _evaluation_entries(m, row_masks, col_masks)))
-    basis_positions = tuple(integer_row_basis(entries))
-    return GradedEvaluation(k, row_masks, col_masks, entries, basis_positions)
+    firsts = _first_per_flat(m._flats(k), row_masks)
+    col_masks = m.independent_subsets(m.rank - k)
+    cols = [col_masks[i] for i in _first_per_flat(m._flats(m.rank - k), col_masks)]
+    entries = _evaluation_entries(m, [row_masks[i] for i in firsts], cols)
+    basis_positions = tuple(firsts[i] for i in integer_row_basis(entries))
+    return GradedEvaluation(k, row_masks, basis_positions)
 
 
 def graded_dims(m: Matroid):
@@ -410,7 +425,10 @@ def annihilator_containment_probe(m: Matroid, e) -> ContainmentProbe:
     kernel vector is d (e_j - e_i), which never fails, or the first row's
     vector plus that, which fails iff the first row's does. So one integer
     kernel over one column per flat, in row order, and one row per column
-    flat gives every vector that can fail first. The first that fails is
+    flat gives every vector that can fail first. Degree k is contained iff
+    the contraction rows lie in the row space of the deletion rows, iff the
+    greedy row basis of deletion + contraction takes no contraction row;
+    only a failing degree builds the kernel. The first vector that fails is
     reported by its nonzero coefficients, in row order, keyed by their rows'
     label sets: the shape `in_annihilator` takes. A loop has M/e = M\\e."""
     bit = m._mask([e])
@@ -421,23 +439,23 @@ def annihilator_containment_probe(m: Matroid, e) -> ContainmentProbe:
     if e in m.loops():
         return ContainmentProbe(e, True, None)
     for k in range(1, m.rank):
-        flats = m._flats(k)
         row_masks = [a for a in m.independent_subsets(k) if not a & bit]
-        firsts = {}
-        for i, a in enumerate(row_masks):
-            firsts.setdefault(flats[a], i)
-        reps = [row_masks[i] for i in firsts.values()]
+        firsts = _first_per_flat(m._flats(k), row_masks)
+        reps = [row_masks[i] for i in firsts]
         cols = ({}, {})  # one column per flat, of the deletion and contraction
         for c, f in m._flats(m.rank - k).items():
             cols[c & bit != 0][f] = c
         deletion = _evaluation_entries(m, cols[0].values(), reps)
         contraction = _evaluation_entries(m, cols[1].values(), reps)
+        # the basis is not empty: a basis of M\\e splits into a row and a column
+        if integer_row_basis(deletion + contraction)[-1] < len(deletion):
+            continue
         d, vectors = integer_kernel(deletion, len(reps))
         for v in vectors:
             if any(sum(compress(v, row)) for row in contraction):
                 coeffs = {
                     m._labels(row_masks[i]): Fraction(x, d)
-                    for i, x in zip(firsts.values(), v)
+                    for i, x in zip(firsts, v)
                     if x
                 }
                 return ContainmentProbe(e, False, (k, coeffs))

@@ -246,14 +246,24 @@ def _update(a, level, pivot_row, c, targets, lo):
     p / prev, so it is left as it is. Every quotient is an eager value, a
     minor of the input, so every division is exact (Bareiss, Sylvester's
     identity and multistep integer-preserving Gaussian elimination, Math.
-    Comp. 1968)."""
+    Comp. 1968). A target already at the level p becomes x - f*y // p: p
+    divides x*p - f*y, hence f*y, so only the pivot row's nonzero columns
+    change."""
     tail = pivot_row[lo:]
     p = pivot_row[c]
+    nonzero = None
     for i in targets:
         row = a[i]
         f = row[c]
-        if f:
-            lvl = level[i]
+        if not f:
+            continue
+        lvl = level[i]
+        if lvl == p:
+            if nonzero is None:
+                nonzero = [(j, y) for j, y in enumerate(tail, lo) if y]
+            for j, y in nonzero:
+                row[j] -= f * y // p
+        else:
             row[lo:] = [(x * p - f * y) // lvl for x, y in zip(row[lo:], tail)]
             level[i] = p
 
@@ -350,43 +360,60 @@ def integer_inertia(rows, lead):
     the leading block until it is zero, which gives its In, then over all
     rows; every step is a congruence of the whole (Haynsworth 1968). The
     k-th LDL^T pivot is pivot_k / pivot_(k-1), so its sign is the product
-    of theirs. The pivot row is popped and its column deleted, so no update
-    touches a retired column. The update is the lazy one of `_eliminate`
-    (Bareiss 1968), and the congruence first raises every row to prev."""
-    a = [list(row) for row in rows]
-    level = [1] * len(a)
+    of theirs. The pivot row and column are deleted, so no update touches a
+    retired column.
+
+    The update is the lazy one of `_update` (Bareiss 1968) on the upper
+    triangle, a[i] holding the entries (i, j) for j >= i: the eager values
+    of a symmetric matrix are symmetric minors, so the pivot row is read at
+    level prev down its column and along its row, and a target k below the
+    pivot takes (k, piv) = (piv, k) scaled to its own level. The congruence
+    adds the eager rows i and j and, in the rows above i, the stored
+    columns."""
+    n = len(rows)
+    a = [list(row[i:]) for i, row in enumerate(rows)]
+    level = [1] * n
     signs = [0, 0]  # positive and negative LDL^T pivots so far
     prev = 1
     block = None
     lim = lead
+
+    def eager(i):  # the whole row i at level prev; a[0] itself if already there
+        row = a[i] if level[i] == prev else [x * prev // level[i] for x in a[i]]
+        return [a[k][i - k] * prev // level[k] for k in range(i)] + row if i else row
+
     while True:
-        piv = next((i for i in range(lim) if a[i][i]), None)
-        if piv is None:
+        for piv in range(lim):
+            if a[piv][0]:
+                y = eager(piv)
+                break
+        else:
             pairs = combinations(range(lim), 2)
-            off = next(((i, j) for i, j in pairs if a[i][j]), None)
+            off = next(((i, j) for i, j in pairs if a[i][j - i]), None)
             if off is None:
-                block = block or Inertia(*signs, lim)
-                if lim == len(a):
+                if lim == n:
                     break
-                lim = len(a)
+                block, lim = Inertia(*signs, lim), n
                 continue
-            _raise(a, level, range(len(a)), prev)
-            i, j = off
-            a[i] = [x + y for x, y in zip(a[i], a[j])]
-            for row in a:
-                row[i] += row[j]
-            piv = i
-        _raise(a, level, (piv,), prev)
-        pivot_row = a.pop(piv)
-        del level[piv]
-        p = pivot_row[piv]
+            piv, j = off
+            y = [u + v for u, v in zip(eager(piv), eager(j))]
+            y[piv] += y[j]
+            for k in range(piv):
+                a[k][piv - k] += a[k][j - k]
+        p = y.pop(piv)
         signs[(p > 0) != (prev > 0)] += 1
-        _update(a, level, pivot_row, piv, range(len(a)), 0)
-        for row in a:
-            del row[piv]
+        del a[piv], level[piv]
+        n -= 1
+        for k in range(n):
+            lvl = level[k]
+            f = a[k].pop(piv - k) if k < piv else y[k] * lvl // prev
+            if f:
+                a[k] = [(x * p - f * t) // lvl for x, t in zip(a[k], y[k:])]
+                level[k] = p
         prev = p
         lim -= 1
-    return block, Inertia(*signs, len(a))
+    whole = Inertia(*signs, n)
+    return block or whole, whole
 
 
 def inertia(m: QMatrix) -> Inertia:

@@ -8,11 +8,14 @@ the kernel of the constraint matrix and applies the transposed evaluation
 matrix to each kernel vector; graded dimensions take one `Fraction` rank per
 degree, and annihilators one `Fraction` kernel over every squarefree
 monomial; the containment probe takes `Fraction` kernels and sums on the
-minors; the Moebius pairing walks the full lattice of flats. The library
-reads derivative values off the basis masks, decides In(Q^k) and HRR_k by
-one integer bordered inertia and socle triviality by a column containment,
-reads dim A^(r-k) off E_k, runs the probe on integer kernels and integer
-sums inside M, and pairs only the closures of the independent k-sets.
+minors; the Moebius pairing walks the full lattice of flats; E_k is taken
+whole, every independent k-set against every independent (r-k)-set. The
+library reads derivative values off the basis masks, decides In(Q^k) and
+HRR_k by one integer bordered inertia and socle triviality by a column
+containment, reads dim A^(r-k) off E_k on one row and column per flat, runs
+the probe by a rank test and, in a failing degree, integer kernels and
+integer sums inside M, and pairs only the closures of the independent
+k-sets.
 """
 
 import math
@@ -50,6 +53,17 @@ def pairing(m, rows, cols, point):
             row.append(math.factorial(power) * derivative(m, a | b, point))
         out.append(row)
     return out
+
+
+def full_evaluation(m, k):
+    """(rows, columns, entries) of the whole E_k: every independent k-set
+    against every independent (r-k)-set, as masks in increasing order, and
+    0/1 int rows, 1 iff the union is a basis."""
+    rows = independent_subsets(m, k)
+    cols = independent_subsets(m, m.rank - k)
+    bases = set(m.bases)
+    entries = [[int(a & c == 0 and a | c in bases) for c in cols] for a in rows]
+    return rows, cols, entries
 
 
 def _basis(m, k):
@@ -127,7 +141,7 @@ def socle_check(m, k, S):
                     for a in alphas
                 ]
             )
-    target = QMatrix(zip(*graded_evaluation(m, k).entries))
+    target = QMatrix(zip(*full_evaluation(m, k)[2]))
     return kernel_contained(QMatrix(rows), target)
 
 

@@ -1,20 +1,22 @@
 """Reference eliminations, used only as test oracles.
 
-Each routine but the last two is plain Gaussian elimination on rational
+Each routine up to `solve` is plain Gaussian elimination on rational
 entries, written independently of the fraction-free integer kernel in
 `logcavity.linalg`, and returns exactly what the public entry point of the
-same name returns. The last two, `eager_eliminate` and `eager_inertia`, are
-the eager Bareiss eliminations that rescale every row at every step; the
-lazy kernel must reproduce their pivots and rows bit for bit. `diagonal`
-and `apply` build the diagonal matrices and matrix-vector products that the
-tests write by hand.
+same name returns. `eager_eliminate` and `eager_inertia` are the eager
+Bareiss eliminations that rescale every row at every step; the lazy kernel
+must reproduce their pivots and rows bit for bit. `full_row_inertia` is the
+lazy inertia on whole rows that `integer_inertia` runs on the upper
+triangle. `diagonal` and `apply` build the diagonal matrices and
+matrix-vector products that the tests write by hand.
 """
 
 import math
 from fractions import Fraction
+from itertools import combinations
 
 from logcavity.errors import LogcavityError
-from logcavity.linalg import Inertia, QMatrix
+from logcavity.linalg import Inertia, QMatrix, _raise, _update
 
 
 def diagonal(entries):
@@ -275,3 +277,44 @@ def eager_inertia(m: QMatrix) -> Inertia:
         _bareiss(a, piv, piv, prev, active, 0)
         prev = p
     return Inertia(n_pos, n_neg, len(active))
+
+
+def full_row_inertia(rows, lead):
+    """What `linalg.integer_inertia` returns, by the lazy update on whole
+    rows: the same pivot rules (the leading block first, the first nonzero
+    diagonal, else the row+column congruence after raising every row to
+    prev), with the pivot row popped and its column deleted."""
+    a = [list(row) for row in rows]
+    level = [1] * len(a)
+    signs = [0, 0]
+    prev = 1
+    block = None
+    lim = lead
+    while True:
+        piv = next((i for i in range(lim) if a[i][i]), None)
+        if piv is None:
+            pairs = combinations(range(lim), 2)
+            off = next(((i, j) for i, j in pairs if a[i][j]), None)
+            if off is None:
+                block = block or Inertia(*signs, lim)
+                if lim == len(a):
+                    break
+                lim = len(a)
+                continue
+            _raise(a, level, range(len(a)), prev)
+            i, j = off
+            a[i] = [x + y for x, y in zip(a[i], a[j])]
+            for row in a:
+                row[i] += row[j]
+            piv = i
+        _raise(a, level, (piv,), prev)
+        pivot_row = a.pop(piv)
+        del level[piv]
+        p = pivot_row[piv]
+        signs[(p > 0) != (prev > 0)] += 1
+        _update(a, level, pivot_row, piv, range(len(a)), 0)
+        for row in a:
+            del row[piv]
+        prev = p
+        lim -= 1
+    return block, Inertia(*signs, len(a))

@@ -171,6 +171,14 @@ class TestHodgeCommand:
             "inertia": [6, 6, 3],
         }
 
+    def test_point_with_a_negative_first_coordinate(self, capsys, k23_file):
+        # "--point -1,..." reads as an option; the "=" form does not
+        argv = ["hodge", "--matroid", k23_file, "--k", "1"]
+        assert main(argv + ["--point", "-1,1,1,1,1,1"]) == 1
+        assert "expected one argument" in capsys.readouterr().err
+        code, report = run_json(capsys, argv + ["--point=-1,1,1,1,1,1"])
+        assert code == 0 and report["inputs"]["point"][0] == "-1"
+
     def test_point_flag(self, capsys, k23_file):
         code, report = run_json(
             capsys,
@@ -489,6 +497,16 @@ class TestErrors:
 
     def test_unknown_element_in_flag(self, capsys, k23_file):
         assert main(["stanley", "--matroid", k23_file, "--R", "99"]) == 1
+
+    @pytest.mark.parametrize("command, flag", [("stanley", "--R"), ("probe", "--e")])
+    def test_repeated_element_in_flag(self, capsys, tmp_path, command, flag):
+        # a repeated --R column would enter the R zonotope twice and make
+        # the two basis counting routes disagree; --e would probe it twice
+        edges = [[0, 1], [1, 2], [2, 3], [3, 0], [0, 2], [0, 1]]
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps({"vertices": 4, "edges": edges}))
+        assert main([command, "--graph", str(path), flag, "0,0"]) == 1
+        assert capsys.readouterr().err == "error: element '0' is given twice\n"
 
     @pytest.mark.parametrize(
         "argv",

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hodge_oracle as oracle
+import linalg_oracle
 from matroid_oracle import SMALL, small_matroids
 from logcavity.errors import LogcavityError
 from logcavity.linalg import Graph, Inertia, QMatrix, inertia, integer_inertia
@@ -384,10 +385,10 @@ class TestMobius:
                 continue
             k = m.rank // 2
             count, iner = mobius_pairing(m, k)
-            ev = graded_evaluation(m, k)
-            pos = {mask: idx for idx, mask in enumerate(ev.row_masks)}
+            row_masks, _, entries = oracle.full_evaluation(m, k)
+            pos = {mask: idx for idx, mask in enumerate(row_masks)}
             thetas = [m._greedy(f)[0] for f in _flat_masks(m, k)]
-            rows = [ev.entries[pos[theta]] for theta in thetas]
+            rows = [entries[pos[theta]] for theta in thetas]
             assert iner.n_zero == count - len(integer_row_basis(rows))
 
     def test_theta_embedding_ring_hom(self):
@@ -584,7 +585,29 @@ def bordered_instances(draw):
     return QMatrix(q), draw(rank_deficient(d, e))
 
 
+@st.composite
+def parallel_multigraphs(draw):
+    """Graphic matroids of loopless multigraphs on 3 to 5 vertices with 4 to
+    9 edges, one of them repeated, so that flats hold parallel classes."""
+    v = draw(st.integers(min_value=3, max_value=5))
+    end = st.integers(min_value=0, max_value=v - 1)
+    edge = st.tuples(end, end).filter(lambda e: e[0] != e[1])
+    edges = draw(st.lists(edge, min_size=3, max_size=8))
+    edges.append(draw(st.sampled_from(edges)))
+    return Matroid.graphic(Graph(v, tuple(edges)))
+
+
 class TestOracleProperties:
+    @settings(max_examples=80, deadline=None)
+    @given(st.one_of(small_matroids(), parallel_multigraphs()))
+    def test_basis_positions_match_full_matrix(self, m):
+        # one row and one column per flat give the greedy row basis of the
+        # whole E_k, taken by Fraction elimination
+        for k in range(m.rank + 1):
+            full = QMatrix(oracle.full_evaluation(m, k)[2])
+            expected = tuple(linalg_oracle.row_space_basis_indices(full))
+            assert graded_evaluation(m, k).basis_positions == expected, k
+
     @settings(max_examples=60, deadline=None)
     @given(instances())
     def test_derivative_tables_match_partials(self, inst):
@@ -653,8 +676,8 @@ class TestOracleProperties:
     def test_evaluation_transpose_and_dims(self, m):
         # E_(r-k) is E_k transposed, as int rows, which graded_dims uses
         for k in range(m.rank + 1):
-            top = graded_evaluation(m, m.rank - k).entries
-            assert top == tuple(zip(*graded_evaluation(m, k).entries))
+            top = oracle.full_evaluation(m, m.rank - k)[2]
+            assert top == [list(col) for col in zip(*oracle.full_evaluation(m, k)[2])]
         assert graded_dims(m) == oracle.graded_dims(m)
 
     @settings(max_examples=60, deadline=None)
@@ -667,6 +690,18 @@ class TestOracleProperties:
         probe = annihilator_containment_probe(m, e)
         answer = in_row_order(probe.contained, probe.counterexample)
         assert answer == in_row_order(*oracle.containment_probe(m, e))
+
+    @settings(max_examples=40, deadline=None)
+    @given(parallel_multigraphs())
+    def test_probe_rank_test_matches_kernel_route(self, m):
+        # the rank test decides each degree before any kernel is built; the
+        # oracle takes a kernel in every degree
+        for e in m.ground:
+            if e in m.coloops():
+                continue
+            probe = annihilator_containment_probe(m, e)
+            answer = in_row_order(probe.contained, probe.counterexample)
+            assert answer == in_row_order(*oracle.containment_probe(m, e)), e
 
     @pytest.mark.parametrize(
         "name, e", PROBE_CASES, ids=[f"{name}-{e}" for name, e in PROBE_CASES]

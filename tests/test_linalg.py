@@ -556,6 +556,23 @@ class TestLazyAgainstEager:
         assert inertia(m) == oracle.eager_inertia(m)
 
 
+ZERO_ONE = st.sampled_from((0, 1))
+
+
+class TestEqualLevelUpdate:
+    # 0/1 rows have a unit first pivot, so every target starts at the
+    # pivot's level and takes the sparse update; later pivots repeat levels
+    @settings(max_examples=400, deadline=None)
+    @given(integer_grids(ZERO_ONE, max_rows=9))
+    def test_zero_one_matches_fraction_oracle(self, grid):
+        m = QMatrix(grid)
+        assert rank_of_matrix(m) == oracle.rank_of_matrix(m)
+        assert row_space_basis_indices(m) == oracle.row_space_basis_indices(m)
+        assert kernel_basis(m) == oracle.kernel_basis(m)
+        square = _square(m)
+        assert det(square) == oracle.det(square)
+
+
 @st.composite
 def symmetric_ints(draw):
     """Symmetric int matrices of size 0 to 7 whose diagonal is often sparse
@@ -575,7 +592,26 @@ def symmetric_ints(draw):
     return a
 
 
+@st.composite
+def singular_symmetric(draw):
+    """G^T D G for an int r x n matrix G with r < n: symmetric, singular."""
+    n = draw(st.integers(min_value=1, max_value=7))
+    r = draw(st.integers(min_value=0, max_value=n - 1))
+    g = [[draw(SMALL) for _ in range(n)] for _ in range(r)]
+    d = [draw(SMALL) for _ in range(r)]
+    return [
+        [sum(d[t] * g[t][i] * g[t][j] for t in range(r)) for j in range(n)]
+        for i in range(n)
+    ]
+
+
 class TestIntegerInertia:
+    @settings(max_examples=400, deadline=None)
+    @given(st.one_of(symmetric_ints(), singular_symmetric()), st.data())
+    def test_upper_triangle_matches_full_rows(self, a, data):
+        lead = data.draw(st.integers(min_value=0, max_value=len(a)))
+        assert integer_inertia(a, lead) == oracle.full_row_inertia(a, lead)
+
     @settings(max_examples=400, deadline=None)
     @given(symmetric_ints())
     @example([])
