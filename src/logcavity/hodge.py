@@ -12,10 +12,12 @@ the Hodge-Riemann forms, come from fraction-free integer elimination.
 import math
 import weakref
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations, compress
 
 from .errors import LogcavityError
 from .linalg import (
+    Inertia,
     QMatrix,
     Record,
     _bits,
@@ -29,14 +31,18 @@ from .matroids import Matroid
 
 
 class GradedEvaluation(Record):
-    """Evaluation pairing of degree k against degree r-k.
+    """E_k on flats, pairing degree k with r-k. row_masks: the sorted
+    independent k-sets; firsts: the first row of each rank-k flat, in row
+    order; col_flats: the rank-(r-k) flats by first appearance among the
+    sorted (r-k)-sets; entries: 1 at (F, G) iff rank(F | G) = r, so E_(r-k)
+    on flats is their transpose. dim A^k is their rank, and the rows at
+    basis_positions (the greedy row basis, taken on first use) a basis."""
 
-    row_masks: the independent k-subsets. The degree-k graded piece has
-    dimension = rank of the 0/1 matrix E_k (1 iff row | column is a basis,
-    over the independent (r-k)-subsets as columns), with the rows at
-    basis_positions (its greedy row basis) as a working basis."""
+    _fields = ("k", "row_masks", "firsts", "col_flats", "entries")
 
-    _fields = ("k", "row_masks", "basis_positions")
+    @cached_property
+    def basis_positions(self):
+        return tuple(self.firsts[i] for i in integer_row_basis(self.entries))
 
     @property
     def dimension(self):
@@ -51,12 +57,12 @@ def _evaluation_entries(m: Matroid, row_masks, col_masks):
 
 
 def _first_per_flat(closures, masks):
-    """The indices of the first mask of each flat, in mask order; closures
-    maps each mask to its flat."""
+    """{flat: the index of its first mask}, in mask order; closures maps each
+    mask to its flat."""
     firsts = {}
     for i, a in enumerate(masks):
         firsts.setdefault(closures[a], i)
-    return list(firsts.values())
+    return firsts
 
 
 def graded_evaluation(m: Matroid, k) -> GradedEvaluation:
@@ -67,12 +73,12 @@ def graded_evaluation(m: Matroid, k) -> GradedEvaluation:
     if not 0 <= k <= m.rank:
         raise LogcavityError(f"degree {k} outside 0..rank = {m.rank}")
     row_masks = tuple(m.independent_subsets(k))
-    firsts = _first_per_flat(m._flats(k), row_masks)
+    firsts = tuple(_first_per_flat(m._flats(k), row_masks).values())
     col_masks = m.independent_subsets(m.rank - k)
-    cols = [col_masks[i] for i in _first_per_flat(m._flats(m.rank - k), col_masks)]
-    entries = _evaluation_entries(m, [row_masks[i] for i in firsts], cols)
-    basis_positions = tuple(firsts[i] for i in integer_row_basis(entries))
-    return GradedEvaluation(k, row_masks, basis_positions)
+    cols = _first_per_flat(m._flats(m.rank - k), col_masks)
+    rows = [row_masks[i] for i in firsts]
+    entries = _evaluation_entries(m, rows, [col_masks[i] for i in cols.values()])
+    return GradedEvaluation(k, row_masks, firsts, tuple(cols), entries)
 
 
 def graded_dims(m: Matroid):
@@ -376,34 +382,19 @@ def socle_check(m: Matroid, k, S) -> bool:
     return True
 
 
-def _flat_masks(m: Matroid, k):
-    """The rank-k flats as sorted masks, the closures of the independent k-sets."""
-    return sorted(set(m._flats(k).values()))
-
-
 def mobius_pairing(m: Matroid, k):
-    """(number of rank-k flats, inertia of the top-degree pairing matrix).
+    """(number of rank-k flats, inertia of the degree-k pairing of the graded
+    Moebius algebra; Huh and Wang, Acta Math. 2017).
 
-    Entry (F, G) is 1 iff rank(F join G) = 2k = rank(M); the union-of-bases
-    formulation is asserted to coincide."""
+    Entry (F, G) is 1 iff rank(F join G) = 2k = rank(M). For 2k = r that is
+    E_k on flats, whose rows and columns are the same rank-k flats in the
+    same order; for 2k < r, rank(F | G) <= 2k < r, so the pairing is zero."""
     _check_degree(m, k)
-    # each rank-k flat with its greedy basis, the monomial theta(y_F)
-    flats = [(f, m._greedy(f)[0]) for f in _flat_masks(m, k)]
-    base_set = m._independent()[m.rank]
-
-    def entry(f, bf, g, bg):
-        # y_F y_G = y_(F join G) iff rank(F | G) = 2k, and it pairs to 1
-        # iff that is the top degree
-        rank_route = 2 * k == m.rank == m._rank_mask(f | g)
-        if rank_route != (bf | bg in base_set):
-            raise AssertionError(
-                "pairing formulations disagree on "
-                f"{sorted(m._labels(f))} vs {sorted(m._labels(g))}"
-            )
-        return int(rank_route)
-
-    rows = [[entry(*fb, *gb) for gb in flats] for fb in flats]
-    return len(rows), integer_inertia(rows, len(rows))[1]
+    ev = GorensteinRing.of(m).evaluation(k)
+    count = len(ev.firsts)
+    if 2 * k < m.rank:
+        return count, Inertia(0, 0, count)
+    return count, integer_inertia(ev.entries, count)[1]
 
 
 class ContainmentProbe(Record):
@@ -425,8 +416,10 @@ def annihilator_containment_probe(m: Matroid, e) -> ContainmentProbe:
     kernel vector is d (e_j - e_i), which never fails, or the first row's
     vector plus that, which fails iff the first row's does. So one integer
     kernel over one column per flat, in row order, and one row per column
-    flat gives every vector that can fail first. Degree k is contained iff
-    the contraction rows lie in the row space of the deletion rows, iff the
+    flat gives every vector that can fail first: the rows of the ring's
+    E_(r-k) on flats at the flats an e-avoiding (r-k)-set spans (deletion)
+    and at those that hold e (contraction). Degree k is contained iff the
+    contraction rows lie in the row space of the deletion rows, iff the
     greedy row basis of deletion + contraction takes no contraction row;
     only a failing degree builds the kernel. The first vector that fails is
     reported by its nonzero coefficients, in row order, keyed by their rows'
@@ -438,24 +431,29 @@ def annihilator_containment_probe(m: Matroid, e) -> ContainmentProbe:
         )
     if e in m.loops():
         return ContainmentProbe(e, True, None)
+    ring = GorensteinRing.of(m)
     for k in range(1, m.rank):
-        row_masks = [a for a in m.independent_subsets(k) if not a & bit]
-        firsts = _first_per_flat(m._flats(k), row_masks)
-        reps = [row_masks[i] for i in firsts]
-        cols = ({}, {})  # one column per flat, of the deletion and contraction
-        for c, f in m._flats(m.rank - k).items():
-            cols[c & bit != 0][f] = c
-        deletion = _evaluation_entries(m, cols[0].values(), reps)
-        contraction = _evaluation_entries(m, cols[1].values(), reps)
+        ev, co = ring.evaluation(k), ring.evaluation(m.rank - k)
+        avoiding = [a for a in ev.row_masks if not a & bit]
+        firsts = _first_per_flat(m._flats(k), avoiding)
+        column = {f: j for j, f in enumerate(co.col_flats)}
+        picks = [column[f] for f in firsts]
+        deletion, contraction = [], []
+        for g, row in zip(ev.col_flats, co.entries):
+            picked = [row[j] for j in picks]
+            if g & bit:
+                contraction.append(picked)
+            if not g & bit or m._rank_mask(g ^ bit) == m.rank - k:
+                deletion.append(picked)
         # the basis is not empty: a basis of M\\e splits into a row and a column
         if integer_row_basis(deletion + contraction)[-1] < len(deletion):
             continue
-        d, vectors = integer_kernel(deletion, len(reps))
+        d, vectors = integer_kernel(deletion, len(picks))
         for v in vectors:
             if any(sum(compress(v, row)) for row in contraction):
                 coeffs = {
-                    m._labels(row_masks[i]): Fraction(x, d)
-                    for i, x in zip(firsts, v)
+                    m._labels(avoiding[i]): Fraction(x, d)
+                    for i, x in zip(firsts.values(), v)
                     if x
                 }
                 return ContainmentProbe(e, False, (k, coeffs))

@@ -90,13 +90,16 @@ class QMatrix:
 
     __slots__ = ("m", "rows", "cols", "_hash")
 
-    def __init__(self, rows_of_entries):
+    def __init__(self, rows_of_entries, cols=0):
+        """cols is the width of a matrix with no rows; the rows set it otherwise."""
         m = tuple(tuple(_q(x) for x in row) for row in rows_of_entries)
-        if m and any(len(r) != len(m[0]) for r in m):
-            raise LogcavityError("matrix rows have unequal lengths")
+        if m:
+            cols = len(m[0])
+            if any(len(r) != cols for r in m):
+                raise LogcavityError("matrix rows have unequal lengths")
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "rows", len(m))
-        object.__setattr__(self, "cols", len(m[0]) if m else 0)
+        object.__setattr__(self, "cols", cols)
         # hash(self.m), computed on first use: it hashes every Fraction
         object.__setattr__(self, "_hash", None)
 
@@ -129,7 +132,7 @@ class QMatrix:
 
     @property
     def T(self):
-        return QMatrix(zip(*self.m)) if self.m else QMatrix([])
+        return QMatrix(map(self.column, range(self.cols)), self.rows)
 
     def __add__(self, other):
         if self.rows != other.rows or self.cols != other.cols:
@@ -160,7 +163,8 @@ class QMatrix:
         return QMatrix([x * s for x in row] for row in self.m)
 
     def submatrix(self, row_idx, col_idx):
-        return QMatrix([self.m[i][j] for j in col_idx] for i in row_idx)
+        rows = ([self.m[i][j] for j in col_idx] for i in row_idx)
+        return QMatrix(rows, len(col_idx))
 
     def column(self, j):
         return tuple(row[j] for row in self.m)
@@ -173,7 +177,7 @@ class QMatrix:
 
     @staticmethod
     def zero(rows, cols):
-        return QMatrix([Fraction(0)] * cols for _ in range(rows))
+        return QMatrix(([Fraction(0)] * cols for _ in range(rows)), cols)
 
     def to_json(self):
         return {
@@ -187,6 +191,8 @@ class QMatrix:
         _expect(obj, dict, "matrix")
         r = _expect(obj["rows"], int, "matrix 'rows'")
         c = _expect(obj["cols"], int, "matrix 'cols'")
+        if r < 0 or c < 0:
+            raise LogcavityError(f"a matrix needs sizes of at least 0, got {r}x{c}")
         entries = _expect(obj["entries"], list, "matrix 'entries'")
         try:
             flat = [Fraction(str(x)) for x in entries]
@@ -196,7 +202,7 @@ class QMatrix:
             raise LogcavityError(
                 f"a {r}x{c} matrix needs {r * c} entries, got {len(flat)}"
             )
-        return QMatrix(flat[i * c : (i + 1) * c] for i in range(r))
+        return QMatrix((flat[i * c : (i + 1) * c] for i in range(r)), c)
 
 
 class Inertia(Record):

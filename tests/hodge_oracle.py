@@ -14,8 +14,8 @@ library reads derivative values off the basis masks, decides In(Q^k) and
 HRR_k by one integer bordered inertia and socle triviality by a column
 containment, reads dim A^(r-k) off E_k on one row and column per flat, runs
 the probe by a rank test and, in a failing degree, integer kernels and
-integer sums inside M, and pairs only the closures of the independent
-k-sets.
+integer sums inside M, and reads the Moebius pairing off E_(r/2) on flats,
+taking it as zero below the middle degree.
 """
 
 import math

@@ -62,6 +62,11 @@ def poly(term):
     return {"nvars": 1, "terms": [term]}
 
 
+def golden_json(name):
+    """A pinned JSON report, whose version reads "VERSION" in the file."""
+    return (GOLDEN / name).read_text().replace('"VERSION"', json.dumps(__version__))
+
+
 def golden_csv(name):
     """A pinned CSV report, whose last row, the version (its JSON text in a
     quoted field), is left out of the file."""
@@ -197,7 +202,9 @@ class TestHodgeCommand:
 
     @pytest.mark.parametrize("k", [1, 2])
     def test_one_elimination_per_hr_degree(self, capsys, k23_file, monkeypatch, k):
-        # one for the Moebius pairing and one for In(Q^k), HL_k and HRR_k
+        # one for In(Q^k), HL_k and HRR_k, and one for the Moebius pairing
+        # in the middle degree only: below it (here k = 1, rank 4) the
+        # pairing is zero by rank
         leads = []
         original = hodge.integer_inertia
 
@@ -213,7 +220,21 @@ class TestHodgeCommand:
         assert code == 0 and "hrr" in report["results"]
         flats = report["results"]["mobius_pairing"]["flats"]
         dims = report["results"]["graded_dims"]
-        assert leads == [flats, dims[k]]
+        assert leads == ([flats] if 2 * k == len(dims) - 1 else []) + [dims[k]]
+
+    @pytest.mark.parametrize(
+        "name, matroid",
+        [
+            ("empty", {"type": "bases", "ground": [], "bases": [[]]}),
+            ("u03", {"type": "uniform", "k": 0, "n": 3}),
+        ],
+    )
+    def test_degree_zero_of_rank_zero(self, capsys, tmp_path, name, matroid):
+        # the one flat pairs with itself in the middle degree 0 = rank
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(matroid))
+        assert main(["hodge", "--matroid", str(path), "--k", "0"]) == 0
+        assert capsys.readouterr().out == golden_json(f"hodge_k0_{name}.json")
 
 
 class TestKahnSaksCommand:
@@ -786,6 +807,35 @@ class TestParserReuse:
         capsys.readouterr()
         assert main(argv) == 0
         assert capsys.readouterr().out == first
+
+
+class TestLinearInput:
+    def argv(self, tmp_path, matrix, ground=None):
+        obj = {"type": "linear", "matrix": matrix}
+        if ground is not None:
+            obj["ground"] = ground
+        path = tmp_path / "linear.json"
+        path.write_text(json.dumps(obj))
+        return ["matroid", "--matroid", str(path)]
+
+    @pytest.mark.parametrize("ground", [None, ["a", "b", "c"]])
+    def test_zero_rows_keep_their_columns(self, capsys, tmp_path, ground):
+        # a 0x3 matrix has three zero columns, as the 1x3 zero matrix has:
+        # three loops and rank 0
+        empty = {"rows": 0, "cols": 3, "entries": []}
+        zero = {"rows": 1, "cols": 3, "entries": ["0", "0", "0"]}
+        code, report = run_json(capsys, self.argv(tmp_path, empty, ground))
+        assert code == 0
+        results = report["results"]
+        assert results["ground"] == results["loops"] == (ground or [0, 1, 2])
+        assert results["rank"] == 0
+        assert report == run_json(capsys, self.argv(tmp_path, zero, ground))[1]
+
+    def test_negative_sizes_are_an_input_error(self, capsys, tmp_path):
+        matrix = {"rows": -2, "cols": -3, "entries": ["1"] * 6}
+        assert main(self.argv(tmp_path, matrix)) == 1
+        err = capsys.readouterr().err
+        assert err == "error: a matrix needs sizes of at least 0, got -2x-3\n"
 
 
 class TestExitCodes:

@@ -16,7 +16,6 @@ from logcavity.matroids import FlatLattice, Matroid
 from logcavity.hodge import (
     GorensteinRing,
     _evaluation_entries,
-    _flat_masks,
     _hrr_verdict,
     _ring_at,
     annihilator_containment_probe,
@@ -387,7 +386,8 @@ class TestMobius:
             count, iner = mobius_pairing(m, k)
             row_masks, _, entries = oracle.full_evaluation(m, k)
             pos = {mask: idx for idx, mask in enumerate(row_masks)}
-            thetas = [m._greedy(f)[0] for f in _flat_masks(m, k)]
+            flats = FlatLattice.of(m).flats_by_rank[k]
+            thetas = [m._greedy(m._mask(F))[0] for F in flats]
             rows = [entries[pos[theta]] for theta in thetas]
             assert iner.n_zero == count - len(integer_row_basis(rows))
 
@@ -456,7 +456,8 @@ class TestProbes:
         row."""
         for k in range(m.rank + 1):
             cols = m.independent_subsets(m.rank - k)
-            for f in _flat_masks(m, k):
+            for F in FlatLattice.of(m).flats_by_rank[k]:
+                f = m._mask(F)
                 bases_of_f = [b for b in m.independent_subsets(k) if b & ~f == 0]
                 rows = _evaluation_entries(m, bases_of_f, cols)
                 if any(row != rows[0] for row in rows):
@@ -586,14 +587,19 @@ def bordered_instances(draw):
 
 
 @st.composite
-def parallel_multigraphs(draw):
-    """Graphic matroids of loopless multigraphs on 3 to 5 vertices with 4 to
-    9 edges, one of them repeated, so that flats hold parallel classes."""
+def parallel_multigraphs(draw, loops=False):
+    """Graphic matroids of multigraphs on 3 to 5 vertices with 4 to 9
+    non-loop edges, one of them repeated, so that flats hold parallel
+    classes; with loops, also one loop edge at a drawn position, which
+    every flat then holds."""
     v = draw(st.integers(min_value=3, max_value=5))
     end = st.integers(min_value=0, max_value=v - 1)
     edge = st.tuples(end, end).filter(lambda e: e[0] != e[1])
     edges = draw(st.lists(edge, min_size=3, max_size=8))
     edges.append(draw(st.sampled_from(edges)))
+    if loops:
+        at = draw(st.integers(min_value=0, max_value=len(edges)))
+        edges.insert(at, (draw(end),) * 2)
     return Matroid.graphic(Graph(v, tuple(edges)))
 
 
@@ -662,14 +668,23 @@ class TestOracleProperties:
         assert block == inertia(q)
         assert (whole.n_pos == q.rows) == oracle.positive_on_kernel(q, u)
 
-    @settings(max_examples=60, deadline=None)
-    @given(small_matroids(), st.data())
-    def test_mobius_route_matches_full_lattice(self, m, data):
+    @settings(max_examples=80, deadline=None)
+    @given(st.one_of(small_matroids(), parallel_multigraphs(loops=True)))
+    def test_mobius_route_matches_full_lattice(self, m):
+        # the ring's E_k on flats has a row per rank-k flat and a column per
+        # rank-(r-k) flat of the full lattice, and E_(r-k) on flats is its
+        # transpose; the pairing reads it in every degree 2k <= r
         levels = FlatLattice.of(m).flats_by_rank
+        ring = GorensteinRing.of(m)
         for k in range(m.rank + 1):
-            assert tuple(map(m._labels, _flat_masks(m, k))) == levels[k]
-        k = data.draw(st.integers(min_value=0, max_value=m.rank // 2))
-        assert mobius_pairing(m, k) == oracle.mobius_pairing(m, k)
+            ev, co = ring.evaluation(k), ring.evaluation(m.rank - k)
+            rows = [m._flats(k)[ev.row_masks[i]] for i in ev.firsts]
+            assert sorted(rows) == list(map(m._mask, levels[k]))
+            assert sorted(ev.col_flats) == list(map(m._mask, levels[m.rank - k]))
+            assert list(co.col_flats) == rows
+            assert co.entries == [list(col) for col in zip(*ev.entries)]
+        for k in range(m.rank // 2 + 1):
+            assert mobius_pairing(m, k) == oracle.mobius_pairing(m, k), k
 
     @settings(max_examples=60, deadline=None)
     @given(small_matroids())
@@ -692,7 +707,7 @@ class TestOracleProperties:
         assert answer == in_row_order(*oracle.containment_probe(m, e))
 
     @settings(max_examples=40, deadline=None)
-    @given(parallel_multigraphs())
+    @given(st.one_of(parallel_multigraphs(), parallel_multigraphs(loops=True)))
     def test_probe_rank_test_matches_kernel_route(self, m):
         # the rank test decides each degree before any kernel is built; the
         # oracle takes a kernel in every degree

@@ -142,6 +142,17 @@ class TestQMatrixHash:
         assert hash(a) == first and len(calls) == 4
 
 
+class TestQMatrixShape:
+    def test_a_matrix_without_rows_keeps_its_columns(self):
+        empty = QMatrix.from_json({"rows": 0, "cols": 3, "entries": []})
+        assert empty == QMatrix.zero(0, 3)
+        assert (empty.rows, empty.cols) == (0, 3)
+        assert (empty.T.rows, empty.T.cols) == (3, 0)
+        assert (empty.T.T.rows, empty.T.T.cols) == (0, 3)
+        sub = QMatrix.identity(3).submatrix([], [0, 2])
+        assert (sub.rows, sub.cols) == (0, 2)
+
+
 class TestDet:
     def test_identity(self):
         assert det(QMatrix.identity(3)) == 1
