@@ -38,8 +38,8 @@ from .posets import (
 )
 from .discriminants import (
     SubsetSumTable,
+    _check_count,
     alexandrov_check,
-    is_psd,
     mixed_discriminant,
     mixed_discriminant_gram,
     mixed_discriminant_perm,
@@ -441,21 +441,22 @@ def cmd_discriminant(args):
     entries = obj["mats"]
     if not isinstance(entries, list) or not entries:
         raise LogcavityError("matrix tuple 'mats' must be a nonempty list")
-    mats = []
+    given = []  # (matrix, mult), checked before a list of them is built
     for entry in entries:
         if not isinstance(entry, dict):
             raise LogcavityError("each entry of 'mats' must be a JSON object")
         mult = entry.get("mult", 1)
         if isinstance(mult, bool) or not isinstance(mult, int) or mult < 1:
             raise LogcavityError(f"'mult' must be an integer >= 1, got {mult!r}")
-        mats += [QMatrix.from_json(entry["matrix"])] * mult
+        given.append((QMatrix.from_json(entry["matrix"]), mult))
+    _check_count([a for a, _ in given], sum(mult for _, mult in given))
+    mats = [a for a, mult in given for _ in range(mult)]
     table = SubsetSumTable(mats)
     value = mixed_discriminant(mats, table)
     results = {"value": str(value), "n": mats[0].rows, "count": len(mats)}
     violations = []
     # one inertia per distinct matrix, shared with alexandrov_check below
-    psd = functools.cache(is_psd)
-    if all(psd(m) for m in dict.fromkeys(mats)):
+    if all(map(table.psd, mats)):
         if value < 0:
             violations.append("positivity failed for PSD tuple")
         results["psd_inputs"] = True
@@ -464,8 +465,8 @@ def cmd_discriminant(args):
     if len(mats) >= 2:  # the value took n matrices, each n x n
         x, y, rest = mats[0], mats[1], mats[2:]
         # the inequality's hypotheses: PSD fixed matrices, symmetric X and Y
-        if all(map(psd, dict.fromkeys(rest))) and x.is_symmetric and y.is_symmetric:
-            rep = alexandrov_check(x, y, rest, table, psd)
+        if all(map(table.psd, rest)) and x.is_symmetric and y.is_symmetric:
+            rep = alexandrov_check(x, y, rest, table)
             results["alexandrov"] = {
                 "lhs": str(rep.lhs),
                 "rhs": str(rep.rhs),

@@ -7,24 +7,23 @@ from fractions import Fraction
 from itertools import permutations, product
 
 from .errors import LogcavityError
-from .linalg import QMatrix, Record, det, inertia, integer_det
+from .linalg import QMatrix, Record, det, integer_det, integer_inertia
 from .polynomials import polarization_sum
 
 
-def _square_tuple(mats):
-    """The n matrices of a mixed discriminant, all n x n, as a list."""
-    mats = list(mats)
+def _check_count(mats, count):
+    """Raise unless count matrices drawn from mats can be those of a mixed
+    discriminant: all n x n, and n of them."""
     if not mats:
         raise LogcavityError("a mixed discriminant needs at least one matrix")
     n = mats[0].rows
     if any(a.rows != n or a.cols != n for a in mats):
         raise LogcavityError(f"mixed discriminant matrices must all be {n} x {n}")
-    if len(mats) != n:
+    if count != n:
         raise LogcavityError(
             f"a mixed discriminant of {n} x {n} matrices needs {n} of them, "
-            f"got {len(mats)}"
+            f"got {count}"
         )
-    return mats
 
 
 class SubsetSumTable:
@@ -40,6 +39,18 @@ class SubsetSumTable:
             for a in self.index
         ]
         self.dets = {}
+        self.psds = {}
+
+    def psd(self, a):
+        """Whether a, one of the matrices, is symmetric and PSD, read once off
+        its d-scaled rows: the scale d > 0 keeps symmetry and inertia."""
+        i = self.index[a]
+        if i not in self.psds:
+            n, flat = a.rows, self.scaled[i]
+            rows = [flat[r * n : (r + 1) * n] for r in range(n)]
+            symmetric = a.is_square and rows == [list(c) for c in zip(*rows)]
+            self.psds[i] = symmetric and integer_inertia(rows, n)[1].n_neg == 0
+        return self.psds[i]
 
     def det(self, key):
         """d^n det(sum j_i A_i) for key, the sorted pairs (i, j_i), j_i > 0."""
@@ -59,7 +70,8 @@ def mixed_discriminant(mats, table=None) -> Fraction:
     (-1)^(n - sum j) prod C(m_i, j_i) det(sum j_i A_i), each determinant
     read from table (one of these matrices alone by default), which must
     hold every A_i."""
-    mats = _square_tuple(mats)
+    mats = list(mats)
+    _check_count(mats, len(mats))
     table = table or SubsetSumTable(mats)
     groups = Counter(mats)
     where = [table.index[a] for a in groups]
@@ -75,7 +87,8 @@ def mixed_discriminant_perm(mats) -> Fraction:
     """(1/n!) sum over permutations of the determinant whose j-th column is
     column j of the sigma(j)-th matrix: the defining formula, kept as the
     reference route for `mixed_discriminant`."""
-    mats = _square_tuple(mats)
+    mats = list(mats)
+    _check_count(mats, len(mats))
     n = len(mats)
     cols = [[a.column(j) for j in range(n)] for a in mats]
     total = Fraction(0)
@@ -112,22 +125,14 @@ class AlexandrovReport(Record):
     _fields = ("lhs", "rhs", "equal", "lam", "proportional")
 
 
-def is_psd(a: QMatrix) -> bool:
-    """Whether a is symmetric and positive semidefinite: one inertia."""
-    return a.is_symmetric and inertia(a).n_neg == 0
-
-
-def alexandrov_check(
-    x: QMatrix, y: QMatrix, fixed, table=None, psd=is_psd
-) -> AlexandrovReport:
+def alexandrov_check(x: QMatrix, y: QMatrix, fixed, table=None) -> AlexandrovReport:
     """Alexandrov's inequality for mixed discriminants, with exact equality
     detection and proportionality extraction.
 
-    D(X, Y, fixed), D(X, X, fixed) and D(Y, Y, fixed) share the
-    determinants of one SubsetSumTable, the caller's table if given (it
-    must hold X, Y and the fixed matrices), and a caller that already tests
-    matrices for positive semidefiniteness passes its (memoized) test as
-    psd, so that no determinant or inertia is computed twice."""
+    The PSD test of the fixed matrices and D(X, Y, fixed), D(X, X, fixed)
+    and D(Y, Y, fixed) share one SubsetSumTable, the caller's table if
+    given (it must hold X, Y and the fixed matrices), so that no
+    determinant or inertia is computed twice."""
     fixed = list(fixed)
     n = x.rows
     if y.rows != n or y.cols != n or x.cols != n:
@@ -136,14 +141,14 @@ def alexandrov_check(
         raise LogcavityError(
             f"Alexandrov check needs n-2 = {n - 2} fixed matrices, got {len(fixed)}"
         )
+    table = table or SubsetSumTable([x, y] + fixed)
     for a in dict.fromkeys(fixed):
         if not a.is_symmetric:
             raise LogcavityError("Alexandrov check: fixed matrices must be symmetric")
-        if not psd(a):
+        if not table.psd(a):
             raise LogcavityError("Alexandrov check: fixed matrices must be PSD")
     if not (x.is_symmetric and y.is_symmetric):
         raise LogcavityError("Alexandrov check: X and Y must be symmetric")
-    table = table or SubsetSumTable([x, y] + fixed)
     mixed = mixed_discriminant([x, y] + fixed, table)
     xx = mixed_discriminant([x, x] + fixed, table)
     yy = mixed_discriminant([y, y] + fixed, table)

@@ -22,10 +22,10 @@ from .linalg import (
     Record,
     _bits,
     inertia,  # noqa: F401  -- perfbench's tracer self-test wraps hodge.inertia
+    integer_det,
     integer_inertia,
     integer_kernel,
     integer_row_basis,
-    solve,
 )
 from .matroids import Matroid
 
@@ -49,13 +49,6 @@ class GradedEvaluation(Record):
         return len(self.basis_positions)
 
 
-def _evaluation_entries(m: Matroid, row_masks, col_masks):
-    """0/1 int rows: 1 iff row | col is a basis. Row and column sizes sum to
-    the rank, so the union is a basis only when they are disjoint."""
-    base_set = m._independent()[m.rank]
-    return [[1 if a | c in base_set else 0 for c in col_masks] for a in row_masks]
-
-
 def _first_per_flat(closures, masks):
     """{flat: the index of its first mask}, in mask order; closures maps each
     mask to its flat."""
@@ -76,8 +69,9 @@ def graded_evaluation(m: Matroid, k) -> GradedEvaluation:
     firsts = tuple(_first_per_flat(m._flats(k), row_masks).values())
     col_masks = m.independent_subsets(m.rank - k)
     cols = _first_per_flat(m._flats(m.rank - k), col_masks)
-    rows = [row_masks[i] for i in firsts]
-    entries = _evaluation_entries(m, rows, [col_masks[i] for i in cols.values()])
+    reps = [col_masks[i] for i in cols.values()]
+    base_set = m._independent()[m.rank]
+    entries = [[1 if row_masks[i] | c in base_set else 0 for c in reps] for i in firsts]
     return GradedEvaluation(k, row_masks, firsts, tuple(cols), entries)
 
 
@@ -91,7 +85,10 @@ def graded_dims(m: Matroid):
 
 def in_annihilator(m: Matroid, coeffs) -> bool:
     """Whether sum of coeff * X^S (squarefree S of one common size) kills the
-    basis generating polynomial. coeffs: {frozenset of labels: rational}."""
+    basis generating polynomial. coeffs: {frozenset of labels: rational}.
+    The sum does iff it pairs to 0 with each independent (r-k)-set c. A
+    dependent S lies in no basis, and S | c is a basis iff rank(cl(S) | c) =
+    r, so the coefficients summed per flat cl(S) are tested on E_k on flats."""
     items = [(m._mask(s), Fraction(c)) for s, c in coeffs.items()]
     sizes = {mask.bit_count() for mask, _ in items}
     if len(sizes) > 1:
@@ -99,12 +96,17 @@ def in_annihilator(m: Matroid, coeffs) -> bool:
     if not sizes:
         return True  # the empty combination is the zero class
     k = sizes.pop()
-    base_set = m._independent()[m.rank]
-    for gamma in m.independent_subsets(m.rank - k):
-        # sizes add to the rank, so a union that is a basis is disjoint
-        if sum(c for mask, c in items if mask | gamma in base_set):
-            return False
-    return True
+    flats = m._flats(k) if k <= m.rank else {}
+    weights = {}
+    for mask, c in items:
+        if mask in flats:
+            weights[flats[mask]] = weights.get(flats[mask], 0) + c
+    if not any(weights.values()):
+        return True  # every S is dependent, or the sums per flat cancel
+    ev = GorensteinRing.of(m).evaluation(k)
+    rows = {flats[ev.row_masks[i]]: row for i, row in zip(ev.firsts, ev.entries)}
+    columns = zip(*(rows[f] for f in weights))
+    return not any(sum(compress(weights.values(), col)) for col in columns)
 
 
 class GorensteinRing:
@@ -158,12 +160,9 @@ class GorensteinRing:
             self._tables[key] = (sums, den**free)
         return self._tables[key]
 
-    def derivatives(self, size, point):
-        sums, scale = self._sums(size, point)
-        return {s: Fraction(v, scale) for s, v in sums.items()}
-
     def value(self, point) -> Fraction:
-        return self.derivatives(0, point)[0]
+        sums, scale = self._sums(0, point)
+        return Fraction(sums[0], scale)
 
     def hr_inertia(self, k, point):
         """(In(Q^k), In([[Q^k, U], [U^T, 0]])) by one `integer_inertia`, with
@@ -337,18 +336,14 @@ def facet_theorem_scan(m: Matroid, subset_size_cap=2) -> FacetScanReport:
             point = facet_point(m, [e])
             # gradient of d_e f and Hessian of f - x_e d_e f at p_e = 0: the
             # bases through e carry the factor p_e, so both read off the
-            # size-2 table, with a zero diagonal as f is multilinear
-            d2 = ring.derivatives(2, point)
+            # size-2 sums, scaled by one positive c; the diagonal is zero as
+            # f is multilinear, and the table holds no 1-set for it
+            d2 = ring._sums(2, point)[0]
             idx = m._index[e]
             keep = [i for i in range(m.n) if i != idx]
             grad = [d2.get(1 << idx | 1 << i, 0) for i in keep]
-            sub = QMatrix(
-                [d2.get(1 << i | 1 << j, 0) if i != j else 0 for j in keep]
-                for i in keep
-            )
-            x = solve(sub, grad)
-            value = 0 if x is None else sum(g * xi for g, xi in zip(grad, x))
-            inverse_hessian.append((e, value != 0))
+            sub = [[d2.get(1 << i | 1 << j, 0) for j in keep] for i in keep]
+            inverse_hessian.append((e, _inverse_form_nonzero(sub, grad)))
     consistent = (
         all(r.matches_theorem for r in per_element)
         and all(ok for _, ok in subset_checks)
@@ -362,6 +357,14 @@ def facet_theorem_scan(m: Matroid, subset_size_cap=2) -> FacetScanReport:
         tuple(inverse_hessian),
         consistent,
     )
+
+
+def _inverse_form_nonzero(h, g):
+    """Whether g^T H^-1 g is defined and nonzero, for int rows h and an int
+    vector g: det H != 0 and det [[H, g], [g^T, 0]] = -det H g^T H^-1 g != 0
+    (Schur complement). A positive scale of H and g keeps both."""
+    bordered = [row + [x] for row, x in zip(h, g)] + [g + [0]]
+    return integer_det(h) != 0 and integer_det(bordered) != 0
 
 
 def socle_check(m: Matroid, k, S) -> bool:

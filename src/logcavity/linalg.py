@@ -170,12 +170,6 @@ class QMatrix:
         return tuple(row[j] for row in self.m)
 
     @staticmethod
-    def identity(n):
-        return QMatrix(
-            [Fraction(int(i == j)) for j in range(n)] for i in range(n)
-        )
-
-    @staticmethod
     def zero(rows, cols):
         return QMatrix(([Fraction(0)] * cols for _ in range(rows)), cols)
 
@@ -449,18 +443,6 @@ def row_space_basis_indices(m: QMatrix):
     return integer_row_basis(_integer_rows(m.m)[0])
 
 
-def solve(m: QMatrix, b):
-    """The exact solution x of m x = b for square m, or None if m is singular."""
-    if not m.is_square:
-        raise LogcavityError("solve requires a square matrix")
-    n = m.rows
-    a, _ = _integer_rows([row + (_q(x),) for row, x in zip(m.m, b)])
-    pivots = _eliminate(a, n, jordan=True)[0]
-    if len(pivots) < n:
-        return None
-    return tuple(Fraction(a[r][n], a[r][r]) for r in range(n))
-
-
 class Graph(Record):
     """Multigraph on vertices 0..n-1; parallel edges allowed, loops allowed
     at construction (rejected by operations whose contract requires looplessness)."""
@@ -468,6 +450,8 @@ class Graph(Record):
     _fields = ("vertices", "edges")
 
     def __init__(self, vertices, edges):
+        if vertices < 0:
+            raise LogcavityError(f"a graph needs at least 0 vertices, got {vertices}")
         edges = tuple((int(u), int(v)) for u, v in edges)
         for u, v in edges:
             if not (0 <= u < vertices and 0 <= v < vertices):
@@ -481,12 +465,13 @@ class Graph(Record):
         return any(u == v for u, v in self.edges)
 
     def _forest_rank(self, edge_indices):
-        """The size of a spanning forest of the given edges (union-find)."""
-        parent = list(range(self.vertices))
+        """The size of a spanning forest of the given edges: union-find over
+        their endpoints only (parent holds the non-roots)."""
+        parent = {}
 
         def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
+            while x in parent:
+                parent[x] = parent.get(parent[x], parent[x])
                 x = parent[x]
             return x
 
@@ -551,8 +536,11 @@ def incidence_matrix(graph: Graph) -> QMatrix:
 def reduced_incidence_matrix(graph: Graph) -> QMatrix:
     """Incidence matrix with the last vertex row of each component removed:
     a greedy row basis, so its columns are totally unimodular in dimension
-    rank, with the spanning forests as bases."""
-    b = incidence_matrix(graph)
+    rank, with the spanning forests as bases. Only vertices with an edge get
+    a row: the greedy basis never takes a zero row."""
+    touched = {v: i for i, v in enumerate(sorted({v for e in graph.edges for v in e}))}
+    edges = [(touched[u], touched[v]) for u, v in graph.edges]
+    b = incidence_matrix(Graph(len(touched), edges))
     return b.submatrix(integer_row_basis([map(int, r) for r in b.m]), range(b.cols))
 
 

@@ -60,16 +60,21 @@ def _link_masks(level):
 
 def _exchange_failure(masks):
     """Basis exchange: for x in B1\\B2 some y in B2\\B1 has B1-x+y a basis.
-    Returns the first (B1, B2) where it fails, else None."""
-    bases = set(masks)
+    Returns the first (B1, B2) in mask order where it fails, else None. It
+    fails at x exactly for the B2 inside the room of x: B1 - x and the y of
+    the masks' union with B1-x+y absent. Such a B2 is not B1-x+y, so it
+    holds two absent y's: only a B1 with an x missing two scans the masks."""
+    bases, free = set(masks), reduce(or_, masks)
     for b1 in masks:
-        for b2 in masks:
-            if b1 == b2:
-                continue
-            for x in _bits(b1 & ~b2):
-                if not any(
-                    (b1 & ~(1 << x)) | (1 << y) in bases for y in _bits(b2 & ~b1)
-                ):
+        rooms = []
+        for x in _bits(b1):
+            rest = b1 ^ 1 << x
+            absent = sum(1 << y for y in _bits(free ^ b1) if rest | 1 << y not in bases)
+            if absent.bit_count() > 1:
+                rooms.append(rest | absent)
+        if rooms:
+            for b2 in masks:
+                if any(b2 & ~c == 0 for c in rooms):
                     return b1, b2
     return None
 

@@ -72,13 +72,6 @@ class Poset:
                     )
         return Poset(labels, up)
 
-    @staticmethod
-    def chain(labels):
-        labs = tuple(labels)
-        return Poset.from_relations(
-            labs, [(labs[i], labs[i + 1]) for i in range(len(labs) - 1)]
-        )
-
     def index(self, label):
         try:
             return self._index[label]
@@ -246,19 +239,17 @@ class _IdealLattice:
                     counts[e][size] += ways * self.up[ideal | 1 << e]
         return counts
 
-    def fixed_rank_count(self, fixed):
-        """Extensions placing each element of `fixed` ({index: rank}) at its
-        rank: a forward pass in which a fixed element joins only at its rank."""
-        ways = {0: 1}
-        for size in range(self.n):
-            grown = {}
-            for ideal, w in ways.items():
-                for e in self.moves[ideal]:
-                    if fixed.get(e, size + 1) == size + 1:
-                        key = ideal | 1 << e
-                        grown[key] = grown.get(key, 0) + w
-            ways = grown
-        return ways.get(self.full, 0)
+    def adjacent_count(self, a, b, j):
+        """Extensions placing a at rank j and b at rank j + 1: the sum of
+        down(I) * up(I + a + b) over the ideals I of size j - 1 with a in
+        moves(I) and b in moves(I + a), which is 0 unless 1 <= j < n."""
+        if not 1 <= j < self.n:
+            return 0
+        return sum(
+            ways * self.up[ideal | 1 << a | 1 << b]
+            for ideal, ways in self.levels[j - 1].items()
+            if a in self.moves[ideal] and b in self.moves[ideal | 1 << a]
+        )
 
     def gap_counts(self, x, y):
         """gaps[k]: extensions with rank(y) - rank(x) = k, for k = 1..n-1."""
@@ -413,10 +404,9 @@ def stanley_equality_classify(
     holds_a = ni * ni == prev * nxt
     holds_b = ni == prev == nxt
     # an element below x can only flank it at rank i - 1, one above at i + 1
-    holds_c = not any(
-        lattice.fixed_rank_count({xi: i, z: i - 1 if p.up[z] >> xi & 1 else i + 1})
-        for z in _bits(p.strict_down_mask(xi) | p.strict_up_mask(xi))
-    )
+    flanks = [(z, xi, i - 1) for z in _bits(p.strict_down_mask(xi))]
+    flanks += [(xi, z, i) for z in _bits(p.strict_up_mask(xi))]
+    holds_c = not any(lattice.adjacent_count(*flank) for flank in flanks)
     holds_d = all(
         p.strict_down_mask(y).bit_count() > i for y in _bits(p.strict_up_mask(xi))
     ) and all(
@@ -524,13 +514,16 @@ def extension_extremes(mp: MarkedPoset, cap=DEFAULT_EXTENSION_CAP):
     """Measured extremal statistics of extensions of the normalized poset.
 
     min_gap should equal |P between x,y| + 1; an extension realizing
-    f(x) = |P<x|+1 and f(y) = n-|P>y| simultaneously should exist."""
+    f(x) = |P<x|+1 and f(y) = n-|P>y| simultaneously should exist: it is
+    N_G > 0 with G = n - |P<x| - |P>y| - 1, since every extension has f(x)
+    >= |P<x|+1 and f(y) <= n-|P>y|, so gap G forces both equalities."""
     ks = mp._ks
-    wide = {ks.xi: ks.end_x.bit_count() + 1, ks.yi: ks.poset.n - ks.end_y.bit_count()}
+    seq = ks.sequence(cap)
+    widest = ks.poset.n - ks.end_x.bit_count() - ks.end_y.bit_count() - 1
     return {
         # every gap of an extension is in the sequence, and x < y leaves at
         # least one extension
-        "min_gap": next(k for k, count in enumerate(ks.sequence(cap), 1) if count),
+        "min_gap": next(k for k, count in enumerate(seq, 1) if count),
         "narrow_target": ks.mid.bit_count() + 1,
-        "wide_exists": ks.poset._ideals(cap).fixed_rank_count(wide) > 0,
+        "wide_exists": seq[widest - 1] > 0,
     }

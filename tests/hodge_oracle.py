@@ -9,13 +9,16 @@ matrix to each kernel vector; graded dimensions take one `Fraction` rank per
 degree, and annihilators one `Fraction` kernel over every squarefree
 monomial; the containment probe takes `Fraction` kernels and sums on the
 minors; the Moebius pairing walks the full lattice of flats; E_k is taken
-whole, every independent k-set against every independent (r-k)-set. The
-library reads derivative values off the basis masks, decides In(Q^k) and
-HRR_k by one integer bordered inertia and socle triviality by a column
-containment, reads dim A^(r-k) off E_k on one row and column per flat, runs
-the probe by a rank test and, in a failing degree, integer kernels and
-integer sums inside M, and reads the Moebius pairing off E_(r/2) on flats,
-taking it as zero below the middle degree.
+whole, every independent k-set against every independent (r-k)-set, and an
+annihilator test scans every independent (r-k)-set; the inverse-Hessian
+identity solves H x = g. The library reads derivative values off the basis
+masks, decides In(Q^k) and HRR_k by one integer bordered inertia and socle
+triviality by a column containment, reads dim A^(r-k) off E_k on one row
+and column per flat, tests annihilator membership by the coefficients
+summed per flat against E_k on flats, the inverse Hessian by two integer
+determinants, runs the probe by a rank test and, in a failing degree,
+integer kernels and integer sums inside M, and reads the Moebius pairing
+off E_(r/2) on flats, taking it as zero below the middle degree.
 """
 
 import math
@@ -25,10 +28,10 @@ from itertools import combinations
 import linalg_oracle
 import matroid_oracle
 from logcavity.hodge import facet_point, graded_evaluation
-from logcavity.linalg import Inertia, QMatrix, _bits, inertia, kernel_basis, solve
+from logcavity.linalg import Inertia, QMatrix, _bits, inertia, kernel_basis
 from logcavity.matroids import FlatLattice
 from logcavity.polynomials import MPoly, basis_generating_poly
-from linalg_oracle import apply
+from linalg_oracle import apply, identity, solve
 from matroid_oracle import contract, delete, independent_subsets
 
 
@@ -66,6 +69,23 @@ def full_evaluation(m, k):
     return rows, cols, entries
 
 
+def annihilator_scan(m, coeffs):
+    """`in_annihilator` by its defining test: the combination pairs to 0
+    with every independent (r-k)-set, summed over the bases S | gamma."""
+    items = [(m._mask(s), Fraction(c)) for s, c in coeffs.items()]
+    sizes = {mask.bit_count() for mask, _ in items}
+    if not sizes:
+        return True
+    k = sizes.pop()
+    if k > m.rank:
+        return True  # there is no (r-k)-set to pair with
+    bases = set(m.bases)
+    return not any(
+        sum(c for mask, c in items if mask & gamma == 0 and mask | gamma in bases)
+        for gamma in independent_subsets(m, m.rank - k)
+    )
+
+
 def _basis(m, k):
     ev = graded_evaluation(m, k)
     return [ev.row_masks[i] for i in ev.basis_positions]
@@ -83,7 +103,7 @@ def positive_on_kernel(q, u):
     if u.cols:
         kernel = kernel_basis(u.T)
     else:  # no constraint: every vector is in the kernel
-        kernel = list(QMatrix.identity(q.rows).m)
+        kernel = list(identity(q.rows).m)
     if not kernel:
         return True
     kmat = QMatrix(zip(*kernel))
@@ -113,7 +133,7 @@ def kernel_contained(constraint, target):
     if constraint.rows:
         kernel = kernel_basis(constraint)
     else:
-        kernel = QMatrix.identity(target.cols).m
+        kernel = identity(target.cols).m
     for v in kernel:
         if any(x != 0 for x in apply(target, v)):
             return False

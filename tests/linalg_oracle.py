@@ -7,8 +7,8 @@ same name returns. `eager_eliminate` and `eager_inertia` are the eager
 Bareiss eliminations that rescale every row at every step; the lazy kernel
 must reproduce their pivots and rows bit for bit. `full_row_inertia` is the
 lazy inertia on whole rows that `integer_inertia` runs on the upper
-triangle. `diagonal` and `apply` build the diagonal matrices and
-matrix-vector products that the tests write by hand.
+triangle. `diagonal`, `identity` and `apply` build the diagonal matrices
+and matrix-vector products that the tests write by hand.
 """
 
 import math
@@ -23,6 +23,10 @@ def diagonal(entries):
     """The square matrix with the entries on its diagonal and 0 elsewhere."""
     n = len(entries)
     return QMatrix([entries[i] if i == j else 0 for j in range(n)] for i in range(n))
+
+
+def identity(n):
+    return diagonal([1] * n)
 
 
 def apply(m: QMatrix, vector):

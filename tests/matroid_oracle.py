@@ -11,7 +11,8 @@ of rank k as the closures of the independent k-sets, and the parallel class
 of a point as its closure minus the loops. A basis list is validated here by
 exchange over every pair of bases, and in the library by one
 local-augmentation test per face of the complex unless the family has few
-bases for its rank.
+bases for its rank; the pair a failing list is rejected with comes from
+one pass of exchanges per basis there.
 
 The minors the tests build are here too, since no command builds one.
 """
@@ -45,16 +46,25 @@ def small_matroids(draw):
     return Matroid.linear(QMatrix(draw(st.lists(row, min_size=rows, max_size=rows))))
 
 
-def exchange_holds(bases):
-    """Basis exchange over every ordered pair of bases (masks): for x in
-    B1 - B2 some y in B2 - B1 has B1 - x + y a basis."""
-    bases = set(bases)
-    for b1 in bases:
-        for b2 in bases:
+def exchange_failure(masks):
+    """The first pair (B1, B2) of the masks, in their order, at which basis
+    exchange fails: some x in B1 - B2 has no y in B2 - B1 with B1 - x + y a
+    basis. None if there is none. The library names the same pair from one
+    pass of exchanges per B1."""
+    bases = set(masks)
+    for b1 in masks:
+        for b2 in masks:
+            if b1 == b2:
+                continue
             for x in _bits(b1 & ~b2):
                 if not any(b1 ^ (1 << x | 1 << y) in bases for y in _bits(b2 & ~b1)):
-                    return False
-    return True
+                    return b1, b2
+    return None
+
+
+def exchange_holds(bases):
+    """Basis exchange over every ordered pair of bases (masks)."""
+    return exchange_failure(list(bases)) is None
 
 
 def rank(m, mask):

@@ -1,11 +1,12 @@
 """Linear-extension enumeration routines, used only as test oracles.
 
-Each routine but the first three lists the extensions with
+Each routine but the first four lists the extensions with
 `Poset.extensions` and returns exactly what the public entry point of the
-same name in `logcavity.posets` returns (`stanley_chain_counts` what the
-library's `fixed_rank_count` returns); the library computes the same
-statistics by dynamic programming over order ideals instead. `antichain`,
-`has_bounds` and `normalize` build and inspect the posets the tests use.
+same name in `logcavity.posets` returns (`stanley_chain_counts` at two
+consecutive ranks what the lattice's `adjacent_count` returns); the library
+computes the same statistics by dynamic programming over order ideals
+instead. `antichain`, `chain`, `has_bounds` and `normalize` build and
+inspect the posets the tests use.
 """
 
 from logcavity.posets import DEFAULT_EXTENSION_CAP, MarkedPoset, Poset
@@ -13,6 +14,11 @@ from logcavity.posets import DEFAULT_EXTENSION_CAP, MarkedPoset, Poset
 
 def antichain(labels):
     return Poset.from_relations(tuple(labels), [])
+
+
+def chain(labels):
+    labs = tuple(labels)
+    return Poset.from_relations(labs, list(zip(labs, labs[1:])))
 
 
 def has_bounds(p):

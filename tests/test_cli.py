@@ -5,6 +5,8 @@ import os
 import re
 import subprocess
 import sys
+import time
+import tracemalloc
 from contextlib import redirect_stdout
 from fractions import Fraction
 from itertools import combinations
@@ -106,7 +108,7 @@ class TestDiscriminantCommand:
         # j_A A + j_B B across D(A, B, A), D(A, A, A) and D(B, B, A): j_A
         # runs to 2 with j_B to 1, to 3 alone, and to 1 with j_B to 2, which
         # is 9 sums (16 when each polarization computes its own)
-        calls = {"inertia": 0, "integer_det": 0}
+        calls = {"integer_inertia": 0, "integer_det": 0}
 
         def counted(name, fn):
             def wrapper(*args):
@@ -115,8 +117,8 @@ class TestDiscriminantCommand:
 
             return wrapper
 
-        iner = counted("inertia", discriminants.inertia)
-        monkeypatch.setattr(discriminants, "inertia", iner)
+        iner = counted("integer_inertia", discriminants.integer_inertia)
+        monkeypatch.setattr(discriminants, "integer_inertia", iner)
         dets = counted("integer_det", discriminants.integer_det)
         monkeypatch.setattr(discriminants, "integer_det", dets)
         path = tmp_path / "tuple.json"
@@ -130,7 +132,7 @@ class TestDiscriminantCommand:
         sums |= {(j_a, 0) for j_a in range(4)}
         sums |= {(j_a, j_b) for j_a in range(2) for j_b in range(3)}
         assert len(sums) == 9
-        assert calls == {"inertia": 2, "integer_det": len(sums)}
+        assert calls == {"integer_inertia": 2, "integer_det": len(sums)}
 
     def test_a_failing_alexandrov_check_is_not_swallowed(
         self, capsys, tmp_path, monkeypatch
@@ -942,3 +944,96 @@ class TestExitCodes:
         ]
         for argv in cases:
             assert self.run(capsys, tmp_path, argv, capped=True) == 1, argv
+
+
+class TestFailFast:
+    """Inputs whose cost once grew with a number the input only declares."""
+
+    def run(self, tmp_path, argv, seconds):
+        """(exit code, stdout, stderr) of the CLI in a fresh interpreter,
+        which fails the test by a timeout after the given seconds."""
+        done = subprocess.run(
+            [sys.executable, "-m", "logcavity.cli", *argv],
+            cwd=tmp_path,
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+            capture_output=True,
+            text=True,
+            timeout=seconds,
+        )
+        return done.returncode, done.stdout, done.stderr
+
+    def test_an_invalid_basis_list_is_rejected_as_fast_as_decided(self, tmp_path):
+        # U(7, 14) minus two bases: the link test decides in 0.1 s, and the
+        # all-pairs exchange scan took 80 s to name the pair
+        bases = [list(c) for c in combinations(range(14), 7)]
+        bases.remove(list(range(7, 14)))
+        bases.remove([6] + list(range(8, 14)))
+        path = tmp_path / "u7_14.json"
+        path.write_text(json.dumps({"ground": list(range(14)), "bases": bases}))
+        code, out, err = self.run(tmp_path, ["matroid", "--matroid", str(path)], 10)
+        assert (code, out) == (1, "")
+        assert err == (
+            "error: exchange fails for bases [0, 8, 9, 10, 11, 12, 13] and "
+            "[6, 7, 8, 9, 10, 11, 12]\n"
+        )
+        start = time.perf_counter()
+        assert main(["matroid", "--matroid", str(path)]) == 1
+        assert time.perf_counter() - start < 2
+
+    def test_isolated_vertices_cost_nothing(self, capsys, tmp_path):
+        # K4, an edge beside it and six edges between them: 12 edges on 6
+        # vertices, then the same edges among 200,000 vertices
+        edges = [[u, v] for u in range(4) for v in range(u + 1, 4)]
+        edges += [[4, 5], [0, 4], [1, 5], [2, 5], [3, 4], [0, 5]]
+        best, results = [], []
+        for vertices in (6, 200_000):
+            graph, out = tmp_path / "graph.json", tmp_path / "report.json"
+            graph.write_text(json.dumps({"vertices": vertices, "edges": edges}))
+            argv = ["matroid", "--graph", str(graph), "--out", str(out)]
+            times = []
+            for _ in range(3):
+                start = time.perf_counter()
+                assert main(argv) == 0
+                times.append(time.perf_counter() - start)
+            best.append(min(times))
+            results.append(json.loads(out.read_text())["results"])
+        assert results[0] == results[1]
+        assert best[1] < 2 * best[0]
+
+    def test_an_edgeless_graph_of_many_vertices(self, tmp_path):
+        # 3,000,000 isolated vertices took 10.8 s and 544 MB; the report
+        # is that of one vertex, as the matroid is the same
+        reports = []
+        for vertices in (1, 3_000_000):
+            graph = tmp_path / f"graph{vertices}.json"
+            graph.write_text(json.dumps({"vertices": vertices, "edges": []}))
+            argv = ["stanley", "--graph", str(graph), "--R", ""]
+            reports.append(self.run(tmp_path, argv, 5))
+        assert reports[1] == reports[0] and reports[0][0] == 0
+
+    def test_a_negative_vertex_count_is_an_input_error(self, capsys, tmp_path):
+        graph = tmp_path / "graph.json"
+        graph.write_text(json.dumps({"vertices": -4, "edges": []}))
+        assert main(["matroid", "--graph", str(graph)]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: a graph needs at least 0 vertices, got -4\n"
+
+    def test_a_declared_multiplicity_builds_no_list(self, capsys, tmp_path):
+        # 3,000,000 copies of a 2 x 2 matrix took 62 MB and 0.7 s to reject
+        path = tmp_path / "tuple.json"
+        path.write_text(json.dumps({"mats": [{"matrix": I2, "mult": 3_000_000}]}))
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            code = main(["discriminant", "--tuple", str(path)])
+            seconds = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == (
+            "error: a mixed discriminant of 2 x 2 matrices needs 2 of them, "
+            "got 3000000\n"
+        )
+        assert peak < 1_000_000 and seconds < 0.5

@@ -25,7 +25,8 @@ from discriminant_oracle import (
     symbolic_det_coefficient,
     weighted_gram_discriminant,
 )
-from linalg_oracle import apply, diagonal
+import linalg_oracle
+from linalg_oracle import apply, diagonal, identity
 
 PD3 = QMatrix([[2, 1, 0], [1, 3, 1], [0, 1, 2]])
 
@@ -127,7 +128,7 @@ class TestPolarizationRoute:
         for mats, message in (
             ([], "needs at least one matrix"),
             ([PD3, PD3], "needs 3 of them, got 2"),
-            ([PD3, QMatrix.identity(2), PD3], "matrices must all be 3 x 3"),
+            ([PD3, identity(2), PD3], "matrices must all be 3 x 3"),
         ):
             for route in (mixed_discriminant, mixed_discriminant_perm):
                 with pytest.raises(LogcavityError, match=message):
@@ -148,7 +149,26 @@ X3 = QMatrix([[1, 2, 0], [0, 3, 1], [1, 0, 2]])
 Y3 = QMatrix([[2, 0, 1], [1, 1, 0], [0, 1, Fraction(1, 2)]])
 
 
+@st.composite
+def psd_candidates(draw, max_n=4):
+    """Matrices of one size n <= max_n: a few drawn ones, their symmetric
+    parts a + a^T, often indefinite, and their Gram matrices a a^T, PSD."""
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    drawn = draw(st.lists(square_matrices(n), min_size=1, max_size=3))
+    return drawn + [a + a.T for a in drawn] + [a * a.T for a in drawn]
+
+
 class TestSubsetSumTable:
+    @settings(max_examples=100, deadline=None)
+    @given(psd_candidates())
+    def test_psd_matches_fraction_inertia(self, mats):
+        # the table's test reads its integer rows, scaled by the common
+        # denominator of all its matrices
+        table = SubsetSumTable(mats)
+        for a in mats:
+            expected = a.is_symmetric and linalg_oracle.inertia(a).n_neg == 0
+            assert table.psd(a) == expected
+
     @settings(max_examples=80, deadline=None)
     @given(alexandrov_triples())
     @example((X3, X3, [Y3]))  # X == Y
@@ -253,14 +273,14 @@ class TestPositivity:
 
 class TestAlexandrov:
     def test_proportional_equality(self):
-        rep = alexandrov_check(PD3, PD3.scale(2), [QMatrix.identity(3)])
+        rep = alexandrov_check(PD3, PD3.scale(2), [identity(3)])
         assert rep.equal and rep.lam == 2 and rep.proportional
 
     def test_strict_generic(self, rng):
         for _ in range(10):
             x = random_positive_definite(rng, 3)
             y = random_positive_definite(rng, 3)
-            rep = alexandrov_check(x, y, [QMatrix.identity(3)])
+            rep = alexandrov_check(x, y, [identity(3)])
             assert rep.lhs >= rep.rhs
             if rep.equal:
                 assert rep.proportional
@@ -294,7 +314,7 @@ class TestHyperbolic:
         assert hyperbolic(diagonal([1, -1, -1]))
 
     def test_identity_fails(self):
-        assert not hyperbolic(QMatrix.identity(2))
+        assert not hyperbolic(identity(2))
 
     def test_matroid_hessians(self):
         for mat in (Matroid.uniform(2, 4), Matroid.uniform(3, 5)):

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 from itertools import combinations
 
@@ -23,9 +24,9 @@ from logcavity.linalg import (
     rank_of_matrix,
     reduced_incidence_matrix,
     row_space_basis_indices,
-    solve,
     spanning_tree_count,
 )
+from logcavity.hodge import _inverse_form_nonzero
 from logcavity.posets import MarkedPoset, Poset
 
 K3 = Graph(3, ((0, 1), (0, 2), (1, 2)))
@@ -36,7 +37,7 @@ K4_ADJ = QMatrix([[0, 1, 1, 1], [1, 0, 1, 1], [1, 1, 0, 1], [1, 1, 1, 0]])
 def count_eigs_below(m, t):
     """Eigenvalues of m strictly below t: the negative ones of m - t I,
     which has the same inertia as any congruent matrix (Sylvester)."""
-    return inertia(m - QMatrix.identity(m.rows).scale(t)).n_neg
+    return inertia(m - oracle.identity(m.rows).scale(t)).n_neg
 
 
 def brute_force_spanning_trees(graph):
@@ -149,13 +150,13 @@ class TestQMatrixShape:
         assert (empty.rows, empty.cols) == (0, 3)
         assert (empty.T.rows, empty.T.cols) == (3, 0)
         assert (empty.T.T.rows, empty.T.T.cols) == (0, 3)
-        sub = QMatrix.identity(3).submatrix([], [0, 2])
+        sub = oracle.identity(3).submatrix([], [0, 2])
         assert (sub.rows, sub.cols) == (0, 2)
 
 
 class TestDet:
     def test_identity(self):
-        assert det(QMatrix.identity(3)) == 1
+        assert det(oracle.identity(3)) == 1
 
     def test_2x2(self):
         assert det(QMatrix([[2, 1], [1, 3]])) == 5
@@ -388,8 +389,14 @@ class TestKernels:
 
 
 class TestSolve:
+    """The bordered-determinant test that the facet scan runs in place of
+    solving H x = g: whether g^T H^-1 g is defined and nonzero."""
+
     def test_singular_gives_none(self):
-        assert solve(QMatrix([[1, 2], [2, 4]]), [1, 2]) is None
+        # a singular H has no inverse; a regular one may still give 0
+        assert not _inverse_form_nonzero([[1, 2], [2, 4]], [1, 2])
+        assert not _inverse_form_nonzero([[0, 1], [1, 0]], [1, 0])
+        assert _inverse_form_nonzero([[0, 1], [1, 0]], [1, 1])
 
 
 # Properties pairing each public elimination with its Fraction oracle in
@@ -475,12 +482,21 @@ class TestAgainstFractionOracle:
         assert det(square) == oracle.det(square)
 
     @settings(max_examples=150, deadline=None)
-    @given(MATRICES, st.lists(RATIONALS, min_size=7, max_size=7))
+    @given(
+        st.one_of(MATRICES, symmetric_matrices()),
+        st.lists(RATIONALS, min_size=7, max_size=7),
+    )
     def test_solve(self, m, b):
+        # the bordered-determinant test against g^T x for the x the oracle
+        # solves H x = g for, None when H is singular; one common positive
+        # multiplier makes H and g integers
         square = _square(m)
-        b = b[: square.rows]
-        # both give None for a singular matrix
-        assert solve(square, b) == oracle.solve(square, b)
+        g = [Fraction(x) for x in b[: square.rows]]
+        x = oracle.solve(square, g)
+        expected = x is not None and sum(a * b for a, b in zip(g, x)) != 0
+        d = math.lcm(*(v.denominator for v in g + [*sum(square.m, ())]))
+        rows = [[int(v * d) for v in row] for row in square.m]
+        assert _inverse_form_nonzero(rows, [int(v * d) for v in g]) == expected
 
     @settings(max_examples=200, deadline=None)
     @given(symmetric_matrices())

@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import matroid_oracle as oracle
+from linalg_oracle import identity
 from matroid_oracle import small_matroids
 
 from logcavity.errors import LogcavityError, TooLarge
@@ -22,6 +23,7 @@ from logcavity.matroids import (
     FlatLattice,
     Matroid,
     _down_closure,
+    _exchange_failure,
     _links_multipartite,
 )
 from logcavity.polynomials import basis_generating_poly, MPoly
@@ -357,7 +359,7 @@ class TestUnimodular:
 
     def test_identity_for_boolean(self):
         m = Matroid.uniform(3, 3)
-        assert self.unimodular_coordinatization(m, QMatrix.identity(3))
+        assert self.unimodular_coordinatization(m, identity(3))
 
     def test_bad_minor(self):
         mat = QMatrix([[1, 1], [-1, 1]])  # determinant 2
@@ -544,6 +546,17 @@ class TestLinkTest:
         assert validates(n, masks) == expected
         complex_ = _down_closure(masks, bin(masks[0]).count("1"))
         assert _links_multipartite(complex_) == expected
+
+    def test_exchange_scan_names_the_oracle_pair(self):
+        for n in range(1, 6):
+            for masks in families(n):
+                assert _exchange_failure(masks) == oracle.exchange_failure(masks)
+
+    @settings(max_examples=300, deadline=None)
+    @given(basis_families())
+    def test_exchange_scan_on_random_families(self, family):
+        _, masks = family
+        assert _exchange_failure(masks) == oracle.exchange_failure(masks)
 
     def test_violation_names_two_bases(self):
         message = r"exchange fails for bases \[1, 2\] and \[3, 4\]"

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import lorentzian_oracle as oracle
 from logcavity.errors import LogcavityError
 from logcavity import matroids
-from linalg_oracle import apply
+from linalg_oracle import apply, identity
 from logcavity.linalg import QMatrix, inertia
 from logcavity.matroids import Matroid
 from logcavity.polynomials import (
@@ -84,7 +84,7 @@ class TestCalculus:
         assert F_U23.evaluate([1, 1, 1]) == 3
 
     def test_substitution_identity(self):
-        assert F_U23.substitute_linear(QMatrix.identity(3)) == F_U23
+        assert F_U23.substitute_linear(identity(3)) == F_U23
 
     def test_substitution_example(self):
         # blocks {0} and {1, 2}: count basis sequences per block pattern

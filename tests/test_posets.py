@@ -24,18 +24,16 @@ from logcavity.posets import (
     stanley_sequence,
 )
 from logcavity.zoo import random_marks, random_poset, ratio_two_witness_poset
-from poset_oracle import antichain, has_bounds, normalize
+from poset_oracle import antichain, chain, has_bounds, normalize
 
-CHAIN3 = Poset.chain(["a", "b", "c"])
+CHAIN3 = chain(["a", "b", "c"])
 ANTI3 = antichain(["x", "y", "z"])
 
 
-def fixed_rank_count(p, labels, positions, cap=DEFAULT_EXTENSION_CAP):
-    """Extensions placing each labelled element at its position, by the
-    lattice's forward pass, which `stanley_equality_classify` and
-    `extension_extremes` run."""
-    fixed = dict(zip((p.index(e) for e in labels), positions))
-    return p._ideals(cap).fixed_rank_count(fixed)
+def adjacent_count(p, a, b, j, cap=DEFAULT_EXTENSION_CAP):
+    """Extensions placing a at rank j and b at rank j + 1, by the lattice's
+    pass over one level, which `stanley_equality_classify` runs."""
+    return p._ideals(cap).adjacent_count(p.index(a), p.index(b), j)
 
 
 def gap_counts_raw(p, x, y, upper):
@@ -158,21 +156,29 @@ class TestStanleySequence:
 
 
 class TestStanleyChain:
-    def test_reduces_to_sequence(self):
-        seq = stanley_sequence(ANTI3, "x")
-        for i in range(1, 4):
-            assert fixed_rank_count(ANTI3, ["x"], [i]) == seq[i - 1]
+    """The lattice's count of extensions placing two elements at two
+    consecutive ranks, which `stanley_equality_classify` reads."""
+
+    def test_reduces_to_sequence(self, rng):
+        # below the top rank some element follows a
+        for _ in range(25):
+            p = random_poset(rng, rng.randint(2, 7))
+            for a in p.labels:
+                seq = stanley_sequence(p, a)
+                for j in range(1, p.n):
+                    total = sum(adjacent_count(p, a, b, j) for b in p.labels if b != a)
+                    assert total == seq[j - 1]
 
     def test_incompatible_positions_zero(self):
         p = Poset.from_relations([1, 2, 3], [(1, 2)])
-        assert fixed_rank_count(p, [1, 2], [2, 2]) == 0
-        assert fixed_rank_count(p, [1, 2], [3, 1]) == 0
+        assert [adjacent_count(p, 2, 1, j) for j in range(-1, 5)] == [0] * 6
+        assert adjacent_count(CHAIN3, "a", "c", 1) == 0
+        assert adjacent_count(CHAIN3, "a", "b", 1) == adjacent_count(CHAIN3, "b", "c", 2) == 1
 
     def test_not_a_chain(self):
-        # the pass fixes any set of elements, comparable or not
-        assert fixed_rank_count(ANTI3, ["x", "y"], [1, 2]) == 1
-        assert fixed_rank_count(ANTI3, ["y", "x"], [3, 1]) == 1
-        assert fixed_rank_count(ANTI3, ["x", "y", "z"], [1, 1, 3]) == 0
+        # x at rank j and y at j + 1 leave one rank for z
+        assert [adjacent_count(ANTI3, "x", "y", j) for j in range(5)] == [0, 1, 1, 0, 0]
+        assert adjacent_count(ANTI3, "y", "x", 2) == 1
 
     def test_general_log_concavity(self, rng):
         for _ in range(25):
@@ -278,7 +284,7 @@ class TestKahnSaks:
         assert kahn_saks_sequence(MarkedPoset(ANTI3, "x", "y")) == [2, 1]
 
     def test_covering_chain(self):
-        mp = MarkedPoset(Poset.chain(["x", "y"]), "x", "y")
+        mp = MarkedPoset(chain(["x", "y"]), "x", "y")
         assert kahn_saks_sequence(mp) == [1]
 
     def test_witness_sequence(self):
@@ -333,7 +339,7 @@ class TestMidway:
         assert seq[0] == seq[1] > 0  # consistent with the equality theorem
 
     def test_chain_dual_fails_at_k1(self):
-        mp = MarkedPoset(Poset.chain(["b", "x", "y", "t"]), "x", "y")
+        mp = MarkedPoset(chain(["b", "x", "y", "t"]), "x", "y")
         verdict = midway_check(mp, 1)
         assert not verdict["dual_midway"]
 
@@ -373,7 +379,7 @@ class TestExtremalClassify:
                 assert v.ratio == 1
 
     def test_zero_raises(self):
-        mp = MarkedPoset(Poset.chain(["b", "x", "y", "t"]), "x", "y")
+        mp = MarkedPoset(chain(["b", "x", "y", "t"]), "x", "y")
         with pytest.raises(LogcavityError, match="no Kahn-Saks equality case at k=2"):
             kahn_saks_extremal_classify(mp, 2)
 
@@ -399,7 +405,7 @@ class TestExtremalClassify:
 
 class TestExtremes:
     def test_chain(self):
-        mp = MarkedPoset(Poset.chain(["b", "x", "m", "y", "t"]), "x", "y")
+        mp = MarkedPoset(chain(["b", "x", "m", "y", "t"]), "x", "y")
         out = extension_extremes(mp)
         assert out["min_gap"] == out["narrow_target"] == 2
 
@@ -418,7 +424,7 @@ class TestExtremes:
 
 class TestRegions:
     def test_chain_mid(self):
-        mp = MarkedPoset(Poset.chain(["b", "x", "m", "y", "t"]), "x", "y")
+        mp = MarkedPoset(chain(["b", "x", "m", "y", "t"]), "x", "y")
         r = region_partition(mp)
         assert r.mid == {"m"}
         assert r.end_x == {"b"} and r.end_y == {"t"}
@@ -509,20 +515,12 @@ class TestAgainstEnumerationOracle:
     @settings(max_examples=100, deadline=None)
     @given(small_posets(), st.data())
     def test_chain_counts(self, p, data):
-        # a chain half the time, else any elements
-        chain = [data.draw(st.sampled_from(p.labels))] if p.n else []
-        while chain and data.draw(st.booleans()):
-            above = [b for b in p.labels if p.lt(chain[-1], b)]
-            if not above:
-                break
-            chain.append(data.draw(st.sampled_from(above)))
-        if p.n and data.draw(st.booleans()):
-            chain = data.draw(st.lists(st.sampled_from(p.labels), unique=True))
-        ranks = st.integers(0, p.n + 1)
-        positions = data.draw(st.lists(ranks, min_size=len(chain), max_size=len(chain)))
-        assert fixed_rank_count(p, chain, positions) == oracle.stanley_chain_counts(
-            p, chain, positions
-        )
+        if p.n < 2:
+            return
+        a, b = data.draw(st.permutations(p.labels))[:2]
+        j = data.draw(st.integers(-1, p.n + 1))
+        expected = oracle.stanley_chain_counts(p, [a, b], [j, j + 1])
+        assert adjacent_count(p, a, b, j) == expected
 
     @settings(max_examples=100, deadline=None)
     @given(small_posets(), st.data())
@@ -549,7 +547,9 @@ class TestAgainstEnumerationOracle:
         empty = antichain([])
         assert empty.count_extensions(cap=0) == oracle.count_extensions(empty, 0) == 1
         assert stanley_all_positions(empty, cap=0) == {}
-        assert fixed_rank_count(empty, [], [], cap=0) == 1
+        # one ideal, the empty one, from which no element joins
+        lattice = empty._ideals(0)
+        assert (lattice.levels, lattice.up, lattice.moves) == ([{0: 1}], {0: 1}, {0: []})
 
 
 class TestSharing:
@@ -586,7 +586,7 @@ class TestSharing:
         count = p.count_extensions()
         assert sum(stanley_sequence(p, "a")) == count
         assert len(stanley_all_positions(p)) == 5
-        assert fixed_rank_count(p, ["a", "b"], [1, 2]) > 0
+        assert adjacent_count(p, "a", "b", 1) > 0
         stanley_equality_classify(p, "c", 3)
         assert built["lattices"] == [p, p]
         # an equal poset is another object with its own lattice

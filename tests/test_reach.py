@@ -4,12 +4,15 @@ A name-based pass. The roots are every name the CLI module, the scripts,
 the benchmark and the acceptance tests read, import or take as an
 attribute, every `cmd_*` function, which the CLI looks up in its globals,
 and every function a per-layer metric of BENCHMARK.json times, which the
-benchmark's tracer finds by name. A reached name reaches every name read in a package function,
-class or method of that name; a class reaches its own body and its dunder
-methods. Every public top-level function and class, public method and name
-`__init__.py` exports must be reached: a name only unit tests call belongs
-in a test oracle or nowhere. A shared name can hide a dead definition; it
-never reports a live one.
+benchmark's tracer finds by name. A reached name reaches every name read in
+a package function, class or method of that name; a class reaches its own
+body and its dunder methods. A method is reached only through an attribute
+of its name (`x.name`), a top-level function or class through a plain name
+or an attribute (`module.name`), and a root reaches both. Every public
+top-level function and class, public method and name `__init__.py` exports
+must be reached: a name only unit tests call belongs in a test oracle or
+nowhere. A shared name can hide a dead definition; it never reports a live
+one.
 
 An error class is told apart only where it is caught: each class of
 `errors.py` must be named by an `except` clause or an `isinstance` call of
@@ -32,13 +35,14 @@ DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
 def _read(node):
-    """The names the node reads: identifiers, attributes and imports."""
+    """The names the node reads: identifiers and imports as they are, and
+    attributes with a leading "." (`x.name` reads ".name")."""
     out = set()
     for sub in ast.walk(node):
         if isinstance(sub, ast.Name):
             out.add(sub.id)
         elif isinstance(sub, ast.Attribute):
-            out.add(sub.attr)
+            out.add("." + sub.attr)
         elif isinstance(sub, ast.ImportFrom):
             out.update(alias.name for alias in sub.names)
     return out
@@ -48,7 +52,8 @@ def unreached(modules, entry_sources, exports=(), roots=()):
     """The sorted public names of the modules ({name: source}; a method as
     `Class.method`) and exports that neither the entry sources nor the root
     names reach."""
-    public, defs, todo = {name: name for name in exports}, {}, set(roots)
+    public, defs = {name: name for name in exports}, {}
+    todo = set(roots) | {"." + name for name in roots}
     for source in modules.values():
         for node in ast.parse(source).body:
             if not isinstance(node, DEFS):
@@ -57,17 +62,20 @@ def unreached(modules, entry_sources, exports=(), roots=()):
                 continue
             if not node.name.startswith("_"):
                 public[node.name] = node.name
-            own = defs.setdefault(node.name, set())
+            own = _read(node) if not isinstance(node, ast.ClassDef) else set()
+            # a plain name or an attribute of it reaches a top-level def
+            for key in (node.name, "." + node.name):
+                defs.setdefault(key, set()).update(own)
             if not isinstance(node, ast.ClassDef):
-                own |= _read(node)
                 continue
             for item in node.body:
                 if not isinstance(item, DEFS) or item.name.startswith("__"):
-                    own |= _read(item)
+                    for key in (node.name, "." + node.name):
+                        defs[key] |= _read(item)
                     continue
-                defs.setdefault(item.name, set()).update(_read(item))
+                defs.setdefault("." + item.name, set()).update(_read(item))
                 if not item.name.startswith("_"):
-                    public[f"{node.name}.{item.name}"] = item.name
+                    public[f"{node.name}.{item.name}"] = "." + item.name
     for source in entry_sources:
         todo |= _read(ast.parse(source))
     reached = set()
@@ -76,7 +84,11 @@ def unreached(modules, entry_sources, exports=(), roots=()):
         if name not in reached:
             reached.add(name)
             todo |= defs.get(name, set()) - reached
-    return sorted(shown for shown, name in public.items() if name not in reached)
+    return sorted(
+        shown
+        for shown, name in public.items()
+        if name not in reached and "." + name not in reached
+    )
 
 
 def caught(source):
@@ -88,7 +100,7 @@ def caught(source):
             out |= _read(node.type)
         elif isinstance(node, ast.Call) and ast.unparse(node.func) == "isinstance":
             out |= _read(node.args[1])
-    return out
+    return {name.lstrip(".") for name in out}
 
 
 def test_finds_a_caught_name():
@@ -142,6 +154,9 @@ def helper():
     assert unreached(modules, [entry], ["paint", "Box"]) == unused
     assert unreached(modules, [entry + "\nprint(only_tested())"]) == unused[::3]
     assert unreached(modules, [entry], roots=["surface"]) == unused[1:3]
+    # a method is reached through an attribute, not a plain name
+    assert unreached(modules, [entry + "\nsurface = paint"]) == unused[:3]
+    assert unreached(modules, [entry + "\nBox.surface"]) == unused[1:3]
 
 
 def test_every_public_name_is_reached_and_every_timed_one_defined():
