@@ -218,13 +218,11 @@ def _load_marked_poset(args) -> MarkedPoset:
 
 
 def _mark(args, obj, p, key):
-    """The mark from its flag, which is a string label itself or else names
-    the label whose string it is, else from the poset JSON, where it must be
+    """The mark from its flag, which names the element whose label prints
+    as it (no two print alike), else from the poset JSON, where it must be
     an element label, not a list or an object."""
     flag = getattr(args, key, None)
     if flag:
-        if flag in p.labels:
-            return flag
         by_str = {str(lab): lab for lab in p.labels}
         if flag not in by_str:
             raise LogcavityError(f"unknown poset element {flag!r}")
@@ -517,12 +515,19 @@ def cmd_probe(args):
     elements = (
         _parse_labels(m, args.e) if getattr(args, "e", None) else list(m.ground)
     )
+    # clones share a verdict (their swap carries M\e, M/e to M\f, M/f); a
+    # counterexample depends on row order, so only "contained" is copied
+    classes, contained = m.clone_classes(), set()
     for e in elements:
         if e in coloops:
             continue
-        probe = annihilator_containment_probe(m, e)
         results["elements_probed"].append(str(e))
-        if not probe.contained:
+        if classes[m._index[e]] in contained:
+            continue
+        probe = annihilator_containment_probe(m, e)
+        if probe.contained:
+            contained.add(classes[m._index[e]])
+        else:
             k, coeffs = probe.counterexample
             findings.append(
                 {

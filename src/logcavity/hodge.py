@@ -20,7 +20,6 @@ from .linalg import (
     Inertia,
     QMatrix,
     Record,
-    _bits,
     inertia,  # noqa: F401  -- perfbench's tracer self-test wraps hodge.inertia
     integer_det,
     integer_inertia,
@@ -122,7 +121,7 @@ class GorensteinRing:
         # a reference cycle for the cycle collector
         self._matroid = weakref.ref(m)
         self._evals = {}
-        self._tables = {}
+        self._tables = {}  # point: (den, its numerators over den, {size: sums})
         self._inertias = {}
 
     @property
@@ -142,23 +141,31 @@ class GorensteinRing:
 
     def _sums(self, size, point):
         """({S: c d^S f(point)}, c = den^(r - size)) over the independent S of
-        this size, den being the lcm of the point's denominators. f is
-        multilinear, so d^S f(p) sums, over the bases B containing S, the
-        product of p_i over B - S: one pass over the bases, in integers."""
-        key = (size, point)
-        if key not in self._tables:
+        this size, den being the lcm of the point's denominators. By Euler's
+        identity (r - |S|) d^S f = sum over i outside S of p_i d^(S+i) f, so
+        each size is summed, in integers and exactly divided, from the one
+        above, down from 1 on the bases or the nearest size kept for the
+        point; only the sizes asked for are kept."""
+        r, entry = self.m.rank, self._tables.get(point)
+        if entry is None:
             den = math.lcm(*(x.denominator for x in point))
             nums = [x.numerator * (den // x.denominator) for x in point]
-            free = self.m.rank - size
-            sums = {}
-            for b in self.m.bases:
-                for rest in combinations(list(_bits(b)), free):
-                    s, term = b, 1
-                    for i in rest:
-                        s, term = s ^ 1 << i, term * nums[i]
-                    sums[s] = sums.get(s, 0) + term
-            self._tables[key] = (sums, den**free)
-        return self._tables[key]
+            entry = self._tables[point] = (den, nums, {})
+        den, nums, levels = entry
+        top = min((s for s in levels if s >= size), default=r)
+        sums = levels[top] if top in levels else dict.fromkeys(self.m.bases, 1)
+        for s in range(top, size, -1):
+            above, sums = sums, {}
+            for t, value in above.items():
+                rest = t
+                while rest:  # each i in t, lowest first
+                    low = rest & -rest
+                    rest ^= low
+                    term = nums[low.bit_length() - 1] * value
+                    sums[t ^ low] = sums.get(t ^ low, 0) + term
+            sums = {a: x // (r - s + 1) for a, x in sums.items()}
+        levels[size] = sums
+        return sums, den ** (r - size)
 
     def value(self, point) -> Fraction:
         sums, scale = self._sums(0, point)

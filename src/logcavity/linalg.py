@@ -47,6 +47,17 @@ def _json_labels(value, what):
     return value
 
 
+def _label_index(labels, what):
+    """{label: its position}, if no two labels are equal or print alike (the
+    CLI and the reports name an element by its printed label); else an input
+    error naming the label."""
+    index, printed = {}, {}
+    for i, lab in enumerate(labels):
+        if index.setdefault(lab, i) != i or printed.setdefault(str(lab), i) != i:
+            raise LogcavityError(f"{what} must be distinct; two print as {str(lab)!r}")
+    return index
+
+
 class Record:
     """An immutable record of the values named by the class attribute
     _fields: set positionally, compared with records of the same type only,
@@ -464,9 +475,9 @@ class Graph(Record):
     def has_loop(self):
         return any(u == v for u, v in self.edges)
 
-    def _forest_rank(self, edge_indices):
-        """The size of a spanning forest of the given edges: union-find over
-        their endpoints only (parent holds the non-roots)."""
+    def is_connected(self):
+        """Whether a spanning forest has vertices - 1 edges: union-find over
+        the endpoints of the edges only (parent holds the non-roots)."""
         parent = {}
 
         def find(x):
@@ -475,17 +486,12 @@ class Graph(Record):
                 x = parent[x]
             return x
 
-        rank = 0
-        for i in edge_indices:
-            u, v = self.edges[i]
+        forest = 0
+        for u, v in self.edges:
             ru, rv = find(u), find(v)
             if ru != rv:
                 parent[ru] = rv
-                rank += 1
-        return rank
-
-    def is_connected(self):
-        forest = self._forest_rank(range(len(self.edges)))
+                forest += 1
         return self.vertices <= 1 or forest == self.vertices - 1
 
     def to_json(self):

@@ -16,6 +16,7 @@ from .linalg import (
     _bits,
     _expect,
     _json_labels,
+    _label_index,
     rank_of_matrix,
 )
 
@@ -53,8 +54,11 @@ def _link_masks(level):
     below the masks of level."""
     up = {}
     for g in level:
-        for e in _bits(g):
-            up[g ^ 1 << e] = up.get(g ^ 1 << e, 0) | 1 << e
+        rest = g
+        while rest:  # each e in g, as the bit 1 << e
+            e = rest & -rest
+            rest ^= e
+            up[g ^ e] = up.get(g ^ e, 0) | e
     return up
 
 
@@ -135,9 +139,7 @@ class Matroid:
 
     def __init__(self, ground, basis_masks):
         object.__setattr__(self, "ground", tuple(ground))
-        index = {lab: i for i, lab in enumerate(self.ground)}
-        if len(index) != len(self.ground):
-            raise LogcavityError("matroid ground set repeats a label")
+        index = _label_index(self.ground, "matroid ground labels")
         object.__setattr__(self, "_index", index)
         masks = tuple(sorted(set(basis_masks)))
         if not masks:
@@ -206,14 +208,27 @@ class Matroid:
 
     @staticmethod
     def graphic(graph: Graph):
-        """Cycle matroid of a multigraph; loop edges become matroid loops."""
+        """Cycle matroid of a multigraph; loop edges become matroid loops.
+        Each forest, with a component label per vertex an edge touches, grows
+        by the edges above its largest one that join two components: so each
+        forest comes once, and the levels are the independence complex."""
         m = len(graph.edges)
         if m > DEFAULT_ELEMENT_CAP:
             raise TooLarge(f"more than {DEFAULT_ELEMENT_CAP} edges")
-        nonloops = [i for i, (u, v) in enumerate(graph.edges) if u != v]
-        rank = graph._forest_rank(nonloops)
-        masks = _subsets(nonloops, rank, lambda c: graph._forest_rank(c) == rank)
-        return Matroid(tuple(range(m)), masks)
+        ids = {x: i for i, x in enumerate(dict.fromkeys(sum(graph.edges, ())))}
+        ends = [(j, ids[u], ids[v]) for j, (u, v) in enumerate(graph.edges)]
+        level, levels = [(0, bytes(range(len(ids))), 0)], []
+        while level:
+            levels.append(frozenset([mask for mask, _, _ in level]))
+            level = [  # v's component takes u's label
+                (mask | 1 << j, comp.replace(comp[v : v + 1], comp[u : u + 1]), j + 1)
+                for mask, comp, start in level
+                for j, u, v in ends[start:]
+                if comp[u] != comp[v]
+            ]
+        matroid = Matroid(tuple(range(m)), levels[-1])
+        object.__setattr__(matroid, "_indep", (*levels, frozenset()))
+        return matroid
 
     @staticmethod
     def linear(matrix: QMatrix, ground=None):
@@ -246,10 +261,10 @@ class Matroid:
         return frozenset(self._labels(b) for b in self.bases)
 
     def _independent(self):
-        """The independence complex, the down-closure of the bases: levels[s]
-        is the set of independent s-sets as masks, and levels[rank + 1] is
-        empty, so a lookup one past the rank needs no guard. The element cap
-        bounds it by 2^16 masks."""
+        """The independence complex, the down-closure of the bases (`graphic`
+        grows it instead): levels[s] is the set of independent s-sets as
+        masks, and levels[rank + 1] is empty, so a lookup one past the rank
+        needs no guard. The element cap bounds it by 2^16 masks."""
         if self._indep is None:
             if self.n > DEFAULT_ELEMENT_CAP:
                 raise TooLarge(
@@ -320,6 +335,21 @@ class Matroid:
         classes = dict.fromkeys(f & ~loops for _, f in points)
         return ParallelData(self._labels(loops), tuple(map(self._labels, classes)))
 
+    def clone_classes(self):
+        """The least index of each element's clone class, by index: e and f
+        are clones when swapping them maps the bases onto themselves. Swaps
+        compose, (e g) = (f g)(e f)(f g), so this is an equivalence, and each
+        element is tested against one member of each class found before it."""
+
+        def clones(e, f):
+            pair = 1 << e | 1 << f  # 0 < b & pair < pair: b holds one of them
+            return all(b ^ pair in bases for b in self.bases if 0 < b & pair < pair)
+
+        bases, classes = set(self.bases), []
+        for e in range(self.n):
+            classes.append(next((f for f in dict.fromkeys(classes) if clones(e, f)), e))
+        return tuple(classes)
+
     def truncate(self):
         if self.rank == 0:
             raise LogcavityError("cannot truncate a rank-0 matroid")
@@ -339,11 +369,10 @@ class Matroid:
     # -- serialization -----------------------------------------------------
 
     def to_json(self):
-        return {
-            "type": "bases",
-            "ground": list(self.ground),
-            "bases": sorted(sorted(map(str, b)) for b in self.basis_label_sets()),
-        }
+        names = [str(g) for g in self.ground]  # no two print alike
+        order = sorted(range(self.n), key=names.__getitem__)
+        bases = [[names[i] for i in order if b >> i & 1] for b in self.bases]
+        return {"type": "bases", "ground": list(self.ground), "bases": sorted(bases)}
 
     @staticmethod
     def from_json(obj):

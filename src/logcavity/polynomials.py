@@ -195,7 +195,9 @@ class MPoly:
             den = _json_int(t["den"], "a term's 'den'")
             if den == 0:
                 raise LogcavityError("a term's 'den' must not be 0")
-            terms[tuple(exp)] = Fraction(_json_int(t["num"], "a term's 'num'"), den)
+            # like terms add up, as in the polynomial the list writes
+            c = Fraction(_json_int(t["num"], "a term's 'num'"), den)
+            terms[tuple(exp)] = terms.get(tuple(exp), 0) + c
         return MPoly(_expect(obj["nvars"], int, "polynomial 'nvars'"), terms)
 
 

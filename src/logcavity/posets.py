@@ -11,7 +11,7 @@ representation of a poset, Fundam. Inform. 2006); no extension is listed.
 from functools import cached_property
 
 from .errors import LogcavityError, TooLarge
-from .linalg import Record, _bits, _expect, _json_labels
+from .linalg import Record, _bits, _expect, _json_labels, _label_index
 
 DEFAULT_EXTENSION_CAP = 3_628_800  # 10!
 
@@ -28,11 +28,8 @@ class Poset:
     def __init__(self, labels, up_masks):
         object.__setattr__(self, "labels", tuple(labels))
         object.__setattr__(self, "n", len(self.labels))
-        object.__setattr__(
-            self, "_index", {lab: i for i, lab in enumerate(self.labels)}
-        )
-        if len(self._index) != self.n:
-            raise LogcavityError("poset element labels must be distinct")
+        index = _label_index(self.labels, "poset element labels")
+        object.__setattr__(self, "_index", index)
         object.__setattr__(self, "up", tuple(up_masks))
         down = [0] * self.n
         for i, above in enumerate(self.up):
@@ -47,9 +44,7 @@ class Poset:
     @staticmethod
     def from_relations(elements, relations):
         labels = tuple(elements)
-        index = {lab: i for i, lab in enumerate(labels)}
-        if len(index) != len(labels):
-            raise LogcavityError("poset element labels must be distinct")
+        index = _label_index(labels, "poset element labels")
         n = len(labels)
         up = [1 << i for i in range(n)]
         for a, b in relations:

@@ -14,7 +14,9 @@ local-augmentation test per face of the complex unless the family has few
 bases for its rank; the pair a failing list is rejected with comes from
 one pass of exchanges per basis there.
 
-The minors the tests build are here too, since no command builds one.
+The minors the tests build are here too, since no command builds one, and
+so is the graphic constructor's old route: one union-find per subset of
+the edges of the forest rank, where the library grows each forest once.
 """
 
 from itertools import combinations
@@ -28,6 +30,16 @@ SMALL = st.integers(min_value=-3, max_value=3)
 
 
 @st.composite
+def multigraphs(draw, max_edges=7):
+    """Multigraphs on 2 to 5 vertices with 1 to max_edges edges; loops and
+    parallel edges allowed."""
+    v = draw(st.integers(min_value=2, max_value=5))
+    end = st.integers(min_value=0, max_value=v - 1)
+    edges = draw(st.lists(st.tuples(end, end), min_size=1, max_size=max_edges))
+    return Graph(v, tuple(edges))
+
+
+@st.composite
 def small_matroids(draw):
     """Uniform, graphic multigraph (loops allowed) and linear matroids on at
     most 7 elements."""
@@ -36,14 +48,58 @@ def small_matroids(draw):
         n = draw(st.integers(min_value=1, max_value=7))
         return Matroid.uniform(draw(st.integers(min_value=0, max_value=n)), n)
     if kind == "graphic":
-        v = draw(st.integers(min_value=2, max_value=5))
-        end = st.integers(min_value=0, max_value=v - 1)
-        edges = draw(st.lists(st.tuples(end, end), min_size=1, max_size=7))
-        return Matroid.graphic(Graph(v, tuple(edges)))
+        return Matroid.graphic(draw(multigraphs()))
     rows = draw(st.integers(min_value=1, max_value=4))
     cols = draw(st.integers(min_value=1, max_value=7))
     row = st.lists(SMALL, min_size=cols, max_size=cols)
     return Matroid.linear(QMatrix(draw(st.lists(row, min_size=rows, max_size=rows))))
+
+
+def forest_rank(graph, edge_indices):
+    """The size of a spanning forest of the given edges, by union-find."""
+    parent = list(range(graph.vertices))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    size = 0
+    for i in edge_indices:
+        u, v = map(find, graph.edges[i])
+        if u != v:
+            parent[u] = v
+            size += 1
+    return size
+
+
+def forest_bases(graph):
+    """The sorted bases of the cycle matroid: the subsets of the non-loop
+    edges, of the size of a spanning forest of them all, that are forests."""
+    nonloops = [i for i, (u, v) in enumerate(graph.edges) if u != v]
+    r = forest_rank(graph, nonloops)
+    return sorted(
+        sum(1 << i for i in c)
+        for c in combinations(nonloops, r)
+        if forest_rank(graph, c) == r
+    )
+
+
+def clone_classes(m):
+    """The least index of each element's clone class, by index, from every
+    transposition: e and f are clones when the bases with e and f swapped
+    are the bases."""
+    bases = set(m.bases)
+
+    def swapped(b, e, f):
+        if (b >> e & 1) == (b >> f & 1):
+            return b
+        return b ^ (1 << e | 1 << f)
+
+    def clones(e, f):
+        return {swapped(b, e, f) for b in bases} == bases
+
+    return tuple(min(f for f in range(e + 1) if clones(e, f)) for e in range(m.n))
 
 
 def exchange_failure(masks):

@@ -6,11 +6,13 @@ import re
 import subprocess
 import sys
 import time
+import tempfile
 import tracemalloc
 from contextlib import redirect_stdout
 from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -20,7 +22,7 @@ import report_oracle as oracle
 from logcavity import __version__, cli, discriminants, hodge, matroids
 from logcavity.cli import RunReport, _InputObject, _emit, _text, main
 from logcavity.errors import LogcavityError
-from logcavity.linalg import Record
+from logcavity.linalg import Graph, Record
 from logcavity.matroids import Matroid
 from logcavity.polynomials import MPoly
 from logcavity.posets import Poset
@@ -34,6 +36,7 @@ from logcavity.zoo import (
     ratio_two_witness_poset,
 )
 from discriminant_oracle import random_positive_definite
+from matroid_oracle import small_matroids
 
 
 @pytest.fixture
@@ -295,21 +298,35 @@ class TestPosetMarks:
 
     @pytest.mark.parametrize(
         "command, flags",
-        [("kahnsaks", ["--x", "1", "--y", "2"]), ("poset", ["--x", "1"])],
+        [("kahnsaks", []), ("kahnsaks", ["--x", "1", "--y", "2"]), ("poset", [])],
+        ids=["kahnsaks-json-marks", "kahnsaks-flag-marks", "poset"],
     )
-    def test_string_label_before_printed_label(self, capsys, tmp_path, command, flags):
-        # "1" and 1 print alike; the flag 1 marks the string label "1", as the
-        # JSON mark does, and not the integer 1, which gives another report
-        obj = {"elements": ["1", 1, 2], "relations": [["1", 2]]}
-        paths, reports = [], []
-        for x in ("1", 1):
-            paths.append(tmp_path / f"marked_{x!r}.json")
-            paths[-1].write_text(json.dumps(dict(obj, x=x, y=2)))
-            assert main([command, "--poset", str(paths[-1])]) == 0
-            reports.append(capsys.readouterr().out)
-        assert reports[0] != reports[1]
-        assert main([command, "--poset", str(paths[0])] + flags) == 0
-        assert capsys.readouterr().out == reports[0]
+    def test_labels_that_print_alike_are_rejected(
+        self, capsys, tmp_path, command, flags
+    ):
+        # "1" and 1 print alike, so a flag, a report key or an echoed
+        # relation could not tell them apart
+        obj = {"elements": ["1", 1, 2], "relations": [["1", 2]], "x": 1, "y": 2}
+        path = tmp_path / "alike.json"
+        path.write_text(json.dumps(obj))
+        assert main([command, "--poset", str(path)] + flags) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: poset element labels must be distinct; two print as '1'\n"
+        )
+
+    def test_a_relation_of_an_element_with_itself_is_accepted(
+        self, capsys, tmp_path
+    ):
+        results = []
+        for relations in ([[1, 1], [1, 2]], [[1, 2]]):
+            path = tmp_path / f"relations{len(relations)}.json"
+            path.write_text(json.dumps({"elements": [1, 2], "relations": relations}))
+            code, report = run_json(capsys, ["poset", "--poset", str(path)])
+            assert code == 0
+            results.append(report["results"])
+        assert results[0] == results[1]
 
     @pytest.mark.parametrize("command", ["kahnsaks", "poset"])
     def test_flag_naming_no_element(self, capsys, marked_file, command):
@@ -426,6 +443,29 @@ class TestLorentzianCommand:
         assert results["passed"] is False and results["homogeneous"] is False
         assert results["coefficient_log_concavity"] is None
         assert report["violations"] == []
+
+    def test_like_terms_add_up(self, capsys, tmp_path):
+        # x^2 + y^2 + xy + xy, the xy terms written apart, is (x + y)^2,
+        # which passes, as x^2 + 2xy + y^2 does
+        x2, xy, y2 = ({"exp": e, "num": 1, "den": 1} for e in ([2, 0], [1, 1], [0, 2]))
+        apart = {"nvars": 2, "terms": [x2, xy, y2, xy]}
+        summed = MPoly(2, {(2, 0): 1, (1, 1): 2, (0, 2): 1}).to_json()
+        reports = []
+        for name, obj in (("apart", apart), ("summed", summed)):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(obj))
+            code, report = run_json(capsys, ["lorentzian", "--poly", str(path)])
+            assert code == 0 and report["results"]["passed"] is True
+            reports.append(report)
+        assert reports[0] == reports[1]
+        # the echo is the polynomial that was read: read again, it gives
+        # the same bytes
+        echo = tmp_path / "echo.json"
+        echo.write_text(json.dumps(reports[0]["inputs"]["poly"]))
+        assert main(["lorentzian", "--poly", str(tmp_path / "apart.json")]) == 0
+        first = capsys.readouterr().out
+        assert main(["lorentzian", "--poly", str(echo)]) == 0
+        assert capsys.readouterr().out == first
 
     def test_zoo_matroid_passes(self, capsys, k23_file):
         code, report = run_json(capsys, ["lorentzian", "--matroid", k23_file])
@@ -944,6 +984,107 @@ class TestExitCodes:
         ]
         for argv in cases:
             assert self.run(capsys, tmp_path, argv, capped=True) == 1, argv
+
+
+class TestInputsReadAsWritten:
+    @pytest.mark.parametrize(
+        "matroid",
+        [
+            {"ground": [1, "1"], "bases": [[1]]},
+            {
+                "type": "linear",
+                "ground": ["a", "1", 1],
+                "matrix": {"rows": 1, "cols": 3, "entries": [1, 0, 2]},
+            },
+        ],
+        ids=["bases", "linear"],
+    )
+    @pytest.mark.parametrize("command", ["matroid", "hodge", "probe", "lorentzian"])
+    def test_matroid_labels_that_print_alike(self, capsys, tmp_path, matroid, command):
+        # the int 1 and the string "1" would be one basis label, one
+        # --R or --e entry and one echoed element
+        path = tmp_path / "alike.json"
+        path.write_text(json.dumps(matroid))
+        assert main([command, "--matroid", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: matroid ground labels must be distinct; two print as '1'\n"
+        )
+
+    def test_decimal_matrix_entries_are_exact(self, capsys, tmp_path):
+        # a JSON decimal is read as the rational it writes, never as a float
+        path = tmp_path / "decimal.json"
+        for entries, n, value in (
+            ("0.1", 1, "1/10"),
+            # D(A, A) = det [[1/10, -1/2], [3, 1/4]] = 1/40 + 3/2
+            ('0.1, "-1/2", 3, 2.5e-1', 2, "61/40"),
+        ):
+            matrix = f'{{"rows": {n}, "cols": {n}, "entries": [{entries}]}}'
+            path.write_text(f'{{"mats": [{{"matrix": {matrix}, "mult": {n}}}]}}')
+            code, report = run_json(capsys, ["discriminant", "--tuple", str(path)])
+            assert (code, report["results"]["value"]) == (0, value)
+
+    @pytest.mark.parametrize("entry", ["1e400", "-1e400", "NaN", "Infinity"])
+    def test_non_finite_matrix_entries_are_input_errors(self, capsys, tmp_path, entry):
+        # Python's JSON reader turns these into inf and nan
+        path = tmp_path / "bad.json"
+        path.write_text(
+            '{"mats": [{"matrix": {"rows": 1, "cols": 1, "entries": [%s]}}]}' % entry
+        )
+        assert main(["discriminant", "--tuple", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        message = "matrix entries must be rationals like 3 or -1/2"
+        assert captured.err == f"error: {message}\n"
+
+
+class TestProbeClones:
+    """`probe` runs one containment probe per clone class until one holds,
+    and copies a holding verdict to the rest of the class; a failing element
+    is probed on its own. Probing every element gives the same bytes."""
+
+    @staticmethod
+    def reports(m):
+        """The probe report of m per class and per element, with the number
+        of probes each ran."""
+        out = []
+        with tempfile.TemporaryDirectory() as tmp:
+            path, report = Path(tmp) / "m.json", Path(tmp) / "report.json"
+            path.write_text(json.dumps(m.to_json()))
+            argv = ["probe", "--matroid", str(path), "--out", str(report)]
+            for classes in (Matroid.clone_classes, lambda m: tuple(range(m.n))):
+                probe = mock.Mock(wraps=hodge.annihilator_containment_probe)
+                with mock.patch.object(
+                    cli, "annihilator_containment_probe", probe
+                ), mock.patch.object(Matroid, "clone_classes", classes):
+                    assert main(argv) == 0
+                out.append((report.read_text(), probe.call_count))
+        return out
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_matroids())
+    @example(  # edges 1 and 6 are in series, so clones, and both fail
+        Matroid.graphic(
+            Graph(5, ((0, 3), (1, 4), (0, 2), (3, 2), (0, 4), (3, 2), (2, 1), (3, 4)))
+        )
+    )
+    def test_per_class_matches_per_element(self, m):
+        (per_class, probes), (per_element, _) = self.reports(m)
+        assert per_class == per_element
+        # each class of non-coloops is probed at least once
+        classes, coloops = m.clone_classes(), m.coloops()
+        assert probes >= len({c for c, e in zip(classes, m.ground) if e not in coloops})
+
+    def test_uniform_matroid_is_probed_once(self):
+        (per_class, probes), (per_element, others) = self.reports(
+            Matroid.uniform(3, 6)
+        )
+        assert per_class == per_element
+        assert (probes, others) == (1, 6)
+        assert json.loads(per_class)["results"]["elements_probed"] == [
+            str(e) for e in range(6)
+        ]
 
 
 class TestFailFast:

@@ -615,12 +615,16 @@ class TestOracleProperties:
             assert graded_evaluation(m, k).basis_positions == expected, k
 
     @settings(max_examples=60, deadline=None)
-    @given(instances())
-    def test_derivative_tables_match_partials(self, inst):
+    @given(instances(), st.data())
+    def test_derivative_tables_match_partials(self, inst, data):
+        # each size is summed from the nearest size kept above it, so the
+        # sizes are asked for in a drawn order; the table holds every
+        # independent set of its size, a zero value too
         m, _, point = inst
         ring = GorensteinRing.of(m)
-        for size in range(m.rank + 1):
+        for size in data.draw(st.permutations(range(m.rank + 1))):
             table, scale = ring._sums(size, point)
+            assert sorted(table) == m.independent_subsets(size), size
             for mask in range(1 << m.n):
                 if bin(mask).count("1") != size:
                     continue

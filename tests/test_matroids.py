@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import matroid_oracle as oracle
 from linalg_oracle import identity
-from matroid_oracle import small_matroids
+from matroid_oracle import multigraphs, small_matroids
 
 from logcavity.errors import LogcavityError, TooLarge
 from logcavity.linalg import (
@@ -407,6 +407,52 @@ def assert_matches_oracle(m):
         assert independent == oracle.is_independent(m, mask), mask
     for k in range(m.n + 2):
         assert m.independent_subsets(k) == oracle.independent_subsets(m, k), k
+
+
+class TestGraphicForests:
+    """The graphic constructor grows each forest once and keeps the levels
+    as the independence complex; the oracle scans every subset of the edges
+    of the forest rank and takes the subsets of the bases. The graphs are
+    those `small_matroids()` draws, with up to 10 edges."""
+
+    @staticmethod
+    def assert_forests_match_scan(graph):
+        m = Matroid.graphic(graph)
+        assert list(m.bases) == oracle.forest_bases(graph)
+        levels = m._indep
+        assert len(levels) == m.rank + 2 and not levels[-1]
+        for k in range(m.rank + 1):
+            assert sorted(levels[k]) == oracle.independent_subsets(m, k), k
+
+    @settings(max_examples=150, deadline=None)
+    @given(multigraphs(max_edges=10))
+    def test_forests_match_subset_scan(self, graph):
+        self.assert_forests_match_scan(graph)
+
+    def test_named_graphs_and_edge_cases(self):
+        for graph in (
+            k4_graph(),
+            k23_graph(),
+            Graph(3, ((0, 1), (0, 1), (1, 1), (1, 2), (2, 0), (2, 2))),
+            Graph(1, ((0, 0), (0, 0))),  # only loops: rank 0
+            Graph(0, ()),
+            Graph(9, ((7, 3), (3, 8), (8, 7), (7, 3))),  # vertices 0-2, 4-6 unused
+        ):
+            self.assert_forests_match_scan(graph)
+
+
+class TestCloneClasses:
+    @settings(max_examples=120, deadline=None)
+    @given(small_matroids())
+    def test_classes_match_every_transposition(self, m):
+        assert m.clone_classes() == oracle.clone_classes(m)
+
+    def test_named_classes(self):
+        # every element of U(r, n) is a clone of every other; parallel edges
+        # are clones, and so are the loops, and the coloops
+        assert Matroid.uniform(3, 6).clone_classes() == (0,) * 6
+        graph = Graph(4, ((0, 1), (1, 2), (0, 1), (2, 0), (3, 3), (2, 3), (1, 1)))
+        assert Matroid.graphic(graph).clone_classes() == (0, 1, 0, 1, 4, 5, 4)
 
 
 class TestOracleProperties:
