@@ -46,6 +46,7 @@ from .discriminants import (
 )
 from .hodge import (
     GorensteinRing,
+    _point,
     annihilator_containment_probe,
     graded_dims,
     hl_check,
@@ -139,8 +140,11 @@ def _emit(report: RunReport, args) -> int:
         text = "".join(row[:-2] + "\n" for row in rows)
     out = getattr(args, "out", None)
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as e:
+            raise LogcavityError(f"cannot write the report: {e}")
     else:
         sys.stdout.write(text)
     return 2 if report.violations else 0
@@ -176,8 +180,8 @@ def _load_json(path, what):
     try:
         with open(path, encoding="utf-8") as fh:
             obj = json.load(fh, object_hook=lambda d: _InputObject(what, d))
-    except FileNotFoundError:
-        raise LogcavityError(f"{what} file not found: {path}")
+    except (OSError, UnicodeDecodeError) as e:  # missing, a directory, not UTF-8
+        raise LogcavityError(f"{what} file cannot be read: {e}")
     except json.JSONDecodeError as e:
         raise LogcavityError(f"{what} file is not valid JSON: {e}")
     if not isinstance(obj, dict):
@@ -186,14 +190,15 @@ def _load_json(path, what):
     return obj
 
 
-def _load_matroid(args) -> Matroid:
+def _load_matroid(args, graph=None) -> Matroid:
+    """The --matroid, else the cycle matroid of graph or the --graph."""
     if getattr(args, "matroid", None):
         obj = _load_json(args.matroid, "matroid")
         if isinstance(obj.get("ground"), list):
             _cap_elements(args, len(obj["ground"]))  # before bases are validated
         m = Matroid.from_json(obj)
     elif getattr(args, "graph", None):
-        m = Matroid.graphic(Graph.from_json(_load_json(args.graph, "graph")))
+        m = Matroid.graphic(graph or Graph.from_json(_load_json(args.graph, "graph")))
     else:
         raise LogcavityError("a --matroid or --graph file is required")
     _cap_elements(args, m.n)
@@ -338,7 +343,17 @@ def cmd_matroid(args):
 
 
 def cmd_stanley(args):
-    m = _load_matroid(args)
+    graph = None
+    if getattr(args, "graph", None):
+        graph = Graph.from_json(_load_json(args.graph, "graph"))
+    m = _load_matroid(args, graph)
+    # edge j is element j, as the volume route below takes it
+    if getattr(args, "matroid", None) and graph and (
+        len(graph.edges) != m.n or Matroid.graphic(graph).bases != m.bases
+    ):
+        raise LogcavityError(
+            f"--graph needs the matroid's {m.n} edges and bases, edge j as element j"
+        )
     r_labels = _parse_labels(m, args.R)
     seq = stanley_matroid_sequence(m, r_labels)
     results = {
@@ -379,17 +394,11 @@ def cmd_stanley(args):
     q_labels = [e for e in m.ground if e not in set(r_labels)]
     g = g_polynomial(m, [r_labels, q_labels])
     tally = None
-    if getattr(args, "graph", None):
-        graph = Graph.from_json(_load_json(args.graph, "graph"))
-        if not graph.has_loop:
-            ri = reduced_incidence_matrix(graph)
-            if ri.rows != r or len(graph.edges) != m.n:
-                raise LogcavityError(
-                    f"the --graph needs the matroid's {m.n} edges and rank {r}"
-                )
-            cols = [ri.column(j) for j in range(ri.cols)]
-            t_r, t_q = ([cols[m._index[e]] for e in s] for s in (r_labels, q_labels))
-            tally, scale = _transversal_sums([(t_r, r), (t_q, r)], r)
+    if graph and not graph.has_loop:
+        ri = reduced_incidence_matrix(graph)
+        cols = [ri.column(j) for j in range(ri.cols)]
+        t_r, t_q = ([cols[m._index[e]] for e in s] for s in (r_labels, q_labels))
+        tally, scale = _transversal_sums([(t_r, r), (t_q, r)], r)
     for k in range(r + 1):
         w = factorial(k) * factorial(r - k)
         b_enum = seq.counts[k] * w
@@ -489,9 +498,10 @@ def cmd_hodge(args):
             "flats": count,
             "inertia": iner.as_tuple(),
         }
-        ring = GorensteinRing.of(m)
-        results["hr_form_inertia"] = ring.hr_inertia(k, point)[0].as_tuple()
-        if ring.value(point) > 0:
+        # the integer point, once; hl_check and hrr_check take the rational one
+        ring, at = GorensteinRing.of(m), _point(m, point)
+        results["hr_form_inertia"] = ring.hr_inertia(k, at)[0].as_tuple()
+        if ring.value(at) > 0:
             results["hl"] = hl_check(m, k, point)
             results["hrr"] = hrr_check(m, k, point)
             if k == 1 and all(x > 0 for x in point) and not results["hrr"]:
@@ -677,13 +687,12 @@ def main(argv=None) -> int:
         return 0 if e.code in (0, None) else 1
     try:
         # by name at call time: the cached parser pins no cmd_* function
-        report = globals()["cmd_" + args.command](args)
+        return _emit(globals()["cmd_" + args.command](args), args)
     except LogcavityError as e:
         # only a cap is named: every other message says what was wrong
         name = "TooLarge: " if isinstance(e, TooLarge) else ""
         sys.stderr.write(f"error: {name}{e}\n")
         return 1
-    return _emit(report, args)
 
 
 if __name__ == "__main__":

@@ -7,7 +7,7 @@ from fractions import Fraction
 from itertools import permutations, product
 
 from .errors import LogcavityError
-from .linalg import QMatrix, Record, det, integer_det, integer_inertia
+from .linalg import QMatrix, Record, _scaled, det, integer_det, integer_inertia
 from .polynomials import polarization_sum
 
 
@@ -32,12 +32,9 @@ class SubsetSumTable:
 
     def __init__(self, mats):
         self.index = {a: i for i, a in enumerate(dict.fromkeys(mats))}
-        self.d = math.lcm(*(x.denominator for a in self.index for r in a.m for x in r))
         # each matrix as one flat row-major list of d-scaled integer entries
-        self.scaled = [
-            [x.numerator * (self.d // x.denominator) for row in a.m for x in row]
-            for a in self.index
-        ]
+        flat = ([x for row in a.m for x in row] for a in self.index)
+        self.d, self.scaled = _scaled(flat)
         self.dets = {}
         self.psds = {}
 
@@ -158,15 +155,9 @@ def alexandrov_check(x: QMatrix, y: QMatrix, fixed, table=None) -> AlexandrovRep
     lam = None
     proportional = False
     if equal:
-        witness = None
-        for i in range(n):
-            for j in range(n):
-                if x[i][j] != 0:
-                    witness = y[i][j] / x[i][j]
-                    break
-            if witness is not None:
-                break
+        # the first nonzero entry of X gives the only candidate lambda
+        ratios = (b / a for ra, rb in zip(x.m, y.m) for a, b in zip(ra, rb) if a)
+        witness = next(ratios, None)
         if witness is not None and y == x.scale(witness):
-            lam = witness
-            proportional = True
+            lam, proportional = witness, True
     return AlexandrovReport(lhs, rhs, equal, lam, proportional)

@@ -20,6 +20,8 @@ from .linalg import (
     Inertia,
     QMatrix,
     Record,
+    _q,
+    _scaled,
     inertia,  # noqa: F401  -- perfbench's tracer self-test wraps hodge.inertia
     integer_det,
     integer_inertia,
@@ -110,7 +112,9 @@ def in_annihilator(m: Matroid, coeffs) -> bool:
 
 class GorensteinRing:
     """The Gorenstein quotient of one matroid's basis generating polynomial f:
-    graded evaluations, derivative values and Hodge-Riemann forms.
+    graded evaluations, derivative values and Hodge-Riemann forms. A point
+    is taken as the integer point (den, *nums) that `_point` makes of a
+    rational one, nums_i / den its coordinates, and keys the tables.
 
     `GorensteinRing.of(m)` keeps it on the matroid instance, never in a dict
     keyed by matroid equality: equal matroids may order their grounds
@@ -121,7 +125,7 @@ class GorensteinRing:
         # a reference cycle for the cycle collector
         self._matroid = weakref.ref(m)
         self._evals = {}
-        self._tables = {}  # point: (den, its numerators over den, {size: sums})
+        self._tables = {}  # integer point: {size: sums}
         self._inertias = {}
 
     @property
@@ -140,32 +144,28 @@ class GorensteinRing:
         return self._evals[k]
 
     def _sums(self, size, point):
-        """({S: c d^S f(point)}, c = den^(r - size)) over the independent S of
-        this size, den being the lcm of the point's denominators. By Euler's
-        identity (r - |S|) d^S f = sum over i outside S of p_i d^(S+i) f, so
+        """({S: d^S f(nums)}, c = den^(r - size)) over the independent S of
+        this size, at the integer point (den, *nums): d^S f is homogeneous
+        of degree r - |S|, so each value is c d^S f(nums / den). By Euler's
+        identity (r - |S|) d^S f = sum over i outside S of x_i d^(S+i) f, so
         each size is summed, in integers and exactly divided, from the one
         above, down from 1 on the bases or the nearest size kept for the
         point; only the sizes asked for are kept."""
-        r, entry = self.m.rank, self._tables.get(point)
-        if entry is None:
-            den = math.lcm(*(x.denominator for x in point))
-            nums = [x.numerator * (den // x.denominator) for x in point]
-            entry = self._tables[point] = (den, nums, {})
-        den, nums, levels = entry
+        r, levels = self.m.rank, self._tables.setdefault(point, {})
         top = min((s for s in levels if s >= size), default=r)
         sums = levels[top] if top in levels else dict.fromkeys(self.m.bases, 1)
         for s in range(top, size, -1):
             above, sums = sums, {}
             for t, value in above.items():
                 rest = t
-                while rest:  # each i in t, lowest first
+                while rest:  # each i in t, lowest first; nums_i is point[i + 1]
                     low = rest & -rest
                     rest ^= low
-                    term = nums[low.bit_length() - 1] * value
+                    term = point[low.bit_length()] * value
                     sums[t ^ low] = sums.get(t ^ low, 0) + term
             sums = {a: x // (r - s + 1) for a, x in sums.items()}
         levels[size] = sums
-        return sums, den ** (r - size)
+        return sums, point[0] ** (r - size)
 
     def value(self, point) -> Fraction:
         sums, scale = self._sums(0, point)
@@ -208,10 +208,11 @@ def _check_degree(m: Matroid, k):
 
 
 def _point(m: Matroid, point):
-    point = tuple(Fraction(x) for x in point)
-    if len(point) != m.n:
-        raise LogcavityError(f"point needs {m.n} coordinates, got {len(point)}")
-    return point
+    """(den, *nums): the rational point times den, the lcm of its denominators."""
+    den, (nums,) = _scaled([map(_q, point)])
+    if len(nums) != m.n:
+        raise LogcavityError(f"point needs {m.n} coordinates, got {len(nums)}")
+    return den, *nums
 
 
 def _ring_at(m: Matroid, point):
@@ -232,9 +233,8 @@ def hr_form(m: Matroid, k, point) -> QMatrix:
     integer sums); the benchmark's per-layer metrics time it by this name."""
     _check_degree(m, k)
     ring, point = GorensteinRing.of(m), _point(m, point)
-    basis = ring._basis(k)
-    scale = ring._sums(2 * k, point)[1]
-    weight = Fraction((-1) ** k * math.factorial(m.rank - 2 * k), scale)
+    basis, p = ring._basis(k), m.rank - 2 * k
+    weight = Fraction((-1) ** k * math.factorial(p), point[0] ** p)
     return QMatrix(ring._pairing(basis, basis, 2 * k, point)).scale(weight)
 
 
@@ -302,7 +302,7 @@ def facet_theorem_scan(m: Matroid, subset_size_cap=2) -> FacetScanReport:
     for e in m.ground:
         verdicts = []
         for pencil in (False, True):
-            point = facet_point(m, [e], pencil)
+            point = _point(m, facet_point(m, [e], pencil))
             verdicts.append(_hrr_verdict(ring, 1, point))
         is_coloop = e in coloops
         per_element.append(
@@ -325,7 +325,7 @@ def facet_theorem_scan(m: Matroid, subset_size_cap=2) -> FacetScanReport:
                 continue
             if m.rank_of(combo) > m.rank - 2:
                 continue
-            point = facet_point(m, combo)
+            point = _point(m, facet_point(m, combo))
             complement = [e for e in m.ground if e not in combo]
             if m.rank_of(complement) < m.rank:
                 degenerate.append((combo, _hrr_verdict(ring, 1, point)))
@@ -340,7 +340,7 @@ def facet_theorem_scan(m: Matroid, subset_size_cap=2) -> FacetScanReport:
             if e in coloops:
                 continue
             # f(point) > 0 here: some basis avoids the non-coloop e
-            point = facet_point(m, [e])
+            point = _point(m, facet_point(m, [e]))
             # gradient of d_e f and Hessian of f - x_e d_e f at p_e = 0: the
             # bases through e carry the factor p_e, so both read off the
             # size-2 sums, scaled by one positive c; the diagonal is zero as

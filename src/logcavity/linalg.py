@@ -1,9 +1,9 @@
 """Exact rational matrices: determinants, inertia, kernels, graph Laplacians.
 
 Entries are fractions.Fraction; nothing here touches floating point. Every
-elimination clears denominators once per row and runs one fraction-free
-integer (Bareiss) update, applied lazily: a row is rescaled only when it
-has a nonzero in the pivot column or must hold its eager value.
+elimination scales its rows by one common multiplier (`_scaled`) and runs one
+fraction-free integer (Bareiss) update, applied lazily: a row is rescaled
+only when it has a nonzero in the pivot column or must hold its eager value.
 """
 
 import math
@@ -223,16 +223,13 @@ class Inertia(Record):
         return (self.n_pos, self.n_neg, self.n_zero)
 
 
-def _integer_rows(rows):
-    """Each rational row times the lcm of its denominators, as int lists, and
-    the product of those multipliers."""
-    out = []
-    scale = 1
-    for row in rows:
-        d = math.lcm(*[x.denominator for x in row])
-        scale *= d
-        out.append([x.numerator * (d // x.denominator) for x in row])
-    return out, scale
+def _scaled(rows):
+    """(d, int rows): the rational rows times d, the lcm of all their
+    denominators, so one positive multiplier for every entry. This is the
+    one place a rational becomes an integer; ints are kept as they are."""
+    rows = [list(row) for row in rows]
+    d = math.lcm(*[x.denominator for row in rows for x in row])
+    return d, [[x.numerator * (d // x.denominator) for x in row] for row in rows]
 
 
 def _raise(a, level, rows, to, lo=0):
@@ -355,12 +352,12 @@ def integer_kernel(rows, ncols):
 
 
 def det(m: QMatrix) -> Fraction:
-    """Exact determinant: the integer determinant of the rows with their
-    denominators cleared, over the product of the row multipliers."""
+    """Exact determinant: the integer determinant of the matrix times d,
+    over d^n."""
     if not m.is_square:
         raise LogcavityError("determinant requires a square matrix")
-    a, scale = _integer_rows(m.m)
-    return Fraction(integer_det(a), scale)
+    d, a = _scaled(m.m)
+    return Fraction(integer_det(a), d**m.rows)
 
 
 def integer_inertia(rows, lead):
@@ -432,26 +429,23 @@ def inertia(m: QMatrix) -> Inertia:
     multiplier, which keeps the integer copy symmetric and congruent."""
     if not m.is_symmetric:
         raise LogcavityError("inertia requires a symmetric matrix")
-    d = math.lcm(*(x.denominator for row in m.m for x in row))
-    a = [[x.numerator * (d // x.denominator) for x in row] for row in m.m]
-    return integer_inertia(a, m.rows)[1]
+    return integer_inertia(_scaled(m.m)[1], m.rows)[1]
 
 
 def rank_of_matrix(m: QMatrix) -> int:
-    a, _ = _integer_rows(m.m)
-    return len(_eliminate(a, m.cols)[0])
+    return len(_eliminate(_scaled(m.m)[1], m.cols)[0])
 
 
 def kernel_basis(m: QMatrix):
     """Basis of the right null space {v : m v = 0}, as tuples of Fractions,
     one per free column of the RREF in column order."""
-    d, vectors = integer_kernel(_integer_rows(m.m)[0], m.cols)
+    d, vectors = integer_kernel(_scaled(m.m)[1], m.cols)
     return [tuple(Fraction(x, d) for x in v) for v in vectors]
 
 
 def row_space_basis_indices(m: QMatrix):
     """Indices of a maximal independent set of rows, greedy in row order."""
-    return integer_row_basis(_integer_rows(m.m)[0])
+    return integer_row_basis(_scaled(m.m)[1])
 
 
 class Graph(Record):
@@ -547,7 +541,7 @@ def reduced_incidence_matrix(graph: Graph) -> QMatrix:
     touched = {v: i for i, v in enumerate(sorted({v for e in graph.edges for v in e}))}
     edges = [(touched[u], touched[v]) for u, v in graph.edges]
     b = incidence_matrix(Graph(len(touched), edges))
-    return b.submatrix(integer_row_basis([map(int, r) for r in b.m]), range(b.cols))
+    return b.submatrix(integer_row_basis(_scaled(b.m)[1]), range(b.cols))
 
 
 def spanning_tree_count(graph: Graph) -> int:
@@ -556,9 +550,7 @@ def spanning_tree_count(graph: Graph) -> int:
         raise LogcavityError("spanning tree counting requires a loopless graph")
     if not graph.is_connected():
         raise LogcavityError("spanning tree counting requires a connected graph")
-    # one vertex leaves a 0 x 0 reduced Laplacian, of determinant 1
+    # ints, so d = 1; one vertex leaves a 0 x 0 reduced Laplacian, of det 1
     lap = laplacian(graph)
     reduced = lap.submatrix(range(lap.rows - 1), range(lap.cols - 1))
-    value = det(reduced)
-    assert value.denominator == 1
-    return int(value)
+    return integer_det(_scaled(reduced.m)[1])

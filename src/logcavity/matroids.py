@@ -17,6 +17,8 @@ from .linalg import (
     _expect,
     _json_labels,
     _label_index,
+    _scaled,
+    integer_row_basis,
     rank_of_matrix,
 )
 
@@ -232,7 +234,7 @@ class Matroid:
 
     @staticmethod
     def linear(matrix: QMatrix, ground=None):
-        """Column matroid of a rational matrix."""
+        """Column matroid of a rational matrix, its columns scaled to ints once."""
         cols = matrix.cols
         if ground is None:
             ground = tuple(range(cols))
@@ -243,9 +245,9 @@ class Matroid:
         if cols > DEFAULT_ELEMENT_CAP:
             raise TooLarge(f"more than {DEFAULT_ELEMENT_CAP} columns")
         r = rank_of_matrix(matrix)
-        rows = range(matrix.rows)
+        vecs = list(zip(*_scaled(matrix.m)[1]))  # the columns
         masks = _subsets(
-            range(cols), r, lambda c: rank_of_matrix(matrix.submatrix(rows, c)) == r
+            range(cols), r, lambda c: len(integer_row_basis([vecs[j] for j in c])) == r
         )
         return Matroid(ground, masks)
 

@@ -10,7 +10,7 @@ from fractions import Fraction
 from itertools import product
 
 from .errors import LogcavityError
-from .linalg import QMatrix, Record, _bits, _expect, _q, integer_inertia
+from .linalg import QMatrix, Record, _bits, _expect, _q, _scaled, integer_inertia
 from .matroids import Matroid, _is_basis_family
 
 
@@ -198,7 +198,10 @@ class MPoly:
             # like terms add up, as in the polynomial the list writes
             c = Fraction(_json_int(t["num"], "a term's 'num'"), den)
             terms[tuple(exp)] = terms.get(tuple(exp), 0) + c
-        return MPoly(_expect(obj["nvars"], int, "polynomial 'nvars'"), terms)
+        nvars = _expect(obj["nvars"], int, "polynomial 'nvars'")
+        if nvars < 0:
+            raise LogcavityError(f"a polynomial needs 0 or more variables, got {nvars}")
+        return MPoly(nvars, terms)
 
 
 def _json_int(value, what):
@@ -316,10 +319,10 @@ def _hessian_rows(f: MPoly):
     a quadratic, so its Hessian is constant and is read off the terms: entry
     (i, j) is gamma! c_gamma with gamma = alpha + e_i + e_j."""
     n = f.nvars
-    d = math.lcm(*(c.denominator for c in f.terms.values()))
+    d, (coeffs,) = _scaled([f.terms.values()])
     rows = {}
-    for gamma, c in f.terms.items():
-        weight = int(c * d) * math.prod(math.factorial(g) for g in gamma)
+    for gamma, c in zip(f.terms, coeffs):
+        weight = c * math.prod(math.factorial(g) for g in gamma)
         for i in range(n):
             if not gamma[i]:
                 continue

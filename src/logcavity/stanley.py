@@ -12,7 +12,7 @@ from fractions import Fraction
 from itertools import product
 
 from .errors import LogcavityError, TooLarge
-from .linalg import QMatrix, Record, _bits
+from .linalg import QMatrix, Record, _bits, _scaled
 from .matroids import Matroid
 from .polynomials import MPoly, basis_generating_poly
 
@@ -131,11 +131,11 @@ def _transversal_sums(groups, n):
     depends on the rows taken, so every completion through it has det 0 and
     it leaves the branch. Equal vectors of a group are taken once, weighted
     by their count; zero vectors never."""
-    d = math.lcm(*(x.denominator for vs, _ in groups for v in vs for x in v))
-    items = []
+    d, scaled = _scaled(v for vs, _ in groups for v in vs)
+    rows, items = map(tuple, scaled), []
     for g, (vs, cap) in enumerate(groups):
-        scaled = Counter(tuple(x.numerator * d // x.denominator for x in v) for v in vs)
-        items += [(g, v, c) for v, c in scaled.items() if any(v) and cap]
+        counts = Counter(next(rows) for _ in vs)
+        items += [(g, v, c) for v, c in counts.items() if any(v) and cap]
     taken, tally = [0] * len(groups), Counter()
 
     def visit(cands, need, prev, weight):

@@ -15,14 +15,17 @@ bases for its rank; the pair a failing list is rejected with comes from
 one pass of exchanges per basis there.
 
 The minors the tests build are here too, since no command builds one, and
-so is the graphic constructor's old route: one union-find per subset of
-the edges of the forest rank, where the library grows each forest once.
+so are two constructors' old routes: the graphic one takes one union-find
+per subset of the edges of the forest rank, where the library grows each
+forest once, and the linear one one `Fraction` rank per r-set of columns,
+where the library scales the matrix to ints once and eliminates those.
 """
 
 from itertools import combinations
 
 from hypothesis import strategies as st
 
+import linalg_oracle
 from logcavity.linalg import Graph, QMatrix, _bits
 from logcavity.matroids import Matroid
 
@@ -82,6 +85,21 @@ def forest_bases(graph):
         sum(1 << i for i in c)
         for c in combinations(nonloops, r)
         if forest_rank(graph, c) == r
+    )
+
+
+def linear(matrix):
+    """The column matroid: the r-sets of columns of rank r, r the rank of
+    the matrix, each rank by `Fraction` elimination."""
+    r = linalg_oracle.rank_of_matrix(matrix)
+    rows = range(matrix.rows)
+    return Matroid(
+        tuple(range(matrix.cols)),
+        [
+            sum(1 << j for j in c)
+            for c in combinations(range(matrix.cols), r)
+            if linalg_oracle.rank_of_matrix(matrix.submatrix(rows, c)) == r
+        ],
     )
 
 

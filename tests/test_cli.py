@@ -407,7 +407,20 @@ class TestStanleyCommand:
             argv = ["stanley", "--matroid", k23_file, "--graph", str(path), "--R", "0"]
             assert main(argv) == 1
             err = capsys.readouterr().err
-            assert err == "error: the --graph needs the matroid's 6 edges and rank 4\n"
+            assert err == (
+                "error: --graph needs the matroid's 6 edges and bases, "
+                "edge j as element j\n"
+            )
+
+    def test_graph_must_have_the_matroids_bases(self, capsys, tmp_path):
+        # a triangle has three edges and rank 2, as this matroid has, but its
+        # bases are every pair; the sizes alone let the routes disagree (exit 2)
+        m_path, g_path = tmp_path / "m.json", tmp_path / "g.json"
+        m_path.write_text(json.dumps({"ground": [0, 1, 2], "bases": [[0, 1], [0, 2]]}))
+        g_path.write_text(json.dumps(k3_graph().to_json()))
+        argv = ["stanley", "--matroid", str(m_path), "--graph", str(g_path), "--R", "0"]
+        assert main(argv) == 1
+        assert "needs the matroid's 3 edges and bases" in capsys.readouterr().err
 
 
 class TestLorentzianCommand:
@@ -543,6 +556,7 @@ class TestErrors:
             ("lorentzian", "--poly", poly({"exp": [1], "num": "x", "den": "1"}), "'num'"),
             ("lorentzian", "--poly", poly({"exp": [1], "num": "1", "den": "0"}), "'den'"),
             ("lorentzian", "--poly", {"nvars": "1", "terms": []}, "'nvars'"),
+            ("lorentzian", "--poly", {"nvars": -1, "terms": []}, "got -1"),
         ],
     )
     def test_malformed_input_is_an_input_error(
@@ -557,6 +571,25 @@ class TestErrors:
 
     def test_missing_file(self, capsys):
         assert main(["matroid", "--matroid", "/nonexistent.json"]) == 1
+
+    @pytest.mark.parametrize("kind", ["directory", "utf-16"])
+    def test_unreadable_file_is_an_input_error(self, capsys, tmp_path, kind):
+        path = tmp_path / "m.json"
+        if kind == "directory":
+            path.mkdir()
+        else:  # a byte-order mark and UTF-16 text: not UTF-8
+            path.write_bytes(b"\xff\xfe" + '{"type": "uniform"}'.encode("utf-16-le"))
+        assert main(["matroid", "--matroid", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: matroid file cannot be read: ")
+        assert err.count("\n") == 1
+
+    def test_unwritable_report_is_an_input_error(self, capsys, tmp_path, k23_file):
+        out = tmp_path / "missing" / "report.json"
+        assert main(["matroid", "--matroid", k23_file, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write the report: ")
+        assert err.count("\n") == 1 and not out.parent.exists()
 
     def test_unknown_element_in_flag(self, capsys, k23_file):
         assert main(["stanley", "--matroid", k23_file, "--R", "99"]) == 1

@@ -17,6 +17,7 @@ from logcavity.matroids import FlatLattice, Matroid
 from logcavity.hodge import (
     GorensteinRing,
     _hrr_verdict,
+    _point,
     _ring_at,
     annihilator_containment_probe,
     facet_point,
@@ -501,11 +502,11 @@ class TestSignatureFormula:
         """(hypotheses_hold, formula_holds): when HL_i and HRR_i hold for
         i <= k, the net signature of (-1)^k Q^k equals the alternating sum
         of graded dimension increments."""
-        ring, point = _ring_at(m, point)
+        ring, at = _ring_at(m, point)
         for i in range(1, k + 1):
             if not (hl_check(m, i, point) and hrr_check(m, i, point)):
                 return False, False
-        block = ring.hr_inertia(k, point)[0]
+        block = ring.hr_inertia(k, at)[0]
         sigma = (-1) ** k * (block.n_pos - block.n_neg)
         dims = [0] + graded_dims(m)
         expect = sum((-1) ** i * (dims[i + 1] - dims[i]) for i in range(k + 1))
@@ -623,7 +624,7 @@ class TestOracleProperties:
         m, _, point = inst
         ring = GorensteinRing.of(m)
         for size in data.draw(st.permutations(range(m.rank + 1))):
-            table, scale = ring._sums(size, point)
+            table, scale = ring._sums(size, _point(m, point))
             assert sorted(table) == m.independent_subsets(size), size
             for mask in range(1 << m.n):
                 if bin(mask).count("1") != size:
@@ -632,14 +633,36 @@ class TestOracleProperties:
                 assert Fraction(table.get(mask, 0), scale) == expected, (size, mask)
 
     @settings(max_examples=60, deadline=None)
+    @given(small_matroids(), st.data())
+    def test_integer_points_match_rational_oracle(self, m, data):
+        # coordinates of either sign and mixed denominators; the ring keys
+        # its tables by the integer point, which a point written as strings
+        # gives too
+        coord = st.fractions(min_value=-3, max_value=3, max_denominator=12)
+        point = [data.draw(coord) for _ in range(m.n)]
+        at = _point(m, point)
+        assert all(type(x) is int for x in at) and at[0] > 0
+        assert [Fraction(x, at[0]) for x in at[1:]] == point
+        assert _point(m, map(str, point)) == at
+        ring = GorensteinRing.of(m)
+        for size in range(m.rank + 1):
+            table, scale = ring._sums(size, at)
+            for mask in m.independent_subsets(size):
+                expected = oracle.derivative(m, mask, point)
+                assert Fraction(table[mask], scale) == expected, (size, mask)
+        for k in range(m.rank // 2 + 1):
+            assert ring.hr_inertia(k, at)[0] == inertia(oracle.hr_form(m, k, point))
+        assert list(ring._tables) == [at]
+
+    @settings(max_examples=60, deadline=None)
     @given(instances())
     def test_forms_and_hrr_match(self, inst):
         m, k, point = inst
         form = oracle.hr_form(m, k, point)
         assert hr_form(m, k, point) == form
-        ring = GorensteinRing.of(m)
-        assert ring.hr_inertia(k, point)[0] == inertia(form)
-        assert _hrr_verdict(ring, k, point) == oracle.hrr_verdict(m, k, point)
+        ring, at = GorensteinRing.of(m), _point(m, point)
+        assert ring.hr_inertia(k, at)[0] == inertia(form)
+        assert _hrr_verdict(ring, k, at) == oracle.hrr_verdict(m, k, point)
 
     @settings(max_examples=60, deadline=None)
     @given(rank_bound_sets())

@@ -10,6 +10,7 @@ import linalg_oracle as oracle
 from logcavity.errors import LogcavityError
 from logcavity.linalg import (
     _eliminate,
+    _scaled,
     Graph,
     Inertia,
     QMatrix,
@@ -184,6 +185,19 @@ class TestDet:
         assert integer_det([]) == 1
         with pytest.raises(LogcavityError, match="determinant requires a square"):
             integer_det([[1, 2]])
+
+
+class TestScaled:
+    def test_one_common_multiplier(self):
+        # the lcm of every denominator, not a multiplier per row
+        d, rows = _scaled([[Fraction(1, 2), 3], [Fraction(-2, 3), 0]])
+        assert d == 6 and rows == [[3, 18], [-4, 0]]
+        assert all(type(x) is int for row in rows for x in row)
+
+    def test_ints_and_empty_rows(self):
+        assert _scaled([[1, -2], [0, 5]]) == (1, [[1, -2], [0, 5]])
+        assert _scaled([]) == (1, []) and _scaled([[]]) == (1, [[]])
+        assert _scaled(iter([(Fraction(3, 4),)])) == (4, [[3]])
 
 
 class TestInertia:

@@ -40,6 +40,23 @@ from logcavity.zoo import (
 U23 = Matroid.uniform(2, 3)
 
 
+@st.composite
+def rational_matrices(draw):
+    """Matrices of 0 to 4 rows and 1 to 7 columns, with entries of mixed
+    denominators; a column is drawn, zero, or a multiple of an earlier one."""
+    rows = draw(st.integers(min_value=0, max_value=4))
+    entry = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+    columns = []
+    for _ in range(draw(st.integers(min_value=1, max_value=7))):
+        kind = draw(st.sampled_from(["drawn", "zero", "parallel"]))
+        if kind == "parallel" and columns:
+            c, s = draw(st.sampled_from(columns)), draw(entry.filter(bool))
+            columns.append([s * x for x in c])
+        else:
+            columns.append([draw(entry) if kind == "drawn" else 0 for _ in range(rows)])
+    return QMatrix(zip(*columns), len(columns))
+
+
 def subsets_of(ground):
     for k in range(len(ground) + 1):
         yield from combinations(ground, k)
@@ -115,6 +132,11 @@ class TestConstruction:
         assert zero.bases == (0,) and zero.loops() == {"a", "b", "c"}
         empty = Matroid.linear(QMatrix([]))
         assert empty.ground == () and empty.bases == (0,)
+
+    @settings(max_examples=150, deadline=None)
+    @given(rational_matrices())
+    def test_linear_matches_fraction_route(self, matrix):
+        assert Matroid.linear(matrix).bases == oracle.linear(matrix).bases
 
     def test_graphic_matches_matrix_tree(self):
         for graph in (k3_graph(), k4_graph(), k23_graph()):
