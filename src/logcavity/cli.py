@@ -192,12 +192,14 @@ def _load_json(path, what):
 
 def _load_matroid(args, graph=None) -> Matroid:
     """The --matroid, else the cycle matroid of graph or the --graph."""
-    if getattr(args, "matroid", None):
+    if graph is None and args.matroid and args.graph:  # else the caller checks the pair
+        raise LogcavityError("give --matroid or --graph, not both")
+    if args.matroid:
         obj = _load_json(args.matroid, "matroid")
         if isinstance(obj.get("ground"), list):
             _cap_elements(args, len(obj["ground"]))  # before bases are validated
         m = Matroid.from_json(obj)
-    elif getattr(args, "graph", None):
+    elif args.graph:
         m = Matroid.graphic(graph or Graph.from_json(_load_json(args.graph, "graph")))
     else:
         raise LogcavityError("a --matroid or --graph file is required")
@@ -421,6 +423,9 @@ def cmd_stanley(args):
 
 def cmd_lorentzian(args):
     if getattr(args, "poly", None):
+        for flag in ("matroid", "graph"):
+            if getattr(args, flag):
+                raise LogcavityError(f"give --poly or --{flag}, not both")
         f = MPoly.from_json(_load_json(args.poly, "polynomial"))
         source = {"poly": f.to_json()}
     else:

@@ -97,8 +97,9 @@ def mixed_discriminant_perm(mats) -> Fraction:
 
 def mixed_discriminant_gram(factors) -> Fraction:
     """(1/n!) sum over column choices of squared determinants: each factor
-    X_k is a QMatrix with n rows, and the value equals the
-    permutation-formula discriminant of the X_k X_k^T."""
+    X_k is a QMatrix with n rows, and the value equals the permutation-formula
+    discriminant of the X_k X_k^T. All columns are scaled to ints by one d, so
+    a pick's determinant (of its columns as rows) is an int times d^n."""
     if not factors:
         raise LogcavityError("the Gram route needs at least one factor")
     n = factors[0].rows
@@ -108,11 +109,11 @@ def mixed_discriminant_gram(factors) -> Fraction:
         raise LogcavityError(
             f"the Gram route needs {n} factors of {n} rows, got {len(factors)}"
         )
-    columns = [[f.column(j) for j in range(f.cols)] for f in factors]
-    total = Fraction(0)
-    for cols in product(*columns):
-        total += det(QMatrix(zip(*cols))) ** 2
-    return total / math.factorial(n)
+    d, scaled = _scaled(c for f in factors for c in zip(*f.m))
+    cols = iter(scaled)
+    columns = [[next(cols) for _ in range(f.cols)] for f in factors]
+    total = sum(integer_det(picked) ** 2 for picked in product(*columns))
+    return Fraction(total, math.factorial(n) * d ** (2 * n))
 
 
 class AlexandrovReport(Record):

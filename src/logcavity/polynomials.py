@@ -1,7 +1,8 @@
 """Exact multivariate polynomials and the Lorentzian / M-convexity checks.
 
 Coefficients are Fractions keyed by dense exponent tuples; degrees and
-variable counts here are tiny, so no monomial-order machinery is used.
+variable counts here are tiny, so no monomial-order machinery is used. f(Ay)
+is expanded in ints, and each Lorentzian Hessian is kept on its partial's variables.
 """
 
 import math
@@ -22,16 +23,16 @@ class MPoly:
         clean = {}
         for exp, c in terms.items():
             c = _q(c)
-            if c == 0:
+            if not c:
                 continue
-            exp = tuple(int(e) for e in exp)
-            if len(exp) != nvars or any(e < 0 for e in exp):
+            exp = tuple(map(int, exp))
+            if len(exp) != nvars or min(exp, default=0) < 0:
                 raise LogcavityError(
                     f"exponent vector {exp} must have {nvars} nonnegative entries"
                 )
             clean[exp] = clean[exp] + c if exp in clean else c
         object.__setattr__(
-            self, "terms", {e: c for e, c in clean.items() if c != 0}
+            self, "terms", {e: c for e, c in clean.items() if c}
         )
 
     def __setattr__(self, *a):
@@ -154,17 +155,29 @@ class MPoly:
         return QMatrix(rows)
 
     def substitute_linear(self, a: QMatrix):
-        """Compose with the linear map x = A y: returns f(Ay) in a.cols
-        variables, each term expanded one linear form at a time in a dict."""
+        """f(Ay) in a.cols variables, in ints: A and the coefficients are
+        scaled by da and dc, the terms summed by their degree in each distinct
+        row of A (one linear form), and each sum expanded one form at a time.
+        A monomial k has its term's degree, so its coefficient is over dc da^|k|."""
         if a.rows != self.nvars:
             raise LogcavityError(
                 f"substitution matrix needs one row per variable, {self.nvars}, "
                 f"got {a.rows}"
             )
         m = a.cols
-        lin = [[(j, x) for j, x in enumerate(a[i]) if x] for i in range(self.nvars)]
+        da, rows = _scaled(a.m)
+        dc, (coeffs,) = _scaled([self.terms.values()])
+        forms = {}  # the distinct rows, and the one of each variable
+        form_of = [forms.setdefault(tuple(row), len(forms)) for row in rows]
+        summed = Counter()
+        for e, c in zip(self.terms, coeffs):
+            k = [0] * len(forms)
+            for i, x in enumerate(e):
+                k[form_of[i]] += x
+            summed[tuple(k)] += c
+        lin = [[(j, x) for j, x in enumerate(row) if x] for row in forms]
         out = Counter()
-        for e, c in self.terms.items():
+        for e, c in summed.items():
             term = {(0,) * m: c}
             for i in (i for i, k in enumerate(e) for _ in range(k)):
                 nxt = Counter()
@@ -173,7 +186,7 @@ class MPoly:
                         nxt[exp[:j] + (exp[j] + 1,) + exp[j + 1 :]] += x * y
                 term = nxt
             out.update(term)
-        return MPoly(m, out)
+        return MPoly(m, {k: Fraction(x, dc * da ** sum(k)) for k, x in out.items()})
 
     def to_json(self):
         return {
@@ -217,13 +230,13 @@ def _json_int(value, what):
 
 def basis_generating_poly(m: Matroid) -> MPoly:
     """Sum of squarefree monomials over the bases; homogeneous of degree rank."""
-    terms = {}
+    exps = []
     for b in m.bases:
         exp = [0] * m.n
         for i in _bits(b):
             exp[i] = 1
-        terms[tuple(exp)] = Fraction(1)
-    return MPoly(m.n, terms)
+        exps.append(tuple(exp))
+    return MPoly(m.n, dict.fromkeys(exps, Fraction(1)))
 
 
 def polarization_sum(multiplicities, value):
@@ -314,27 +327,27 @@ class LorentzianReport(Record):
 
 def _hessian_rows(f: MPoly):
     """(d, {alpha: int rows}) over the exponents alpha of order deg f - 2
-    with a nonzero partial, for homogeneous f: the Hessian of d^alpha f
-    times d, the lcm of the coefficient denominators of f. Each d^alpha f is
-    a quadratic, so its Hessian is constant and is read off the terms: entry
-    (i, j) is gamma! c_gamma with gamma = alpha + e_i + e_j."""
-    n = f.nvars
+    with a nonzero partial, for homogeneous f: the constant Hessian of the
+    quadratic d^alpha f times d, the lcm of f's coefficient denominators, on
+    the variables of d^alpha f in increasing order (it is zero elsewhere),
+    read off the terms: entry (i, j) is gamma! c_gamma, gamma = alpha+e_i+e_j."""
     d, (coeffs,) = _scaled([f.terms.values()])
-    rows = {}
+    entries = {}
     for gamma, c in zip(f.terms, coeffs):
-        weight = c * math.prod(math.factorial(g) for g in gamma)
-        for i in range(n):
-            if not gamma[i]:
-                continue
-            for j in range(i, n):
-                if not gamma[j] or (i == j and gamma[i] < 2):
-                    continue
+        weight = c * math.prod(map(math.factorial, gamma))
+        occur = [i for i, g in enumerate(gamma) if g]
+        for s, i in enumerate(occur):
+            for j in occur[s + (gamma[i] < 2) :]:  # (i, i) needs gamma_i >= 2
                 alpha = list(gamma)
                 alpha[i] -= 1
                 alpha[j] -= 1
-                h = rows.setdefault(tuple(alpha), [[0] * n for _ in range(n)])
-                h[i][j] = h[j][i] = weight
-    return d, dict(sorted(rows.items()))
+                h = entries.setdefault(tuple(alpha), {})
+                h[i, j] = h[j, i] = weight
+    rows = {}
+    for alpha, h in sorted(entries.items()):
+        occur = sorted({i for i, _ in h})
+        rows[alpha] = tuple(tuple(h.get((i, j), 0) for j in occur) for i in occur)
+    return d, rows
 
 
 def lorentzian_check(f: MPoly) -> LorentzianReport:
@@ -343,7 +356,8 @@ def lorentzian_check(f: MPoly) -> LorentzianReport:
     alpha of order d - 2 the constant Hessian of the quadratic d^alpha f has
     exactly one positive eigenvalue. M-convexity passes to the support of
     every partial, so the recursive definition needs no other check. Each
-    Hessian is tested as int rows times d > 0, which keeps its inertia."""
+    Hessian H is tested as int rows times d > 0 on the variables S of d^alpha
+    f, which keeps its inertia: zero outside S, H is congruent to H_S + 0."""
     if not f.has_nonneg_coefficients():
         raise LogcavityError("Lorentzian candidates need nonnegative coefficients")
     if f.is_zero():
@@ -351,11 +365,10 @@ def lorentzian_check(f: MPoly) -> LorentzianReport:
     if not f.is_homogeneous():
         return LorentzianReport(False, False, False, ())
     mcx = m_convex(f.support())
-    failures = tuple(
-        alpha
-        for alpha, h in _hessian_rows(f)[1].items()
-        if integer_inertia(h, f.nvars)[1].n_pos != 1
-    )
+    hessians = _hessian_rows(f)[1]
+    # one elimination per distinct Hessian: on U(r, n) every partial has the same
+    n_pos = {h: integer_inertia(h, len(h))[1].n_pos for h in set(hessians.values())}
+    failures = tuple(alpha for alpha, h in hessians.items() if n_pos[h] != 1)
     return LorentzianReport(mcx and not failures, True, mcx, failures)
 
 
@@ -367,7 +380,7 @@ def coefficient_logconcavity(f: MPoly) -> bool:
     if not f.is_homogeneous():
         raise LogcavityError("coefficient log-concavity needs a homogeneous polynomial")
     c = {
-        e: coeff * math.prod(math.factorial(k) for k in e)
+        e: coeff * math.prod(map(math.factorial, e))
         for e, coeff in f.terms.items()
     }
     for beta, cb in c.items():

@@ -5,15 +5,36 @@ log-concavity, used only as test oracles.
 through `MPoly.partial`; `sampled_lorentzian` tests Hessians of partials of
 every order at positive sample points; `simplex_logconcavity` scans the whole
 degree simplex; `m_convex_pairs` checks exchange over every pair of support
-points. The library reads the order-(d-2) Hessians off the terms, visits
-support pairs, and decides a 0/1 support as a matroid basis family instead.
+points; `substitute_linear` expands f(Ay) with one `Fraction` product per
+factor. The library reads the order-(d-2) Hessians off the terms on their
+support, visits support pairs, decides a 0/1 support as a matroid basis
+family, and expands f(Ay) in ints instead.
 """
 
 import math
+from collections import Counter
 from fractions import Fraction
 
 from logcavity.linalg import inertia
-from logcavity.polynomials import m_convex
+from logcavity.polynomials import MPoly, m_convex
+
+
+def substitute_linear(f, a):
+    """f(Ay) in a.cols variables, for a QMatrix A with one row per variable
+    of f: each term expanded one linear form at a time, in Fractions."""
+    m = a.cols
+    lin = [[(j, x) for j, x in enumerate(a[i]) if x] for i in range(f.nvars)]
+    out = Counter()
+    for e, c in f.terms.items():
+        term = {(0,) * m: c}
+        for i in (i for i, k in enumerate(e) for _ in range(k)):
+            nxt = Counter()
+            for exp, x in term.items():
+                for j, y in lin[i]:
+                    nxt[exp[:j] + (exp[j] + 1,) + exp[j + 1 :]] += x * y
+            term = nxt
+        out.update(term)
+    return MPoly(m, out)
 
 
 def m_convex_pairs(exps):

@@ -572,6 +572,29 @@ class TestErrors:
     def test_missing_file(self, capsys):
         assert main(["matroid", "--matroid", "/nonexistent.json"]) == 1
 
+    @pytest.mark.parametrize(
+        "command, given, second",
+        [
+            ("matroid", "--matroid", "--graph"),
+            ("hodge", "--matroid", "--graph"),
+            ("probe", "--matroid", "--graph"),
+            ("lorentzian", "--matroid", "--graph"),
+            ("lorentzian", "--poly", "--matroid"),
+            ("lorentzian", "--poly", "--graph"),
+        ],
+    )
+    def test_two_input_sources_are_an_input_error(
+        self, capsys, tmp_path, k23_file, command, given, second
+    ):
+        # the second source names a missing file: it would be dropped unread
+        poly = tmp_path / "poly.json"
+        poly.write_text(json.dumps({"nvars": 1, "terms": []}))
+        source = str(poly) if given == "--poly" else k23_file
+        argv = [command, given, source, second, str(tmp_path / "missing.json")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: give {given} or {second}, not both\n"
+
     @pytest.mark.parametrize("kind", ["directory", "utf-16"])
     def test_unreadable_file_is_an_input_error(self, capsys, tmp_path, kind):
         path = tmp_path / "m.json"
@@ -624,6 +647,45 @@ class TestErrors:
     @pytest.mark.parametrize("argv", [["--help"], ["--version"]])
     def test_help_and_version_exit_zero(self, capsys, argv):
         assert main(argv) == 0
+
+
+GOLDEN_INPUTS = {
+    # a loop at vertex 2 and a parallel pair 0-1: the volume route is skipped
+    "multigraph": {"vertices": 3, "edges": [[0, 1], [0, 1], [1, 2], [2, 0], [2, 2]]},
+    # x0 (x1^2 + x2^2 + x1 x2 / 2): d/dx0 has a positive definite Hessian on
+    # x1, x2, and no x0; d/dx1 and d/dx2 pass
+    "poly": {
+        "nvars": 3,
+        "terms": [
+            {"exp": [1, 2, 0], "num": "1", "den": "1"},
+            {"exp": [1, 0, 2], "num": "1", "den": "1"},
+            {"exp": [1, 1, 1], "num": "1", "den": "2"},
+        ],
+    },
+    "k4": {"type": "graphic", "graph": k4_graph().to_json()},
+}
+
+
+class TestGoldenReports:
+    """Byte-exact reports of the polynomial certificates: the substitution
+    behind `stanley`, the Hessians behind `lorentzian` and the Gram route
+    behind `selftest`."""
+
+    @pytest.mark.parametrize(
+        "name, argv",
+        [
+            ("stanley_multigraph", ["stanley", "--graph", "multigraph", "--R", "0,2"]),
+            ("lorentzian_poly_one_failure", ["lorentzian", "--poly", "poly"]),
+            ("lorentzian_k4", ["lorentzian", "--matroid", "k4"]),
+            ("selftest", ["selftest"]),
+        ],
+    )
+    def test_report_bytes(self, capsys, tmp_path, name, argv):
+        for key, payload in GOLDEN_INPUTS.items():
+            (tmp_path / f"{key}.json").write_text(json.dumps(payload))
+        argv = [str(tmp_path / f"{a}.json") if a in GOLDEN_INPUTS else a for a in argv]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == golden_json(f"{name}.json")
 
 
 class TestReportContract:

@@ -182,6 +182,17 @@ class TestSubsetSumTable:
         assert values == alexandrov_values(x, y, fixed)
 
 
+@st.composite
+def gram_factors(draw):
+    """n <= 3 rational factors of n rows and 0-3 columns each, entries with
+    mixed denominators."""
+    n = draw(st.integers(min_value=1, max_value=3))
+    widths = [draw(st.integers(min_value=0, max_value=3)) for _ in range(n)]
+    return [
+        QMatrix([[draw(ENTRY) for _ in range(w)] for _ in range(n)]) for w in widths
+    ]
+
+
 class TestGramRoute:
     def test_single_columns(self):
         x1 = QMatrix([[1], [0]])
@@ -200,6 +211,22 @@ class TestGramRoute:
     def test_degenerate_spans(self):
         col = QMatrix([[1, 2], [0, 0]])
         assert mixed_discriminant_gram([col, col]) == 0
+
+    @settings(max_examples=80, deadline=None)
+    @given(gram_factors())
+    def test_rational_factors_match_perm(self, factors):
+        # each X_k X_k^T, summed column by column
+        n = len(factors)
+        mats = [
+            QMatrix(
+                [
+                    [sum(x[i][k] * x[j][k] for k in range(x.cols)) for j in range(n)]
+                    for i in range(n)
+                ]
+            )
+            for x in factors
+        ]
+        assert mixed_discriminant_gram(factors) == mixed_discriminant_perm(mats)
 
     def test_ldl_weighted_route(self, rng):
         for _ in range(10):

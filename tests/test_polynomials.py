@@ -4,7 +4,7 @@ from fractions import Fraction
 from itertools import combinations, permutations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import lorentzian_oracle as oracle
@@ -329,6 +329,28 @@ def zoo_substitutions(draw, coeffs=NONNEG):
     return basis_generating_poly(m).substitute_linear(a)
 
 
+@st.composite
+def linear_substitutions(draw):
+    """(f, A): f signed, of mixed degrees, often with a constant term, in
+    0-3 variables; A with one row per variable and 0-3 columns, entries of
+    either sign with mixed denominators, often a zero row and a zero column."""
+    n = draw(st.integers(min_value=0, max_value=3))
+    m = draw(st.integers(min_value=0, max_value=3))
+    rows = [[draw(st.one_of(st.just(0), SIGNED)) for _ in range(m)] for _ in range(n)]
+    if n and draw(st.booleans()):
+        rows[draw(st.integers(min_value=0, max_value=n - 1))] = [0] * m
+    if m and draw(st.booleans()):
+        j = draw(st.integers(min_value=0, max_value=m - 1))
+        for row in rows:
+            row[j] = 0
+    exps = list(oracle.exponents_up_to(n, 3))
+    support = set(draw(st.lists(st.sampled_from(exps), max_size=6)))
+    if draw(st.booleans()):
+        support.add((0,) * n)
+    f = MPoly(n, {e: draw(SIGNED) for e in sorted(support)})
+    return f, QMatrix(rows, m)
+
+
 NONNEG_POLYS = st.one_of(random_polys(), linear_products(), zoo_substitutions())
 SIGNED_POLYS = st.one_of(
     random_polys(SIGNED), linear_products(SIGNED), zoo_substitutions(SIGNED)
@@ -339,15 +361,66 @@ class TestOracleProperties:
     @settings(max_examples=150, deadline=None)
     @given(st.one_of(NONNEG_POLYS, SIGNED_POLYS))
     def test_constant_hessians_are_hessians_of_partials(self, f):
-        d = f.degree()
+        n, d = f.nvars, f.degree()
         expected = {}
-        for alpha in _monomials(f.nvars, d - 2):
+        for alpha in _monomials(n, d - 2):
             g = oracle.partial_multi(f, alpha)
             if not g.is_zero():
-                expected[alpha] = g.hessian_at((1,) * f.nvars)
-        # the Hessians lorentzian_check tests, as int rows times d
+                expected[alpha] = (g, g.hessian_at((1,) * n))
+        # the Hessians lorentzian_check tests, as int rows times d, each on
+        # the variables that occur in its partial
         d, rows = _hessian_rows(f)
-        assert {a: QMatrix(h).scale(Fraction(1, d)) for a, h in rows.items()} == expected
+        assert rows.keys() == expected.keys()
+        for alpha, (g, full) in expected.items():
+            support = sorted({i for e in g.terms for i, k in enumerate(e) if k})
+            h = rows[alpha]
+            assert len(h) == len(support)
+            embedded = [[0] * n for _ in range(n)]
+            for a, i in enumerate(support):
+                for b, j in enumerate(support):
+                    embedded[i][j] = h[a][b]
+            assert QMatrix(embedded).scale(Fraction(1, d)) == full
+            outside = [full[i] for i in range(n) if i not in support]
+            assert all(x == 0 for row in outside for x in row)
+
+    @settings(max_examples=150, deadline=None)
+    @given(NONNEG_POLYS)
+    def test_failures_are_the_full_hessians_without_one_positive(self, f):
+        ones = (1,) * f.nvars
+        partials = [
+            (alpha, oracle.partial_multi(f, alpha))
+            for alpha in _monomials(f.nvars, f.degree() - 2)
+        ]
+        failures = [
+            alpha
+            for alpha, g in partials
+            if not g.is_zero() and inertia(g.hessian_at(ones)).n_pos != 1
+        ]
+        assert list(lorentzian_check(f).failures) == sorted(failures)
+
+    @settings(max_examples=200, deadline=None)
+    @given(linear_substitutions())
+    @example(
+        (
+            # 3/2 - x0 x1 + 2/3 x1^2 x2; A has a zero row and a zero column
+            MPoly(
+                3,
+                {(0, 0, 0): Fraction(3, 2), (1, 1, 0): -1, (0, 2, 1): Fraction(2, 3)},
+            ),
+            QMatrix(
+                [
+                    [Fraction(1, 2), 0, -3],
+                    [0, 0, 0],
+                    [Fraction(2, 3), 0, Fraction(5, 7)],
+                ]
+            ),
+        )
+    )
+    # no columns: only the constant term is left
+    @example((MPoly(2, {(0, 0): 4, (1, 1): Fraction(1, 3)}), QMatrix([[], []])))
+    def test_substitution_matches_fraction_route(self, case):
+        f, a = case
+        assert f.substitute_linear(a) == oracle.substitute_linear(f, a)
 
     @settings(max_examples=150, deadline=None)
     @given(NONNEG_POLYS)

@@ -13,6 +13,7 @@ from logcavity.linalg import (
     spanning_tree_count,
 )
 from logcavity.matroids import Matroid
+from logcavity.polynomials import MPoly
 from logcavity.stanley import (
     B_count,
     _constant_ratio,
@@ -32,6 +33,7 @@ from logcavity.zoo import (
     matroid_zoo,
     random_connected_multigraph,
 )
+from matroid_oracle import small_matroids
 from stanley_oracle import (
     mixed_volume_by_inversion,
     transversal_sum_by_combinations,
@@ -133,6 +135,16 @@ class TestSequences:
             m = Matroid.graphic(g)
             r_side = [e for e in m.ground if rng.random() < 0.5]
             assert stanley_matroid_sequence(m, r_side).log_concave()
+
+    @settings(max_examples=80, deadline=None)
+    @given(small_matroids(), st.data())
+    def test_g_polynomial_counts_bases_by_split(self, m, data):
+        # the coefficient of y_R^k y_Q^(r-k) counts the bases meeting R in k
+        r_side = [e for e in m.ground if data.draw(st.booleans())]
+        q_side = [e for e in m.ground if e not in r_side]
+        counts = stanley_matroid_sequence(m, r_side).counts
+        terms = {(k, m.rank - k): n for k, n in enumerate(counts) if n}
+        assert g_polynomial(m, [r_side, q_side]) == MPoly(2, terms)
 
 
 class TestRatioCondition:
