@@ -15,9 +15,13 @@ import sys
 
 sys.path.insert(0, "src")
 
-from logcavity.hodge import annihilator_containment_probe, hl_check, hrr_check
+from logcavity.hodge import (
+    GorensteinRing,
+    _point,
+    _verdicts,
+    annihilator_containment_probe,
+)
 from logcavity.matroids import Matroid
-from logcavity.polynomials import basis_generating_poly
 from logcavity.stanley import ratio_condition_check, stanley_matroid_sequence
 from logcavity.zoo import matroid_zoo, random_connected_multigraph
 
@@ -71,18 +75,13 @@ def probe_equality_vs_ratio(name, m, rng):
 
 
 def probe_higher_lefschetz(name, m):
-    point = [1] * m.n
-    if basis_generating_poly(m).evaluate(point) <= 0:
+    # one pair of inertias per degree gives both HL and HRR
+    ring, at = GorensteinRing.of(m), _point(m, [1] * m.n)
+    if ring.value(at) <= 0:
         return
     for k in range(2, m.rank // 2 + 1):
-        record = {
-            "probe": "higher-degree",
-            "matroid": name,
-            "k": k,
-            "hl": hl_check(m, k, point),
-            "hrr": hrr_check(m, k, point),
-        }
-        emit(record)
+        hl, hrr = _verdicts(*ring.hr_inertia(k, at))
+        emit({"probe": "higher-degree", "matroid": name, "k": k, "hl": hl, "hrr": hrr})
 
 
 def main():

@@ -8,10 +8,14 @@ sits in. For each workload of `perfbench/workloads.py`, at seeds 1 and
 52817, it builds the batch for the run length of BENCHMARK.json, writes the
 input files into a temporary directory, and runs each operation once
 through `logcavity.cli.main`, in this interpreter and in batch order, as
-`perfbench/run.py` does. It prints one JSON object,
+`perfbench/run.py` does. A fixed batch built from `logcavity.zoo` follows,
+under the workload name "fixed" and seed 0: it takes the CLI paths that the
+pools never take (CSV reports, a polynomial with squares, `stanley` with
+both a matroid and its graph, `probe --e`, `hodge --k 0`, points with
+zeros, and a basis family that fails exchange). It prints one JSON object,
 {"<workload>/<seed>/<op id>": [exit code, sha256 of the report]}, where
 the digest is null for an operation that wrote no report. Two checkouts
-give the same answers on the batch iff they print the same object.
+give the same answers on the batches iff they print the same object.
 """
 
 import hashlib
@@ -26,14 +30,50 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 sys.path.insert(0, str(ROOT / "src"))
 
 import workloads  # noqa: E402
+from logcavity import zoo  # noqa: E402
 from logcavity.cli import main as cli_main  # noqa: E402
+from logcavity.matroids import Matroid  # noqa: E402
 
 SEEDS = (1, 52817)
 
 
+def fixed_ops():
+    """The fixed batch, in the operation shape of `workloads.build`."""
+    k23, k4 = zoo.k23_graph().to_json(), zoo.k4_graph().to_json()
+    m_k23 = Matroid.graphic(zoo.k23_graph()).to_json()
+    bridge = {"--graph": zoo.bridge_graph().to_json()}
+    witness = {"--poset": zoo.ratio_two_witness_poset().to_json()}
+    doubled = {"--matroid": Matroid.graphic(zoo.doubled_k3_graph()).to_json()}
+    square = [[2, 0, 0], [0, 2, 0], [0, 0, 2], [1, 1, 0], [1, 0, 1], [0, 1, 1]]
+    poly = [{"exp": e, "num": "1" if 2 in e else "2", "den": "1"} for e in square]
+    no_exchange = {"type": "bases", "ground": [0, 1, 2, 3], "bases": [[0, 1], [2, 3]]}
+    ops = [
+        ("matroid", {"--graph": k4}, ["--format", "csv"]),
+        ("hodge", {"--graph": k23}, ["--k", "2", "--format", "csv"]),
+        ("kahnsaks", witness, ["--format", "csv"]),
+        ("lorentzian", {"--poly": {"nvars": 3, "terms": poly}}, []),  # (x+y+z)^2
+        ("lorentzian", {"--poly": {"nvars": 3, "terms": poly[:2]}}, []),  # x^2 + y^2
+        ("stanley", {"--matroid": m_k23, "--graph": k23}, ["--R", "0,1,3"]),
+        ("probe", doubled, ["--e", "0,3"]),
+        ("probe", {"--graph": k4}, ["--e", "5"]),
+        ("hodge", {"--matroid": zoo.linear_3x5_matroid().to_json()}, ["--k", "0"]),
+        ("hodge", {"--graph": k23}, ["--k", "1", "--point", "0,1,1,0,1,1"]),
+        ("hodge", bridge, ["--k", "1", "--point", "0,1,1,1"]),  # f = 0: edge 0 a bridge
+        ("hodge", doubled, ["--k", "1", "--point", "0,0,1,1/2,1,3"]),
+        ("matroid", {"--matroid": no_exchange}, []),
+    ]
+    return [
+        {"id": f"fixed-{i}", "cmd": cmd, "files": files, "args": args}
+        for i, (cmd, files, args) in enumerate(ops)
+    ]
+
+
 def digests(workload, seed, seconds, pools, directory):
     """{"<workload>/<seed>/<op id>": [exit code, report sha256 or None]}."""
-    ops = workloads.build(workload, seed, seconds, pools)
+    if workload == "fixed":
+        ops = fixed_ops()
+    else:
+        ops = workloads.build(workload, seed, seconds, pools)
     workloads.write_inputs(ops, directory)
     out = {}
     for op in ops:
@@ -51,10 +91,10 @@ def main():
     pools = workloads.load_pools()
     out = {}
     with tempfile.TemporaryDirectory(prefix="report_digests_") as tmp:
-        for workload in workloads.WORKLOADS:
-            for seed in SEEDS:
-                directory = Path(tmp) / f"{workload}-{seed}"
-                out.update(digests(workload, seed, seconds, pools, directory))
+        runs = [(w, seed) for w in workloads.WORKLOADS for seed in SEEDS]
+        for workload, seed in runs + [("fixed", 0)]:
+            directory = Path(tmp) / f"{workload}-{seed}"
+            out.update(digests(workload, seed, seconds, pools, directory))
     print(json.dumps(out, indent=1, sort_keys=True))
     return 0
 

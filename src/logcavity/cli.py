@@ -47,10 +47,9 @@ from .discriminants import (
 from .hodge import (
     GorensteinRing,
     _point,
+    _verdicts,
     annihilator_containment_probe,
     graded_dims,
-    hl_check,
-    hrr_check,
     in_annihilator,
     mobius_pairing,
     socle_check,
@@ -335,7 +334,7 @@ def cmd_matroid(args):
         "ground": list(m.ground),
         "rank": m.rank,
         "bases": len(m.bases),
-        "loops": m.loops(),
+        "loops": data.loops,
         "coloops": m.coloops(),
         "parallel_classes": [sorted(map(str, c)) for c in data.classes],
         "flats_per_rank": m.flats().rank_counts(),
@@ -358,15 +357,14 @@ def cmd_stanley(args):
         )
     r_labels = _parse_labels(m, args.R)
     seq = stanley_matroid_sequence(m, r_labels)
+    lc, equal = seq.log_concave(), seq.equality_indices()
     results = {
         "N": list(seq.counts),
         "normalized": [str(x) for x in seq.normalized],
-        "ultra_log_concave": seq.log_concave(),
-        "equality_indices": seq.equality_indices(),
+        "ultra_log_concave": lc,
+        "equality_indices": equal,
     }
-    violations = []
-    if not seq.log_concave():
-        violations.append("ultra-log-concavity failed")
+    violations = [] if lc else ["ultra-log-concavity failed"]
     findings = []
     if not m.loops():
         verdict = ratio_condition_check(m, r_labels)
@@ -382,12 +380,12 @@ def cmd_stanley(args):
             results["ratio_step_verified"] = stepped
             if not stepped:
                 violations.append("ratio theorem step failed")
-        elif seq.equality_indices():
+        elif equal:
             findings.append(
                 {
                     "kind": "equality-without-ratio-condition",
                     "detail": "normalized equality holds at "
-                    f"{seq.equality_indices()} but the parallel-class ratio "
+                    f"{equal} but the parallel-class ratio "
                     "condition fails; candidate witness for the open converse",
                 }
             )
@@ -503,12 +501,12 @@ def cmd_hodge(args):
             "flats": count,
             "inertia": iner.as_tuple(),
         }
-        # the integer point, once; hl_check and hrr_check take the rational one
+        # one pair of inertias gives In(Q^k), and HL and HRR where f > 0
         ring, at = GorensteinRing.of(m), _point(m, point)
-        results["hr_form_inertia"] = ring.hr_inertia(k, at)[0].as_tuple()
+        block, bordered = ring.hr_inertia(k, at)
+        results["hr_form_inertia"] = block.as_tuple()
         if ring.value(at) > 0:
-            results["hl"] = hl_check(m, k, point)
-            results["hrr"] = hrr_check(m, k, point)
+            results["hl"], results["hrr"] = _verdicts(block, bordered)
             if k == 1 and all(x > 0 for x in point) and not results["hrr"]:
                 violations.append("HRR_1 failed at a strictly positive point")
         # for S = [] the rank bound reads k < rank; under it the check holds
@@ -592,8 +590,9 @@ def cmd_selftest(args):
     u23 = Matroid.uniform(2, 3)
     record("u23_dims", graded_dims(u23) == [1, 3, 1])
 
-    seq = kahn_saks_sequence(zoo.ratio_two_witness_poset())
-    verdict = kahn_saks_extremal_classify(zoo.ratio_two_witness_poset(), 2)
+    witness = zoo.ratio_two_witness_poset()
+    seq = kahn_saks_sequence(witness)
+    verdict = kahn_saks_extremal_classify(witness, 2)
     record(
         "ratio_two_witness",
         seq[:3] == [1, 2, 4]

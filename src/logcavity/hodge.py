@@ -126,7 +126,6 @@ class GorensteinRing:
         self._matroid = weakref.ref(m)
         self._evals = {}
         self._tables = {}  # integer point: {size: sums}
-        self._inertias = {}
 
     @property
     def m(self) -> Matroid:
@@ -179,17 +178,14 @@ class GorensteinRing:
         the whole by 1/a and the congruence diag(I, (a/b) I) show that
         [[(-1)^k S_2k, S_2k-1], [S_2k-1^T, 0]] has the same two inertias."""
         _check_degree(self.m, k)
-        key = (k, point)
-        if key not in self._inertias:
-            basis = self._basis(k)
-            lower = self._basis(k - 1) if k else []
-            sign = (-1) ** k
-            q = self._pairing(basis, basis, 2 * k, point)
-            u = self._pairing(basis, lower, 2 * k - 1, point)
-            rows = [[sign * x for x in qr] + ur for qr, ur in zip(q, u)]
-            rows += [list(col) + [0] * len(lower) for col in zip(*u)]
-            self._inertias[key] = integer_inertia(rows, len(basis))
-        return self._inertias[key]
+        basis = self._basis(k)
+        lower = self._basis(k - 1) if k else []
+        sign = (-1) ** k
+        q = self._pairing(basis, basis, 2 * k, point)
+        u = self._pairing(basis, lower, 2 * k - 1, point)
+        rows = [[sign * x for x in qr] + ur for qr, ur in zip(q, u)]
+        rows += [list(col) + [0] * len(lower) for col in zip(*u)]
+        return integer_inertia(rows, len(basis))
 
     def _basis(self, k):
         ev = self.evaluation(k)
@@ -243,7 +239,7 @@ def hl_check(m: Matroid, k, point) -> bool:
     rank, equivalently the Hodge-Riemann form is non-degenerate (its matrix
     is the Lefschetz map written through the Poincare pairing)."""
     ring, point = _ring_at(m, point)
-    return ring.hr_inertia(k, point)[0].n_zero == 0
+    return _verdicts(*ring.hr_inertia(k, point))[0]
 
 
 def hrr_check(m: Matroid, k, point) -> bool:
@@ -254,12 +250,17 @@ def hrr_check(m: Matroid, k, point) -> bool:
 
 
 def _hrr_verdict(ring: GorensteinRing, k, point) -> bool:
-    """Q^k positive definite on the primitive classes, the kernel of U^T:
-    for U of any rank rho, In([[Q, U], [U^T, 0]]) = In(Q on ker U^T) +
-    (rho, rho, cols(U) - rho) (Haynsworth 1968; Chabrillac and Crouzeix
-    1984), so exactly when the bordered matrix has rows(Q) positives."""
-    block, bordered = ring.hr_inertia(k, point)
-    return bordered.n_pos == block.dimension
+    return _verdicts(*ring.hr_inertia(k, point))[1]
+
+
+def _verdicts(block: Inertia, bordered: Inertia):
+    """(HL, HRR) from the two inertias of `hr_inertia`. HL: Q^k is
+    non-degenerate. HRR: Q^k is positive definite on the primitive classes,
+    the kernel of U^T: for U of any rank rho, In([[Q, U], [U^T, 0]]) =
+    In(Q on ker U^T) + (rho, rho, cols(U) - rho) (Haynsworth 1968;
+    Chabrillac and Crouzeix 1984), so exactly when the bordered matrix has
+    rows(Q) positives."""
+    return block.n_zero == 0, bordered.n_pos == block.dimension
 
 
 class FacetElementReport(Record):

@@ -304,14 +304,6 @@ class Matroid:
             self._cl[k] = {i: full ^ links.get(i, 0) for i in levels[k]}
         return self._cl[k]
 
-    def _closure_mask(self, mask):
-        """The closure of mask is that of a maximal independent subset."""
-        b, r = self._greedy(mask)
-        return self._flats(r)[b]
-
-    def closure_of(self, S):
-        return self._labels(self._closure_mask(self._mask(S)))
-
     def independent_subsets(self, k):
         """All independent k-subsets as bitmasks, sorted."""
         return sorted(self._independent()[k]) if 0 <= k <= self.rank else []
@@ -408,7 +400,7 @@ class ParallelData(Record):
 
 
 class FlatLattice(Record):
-    """Flats grouped by rank, with lattice meet and join."""
+    """Flats grouped by rank."""
 
     _fields = ("matroid", "flats_by_rank")
 
@@ -424,6 +416,3 @@ class FlatLattice(Record):
 
     def rank_counts(self):
         return [len(level) for level in self.flats_by_rank]
-
-    def join(self, F, G):
-        return self.matroid.closure_of(set(F) | set(G))

@@ -27,10 +27,6 @@ def _log_concave(seq):
 class StanleySequence(Record):
     _fields = ("counts", "normalized")  # N_0..N_r and N_k / C(r, k)
 
-    @property
-    def total(self):
-        return sum(self.counts)
-
     def log_concave(self):
         return _log_concave(self.normalized)
 

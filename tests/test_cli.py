@@ -1,5 +1,6 @@
 import csv
 import io
+import itertools
 import json
 import os
 import re
@@ -22,7 +23,7 @@ import report_oracle as oracle
 from logcavity import __version__, cli, discriminants, hodge, matroids
 from logcavity.cli import RunReport, _InputObject, _emit, _text, main
 from logcavity.errors import LogcavityError
-from logcavity.linalg import Graph, Record
+from logcavity.linalg import Graph, QMatrix, Record
 from logcavity.matroids import Matroid
 from logcavity.polynomials import MPoly
 from logcavity.posets import Poset
@@ -240,6 +241,43 @@ class TestHodgeCommand:
         path.write_text(json.dumps(matroid))
         assert main(["hodge", "--matroid", str(path), "--k", "0"]) == 0
         assert capsys.readouterr().out == golden_json(f"hodge_k0_{name}.json")
+
+    def test_verdicts_read_off_one_inertia_pair(
+        self, capsys, tmp_path, rng, monkeypatch
+    ):
+        # In(Q^k), HL and HRR equal what the library's checks give, on the
+        # zoo in every degree at seeded points, some with f <= 0 (no HL or
+        # HRR then), and each report runs `hr_inertia` once
+        runs = []
+        original = hodge.GorensteinRing.hr_inertia
+
+        def counted(ring, k, point):
+            runs.append(k)
+            return original(ring, k, point)
+
+        monkeypatch.setattr(hodge.GorensteinRing, "hr_inertia", counted)
+        path, nonpositive = tmp_path / "m.json", 0
+        for name, m in sorted(matroid_zoo().items()):
+            path.write_text(json.dumps(m.to_json()))
+            for k, _ in itertools.product(range(m.rank // 2 + 1), range(4)):
+                point = [Fraction(rng.randint(-2, 3), rng.randint(1, 3)) for _ in m.ground]
+                text = ",".join(map(str, point))
+                argv = ["hodge", "--matroid", str(path), "--k", str(k), "--point=" + text]
+                runs.clear()
+                code, report = run_json(capsys, argv)
+                assert runs == [k], (name, k, point)
+                assert code == (2 if report["violations"] else 0)
+                results = report["results"]
+                ring, at = hodge.GorensteinRing.of(m), hodge._point(m, point)
+                block = ring.hr_inertia(k, at)[0]
+                assert results["hr_form_inertia"] == list(block.as_tuple())
+                if ring.value(at) <= 0:
+                    nonpositive += 1
+                    assert "hl" not in results and "hrr" not in results
+                    continue
+                assert results["hl"] == hodge.hl_check(m, k, point), (name, k, point)
+                assert results["hrr"] == hodge.hrr_check(m, k, point), (name, k, point)
+        assert nonpositive
 
 
 class TestKahnSaksCommand:
@@ -1119,6 +1157,38 @@ class TestInputsReadAsWritten:
             path.write_text(f'{{"mats": [{{"matrix": {matrix}, "mult": {n}}}]}}')
             code, report = run_json(capsys, ["discriminant", "--tuple", str(path)])
             assert (code, report["results"]["value"]) == (0, value)
+
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            *("0", "7", "-3", "123456789012345678901234567890", "-0.0", "0.1"),
+            *("2.5e-1", "1E3", '"3/2"', '" -4 "', '"0.5"', "true", "false"),
+            *("null", "NaN", "1e400", '"x"', '"1/0"', "[1]", "{}"),
+        ],
+    )
+    def test_each_matrix_entry_reads_as_its_text(self, capsys, tmp_path, entry):
+        # each entry is read as the rational its text writes; what no
+        # rational writes, or a bool, is an input error
+        x = json.loads(entry)
+        try:
+            expected = Fraction(str(x))
+        except (ValueError, ZeroDivisionError):
+            expected = None
+        path = tmp_path / "entry.json"
+        path.write_text(
+            '{"mats": [{"matrix": {"rows": 1, "cols": 1, "entries": [%s]}}]}' % entry
+        )
+        code = main(["discriminant", "--tuple", str(path)])
+        captured = capsys.readouterr()
+        if expected is None:
+            assert code == 1 and captured.out == ""
+            message = "matrix entries must be rationals like 3 or -1/2"
+            assert captured.err == f"error: {message}\n"
+            return
+        assert code == 0
+        assert json.loads(captured.out)["results"]["value"] == str(expected)
+        matrix = QMatrix.from_json({"rows": 1, "cols": 1, "entries": [x]})
+        assert matrix.m == ((expected,),)
 
     @pytest.mark.parametrize("entry", ["1e400", "-1e400", "NaN", "Infinity"])
     def test_non_finite_matrix_entries_are_input_errors(self, capsys, tmp_path, entry):

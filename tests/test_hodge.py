@@ -31,7 +31,7 @@ from logcavity.hodge import (
     mobius_pairing,
     socle_check,
 )
-from matroid_oracle import contract, delete, simplify
+from matroid_oracle import closure, contract, delete, simplify
 from logcavity.polynomials import basis_generating_poly
 from logcavity.zoo import (
     bridge_graph,
@@ -398,17 +398,20 @@ class TestMobius:
         m = MK4
         deleted = delete(m, [5])
 
+        def cl(mat, labels):
+            return mat._labels(closure(mat, mat._mask(labels)))
+
         def product(mat, F, G):
             if mat.rank_of(F | G) == mat.rank_of(F) + mat.rank_of(G):
-                return mat.closure_of(F | G)
+                return cl(mat, F | G)
             return None
 
         flats = [F for level in FlatLattice.of(deleted).flats_by_rank for F in level]
         for F in flats:
             for G in flats:
                 small = product(deleted, F, G)
-                lhs = None if small is None else m.closure_of(small)
-                rhs = product(m, m.closure_of(F), m.closure_of(G))
+                lhs = None if small is None else cl(m, small)
+                rhs = product(m, cl(m, F), cl(m, G))
                 assert lhs == rhs
 
 
@@ -683,7 +686,7 @@ class TestOracleProperties:
         if data.draw(st.booleans()):
             for s, c in list(coeffs.items()):
                 if m.rank_of(s) == k:
-                    flat = m.closure_of(s)
+                    flat = m._labels(closure(m, m._mask(s)))
                     same = [t for t in sets if m.rank_of(t) == k and t <= flat]
                     t = data.draw(st.sampled_from(same))
                     coeffs[t] = coeffs.get(t, 0) - c

@@ -157,7 +157,7 @@ class TestRankClosure:
         assert U23.rank_of([]) == 0
 
     def test_simple_closure_is_identity(self):
-        assert U23.closure_of([0]) == {0}
+        assert U23._flats(1) == {1: 1, 2: 2, 4: 4}
 
     def test_rank_axioms_exhaustive(self):
         for m in (U23, Matroid.uniform(3, 5), Matroid.graphic(k4_graph())):
@@ -179,19 +179,21 @@ class TestRankClosure:
                     assert ranks[union] + ranks[inter] <= ranks[s] + ranks[t]
 
     def test_closure_axioms_exhaustive(self):
+        # the closure tables on every independent k-set I: cl(I) is the
+        # oracle's closure and holds I (C1); it has rank k, and every
+        # independent k-set inside it spans it (C2, C3); and y in
+        # cl(I + x) - cl(I) puts x in cl(I + y) (C4)
         for m in (U23, Matroid.graphic(k3_graph()), tripled_u23()):
-            ground = m.ground
-            for s in subsets_of(ground):
-                cl = m.closure_of(s)
-                assert set(s) <= cl  # C1
-                assert m.closure_of(cl) == cl  # C3
-                for t in subsets_of(ground):
-                    if set(s) <= set(t):
-                        assert cl <= m.closure_of(t)  # C2
-                for x in ground:
-                    with_x = m.closure_of(set(s) | {x})
-                    for y in with_x - cl:
-                        assert x in m.closure_of(set(s) | {y})  # C4
+            full = (1 << m.n) - 1
+            for k in range(m.rank + 1):
+                table, up = m._flats(k), m._flats(k + 1)
+                for i, cl in table.items():
+                    assert cl == oracle.closure(m, i)
+                    assert i & ~cl == 0 and m._rank_mask(cl) == k
+                    assert all(table[j] == cl for j in table if j & ~cl == 0)
+                    for x in _bits(full & ~cl):  # I + x is independent
+                        for y in _bits(up[i | 1 << x] & ~cl):
+                            assert up[i | 1 << y] >> x & 1
 
 
 class TestFlats:
@@ -206,11 +208,10 @@ class TestFlats:
         assert sum(Matroid.uniform(3, 3).flats().rank_counts()) == 8
 
     def test_lattice_ops(self):
-        # the join is the closure of the union, the meet the intersection,
-        # which is a flat, and the atoms are the rank-1 flats
+        # the meet of two flats is their intersection, which is a flat, and
+        # the atoms are the rank-1 flats
         lattice = U23.flats()
-        assert lattice.join({0}, {1}) == {0, 1, 2}
-        assert U23.closure_of({0, 1, 2} & {0}) == {0}
+        assert frozenset({0, 1, 2}) & frozenset({0}) in lattice.flats_by_rank[1]
         assert set(lattice.flats_by_rank[1]) == {
             frozenset({0}),
             frozenset({1}),
@@ -238,7 +239,7 @@ class TestParallel:
         data = m.parallel_data()
         assert data.loops == {3}
         # closure of one parallel edge is its class plus the loops
-        assert m.closure_of([0]) == {0, 1, 3}
+        assert m._labels(m._flats(1)[m._mask([0])]) == {0, 1, 3}
 
     def test_simplify_idempotent(self):
         simple, _ = oracle.simplify(tripled_u23())
@@ -418,15 +419,18 @@ class TestEquality:
 
 
 def assert_matches_oracle(m):
-    """Greedy rank, closure and independence equal the max-over-bases routes
-    on every mask, and the independent k-sets equal the subsets of bases."""
+    """Greedy rank and independence equal the max-over-bases routes on every
+    mask, the closure tables equal them on every independent set, and the
+    independent k-sets equal the subsets of bases."""
     levels = m._independent()
     for mask in range(1 << m.n):
         labels = m._labels(mask)
         assert m.rank_of(labels) == oracle.rank(m, mask), mask
-        assert m._closure_mask(mask) == oracle.closure(m, mask), mask
         independent = mask in levels[min(mask.bit_count(), m.rank + 1)]
         assert independent == oracle.is_independent(m, mask), mask
+    for k in range(m.rank + 1):
+        for mask, flat in m._flats(k).items():
+            assert flat == oracle.closure(m, mask), mask
     for k in range(m.n + 2):
         assert m.independent_subsets(k) == oracle.independent_subsets(m, k), k
 

@@ -127,7 +127,7 @@ class TestSequences:
             m = Matroid.graphic(g)
             r_side = [e for e in m.ground if rng.random() < 0.5]
             seq = stanley_matroid_sequence(m, r_side)
-            assert seq.total == len(m.bases)
+            assert sum(seq.counts) == len(m.bases)
 
     def test_ultra_log_concave_random(self, rng):
         for _ in range(25):
