@@ -12,7 +12,9 @@ through `logcavity.cli.main`, in this interpreter and in batch order, as
 under the workload name "fixed" and seed 0: it takes the CLI paths that the
 pools never take (CSV reports, a polynomial with squares, `stanley` with
 both a matroid and its graph, `probe --e`, `hodge --k 0`, points with
-zeros, and a basis family that fails exchange). It prints one JSON object,
+zeros, a basis family that fails exchange, a tuple of singular PSD
+matrices whose subset sums meet zero pivots, and a tuple with a repeated
+indefinite matrix and fractional entries). It prints one JSON object,
 {"<workload>/<seed>/<op id>": [exit code, sha256 of the report]}, where
 the digest is null for an operation that wrote no report. Two checkouts
 give the same answers on the batches iff they print the same object.
@@ -47,6 +49,18 @@ def fixed_ops():
     square = [[2, 0, 0], [0, 2, 0], [0, 0, 2], [1, 1, 0], [1, 0, 1], [0, 1, 1]]
     poly = [{"exp": e, "num": "1" if 2 in e else "2", "den": "1"} for e in square]
     no_exchange = {"type": "bases", "ground": [0, 1, 2, 3], "bases": [[0, 1], [2, 3]]}
+
+    def matrix(rows):
+        return {"rows": len(rows), "cols": len(rows), "entries": sum(rows, [])}
+
+    # the rank-1 Gram matrices v v^T, for v with zeros in front
+    vectors = [[0, 1, 2, 1], [0, 0, 1, 3], [2, 1, 0, 0], [1, 1, 1, 1]]
+    rank_one = [matrix([[x * y for y in v] for x in v]) for v in vectors]
+    gram = {"mats": [{"matrix": m} for m in rank_one]}
+    # X twice, indefinite and with fractions, then a PSD fixed matrix
+    x = matrix([["1/2", "2", "0"], ["2", "-1", "-3/4"], ["0", "-3/4", "3"]])
+    p = matrix([[2, 1, 0], [1, 2, 0], [0, 0, 1]])
+    indefinite = {"mats": [{"matrix": x, "mult": 2}, {"matrix": p}]}
     ops = [
         ("matroid", {"--graph": k4}, ["--format", "csv"]),
         ("hodge", {"--graph": k23}, ["--k", "2", "--format", "csv"]),
@@ -61,6 +75,8 @@ def fixed_ops():
         ("hodge", bridge, ["--k", "1", "--point", "0,1,1,1"]),  # f = 0: edge 0 a bridge
         ("hodge", doubled, ["--k", "1", "--point", "0,0,1,1/2,1,3"]),
         ("matroid", {"--matroid": no_exchange}, []),
+        ("discriminant", {"--tuple": gram}, []),
+        ("discriminant", {"--tuple": indefinite}, []),
     ]
     return [
         {"id": f"fixed-{i}", "cmd": cmd, "files": files, "args": args}

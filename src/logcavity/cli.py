@@ -183,6 +183,9 @@ def _load_json(path, what):
         raise LogcavityError(f"{what} file cannot be read: {e}")
     except json.JSONDecodeError as e:
         raise LogcavityError(f"{what} file is not valid JSON: {e}")
+    except ValueError:  # int() refused a JSON integer past Python's digit limit
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        raise LogcavityError(f"{what} file has an integer of over {limit} digits")
     if not isinstance(obj, dict):
         kind = type(obj).__name__
         raise LogcavityError(f"{what} file holds a {kind}, not a JSON object")
@@ -462,21 +465,21 @@ def cmd_discriminant(args):
     _check_count([a for a, _ in given], sum(mult for _, mult in given))
     mats = [a for a, mult in given for _ in range(mult)]
     table = SubsetSumTable(mats)
-    value = mixed_discriminant(mats, table)
+    value = table.discriminant(range(len(mats)))
     results = {"value": str(value), "n": mats[0].rows, "count": len(mats)}
     violations = []
     # one inertia per distinct matrix, shared with alexandrov_check below
-    if all(map(table.psd, mats)):
+    if all(map(table.psd, range(len(mats)))):
         if value < 0:
             violations.append("positivity failed for PSD tuple")
         results["psd_inputs"] = True
     else:
         results["psd_inputs"] = False
     if len(mats) >= 2:  # the value took n matrices, each n x n
-        x, y, rest = mats[0], mats[1], mats[2:]
+        x, y, rest = mats[0], mats[1], range(2, len(mats))
         # the inequality's hypotheses: PSD fixed matrices, symmetric X and Y
         if all(map(table.psd, rest)) and x.is_symmetric and y.is_symmetric:
-            rep = alexandrov_check(x, y, rest, table)
+            rep = alexandrov_check(x, y, mats[2:], table)
             results["alexandrov"] = {
                 "lhs": str(rep.lhs),
                 "rhs": str(rep.rhs),

@@ -4,10 +4,10 @@ with its equality case."""
 import math
 from collections import Counter
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import islice, permutations, product
 
 from .errors import LogcavityError
-from .linalg import QMatrix, Record, _scaled, det, integer_det, integer_inertia
+from .linalg import QMatrix, Record, _scaled, det, integer_dets, integer_inertia
 from .polynomials import polarization_sum
 
 
@@ -26,58 +26,67 @@ def _check_count(mats, count):
         )
 
 
+_BATCH = 256  # members per `integer_dets` call, which holds all their entries
+
+
 class SubsetSumTable:
-    """det(sum j_i A_i) over the distinct matrices A_i of one command, each
-    sum once, in integers: the entries are scaled by their common denominator."""
+    """The mixed discriminants of a tuple of n x n matrices, by position, each
+    once, from det(sum j_i A_i) over its distinct A_i, each sum once, in ints:
+    all entries are scaled by one d, and matrices told apart by their ints."""
 
     def __init__(self, mats):
-        self.index = {a: i for i, a in enumerate(dict.fromkeys(mats))}
-        # each matrix as one flat row-major list of d-scaled integer entries
-        flat = ([x for row in a.m for x in row] for a in self.index)
-        self.d, self.scaled = _scaled(flat)
-        self.dets = {}
-        self.psds = {}
+        self.mats, self.n = list(mats), mats[0].rows
+        self.d, flats = _scaled([x for row in a.m for x in row] for a in mats)
+        distinct = {}  # each flat row-major tuple of scaled entries: its index
+        self.where = [distinct.setdefault(tuple(f), len(distinct)) for f in flats]
+        self.flats = list(distinct)
+        self.dets, self.values, self.psds = {(): 0}, {}, {}  # () is the zero sum
 
-    def psd(self, a):
-        """Whether a, one of the matrices, is symmetric and PSD, read once off
-        its d-scaled rows: the scale d > 0 keeps symmetry and inertia."""
-        i = self.index[a]
+    def psd(self, p):
+        """Whether the matrix at position p is symmetric and PSD, read once
+        off its scaled rows (d > 0 keeps inertia)."""
+        i, n = self.where[p], self.n
         if i not in self.psds:
-            n, flat = a.rows, self.scaled[i]
-            rows = [flat[r * n : (r + 1) * n] for r in range(n)]
-            symmetric = a.is_square and rows == [list(c) for c in zip(*rows)]
+            rows = [self.flats[i][r * n : r * n + n] for r in range(n)]
+            symmetric = self.mats[p].is_symmetric
             self.psds[i] = symmetric and integer_inertia(rows, n)[1].n_neg == 0
         return self.psds[i]
 
-    def det(self, key):
-        """d^n det(sum j_i A_i) for key, the sorted pairs (i, j_i), j_i > 0."""
-        if key not in self.dets:
-            n = next(iter(self.index)).rows
-            flat = [0] * (n * n)
-            for i, j in key:
-                flat = [x + j * y for x, y in zip(flat, self.scaled[i])]
-            self.dets[key] = integer_det([flat[r * n : (r + 1) * n] for r in range(n)])
-        return self.dets[key]
+    def discriminant(self, positions) -> Fraction:
+        """D of the matrices at positions, as the polarization of det (Bapat,
+        Mixed discriminants of positive semidefinite matrices, 1989): with
+        distinct matrices A_i taken m_i times, n! D is the sum over
+        0 <= j_i <= m_i of (-1)^(n - sum j) prod C(m_i, j_i) det(sum j_i A_i).
+        Each D is kept under its sorted (i, m_i) signature; the missing sums,
+        keyed by (i, j_i > 0), grow from their prefixes into `integer_dets`."""
+        signature = tuple(sorted(Counter(self.where[p] for p in positions).items()))
+        if signature not in self.values:
+            ids, mults = zip(*signature)
+            counts = product(*[range(m + 1) for m in mults])
+            keys = {js: tuple([(i, j) for i, j in zip(ids, js) if j]) for js in counts}
+
+            def flat(key):
+                if key not in sums:
+                    (i, j), prefix = key[-1], flat(key[:-1])
+                    sums[key] = [x + j * y for x, y in zip(prefix, self.flats[i])]
+                return sums[key]
+
+            missing = [key for key in keys.values() if key not in self.dets]
+            for at in range(0, len(missing), _BATCH):
+                sums, batch = {(): [0] * self.n**2}, missing[at : at + _BATCH]
+                self.dets.update(zip(batch, integer_dets([*map(flat, batch)], self.n)))
+            total = polarization_sum(mults, lambda js: self.dets[keys[js]])
+            scale = math.factorial(self.n) * self.d**self.n
+            self.values[signature] = Fraction(total, scale)
+        return self.values[signature]
 
 
-def mixed_discriminant(mats, table=None) -> Fraction:
-    """D(A_1, ..., A_n) as the polarization of det (Bapat, Mixed
-    discriminants of positive semidefinite matrices, 1989): with distinct
-    matrices A_i taken m_i times, n! D is the sum over 0 <= j_i <= m_i of
-    (-1)^(n - sum j) prod C(m_i, j_i) det(sum j_i A_i), each determinant
-    read from table (one of these matrices alone by default), which must
-    hold every A_i."""
+def mixed_discriminant(mats) -> Fraction:
+    """D(A_1, ..., A_n) as the polarization of det: the discriminant of the
+    whole tuple in its own `SubsetSumTable`."""
     mats = list(mats)
     _check_count(mats, len(mats))
-    table = table or SubsetSumTable(mats)
-    groups = Counter(mats)
-    where = [table.index[a] for a in groups]
-
-    def value(js):
-        return table.det(tuple(sorted((i, j) for i, j in zip(where, js) if j)))
-
-    total = polarization_sum(list(groups.values()), value)
-    return Fraction(total, math.factorial(len(mats)) * table.d ** len(mats))
+    return SubsetSumTable(mats).discriminant(range(len(mats)))
 
 
 def mixed_discriminant_perm(mats) -> Fraction:
@@ -112,7 +121,9 @@ def mixed_discriminant_gram(factors) -> Fraction:
     d, scaled = _scaled(c for f in factors for c in zip(*f.m))
     cols = iter(scaled)
     columns = [[next(cols) for _ in range(f.cols)] for f in factors]
-    total = sum(integer_det(picked) ** 2 for picked in product(*columns))
+    picks = ([x for col in pick for x in col] for pick in product(*columns))
+    batches = iter(lambda: integer_dets(list(islice(picks, _BATCH)), n), [])
+    total = sum(v * v for dets in batches for v in dets)
     return Fraction(total, math.factorial(n) * d ** (2 * n))
 
 
@@ -127,38 +138,29 @@ def alexandrov_check(x: QMatrix, y: QMatrix, fixed, table=None) -> AlexandrovRep
     """Alexandrov's inequality for mixed discriminants, with exact equality
     detection and proportionality extraction.
 
-    The PSD test of the fixed matrices and D(X, Y, fixed), D(X, X, fixed)
-    and D(Y, Y, fixed) share one SubsetSumTable, the caller's table if
-    given (it must hold X, Y and the fixed matrices), so that no
-    determinant or inertia is computed twice."""
-    fixed = list(fixed)
+    The symmetry and PSD tests and D(X, Y, fixed), D(X, X, fixed) and
+    D(Y, Y, fixed) share one SubsetSumTable of [X, Y] + fixed, the caller's
+    if given: no determinant, inertia or discriminant is computed twice."""
     n = x.rows
-    if y.rows != n or y.cols != n or x.cols != n:
-        raise LogcavityError(f"Alexandrov check: X and Y must be {n} x {n}")
-    if len(fixed) != n - 2:
-        raise LogcavityError(
-            f"Alexandrov check needs n-2 = {n - 2} fixed matrices, got {len(fixed)}"
-        )
-    table = table or SubsetSumTable([x, y] + fixed)
-    for a in dict.fromkeys(fixed):
-        if not a.is_symmetric:
+    mats = [x, y, *fixed]
+    _check_count(mats, len(mats))  # X, Y and n - 2 fixed matrices, all n x n
+    table = table or SubsetSumTable(mats)
+    if table.mats != mats:  # the discriminants below read X, Y, fixed by position
+        raise LogcavityError("Alexandrov check: the table must be of [X, Y] + fixed")
+    rest = range(2, n)
+    for p in rest:
+        if not mats[p].is_symmetric:
             raise LogcavityError("Alexandrov check: fixed matrices must be symmetric")
-        if not table.psd(a):
+        if not table.psd(p):
             raise LogcavityError("Alexandrov check: fixed matrices must be PSD")
     if not (x.is_symmetric and y.is_symmetric):
         raise LogcavityError("Alexandrov check: X and Y must be symmetric")
-    mixed = mixed_discriminant([x, y] + fixed, table)
-    xx = mixed_discriminant([x, x] + fixed, table)
-    yy = mixed_discriminant([y, y] + fixed, table)
-    lhs = mixed * mixed
-    rhs = xx * yy
-    equal = lhs == rhs
-    lam = None
-    proportional = False
-    if equal:
+    mixed, xx, yy = map(table.discriminant, (range(n), [0, 0, *rest], [1, 1, *rest]))
+    lhs, rhs, lam = mixed * mixed, xx * yy, None
+    if lhs == rhs:
         # the first nonzero entry of X gives the only candidate lambda
-        ratios = (b / a for ra, rb in zip(x.m, y.m) for a, b in zip(ra, rb) if a)
-        witness = next(ratios, None)
-        if witness is not None and y == x.scale(witness):
-            lam, proportional = witness, True
-    return AlexandrovReport(lhs, rhs, equal, lam, proportional)
+        fx, fy = table.flats[table.where[0]], table.flats[table.where[1]]
+        a, b = next(((a, b) for a, b in zip(fx, fy) if a), (0, 0))
+        if a and all(a * v == b * u for u, v in zip(fx, fy)):
+            lam = Fraction(b, a)
+    return AlexandrovReport(lhs, rhs, lhs == rhs, lam, lam is not None)

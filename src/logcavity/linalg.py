@@ -7,10 +7,14 @@ only when it has a nonzero in the pivot column or must hold its eager value.
 """
 
 import math
+import re
+import sys
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, compress
 
 from .errors import LogcavityError
+
+_RATIO = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")  # read by int as by Fraction
 
 
 def _q(x) -> Fraction:
@@ -28,6 +32,23 @@ def _expect(value, kind, what):
     if not isinstance(value, kind) or isinstance(value, bool):
         raise LogcavityError(f"{what} must be {_JSON_KINDS[kind]}, got {value!r}")
     return value
+
+
+def _check_digits(text, what):
+    """Raise an input error if a number in the string text has more digits
+    than Python's int reads from text (a limit since 3.10.7; 0: none)."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    runs = re.findall(r"[\d_]+", text)  # int skips the _ between digits
+    if limit and max((len(r) - r.count("_") for r in runs), default=0) > limit:
+        raise LogcavityError(f"{what} {text[:40]!r}... exceeds the {limit}-digit limit")
+
+
+def _entry(x):
+    """x as Fraction(str(x)) reads it, by int for the text -?digits(/digits)?."""
+    if ratio := _RATIO.fullmatch(str(x)):
+        num, den = ratio.groups()
+        return int(num) if den is None else Fraction(int(num), int(den))
+    return Fraction(str(x))
 
 
 def _bits(mask):
@@ -199,10 +220,13 @@ class QMatrix:
         if r < 0 or c < 0:
             raise LogcavityError(f"a matrix needs sizes of at least 0, got {r}x{c}")
         entries = _expect(obj["entries"], list, "matrix 'entries'")
-        try:
-            flat = [Fraction(str(x)) for x in entries]
-        except (ValueError, ZeroDivisionError):
-            raise LogcavityError("matrix entries must be rationals like 3 or -1/2")
+        flat = []
+        for x in entries:
+            try:
+                flat.append(_entry(x))
+            except (ValueError, ZeroDivisionError):
+                _check_digits(str(x), "a matrix entry")
+                raise LogcavityError("matrix entries must be rationals like 3 or -1/2")
         if len(flat) != r * c:
             raise LogcavityError(
                 f"a {r}x{c} matrix needs {r * c} entries, got {len(flat)}"
@@ -325,6 +349,28 @@ def integer_det(rows) -> int:
         raise LogcavityError("determinant requires a square matrix")
     pivots, last, sign = _eliminate(a, len(a))
     return sign * last if len(pivots) == len(a) else 0
+
+
+def integer_dets(flats, n):
+    """integer_det of each n x n int matrix in flats, flat row-major lists:
+    `_eliminate`'s recurrence, eager and with no row swaps, one list per
+    entry across the batch. A member whose pivot is 0 leaves for `integer_det`."""
+    # each entry across the batch, then each member's place in flats
+    e = [[f[i] for f in flats] for i in range(n * n)] + [list(range(len(flats)))]
+    for k in range(n - 1):
+        if 0 in e[k * n + k]:  # drop the members whose pivot is 0
+            e = [list(compress(entry, e[k * n + k])) for entry in e]
+        p = e[k * n + k]
+        prev = e[(k - 1) * (n + 1)] if k else [1] * len(p)  # the last pivot
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                terms = zip(e[i * n + j], p, e[i * n + k], e[k * n + j], prev)
+                e[i * n + j] = [(x * q - y * z) // r for x, q, y, z, r in terms]
+    done = dict(zip(e[-1], e[-2] if n else [1] * len(flats)))
+    return [
+        done[b] if b in done else integer_det([f[r * n : r * n + n] for r in range(n)])
+        for b, f in enumerate(flats)
+    ]
 
 
 def integer_row_basis(rows):

@@ -11,7 +11,8 @@ from fractions import Fraction
 from itertools import product
 
 from .errors import LogcavityError
-from .linalg import QMatrix, Record, _bits, _expect, _q, _scaled, integer_inertia
+from .linalg import QMatrix, Record, _bits, _check_digits, _expect, _q, _scaled
+from .linalg import integer_inertia
 from .matroids import Matroid, _is_basis_family
 
 
@@ -224,7 +225,7 @@ def _json_int(value, what):
         try:
             return int(value)
         except ValueError:
-            pass
+            _check_digits(value, what)
     return _expect(value, int, what)
 
 
@@ -247,13 +248,11 @@ def polarization_sum(multiplicities, value):
     (-1)^(n - sum j) * prod C(m_i, j_i) * value(j). With value(j) =
     f(sum j_i x_i) for f homogeneous of degree n, this is n! times the
     polarization form of f at the n items: the 2^n subsets of the items meet
-    only these sums, C(m_i, j_i) subsets for each."""
-    n = sum(multiplicities)
-    total = 0
-    for js in product(*(range(m + 1) for m in multiplicities)):
-        weight = math.prod(math.comb(m, j) for m, j in zip(multiplicities, js))
-        total += (-1) ** (n - sum(js)) * weight * value(js)
-    return total
+    only these sums, C(m_i, j_i) subsets for each; sign and weight factor by item."""
+    ms = multiplicities
+    signed = [[(-1) ** (m - j) * math.comb(m, j) for j in range(m + 1)] for m in ms]
+    js = product(*[range(m + 1) for m in ms])
+    return sum(math.prod(w) * value(j) for w, j in zip(product(*signed), js))
 
 
 def polarization(f: MPoly, vectors) -> Fraction:

@@ -20,7 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import report_oracle as oracle
-from logcavity import __version__, cli, discriminants, hodge, matroids
+from logcavity import __version__, cli, discriminants, hodge, linalg, matroids
 from logcavity.cli import RunReport, _InputObject, _emit, _text, main
 from logcavity.errors import LogcavityError
 from logcavity.linalg import Graph, QMatrix, Record
@@ -111,20 +111,30 @@ class TestDiscriminantCommand:
         # inertia each, and one determinant per distinct subset sum
         # j_A A + j_B B across D(A, B, A), D(A, A, A) and D(B, B, A): j_A
         # runs to 2 with j_B to 1, to 3 alone, and to 1 with j_B to 2, which
-        # is 9 sums (16 when each polarization computes its own)
-        calls = {"integer_inertia": 0, "integer_det": 0}
+        # is 9 sums (16 when each polarization computes its own); the zero
+        # sum, of det 0, is not eliminated, so 8 are, each once, as members
+        # of `integer_dets` batches (a member that meets a zero pivot goes on
+        # to `integer_det`)
+        real_inertia = discriminants.integer_inertia
+        real_dets, real_det = discriminants.integer_dets, linalg.integer_det
+        calls = {"integer_inertia": 0, "fallbacks": 0}
+        members = []
 
-        def counted(name, fn):
-            def wrapper(*args):
-                calls[name] += 1
-                return fn(*args)
+        def inertia(*args):
+            calls["integer_inertia"] += 1
+            return real_inertia(*args)
 
-            return wrapper
+        def batch(flats, n):
+            members.extend(tuple(f) for f in flats)
+            return real_dets(flats, n)
 
-        iner = counted("integer_inertia", discriminants.integer_inertia)
-        monkeypatch.setattr(discriminants, "integer_inertia", iner)
-        dets = counted("integer_det", discriminants.integer_det)
-        monkeypatch.setattr(discriminants, "integer_det", dets)
+        def fallback(rows):
+            calls["fallbacks"] += 1
+            return real_det(rows)
+
+        monkeypatch.setattr(discriminants, "integer_inertia", inertia)
+        monkeypatch.setattr(discriminants, "integer_dets", batch)
+        monkeypatch.setattr(linalg, "integer_det", fallback)
         path = tmp_path / "tuple.json"
         a = {"rows": 3, "cols": 3, "entries": ["2", "1", "0", "1", "2", "0", "0", "0", "1"]}
         b = {"rows": 3, "cols": 3, "entries": ["3", "0", "0", "0", "1", "0", "0", "0", "1"]}
@@ -136,7 +146,15 @@ class TestDiscriminantCommand:
         sums |= {(j_a, 0) for j_a in range(4)}
         sums |= {(j_a, j_b) for j_a in range(2) for j_b in range(3)}
         assert len(sums) == 9
-        assert calls == {"integer_inertia": 2, "integer_det": len(sums)}
+        # every sum but zero is positive definite, so no pivot is zero
+        assert calls == {"integer_inertia": 2, "fallbacks": 0}
+        a_flat, b_flat = (list(map(int, m["entries"])) for m in (a, b))
+        eliminated = {
+            tuple(j_a * x + j_b * y for x, y in zip(a_flat, b_flat))
+            for j_a, j_b in sums - {(0, 0)}
+        }
+        assert len(members) == len(set(members)) == 8
+        assert set(members) == eliminated
 
     def test_a_failing_alexandrov_check_is_not_swallowed(
         self, capsys, tmp_path, monkeypatch
@@ -1203,6 +1221,137 @@ class TestInputsReadAsWritten:
         message = "matrix entries must be rationals like 3 or -1/2"
         assert captured.err == f"error: {message}\n"
 
+
+# Python's int-from-text digit limit, which Pythons before 3.10.7 lack (0)
+LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+PAST_LIMIT = "7" * (LIMIT + 700)
+
+
+@pytest.mark.skipif(not LIMIT, reason="this Python reads ints of any length")
+class TestDigitLimit:
+    """A JSON integer, or a number string, with more digits than Python's
+    int reads from text is an input error in every input file: exit 1 and
+    one `error:` line that names the limit and echoes at most 40 characters
+    of the number, not a traceback."""
+
+    @staticmethod
+    def error_line(capsys, tmp_path, command, flag, text):
+        path = tmp_path / "input.json"
+        path.write_text(text)
+        code = main([command, flag, str(path)])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
+        assert "7" * 41 not in captured.err
+        return captured.err.rstrip("\n")
+
+    @pytest.mark.parametrize(
+        "command, flag, text",
+        [
+            (
+                "discriminant",
+                "--tuple",
+                '{"mats": [{"matrix": {"rows": 1, "cols": 1, "entries": [%s]}}]}',
+            ),
+            ("matroid", "--graph", '{"vertices": %s, "edges": []}'),
+            ("hodge", "--graph", '{"vertices": 2, "edges": [[0, %s]]}'),
+            (
+                "lorentzian",
+                "--poly",
+                '{"nvars": 1, "terms": [{"exp": [2], "num": %s, "den": 1}]}',
+            ),
+        ],
+        ids=["tuple", "graph-vertices", "graph-edge", "poly"],
+    )
+    def test_json_integer(self, capsys, tmp_path, command, flag, text):
+        what = {"--tuple": "matrix tuple", "--graph": "graph", "--poly": "polynomial"}
+        line = self.error_line(capsys, tmp_path, command, flag, text % PAST_LIMIT)
+        assert line == f"error: {what[flag]} file has an integer of over {LIMIT} digits"
+
+    @pytest.mark.parametrize(
+        "entry",
+        [PAST_LIMIT, "-" + PAST_LIMIT, PAST_LIMIT + "/3", "1/" + PAST_LIMIT],
+        ids=["digits", "negative", "numerator", "denominator"],
+    )
+    def test_matrix_entry_string(self, capsys, tmp_path, entry):
+        matrix = {"rows": 1, "cols": 1, "entries": [entry]}
+        text = json.dumps({"mats": [{"matrix": matrix}]})
+        line = self.error_line(capsys, tmp_path, "discriminant", "--tuple", text)
+        assert line == (
+            f"error: a matrix entry {entry[:40]!r}... exceeds the {LIMIT}-digit limit"
+        )
+
+    @pytest.mark.parametrize("key", ["num", "den"])
+    def test_polynomial_coefficient_string(self, capsys, tmp_path, key):
+        term = {"exp": [2], "num": "1", "den": "1", key: PAST_LIMIT}
+        text = json.dumps({"nvars": 1, "terms": [term]})
+        line = self.error_line(capsys, tmp_path, "lorentzian", "--poly", text)
+        assert line == (
+            f"error: a term's '{key}' {PAST_LIMIT[:40]!r}... exceeds the "
+            f"{LIMIT}-digit limit"
+        )
+
+    @pytest.mark.parametrize(
+        "entries",
+        [
+            # a valid fraction whose two numbers are each within the limit,
+            # next to an invalid entry: the invalid one is the cause
+            ["7" * (LIMIT // 2 + 100) + "/" + "3" * (LIMIT // 2 + 100), "x"],
+            # a zero denominator: no number is past the limit
+            ["7" * (LIMIT - 300) + "/" + "0" * 400],
+            # the numbers of a long fraction count one by one
+            ["1/2", "7" * (LIMIT - 1) + "/" + "7" * (LIMIT - 1) + "x"],
+            # the first entry that fails is the one named
+            ["x", PAST_LIMIT],
+        ],
+        ids=["long-neighbour", "zero-denominator", "invalid-long-fraction", "first"],
+    )
+    def test_only_the_failing_entry_is_blamed(self, capsys, tmp_path, entries):
+        matrix = {"rows": 1, "cols": len(entries), "entries": entries}
+        text = json.dumps({"mats": [{"matrix": matrix}]})
+        line = self.error_line(capsys, tmp_path, "discriminant", "--tuple", text)
+        assert line == "error: matrix entries must be rationals like 3 or -1/2"
+
+    def test_underscores_do_not_split_a_number(self, capsys, tmp_path):
+        # int counts the digits on both sides of a _ as one number
+        half = "7" * (LIMIT // 2 + 100)
+        entry = f"{half}_{half}"
+        matrix = {"rows": 1, "cols": 1, "entries": [entry]}
+        text = json.dumps({"mats": [{"matrix": matrix}]})
+        line = self.error_line(capsys, tmp_path, "discriminant", "--tuple", text)
+        assert line == (
+            f"error: a matrix entry {entry[:40]!r}... exceeds the {LIMIT}-digit limit"
+        )
+
+    def test_strings_within_the_limit_still_read(self, capsys, tmp_path):
+        # the limit is on digits: a string of exactly LIMIT digits is read
+        within = "7" * LIMIT
+        term = {"exp": [2], "num": within, "den": within}
+        path = tmp_path / "poly.json"
+        path.write_text(json.dumps({"nvars": 1, "terms": [term]}))
+        code, report = run_json(capsys, ["lorentzian", "--poly", str(path)])
+        assert code == 0 and report["inputs"]["poly"]["terms"][0]["num"] == "1"
+
+
+
+class TestNoDigitLimit:
+    def test_a_python_without_the_limit_reads_bad_entries_as_before(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        # where sys has no get_int_max_str_digits, no number is too long
+        monkeypatch.delattr(sys, "get_int_max_str_digits", raising=False)
+        for entry in ("x", "1/0", "7" * 50 + "x"):
+            path = tmp_path / "tuple.json"
+            matrix = {"rows": 1, "cols": 1, "entries": [entry]}
+            path.write_text(json.dumps({"mats": [{"matrix": matrix}]}))
+            assert main(["discriminant", "--tuple", str(path)]) == 1
+            captured = capsys.readouterr()
+            assert captured.err == (
+                "error: matrix entries must be rationals like 3 or -1/2\n"
+            )
+        path.write_text('{"nvars": 1, "terms": [{"exp": [2], "num": "x", "den": 1}]}')
+        assert main(["lorentzian", "--poly", str(path)]) == 1
+        assert capsys.readouterr().err == "error: a term's 'num' must be an integer, got 'x'\n"
 
 class TestProbeClones:
     """`probe` runs one containment probe per clone class until one holds,

@@ -165,20 +165,22 @@ class TestSubsetSumTable:
         # the table's test reads its integer rows, scaled by the common
         # denominator of all its matrices
         table = SubsetSumTable(mats)
-        for a in mats:
+        for p, a in enumerate(mats):
             expected = a.is_symmetric and linalg_oracle.inertia(a).n_neg == 0
-            assert table.psd(a) == expected
+            assert table.psd(p) == expected
 
     @settings(max_examples=80, deadline=None)
     @given(alexandrov_triples())
     @example((X3, X3, [Y3]))  # X == Y
     @example((X3, Y3, [X3]))  # a fixed block holding X
     def test_alexandrov_values_match_permutation_route(self, triple):
-        # one table serves all three values, as in the discriminant command
+        # one table serves all three values, as in the discriminant command:
+        # X is at position 0, Y at 1 and the fixed matrices after them
         x, y, fixed = triple
         table = SubsetSumTable([x, y] + fixed)
-        pairs = ((x, y), (x, x), (y, y))
-        values = tuple(mixed_discriminant([a, b] + fixed, table) for a, b in pairs)
+        rest = list(range(2, 2 + len(fixed)))
+        pairs = ([0, 1], [0, 0], [1, 1])
+        values = tuple(table.discriminant(pair + rest) for pair in pairs)
         assert values == alexandrov_values(x, y, fixed)
 
 
@@ -334,6 +336,15 @@ class TestAlexandrov:
     def test_psd_hypothesis_enforced(self):
         with pytest.raises(LogcavityError, match="fixed matrices must be PSD"):
             alexandrov_check(PD3, PD3, [diagonal([1, -1, 1])])
+
+    def test_table_must_hold_x_y_and_the_fixed_matrices_in_order(self):
+        # the table's discriminants are read by position: X at 0, Y at 1
+        x, y, fixed = PD3, PD3.scale(2), [identity(3)]
+        rep = alexandrov_check(x, y, fixed, SubsetSumTable([x, y] + fixed))
+        assert rep.proportional and rep.lam == 2
+        for mats in ([y, x] + fixed, fixed + [x, y], [x, x] + fixed):
+            with pytest.raises(LogcavityError, match=r"table must be of \[X, Y\]"):
+                alexandrov_check(x, y, fixed, SubsetSumTable(mats))
 
 
 class TestHyperbolic:

@@ -7,9 +7,11 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import linalg_oracle as oracle
+from logcavity import linalg
 from logcavity.errors import LogcavityError
 from logcavity.linalg import (
     _eliminate,
+    _entry,
     _scaled,
     Graph,
     Inertia,
@@ -19,6 +21,7 @@ from logcavity.linalg import (
     incidence_matrix,
     inertia,
     integer_det,
+    integer_dets,
     integer_inertia,
     kernel_basis,
     laplacian,
@@ -185,6 +188,105 @@ class TestDet:
         assert integer_det([]) == 1
         with pytest.raises(LogcavityError, match="determinant requires a square"):
             integer_det([[1, 2]])
+
+
+@st.composite
+def det_batches(draw):
+    """(n, flats): 0-8 n x n int matrices, n = 0-5, each a flat row-major
+    list with entries in -3..3, mostly 0, so that zero pivots and singular
+    members are common."""
+    n = draw(st.integers(min_value=0, max_value=5))
+    entries = st.sampled_from((0, 0, 0, 0, 0, 1, -1, 2, -2, 3, -3))
+    flats = st.lists(st.lists(entries, min_size=n * n, max_size=n * n), max_size=8)
+    return n, draw(flats)
+
+
+class TestIntegerDets:
+    @settings(max_examples=300, deadline=None)
+    @given(det_batches())
+    @example((2, [[0, 1, 1, 0], [1, 2, 2, 4], [2, 1, 1, 1]]))  # a swap; singular
+    @example((3, [[1, 2, 3, 2, 4, 7, 1, 0, 0]]))  # a zero pivot at the second step
+    def test_matches_integer_det_and_fraction_oracle(self, batch):
+        n, flats = batch
+        copies = [list(f) for f in flats]
+        dets = integer_dets(flats, n)
+        rows = [[f[r * n : (r + 1) * n] for r in range(n)] for f in flats]
+        assert dets == [integer_det(a) for a in rows]
+        assert dets == [oracle.det(QMatrix(a, n)) for a in rows]
+        assert all(type(x) is int for x in dets)
+        assert flats == copies  # the members are read, not changed
+
+    def test_only_zero_pivots_fall_back(self, monkeypatch):
+        # the batch pivots on no member: the second and fourth meet a zero
+        # pivot, at the first and the second step, and leave for integer_det
+        calls = []
+
+        def pivoting(rows):
+            calls.append(rows)
+            return integer_det(rows)
+
+        monkeypatch.setattr(linalg, "integer_det", pivoting)
+        flats = [
+            [2, 1, 0, 1, 2, 1, 0, 1, 2],
+            [0, 1, 0, 1, 0, 0, 0, 0, 1],
+            [3, 0, 0, 0, 1, 0, 0, 0, 1],
+            [1, 2, 3, 2, 4, 7, 1, 0, 0],
+        ]
+        assert integer_dets(flats, 3) == [4, -1, 3, 2]
+        assert calls == [
+            [[0, 1, 0], [1, 0, 0], [0, 0, 1]],
+            [[1, 2, 3], [2, 4, 7], [1, 0, 0]],
+        ]
+
+    def test_empty_batch_and_empty_matrices(self):
+        assert integer_dets([], 4) == []
+        assert integer_dets([[], []], 0) == [1, 1]
+        assert integer_dets([[5], [0], [-2]], 1) == [5, 0, -2]
+
+
+def _read_alike(x):
+    """Whether the matrix entry x reads as Fraction(str(x)) reads it: an
+    equal value, or a failure of both."""
+    try:
+        expected = Fraction(str(x))
+    except (ValueError, ZeroDivisionError):
+        expected = None
+    try:
+        value = _entry(x)
+    except (ValueError, ZeroDivisionError):
+        value = None
+    if expected is None:
+        with pytest.raises(LogcavityError, match="matrix entries must be rationals"):
+            QMatrix.from_json({"rows": 1, "cols": 1, "entries": [x]})
+    return value == expected and (value is None) == (expected is None)
+
+
+class TestEntryParse:
+    @pytest.mark.parametrize(
+        "x",
+        [
+            *("+3", " 3", "0.1", "1e2", "\u0663", "\u00b2", "1/0", "3/-4", ""),
+            *(True, None, 1e400, float("nan"), "-0", "007", "-12/8", "0/5"),
+            *("-", "/3", "1/", "3 /4", "3/4 ", "--1", "1_000", "0/0", 7, -12, 0),
+        ],
+    )
+    def test_reads_as_fraction_of_its_text(self, x):
+        assert _read_alike(x)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.one_of(
+            st.text(alphabet="0123456789-+/. e_\u0663\u00b2", max_size=8),
+            st.integers(min_value=-(10**30), max_value=10**30),
+        )
+    )
+    def test_drawn_entries(self, x):
+        assert _read_alike(x)
+
+    def test_ints_stay_ints(self):
+        # the QMatrix makes each a Fraction; no rational is parsed on the way
+        assert [type(_entry(x)) for x in ("12", "-3", 4)] == [int, int, int]
+        assert _entry("6/4") == Fraction(3, 2)
 
 
 class TestScaled:
