@@ -11,10 +11,12 @@ through `logcavity.cli.main`, in this interpreter and in batch order, as
 `perfbench/run.py` does. A fixed batch built from `logcavity.zoo` follows,
 under the workload name "fixed" and seed 0: it takes the CLI paths that the
 pools never take (CSV reports, a polynomial with squares, `stanley` with
-both a matroid and its graph, `probe --e`, `hodge --k 0`, points with
-zeros, a basis family that fails exchange, a tuple of singular PSD
-matrices whose subset sums meet zero pivots, and a tuple with a repeated
-indefinite matrix and fractional entries). It prints one JSON object,
+both a matroid and its graph, `probe --e`, a probe of M(K5) that first
+fails in degree 3 with 7 coefficients, a probe of a graph with a loop and
+a parallel pair, `hodge --k 0`, points with zeros, a basis family that
+fails exchange, a tuple of singular PSD matrices whose subset sums meet
+zero pivots, and a tuple with a repeated indefinite matrix and fractional
+entries). It prints one JSON object,
 {"<workload>/<seed>/<op id>": [exit code, sha256 of the report]}, where
 the digest is null for an operation that wrote no report. Two checkouts
 give the same answers on the batches iff they print the same object.
@@ -49,6 +51,8 @@ def fixed_ops():
     square = [[2, 0, 0], [0, 2, 0], [0, 0, 2], [1, 1, 0], [1, 0, 1], [0, 1, 1]]
     poly = [{"exp": e, "num": "1" if 2 in e else "2", "den": "1"} for e in square]
     no_exchange = {"type": "bases", "ground": [0, 1, 2, 3], "bases": [[0, 1], [2, 3]]}
+    k5 = {"vertices": 5, "edges": [[i, j] for i in range(5) for j in range(i + 1, 5)]}
+    looped = [[0, 1], [0, 1], [1, 2], [0, 2], [2, 3], [1, 3], [3, 3]]  # 0 | 1, 6 a loop
 
     def matrix(rows):
         return {"rows": len(rows), "cols": len(rows), "entries": sum(rows, [])}
@@ -77,6 +81,8 @@ def fixed_ops():
         ("matroid", {"--matroid": no_exchange}, []),
         ("discriminant", {"--tuple": gram}, []),
         ("discriminant", {"--tuple": indefinite}, []),
+        ("probe", {"--graph": k5}, ["--e", "0"]),  # fails first in degree 3
+        ("probe", {"--graph": {"vertices": 4, "edges": looped}}, []),
     ]
     return [
         {"id": f"fixed-{i}", "cmd": cmd, "files": files, "args": args}

@@ -15,7 +15,7 @@ from math import factorial
 
 from . import __version__
 from .errors import LogcavityError, TooLarge
-from .linalg import Graph, QMatrix, Record, reduced_incidence_matrix
+from .linalg import Graph, QMatrix, Record, _shown, reduced_incidence_matrix
 from .matroids import DEFAULT_ELEMENT_CAP, Matroid
 from .polynomials import (
     MPoly,
@@ -234,12 +234,12 @@ def _mark(args, obj, p, key):
     if flag:
         by_str = {str(lab): lab for lab in p.labels}
         if flag not in by_str:
-            raise LogcavityError(f"unknown poset element {flag!r}")
+            raise LogcavityError(f"unknown poset element {_shown(flag)}")
         return by_str[flag]
     value = obj.get(key)
     if isinstance(value, (list, dict)):
         raise LogcavityError(
-            f"poset mark '{key}' must be an element label, got {value!r}"
+            f"poset mark '{key}' must be an element label, got {_shown(value)}"
         )
     return value
 
@@ -252,9 +252,9 @@ def _parse_labels(m: Matroid, csv):
     out = []
     for item in raw:
         if item not in by_str:
-            raise LogcavityError(f"element {item!r} is not in the ground set")
+            raise LogcavityError(f"element {_shown(item)} is not in the ground set")
         if by_str[item] in out:
-            raise LogcavityError(f"element {item!r} is given twice")
+            raise LogcavityError(f"element {_shown(item)} is given twice")
         out.append(by_str[item])
     return out
 
@@ -460,7 +460,7 @@ def cmd_discriminant(args):
             raise LogcavityError("each entry of 'mats' must be a JSON object")
         mult = entry.get("mult", 1)
         if isinstance(mult, bool) or not isinstance(mult, int) or mult < 1:
-            raise LogcavityError(f"'mult' must be an integer >= 1, got {mult!r}")
+            raise LogcavityError(f"'mult' must be an integer >= 1, got {_shown(mult)}")
         given.append((QMatrix.from_json(entry["matrix"]), mult))
     _check_count([a for a, _ in given], sum(mult for _, mult in given))
     mats = [a for a, mult in given for _ in range(mult)]

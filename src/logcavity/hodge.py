@@ -25,8 +25,8 @@ from .linalg import (
     inertia,  # noqa: F401  -- perfbench's tracer self-test wraps hodge.inertia
     integer_det,
     integer_inertia,
-    integer_kernel,
     integer_row_basis,
+    kernel_witness,
 )
 from .matroids import Matroid
 
@@ -420,21 +420,22 @@ def annihilator_containment_probe(m: Matroid, e) -> ContainmentProbe:
 
     Both minors are read inside M. For a non-loop e, the degree-k rows and
     columns of M\\e are the independent k- and (r-k)-sets of M avoiding e,
-    in the deletion's order (no mask holds the dropped bit), the columns of
-    M/e are the independent (r-k)-sets containing e, and an entry is 1 iff
-    row | column is a basis of M. a | c is a basis iff rank(cl(a) | c) = r,
-    so rows spanning one flat are equal in both matrices: a later row's
-    kernel vector is d (e_j - e_i), which never fails, or the first row's
-    vector plus that, which fails iff the first row's does. So one integer
-    kernel over one column per flat, in row order, and one row per column
-    flat gives every vector that can fail first: the rows of the ring's
+    in the deletion's order, the columns of M/e the independent (r-k)-sets
+    containing e, and an entry is 1 iff row | column is a basis of M, iff
+    rank(cl(row) | column) = r. So rows spanning one flat are equal in both
+    matrices: a later row's kernel vector is e_j - e_i, which never fails,
+    or the first row's plus that. One column per flat, in row order, and one
+    row per column flat give every vector that can fail first: the ring's
     E_(r-k) on flats at the flats an e-avoiding (r-k)-set spans (deletion)
-    and at those that hold e (contraction). Degree k is contained iff the
-    contraction rows lie in the row space of the deletion rows, iff the
-    greedy row basis of deletion + contraction takes no contraction row;
-    only a failing degree builds the kernel. The first vector that fails is
-    reported by its nonzero coefficients, in row order, keyed by their rows'
-    label sets: the shape `in_annihilator` takes. A loop has M/e = M\\e."""
+    and at those that hold e (contraction). With R the RREF of the deletion
+    rows and p_i its pivots, the kernel vector of a free column f is v_f =
+    e_f - sum_i R_i[f] e_(p_i), and a contraction row c has c . v_f =
+    rho(c)_f, for rho(c) = c - sum_i c_(p_i) R_i, c reduced modulo the
+    deletion rows. So one echelon decides degree k (`kernel_witness`): it
+    holds iff every rho(c) is 0, and else the first vector that fails is v_f
+    at the least f with some rho(c)_f != 0. It is reported by its nonzero
+    coefficients, in row order, keyed by their rows' label sets: the shape
+    `in_annihilator` takes. A loop has M/e = M\\e."""
     bit = m._mask([e])
     if e in m.coloops():
         raise LogcavityError(
@@ -456,16 +457,9 @@ def annihilator_containment_probe(m: Matroid, e) -> ContainmentProbe:
                 contraction.append(picked)
             if not g & bit or m._rank_mask(g ^ bit) == m.rank - k:
                 deletion.append(picked)
-        # the basis is not empty: a basis of M\\e splits into a row and a column
-        if integer_row_basis(deletion + contraction)[-1] < len(deletion):
+        v = kernel_witness(deletion, contraction, len(picks))
+        if v is None:
             continue
-        d, vectors = integer_kernel(deletion, len(picks))
-        for v in vectors:
-            if any(sum(compress(v, row)) for row in contraction):
-                coeffs = {
-                    m._labels(avoiding[i]): Fraction(x, d)
-                    for i, x in zip(firsts.values(), v)
-                    if x
-                }
-                return ContainmentProbe(e, False, (k, coeffs))
+        coeffs = {m._labels(avoiding[i]): x for i, x in zip(firsts.values(), v) if x}
+        return ContainmentProbe(e, False, (k, coeffs))
     return ContainmentProbe(e, True, None)

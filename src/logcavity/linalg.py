@@ -26,11 +26,16 @@ def _q(x) -> Fraction:
 _JSON_KINDS = {int: "an integer", list: "a list", dict: "a JSON object"}
 
 
+def _shown(value):
+    """repr(value), cut after 40 characters: an input error's echo of it."""
+    return text if len(text := repr(value)) <= 40 else f"{text[:40]}..."
+
+
 def _expect(value, kind, what):
     """value, if it is of the JSON kind int (booleans excluded), list or
     dict; else an input error naming what."""
     if not isinstance(value, kind) or isinstance(value, bool):
-        raise LogcavityError(f"{what} must be {_JSON_KINDS[kind]}, got {value!r}")
+        raise LogcavityError(f"{what} must be {_JSON_KINDS[kind]}, got {_shown(value)}")
     return value
 
 
@@ -64,7 +69,7 @@ def _json_labels(value, what):
     else an input error naming what."""
     for x in _expect(value, list, what):
         if isinstance(x, (list, dict)):
-            raise LogcavityError(f"{what} must hold element labels, got {x!r}")
+            raise LogcavityError(f"{what} must hold element labels, got {_shown(x)}")
     return value
 
 
@@ -75,7 +80,8 @@ def _label_index(labels, what):
     index, printed = {}, {}
     for i, lab in enumerate(labels):
         if index.setdefault(lab, i) != i or printed.setdefault(str(lab), i) != i:
-            raise LogcavityError(f"{what} must be distinct; two print as {str(lab)!r}")
+            shown = _shown(str(lab))
+            raise LogcavityError(f"{what} must be distinct; two print as {shown}")
     return index
 
 
@@ -256,17 +262,6 @@ def _scaled(rows):
     return d, [[x.numerator * (d // x.denominator) for x in row] for row in rows]
 
 
-def _raise(a, level, rows, to, lo=0):
-    """Bring each of the given integer rows up to the level to, from column
-    lo on (the entries before lo are zero): row i becomes a[i] * to //
-    level[i], which is exact because it is the row's eager value."""
-    for i in rows:
-        lvl = level[i]
-        if lvl != to:
-            a[i][lo:] = [x * to // lvl for x in a[i][lo:]]
-            level[i] = to
-
-
 def _update(a, level, pivot_row, c, targets, lo):
     """The one fraction-free (Bareiss) row update, done lazily: row i of a
     is stored at level[i], the pivot it was last scaled to, and equals its
@@ -300,20 +295,16 @@ def _update(a, level, pivot_row, c, targets, lo):
             level[i] = p
 
 
-def _eliminate(a, ncols, jordan=False):
+def _eliminate(a, ncols):
     """Fraction-free elimination of the integer rows a, in place, pivoting on
     the first nonzero entry at or below the current row in columns
-    0..ncols-1.
+    0..ncols-1. Rows below each pivot are cleared, leaving an echelon form
+    whose last pivot is, up to the swap sign, the minor on the pivot rows
+    and columns. Returns (pivot columns, last pivot, swap sign).
 
-    Rows below each pivot are cleared, leaving an echelon form whose last
-    pivot is, up to the swap sign, the minor on the pivot rows and columns.
-    With jordan=True the rows above are cleared too, leaving d * RREF with d
-    the last pivot. Returns (pivot columns, last pivot, swap sign).
-
-    The update is the lazy `_update`, each pivot row first raised to prev,
-    so the pivots, last pivot and swap sign are the eager ones; with
-    jordan=True every row is raised to d at the end, giving the eager
-    d * RREF."""
+    The update is the lazy `_update`, each pivot row first raised to prev
+    (a[r] * prev // level[r], its eager value), so the pivots, last pivot,
+    swap sign and pivot rows (which no later step changes) are eager."""
     rows = len(a)
     level = [1] * rows
     pivots = []
@@ -330,14 +321,11 @@ def _eliminate(a, ncols, jordan=False):
             a[r], a[piv] = a[piv], a[r]
             level[r], level[piv] = level[piv], level[r]
             sign = -sign
-        _raise(a, level, (r,), prev, c)
+        if level[r] != prev:  # its eager value, exact; zero before column c
+            a[r][c:] = [x * prev // level[r] for x in a[r][c:]]
         _update(a, level, a[r], c, range(r + 1, rows), c)
-        if jordan:
-            _update(a, level, a[r], c, range(r), 0)
         pivots.append(c)
         prev = level[r] = a[r][c]
-    if jordan:
-        _raise(a, level, range(rows), prev)
     return pivots, prev, sign
 
 
@@ -379,22 +367,34 @@ def integer_row_basis(rows):
     return _eliminate([list(col) for col in zip(*rows)], len(rows))[0]
 
 
-def integer_kernel(rows, ncols):
-    """(d, vectors): a basis of the right null space of the integer rows, one
-    int vector per free column f of the RREF in column order. Every pivot of
-    the fraction-free Jordan form a equals its last pivot d, so a is d RREF
-    and v = d e_f - sum_r a[r][f] e_(pivot r) is d times the RREF kernel
-    vector. The rows are copied, not changed."""
+def kernel_witness(rows, others, ncols):
+    """The first RREF kernel vector of the int rows, by column, that some
+    other row does not annihilate, or None; neither list is changed. Each
+    pivot's `_update` is replayed on the others: a free column's vector
+    fails iff a reduced other is nonzero there once the pivots left are in."""
     a = [list(row) for row in rows]
-    pivots, d, _ = _eliminate(a, ncols, jordan=True)
-    vectors = []
-    for f in sorted(set(range(ncols)) - set(pivots)):
-        v = [0] * ncols
-        v[f] = d
-        for r, c in enumerate(pivots):
-            v[c] = -a[r][f]
-        vectors.append(v)
-    return d, vectors
+    pivots = _eliminate(a, ncols)[0]
+    reduced, level = [list(row) for row in others], [1] * len(others)
+    row_of = {c: r for r, c in enumerate(pivots)}
+    for j in range(ncols):
+        if j in row_of:
+            _update(reduced, level, a[row_of[j]], j, range(len(reduced)), j)
+        elif any(row[j] for row in reduced):
+            return kernel_vector(a, pivots, j, ncols)
+    return None
+
+
+def kernel_vector(a, pivots, f, ncols):
+    """The RREF kernel vector of the free column f of the echelon form a, as
+    Fractions: p times it, p the last pivot left of f (1 if none), by exact
+    back substitution over those pivots, as p is a minor of the input."""
+    t = sum(c < f for c in pivots)
+    v = [0] * ncols
+    v[f] = a[t - 1][pivots[t - 1]] if t else 1
+    for r in reversed(range(t)):
+        s = a[r][f] * v[f] + sum(a[r][c] * v[c] for c in pivots[r + 1 : t])
+        v[pivots[r]] = -s // a[r][pivots[r]]
+    return tuple(Fraction(x, v[f]) for x in v)
 
 
 def det(m: QMatrix) -> Fraction:
@@ -483,10 +483,11 @@ def rank_of_matrix(m: QMatrix) -> int:
 
 
 def kernel_basis(m: QMatrix):
-    """Basis of the right null space {v : m v = 0}, as tuples of Fractions,
-    one per free column of the RREF in column order."""
-    d, vectors = integer_kernel(_scaled(m.m)[1], m.cols)
-    return [tuple(Fraction(x, d) for x in v) for v in vectors]
+    """Basis of the right null space {v : m v = 0}, as tuples of Fractions:
+    one `kernel_vector` per free column of the RREF, in column order."""
+    a, n = _scaled(m.m)[1], m.cols
+    pivots = _eliminate(a, n)[0]
+    return [kernel_vector(a, pivots, f, n) for f in range(n) if f not in pivots]
 
 
 def row_space_basis_indices(m: QMatrix):
@@ -507,7 +508,8 @@ class Graph(Record):
         for u, v in edges:
             if not (0 <= u < vertices and 0 <= v < vertices):
                 raise LogcavityError(
-                    f"graph edge [{u}, {v}] has an endpoint outside 0..{vertices - 1}"
+                    f"graph edge [{_shown(u)}, {_shown(v)}] has an endpoint outside "
+                    f"0..{_shown(vertices - 1)}"
                 )
         super().__init__(vertices, edges)
 
@@ -544,7 +546,8 @@ class Graph(Record):
         edges = _expect(obj["edges"], list, "graph 'edges'")
         for e in edges:
             if not isinstance(e, list) or len(e) != 2:
-                raise LogcavityError(f"a graph edge must be a pair [u, v], got {e!r}")
+                shown = _shown(e)
+                raise LogcavityError(f"a graph edge must be a pair [u, v], got {shown}")
             _expect(e[0], int, "a graph edge endpoint")
             _expect(e[1], int, "a graph edge endpoint")
         return Graph(vertices, tuple(tuple(e) for e in edges))

@@ -18,6 +18,7 @@ from .linalg import (
     _json_labels,
     _label_index,
     _scaled,
+    _shown,
     integer_row_basis,
     rank_of_matrix,
 )
@@ -41,12 +42,12 @@ def _down_closure(masks, rank):
     return tuple(levels)
 
 
-def _label_mask(index, labels, unknown="unknown element {!r}"):
+def _label_mask(index, labels, unknown="unknown element {}"):
     """The mask of the labels' positions in index; a label not in it raises."""
     mask = 0
     for e in labels:
         if e not in index:
-            raise LogcavityError(unknown.format(e))
+            raise LogcavityError(unknown.format(_shown(e)))
         mask |= 1 << index[e]
     return mask
 
@@ -184,9 +185,9 @@ class Matroid:
         index = {lab: i for i, lab in enumerate(ground)}
         masks = []
         for b in bases:
-            mask = _label_mask(index, b, "basis element {!r} not in ground set")
+            mask = _label_mask(index, b, "basis element {} not in ground set")
             if mask.bit_count() != len(tuple(b)):
-                raise LogcavityError(f"basis {b!r} repeats an element")
+                raise LogcavityError(f"basis {_shown(b)} repeats an element")
             masks.append(mask)
         sizes = {m.bit_count() for m in masks}
         if len(sizes) > 1:
@@ -392,7 +393,7 @@ class Matroid:
                 for b in _expect(obj["bases"], list, "matroid 'bases'")
             ]
             return Matroid.from_bases(ground, bases)
-        raise LogcavityError(f"unknown matroid type {kind!r}")
+        raise LogcavityError(f"unknown matroid type {_shown(kind)}")
 
 
 class ParallelData(Record):

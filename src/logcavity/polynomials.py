@@ -11,7 +11,7 @@ from fractions import Fraction
 from itertools import product
 
 from .errors import LogcavityError
-from .linalg import QMatrix, Record, _bits, _check_digits, _expect, _q, _scaled
+from .linalg import QMatrix, Record, _bits, _check_digits, _expect, _q, _scaled, _shown
 from .linalg import integer_inertia
 from .matroids import Matroid, _is_basis_family
 
@@ -29,7 +29,8 @@ class MPoly:
             exp = tuple(map(int, exp))
             if len(exp) != nvars or min(exp, default=0) < 0:
                 raise LogcavityError(
-                    f"exponent vector {exp} must have {nvars} nonnegative entries"
+                    f"exponent vector {_shown(exp)} must have {_shown(nvars)} "
+                    "nonnegative entries"
                 )
             clean[exp] = clean[exp] + c if exp in clean else c
         object.__setattr__(

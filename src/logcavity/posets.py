@@ -11,7 +11,7 @@ representation of a poset, Fundam. Inform. 2006); no extension is listed.
 from functools import cached_property
 
 from .errors import LogcavityError, TooLarge
-from .linalg import Record, _bits, _expect, _json_labels, _label_index
+from .linalg import Record, _bits, _expect, _json_labels, _label_index, _shown
 
 DEFAULT_EXTENSION_CAP = 3_628_800  # 10!
 
@@ -50,7 +50,7 @@ class Poset:
         for a, b in relations:
             if a not in index or b not in index:
                 raise LogcavityError(
-                    f"relation mentions unknown element {a!r} or {b!r}"
+                    f"relation mentions unknown element {_shown(a)} or {_shown(b)}"
                 )
             up[index[a]] |= 1 << index[b]
         # Warshall, A theorem on Boolean matrices, J. ACM 1962
@@ -62,8 +62,8 @@ class Poset:
             for j in range(i + 1, n):
                 if up[i] >> j & 1 and up[j] >> i & 1:
                     raise LogcavityError(
-                        f"antisymmetry fails: {labels[i]!r} and {labels[j]!r} "
-                        "are in a relation cycle"
+                        f"antisymmetry fails: {_shown(labels[i])} and "
+                        f"{_shown(labels[j])} are in a relation cycle"
                     )
         return Poset(labels, up)
 
@@ -71,7 +71,7 @@ class Poset:
         try:
             return self._index[label]
         except KeyError:
-            raise LogcavityError(f"unknown poset element {label!r}") from None
+            raise LogcavityError(f"unknown poset element {_shown(label)}") from None
 
     def leq(self, a, b):
         return self.up[self.index(a)] >> self.index(b) & 1 == 1
@@ -167,7 +167,7 @@ class Poset:
         for r in relations:
             if len(_json_labels(r, "a poset relation")) != 2:
                 raise LogcavityError(
-                    f"a poset relation must be a pair [a, b], got {r!r}"
+                    f"a poset relation must be a pair [a, b], got {_shown(r)}"
                 )
         return Poset.from_relations(
             _json_labels(obj["elements"], "poset 'elements'"),

@@ -16,9 +16,10 @@ masks, decides In(Q^k) and HRR_k by one integer bordered inertia and socle
 triviality by a column containment, reads dim A^(r-k) off E_k on one row
 and column per flat, tests annihilator membership by the coefficients
 summed per flat against E_k on flats, the inverse Hessian by two integer
-determinants, runs the probe by a rank test and, in a failing degree,
-integer kernels and integer sums inside M, and reads the Moebius pairing
-off E_(r/2) on flats, taking it as zero below the middle degree.
+determinants, runs the probe inside M by one echelon of the deletion rows
+per degree, the contraction rows reduced against it and the witness found
+by one back substitution, and reads the Moebius pairing off E_(r/2) on
+flats, taking it as zero below the middle degree.
 """
 
 import math

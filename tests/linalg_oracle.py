@@ -5,8 +5,8 @@ entries, written independently of the fraction-free integer kernel in
 `logcavity.linalg`, and returns exactly what the public entry point of the
 same name returns. `eager_eliminate` and `eager_inertia` are the eager
 Bareiss eliminations that rescale every row at every step; the lazy kernel
-must reproduce their pivots and rows bit for bit. `full_row_inertia` is the
-lazy inertia on whole rows that `integer_inertia` runs on the upper
+must reproduce their pivots and pivot rows bit for bit. `full_row_inertia`
+is the lazy inertia on whole rows that `integer_inertia` runs on the upper
 triangle. `diagonal`, `identity` and `apply` build the diagonal matrices
 and matrix-vector products that the tests write by hand.
 """
@@ -16,7 +16,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from logcavity.errors import LogcavityError
-from logcavity.linalg import Inertia, QMatrix, _raise, _update
+from logcavity.linalg import Inertia, QMatrix, _update
 
 
 def diagonal(entries):
@@ -219,9 +219,10 @@ def _bareiss(a, r, c, prev, targets, lo):
         row[lo:] = [(x * p - f * y) // prev for x, y in zip(row[lo:], pivot_row)]
 
 
-def eager_eliminate(a, ncols, jordan=False):
+def eager_eliminate(a, ncols):
     """What `linalg._eliminate` returns, by the eager update: the integer
-    rows a are changed in place to the same final rows."""
+    rows a are changed in place, and the pivot rows end as the lazy
+    elimination leaves them."""
     rows = len(a)
     pivots = []
     prev = 1
@@ -237,8 +238,6 @@ def eager_eliminate(a, ncols, jordan=False):
             a[r], a[piv] = a[piv], a[r]
             sign = -sign
         _bareiss(a, r, c, prev, range(r + 1, rows), c)
-        if jordan:
-            _bareiss(a, r, c, prev, range(r), 0)
         pivots.append(c)
         prev = a[r][c]
     return pivots, prev, sign
@@ -281,6 +280,14 @@ def eager_inertia(m: QMatrix) -> Inertia:
         _bareiss(a, piv, piv, prev, active, 0)
         prev = p
     return Inertia(n_pos, n_neg, len(active))
+
+
+def _raise(a, level, rows, to):
+    """Bring each of the given lazy rows up to the level to: row i becomes
+    a[i] * to // level[i], its eager value."""
+    for i in rows:
+        a[i] = [x * to // level[i] for x in a[i]]
+        level[i] = to
 
 
 def full_row_inertia(rows, lead):

@@ -1353,6 +1353,55 @@ class TestNoDigitLimit:
         assert main(["lorentzian", "--poly", str(path)]) == 1
         assert capsys.readouterr().err == "error: a term's 'num' must be an integer, got 'x'\n"
 
+LONG = "w" * 5000  # a long input value, which an error echoes cut short
+BIG = int("9" * 4000)  # a JSON integer within the digit limit
+LONG_GROUND = {"type": "bases", "ground": [LONG, 1], "bases": [[LONG], [1]]}
+
+
+class TestEchoBound:
+    """A long input value is echoed cut after 40 characters: each message
+    that names an offending value gives one short `error:` line."""
+
+    @pytest.mark.parametrize(
+        "argv, payload",
+        [
+            (["matroid", "--graph"], {"vertices": LONG, "edges": []}),
+            (["matroid", "--graph"], {"vertices": 2, "edges": [[0, 1, LONG]]}),
+            (["matroid", "--graph"], {"vertices": 2, "edges": [[0, BIG]]}),
+            (["matroid", "--matroid"], {"type": LONG}),
+            (["matroid", "--matroid"], {"type": "bases", "ground": [[LONG]]}),
+            (
+                ["matroid", "--matroid"],
+                {"type": "bases", "ground": [LONG, LONG], "bases": [[LONG]]},
+            ),
+            (["matroid", "--matroid"], {**LONG_GROUND, "bases": [[LONG + "x"]]}),
+            (["matroid", "--matroid"], {**LONG_GROUND, "bases": [[LONG, LONG]]}),
+            (["probe", "--e", LONG + "x", "--matroid"], LONG_GROUND),
+            (["stanley", "--R", f"{LONG},{LONG}", "--matroid"], LONG_GROUND),
+            (["lorentzian", "--poly"], poly({"exp": [LONG], "num": "1", "den": "1"})),
+            (["lorentzian", "--poly"], poly({"exp": [1] * 3000, "num": "1", "den": "1"})),
+            (["poset", "--poset"], {"elements": ["a"], "relations": [["a", LONG]]}),
+            (["poset", "--poset"], {"elements": ["a"], "relations": [[LONG, 0, 1]]}),
+            (["poset", "--poset"], {"elements": [LONG, LONG]}),
+            (
+                ["poset", "--poset"],
+                {"elements": [LONG, 1], "relations": [[LONG, 1], [1, LONG]]},
+            ),
+            (["poset", "--x", LONG, "--poset"], {"elements": ["a"]}),
+            (["kahnsaks", "--poset"], {"elements": ["a"], "x": [LONG], "y": "a"}),
+            (["discriminant", "--tuple"], {"mats": [{"matrix": I2, "mult": LONG}]}),
+            (["discriminant", "--tuple"], {"mats": [{"matrix": {"rows": LONG}}]}),
+        ],
+    )
+    def test_one_short_error_line(self, capsys, tmp_path, argv, payload):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(payload))
+        assert main(argv + [str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1 and len(captured.err) < 200
+
+
 class TestProbeClones:
     """`probe` runs one containment probe per clone class until one holds,
     and copies a holding verdict to the rest of the class; a failing element

@@ -1,4 +1,5 @@
 import math
+import random
 import weakref
 from fractions import Fraction
 from itertools import combinations
@@ -12,8 +13,9 @@ import linalg_oracle
 from matroid_oracle import SMALL, small_matroids
 from logcavity.errors import LogcavityError
 from logcavity.linalg import Graph, Inertia, QMatrix, inertia, integer_inertia
-from logcavity.linalg import integer_row_basis, rank_of_matrix
+from logcavity.linalg import integer_row_basis, kernel_witness, rank_of_matrix
 from logcavity.matroids import FlatLattice, Matroid
+from logcavity import hodge
 from logcavity.hodge import (
     GorensteinRing,
     _hrr_verdict,
@@ -40,6 +42,7 @@ from logcavity.zoo import (
     linear_3x5_matroid,
     loopless_zoo,
     matroid_zoo,
+    random_connected_multigraph,
     tripled_u23,
 )
 
@@ -607,6 +610,18 @@ def parallel_multigraphs(draw, loops=False):
     return Matroid.graphic(Graph(v, tuple(edges)))
 
 
+def seeded_multigraph(seed):
+    """The cycle matroid of the seeded `random_connected_multigraph` on 3 to
+    5 vertices, with one of its edges doubled and a loop at a drawn vertex."""
+    rng = random.Random(seed)
+    g = random_connected_multigraph(rng, max_vertices=5, max_edges=8)
+    loop = (rng.randrange(g.vertices),) * 2
+    return Matroid.graphic(Graph(g.vertices, (*g.edges, rng.choice(g.edges), loop)))
+
+
+ZOO = st.sampled_from(sorted(matroid_zoo().items())).map(lambda item: item[1])
+
+
 class TestOracleProperties:
     @settings(max_examples=80, deadline=None)
     @given(st.one_of(small_matroids(), parallel_multigraphs()))
@@ -756,10 +771,19 @@ class TestOracleProperties:
         assert answer == in_row_order(*oracle.containment_probe(m, e))
 
     @settings(max_examples=40, deadline=None)
-    @given(st.one_of(parallel_multigraphs(), parallel_multigraphs(loops=True)))
-    def test_probe_rank_test_matches_kernel_route(self, m):
-        # the rank test decides each degree before any kernel is built; the
-        # oracle takes a kernel in every degree
+    @given(
+        st.one_of(
+            ZOO,
+            st.integers(min_value=0, max_value=2**32).map(seeded_multigraph),
+            parallel_multigraphs(),
+            parallel_multigraphs(loops=True),
+        )
+    )
+    def test_probe_echelon_matches_kernel_route(self, m):
+        # one echelon of the deletion rows decides each degree and names the
+        # first failing kernel vector by back substitution; the oracle takes
+        # a Fraction kernel of the deletion in every degree and tests each
+        # of its vectors
         for e in m.ground:
             if e in m.coloops():
                 continue
@@ -775,6 +799,22 @@ class TestOracleProperties:
         probe = annihilator_containment_probe(m, e)
         answer = in_row_order(probe.contained, probe.counterexample)
         assert answer == in_row_order(*oracle.containment_probe(m, e))
+
+    def test_a_row_of_both_minors(self, monkeypatch):
+        # a column flat that holds e and keeps its rank without it gives one
+        # row list to both the deletion and the contraction; the witness
+        # search copies it, so the witness is still the kernel route's
+        shared = []
+
+        def spy(rows, others, ncols):
+            shared.append(any(r is c for r in rows for c in others))
+            return kernel_witness(rows, others, ncols)
+
+        monkeypatch.setattr(hodge, "kernel_witness", spy)
+        probe = annihilator_containment_probe(MK4, 0)
+        assert shared[0] and not probe.contained
+        answer = in_row_order(probe.contained, probe.counterexample)
+        assert answer == in_row_order(*oracle.containment_probe(MK4, 0))
 
     def test_probe_of_a_loop_is_contained(self):
         m = matroid_zoo()["with_loop"]

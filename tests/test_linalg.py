@@ -24,6 +24,7 @@ from logcavity.linalg import (
     integer_dets,
     integer_inertia,
     kernel_basis,
+    kernel_witness,
     laplacian,
     rank_of_matrix,
     reduced_incidence_matrix,
@@ -588,6 +589,10 @@ class TestAgainstFractionOracle:
 
     @settings(max_examples=150, deadline=None)
     @given(MATRICES)
+    @example(QMatrix([], 3))  # 0 x c: every column is free
+    @example(QMatrix([[], []]))  # r x 0: no column
+    @example(QMatrix([[0, 0, 0, 0], [0, 1, 0, 2], [0, 0, 0, 0], [0, 2, 0, 4]]))
+    @example(QMatrix([[Fraction(1, 2), Fraction(-2, 3), 1], [Fraction(3, 4), 0, 5]]))
     def test_kernel_basis(self, m):
         assert kernel_basis(m) == oracle.kernel_basis(m)
 
@@ -670,16 +675,17 @@ def sparse_symmetric(draw):
 
 class TestLazyAgainstEager:
     @settings(max_examples=400, deadline=None)
-    @given(INTEGER_GRIDS, st.booleans(), st.data())
-    def test_eliminate(self, grid, jordan, data):
+    @given(INTEGER_GRIDS, st.data())
+    def test_eliminate(self, grid, data):
+        # the pivot rows end eager: `kernel_vector` back-substitutes on them
         width = len(grid[0]) if grid else 0
         ncols = data.draw(st.integers(min_value=0, max_value=width))
         lazy = [list(row) for row in grid]
         eager = [list(row) for row in grid]
-        expected = oracle.eager_eliminate(eager, ncols, jordan)
-        assert _eliminate(lazy, ncols, jordan) == expected
-        if jordan:
-            assert lazy == eager
+        result = _eliminate(lazy, ncols)
+        assert result == oracle.eager_eliminate(eager, ncols)
+        rank = len(result[0])
+        assert lazy[:rank] == eager[:rank]
 
     @settings(max_examples=400, deadline=None)
     @given(st.one_of(sparse_symmetric(), symmetric_matrices()))
@@ -697,6 +703,45 @@ class TestLazyAgainstEager:
     )
     def test_inertia(self, m):
         assert inertia(m) == oracle.eager_inertia(m)
+
+
+@st.composite
+def witness_inputs(draw):
+    """(rows, others): an int grid split into rows and other rows, the
+    others joined by sums of two rows, which lie in their row space."""
+    grid = draw(st.one_of(integer_grids(SPARSE), integer_grids(SMALL)))
+    cut = draw(st.integers(min_value=0, max_value=len(grid)))
+    rows, others = grid[:cut], grid[cut:]
+    if rows:
+        pair = st.tuples(st.sampled_from(rows), st.sampled_from(rows))
+        sums = draw(st.lists(pair, max_size=3))
+        others += [[u + v for u, v in zip(x, y)] for x, y in sums]
+    return rows, draw(st.permutations(others))
+
+
+class TestKernelWitness:
+    # the witness is the first kernel vector, in the Fraction oracle's
+    # column order, that some other row does not annihilate
+    @settings(max_examples=300, deadline=None)
+    @given(witness_inputs())
+    def test_first_failing_kernel_vector(self, pair):
+        rows, others = pair
+        ncols = len((rows + others)[0])
+        failing = [
+            v
+            for v in oracle.kernel_basis(QMatrix(rows, ncols))
+            if any(sum(x * y for x, y in zip(c, v)) for c in others)
+        ]
+        expected = failing[0] if failing else None
+        assert kernel_witness(rows, others, ncols) == expected
+
+    def test_a_list_in_both_is_not_changed(self):
+        rows = [[1, 2, 0, 3], [2, 4, 1, 1], [0, 0, 2, 4]]
+        others = [rows[1], [1, 0, 0, 0]]  # rows[1] itself, and one outside
+        # column 1 is the one free column: v_1 = e_1 - 2 e_0
+        assert kernel_witness(rows, others, 4) == (-2, 1, 0, 0)
+        assert rows == [[1, 2, 0, 3], [2, 4, 1, 1], [0, 0, 2, 4]]
+        assert others == [[2, 4, 1, 1], [1, 0, 0, 0]] and others[0] is rows[1]
 
 
 ZERO_ONE = st.sampled_from((0, 1))
