@@ -15,8 +15,10 @@ both a matroid and its graph, `probe --e`, a probe of M(K5) that first
 fails in degree 3 with 7 coefficients, a probe of a graph with a loop and
 a parallel pair, `hodge --k 0`, points with zeros, a basis family that
 fails exchange, a tuple of singular PSD matrices whose subset sums meet
-zero pivots, and a tuple with a repeated indefinite matrix and fractional
-entries). It prints one JSON object,
+zero pivots, a tuple with a repeated indefinite matrix and fractional
+entries, and `kahnsaks` on each branch of the normalization: incomparable
+marks, x the least and y the greatest element, and elements already
+labelled "bot" and "top"). It prints one JSON object,
 {"<workload>/<seed>/<op id>": [exit code, sha256 of the report]}, where
 the digest is null for an operation that wrote no report. Two checkouts
 give the same answers on the batches iff they print the same object.
@@ -54,6 +56,20 @@ def fixed_ops():
     k5 = {"vertices": 5, "edges": [[i, j] for i in range(5) for j in range(i + 1, 5)]}
     looped = [[0, 1], [0, 1], [1, 2], [0, 2], [2, 3], [1, 3], [3, 3]]  # 0 | 1, 6 a loop
 
+    def marked(elements, relations, x, y):
+        obj = {"elements": elements, "relations": relations, "x": x, "y": y}
+        return {"--poset": obj}
+
+    # x and y incomparable, so x <= y is adjoined; a < b lie in mid_y, mid_x
+    ab = [["a", "y"], ["x", "b"], ["a", "b"]]
+    loose = marked(["x", "y", "a", "b", "c"], ab, "x", "y")
+    # x least and y greatest, so fresh bounds go below x and above y
+    diamond = [[0, 1], [0, 2], [1, 3], [2, 3], [3, 4]]
+    extreme = marked([0, 1, 2, 3, 4], diamond, 0, 4)
+    # "bot" and "top" bound nothing, so the fresh bounds are bot0 and top0
+    bounds = [["bot", "top"], ["m", "y"]]
+    named = marked(["top", "x", "bot", "y", "m"], bounds, "x", "y")
+
     def matrix(rows):
         return {"rows": len(rows), "cols": len(rows), "entries": sum(rows, [])}
 
@@ -83,6 +99,9 @@ def fixed_ops():
         ("discriminant", {"--tuple": indefinite}, []),
         ("probe", {"--graph": k5}, ["--e", "0"]),  # fails first in degree 3
         ("probe", {"--graph": {"vertices": 4, "edges": looped}}, []),
+        ("kahnsaks", loose, []),
+        ("kahnsaks", extreme, []),
+        ("kahnsaks", named, ["--format", "csv"]),
     ]
     return [
         {"id": f"fixed-{i}", "cmd": cmd, "files": files, "args": args}

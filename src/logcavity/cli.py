@@ -15,7 +15,7 @@ from math import factorial
 
 from . import __version__
 from .errors import LogcavityError, TooLarge
-from .linalg import Graph, QMatrix, Record, _shown, reduced_incidence_matrix
+from .linalg import Graph, QMatrix, Record, _is_label, _shown, reduced_incidence_matrix
 from .matroids import DEFAULT_ELEMENT_CAP, Matroid
 from .polynomials import (
     MPoly,
@@ -213,7 +213,7 @@ def _cap_elements(args, n):
     cap = args.cap_elements
     if n > cap:
         raise TooLarge(
-            f"matroid has {n} elements, over the --cap-elements limit {cap}"
+            f"matroid has {n} elements, over the --cap-elements limit {_shown(cap)}"
         )
 
 
@@ -229,7 +229,7 @@ def _load_marked_poset(args) -> MarkedPoset:
 def _mark(args, obj, p, key):
     """The mark from its flag, which names the element whose label prints
     as it (no two print alike), else from the poset JSON, where it must be
-    an element label, not a list or an object."""
+    an element label if it is there."""
     flag = getattr(args, key, None)
     if flag:
         by_str = {str(lab): lab for lab in p.labels}
@@ -237,7 +237,7 @@ def _mark(args, obj, p, key):
             raise LogcavityError(f"unknown poset element {_shown(flag)}")
         return by_str[flag]
     value = obj.get(key)
-    if isinstance(value, (list, dict)):
+    if key in obj and not _is_label(value):
         raise LogcavityError(
             f"poset mark '{key}' must be an element label, got {_shown(value)}"
         )

@@ -22,6 +22,7 @@ from .linalg import (
     Record,
     _q,
     _scaled,
+    _shown,
     inertia,  # noqa: F401  -- perfbench's tracer self-test wraps hodge.inertia
     integer_det,
     integer_inertia,
@@ -65,7 +66,7 @@ def graded_evaluation(m: Matroid, k) -> GradedEvaluation:
     later row of a flat copies an earlier one, which the greedy basis never
     takes, and a repeated column changes no row dependency."""
     if not 0 <= k <= m.rank:
-        raise LogcavityError(f"degree {k} outside 0..rank = {m.rank}")
+        raise LogcavityError(f"degree {_shown(k)} outside 0..rank = {m.rank}")
     row_masks = tuple(m.independent_subsets(k))
     firsts = tuple(_first_per_flat(m._flats(k), row_masks).values())
     col_masks = m.independent_subsets(m.rank - k)
@@ -200,7 +201,7 @@ class GorensteinRing:
 
 def _check_degree(m: Matroid, k):
     if not 0 <= 2 * k <= m.rank:
-        raise LogcavityError(f"need 0 <= 2k <= rank, got k={k}, rank={m.rank}")
+        raise LogcavityError(f"need 0 <= 2k <= rank, got k={_shown(k)}, rank={m.rank}")
 
 
 def _point(m: Matroid, point):

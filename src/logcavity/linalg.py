@@ -64,12 +64,20 @@ def _bits(mask):
         mask ^= low
 
 
+def _is_label(x):
+    """Whether x is an element label: a JSON string or integer. Python takes
+    True, 1.0 and 1 for one dict key, so booleans and decimals are not."""
+    return isinstance(x, (str, int)) and not isinstance(x, bool)
+
+
 def _json_labels(value, what):
-    """value, if it is a JSON list of element labels (no lists or objects);
-    else an input error naming what."""
+    """value, if it is a JSON list of element labels; else an input error
+    naming what."""
     for x in _expect(value, list, what):
-        if isinstance(x, (list, dict)):
-            raise LogcavityError(f"{what} must hold element labels, got {_shown(x)}")
+        if not _is_label(x):
+            raise LogcavityError(
+                f"{what} must hold strings or integers as labels, got {_shown(x)}"
+            )
     return value
 
 
@@ -224,7 +232,8 @@ class QMatrix:
         r = _expect(obj["rows"], int, "matrix 'rows'")
         c = _expect(obj["cols"], int, "matrix 'cols'")
         if r < 0 or c < 0:
-            raise LogcavityError(f"a matrix needs sizes of at least 0, got {r}x{c}")
+            shown = f"{_shown(r)}x{_shown(c)}"
+            raise LogcavityError(f"a matrix needs sizes of at least 0, got {shown}")
         entries = _expect(obj["entries"], list, "matrix 'entries'")
         flat = []
         for x in entries:
@@ -235,7 +244,8 @@ class QMatrix:
                 raise LogcavityError("matrix entries must be rationals like 3 or -1/2")
         if len(flat) != r * c:
             raise LogcavityError(
-                f"a {r}x{c} matrix needs {r * c} entries, got {len(flat)}"
+                f"a {_shown(r)}x{_shown(c)} matrix needs {_shown(r * c)} entries, "
+                f"got {len(flat)}"
             )
         return QMatrix((flat[i * c : (i + 1) * c] for i in range(r)), c)
 
@@ -503,7 +513,8 @@ class Graph(Record):
 
     def __init__(self, vertices, edges):
         if vertices < 0:
-            raise LogcavityError(f"a graph needs at least 0 vertices, got {vertices}")
+            shown = _shown(vertices)
+            raise LogcavityError(f"a graph needs at least 0 vertices, got {shown}")
         edges = tuple((int(u), int(v)) for u, v in edges)
         for u, v in edges:
             if not (0 <= u < vertices and 0 <= v < vertices):

@@ -204,7 +204,8 @@ class Matroid:
     @staticmethod
     def uniform(k, n):
         if not 0 <= k <= n:
-            raise LogcavityError(f"uniform matroid needs 0 <= k <= n, got k={k}, n={n}")
+            shown = f"k={_shown(k)}, n={_shown(n)}"
+            raise LogcavityError(f"uniform matroid needs 0 <= k <= n, got {shown}")
         if n > DEFAULT_ELEMENT_CAP:
             raise TooLarge(f"ground set larger than {DEFAULT_ELEMENT_CAP}")
         return Matroid(tuple(range(n)), _subsets(range(n), k, lambda c: True))

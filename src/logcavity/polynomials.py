@@ -215,7 +215,8 @@ class MPoly:
             terms[tuple(exp)] = terms.get(tuple(exp), 0) + c
         nvars = _expect(obj["nvars"], int, "polynomial 'nvars'")
         if nvars < 0:
-            raise LogcavityError(f"a polynomial needs 0 or more variables, got {nvars}")
+            shown = _shown(nvars)
+            raise LogcavityError(f"a polynomial needs 0 or more variables, got {shown}")
         return MPoly(nvars, terms)
 
 

@@ -58,13 +58,13 @@ class Poset:
             for i in range(n):
                 if up[i] >> k & 1:
                     up[i] |= up[k]
-        for i in range(n):
-            for j in range(i + 1, n):
-                if up[i] >> j & 1 and up[j] >> i & 1:
-                    raise LogcavityError(
-                        f"antisymmetry fails: {_shown(labels[i])} and "
-                        f"{_shown(labels[j])} are in a relation cycle"
-                    )
+        first = {}  # i <= j <= i iff up[i] == up[j]: a cycle repeats a mask
+        for i, j in sorted((first.setdefault(mask, j), j) for j, mask in enumerate(up)):
+            if i != j:  # the least element on a cycle, with its least partner
+                raise LogcavityError(
+                    f"antisymmetry fails: {_shown(labels[i])} and "
+                    f"{_shown(labels[j])} are in a relation cycle"
+                )
         return Poset(labels, up)
 
     def index(self, label):
@@ -143,18 +143,6 @@ class Poset:
         """e(P); raises TooLarge iff e(P) > cap (never for the empty poset)."""
         return self._ideals(cap).count
 
-    def add_relation(self, a, b):
-        """New poset with a <= b adjoined: z1 <= z2 iff z1 <= z2 already, or
-        z1 <= a and b <= z2."""
-        i, j = self.index(a), self.index(b)
-        if self.up[j] >> i & 1:
-            raise LogcavityError(f"adding {a!r} <= {b!r} would break antisymmetry")
-        up = list(self.up)
-        for k in range(self.n):
-            if up[k] >> i & 1:
-                up[k] |= self.up[j]
-        return Poset(self.labels, up)
-
     def to_json(self):
         rels = [
             [self.labels[i], self.labels[j]] for i, j in self.covers()
@@ -177,7 +165,7 @@ class Poset:
 
 def _cap_exceeded(cap):
     return TooLarge(
-        f"extension count exceeds cap {cap} (raise it with --cap-extensions)"
+        f"extension count exceeds cap {_shown(cap)} (raise it with --cap-extensions)"
     )
 
 
@@ -273,12 +261,9 @@ class _IdealLattice:
 
 
 def _fresh_label(base, existing):
-    if base not in existing:
-        return base
-    k = 0
-    while f"{base}{k}" in existing:
-        k += 1
-    return f"{base}{k}"
+    """The first of base, base0, base1, ... that is not in existing."""
+    tried = [base] + [f"{base}{k}" for k in range(len(existing))]
+    return next(label for label in tried if label not in existing)
 
 
 class MarkedPoset(Record):
@@ -317,38 +302,61 @@ class _KahnSaks:
     some element strictly below x and strictly above y. The Kahn-Saks
     sequence is unchanged by either modification. The elements other than
     the marks fall into the regions of `RegionPartition`, kept as bitmasks.
-    """
+
+    Each per-k condition compares one of five minima with k, taken here on
+    the normalized poset of size n (n + 1 over no element, which passes as
+    `all` over nothing does): far_x and far_y of |(z, y)| over z < x and of
+    |(x, z)| over z > y, least_below of |P<z| over mid | mid_x, least_above
+    of |P>z| over mid | mid_y, least_pair of |(z, y)| + |(x, z')| over z <= z'
+    with z in mid_y and z' in mid_x."""
 
     def __init__(self, mp: MarkedPoset):
         p = mp.poset
-        if not p.leq(mp.x, mp.y):
-            p = p.add_relation(mp.x, mp.y)
-        self.base_n = p.n  # size before bound adjunction
-        full = (1 << p.n) - 1
         xi, yi = p.index(mp.x), p.index(mp.y)
-        mins = [i for i in range(p.n) if p.up[i] == full]
-        maxs = [i for i in range(p.n) if p.down[i] == full]
-        need_bot = not mins or mins[0] == xi
-        need_top = not maxs or maxs[0] == yi
-        if need_bot or need_top:
-            labels, up = list(p.labels), list(p.up)
-            if need_bot:  # index 0, below everything
-                labels.insert(0, _fresh_label("bot", labels))
-                up = [(2 << len(up)) - 1] + [mask << 1 for mask in up]
-            if need_top:  # last index, above everything
-                labels.append(_fresh_label("top", labels))
-                up = [mask | 1 << len(up) for mask in up] + [1 << len(up)]
+        # x <= y adjoined: each z <= x gains the up-set of y (none if x <= y)
+        up = [mask | p.up[yi] if mask >> xi & 1 else mask for mask in p.up]
+        labels = list(p.labels)
+        self.base_n = p.n  # size before bound adjunction
+        full = greatest = (1 << p.n) - 1
+        for mask in up:
+            greatest &= mask
+        need_bot = full not in up or up[xi] == full
+        need_top = greatest in (0, 1 << yi)
+        if need_bot:  # index 0, below everything
+            labels.insert(0, _fresh_label("bot", labels))
+            up = [(2 << len(up)) - 1] + [mask << 1 for mask in up]
+        if need_top:  # last index, above everything
+            labels.append(_fresh_label("top", labels))
+            up = [mask | 1 << len(up) for mask in up] + [1 << len(up)]
+        if up != list(p.up):  # a relation or a bound was adjoined
             p = Poset(labels, up)
-        self.poset = p
+        self.poset, n = p, p.n
         xi, yi = self.xi, self.yi = p.index(mp.x), p.index(mp.y)
         self.end_x = p.strict_down_mask(xi)
         self.end_y = p.strict_up_mask(yi)
-        rest = ((1 << p.n) - 1) & ~(self.end_x | self.end_y | 1 << xi | 1 << yi)
+        rest = ((1 << n) - 1) & ~(self.end_x | self.end_y | 1 << xi | 1 << yi)
         self.mid = rest & p.up[xi] & p.down[yi]
         self.mid_x = rest & p.up[xi] & ~p.down[yi]
         self.mid_y = rest & p.down[yi] & ~p.up[xi]
         self.loose = rest & ~p.up[xi] & ~p.down[yi]
         self._sequence = None
+
+        def least(counts):
+            return min(counts, default=n + 1)
+
+        to_y = [p.between_mask(z, yi).bit_count() for z in range(n)]  # |(z, y)|
+        from_x = [p.between_mask(xi, z).bit_count() for z in range(n)]  # |(x, z)|
+        below = [mask.bit_count() - 1 for mask in p.down]  # |P<z|
+        above = [mask.bit_count() - 1 for mask in p.up]  # |P>z|
+        self.far_x = least(to_y[z] for z in _bits(self.end_x))
+        self.far_y = least(from_x[z] for z in _bits(self.end_y))
+        self.least_below = least(below[z] for z in _bits(self.mid | self.mid_x))
+        self.least_above = least(above[z] for z in _bits(self.mid | self.mid_y))
+        self.least_pair = least(
+            to_y[z] + from_x[zp]
+            for z in _bits(self.mid_y)
+            for zp in _bits(p.up[z] & self.mid_x)
+        )
 
     def sequence(self, cap):
         """(N_1, ..., N_{base_n - 1}): N_k counts the extensions of the normalized
@@ -442,32 +450,16 @@ def region_partition(mp: MarkedPoset) -> RegionPartition:
     )
 
 
-def _ends_far(ks, k):
-    """Whether every z < x has more than k elements strictly between z and y,
-    and every z > y more than k strictly between x and z."""
-    p = ks.poset
-    return (
-        all(p.between_mask(z, ks.yi).bit_count() > k for z in _bits(ks.end_x)),
-        all(p.between_mask(ks.xi, z).bit_count() > k for z in _bits(ks.end_y)),
-    )
-
-
 def midway_check(mp: MarkedPoset, k):
     """Evaluate the k-midway and dual k-midway properties on the normalized poset.
 
     Returns {"midway": bool, "dual_midway": bool}."""
     ks = mp._ks
-    p, n = ks.poset, ks.poset.n
-    far_x, far_y = _ends_far(ks, k)
-    midway = far_x and all(
-        p.strict_down_mask(z).bit_count() + ks.end_y.bit_count() > n - k
-        for z in _bits(ks.mid | ks.mid_x)
-    )
-    dual = far_y and all(
-        p.strict_up_mask(z).bit_count() + ks.end_x.bit_count() > n - k
-        for z in _bits(ks.mid | ks.mid_y)
-    )
-    return {"midway": midway, "dual_midway": dual}
+    n = ks.poset.n
+    return {
+        "midway": ks.far_x > k and ks.least_below + ks.end_y.bit_count() > n - k,
+        "dual_midway": ks.far_y > k and ks.least_above + ks.end_x.bit_count() > n - k,
+    }
 
 
 class KahnSaksExtremalVerdict(Record):
@@ -491,17 +483,10 @@ def kahn_saks_extremal_classify(
     elif nxt == 2 * nk and nk == 2 * prev:
         ratio = 2
 
-    p = ks.poset
-    cond1 = all(_ends_far(ks, k))
+    cond1 = ks.far_x > k and ks.far_y > k
     cond2 = ks.loose == 0
     cond3 = ks.mid == 0
-    cond4 = all(
-        p.between_mask(z, ks.yi).bit_count() + p.between_mask(ks.xi, zp).bit_count()
-        >= k - 1
-        for z in _bits(ks.mid_y)
-        for zp in _bits(ks.mid_x)
-        if p.up[z] >> zp & 1
-    )
+    cond4 = ks.least_pair >= k - 1
     return KahnSaksExtremalVerdict(equality, ratio, (cond1, cond2, cond3, cond4))
 
 

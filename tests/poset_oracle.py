@@ -1,12 +1,17 @@
 """Linear-extension enumeration routines, used only as test oracles.
 
-Each routine but the first four lists the extensions with
-`Poset.extensions` and returns exactly what the public entry point of the
-same name in `logcavity.posets` returns (`stanley_chain_counts` at two
-consecutive ranks what the lattice's `adjacent_count` returns); the library
-computes the same statistics by dynamic programming over order ideals
-instead. `antichain`, `chain`, `has_bounds` and `normalize` build and
-inspect the posets the tests use.
+Each routine from `count_extensions` to `extension_extremes` lists the
+extensions with `Poset.extensions` and returns exactly what the public
+entry point of the same name in `logcavity.posets` returns
+(`stanley_chain_counts` at two consecutive ranks what the lattice's
+`adjacent_count` returns); the library computes the same statistics by
+dynamic programming over order ideals instead. `antichain`, `chain`,
+`has_bounds` and `normalize` build and inspect the posets the tests use.
+
+The routines after them are the scans that the library replaced by
+statistics taken once per instance: `cycle_pair` tests every pair of
+elements for a cycle, and `midway_check` and `ratio_two_conditions` rescan
+the regions of the normalized poset for each k.
 """
 
 from logcavity.posets import DEFAULT_EXTENSION_CAP, MarkedPoset, Poset
@@ -118,3 +123,60 @@ def extension_extremes(mp, cap=DEFAULT_EXTENSION_CAP):
         "narrow_target": bin(p.between_mask(xi, yi)).count("1") + 1,
         "wide_exists": wide,
     }
+
+
+def cycle_pair(up):
+    """(i, j), i < j, for the least i on a cycle of the closed up-set masks
+    and its least partner j, by a test of every pair; None if the masks are
+    antisymmetric. The antisymmetry error names these two elements."""
+    n = len(up)
+    for i in range(n):
+        for j in range(i + 1, n):
+            if up[i] >> j & 1 and up[j] >> i & 1:
+                return i, j
+    return None
+
+
+def _members(mask):
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
+def ends_far(ks, k):
+    """Whether every z < x has more than k elements strictly between z and y,
+    and every z > y more than k strictly between x and z."""
+    p = ks.poset
+    return (
+        all(p.between_mask(z, ks.yi).bit_count() > k for z in _members(ks.end_x)),
+        all(p.between_mask(ks.xi, z).bit_count() > k for z in _members(ks.end_y)),
+    )
+
+
+def midway_check(mp, k):
+    """The k-midway and dual k-midway properties, by a scan of the regions."""
+    ks = mp._ks
+    p, n = ks.poset, ks.poset.n
+    far_x, far_y = ends_far(ks, k)
+    midway = far_x and all(
+        p.strict_down_mask(z).bit_count() + ks.end_y.bit_count() > n - k
+        for z in _members(ks.mid | ks.mid_x)
+    )
+    dual = far_y and all(
+        p.strict_up_mask(z).bit_count() + ks.end_x.bit_count() > n - k
+        for z in _members(ks.mid | ks.mid_y)
+    )
+    return {"midway": midway, "dual_midway": dual}
+
+
+def ratio_two_conditions(mp, k):
+    """The four conditions of `kahn_saks_extremal_classify`, condition 4 by a
+    scan of every pair z <= z' with z in mid_y and z' in mid_x."""
+    ks = mp._ks
+    p = ks.poset
+    cond4 = all(
+        p.between_mask(z, ks.yi).bit_count() + p.between_mask(ks.xi, zp).bit_count()
+        >= k - 1
+        for z in _members(ks.mid_y)
+        for zp in _members(ks.mid_x)
+        if p.up[z] >> zp & 1
+    )
+    return (all(ends_far(ks, k)), ks.loose == 0, ks.mid == 0, cond4)

@@ -1221,6 +1221,67 @@ class TestInputsReadAsWritten:
         message = "matrix entries must be rationals like 3 or -1/2"
         assert captured.err == f"error: {message}\n"
 
+    @pytest.mark.parametrize(
+        "command, payload, message",
+        [
+            (
+                "kahnsaks",  # True == 1, so x would be element 1
+                {"elements": [0, 1, 2], "relations": [[0, 1]], "x": True, "y": 2},
+                "poset mark 'x' must be an element label, got True",
+            ),
+            (
+                "kahnsaks",
+                {"elements": [0, 1, 2], "relations": [], "x": 0, "y": 2.0},
+                "poset mark 'y' must be an element label, got 2.0",
+            ),
+            (
+                "kahnsaks",  # a null mark is there, not missing
+                {"elements": [0, 1], "x": None, "y": 1},
+                "poset mark 'x' must be an element label, got None",
+            ),
+            (
+                "matroid",  # 1.0 == True == 1, so these would be U(2,3)
+                {"ground": [0, 1, 2], "bases": [[1.0, 2], [0, 2], [True, 0]]},
+                "a basis must hold strings or integers as labels, got 1.0",
+            ),
+            (
+                "poset",
+                {"elements": [2, None, "a"], "relations": []},
+                "poset 'elements' must hold strings or integers as labels, got None",
+            ),
+            (
+                "poset",
+                {"elements": [0, 1], "relations": [[0, 1.0]]},
+                "a poset relation must hold strings or integers as labels, got 1.0",
+            ),
+            (
+                "matroid",
+                {
+                    "type": "linear",
+                    "ground": ["a", False],
+                    "matrix": {"rows": 1, "cols": 2, "entries": [1, 1]},
+                },
+                "matroid 'ground' must hold strings or integers as labels, got False",
+            ),
+        ],
+        ids=[
+            *("mark-true", "mark-decimal", "mark-null"),
+            *("basis", "element", "relation", "ground"),
+        ],
+    )
+    def test_labels_are_strings_or_integers(
+        self, capsys, tmp_path, command, payload, message
+    ):
+        # a JSON true, false, decimal or null is no label: Python takes True,
+        # 1.0 and 1 for one dict key
+        path = tmp_path / "labels.json"
+        path.write_text(json.dumps(payload))
+        flag = "--poset" if "elements" in payload else "--matroid"
+        assert main([command, flag, str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
 
 # Python's int-from-text digit limit, which Pythons before 3.10.7 lack (0)
 LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
@@ -1356,6 +1417,10 @@ class TestNoDigitLimit:
 LONG = "w" * 5000  # a long input value, which an error echoes cut short
 BIG = int("9" * 4000)  # a JSON integer within the digit limit
 LONG_GROUND = {"type": "bases", "ground": [LONG, 1], "bases": [[LONG], [1]]}
+BIG_SIZE = {"rows": BIG, "cols": 1, "entries": []}
+NEGATIVE_SIZE = {"rows": 1, "cols": -BIG, "entries": []}
+PATH3 = {"vertices": 3, "edges": [[0, 1], [1, 2]]}
+MARKED3 = {"elements": [0, 1, 2], "relations": [], "x": 0, "y": 1}
 
 
 class TestEchoBound:
@@ -1391,6 +1456,16 @@ class TestEchoBound:
             (["kahnsaks", "--poset"], {"elements": ["a"], "x": [LONG], "y": "a"}),
             (["discriminant", "--tuple"], {"mats": [{"matrix": I2, "mult": LONG}]}),
             (["discriminant", "--tuple"], {"mats": [{"matrix": {"rows": LONG}}]}),
+            # integers: sizes, counts, degrees and caps
+            (["matroid", "--matroid"], {"type": "linear", "matrix": BIG_SIZE}),
+            (["matroid", "--matroid"], {"type": "linear", "matrix": NEGATIVE_SIZE}),
+            (["matroid", "--graph"], {"vertices": -BIG, "edges": []}),
+            (["matroid", "--matroid"], {"type": "uniform", "k": BIG, "n": 2}),
+            (["matroid", "--matroid"], {"type": "uniform", "k": 1, "n": -BIG}),
+            (["lorentzian", "--poly"], {"nvars": -BIG, "terms": []}),
+            (["hodge", "--k", str(-BIG), "--graph"], PATH3),
+            (["matroid", "--cap-elements", str(-BIG), "--graph"], PATH3),
+            (["kahnsaks", "--cap-extensions", str(-BIG), "--poset"], MARKED3),
         ],
     )
     def test_one_short_error_line(self, capsys, tmp_path, argv, payload):
@@ -1400,6 +1475,13 @@ class TestEchoBound:
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("error: ")
         assert captured.err.count("\n") == 1 and len(captured.err) < 200
+
+    def test_a_degree_outside_the_rank(self):
+        # `graded_evaluation` checks its own degree; the CLI checks --k first
+        m = Matroid.graphic(Graph(3, [(0, 1), (1, 2)]))
+        with pytest.raises(LogcavityError) as raised:
+            hodge.graded_evaluation(m, -BIG)
+        assert len(str(raised.value)) < 200
 
 
 class TestProbeClones:

@@ -82,12 +82,14 @@ class TestPosetBasics:
     @given(relation_lists())
     @example((4, [(0, 2), (2, 1), (1, 3)]))  # a row pass in order misses 0 < 3
     @example((3, [(0, 1), (1, 2), (2, 0)]))
+    @example((6, [(1, 2), (2, 1), (0, 5), (5, 0), (0, 3), (3, 0)]))  # names 0 and 3
     def test_closure_matches_reachability(self, case):
         n, relations = case
         reach = reachable(n, relations)
-        pairs = [(i, j) for i in range(n) for j in range(i)]
-        if any(reach[i] >> j & 1 and reach[j] >> i & 1 for i, j in pairs):
-            with pytest.raises(LogcavityError, match="antisymmetry fails"):
+        # the message names the pair that a test of every pair finds first
+        if cycle := oracle.cycle_pair(reach):
+            message = "antisymmetry fails: {} and {} are in a relation cycle"
+            with pytest.raises(LogcavityError, match=message.format(*cycle)):
                 Poset.from_relations(range(n), relations)
             return
         p = Poset.from_relations(range(n), relations)
@@ -401,6 +403,71 @@ class TestExtremalClassify:
                 )
                 assert ratio_two == all(v.ratio_two_conditions)
                 checked += 1
+
+
+@st.composite
+def marked_posets(draw):
+    """A marked poset on up to 8 elements whose labels may already be "bot"
+    or "top", with any marks x, y where y is not below x: incomparable, the
+    poset's extremes, or neither."""
+    n = draw(st.integers(2, 8))
+    pool = ["bot", "top", "bot0"] + [f"e{i}" for i in range(n)]
+    labels = draw(st.permutations(pool))[:n]
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True))
+    p = Poset.from_relations(labels, [(labels[i], labels[j]) for i, j in chosen])
+    marks = [(a, b) for a in labels for b in labels if a != b and not p.lt(b, a)]
+    return MarkedPoset(p, *draw(st.sampled_from(marks)))
+
+
+class TestInstanceStatistics:
+    """Each per-k condition, read off the five minima the normalization takes
+    once, against a scan of the regions for that k."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(marked_posets())
+    @example(MarkedPoset(ANTI3, "x", "y"))  # incomparable marks: x <= y adjoined
+    @example(MarkedPoset(chain("xmy"), "x", "y"))  # x least and y greatest
+    @example(MarkedPoset(antichain(["bot", "x", "y"]), "x", "y"))  # a "bot" already
+    @example(  # mid_x and mid_y are empty, mid is not
+        MarkedPoset(Poset.from_relations("bxmyt", zip("bxmy", "xmyt")), "x", "y")
+    )
+    @example(  # mid_y holds w and mid_x holds v, with w < v
+        MarkedPoset(
+            Poset.from_relations("bxywvt", [*zip("bbwxyv", "xwvvtt"), ("w", "y")]),
+            "x",
+            "y",
+        )
+    )
+    def test_matches_the_region_scans(self, mp):
+        # the normalized order: x <= y adjoined, closed, and bounds that are
+        # not the marks
+        p, ks = mp.poset, mp._ks
+        for a in p.labels:
+            for b in p.labels:
+                joined = p.leq(a, mp.x) and p.leq(mp.y, b)
+                assert ks.poset.leq(a, b) == (p.leq(a, b) or joined)
+        assert has_bounds(ks.poset) and ks.end_x and ks.end_y
+        seq = kahn_saks_sequence(mp)
+        for k in range(mp._ks.poset.n + 3):
+            assert midway_check(mp, k) == oracle.midway_check(mp, k)
+            if 1 <= k <= len(seq) and seq[k - 1]:
+                conditions = kahn_saks_extremal_classify(mp, k).ratio_two_conditions
+                assert conditions == oracle.ratio_two_conditions(mp, k)
+            else:
+                with pytest.raises(LogcavityError, match="no Kahn-Saks equality case"):
+                    kahn_saks_extremal_classify(mp, k)
+
+    def test_normalized_labels(self):
+        ks = MarkedPoset(antichain(["bot", "x", "y"]), "x", "y")._ks
+        assert ks.poset.labels == ("bot0", "bot", "x", "y", "top")
+        assert ks.poset.leq("bot0", "top") and ks.poset.lt("x", "y")
+        # x least and y greatest: both bounds are adjoined, no relation is
+        ks = MarkedPoset(chain("xmy"), "x", "y")._ks
+        assert ks.poset.labels == ("bot", "x", "m", "y", "top")
+        # bounds that are not marks are kept, and the input poset is reused
+        mp = MarkedPoset(chain("bxyt"), "x", "y")
+        assert mp._ks.poset is mp.poset
 
 
 class TestExtremes:
