@@ -16,9 +16,11 @@ fails in degree 3 with 7 coefficients, a probe of a graph with a loop and
 a parallel pair, `hodge --k 0`, points with zeros, a basis family that
 fails exchange, a tuple of singular PSD matrices whose subset sums meet
 zero pivots, a tuple with a repeated indefinite matrix and fractional
-entries, and `kahnsaks` on each branch of the normalization: incomparable
+entries, `kahnsaks` on each branch of the normalization: incomparable
 marks, x the least and y the greatest element, and elements already
-labelled "bot" and "top"). It prints one JSON object,
+labelled "bot" and "top"; `matroid` and `hodge --k 1` on a linear matroid
+with fractional and unreduced entries, and a tuple X, Y = (3/2)X and a PSD
+fixed matrix, an Alexandrov equality with a fractional lambda). It prints one JSON object,
 {"<workload>/<seed>/<op id>": [exit code, sha256 of the report]}, where
 the digest is null for an operation that wrote no report. Two checkouts
 give the same answers on the batches iff they print the same object.
@@ -81,6 +83,15 @@ def fixed_ops():
     x = matrix([["1/2", "2", "0"], ["2", "-1", "-3/4"], ["0", "-3/4", "3"]])
     p = matrix([[2, 1, 0], [1, 2, 0], [0, 0, 1]])
     indefinite = {"mats": [{"matrix": x, "mult": 2}, {"matrix": p}]}
+    # a 3 x 5 linear matroid over denominators 2, 3 and 4; columns 0 and 4
+    # are parallel only once "2/4" reads as 1/2
+    halves = ["1/2", "0", "1", "-2/3", "2/4", "0", "1", "2/4", "1/3", "0"]
+    halves += ["1", "-2/3", "0", "1", "1"]
+    fractional = {"type": "linear", "matrix": {"rows": 3, "cols": 5, "entries": halves}}
+    # X positive definite with fractions and Y = (3/2) X: equality, lambda 3/2
+    x = matrix([[2, "1/2", 0], ["1/2", 1, 0], [0, 0, "1/3"]])
+    y = matrix([[3, "3/4", 0], ["3/4", "3/2", 0], [0, 0, "1/2"]])
+    proportional = {"mats": [{"matrix": x}, {"matrix": y}, {"matrix": p}]}
     ops = [
         ("matroid", {"--graph": k4}, ["--format", "csv"]),
         ("hodge", {"--graph": k23}, ["--k", "2", "--format", "csv"]),
@@ -102,6 +113,9 @@ def fixed_ops():
         ("kahnsaks", loose, []),
         ("kahnsaks", extreme, []),
         ("kahnsaks", named, ["--format", "csv"]),
+        ("matroid", {"--matroid": fractional}, []),
+        ("hodge", {"--matroid": fractional}, ["--k", "1"]),
+        ("discriminant", {"--tuple": proportional}, []),
     ]
     return [
         {"id": f"fixed-{i}", "cmd": cmd, "files": files, "args": args}

@@ -46,6 +46,7 @@ from .discriminants import (
 )
 from .hodge import (
     GorensteinRing,
+    _check_degree,
     _point,
     _verdicts,
     annihilator_containment_probe,
@@ -399,7 +400,7 @@ def cmd_stanley(args):
     tally = None
     if graph and not graph.has_loop:
         ri = reduced_incidence_matrix(graph)
-        cols = [ri.column(j) for j in range(ri.cols)]
+        cols = list(zip(*ri.ints))  # d = 1: the columns of an incidence matrix
         t_r, t_q = ([cols[m._index[e]] for e in s] for s in (r_labels, q_labels))
         tally, scale = _transversal_sums([(t_r, r), (t_q, r)], r)
     for k in range(r + 1):
@@ -494,27 +495,24 @@ def cmd_discriminant(args):
 def cmd_hodge(args):
     m = _load_matroid(args)
     k = args.k if args.k is not None else 1
+    _check_degree(m, k)
     point = _parse_point(getattr(args, "point", None), m.n)
     dims = graded_dims(m)
     results = {"graded_dims": dims, "k": k}
     violations = []
-    if 2 * k <= m.rank:
-        count, iner = mobius_pairing(m, k)
-        results["mobius_pairing"] = {
-            "flats": count,
-            "inertia": iner.as_tuple(),
-        }
-        # one pair of inertias gives In(Q^k), and HL and HRR where f > 0
-        ring, at = GorensteinRing.of(m), _point(m, point)
-        block, bordered = ring.hr_inertia(k, at)
-        results["hr_form_inertia"] = block.as_tuple()
-        if ring.value(at) > 0:
-            results["hl"], results["hrr"] = _verdicts(block, bordered)
-            if k == 1 and all(x > 0 for x in point) and not results["hrr"]:
-                violations.append("HRR_1 failed at a strictly positive point")
-        # for S = [] the rank bound reads k < rank; under it the check holds
-        if k < m.rank:
-            results["socle_trivial"] = socle_check(m, k, [])
+    count, iner = mobius_pairing(m, k)
+    results["mobius_pairing"] = {"flats": count, "inertia": iner.as_tuple()}
+    # one pair of inertias gives In(Q^k), and HL and HRR where f > 0
+    ring, at = GorensteinRing.of(m), _point(m, point)
+    block, bordered = ring.hr_inertia(k, at)
+    results["hr_form_inertia"] = block.as_tuple()
+    if ring.value(at) > 0:
+        results["hl"], results["hrr"] = _verdicts(block, bordered)
+        if k == 1 and all(x > 0 for x in point) and not results["hrr"]:
+            violations.append("HRR_1 failed at a strictly positive point")
+    # for S = [] the rank bound reads k < rank; under it the check holds
+    if k < m.rank:
+        results["socle_trivial"] = socle_check(m, k, [])
     return RunReport(
         "hodge",
         {"matroid": m.to_json(), "k": k, "point": [str(x) for x in point]},
@@ -693,6 +691,9 @@ def main(argv=None) -> int:
         # which is the theorem-failure code here
         return 0 if e.code in (0, None) else 1
     try:
+        for flag in ("cap_elements", "cap_extensions"):
+            if getattr(args, flag, 0) < 0:
+                raise LogcavityError(f"--{flag.replace('_', '-')} must be 0 or more")
         # by name at call time: the cached parser pins no cmd_* function
         return _emit(globals()["cmd_" + args.command](args), args)
     except LogcavityError as e:

@@ -7,7 +7,7 @@ from fractions import Fraction
 from itertools import islice, permutations, product
 
 from .errors import LogcavityError
-from .linalg import QMatrix, Record, _scaled, det, integer_dets, integer_inertia
+from .linalg import QMatrix, Record, _common_scaled, det, integer_dets, integer_inertia
 from .polynomials import polarization_sum
 
 
@@ -32,24 +32,22 @@ _BATCH = 256  # members per `integer_dets` call, which holds all their entries
 class SubsetSumTable:
     """The mixed discriminants of a tuple of n x n matrices, by position, each
     once, from det(sum j_i A_i) over its distinct A_i, each sum once, in ints:
-    all entries are scaled by one d, and matrices told apart by their ints."""
+    the distinct matrices are scaled by one d, and kept as flat int rows."""
 
     def __init__(self, mats):
         self.mats, self.n = list(mats), mats[0].rows
-        self.d, flats = _scaled([x for row in a.m for x in row] for a in mats)
-        distinct = {}  # each flat row-major tuple of scaled entries: its index
-        self.where = [distinct.setdefault(tuple(f), len(distinct)) for f in flats]
-        self.flats = list(distinct)
+        distinct = {}  # each distinct matrix: its index
+        self.where = [distinct.setdefault(a, len(distinct)) for a in mats]
+        self.d, self.flats = _common_scaled(distinct)
         self.dets, self.values, self.psds = {(): 0}, {}, {}  # () is the zero sum
 
     def psd(self, p):
         """Whether the matrix at position p is symmetric and PSD, read once
-        off its scaled rows (d > 0 keeps inertia)."""
-        i, n = self.where[p], self.n
+        per distinct matrix off its ints (d > 0 keeps inertia)."""
+        a, i = self.mats[p], self.where[p]
         if i not in self.psds:
-            rows = [self.flats[i][r * n : r * n + n] for r in range(n)]
-            symmetric = self.mats[p].is_symmetric
-            self.psds[i] = symmetric and integer_inertia(rows, n)[1].n_neg == 0
+            symmetric = a.is_symmetric
+            self.psds[i] = symmetric and integer_inertia(a.ints, a.rows)[1].n_neg == 0
         return self.psds[i]
 
     def discriminant(self, positions) -> Fraction:
@@ -107,8 +105,8 @@ def mixed_discriminant_perm(mats) -> Fraction:
 def mixed_discriminant_gram(factors) -> Fraction:
     """(1/n!) sum over column choices of squared determinants: each factor
     X_k is a QMatrix with n rows, and the value equals the permutation-formula
-    discriminant of the X_k X_k^T. All columns are scaled to ints by one d, so
-    a pick's determinant (of its columns as rows) is an int times d^n."""
+    discriminant of the X_k X_k^T. All factors are scaled to ints by one d,
+    so a pick's determinant (of its columns as rows) is an int times d^n."""
     if not factors:
         raise LogcavityError("the Gram route needs at least one factor")
     n = factors[0].rows
@@ -118,9 +116,8 @@ def mixed_discriminant_gram(factors) -> Fraction:
         raise LogcavityError(
             f"the Gram route needs {n} factors of {n} rows, got {len(factors)}"
         )
-    d, scaled = _scaled(c for f in factors for c in zip(*f.m))
-    cols = iter(scaled)
-    columns = [[next(cols) for _ in range(f.cols)] for f in factors]
+    d, flats = _common_scaled(factors)
+    columns = [[f[j :: a.cols] for j in range(a.cols)] for f, a in zip(flats, factors)]
     picks = ([x for col in pick for x in col] for pick in product(*columns))
     batches = iter(lambda: integer_dets(list(islice(picks, _BATCH)), n), [])
     total = sum(v * v for dets in batches for v in dets)

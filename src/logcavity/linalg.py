@@ -1,9 +1,10 @@
 """Exact rational matrices: determinants, inertia, kernels, graph Laplacians.
 
-Entries are fractions.Fraction; nothing here touches floating point. Every
-elimination scales its rows by one common multiplier (`_scaled`) and runs one
-fraction-free integer (Bareiss) update, applied lazily: a row is rescaled
-only when it has a nonzero in the pivot column or must hold its eager value.
+A QMatrix is one denominator d and the integer rows ints, the matrix times
+d, which `_scaled` computes once; nothing here touches floating point. Every
+elimination runs one fraction-free (Bareiss) update on such int rows, lazily:
+a row is rescaled only when it has a nonzero in the pivot column or must
+hold its eager value.
 """
 
 import math
@@ -132,22 +133,24 @@ class Record:
 
 
 class QMatrix:
-    """Immutable dense matrix with Fraction entries, row-major."""
+    """Immutable dense rational matrix, row-major: ints is the matrix times d,
+    the lcm of its entries' reduced denominators (1 for an integer matrix),
+    so the pair (d, ints) is canonical; m holds the entries as Fractions."""
 
-    __slots__ = ("m", "rows", "cols", "_hash")
+    __slots__ = ("d", "ints", "rows", "cols")
 
     def __init__(self, rows_of_entries, cols=0):
         """cols is the width of a matrix with no rows; the rows set it otherwise."""
-        m = tuple(tuple(_q(x) for x in row) for row in rows_of_entries)
-        if m:
-            cols = len(m[0])
-            if any(len(r) != cols for r in m):
+        rows = ((x if type(x) is int else _q(x) for x in r) for r in rows_of_entries)
+        d, ints = _scaled(rows)
+        if ints:
+            cols = len(ints[0])
+            if any(len(r) != cols for r in ints):
                 raise LogcavityError("matrix rows have unequal lengths")
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "rows", len(m))
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "ints", tuple(map(tuple, ints)))
+        object.__setattr__(self, "rows", len(ints))
         object.__setattr__(self, "cols", cols)
-        # hash(self.m), computed on first use: it hashes every Fraction
-        object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, *a):
         raise AttributeError("QMatrix is immutable")
@@ -155,13 +158,18 @@ class QMatrix:
     def __getitem__(self, i):
         return self.m[i]
 
+    @property
+    def m(self):
+        """The entries as rows of Fractions, each ints entry over d."""
+        return tuple(tuple(Fraction(x, self.d) for x in row) for row in self.ints)
+
     def __eq__(self, other):
-        return isinstance(other, QMatrix) and self.m == other.m
+        if not isinstance(other, QMatrix):
+            return False
+        return (self.d, self.ints) == (other.d, other.ints)
 
     def __hash__(self):
-        if self._hash is None:
-            object.__setattr__(self, "_hash", hash(self.m))
-        return self._hash
+        return hash((self.d, self.ints))
 
     def __repr__(self):
         return "QMatrix(%s)" % "; ".join(" ".join(str(x) for x in r) for r in self.m)
@@ -172,8 +180,9 @@ class QMatrix:
 
     @property
     def is_symmetric(self):
+        a = self.ints
         return self.is_square and all(
-            self.m[i][j] == self.m[j][i] for i in range(self.rows) for j in range(i)
+            a[i][j] == a[j][i] for i in range(self.rows) for j in range(i)
         )
 
     @property
@@ -208,16 +217,8 @@ class QMatrix:
         s = _q(s)
         return QMatrix([x * s for x in row] for row in self.m)
 
-    def submatrix(self, row_idx, col_idx):
-        rows = ([self.m[i][j] for j in col_idx] for i in row_idx)
-        return QMatrix(rows, len(col_idx))
-
     def column(self, j):
-        return tuple(row[j] for row in self.m)
-
-    @staticmethod
-    def zero(rows, cols):
-        return QMatrix(([Fraction(0)] * cols for _ in range(rows)), cols)
+        return tuple(Fraction(row[j], self.d) for row in self.ints)
 
     def to_json(self):
         return {
@@ -270,6 +271,13 @@ def _scaled(rows):
     rows = [list(row) for row in rows]
     d = math.lcm(*[x.denominator for row in rows for x in row])
     return d, [[x.numerator * (d // x.denominator) for x in row] for row in rows]
+
+
+def _common_scaled(mats):
+    """(d, each matrix times d as a flat row-major int list): d is the lcm of
+    the matrices' denominators, so one multiplier serves them all."""
+    d = math.lcm(*[a.d for a in mats])
+    return d, [[x * (d // a.d) for row in a.ints for x in row] for a in mats]
 
 
 def _update(a, level, pivot_row, c, targets, lo):
@@ -412,8 +420,7 @@ def det(m: QMatrix) -> Fraction:
     over d^n."""
     if not m.is_square:
         raise LogcavityError("determinant requires a square matrix")
-    d, a = _scaled(m.m)
-    return Fraction(integer_det(a), d**m.rows)
+    return Fraction(integer_det(m.ints), m.d**m.rows)
 
 
 def integer_inertia(rows, lead):
@@ -481,28 +488,28 @@ def integer_inertia(rows, lead):
 
 
 def inertia(m: QMatrix) -> Inertia:
-    """Exact inertia: `integer_inertia` of the matrix times one common
-    multiplier, which keeps the integer copy symmetric and congruent."""
+    """Exact inertia: `integer_inertia` of ints, the matrix times one
+    positive d, which keeps the integer copy symmetric and congruent."""
     if not m.is_symmetric:
         raise LogcavityError("inertia requires a symmetric matrix")
-    return integer_inertia(_scaled(m.m)[1], m.rows)[1]
+    return integer_inertia(m.ints, m.rows)[1]
 
 
 def rank_of_matrix(m: QMatrix) -> int:
-    return len(_eliminate(_scaled(m.m)[1], m.cols)[0])
+    return len(_eliminate([list(row) for row in m.ints], m.cols)[0])
 
 
 def kernel_basis(m: QMatrix):
     """Basis of the right null space {v : m v = 0}, as tuples of Fractions:
     one `kernel_vector` per free column of the RREF, in column order."""
-    a, n = _scaled(m.m)[1], m.cols
+    a, n = [list(row) for row in m.ints], m.cols
     pivots = _eliminate(a, n)[0]
     return [kernel_vector(a, pivots, f, n) for f in range(n) if f not in pivots]
 
 
 def row_space_basis_indices(m: QMatrix):
     """Indices of a maximal independent set of rows, greedy in row order."""
-    return integer_row_basis(_scaled(m.m)[1])
+    return integer_row_basis(m.ints)
 
 
 class Graph(Record):
@@ -582,15 +589,10 @@ def incidence_matrix(graph: Graph) -> QMatrix:
     """Signed incidence matrix: +1 at the smaller endpoint, -1 at the larger."""
     if graph.has_loop:
         raise LogcavityError("incidence matrix requires a loopless graph")
-    n = graph.vertices
-    cols = []
-    for u, v in graph.edges:
-        lo, hi = (u, v) if u < v else (v, u)
-        col = [0] * n
-        col[lo] = 1
-        col[hi] = -1
-        cols.append(col)
-    return QMatrix(zip(*cols)) if cols else QMatrix.zero(n, 0)
+    rows = [[0] * len(graph.edges) for _ in range(graph.vertices)]
+    for j, (u, v) in enumerate(graph.edges):
+        rows[min(u, v)][j], rows[max(u, v)][j] = 1, -1
+    return QMatrix(rows, len(graph.edges))
 
 
 def reduced_incidence_matrix(graph: Graph) -> QMatrix:
@@ -601,7 +603,7 @@ def reduced_incidence_matrix(graph: Graph) -> QMatrix:
     touched = {v: i for i, v in enumerate(sorted({v for e in graph.edges for v in e}))}
     edges = [(touched[u], touched[v]) for u, v in graph.edges]
     b = incidence_matrix(Graph(len(touched), edges))
-    return b.submatrix(integer_row_basis(_scaled(b.m)[1]), range(b.cols))
+    return QMatrix([b.ints[i] for i in integer_row_basis(b.ints)], b.cols)
 
 
 def spanning_tree_count(graph: Graph) -> int:
@@ -611,6 +613,4 @@ def spanning_tree_count(graph: Graph) -> int:
     if not graph.is_connected():
         raise LogcavityError("spanning tree counting requires a connected graph")
     # ints, so d = 1; one vertex leaves a 0 x 0 reduced Laplacian, of det 1
-    lap = laplacian(graph)
-    reduced = lap.submatrix(range(lap.rows - 1), range(lap.cols - 1))
-    return integer_det(_scaled(reduced.m)[1])
+    return integer_det([row[:-1] for row in laplacian(graph).ints[:-1]])

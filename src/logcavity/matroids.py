@@ -17,7 +17,6 @@ from .linalg import (
     _expect,
     _json_labels,
     _label_index,
-    _scaled,
     _shown,
     integer_row_basis,
     rank_of_matrix,
@@ -247,7 +246,7 @@ class Matroid:
         if cols > DEFAULT_ELEMENT_CAP:
             raise TooLarge(f"more than {DEFAULT_ELEMENT_CAP} columns")
         r = rank_of_matrix(matrix)
-        vecs = list(zip(*_scaled(matrix.m)[1]))  # the columns
+        vecs = list(zip(*matrix.ints))  # the columns
         masks = _subsets(
             range(cols), r, lambda c: len(integer_row_basis([vecs[j] for j in c])) == r
         )

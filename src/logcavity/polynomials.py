@@ -63,10 +63,6 @@ class MPoly:
             bits.append(f"{c}*{mono}" if mono else str(c))
         return "MPoly(" + " + ".join(bits) + ")"
 
-    @staticmethod
-    def zero(nvars):
-        return MPoly(nvars, {})
-
     def is_zero(self):
         return not self.terms
 
@@ -157,9 +153,9 @@ class MPoly:
         return QMatrix(rows)
 
     def substitute_linear(self, a: QMatrix):
-        """f(Ay) in a.cols variables, in ints: A and the coefficients are
-        scaled by da and dc, the terms summed by their degree in each distinct
-        row of A (one linear form), and each sum expanded one form at a time.
+        """f(Ay) in a.cols variables, in ints: A is its ints over da, the
+        coefficients are scaled by dc, the terms summed by their degree in each
+        distinct row of A (one linear form), and each sum expanded one form at a time.
         A monomial k has its term's degree, so its coefficient is over dc da^|k|."""
         if a.rows != self.nvars:
             raise LogcavityError(
@@ -167,10 +163,10 @@ class MPoly:
                 f"got {a.rows}"
             )
         m = a.cols
-        da, rows = _scaled(a.m)
+        da = a.d
         dc, (coeffs,) = _scaled([self.terms.values()])
         forms = {}  # the distinct rows, and the one of each variable
-        form_of = [forms.setdefault(tuple(row), len(forms)) for row in rows]
+        form_of = [forms.setdefault(row, len(forms)) for row in a.ints]
         summed = Counter()
         for e, c in zip(self.terms, coeffs):
             k = [0] * len(forms)

@@ -123,7 +123,7 @@ def symbolic_det_coefficient(mats):
         ]
         for r in range(n)
     ]
-    total = MPoly.zero(m)
+    total = MPoly(m, {})
     for sigma in permutations(range(n)):
         inv = sum(
             1

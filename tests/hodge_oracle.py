@@ -185,7 +185,7 @@ def inverse_hessian_nonzero(m):
         grad = [contracted.partial(i).evaluate(point) for i in keep]
         x_e = MPoly(m.n, {tuple(int(i == idx) for i in range(m.n)): 1})
         deleted = f - x_e * contracted
-        sub = deleted.hessian_at(point).submatrix(keep, keep)
+        sub = linalg_oracle.submatrix(deleted.hessian_at(point), keep, keep)
         x = solve(sub, grad)
         value = 0 if x is None else sum(g * xi for g, xi in zip(grad, x))
         out.append((e, value != 0))

@@ -7,8 +7,9 @@ same name returns. `eager_eliminate` and `eager_inertia` are the eager
 Bareiss eliminations that rescale every row at every step; the lazy kernel
 must reproduce their pivots and pivot rows bit for bit. `full_row_inertia`
 is the lazy inertia on whole rows that `integer_inertia` runs on the upper
-triangle. `diagonal`, `identity` and `apply` build the diagonal matrices
-and matrix-vector products that the tests write by hand.
+triangle. `diagonal`, `identity`, `submatrix` and `apply` build the
+diagonal matrices, submatrices and matrix-vector products that the tests
+write by hand.
 """
 
 import math
@@ -27,6 +28,12 @@ def diagonal(entries):
 
 def identity(n):
     return diagonal([1] * n)
+
+
+def submatrix(m: QMatrix, row_idx, col_idx):
+    """The entries of m in the rows row_idx and the columns col_idx."""
+    entries = m.m
+    return QMatrix(([entries[i][j] for j in col_idx] for i in row_idx), len(col_idx))
 
 
 def apply(m: QMatrix, vector):

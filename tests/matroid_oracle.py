@@ -26,6 +26,7 @@ from itertools import combinations
 from hypothesis import strategies as st
 
 import linalg_oracle
+from linalg_oracle import submatrix
 from logcavity.linalg import Graph, QMatrix, _bits
 from logcavity.matroids import Matroid
 
@@ -98,7 +99,7 @@ def linear(matrix):
         [
             sum(1 << j for j in c)
             for c in combinations(range(matrix.cols), r)
-            if linalg_oracle.rank_of_matrix(matrix.submatrix(rows, c)) == r
+            if linalg_oracle.rank_of_matrix(submatrix(matrix, rows, c)) == r
         ],
     )
 

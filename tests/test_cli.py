@@ -573,6 +573,15 @@ class TestLorentzianCommand:
 
 
 class TestErrors:
+    @pytest.mark.parametrize("flag", ["--cap-elements", "--cap-extensions"])
+    def test_a_negative_cap_is_an_input_error(self, capsys, k23_file, witness_file, flag):
+        # a cap below 0 is not a limit a larger input could pass
+        argv = ["matroid", "--matroid", k23_file]
+        if flag == "--cap-extensions":
+            argv = ["kahnsaks", "--poset", witness_file]
+        assert main(argv + [flag, "-1"]) == 1
+        assert capsys.readouterr().err == f"error: {flag} must be 0 or more\n"
+
     def test_malformed_json(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{ not json")
@@ -1076,7 +1085,9 @@ class TestExitCodes:
                 ["stanley", "--R", split or str(m.ground[0])],
             ):
                 code = self.run(capsys, tmp_path, argv + ["--matroid", path])
-                assert code != 1, (name, argv)
+                # no degree k with 2k > rank: an input error
+                past = argv[0] == "hodge" and 2 * int(argv[2]) > m.rank
+                assert (code == 1) == past, (name, argv)
         for n in (2, 3):
             mats = [random_positive_definite(rng, n), random_psd_with_factor(rng, n)[0]]
             mats.append(mats[0] - mats[1].scale(2))  # often indefinite
@@ -1464,6 +1475,8 @@ class TestEchoBound:
             (["matroid", "--matroid"], {"type": "uniform", "k": 1, "n": -BIG}),
             (["lorentzian", "--poly"], {"nvars": -BIG, "terms": []}),
             (["hodge", "--k", str(-BIG), "--graph"], PATH3),
+            (["hodge", "--k", "5", "--graph"], PATH3),
+            (["hodge", "--k", str(BIG), "--graph"], PATH3),
             (["matroid", "--cap-elements", str(-BIG), "--graph"], PATH3),
             (["kahnsaks", "--cap-extensions", str(-BIG), "--poset"], MARKED3),
         ],

@@ -294,7 +294,7 @@ class TestPositivity:
             )
             mats = [random_positive_definite(rng, n) for _ in range(n - 1)]
             keep = [j for j in range(n) if j != i]
-            minors = [m.submatrix(keep, keep) for m in mats]
+            minors = [linalg_oracle.submatrix(m, keep, keep) for m in mats]
             assert mixed_discriminant_perm([e] + mats) == (
                 mixed_discriminant_perm(minors) / n
             )
