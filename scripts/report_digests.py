@@ -19,8 +19,10 @@ zero pivots, a tuple with a repeated indefinite matrix and fractional
 entries, `kahnsaks` on each branch of the normalization: incomparable
 marks, x the least and y the greatest element, and elements already
 labelled "bot" and "top"; `matroid` and `hodge --k 1` on a linear matroid
-with fractional and unreduced entries, and a tuple X, Y = (3/2)X and a PSD
-fixed matrix, an Alexandrov equality with a fractional lambda). It prints one JSON object,
+with fractional and unreduced entries, a tuple X, Y = (3/2)X and a PSD
+fixed matrix, an Alexandrov equality with a fractional lambda, and `stanley`
+on U(2, 3) with each element tripled, one clone in R, whose ratio condition
+holds, so the report checks the ratio step). It prints one JSON object,
 {"<workload>/<seed>/<op id>": [exit code, sha256 of the report]}, where
 the digest is null for an operation that wrote no report. Two checkouts
 give the same answers on the batches iff they print the same object.
@@ -92,6 +94,7 @@ def fixed_ops():
     x = matrix([[2, "1/2", 0], ["1/2", 1, 0], [0, 0, "1/3"]])
     y = matrix([[3, "3/4", 0], ["3/4", "3/2", 0], [0, 0, "1/2"]])
     proportional = {"mats": [{"matrix": x}, {"matrix": y}, {"matrix": p}]}
+    tripled = {"--matroid": zoo.tripled_u23().to_json()}
     ops = [
         ("matroid", {"--graph": k4}, ["--format", "csv"]),
         ("hodge", {"--graph": k23}, ["--k", "2", "--format", "csv"]),
@@ -116,6 +119,7 @@ def fixed_ops():
         ("matroid", {"--matroid": fractional}, []),
         ("hodge", {"--matroid": fractional}, ["--k", "1"]),
         ("discriminant", {"--tuple": proportional}, []),
+        ("stanley", tripled, ["--R", "0#0,1#0,2#0"]),  # ratio 1/2 steps N_k
     ]
     return [
         {"id": f"fixed-{i}", "cmd": cmd, "files": files, "args": args}

@@ -480,7 +480,7 @@ def cmd_discriminant(args):
         x, y, rest = mats[0], mats[1], range(2, len(mats))
         # the inequality's hypotheses: PSD fixed matrices, symmetric X and Y
         if all(map(table.psd, rest)) and x.is_symmetric and y.is_symmetric:
-            rep = alexandrov_check(x, y, mats[2:], table)
+            rep = alexandrov_check(table)
             results["alexandrov"] = {
                 "lhs": str(rep.lhs),
                 "rhs": str(rep.rhs),

@@ -131,19 +131,19 @@ class AlexandrovReport(Record):
     _fields = ("lhs", "rhs", "equal", "lam", "proportional")
 
 
-def alexandrov_check(x: QMatrix, y: QMatrix, fixed, table=None) -> AlexandrovReport:
+def alexandrov_check(table: SubsetSumTable) -> AlexandrovReport:
     """Alexandrov's inequality for mixed discriminants, with exact equality
-    detection and proportionality extraction.
+    detection and proportionality extraction, for the table's matrices: X at
+    position 0, Y at 1 and the fixed ones after them.
 
     The symmetry and PSD tests and D(X, Y, fixed), D(X, X, fixed) and
-    D(Y, Y, fixed) share one SubsetSumTable of [X, Y] + fixed, the caller's
-    if given: no determinant, inertia or discriminant is computed twice."""
-    n = x.rows
-    mats = [x, y, *fixed]
+    D(Y, Y, fixed) all read the table: no determinant, inertia or
+    discriminant is computed twice."""
+    mats, n = table.mats, table.n
     _check_count(mats, len(mats))  # X, Y and n - 2 fixed matrices, all n x n
-    table = table or SubsetSumTable(mats)
-    if table.mats != mats:  # the discriminants below read X, Y, fixed by position
-        raise LogcavityError("Alexandrov check: the table must be of [X, Y] + fixed")
+    if n < 2:
+        raise LogcavityError("Alexandrov check: needs X and Y, so n >= 2")
+    x, y = mats[:2]
     rest = range(2, n)
     for p in rest:
         if not mats[p].is_symmetric:

@@ -232,7 +232,8 @@ def hr_form(m: Matroid, k, point) -> QMatrix:
     ring, point = GorensteinRing.of(m), _point(m, point)
     basis, p = ring._basis(k), m.rank - 2 * k
     weight = Fraction((-1) ** k * math.factorial(p), point[0] ** p)
-    return QMatrix(ring._pairing(basis, basis, 2 * k, point)).scale(weight)
+    rows = ring._pairing(basis, basis, 2 * k, point)
+    return QMatrix([x * weight for x in row] for row in rows)
 
 
 def hl_check(m: Matroid, k, point) -> bool:

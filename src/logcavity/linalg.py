@@ -135,7 +135,9 @@ class Record:
 class QMatrix:
     """Immutable dense rational matrix, row-major: ints is the matrix times d,
     the lcm of its entries' reduced denominators (1 for an integer matrix),
-    so the pair (d, ints) is canonical; m holds the entries as Fractions."""
+    so (d, cols, ints) is canonical (cols tells apart matrices with no rows);
+    m holds the entries as Fractions. It has no arithmetic: callers build the
+    int rows they need."""
 
     __slots__ = ("d", "ints", "rows", "cols")
 
@@ -166,10 +168,10 @@ class QMatrix:
     def __eq__(self, other):
         if not isinstance(other, QMatrix):
             return False
-        return (self.d, self.ints) == (other.d, other.ints)
+        return (self.d, self.cols, self.ints) == (other.d, other.cols, other.ints)
 
     def __hash__(self):
-        return hash((self.d, self.ints))
+        return hash((self.d, self.cols, self.ints))
 
     def __repr__(self):
         return "QMatrix(%s)" % "; ".join(" ".join(str(x) for x in r) for r in self.m)
@@ -184,38 +186,6 @@ class QMatrix:
         return self.is_square and all(
             a[i][j] == a[j][i] for i in range(self.rows) for j in range(i)
         )
-
-    @property
-    def T(self):
-        return QMatrix(map(self.column, range(self.cols)), self.rows)
-
-    def __add__(self, other):
-        if self.rows != other.rows or self.cols != other.cols:
-            raise LogcavityError("cannot add matrices of different shapes")
-        return QMatrix(
-            [a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.m, other.m)
-        )
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def __mul__(self, other):
-        if not isinstance(other, QMatrix):
-            return self.scale(other)
-        if self.cols != other.rows:
-            raise LogcavityError(
-                f"cannot multiply a {self.rows}x{self.cols} matrix by a "
-                f"{other.rows}x{other.cols} matrix"
-            )
-        cols = list(zip(*other.m))
-        return QMatrix(
-            [sum((a * b for a, b in zip(row, col)), Fraction(0)) for col in cols]
-            for row in self.m
-        )
-
-    def scale(self, s):
-        s = _q(s)
-        return QMatrix([x * s for x in row] for row in self.m)
 
     def column(self, j):
         return tuple(Fraction(row[j], self.d) for row in self.ints)

@@ -93,12 +93,9 @@ class MPoly:
             out[e] = out.get(e, Fraction(0)) + c
         return MPoly(self.nvars, out)
 
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
     def __mul__(self, other):
         if not isinstance(other, MPoly):
-            return self.scale(other)
+            return NotImplemented
         if self.nvars != other.nvars:
             raise LogcavityError(
                 f"cannot multiply polynomials in {self.nvars} and {other.nvars} "
@@ -110,10 +107,6 @@ class MPoly:
                 e = tuple(a + b for a, b in zip(e1, e2))
                 out[e] = out.get(e, Fraction(0)) + c1 * c2
         return MPoly(self.nvars, out)
-
-    def scale(self, s):
-        s = _q(s)
-        return MPoly(self.nvars, {e: c * s for e, c in self.terms.items()})
 
     def partial(self, i):
         if not 0 <= i < self.nvars:

@@ -2,7 +2,6 @@
 selftest, plus seeded random generators for sweeps."""
 
 import random
-from fractions import Fraction
 
 from .linalg import Graph, QMatrix
 from .matroids import Matroid
@@ -130,11 +129,7 @@ def random_connected_multigraph(rng: random.Random, max_vertices=6, max_edges=9)
 
 
 def random_psd_with_factor(rng: random.Random, n, spread=3):
-    """(PSD matrix, rational factor X with X X^T = the matrix)."""
-    x = QMatrix(
-        [
-            [Fraction(rng.randint(-spread, spread)) for _ in range(n)]
-            for _ in range(n)
-        ]
-    )
-    return x * x.T, x
+    """(PSD matrix X X^T, its integer factor X), both built in ints."""
+    x = [[rng.randint(-spread, spread) for _ in range(n)] for _ in range(n)]
+    gram = [[sum(a * b for a, b in zip(u, v)) for v in x] for u in x]
+    return QMatrix(gram, n), QMatrix(x, n)

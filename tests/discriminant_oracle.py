@@ -14,12 +14,12 @@ from logcavity.errors import LogcavityError
 from logcavity.linalg import QMatrix, det
 from logcavity.polynomials import MPoly
 from logcavity.zoo import random_psd_with_factor
-from linalg_oracle import identity
+from linalg_oracle import add, identity
 
 
 def random_positive_definite(rng, n):
     """Positive definite rational matrix: X X^T + I for random X."""
-    return random_psd_with_factor(rng, n)[0] + identity(n)
+    return add(random_psd_with_factor(rng, n)[0], identity(n))
 
 
 class GramFactor(NamedTuple):

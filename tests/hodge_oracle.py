@@ -32,7 +32,8 @@ from logcavity.hodge import facet_point, graded_evaluation
 from logcavity.linalg import Inertia, QMatrix, _bits, inertia, kernel_basis
 from logcavity.matroids import FlatLattice
 from logcavity.polynomials import MPoly, basis_generating_poly
-from linalg_oracle import apply, identity, solve
+from linalg_oracle import apply, identity, product, scale, solve, transpose
+from lorentzian_oracle import scale_poly
 from matroid_oracle import contract, delete, independent_subsets
 
 
@@ -95,20 +96,20 @@ def _basis(m, k):
 def hr_form(m, k, point):
     """Q^k on the selected basis of degree k."""
     basis = _basis(m, k)
-    return QMatrix(pairing(m, basis, basis, point)).scale((-1) ** k)
+    return scale(QMatrix(pairing(m, basis, basis, point)), (-1) ** k)
 
 
 def positive_on_kernel(q, u):
     """q positive definite on ker u^T: kernel basis K, then inertia of
     K^T q K."""
     if u.cols:
-        kernel = kernel_basis(u.T)
+        kernel = kernel_basis(transpose(u))
     else:  # no constraint: every vector is in the kernel
         kernel = list(identity(q.rows).m)
     if not kernel:
         return True
     kmat = QMatrix(zip(*kernel))
-    iner = inertia(kmat.T * q * kmat)
+    iner = inertia(product(transpose(kmat), q, kmat))
     return iner.n_pos == len(kernel) and iner.n_neg == 0 and iner.n_zero == 0
 
 
@@ -123,7 +124,7 @@ def hrr_verdict(m, k, point):
 def hrr_signature_route(m, point):
     """Degree-1 route: where f(point) > 0, HRR_1 holds iff -Q^1 has
     signature (+, -, ..., -)."""
-    neg = hr_form(m, 1, point).scale(-1)
+    neg = scale(hr_form(m, 1, point), -1)
     return inertia(neg) == Inertia(1, neg.rows - 1, 0)
 
 
@@ -184,7 +185,7 @@ def inverse_hessian_nonzero(m):
         contracted = f.partial(idx)
         grad = [contracted.partial(i).evaluate(point) for i in keep]
         x_e = MPoly(m.n, {tuple(int(i == idx) for i in range(m.n)): 1})
-        deleted = f - x_e * contracted
+        deleted = f + scale_poly(x_e * contracted, -1)
         sub = linalg_oracle.submatrix(deleted.hessian_at(point), keep, keep)
         x = solve(sub, grad)
         value = 0 if x is None else sum(g * xi for g, xi in zip(grad, x))

@@ -7,13 +7,15 @@ same name returns. `eager_eliminate` and `eager_inertia` are the eager
 Bareiss eliminations that rescale every row at every step; the lazy kernel
 must reproduce their pivots and pivot rows bit for bit. `full_row_inertia`
 is the lazy inertia on whole rows that `integer_inertia` runs on the upper
-triangle. `diagonal`, `identity`, `submatrix` and `apply` build the
-diagonal matrices, submatrices and matrix-vector products that the tests
-write by hand.
+triangle. `diagonal`, `identity`, `submatrix`, `apply`, `transpose`,
+`scale`, `add` and `product` build the diagonal matrices, submatrices,
+matrix-vector products, transposes, multiples, sums and products that the
+tests write by hand, entry by entry in Fractions.
 """
 
 import math
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations
 
 from logcavity.errors import LogcavityError
@@ -41,6 +43,38 @@ def apply(m: QMatrix, vector):
     if len(vector) != m.cols:
         raise LogcavityError("vector length does not match column count")
     return tuple(sum(a * Fraction(b) for a, b in zip(row, vector)) for row in m.m)
+
+
+def transpose(m: QMatrix) -> QMatrix:
+    return QMatrix(map(m.column, range(m.cols)), m.rows)
+
+
+def scale(m: QMatrix, s) -> QMatrix:
+    """s times m, for a rational s."""
+    return QMatrix(([x * Fraction(s) for x in row] for row in m.m), m.cols)
+
+
+def add(a: QMatrix, b: QMatrix) -> QMatrix:
+    if (a.rows, a.cols) != (b.rows, b.cols):
+        raise LogcavityError("cannot add matrices of different shapes")
+    return QMatrix(([x + y for x, y in zip(r, s)] for r, s in zip(a.m, b.m)), a.cols)
+
+
+def product(*mats: QMatrix) -> QMatrix:
+    """The product of the matrices, from the left: an n x 0 matrix times a
+    0 x c matrix is the n x c zero matrix."""
+
+    def times(a, b):
+        if a.cols != b.rows:
+            raise LogcavityError(
+                f"cannot multiply a {a.rows}x{a.cols} matrix by a "
+                f"{b.rows}x{b.cols} matrix"
+            )
+        cols = [b.column(j) for j in range(b.cols)]
+        dot = lambda row, col: sum((x * y for x, y in zip(row, col)), Fraction(0))
+        return QMatrix(([dot(row, col) for col in cols] for row in a.m), b.cols)
+
+    return reduce(times, mats)
 
 
 def det(m: QMatrix) -> Fraction:

@@ -8,7 +8,8 @@ degree simplex; `m_convex_pairs` checks exchange over every pair of support
 points; `substitute_linear` expands f(Ay) with one `Fraction` product per
 factor. The library reads the order-(d-2) Hessians off the terms on their
 support, visits support pairs, decides a 0/1 support as a matroid basis
-family, and expands f(Ay) in ints instead.
+family, and expands f(Ay) in ints instead. `scale_poly` is the scalar
+multiple that the tests write by hand.
 """
 
 import math
@@ -17,6 +18,11 @@ from fractions import Fraction
 
 from logcavity.linalg import inertia
 from logcavity.polynomials import MPoly, m_convex
+
+
+def scale_poly(f, s):
+    """s times f, for a rational s."""
+    return MPoly(f.nvars, {e: c * Fraction(s) for e, c in f.terms.items()})
 
 
 def substitute_linear(f, a):

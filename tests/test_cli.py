@@ -35,8 +35,10 @@ from logcavity.zoo import (
     matroid_zoo,
     random_psd_with_factor,
     ratio_two_witness_poset,
+    tripled_u23,
 )
 from discriminant_oracle import random_positive_definite
+from linalg_oracle import add, scale
 from matroid_oracle import small_matroids
 
 
@@ -432,6 +434,18 @@ class TestStanleyCommand:
         assert report["results"]["ratio_condition"]["holds"] is True
         assert report["results"]["ratio_step_verified"] is True
         assert report["violations"] == []
+        # the fixed op `stanley --matroid zoo.tripled_u23() --R 0#0,1#0,2#0`
+        # of scripts/report_digests.py: N_k steps down by the ratio 1/2
+        assert m == tripled_u23() and argv[-1] == "0#0,1#0,2#0"
+        assert report["results"] == {
+            "N": [12, 12, 3],
+            "cross_check_deltas": {"0": "0", "1": "0", "2": "0"},
+            "equality_indices": [1],
+            "normalized": ["12", "6", "3"],
+            "ratio_condition": {"holds": True, "ratio": "1/2"},
+            "ratio_step_verified": True,
+            "ultra_log_concave": True,
+        }
 
     @pytest.mark.parametrize(
         "graph, split, rank",
@@ -1090,7 +1104,7 @@ class TestExitCodes:
                 assert (code == 1) == past, (name, argv)
         for n in (2, 3):
             mats = [random_positive_definite(rng, n), random_psd_with_factor(rng, n)[0]]
-            mats.append(mats[0] - mats[1].scale(2))  # often indefinite
+            mats.append(add(mats[0], scale(mats[1], -2)))  # often indefinite
             entries = [{"matrix": a.to_json()} for a in mats]
             path = self.write(tmp_path, f"tuple{n}", {"mats": entries[:n]})
             assert self.run(capsys, tmp_path, ["discriminant", "--tuple", path]) != 1

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -26,7 +27,7 @@ from discriminant_oracle import (
     weighted_gram_discriminant,
 )
 import linalg_oracle
-from linalg_oracle import apply, diagonal, identity
+from linalg_oracle import add, apply, diagonal, identity, product, scale, transpose
 
 PD3 = QMatrix([[2, 1, 0], [1, 3, 1], [0, 1, 2]])
 
@@ -58,9 +59,9 @@ class TestPermRoute:
         base = mixed_discriminant_perm([a, b, c])
         assert mixed_discriminant_perm([b, a, c]) == base
         assert mixed_discriminant_perm([c, b, a]) == base
-        scaled = mixed_discriminant_perm([a.scale(5), b, c])
+        scaled = mixed_discriminant_perm([scale(a, 5), b, c])
         assert scaled == 5 * base
-        summed = mixed_discriminant_perm([a + c, b, c])
+        summed = mixed_discriminant_perm([add(a, c), b, c])
         assert summed == base + mixed_discriminant_perm([c, b, c])
 
     def test_wrong_count(self):
@@ -155,7 +156,8 @@ def psd_candidates(draw, max_n=4):
     parts a + a^T, often indefinite, and their Gram matrices a a^T, PSD."""
     n = draw(st.integers(min_value=1, max_value=max_n))
     drawn = draw(st.lists(square_matrices(n), min_size=1, max_size=3))
-    return drawn + [a + a.T for a in drawn] + [a * a.T for a in drawn]
+    symmetric = [add(a, transpose(a)) for a in drawn]
+    return drawn + symmetric + [product(a, transpose(a)) for a in drawn]
 
 
 class TestSubsetSumTable:
@@ -261,6 +263,21 @@ class TestPSDDecompose:
         assert out.diag == (Fraction(1), Fraction(0))
 
 
+class TestRandomPSDWithFactor:
+    @pytest.mark.parametrize("spread", [2, 3])
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_matrix_is_the_fraction_product_of_its_drawn_factor(self, n, spread):
+        # acceptance criterion 04 and perfbench/freeze.py read these draws:
+        # X takes n * n randint draws in row order, and the matrix is X X^T
+        for seed in range(4):
+            a, x = random_psd_with_factor(random.Random(seed), n, spread)
+            rng = random.Random(seed)
+            drawn = [[rng.randint(-spread, spread) for _ in range(n)] for _ in range(n)]
+            assert x.m == QMatrix(drawn).m
+            expected = product(x, transpose(x))
+            assert (a.rows, a.cols) == (n, n) and a.m == expected.m
+
+
 class TestPositivity:
     def test_psd_nonneg(self, rng):
         for _ in range(10):
@@ -279,8 +296,8 @@ class TestPositivity:
             u = QMatrix(
                 [[rng.randint(-2, 2) for _ in range(3)] for _ in range(3)]
             )
-            lhs = mixed_discriminant_perm([u * m * u.T for m in mats])
-            assert lhs == det(u * u.T) * mixed_discriminant_perm(mats)
+            lhs = mixed_discriminant_perm([product(u, m, transpose(u)) for m in mats])
+            assert lhs == det(product(u, transpose(u))) * mixed_discriminant_perm(mats)
 
     def test_rank_one_reduction_property(self, rng):
         # D(e_i e_i^T, M_1, ..., M_{n-1}) = D(minors)/n
@@ -300,16 +317,21 @@ class TestPositivity:
             )
 
 
+def alexandrov(x, y, fixed):
+    """alexandrov_check of the table of X, Y and the fixed matrices."""
+    return alexandrov_check(SubsetSumTable([x, y, *fixed]))
+
+
 class TestAlexandrov:
     def test_proportional_equality(self):
-        rep = alexandrov_check(PD3, PD3.scale(2), [identity(3)])
+        rep = alexandrov(PD3, scale(PD3, 2), [identity(3)])
         assert rep.equal and rep.lam == 2 and rep.proportional
 
     def test_strict_generic(self, rng):
         for _ in range(10):
             x = random_positive_definite(rng, 3)
             y = random_positive_definite(rng, 3)
-            rep = alexandrov_check(x, y, [identity(3)])
+            rep = alexandrov(x, y, [identity(3)])
             assert rep.lhs >= rep.rhs
             if rep.equal:
                 assert rep.proportional
@@ -325,7 +347,7 @@ class TestAlexandrov:
     def test_one_equality_implies_all(self, rng):
         for lam in (1, 2, Fraction(1, 3)):
             a = random_positive_definite(rng, 4)
-            b = a.scale(lam)
+            b = scale(a, lam)
             seq = sequence(a, b)
             eqs = [
                 seq[k] * seq[k] == seq[k - 1] * seq[k + 1]
@@ -335,16 +357,21 @@ class TestAlexandrov:
 
     def test_psd_hypothesis_enforced(self):
         with pytest.raises(LogcavityError, match="fixed matrices must be PSD"):
-            alexandrov_check(PD3, PD3, [diagonal([1, -1, 1])])
+            alexandrov(PD3, PD3, [diagonal([1, -1, 1])])
 
-    def test_table_must_hold_x_y_and_the_fixed_matrices_in_order(self):
-        # the table's discriminants are read by position: X at 0, Y at 1
-        x, y, fixed = PD3, PD3.scale(2), [identity(3)]
-        rep = alexandrov_check(x, y, fixed, SubsetSumTable([x, y] + fixed))
-        assert rep.proportional and rep.lam == 2
-        for mats in ([y, x] + fixed, fixed + [x, y], [x, x] + fixed):
-            with pytest.raises(LogcavityError, match=r"table must be of \[X, Y\]"):
-                alexandrov_check(x, y, fixed, SubsetSumTable(mats))
+    def test_x_and_y_are_read_by_position(self):
+        # X at 0, Y at 1 and the fixed matrices after them: lambda is Y / X
+        x, y, fixed = PD3, scale(PD3, 2), [identity(3)]
+        for mats, lam in (([x, y, *fixed], 2), ([y, x, *fixed], Fraction(1, 2))):
+            rep = alexandrov_check(SubsetSumTable(mats))
+            assert rep.proportional and rep.lam == lam
+        mixed, xx, yy = alexandrov_values(*fixed, x, [y])  # X = I, Y = PD3
+        rep = alexandrov_check(SubsetSumTable([*fixed, x, y]))
+        assert (rep.lhs, rep.rhs) == (mixed * mixed, xx * yy)
+
+    def test_one_matrix_is_not_an_alexandrov_tuple(self):
+        with pytest.raises(LogcavityError, match="needs X and Y, so n >= 2"):
+            alexandrov_check(SubsetSumTable([QMatrix([[1]])]))
 
 
 class TestHyperbolic:

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import lorentzian_oracle as oracle
 from logcavity.errors import LogcavityError
 from logcavity import matroids
-from linalg_oracle import apply, identity
+from linalg_oracle import apply, identity, scale
 from logcavity.linalg import QMatrix, inertia
 from logcavity.matroids import Matroid
 from logcavity.polynomials import (
@@ -379,7 +379,7 @@ class TestOracleProperties:
             for a, i in enumerate(support):
                 for b, j in enumerate(support):
                     embedded[i][j] = h[a][b]
-            assert QMatrix(embedded).scale(Fraction(1, d)) == full
+            assert scale(QMatrix(embedded), Fraction(1, d)) == full
             outside = [full[i] for i in range(n) if i not in support]
             assert all(x == 0 for row in outside for x in row)
 

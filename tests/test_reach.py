@@ -18,6 +18,11 @@ nowhere. A shared name can hide a dead definition. It can report a live
 one only where a name the file binds by `import x` is also a local: then
 `x.method()` reads as the plain name `method`, never as a method.
 
+Names are all this pass reads, so it cannot see code that never runs
+under a reached name: a reached class credits every dunder method, its
+operators included, and a reached function every default-argument path. A
+line trace of the entry points is the check for those.
+
 An error class is told apart only where it is caught: each class of
 `errors.py` must be named by an `except` clause or an `isinstance` call of
 the CLI module or a script, or it is one class too many.
