@@ -7,6 +7,9 @@ Probed questions (reported, never asserted):
   * does normalized-sequence equality force the parallel-class ratio
     condition for non-regular matroids?
   * does Hard Lefschetz hold in degrees >= 2 at the all-ones point?
+  * does HRR_1 on the facet points of single elements and of pairs agree
+    with the facet theorem (`hodge.facet_theorem_scan`, at its default
+    subset cap)? One line per matroid of rank >= 2 whose scan disagrees.
 """
 
 import json
@@ -20,6 +23,7 @@ from logcavity.hodge import (
     _point,
     _verdicts,
     annihilator_containment_probe,
+    facet_theorem_scan,
 )
 from logcavity.matroids import Matroid
 from logcavity.stanley import ratio_condition_check, stanley_matroid_sequence
@@ -84,6 +88,14 @@ def probe_higher_lefschetz(name, m):
         emit({"probe": "higher-degree", "matroid": name, "k": k, "hl": hl, "hrr": hrr})
 
 
+def probe_facet_scan(name, m):
+    if m.rank < 2:
+        return
+    scan = facet_theorem_scan(m)
+    if not scan.all_consistent:
+        emit({"probe": "facet-scan", "matroid": name, "scan": repr(scan)})
+
+
 def main():
     rng = random.Random(99)
     pool = dict(matroid_zoo())
@@ -95,6 +107,7 @@ def main():
         probe_containment(name, m)
         probe_equality_vs_ratio(name, m, rng)
         probe_higher_lefschetz(name, m)
+        probe_facet_scan(name, m)
 
 
 if __name__ == "__main__":

@@ -22,10 +22,19 @@ labelled "bot" and "top"; `matroid` and `hodge --k 1` on a linear matroid
 with fractional and unreduced entries, a tuple X, Y = (3/2)X and a PSD
 fixed matrix, an Alexandrov equality with a fractional lambda, and `stanley`
 on U(2, 3) with each element tripled, one clone in R, whose ratio condition
-holds, so the report checks the ratio step). It prints one JSON object,
+holds, so the report checks the ratio step), and four input errors that
+exit 1 with no report (a poset with no "elements", `poset --cap-extensions
+1` on a 3-element antichain, a 5000-digit matrix entry and a string
+"nvars"). It prints one JSON object,
 {"<workload>/<seed>/<op id>": [exit code, sha256 of the report]}, where
 the digest is null for an operation that wrote no report. Two checkouts
 give the same answers on the batches iff they print the same object.
+
+The object at the committed code is `tests/golden/report_digests.json`,
+and `tests/test_entry_points.py` checks a fresh run against it. A change
+that alters report bytes on purpose regenerates it:
+
+    python3 scripts/report_digests.py > tests/golden/report_digests.json
 """
 
 import hashlib
@@ -95,6 +104,8 @@ def fixed_ops():
     y = matrix([[3, "3/4", 0], ["3/4", "3/2", 0], [0, 0, "1/2"]])
     proportional = {"mats": [{"matrix": x}, {"matrix": y}, {"matrix": p}]}
     tripled = {"--matroid": zoo.tripled_u23().to_json()}
+    antichain = {"--poset": {"elements": [0, 1, 2], "relations": []}}
+    huge = matrix([["1" * 5000]])  # past int's digit limit, as a string
     ops = [
         ("matroid", {"--graph": k4}, ["--format", "csv"]),
         ("hodge", {"--graph": k23}, ["--k", "2", "--format", "csv"]),
@@ -120,6 +131,11 @@ def fixed_ops():
         ("hodge", {"--matroid": fractional}, ["--k", "1"]),
         ("discriminant", {"--tuple": proportional}, []),
         ("stanley", tripled, ["--R", "0#0,1#0,2#0"]),  # ratio 1/2 steps N_k
+        # input errors: each exits 1 and writes no report
+        ("poset", {"--poset": {"relations": []}}, []),  # no "elements"
+        ("poset", antichain, ["--cap-extensions", "1"]),  # 3! extensions
+        ("discriminant", {"--tuple": {"mats": [{"matrix": huge}]}}, []),
+        ("lorentzian", {"--poly": {"nvars": "2", "terms": poly}}, []),  # a str
     ]
     return [
         {"id": f"fixed-{i}", "cmd": cmd, "files": files, "args": args}
