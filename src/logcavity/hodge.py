@@ -248,10 +248,6 @@ def hrr_check(m: Matroid, k, point) -> bool:
     """Hodge-Riemann relations in degree k at the point: Q^k positive
     definite on the primitive subspace."""
     ring, point = _ring_at(m, point)
-    return _hrr_verdict(ring, k, point)
-
-
-def _hrr_verdict(ring: GorensteinRing, k, point) -> bool:
     return _verdicts(*ring.hr_inertia(k, point))[1]
 
 
@@ -306,7 +302,7 @@ def facet_theorem_scan(m: Matroid, subset_size_cap=2) -> FacetScanReport:
         verdicts = []
         for pencil in (False, True):
             point = _point(m, facet_point(m, [e], pencil))
-            verdicts.append(_hrr_verdict(ring, 1, point))
+            verdicts.append(_verdicts(*ring.hr_inertia(1, point))[1])
         is_coloop = e in coloops
         per_element.append(
             FacetElementReport(
@@ -331,9 +327,9 @@ def facet_theorem_scan(m: Matroid, subset_size_cap=2) -> FacetScanReport:
             point = _point(m, facet_point(m, combo))
             complement = [e for e in m.ground if e not in combo]
             if m.rank_of(complement) < m.rank:
-                degenerate.append((combo, _hrr_verdict(ring, 1, point)))
+                degenerate.append((combo, _verdicts(*ring.hr_inertia(1, point))[1]))
                 continue
-            subset_checks.append((combo, _hrr_verdict(ring, 1, point)))
+            subset_checks.append((combo, _verdicts(*ring.hr_inertia(1, point))[1]))
     inverse_hessian = []
     simple = not m.loops() and all(
         len(c) == 1 for c in m.parallel_data().classes

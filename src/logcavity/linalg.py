@@ -94,6 +94,12 @@ def _label_index(labels, what):
     return index
 
 
+def _fresh_label(base, existing):
+    """The first of base, base0, base1, ... that is not in existing."""
+    tried = [base] + [f"{base}{k}" for k in range(len(existing))]
+    return next(label for label in tried if label not in existing)
+
+
 class Record:
     """An immutable record of the values named by the class attribute
     _fields: set positionally, compared with records of the same type only,
@@ -136,8 +142,8 @@ class QMatrix:
     """Immutable dense rational matrix, row-major: ints is the matrix times d,
     the lcm of its entries' reduced denominators (1 for an integer matrix),
     so (d, cols, ints) is canonical (cols tells apart matrices with no rows);
-    m holds the entries as Fractions. It has no arithmetic: callers build the
-    int rows they need."""
+    m holds the entries as Fractions. It has no indexing and no arithmetic:
+    callers build the int rows they need."""
 
     __slots__ = ("d", "ints", "rows", "cols")
 
@@ -156,9 +162,6 @@ class QMatrix:
 
     def __setattr__(self, *a):
         raise AttributeError("QMatrix is immutable")
-
-    def __getitem__(self, i):
-        return self.m[i]
 
     @property
     def m(self):
@@ -229,9 +232,6 @@ class Inertia(Record):
     @property
     def dimension(self):
         return self.n_pos + self.n_neg + self.n_zero
-
-    def as_tuple(self):
-        return (self.n_pos, self.n_neg, self.n_zero)
 
 
 def _scaled(rows):

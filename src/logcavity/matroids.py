@@ -309,9 +309,6 @@ class Matroid:
         """All independent k-subsets as bitmasks, sorted."""
         return sorted(self._independent()[k]) if 0 <= k <= self.rank else []
 
-    def independent_count(self, k):
-        return len(self.independent_subsets(k))
-
     def loops(self):
         return self._labels(((1 << self.n) - 1) & ~reduce(or_, self.bases))
 

@@ -83,31 +83,6 @@ class MPoly:
     def has_nonneg_coefficients(self):
         return all(c >= 0 for c in self.terms.values())
 
-    def __add__(self, other):
-        if self.nvars != other.nvars:
-            raise LogcavityError(
-                f"cannot add polynomials in {self.nvars} and {other.nvars} variables"
-            )
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            out[e] = out.get(e, Fraction(0)) + c
-        return MPoly(self.nvars, out)
-
-    def __mul__(self, other):
-        if not isinstance(other, MPoly):
-            return NotImplemented
-        if self.nvars != other.nvars:
-            raise LogcavityError(
-                f"cannot multiply polynomials in {self.nvars} and {other.nvars} "
-                "variables"
-            )
-        out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                out[e] = out.get(e, Fraction(0)) + c1 * c2
-        return MPoly(self.nvars, out)
-
     def partial(self, i):
         if not 0 <= i < self.nvars:
             raise LogcavityError(f"variable index {i} outside 0..{self.nvars - 1}")

@@ -11,7 +11,8 @@ representation of a poset, Fundam. Inform. 2006); no extension is listed.
 from functools import cached_property
 
 from .errors import LogcavityError, TooLarge
-from .linalg import Record, _bits, _expect, _json_labels, _label_index, _shown
+from .linalg import Record, _bits, _expect, _fresh_label, _json_labels, _label_index
+from .linalg import _shown
 
 DEFAULT_EXTENSION_CAP = 3_628_800  # 10!
 
@@ -260,12 +261,6 @@ class _IdealLattice:
         return gaps
 
 
-def _fresh_label(base, existing):
-    """The first of base, base0, base1, ... that is not in existing."""
-    tried = [base] + [f"{base}{k}" for k in range(len(existing))]
-    return next(label for label in tried if label not in existing)
-
-
 class MarkedPoset(Record):
     """Poset with distinguished elements x and y, x below-or-incomparable to y."""
 
@@ -394,16 +389,14 @@ def stanley_equality_classify(
     xi = p.index(x)
     lattice = p._ideals(cap)
     seq = lattice._positions[xi]
-    ni = seq[i - 1] if 1 <= i <= n else 0
-    if ni == 0:
+    if not 1 <= i <= n or not seq[i - 1]:
         below = p.strict_down_mask(xi).bit_count()
         above = p.strict_up_mask(xi).bit_count()
         raise LogcavityError(
             f"no Stanley equality case at i={i}: N_{i} = 0 "
             f"(|P<x| = {below} > {i - 1} or |P>x| = {above} > {n - i})"
         )
-    prev = seq[i - 2] if i - 2 >= 0 else 0
-    nxt = seq[i] if i < n else 0
+    prev, ni, nxt = [0, *seq, 0][i - 1 : i + 2]
     holds_a = ni * ni == prev * nxt
     holds_b = ni == prev == nxt
     # an element below x can only flank it at rank i - 1, one above at i + 1
@@ -471,11 +464,9 @@ def kahn_saks_extremal_classify(
 ) -> KahnSaksExtremalVerdict:
     ks = mp._ks
     seq = ks.sequence(cap)
-    nk = seq[k - 1] if 1 <= k <= len(seq) else 0
-    if nk == 0:
+    if not 1 <= k <= len(seq) or not seq[k - 1]:
         raise LogcavityError(f"no Kahn-Saks equality case at k={k}: N_{k} = 0")
-    prev = seq[k - 2] if k - 2 >= 0 else 0
-    nxt = seq[k] if k < len(seq) else 0
+    prev, nk, nxt = [0, *seq, 0][k - 1 : k + 2]
     equality = nk * nk == prev * nxt
     ratio = None
     if prev == nk == nxt:

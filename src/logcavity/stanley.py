@@ -12,9 +12,9 @@ from fractions import Fraction
 from itertools import product
 
 from .errors import LogcavityError, TooLarge
-from .linalg import QMatrix, Record, _bits, _scaled
+from .linalg import QMatrix, Record, _bits, _fresh_label, _scaled
 from .matroids import Matroid
-from .polynomials import MPoly, basis_generating_poly
+from .polynomials import basis_generating_poly
 
 
 def _log_concave(seq):
@@ -200,7 +200,7 @@ def mason_sequence(m: Matroid, element_cap=12) -> MasonReport:
     if m.n > element_cap:
         raise TooLarge(f"mason check capped at {element_cap} elements")
     r = m.rank
-    counts = tuple(m.independent_count(k) for k in range(r + 1))
+    counts = tuple(len(m.independent_subsets(k)) for k in range(r + 1))
     lc = _log_concave(counts)
     boolean = _fresh_boolean(m, r)
     summed = boolean.direct_sum(m)
@@ -219,16 +219,11 @@ def mason_sequence(m: Matroid, element_cap=12) -> MasonReport:
 
 
 def _fresh_boolean(m: Matroid, size):
-    labels = []
-    i = 0
-    existing = set(m.ground)
-    while len(labels) < size:
-        cand = f"aux{i}"
-        if cand not in existing:
-            labels.append(cand)
-        i += 1
+    labels = list(m.ground)  # each fresh label avoids the ground and those before
+    for _ in range(size):
+        labels.append(_fresh_label("aux", labels))
     full = (1 << size) - 1
-    return Matroid(tuple(labels), [full])
+    return Matroid(tuple(labels[m.n :]), [full])
 
 
 def parallel_replicate(m: Matroid, r_copies, q_copies):
@@ -256,8 +251,6 @@ def parallel_replicate(m: Matroid, r_copies, q_copies):
 def g_polynomial(m: Matroid, subsets):
     """The substituted basis generating polynomial over one variable per
     subset: x_e -> sum of y_i over subsets containing e."""
-    if not m.n:  # f = 1, and a matrix of no rows has no columns
-        return MPoly(len(subsets), {(0,) * len(subsets): 1})
     masks = [m._mask(s) for s in subsets]
-    a = QMatrix([[mask >> i & 1 for mask in masks] for i in range(m.n)])
+    a = QMatrix([[mask >> i & 1 for mask in masks] for i in range(m.n)], len(masks))
     return basis_generating_poly(m).substitute_linear(a)

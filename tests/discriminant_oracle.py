@@ -9,6 +9,7 @@ from fractions import Fraction
 from itertools import permutations, product
 from typing import NamedTuple
 
+import lorentzian_oracle
 from logcavity.discriminants import mixed_discriminant_perm
 from logcavity.errors import LogcavityError
 from logcavity.linalg import QMatrix, det
@@ -115,7 +116,7 @@ def symbolic_det_coefficient(mats):
             MPoly(
                 m,
                 {
-                    tuple(int(t == i) for t in range(m)): mats[i][r][c]
+                    tuple(int(t == i) for t in range(m)): mats[i].m[r][c]
                     for i in range(m)
                 },
             )
@@ -133,6 +134,6 @@ def symbolic_det_coefficient(mats):
         )
         prod = MPoly(m, {(0,) * m: -1 if inv % 2 else 1})
         for r in range(n):
-            prod = prod * entry[r][sigma[r]]
-        total = total + prod
+            prod = lorentzian_oracle.product(prod, entry[r][sigma[r]])
+        total = lorentzian_oracle.add(total, prod)
     return total.coefficient((1,) * m)

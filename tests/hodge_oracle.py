@@ -27,6 +27,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import linalg_oracle
+import lorentzian_oracle
 import matroid_oracle
 from logcavity.hodge import facet_point, graded_evaluation
 from logcavity.linalg import Inertia, QMatrix, _bits, inertia, kernel_basis
@@ -185,7 +186,8 @@ def inverse_hessian_nonzero(m):
         contracted = f.partial(idx)
         grad = [contracted.partial(i).evaluate(point) for i in keep]
         x_e = MPoly(m.n, {tuple(int(i == idx) for i in range(m.n)): 1})
-        deleted = f + scale_poly(x_e * contracted, -1)
+        minus = scale_poly(lorentzian_oracle.product(x_e, contracted), -1)
+        deleted = lorentzian_oracle.add(f, minus)
         sub = linalg_oracle.submatrix(deleted.hessian_at(point), keep, keep)
         x = solve(sub, grad)
         value = 0 if x is None else sum(g * xi for g, xi in zip(grad, x))

@@ -8,8 +8,9 @@ degree simplex; `m_convex_pairs` checks exchange over every pair of support
 points; `substitute_linear` expands f(Ay) with one `Fraction` product per
 factor. The library reads the order-(d-2) Hessians off the terms on their
 support, visits support pairs, decides a 0/1 support as a matroid basis
-family, and expands f(Ay) in ints instead. `scale_poly` is the scalar
-multiple that the tests write by hand.
+family, and expands f(Ay) in ints instead. `scale_poly`, `add` and
+`product` are the ring operations that the oracles and tests write by hand;
+`MPoly` itself has none.
 """
 
 import math
@@ -25,11 +26,29 @@ def scale_poly(f, s):
     return MPoly(f.nvars, {e: c * Fraction(s) for e, c in f.terms.items()})
 
 
+def add(f, g):
+    """f + g, for polynomials in the same variables."""
+    assert f.nvars == g.nvars, (f.nvars, g.nvars)
+    out = Counter(f.terms)
+    out.update(g.terms)
+    return MPoly(f.nvars, out)
+
+
+def product(f, g):
+    """f g, for polynomials in the same variables."""
+    assert f.nvars == g.nvars, (f.nvars, g.nvars)
+    out = Counter()
+    for e1, c1 in f.terms.items():
+        for e2, c2 in g.terms.items():
+            out[tuple(a + b for a, b in zip(e1, e2))] += c1 * c2
+    return MPoly(f.nvars, out)
+
+
 def substitute_linear(f, a):
     """f(Ay) in a.cols variables, for a QMatrix A with one row per variable
     of f: each term expanded one linear form at a time, in Fractions."""
     m = a.cols
-    lin = [[(j, x) for j, x in enumerate(a[i]) if x] for i in range(f.nvars)]
+    lin = [[(j, x) for j, x in enumerate(a.m[i]) if x] for i in range(f.nvars)]
     out = Counter()
     for e, c in f.terms.items():
         term = {(0,) * m: c}

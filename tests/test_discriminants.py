@@ -224,7 +224,7 @@ class TestGramRoute:
         mats = [
             QMatrix(
                 [
-                    [sum(x[i][k] * x[j][k] for k in range(x.cols)) for j in range(n)]
+                    [sum(a * b for a, b in zip(x.m[i], x.m[j])) for j in range(n)]
                     for i in range(n)
                 ]
             )

@@ -32,6 +32,7 @@ RUNS = ["probe_open_questions.py"], ["find_ratio_two_witness.py", "--trials", "2
 UNCOUNTED = {"<listcomp>", "<setcomp>", "<dictcomp>", "<genexpr>", "<lambda>"}
 
 ACCEPTANCE = "called by tests/test_acceptance.py"
+FREEZE = "called by perfbench/freeze.py"
 DUNDER = "a data-model dunder"
 TIMED = "timed by name in BENCHMARK.json"
 ITEM_11 = "ROADMAP item 11 gives it a caller"
@@ -39,18 +40,17 @@ VIA = "called only by "
 # what no entry point runs, and why each stays in the package
 NEVER_RUN = {
     **dict.fromkeys("""
-        linalg.Graph.is_connected linalg.QMatrix.to_json linalg.inertia
-        linalg.spanning_tree_count polynomials.MPoly.degree
-        polynomials.MPoly.hessian_at polynomials.polarization_af_analog_check
+        linalg.Graph.is_connected linalg.inertia linalg.spanning_tree_count
+        polynomials.MPoly.degree polynomials.MPoly.hessian_at
+        polynomials.polarization_af_analog_check
         posets.Poset.extensions stanley.B_count stanley.mason_sequence zoo.loopless_zoo
         stanley.mixed_volume_zonotopes stanley.zonotope_volume""".split(), ACCEPTANCE),
     **dict.fromkeys("""
-        linalg.QMatrix.__eq__ linalg.QMatrix.__getitem__ linalg.QMatrix.__repr__
-        linalg.QMatrix.__setattr__ linalg.Record.__eq__ linalg.Record.__hash__
-        linalg.Record.__repr__ linalg.Record.__setattr__ matroids.Matroid.__eq__
-        matroids.Matroid.__hash__ matroids.Matroid.__repr__
-        matroids.Matroid.__setattr__ polynomials.MPoly.__add__
-        polynomials.MPoly.__eq__ polynomials.MPoly.__hash__ polynomials.MPoly.__mul__
+        linalg.QMatrix.__eq__ linalg.QMatrix.__repr__ linalg.QMatrix.__setattr__
+        linalg.Record.__eq__ linalg.Record.__hash__ linalg.Record.__repr__
+        linalg.Record.__setattr__ matroids.Matroid.__eq__ matroids.Matroid.__hash__
+        matroids.Matroid.__repr__ matroids.Matroid.__setattr__
+        polynomials.MPoly.__eq__ polynomials.MPoly.__hash__
         polynomials.MPoly.__repr__ polynomials.MPoly.__setattr__
         posets.Poset.__setattr__""".split(), DUNDER),
     **dict.fromkeys("""
@@ -60,17 +60,16 @@ NEVER_RUN = {
     **dict.fromkeys("""
         posets.stanley_equality_classify posets.StanleyEqualityVerdict
         posets._IdealLattice.adjacent_count""".split(), ITEM_11),
-    **dict.fromkeys("""
-        matroids.Matroid.independent_count stanley.MasonReport
-        stanley._fresh_boolean""".split(), VIA + "stanley.mason_sequence"),
+    "linalg.QMatrix.to_json": FREEZE,
     "hodge._ring_at": VIA + "hodge.hl_check, hodge.hrr_check",
-    "linalg.QMatrix.m": VIA + "linalg.QMatrix.__getitem__, linalg.QMatrix.to_json",
-    "linalg.Record._values": VIA + "linalg.Record.__eq__, linalg.Record.__hash__",
+    "linalg.QMatrix.m": VIA + "linalg.QMatrix.__repr__, linalg.QMatrix.to_json",
     "linalg.laplacian": VIA + "linalg.spanning_tree_count",
     "matroids.Matroid._key": VIA + "matroids.Matroid.__eq__, matroids.Matroid.__hash__",
     "matroids.Matroid.basis_label_sets": VIA + "matroids.Matroid._key",
     "polynomials.polarization": VIA + "polynomials.polarization_af_analog_check",
     "stanley._assignments": VIA + "stanley.B_count",
+    "stanley.MasonReport": VIA + "stanley.mason_sequence",
+    "stanley._fresh_boolean": VIA + "stanley.mason_sequence",
 }
 
 
@@ -135,6 +134,12 @@ def names(nodes):
     return {getattr(n, "id", getattr(n, "attr", None)) for n in nodes}
 
 
+def callees(path):
+    """The names called by the Call nodes of the file at path under ROOT."""
+    tree = ast.parse((ROOT / path).read_text())
+    return names(n.func for n in ast.walk(tree) if isinstance(n, ast.Call))
+
+
 def test_reports_match_the_golden_digests(run):
     digests, golden = run[0], json.loads(GOLDEN.read_text())
     keys = digests.keys() | golden.keys()
@@ -150,8 +155,8 @@ def test_what_never_runs_is_allowlisted_for_a_reason_that_holds(run):
     never = {n for n, o in outer.items() if o == n or o not in NEVER_RUN}
     assert sorted(never - NEVER_RUN.keys()) == [], "never ran"
     assert sorted(NEVER_RUN.keys() - never) == [], "ran, or is gone"
-    acceptance = ast.parse((ROOT / "tests" / "test_acceptance.py").read_text())
-    called = names(n.func for n in ast.walk(acceptance) if isinstance(n, ast.Call))
+    acceptance = callees("tests/test_acceptance.py")
+    freeze = callees("perfbench/freeze.py")
     metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
     for name, reason in NEVER_RUN.items():
         module, last = name.partition(".")[0], name.rpartition(".")[2]
@@ -160,7 +165,8 @@ def test_what_never_runs_is_allowlisted_for_a_reason_that_holds(run):
             held = all(c in NEVER_RUN and last in names(ast.walk(defs[c])) for c in by)
         else:
             held = {
-                ACCEPTANCE: last in called,
+                ACCEPTANCE: last in acceptance,
+                FREEZE: last in freeze,
                 DUNDER: last.startswith("__") and last.endswith("__"),
                 TIMED: any(m["name"].startswith(f"{module}.{last}.") for m in metrics),
                 ITEM_11: True,  # a dated exception; the roadmap item names each

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import hodge_oracle as oracle
 import linalg_oracle
-from lorentzian_oracle import scale_poly
+from lorentzian_oracle import add, scale_poly
 from matroid_oracle import SMALL, small_matroids
 from logcavity.errors import LogcavityError
 from logcavity.linalg import Graph, Inertia, QMatrix, inertia, integer_inertia
@@ -19,9 +19,9 @@ from logcavity.matroids import FlatLattice, Matroid
 from logcavity import hodge
 from logcavity.hodge import (
     GorensteinRing,
-    _hrr_verdict,
     _point,
     _ring_at,
+    _verdicts,
     annihilator_containment_probe,
     facet_point,
     facet_theorem_scan,
@@ -451,7 +451,7 @@ class TestProbes:
                 g = poly
                 for lab in labels:
                     g = g.partial(matroid._index[lab])
-                out = out + scale_poly(g, c)
+                out = add(out, scale_poly(g, c))
             return out
 
         pairs = list(coeffs.items())
@@ -682,7 +682,8 @@ class TestOracleProperties:
         assert hr_form(m, k, point) == form
         ring, at = GorensteinRing.of(m), _point(m, point)
         assert ring.hr_inertia(k, at)[0] == inertia(form)
-        assert _hrr_verdict(ring, k, at) == oracle.hrr_verdict(m, k, point)
+        hrr = _verdicts(*ring.hr_inertia(k, at))[1]
+        assert hrr == oracle.hrr_verdict(m, k, point)
 
     @settings(max_examples=60, deadline=None)
     @given(rank_bound_sets())

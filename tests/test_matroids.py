@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import matroid_oracle as oracle
 from linalg_oracle import identity, submatrix
+from lorentzian_oracle import add, product
 from matroid_oracle import multigraphs, small_matroids
 
 from logcavity.errors import LogcavityError, TooLarge
@@ -315,7 +316,8 @@ class TestMinors:
                     return MPoly(m.n, out)
 
                 x_e = MPoly(m.n, {tuple(int(i == idx) for i in range(m.n)): 1})
-                rebuilt = x_e * lift(fcontr, contracted) + lift(fdel, deleted)
+                rebuilt = product(x_e, lift(fcontr, contracted))
+                rebuilt = add(rebuilt, lift(fdel, deleted))
                 assert rebuilt == f
 
     def test_partial_is_contraction(self):

@@ -151,7 +151,7 @@ class TestPolarization:
         detpoly = MPoly(4, {(1, 0, 0, 1): 1, (0, 1, 1, 0): -1})
         a = QMatrix([[2, 1], [1, 3]])
         b = QMatrix([[1, 0], [0, 4]])
-        flat = lambda m: (m[0][0], m[0][1], m[1][0], m[1][1])
+        flat = lambda m: (*m.m[0], *m.m[1])
         assert polarization(detpoly, [flat(a), flat(b)]) == (
             mixed_discriminant_perm([a, b])
         )
@@ -313,11 +313,11 @@ def linear_products(draw, coeffs=NONNEG):
     n = draw(st.integers(min_value=1, max_value=4))
     f = MPoly(n, {(0,) * n: 1})
     for _ in range(draw(st.integers(min_value=1, max_value=4))):
-        f = f * MPoly(n, {_unit(n, i): draw(coeffs) for i in range(n)})
+        f = oracle.product(f, MPoly(n, {_unit(n, i): draw(coeffs) for i in range(n)}))
     if f.terms and draw(st.booleans()):
         # rescale one coefficient: the support stays, the Hessians move
         e = draw(st.sampled_from(sorted(f.terms)))
-        f = f + MPoly(n, {e: f.terms[e] * (draw(coeffs) - 1)})
+        f = oracle.add(f, MPoly(n, {e: f.terms[e] * (draw(coeffs) - 1)}))
     return f
 
 
@@ -380,7 +380,7 @@ class TestOracleProperties:
                 for b, j in enumerate(support):
                     embedded[i][j] = h[a][b]
             assert scale(QMatrix(embedded), Fraction(1, d)) == full
-            outside = [full[i] for i in range(n) if i not in support]
+            outside = [full.m[i] for i in range(n) if i not in support]
             assert all(x == 0 for row in outside for x in row)
 
     @settings(max_examples=150, deadline=None)

@@ -17,6 +17,7 @@ from logcavity.polynomials import MPoly
 from logcavity.stanley import (
     B_count,
     _constant_ratio,
+    _fresh_boolean,
     _transversal_sums,
     g_polynomial,
     mason_sequence,
@@ -145,6 +146,12 @@ class TestSequences:
         counts = stanley_matroid_sequence(m, r_side).counts
         terms = {(k, m.rank - k): n for k, n in enumerate(counts) if n}
         assert g_polynomial(m, [r_side, q_side]) == MPoly(2, terms)
+
+    @pytest.mark.parametrize("s", [0, 1, 3])
+    def test_g_polynomial_of_no_elements_is_one(self, s):
+        # f = 1 in no variables, and its substitution by a 0 x s matrix is 1
+        m = Matroid.uniform(0, 0)
+        assert g_polynomial(m, [[]] * s) == MPoly(s, {(0,) * s: 1})
 
 
 class TestRatioCondition:
@@ -420,6 +427,14 @@ class TestMason:
             m = Matroid.graphic(g)
             rep = mason_sequence(m)
             assert rep.log_concave and rep.construction_identity
+
+    def test_fresh_labels_avoid_the_ground(self):
+        # the boolean summand skips "aux" and "aux0", which the ground holds
+        m = Matroid(("aux", "aux0", "c"), [0b011, 0b101, 0b110])
+        assert _fresh_boolean(m, 2).ground == ("aux1", "aux2")
+        rep = mason_sequence(m)
+        assert rep.independent_counts == (1, 3, 3)
+        assert rep.construction_identity
 
 
 class TestMinkowskiRoute:
