@@ -19,11 +19,12 @@ import sys
 sys.path.insert(0, "src")
 
 from logcavity.hodge import (
-    GorensteinRing,
     _point,
     _verdicts,
     annihilator_containment_probe,
     facet_theorem_scan,
+    hr_inertia,
+    value,
 )
 from logcavity.matroids import Matroid
 from logcavity.stanley import ratio_condition_check, stanley_matroid_sequence
@@ -80,11 +81,11 @@ def probe_equality_vs_ratio(name, m, rng):
 
 def probe_higher_lefschetz(name, m):
     # one pair of inertias per degree gives both HL and HRR
-    ring, at = GorensteinRing.of(m), _point(m, [1] * m.n)
-    if ring.value(at) <= 0:
+    at = _point(m, [1] * m.n)
+    if value(m, at) <= 0:
         return
     for k in range(2, m.rank // 2 + 1):
-        hl, hrr = _verdicts(*ring.hr_inertia(k, at))
+        hl, hrr = _verdicts(*hr_inertia(m, k, at))
         emit({"probe": "higher-degree", "matroid": name, "k": k, "hl": hl, "hrr": hrr})
 
 

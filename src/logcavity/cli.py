@@ -45,15 +45,16 @@ from .discriminants import (
     mixed_discriminant_perm,
 )
 from .hodge import (
-    GorensteinRing,
     _check_degree,
     _point,
     _verdicts,
     annihilator_containment_probe,
     graded_dims,
+    hr_inertia,
     in_annihilator,
     mobius_pairing,
     socle_check,
+    value,
 )
 from .stanley import (
     _log_concave,
@@ -194,20 +195,40 @@ def _load_json(path, what):
 
 
 def _load_matroid(args, graph=None) -> Matroid:
-    """The --matroid, else the cycle matroid of graph or the --graph."""
+    """The --matroid, else the cycle matroid of graph or the --graph. Its
+    element count meets --cap-elements before any constructor runs."""
     if graph is None and args.matroid and args.graph:  # else the caller checks the pair
         raise LogcavityError("give --matroid or --graph, not both")
     if args.matroid:
         obj = _load_json(args.matroid, "matroid")
-        if isinstance(obj.get("ground"), list):
-            _cap_elements(args, len(obj["ground"]))  # before bases are validated
-        m = Matroid.from_json(obj)
-    elif args.graph:
-        m = Matroid.graphic(graph or Graph.from_json(_load_json(args.graph, "graph")))
+        _cap_elements(args, _element_count(obj))
+        return Matroid.from_json(obj)
+    if args.graph:
+        graph = graph or Graph.from_json(_load_json(args.graph, "graph"))
+        _cap_elements(args, len(graph.edges))
+        return Matroid.graphic(graph)
+    raise LogcavityError("a --matroid or --graph file is required")
+
+
+def _element_count(obj):
+    """The element count of a matroid JSON object, read where its type gives
+    it: the ground, the graph's edges, n or the matrix's columns. 0 where
+    that value has the wrong JSON kind or the type is unknown, which the
+    constructor then reports."""
+    kind = obj.get("type", "bases")
+    if kind == "uniform":
+        count = obj.get("n")
+        return count if type(count) is int else 0
+    if kind == "linear":
+        matrix = obj.get("matrix")
+        count = matrix.get("cols") if isinstance(matrix, dict) else None
+        return count if type(count) is int else 0
+    if kind == "graphic":
+        graph = obj.get("graph")
+        items = graph.get("edges") if isinstance(graph, dict) else None
     else:
-        raise LogcavityError("a --matroid or --graph file is required")
-    _cap_elements(args, m.n)
-    return m
+        items = obj.get("ground") if kind == "bases" else None
+    return len(items) if isinstance(items, list) else 0
 
 
 def _cap_elements(args, n):
@@ -494,7 +515,7 @@ def cmd_discriminant(args):
 
 def cmd_hodge(args):
     m = _load_matroid(args)
-    k = args.k if args.k is not None else 1
+    k = args.k
     _check_degree(m, k)
     point = _parse_point(getattr(args, "point", None), m.n)
     dims = graded_dims(m)
@@ -503,10 +524,10 @@ def cmd_hodge(args):
     count, iner = mobius_pairing(m, k)
     results["mobius_pairing"] = {"flats": count, "inertia": iner._values()}
     # one pair of inertias gives In(Q^k), and HL and HRR where f > 0
-    ring, at = GorensteinRing.of(m), _point(m, point)
-    block, bordered = ring.hr_inertia(k, at)
+    at = _point(m, point)
+    block, bordered = hr_inertia(m, k, at)
     results["hr_form_inertia"] = block._values()
-    if ring.value(at) > 0:
+    if value(m, at) > 0:
         results["hl"], results["hrr"] = _verdicts(block, bordered)
         if k == 1 and all(x > 0 for x in point) and not results["hrr"]:
             violations.append("HRR_1 failed at a strictly positive point")

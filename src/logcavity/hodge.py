@@ -10,7 +10,6 @@ the Hodge-Riemann forms, come from fraction-free integer elimination.
 """
 
 import math
-import weakref
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, compress
@@ -81,8 +80,7 @@ def graded_dims(m: Matroid):
     """dim A^0 .. dim A^rank. With independent rows, E_(r-k) is E_k
     transposed, so dim A^(r-k) = dim A^k: one elimination serves both, and
     the dimensions are palindromic by construction."""
-    ring = GorensteinRing.of(m)
-    return [ring.evaluation(min(k, m.rank - k)).dimension for k in range(m.rank + 1)]
+    return [evaluation(m, min(k, m.rank - k)).dimension for k in range(m.rank + 1)]
 
 
 def in_annihilator(m: Matroid, coeffs) -> bool:
@@ -105,98 +103,80 @@ def in_annihilator(m: Matroid, coeffs) -> bool:
             weights[flats[mask]] = weights.get(flats[mask], 0) + c
     if not any(weights.values()):
         return True  # every S is dependent, or the sums per flat cancel
-    ev = GorensteinRing.of(m).evaluation(k)
+    ev = evaluation(m, k)
     rows = {flats[ev.row_masks[i]]: row for i, row in zip(ev.firsts, ev.entries)}
     columns = zip(*(rows[f] for f in weights))
     return not any(sum(compress(weights.values(), col)) for col in columns)
 
 
-class GorensteinRing:
-    """The Gorenstein quotient of one matroid's basis generating polynomial f:
-    graded evaluations, derivative values and Hodge-Riemann forms. A point
-    is taken as the integer point (den, *nums) that `_point` makes of a
-    rational one, nums_i / den its coordinates, and keys the tables.
+def evaluation(m: Matroid, k) -> GradedEvaluation:
+    """`graded_evaluation(m, k)`, kept in m's table of degrees on first use."""
+    if k not in m._evals:
+        m._evals[k] = graded_evaluation(m, k)
+    return m._evals[k]
 
-    `GorensteinRing.of(m)` keeps it on the matroid instance, never in a dict
-    keyed by matroid equality: equal matroids may order their grounds
-    differently, and every table here is keyed by masks over that order."""
 
-    def __init__(self, m: Matroid):
-        # weak, so that the ring goes with its matroid instead of waiting in
-        # a reference cycle for the cycle collector
-        self._matroid = weakref.ref(m)
-        self._evals = {}
-        self._tables = {}  # integer point: {size: sums}
+def _sums(m: Matroid, size, point):
+    """({S: d^S f(nums)}, c = den^(r - size)) over the independent S of this
+    size, f the basis generating polynomial of m, at the integer point
+    (den, *nums) that `_point` makes of a rational one, nums_i / den its
+    coordinates: d^S f is homogeneous of degree r - |S|, so each value is
+    c d^S f(nums / den). By Euler's identity (r - |S|) d^S f = sum over i
+    outside S of x_i d^(S+i) f, so each size is summed, in integers and
+    exactly divided, from the one above, down from 1 on the bases or the
+    nearest size kept for the point in m's tables; only the sizes asked
+    for are kept."""
+    r, levels = m.rank, m._tables.setdefault(point, {})
+    top = min((s for s in levels if s >= size), default=r)
+    sums = levels[top] if top in levels else dict.fromkeys(m.bases, 1)
+    for s in range(top, size, -1):
+        above, sums = sums, {}
+        for t, x in above.items():
+            rest = t
+            while rest:  # each i in t, lowest first; nums_i is point[i + 1]
+                low = rest & -rest
+                rest ^= low
+                term = point[low.bit_length()] * x
+                sums[t ^ low] = sums.get(t ^ low, 0) + term
+        sums = {a: x // (r - s + 1) for a, x in sums.items()}
+    levels[size] = sums
+    return sums, point[0] ** (r - size)
 
-    @property
-    def m(self) -> Matroid:
-        return self._matroid()
 
-    @staticmethod
-    def of(m: Matroid) -> "GorensteinRing":
-        if m._ring is None:
-            object.__setattr__(m, "_ring", GorensteinRing(m))
-        return m._ring
+def value(m: Matroid, point) -> Fraction:
+    """f(point), at the integer point of `_sums`."""
+    sums, scale = _sums(m, 0, point)
+    return Fraction(sums[0], scale)
 
-    def evaluation(self, k) -> GradedEvaluation:
-        if k not in self._evals:
-            self._evals[k] = graded_evaluation(self.m, k)
-        return self._evals[k]
 
-    def _sums(self, size, point):
-        """({S: d^S f(nums)}, c = den^(r - size)) over the independent S of
-        this size, at the integer point (den, *nums): d^S f is homogeneous
-        of degree r - |S|, so each value is c d^S f(nums / den). By Euler's
-        identity (r - |S|) d^S f = sum over i outside S of x_i d^(S+i) f, so
-        each size is summed, in integers and exactly divided, from the one
-        above, down from 1 on the bases or the nearest size kept for the
-        point; only the sizes asked for are kept."""
-        r, levels = self.m.rank, self._tables.setdefault(point, {})
-        top = min((s for s in levels if s >= size), default=r)
-        sums = levels[top] if top in levels else dict.fromkeys(self.m.bases, 1)
-        for s in range(top, size, -1):
-            above, sums = sums, {}
-            for t, value in above.items():
-                rest = t
-                while rest:  # each i in t, lowest first; nums_i is point[i + 1]
-                    low = rest & -rest
-                    rest ^= low
-                    term = point[low.bit_length()] * value
-                    sums[t ^ low] = sums.get(t ^ low, 0) + term
-            sums = {a: x // (r - s + 1) for a, x in sums.items()}
-        levels[size] = sums
-        return sums, point[0] ** (r - size)
+def hr_inertia(m: Matroid, k, point):
+    """(In(Q^k), In([[Q^k, U], [U^T, 0]])) by one `integer_inertia`, with
+    U(a, b) = deg(a b l^(r-2k+1)) pairing degree k with k-1 (no columns
+    when k = 0). deg(a b l^p) = p! d^(a|b) f(point), so Q^k = a (-1)^k
+    S_2k and U = b S_2k-1 in the integer sums, with a, b > 0: scaling
+    the whole by 1/a and the congruence diag(I, (a/b) I) show that
+    [[(-1)^k S_2k, S_2k-1], [S_2k-1^T, 0]] has the same two inertias."""
+    _check_degree(m, k)
+    basis = _basis(m, k)
+    lower = _basis(m, k - 1) if k else []
+    sign = (-1) ** k
+    q = _pairing(m, basis, basis, 2 * k, point)
+    u = _pairing(m, basis, lower, 2 * k - 1, point)
+    rows = [[sign * x for x in qr] + ur for qr, ur in zip(q, u)]
+    rows += [list(col) + [0] * len(lower) for col in zip(*u)]
+    return integer_inertia(rows, len(basis))
 
-    def value(self, point) -> Fraction:
-        sums, scale = self._sums(0, point)
-        return Fraction(sums[0], scale)
 
-    def hr_inertia(self, k, point):
-        """(In(Q^k), In([[Q^k, U], [U^T, 0]])) by one `integer_inertia`, with
-        U(a, b) = deg(a b l^(r-2k+1)) pairing degree k with k-1 (no columns
-        when k = 0). deg(a b l^p) = p! d^(a|b) f(point), so Q^k = a (-1)^k
-        S_2k and U = b S_2k-1 in the integer sums, with a, b > 0: scaling
-        the whole by 1/a and the congruence diag(I, (a/b) I) show that
-        [[(-1)^k S_2k, S_2k-1], [S_2k-1^T, 0]] has the same two inertias."""
-        _check_degree(self.m, k)
-        basis = self._basis(k)
-        lower = self._basis(k - 1) if k else []
-        sign = (-1) ** k
-        q = self._pairing(basis, basis, 2 * k, point)
-        u = self._pairing(basis, lower, 2 * k - 1, point)
-        rows = [[sign * x for x in qr] + ur for qr, ur in zip(q, u)]
-        rows += [list(col) + [0] * len(lower) for col in zip(*u)]
-        return integer_inertia(rows, len(basis))
+def _basis(m: Matroid, k):
+    ev = evaluation(m, k)
+    return [ev.row_masks[i] for i in ev.basis_positions]
 
-    def _basis(self, k):
-        ev = self.evaluation(k)
-        return [ev.row_masks[i] for i in ev.basis_positions]
 
-    def _pairing(self, rows, cols, size, point):
-        """The int rows c d^(a|b) f(point) of `_sums`, for a in rows and b in
-        cols with |a| + |b| = size; 0 when a and b meet."""
-        table = self._sums(size, point)[0] if cols else {}
-        return [[table.get(a | b, 0) for b in cols] for a in rows]
+def _pairing(m: Matroid, rows, cols, size, point):
+    """The int rows c d^(a|b) f(point) of `_sums`, for a in rows and b in
+    cols with |a| + |b| = size; 0 when a and b meet."""
+    table = _sums(m, size, point)[0] if cols else {}
+    return [[table.get(a | b, 0) for b in cols] for a in rows]
 
 
 def _check_degree(m: Matroid, k):
@@ -212,15 +192,14 @@ def _point(m: Matroid, point):
     return den, *nums
 
 
-def _ring_at(m: Matroid, point):
-    """The ring of m and the point, at which f must be positive."""
-    ring = GorensteinRing.of(m)
+def _positive_point(m: Matroid, point):
+    """The integer point of `_point`, at which f must be positive."""
     point = _point(m, point)
-    if ring.value(point) <= 0:
+    if value(m, point) <= 0:
         raise LogcavityError(
             "HL/HRR criteria need the basis generating polynomial f(point) > 0"
         )
-    return ring, point
+    return point
 
 
 def hr_form(m: Matroid, k, point) -> QMatrix:
@@ -229,10 +208,10 @@ def hr_form(m: Matroid, k, point) -> QMatrix:
     No command reads the matrix (`hr_inertia` takes its inertia from the
     integer sums); the benchmark's per-layer metrics time it by this name."""
     _check_degree(m, k)
-    ring, point = GorensteinRing.of(m), _point(m, point)
-    basis, p = ring._basis(k), m.rank - 2 * k
+    point = _point(m, point)
+    basis, p = _basis(m, k), m.rank - 2 * k
     weight = Fraction((-1) ** k * math.factorial(p), point[0] ** p)
-    rows = ring._pairing(basis, basis, 2 * k, point)
+    rows = _pairing(m, basis, basis, 2 * k, point)
     return QMatrix([x * weight for x in row] for row in rows)
 
 
@@ -240,15 +219,13 @@ def hl_check(m: Matroid, k, point) -> bool:
     """Hard Lefschetz in degree k at the point: the Lefschetz map has full
     rank, equivalently the Hodge-Riemann form is non-degenerate (its matrix
     is the Lefschetz map written through the Poincare pairing)."""
-    ring, point = _ring_at(m, point)
-    return _verdicts(*ring.hr_inertia(k, point))[0]
+    return _verdicts(*hr_inertia(m, k, _positive_point(m, point)))[0]
 
 
 def hrr_check(m: Matroid, k, point) -> bool:
     """Hodge-Riemann relations in degree k at the point: Q^k positive
     definite on the primitive subspace."""
-    ring, point = _ring_at(m, point)
-    return _verdicts(*ring.hr_inertia(k, point))[1]
+    return _verdicts(*hr_inertia(m, k, _positive_point(m, point)))[1]
 
 
 def _verdicts(block: Inertia, bordered: Inertia):
@@ -295,14 +272,13 @@ def facet_theorem_scan(m: Matroid, subset_size_cap=2) -> FacetScanReport:
     subset facets and the inverse-Hessian determinant identity."""
     if m.rank < 2:
         raise LogcavityError("facet scan needs rank >= 2")
-    ring = GorensteinRing.of(m)
     coloops = m.coloops()
     per_element = []
     for e in m.ground:
         verdicts = []
         for pencil in (False, True):
             point = _point(m, facet_point(m, [e], pencil))
-            verdicts.append(_verdicts(*ring.hr_inertia(1, point))[1])
+            verdicts.append(_verdicts(*hr_inertia(m, 1, point))[1])
         is_coloop = e in coloops
         per_element.append(
             FacetElementReport(
@@ -327,9 +303,9 @@ def facet_theorem_scan(m: Matroid, subset_size_cap=2) -> FacetScanReport:
             point = _point(m, facet_point(m, combo))
             complement = [e for e in m.ground if e not in combo]
             if m.rank_of(complement) < m.rank:
-                degenerate.append((combo, _verdicts(*ring.hr_inertia(1, point))[1]))
+                degenerate.append((combo, _verdicts(*hr_inertia(m, 1, point))[1]))
                 continue
-            subset_checks.append((combo, _verdicts(*ring.hr_inertia(1, point))[1]))
+            subset_checks.append((combo, _verdicts(*hr_inertia(m, 1, point))[1]))
     inverse_hessian = []
     simple = not m.loops() and all(
         len(c) == 1 for c in m.parallel_data().classes
@@ -344,7 +320,7 @@ def facet_theorem_scan(m: Matroid, subset_size_cap=2) -> FacetScanReport:
             # bases through e carry the factor p_e, so both read off the
             # size-2 sums, scaled by one positive c; the diagonal is zero as
             # f is multilinear, and the table holds no 1-set for it
-            d2 = ring._sums(2, point)[0]
+            d2 = _sums(m, 2, point)[0]
             idx = m._index[e]
             keep = [i for i in range(m.n) if i != idx]
             grad = [d2.get(1 << idx | 1 << i, 0) for i in keep]
@@ -399,7 +375,7 @@ def mobius_pairing(m: Matroid, k):
     E_k on flats, whose rows and columns are the same rank-k flats in the
     same order; for 2k < r, rank(F | G) <= 2k < r, so the pairing is zero."""
     _check_degree(m, k)
-    ev = GorensteinRing.of(m).evaluation(k)
+    ev = evaluation(m, k)
     count = len(ev.firsts)
     if 2 * k < m.rank:
         return count, Inertia(0, 0, count)
@@ -423,7 +399,7 @@ def annihilator_containment_probe(m: Matroid, e) -> ContainmentProbe:
     rank(cl(row) | column) = r. So rows spanning one flat are equal in both
     matrices: a later row's kernel vector is e_j - e_i, which never fails,
     or the first row's plus that. One column per flat, in row order, and one
-    row per column flat give every vector that can fail first: the ring's
+    row per column flat give every vector that can fail first: M's
     E_(r-k) on flats at the flats an e-avoiding (r-k)-set spans (deletion)
     and at those that hold e (contraction). With R the RREF of the deletion
     rows and p_i its pivots, the kernel vector of a free column f is v_f =
@@ -441,9 +417,8 @@ def annihilator_containment_probe(m: Matroid, e) -> ContainmentProbe:
         )
     if e in m.loops():
         return ContainmentProbe(e, True, None)
-    ring = GorensteinRing.of(m)
     for k in range(1, m.rank):
-        ev, co = ring.evaluation(k), ring.evaluation(m.rank - k)
+        ev, co = evaluation(m, k), evaluation(m, m.rank - k)
         avoiding = [a for a in ev.row_masks if not a & bit]
         firsts = _first_per_flat(m._flats(k), avoiding)
         column = {f: j for j, f in enumerate(co.col_flats)}

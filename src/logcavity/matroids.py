@@ -136,7 +136,7 @@ def _is_basis_family(masks):
 
 class Matroid:
     __slots__ = (
-        "ground", "_index", "bases", "rank", "_indep", "_cl", "_ring", "__weakref__"
+        "ground", "_index", "bases", "rank", "_indep", "_cl", "_evals", "_tables"
     )
 
     def __init__(self, ground, basis_masks):
@@ -152,8 +152,10 @@ class Matroid:
         object.__setattr__(self, "_indep", None)
         # closures of the independent sets by size (_flats), each on first use
         object.__setattr__(self, "_cl", {})
-        # the Gorenstein ring (hodge.GorensteinRing.of), built on first use
-        object.__setattr__(self, "_ring", None)
+        # hodge's tables by degree (evaluation) and by integer point (_sums),
+        # each on first use; per instance, as the ground order sets each mask
+        object.__setattr__(self, "_evals", {})
+        object.__setattr__(self, "_tables", {})
 
     def __setattr__(self, *a):
         raise AttributeError("Matroid is immutable")

@@ -269,13 +269,12 @@ class TestHodgeCommand:
         # zoo in every degree at seeded points, some with f <= 0 (no HL or
         # HRR then), and each report runs `hr_inertia` once
         runs = []
-        original = hodge.GorensteinRing.hr_inertia
 
-        def counted(ring, k, point):
+        def counted(m, k, point):
             runs.append(k)
-            return original(ring, k, point)
+            return hodge.hr_inertia(m, k, point)
 
-        monkeypatch.setattr(hodge.GorensteinRing, "hr_inertia", counted)
+        monkeypatch.setattr(cli, "hr_inertia", counted)
         path, nonpositive = tmp_path / "m.json", 0
         for name, m in sorted(matroid_zoo().items()):
             path.write_text(json.dumps(m.to_json()))
@@ -288,10 +287,10 @@ class TestHodgeCommand:
                 assert runs == [k], (name, k, point)
                 assert code == (2 if report["violations"] else 0)
                 results = report["results"]
-                ring, at = hodge.GorensteinRing.of(m), hodge._point(m, point)
-                block = ring.hr_inertia(k, at)[0]
+                at = hodge._point(m, point)
+                block = hodge.hr_inertia(m, k, at)[0]
                 assert results["hr_form_inertia"] == list(block._values())
-                if ring.value(at) <= 0:
+                if hodge.value(m, at) <= 0:
                     nonpositive += 1
                     assert "hl" not in results and "hrr" not in results
                     continue
@@ -577,6 +576,40 @@ class TestLorentzianCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: TooLarge: ") and err.count("\n") == 1
         assert "20 elements, over the --cap-elements limit 16" in err
+
+    @pytest.mark.parametrize(
+        "flag, obj",
+        [
+            ("--graph", {"vertices": 2, "edges": [[0, 1]] * 17}),
+            (
+                "--matroid",
+                {"type": "graphic", "graph": {"vertices": 2, "edges": [[0, 1]] * 17}},
+            ),
+            ("--matroid", {"type": "uniform", "k": 2, "n": 17}),
+            (
+                "--matroid",
+                {"type": "linear", "matrix": {"rows": 1, "cols": 17, "entries": [1] * 17}},
+            ),
+        ],
+        ids=["graph", "graphic", "uniform", "linear"],
+    )
+    def test_every_input_type_capped_before_construction(
+        self, capsys, tmp_path, monkeypatch, flag, obj
+    ):
+        # 17 elements: the flag's limit, not the constructors' fixed 16, is
+        # the one named, and no constructor runs
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(obj))
+
+        def built(*args, **kwargs):
+            raise AssertionError("a constructor ran")
+
+        for name in ("graphic", "uniform", "linear"):
+            monkeypatch.setattr(Matroid, name, staticmethod(built))
+        assert main(["matroid", flag, str(path), "--cap-elements", "3"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: TooLarge: ") and err.count("\n") == 1
+        assert "17 elements, over the --cap-elements limit 3" in err
 
     def test_deterministic_bytes(self, capsys, tmp_path):
         argv = ["lorentzian", "--poly", self.poly_file(tmp_path)]

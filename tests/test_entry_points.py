@@ -61,7 +61,7 @@ NEVER_RUN = {
         posets.stanley_equality_classify posets.StanleyEqualityVerdict
         posets._IdealLattice.adjacent_count""".split(), ITEM_11),
     "linalg.QMatrix.to_json": FREEZE,
-    "hodge._ring_at": VIA + "hodge.hl_check, hodge.hrr_check",
+    "hodge._positive_point": VIA + "hodge.hl_check, hodge.hrr_check",
     "linalg.QMatrix.m": VIA + "linalg.QMatrix.__repr__, linalg.QMatrix.to_json",
     "linalg.laplacian": VIA + "linalg.spanning_tree_count",
     "matroids.Matroid._key": VIA + "matroids.Matroid.__eq__, matroids.Matroid.__hash__",

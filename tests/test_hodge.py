@@ -1,3 +1,4 @@
+import gc
 import math
 import random
 import weakref
@@ -18,17 +19,19 @@ from logcavity.linalg import integer_row_basis, kernel_witness, rank_of_matrix
 from logcavity.matroids import FlatLattice, Matroid
 from logcavity import hodge
 from logcavity.hodge import (
-    GorensteinRing,
     _point,
-    _ring_at,
+    _positive_point,
+    _sums,
     _verdicts,
     annihilator_containment_probe,
+    evaluation,
     facet_point,
     facet_theorem_scan,
     graded_dims,
     graded_evaluation,
     hl_check,
     hr_form,
+    hr_inertia,
     hrr_check,
     in_annihilator,
     mobius_pairing,
@@ -89,20 +92,34 @@ PROBE_CASES = [
 ]
 
 
-class TestGorensteinRing:
-    def test_one_ring_per_instance(self):
+class TestMatroidTables:
+    def test_a_repeated_call_reads_the_table(self):
         m = Matroid.uniform(2, 3)
-        assert GorensteinRing.of(m) is GorensteinRing.of(m)
-        # equal matroids with another ground order get their own masks
-        other = Matroid.from_bases([2, 1, 0], [[0, 1], [0, 2], [1, 2]])
-        assert other == m and GorensteinRing.of(other) is not GorensteinRing.of(m)
+        assert evaluation(m, 1) is evaluation(m, 1)
+        assert m._evals == {1: evaluation(m, 1)}
 
-    def test_ring_goes_with_its_matroid(self):
+    def test_equal_matroids_keep_their_own_tables(self):
+        # another ground order gives other masks, so other tables
         m = Matroid.uniform(2, 3)
-        ring = weakref.ref(GorensteinRing.of(m))
+        other = Matroid.from_bases([2, 1, 0], [[0, 1], [0, 2], [1, 2]])
+        assert other == m and other.ground != m.ground
+        assert evaluation(other, 1) is not evaluation(m, 1)
+        at = _point(m, [1, 2, 3])
+        assert _sums(other, 1, at)[0] is not _sums(m, 1, at)[0]
+        assert set(m._tables) == set(other._tables) == {at}
+
+    def test_tables_go_with_their_matroid(self):
+        m = Matroid.uniform(2, 3)
         assert hrr_check(m, 1, [1, 1, 1])
-        del m
-        assert ring() is None  # freed by reference counting, not a cycle
+        record = weakref.ref(m._evals[1])
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            del m
+            assert record() is None  # freed by reference counting, not a cycle
+        finally:
+            if enabled:
+                gc.enable()
 
 
 class TestGradedDims:
@@ -510,11 +527,11 @@ class TestSignatureFormula:
         """(hypotheses_hold, formula_holds): when HL_i and HRR_i hold for
         i <= k, the net signature of (-1)^k Q^k equals the alternating sum
         of graded dimension increments."""
-        ring, at = _ring_at(m, point)
+        at = _positive_point(m, point)
         for i in range(1, k + 1):
             if not (hl_check(m, i, point) and hrr_check(m, i, point)):
                 return False, False
-        block = ring.hr_inertia(k, at)[0]
+        block = hr_inertia(m, k, at)[0]
         sigma = (-1) ** k * (block.n_pos - block.n_neg)
         dims = [0] + graded_dims(m)
         expect = sum((-1) ** i * (dims[i + 1] - dims[i]) for i in range(k + 1))
@@ -642,9 +659,8 @@ class TestOracleProperties:
         # sizes are asked for in a drawn order; the table holds every
         # independent set of its size, a zero value too
         m, _, point = inst
-        ring = GorensteinRing.of(m)
         for size in data.draw(st.permutations(range(m.rank + 1))):
-            table, scale = ring._sums(size, _point(m, point))
+            table, scale = _sums(m, size, _point(m, point))
             assert sorted(table) == m.independent_subsets(size), size
             for mask in range(1 << m.n):
                 if bin(mask).count("1") != size:
@@ -664,15 +680,14 @@ class TestOracleProperties:
         assert all(type(x) is int for x in at) and at[0] > 0
         assert [Fraction(x, at[0]) for x in at[1:]] == point
         assert _point(m, map(str, point)) == at
-        ring = GorensteinRing.of(m)
         for size in range(m.rank + 1):
-            table, scale = ring._sums(size, at)
+            table, scale = _sums(m, size, at)
             for mask in m.independent_subsets(size):
                 expected = oracle.derivative(m, mask, point)
                 assert Fraction(table[mask], scale) == expected, (size, mask)
         for k in range(m.rank // 2 + 1):
-            assert ring.hr_inertia(k, at)[0] == inertia(oracle.hr_form(m, k, point))
-        assert list(ring._tables) == [at]
+            assert hr_inertia(m, k, at)[0] == inertia(oracle.hr_form(m, k, point))
+        assert list(m._tables) == [at]
 
     @settings(max_examples=60, deadline=None)
     @given(instances())
@@ -680,9 +695,9 @@ class TestOracleProperties:
         m, k, point = inst
         form = oracle.hr_form(m, k, point)
         assert hr_form(m, k, point) == form
-        ring, at = GorensteinRing.of(m), _point(m, point)
-        assert ring.hr_inertia(k, at)[0] == inertia(form)
-        hrr = _verdicts(*ring.hr_inertia(k, at))[1]
+        at = _point(m, point)
+        assert hr_inertia(m, k, at)[0] == inertia(form)
+        hrr = _verdicts(*hr_inertia(m, k, at))[1]
         assert hrr == oracle.hrr_verdict(m, k, point)
 
     @settings(max_examples=60, deadline=None)
@@ -742,9 +757,8 @@ class TestOracleProperties:
         # rank-(r-k) flat of the full lattice, and E_(r-k) on flats is its
         # transpose; the pairing reads it in every degree 2k <= r
         levels = FlatLattice.of(m).flats_by_rank
-        ring = GorensteinRing.of(m)
         for k in range(m.rank + 1):
-            ev, co = ring.evaluation(k), ring.evaluation(m.rank - k)
+            ev, co = evaluation(m, k), evaluation(m, m.rank - k)
             rows = [m._flats(k)[ev.row_masks[i]] for i in ev.firsts]
             assert sorted(rows) == list(map(m._mask, levels[k]))
             assert sorted(ev.col_flats) == list(map(m._mask, levels[m.rank - k]))

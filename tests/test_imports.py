@@ -1,8 +1,9 @@
-"""No module of the package imports a name it never uses, and importing
-the CLI loads no module that only slows every start.
+"""No module of the package imports a name it never uses, importing the
+package loads none of its modules, and importing the CLI loads no module
+that only slows every start.
 
-`__init__.py` is skipped: its imports are the package's public names. An
-import marked `# noqa: F401` on its line is kept on purpose and allowed.
+`__init__.py` re-exports nothing: callers import the submodules. An import
+marked `# noqa: F401` on its line is kept on purpose and allowed.
 """
 
 import ast
@@ -15,7 +16,7 @@ from pathlib import Path
 import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "logcavity"
-MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+MODULES = sorted(PACKAGE.glob("*.py"))
 
 
 def unused_imports(source):
@@ -50,11 +51,12 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
 
-def test_cli_import_loads_no_dataclasses_or_inspect():
-    # in a fresh interpreter, counting only what the import itself loads: a
-    # site hook may have loaded either module before
+def loaded_by(module):
+    """The modules that importing module loads in a fresh interpreter,
+    counting only what the import itself loads: a site hook may have loaded
+    others before."""
     code = (
-        "import json, sys; before = set(sys.modules); import logcavity.cli; "
+        f"import json, sys; before = set(sys.modules); import {module}; "
         "print(json.dumps(sorted(set(sys.modules) - before)))"
     )
     done = subprocess.run(
@@ -65,6 +67,16 @@ def test_cli_import_loads_no_dataclasses_or_inspect():
         timeout=60,
     )
     assert done.returncode == 0, done.stderr
-    loaded = json.loads(done.stdout)
+    return json.loads(done.stdout)
+
+
+def test_package_import_loads_no_submodule():
+    loaded = loaded_by("logcavity")
+    assert "logcavity" in loaded
+    assert not [name for name in loaded if name.startswith("logcavity.")]
+
+
+def test_cli_import_loads_no_dataclasses_or_inspect():
+    loaded = loaded_by("logcavity.cli")
     assert "logcavity.cli" in loaded
     assert {"dataclasses", "inspect"}.isdisjoint(loaded)
