@@ -195,48 +195,16 @@ def _load_json(path, what):
 
 
 def _load_matroid(args, graph=None) -> Matroid:
-    """The --matroid, else the cycle matroid of graph or the --graph. Its
-    element count meets --cap-elements before any constructor runs."""
+    """The --matroid, else the cycle matroid of graph or the --graph, built
+    under --cap-elements, which the constructor checks before any work."""
     if graph is None and args.matroid and args.graph:  # else the caller checks the pair
         raise LogcavityError("give --matroid or --graph, not both")
     if args.matroid:
-        obj = _load_json(args.matroid, "matroid")
-        _cap_elements(args, _element_count(obj))
-        return Matroid.from_json(obj)
+        return Matroid.from_json(_load_json(args.matroid, "matroid"), args.cap_elements)
     if args.graph:
         graph = graph or Graph.from_json(_load_json(args.graph, "graph"))
-        _cap_elements(args, len(graph.edges))
-        return Matroid.graphic(graph)
+        return Matroid.graphic(graph, args.cap_elements)
     raise LogcavityError("a --matroid or --graph file is required")
-
-
-def _element_count(obj):
-    """The element count of a matroid JSON object, read where its type gives
-    it: the ground, the graph's edges, n or the matrix's columns. 0 where
-    that value has the wrong JSON kind or the type is unknown, which the
-    constructor then reports."""
-    kind = obj.get("type", "bases")
-    if kind == "uniform":
-        count = obj.get("n")
-        return count if type(count) is int else 0
-    if kind == "linear":
-        matrix = obj.get("matrix")
-        count = matrix.get("cols") if isinstance(matrix, dict) else None
-        return count if type(count) is int else 0
-    if kind == "graphic":
-        graph = obj.get("graph")
-        items = graph.get("edges") if isinstance(graph, dict) else None
-    else:
-        items = obj.get("ground") if kind == "bases" else None
-    return len(items) if isinstance(items, list) else 0
-
-
-def _cap_elements(args, n):
-    cap = args.cap_elements
-    if n > cap:
-        raise TooLarge(
-            f"matroid has {n} elements, over the --cap-elements limit {_shown(cap)}"
-        )
 
 
 def _load_marked_poset(args) -> MarkedPoset:
@@ -375,7 +343,8 @@ def cmd_stanley(args):
     m = _load_matroid(args, graph)
     # edge j is element j, as the volume route below takes it
     if getattr(args, "matroid", None) and graph and (
-        len(graph.edges) != m.n or Matroid.graphic(graph).bases != m.bases
+        len(graph.edges) != m.n
+        or Matroid.graphic(graph, args.cap_elements).bases != m.bases
     ):
         raise LogcavityError(
             f"--graph needs the matroid's {m.n} edges and bases, edge j as element j"
@@ -650,14 +619,21 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, matroid=False, poset=False):
-        p.add_argument("--out", help="write the JSON report here")
-        p.add_argument("--format", choices=["json", "csv"], default="json")
+        p.add_argument("--out", help="write the report here")
+        fmt = "report format (default: %(default)s)"
+        p.add_argument("--format", choices=["json", "csv"], default="json", help=fmt)
         if matroid:
-            p.add_argument("--cap-elements", type=int, default=DEFAULT_ELEMENT_CAP)
+            cap = "most elements a matroid may have (default: %(default)s)"
+            p.add_argument(
+                "--cap-elements", type=int, default=DEFAULT_ELEMENT_CAP, help=cap
+            )
             p.add_argument("--matroid", help="matroid JSON file")
             p.add_argument("--graph", help="graph JSON file (graphic matroid)")
         if poset:
-            p.add_argument("--cap-extensions", type=int, default=DEFAULT_EXTENSION_CAP)
+            cap = "most linear extensions to count (default: %(default)s)"
+            p.add_argument(
+                "--cap-extensions", type=int, default=DEFAULT_EXTENSION_CAP, help=cap
+            )
             p.add_argument("--poset", required=True, help="poset JSON file")
 
     p = sub.add_parser("poset", help="linear extension statistics")
@@ -666,8 +642,8 @@ def build_parser():
 
     p = sub.add_parser("kahnsaks", help="Kahn-Saks sequence and extremals")
     common(p, poset=True)
-    p.add_argument("--x")
-    p.add_argument("--y")
+    p.add_argument("--x", help="marked element x (default: the poset JSON's 'x')")
+    p.add_argument("--y", help="marked element y (default: the poset JSON's 'y')")
 
     p = sub.add_parser("matroid", help="matroid structure summary")
     common(p, matroid=True)
@@ -687,7 +663,7 @@ def build_parser():
 
     p = sub.add_parser("hodge", help="Gorenstein quotient certification")
     common(p, matroid=True)
-    p.add_argument("--k", type=int, default=1)
+    p.add_argument("--k", type=int, default=1, help="degree, 2k <= rank (default: 1)")
     p.add_argument("--point", help="comma-separated rational coordinates")
 
     p = sub.add_parser("probe", help="open-question probes (report only)")

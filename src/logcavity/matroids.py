@@ -25,6 +25,13 @@ from .linalg import (
 DEFAULT_ELEMENT_CAP = 16
 
 
+def _check_elements(n, cap):
+    """The element cap, which each constructor checks before any work."""
+    if n > cap:
+        limit = f"over the --cap-elements limit {_shown(cap)}"
+        raise TooLarge(f"matroid has {_shown(n)} elements, {limit}")
+
+
 def _subsets(candidates, r, accept):
     """The masks of the r-subsets of candidates (indices) that accept, given
     the subset as an index tuple, takes."""
@@ -181,8 +188,9 @@ class Matroid:
     # -- construction -----------------------------------------------------
 
     @staticmethod
-    def from_bases(ground, bases):
+    def from_bases(ground, bases, cap=DEFAULT_ELEMENT_CAP):
         ground = tuple(ground)
+        _check_elements(len(ground), cap)
         index = {lab: i for i, lab in enumerate(ground)}
         masks = []
         for b in bases:
@@ -203,30 +211,28 @@ class Matroid:
         return m
 
     @staticmethod
-    def uniform(k, n):
+    def uniform(k, n, cap=DEFAULT_ELEMENT_CAP):
+        _check_elements(n, cap)
         if not 0 <= k <= n:
             shown = f"k={_shown(k)}, n={_shown(n)}"
             raise LogcavityError(f"uniform matroid needs 0 <= k <= n, got {shown}")
-        if n > DEFAULT_ELEMENT_CAP:
-            raise TooLarge(f"ground set larger than {DEFAULT_ELEMENT_CAP}")
         return Matroid(tuple(range(n)), _subsets(range(n), k, lambda c: True))
 
     @staticmethod
-    def graphic(graph: Graph):
+    def graphic(graph: Graph, cap=DEFAULT_ELEMENT_CAP):
         """Cycle matroid of a multigraph; loop edges become matroid loops.
         Each forest, with a component label per vertex an edge touches, grows
         by the edges above its largest one that join two components: so each
         forest comes once, and the levels are the independence complex."""
         m = len(graph.edges)
-        if m > DEFAULT_ELEMENT_CAP:
-            raise TooLarge(f"more than {DEFAULT_ELEMENT_CAP} edges")
+        _check_elements(m, cap)
         ids = {x: i for i, x in enumerate(dict.fromkeys(sum(graph.edges, ())))}
         ends = [(j, ids[u], ids[v]) for j, (u, v) in enumerate(graph.edges)]
-        level, levels = [(0, bytes(range(len(ids))), 0)], []
+        level, levels = [(0, "".join(map(chr, range(len(ids)))), 0)], []
         while level:
             levels.append(frozenset([mask for mask, _, _ in level]))
             level = [  # v's component takes u's label
-                (mask | 1 << j, comp.replace(comp[v : v + 1], comp[u : u + 1]), j + 1)
+                (mask | 1 << j, comp.replace(comp[v], comp[u]), j + 1)
                 for mask, comp, start in level
                 for j, u, v in ends[start:]
                 if comp[u] != comp[v]
@@ -236,17 +242,16 @@ class Matroid:
         return matroid
 
     @staticmethod
-    def linear(matrix: QMatrix, ground=None):
+    def linear(matrix: QMatrix, ground=None, cap=DEFAULT_ELEMENT_CAP):
         """Column matroid of a rational matrix, its columns scaled to ints once."""
         cols = matrix.cols
+        _check_elements(cols, cap)
         if ground is None:
             ground = tuple(range(cols))
         if len(ground) != cols:
             raise LogcavityError(
                 f"linear matroid has {len(ground)} ground labels for {cols} columns"
             )
-        if cols > DEFAULT_ELEMENT_CAP:
-            raise TooLarge(f"more than {DEFAULT_ELEMENT_CAP} columns")
         r = rank_of_matrix(matrix)
         vecs = list(zip(*matrix.ints))  # the columns
         masks = _subsets(
@@ -269,12 +274,9 @@ class Matroid:
         """The independence complex, the down-closure of the bases (`graphic`
         grows it instead): levels[s] is the set of independent s-sets as
         masks, and levels[rank + 1] is empty, so a lookup one past the rank
-        needs no guard. The element cap bounds it by 2^16 masks."""
+        needs no guard. It holds up to 2^n masks; the constructors bound n
+        by the element cap."""
         if self._indep is None:
-            if self.n > DEFAULT_ELEMENT_CAP:
-                raise TooLarge(
-                    f"independence complex over {DEFAULT_ELEMENT_CAP} elements"
-                )
             object.__setattr__(self, "_indep", _down_closure(self.bases, self.rank))
         return self._indep
 
@@ -369,29 +371,31 @@ class Matroid:
         return {"type": "bases", "ground": list(self.ground), "bases": sorted(bases)}
 
     @staticmethod
-    def from_json(obj):
+    def from_json(obj, cap=DEFAULT_ELEMENT_CAP):
         kind = obj.get("type", "bases")
         if kind == "uniform":
             return Matroid.uniform(
                 _expect(obj["k"], int, "uniform 'k'"),
                 _expect(obj["n"], int, "uniform 'n'"),
+                cap,
             )
         if kind == "graphic":
-            return Matroid.graphic(Graph.from_json(obj["graph"]))
+            return Matroid.graphic(Graph.from_json(obj["graph"]), cap)
         if kind == "linear":
             ground = obj.get("ground")
             return Matroid.linear(
                 QMatrix.from_json(obj["matrix"]),
                 None if ground is None else _json_labels(ground, "matroid 'ground'"),
+                cap,
             )
         if kind == "bases":
             ground = _json_labels(obj["ground"], "matroid 'ground'")
             index = {str(g): g for g in ground}
-            bases = [
+            bases = (  # read one by one, after from_bases checks the cap
                 [index.get(str(e), e) for e in _json_labels(b, "a basis")]
                 for b in _expect(obj["bases"], list, "matroid 'bases'")
-            ]
-            return Matroid.from_bases(ground, bases)
+            )
+            return Matroid.from_bases(ground, bases, cap)
         raise LogcavityError(f"unknown matroid type {_shown(kind)}")
 
 
@@ -406,8 +410,7 @@ class FlatLattice(Record):
 
     @staticmethod
     def of(matroid: Matroid):
-        """Every rank-k flat is the closure of an independent k-set (capped
-        in `_flats`)."""
+        """Every rank-k flat is the closure of an independent k-set."""
         by_rank = []
         for k in range(matroid.rank + 1):
             level = sorted(set(matroid._flats(k).values()))

@@ -596,20 +596,74 @@ class TestLorentzianCommand:
     def test_every_input_type_capped_before_construction(
         self, capsys, tmp_path, monkeypatch, flag, obj
     ):
-        # 17 elements: the flag's limit, not the constructors' fixed 16, is
-        # the one named, and no constructor runs
+        # 17 elements over the flag's limit of 3: the constructor names the
+        # flag, and checks it before any exponential step: the subset scans,
+        # the rank test and basis validation, or the forest growth, which
+        # walks the graph's edges
         path = tmp_path / "in.json"
         path.write_text(json.dumps(obj))
 
-        def built(*args, **kwargs):
-            raise AssertionError("a constructor ran")
+        def ran(*args, **kwargs):
+            raise AssertionError("an exponential step ran before the cap check")
 
-        for name in ("graphic", "uniform", "linear"):
-            monkeypatch.setattr(Matroid, name, staticmethod(built))
+        class Unwalked(tuple):
+            __iter__ = ran
+
+        def unwalked(obj, read=Graph.from_json):
+            graph = read(obj)
+            object.__setattr__(graph, "edges", Unwalked(graph.edges))
+            return graph
+
+        steps = "_subsets", "rank_of_matrix", "_is_basis_family", "_exchange_failure"
+        for name in steps:
+            monkeypatch.setattr(matroids, name, ran)
+        monkeypatch.setattr(Graph, "from_json", staticmethod(unwalked))
         assert main(["matroid", flag, str(path), "--cap-elements", "3"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: TooLarge: ") and err.count("\n") == 1
         assert "17 elements, over the --cap-elements limit 3" in err
+
+    @pytest.mark.parametrize(
+        "flag, obj",
+        [
+            ("--graph", {"vertices": 2, "edges": [[0, 1]] * 17}),
+            ("--matroid", {"type": "uniform", "k": 1, "n": 17}),
+            (
+                "--matroid",
+                {"type": "linear", "matrix": {"rows": 1, "cols": 17, "entries": [1] * 17}},
+            ),
+            (
+                "--matroid",
+                {"ground": list(range(17)), "bases": [[e] for e in range(17)]},
+            ),
+        ],
+        ids=["graph", "uniform", "linear", "bases"],
+    )
+    def test_the_flag_raises_the_cap(self, capsys, tmp_path, flag, obj):
+        # U(1, 17) four ways: over the default cap of 16, admitted at 17
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(obj))
+        assert main(["matroid", flag, str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err == (
+            "error: TooLarge: matroid has 17 elements, "
+            "over the --cap-elements limit 16\n"
+        )
+        argv = ["matroid", flag, str(path), "--cap-elements", "17"]
+        code, report = run_json(capsys, argv)
+        assert code == 0
+        assert (report["results"]["rank"], report["results"]["bases"]) == (1, 17)
+
+    def test_graph_over_256_vertices(self, capsys, tmp_path):
+        # each vertex gets its own component label: 257 loops on 257
+        # vertices need 257 labels, and no loop enters a forest
+        path = tmp_path / "loops.json"
+        loops = {"vertices": 257, "edges": [[v, v] for v in range(257)]}
+        path.write_text(json.dumps(loops))
+        argv = ["matroid", "--graph", str(path), "--cap-elements", "257"]
+        code, report = run_json(capsys, argv)
+        assert code == 0
+        assert (report["results"]["rank"], report["results"]["bases"]) == (0, 1)
 
     def test_deterministic_bytes(self, capsys, tmp_path):
         argv = ["lorentzian", "--poly", self.poly_file(tmp_path)]
@@ -1526,6 +1580,7 @@ class TestEchoBound:
             (["hodge", "--k", str(BIG), "--graph"], PATH3),
             (["matroid", "--cap-elements", str(-BIG), "--graph"], PATH3),
             (["kahnsaks", "--cap-extensions", str(-BIG), "--poset"], MARKED3),
+            (["matroid", "--matroid"], {"type": "uniform", "k": 1, "n": BIG}),
         ],
     )
     def test_one_short_error_line(self, capsys, tmp_path, argv, payload):

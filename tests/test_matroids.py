@@ -10,7 +10,7 @@ from linalg_oracle import identity, submatrix
 from lorentzian_oracle import add, product
 from matroid_oracle import multigraphs, small_matroids
 
-from logcavity.errors import LogcavityError, TooLarge
+from logcavity.errors import LogcavityError
 from logcavity.linalg import (
     Graph,
     QMatrix,
@@ -541,10 +541,9 @@ class TestOracleProperties:
         for m in matroid_zoo().values():
             self.assert_lattice_matches_breadth_first(m)
 
-    def test_independence_complex_is_capped(self):
-        wide = Matroid.from_bases(range(17), [range(17)])
-        with pytest.raises(TooLarge, match="independence complex"):
-            wide.rank_of([0])
+    def test_independence_complex_under_a_raised_cap(self):
+        # the constructor's cap is the only one: the complex has no own
+        assert Matroid.from_bases(range(17), [range(17)], cap=17).rank_of([0]) == 1
 
 
 def families(n):
@@ -645,20 +644,20 @@ class TestLinkTest:
     def test_seventeen_elements_validate(self, monkeypatch):
         monkeypatch.setattr(matroids, "_exchange_failure", refused)
         bases = [list(c) for c in combinations(range(17), 3)]
-        m = Matroid.from_bases(range(17), bases)
+        m = Matroid.from_bases(range(17), bases, cap=17)
         assert m.rank == 3 and len(m.bases) == 680
         # two disjoint 8-sets: 2^8 masks against 2 * 8^2 exchange steps
         monkeypatch.undo()
         monkeypatch.setattr(matroids, "_down_closure", refused)
         with pytest.raises(LogcavityError, match="exchange fails for bases"):
-            Matroid.from_bases(range(17), [range(8), range(8, 16)])
+            Matroid.from_bases(range(17), [range(8), range(8, 16)], cap=17)
 
     def test_few_large_bases_take_the_exchange_scan(self, monkeypatch):
         monkeypatch.setattr(matroids, "_down_closure", refused)
         start = time.perf_counter()
-        free = Matroid.from_bases(range(30), [range(30)])
+        free = Matroid.from_bases(range(30), [range(30)], cap=30)
         with pytest.raises(LogcavityError, match="exchange fails for bases"):
-            Matroid.from_bases(range(40), [range(20), range(20, 40)])
+            Matroid.from_bases(range(40), [range(20), range(20, 40)], cap=40)
         assert time.perf_counter() - start < 1
         assert free.rank == 30
 
@@ -667,8 +666,10 @@ class TestLinkTest:
         # coloops, or taking complements, the family has rank 1
         monkeypatch.setattr(matroids, "_exchange_failure", refused)
         coloops = list(range(40, 60))
-        with_coloops = Matroid.from_bases(range(60), [[e] + coloops for e in range(40)])
-        corank_one = Matroid.from_bases(range(40), combinations(range(40), 39))
+        with_coloops = Matroid.from_bases(
+            range(60), [[e] + coloops for e in range(40)], cap=60
+        )
+        corank_one = Matroid.from_bases(range(40), combinations(range(40), 39), cap=40)
         assert (with_coloops.rank, corank_one.rank) == (21, 39)
 
     def test_uniform_7_14_given_as_bases(self):
