@@ -25,7 +25,9 @@ on U(2, 3) with each element tripled, one clone in R, whose ratio condition
 holds, so the report checks the ratio step), and four input errors that
 exit 1 with no report (a poset with no "elements", `poset --cap-extensions
 1` on a 3-element antichain, a 5000-digit matrix entry and a string
-"nvars"). It prints one JSON object,
+"nvars"), and three empty flag values, each read as written (`poset --x
+""` and `kahnsaks --x ""` on a poset with an element "", and `probe --e
+""`, which probes no element). It prints one JSON object,
 {"<workload>/<seed>/<op id>": [exit code, sha256 of the report]}, where
 the digest is null for an operation that wrote no report. Two checkouts
 give the same answers on the batches iff they print the same object.
@@ -106,6 +108,8 @@ def fixed_ops():
     tripled = {"--matroid": zoo.tripled_u23().to_json()}
     antichain = {"--poset": {"elements": [0, 1, 2], "relations": []}}
     huge = matrix([["1" * 5000]])  # past int's digit limit, as a string
+    # "" < a < b and c apart; the JSON marks b and c, the flags mark ""
+    empty = marked(["", "a", "b", "c"], [["", "a"], ["a", "b"]], "b", "c")
     ops = [
         ("matroid", {"--graph": k4}, ["--format", "csv"]),
         ("hodge", {"--graph": k23}, ["--k", "2", "--format", "csv"]),
@@ -136,6 +140,10 @@ def fixed_ops():
         ("poset", antichain, ["--cap-extensions", "1"]),  # 3! extensions
         ("discriminant", {"--tuple": {"mats": [{"matrix": huge}]}}, []),
         ("lorentzian", {"--poly": {"nvars": "2", "terms": poly}}, []),  # a str
+        # empty flag values, read as written
+        ("poset", empty, ["--x", ""]),  # stanley_N of ""
+        ("kahnsaks", empty, ["--x", ""]),  # x = "", y = c from the JSON
+        ("probe", {"--graph": k4}, ["--e", ""]),  # probes no element
     ]
     return [
         {"id": f"fixed-{i}", "cmd": cmd, "files": files, "args": args}

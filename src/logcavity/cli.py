@@ -221,7 +221,7 @@ def _mark(args, obj, p, key):
     as it (no two print alike), else from the poset JSON, where it must be
     an element label if it is there."""
     flag = getattr(args, key, None)
-    if flag:
+    if flag is not None:
         by_str = {str(lab): lab for lab in p.labels}
         if flag not in by_str:
             raise LogcavityError(f"unknown poset element {_shown(flag)}")
@@ -516,9 +516,7 @@ def cmd_probe(args):
     findings = []
     results = {"elements_probed": []}
     coloops = m.coloops()
-    elements = (
-        _parse_labels(m, args.e) if getattr(args, "e", None) else list(m.ground)
-    )
+    elements = list(m.ground) if args.e is None else _parse_labels(m, args.e)
     # clones share a verdict (their swap carries M\e, M/e to M\f, M/f); a
     # counterexample depends on row order, so only "contained" is copied
     classes, contained = m.clone_classes(), set()
@@ -617,6 +615,7 @@ def build_parser():
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
+    listed = "comma-separated {}; a list that starts with - needs --{}=-1,...".format
 
     def common(p, matroid=False, poset=False):
         p.add_argument("--out", help="write the report here")
@@ -650,7 +649,7 @@ def build_parser():
 
     p = sub.add_parser("stanley", help="basis counting sequence for a split")
     common(p, matroid=True)
-    p.add_argument("--R", help="comma-separated elements of the R side")
+    p.add_argument("--R", help=listed("elements of the R side", "R"))
     p.add_argument("--report", dest="out", help="alias of --out")
 
     p = sub.add_parser("lorentzian", help="Lorentzian certificate")
@@ -664,11 +663,11 @@ def build_parser():
     p = sub.add_parser("hodge", help="Gorenstein quotient certification")
     common(p, matroid=True)
     p.add_argument("--k", type=int, default=1, help="degree, 2k <= rank (default: 1)")
-    p.add_argument("--point", help="comma-separated rational coordinates")
+    p.add_argument("--point", help=listed("rationals (default: all 1)", "point"))
 
     p = sub.add_parser("probe", help="open-question probes (report only)")
     common(p, matroid=True)
-    p.add_argument("--e", help="probe only these elements")
+    p.add_argument("--e", help=listed("elements to probe (default: all)", "e"))
 
     p = sub.add_parser("selftest", help="run the pinned fixtures")
     common(p)

@@ -405,11 +405,11 @@ def annihilator_containment_probe(m: Matroid, e) -> ContainmentProbe:
     rows and p_i its pivots, the kernel vector of a free column f is v_f =
     e_f - sum_i R_i[f] e_(p_i), and a contraction row c has c . v_f =
     rho(c)_f, for rho(c) = c - sum_i c_(p_i) R_i, c reduced modulo the
-    deletion rows. So one echelon decides degree k (`kernel_witness`): it
-    holds iff every rho(c) is 0, and else the first vector that fails is v_f
-    at the least f with some rho(c)_f != 0. It is reported by its nonzero
-    coefficients, in row order, keyed by their rows' label sets: the shape
-    `in_annihilator` takes. A loop has M/e = M\\e."""
+    deletion rows. So degree k holds iff every rho(c) is 0, and else the
+    first vector that fails is v_f at the least f with some rho(c)_f != 0, where
+    `kernel_witness`'s one elimination of both, pivoting on deletion rows, stops.
+    It is reported by its nonzero coefficients, in row order, keyed by their
+    rows' label sets: the shape `in_annihilator` takes. A loop has M/e = M\\e."""
     bit = m._mask([e])
     if e in m.coloops():
         raise LogcavityError(

@@ -283,17 +283,20 @@ def _update(a, level, pivot_row, c, targets, lo):
             level[i] = p
 
 
-def _eliminate(a, ncols):
+def _eliminate(a, ncols, lead=None):
     """Fraction-free elimination of the integer rows a, in place, pivoting on
     the first nonzero entry at or below the current row in columns
     0..ncols-1. Rows below each pivot are cleared, leaving an echelon form
     whose last pivot is, up to the swap sign, the minor on the pivot rows
-    and columns. Returns (pivot columns, last pivot, swap sign).
+    and columns. Only the first lead rows (all if None) pivot: the pass
+    stops at the first column where a later row is the first nonzero.
+    Returns (pivot columns, last pivot, swap sign).
 
     The update is the lazy `_update`, each pivot row first raised to prev
     (a[r] * prev // level[r], its eager value), so the pivots, last pivot,
     swap sign and pivot rows (which no later step changes) are eager."""
     rows = len(a)
+    lead = rows if lead is None else lead
     level = [1] * rows
     pivots = []
     prev = 1
@@ -305,6 +308,8 @@ def _eliminate(a, ncols):
         piv = next((i for i in range(r, rows) if a[i][c]), None)
         if piv is None:
             continue
+        if piv >= lead:  # no pivot in column c, and a row past lead is nonzero
+            break
         if piv != r:
             a[r], a[piv] = a[piv], a[r]
             level[r], level[piv] = level[piv], level[r]
@@ -357,19 +362,14 @@ def integer_row_basis(rows):
 
 def kernel_witness(rows, others, ncols):
     """The first RREF kernel vector of the int rows, by column, that some
-    other row does not annihilate, or None; neither list is changed. Each
-    pivot's `_update` is replayed on the others: a free column's vector
-    fails iff a reduced other is nonzero there once the pivots left are in."""
-    a = [list(row) for row in rows]
-    pivots = _eliminate(a, ncols)[0]
-    reduced, level = [list(row) for row in others], [1] * len(others)
-    row_of = {c: r for r, c in enumerate(pivots)}
-    for j in range(ncols):
-        if j in row_of:
-            _update(reduced, level, a[row_of[j]], j, range(len(reduced)), j)
-        elif any(row[j] for row in reduced):
-            return kernel_vector(a, pivots, j, ncols)
-    return None
+    other row does not annihilate, or None; neither list is changed. It is
+    that of the free column where `_eliminate` of both, with only the rows
+    pivoting, stops: no pivot changes a column left of its own."""
+    a = [list(row) for row in [*rows, *others]]
+    pivots = _eliminate(a, ncols, len(rows))[0]
+    reduced, free = a[len(rows) :], range(pivots[-1] + 1 if pivots else 0, ncols)
+    f = next((j for j in free if any(row[j] for row in reduced)), None)
+    return None if f is None else kernel_vector(a, pivots, f, ncols)
 
 
 def kernel_vector(a, pivots, f, ncols):

@@ -260,21 +260,26 @@ def _bareiss(a, r, c, prev, targets, lo):
         row[lo:] = [(x * p - f * y) // prev for x, y in zip(row[lo:], pivot_row)]
 
 
-def eager_eliminate(a, ncols):
+def eager_eliminate(a, ncols, lead=None):
     """What `linalg._eliminate` returns, by the eager update: the integer
     rows a are changed in place, and the pivot rows end as the lazy
-    elimination leaves them."""
+    elimination leaves them. Only the first lead rows (all if None) may
+    pivot; the pass stops at the first column where none of them can and
+    a row past them is nonzero."""
     rows = len(a)
+    lead = rows if lead is None else lead
     pivots = []
     prev = 1
     sign = 1
     for c in range(ncols):
         r = len(pivots)
-        if r == rows:
-            break
-        piv = next((i for i in range(r, rows) if a[i][c]), None)
-        if piv is None:
+        nonzero = [i for i in range(r, rows) if a[i][c]]
+        pivotal = [i for i in nonzero if i < lead]
+        if not pivotal:
+            if nonzero:
+                break
             continue
+        piv = pivotal[0]
         if piv != r:
             a[r], a[piv] = a[piv], a[r]
             sign = -sign

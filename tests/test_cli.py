@@ -391,6 +391,24 @@ class TestPosetMarks:
         err = capsys.readouterr().err
         assert err == "error: unknown poset element '7'\n"
 
+    @pytest.mark.parametrize("command", ["kahnsaks", "poset"])
+    def test_an_empty_flag_is_read_as_written(
+        self, capsys, tmp_path, marked_file, command
+    ):
+        # --x "" names the element "", as the JSON mark "" does, not the
+        # JSON's x; with no element "" it is an unknown element
+        chain = [["", "a"], ["a", "b"]]  # "" < a < b, and c apart
+        obj = {"elements": ["", "a", "b", "c"], "relations": chain, "x": "b"}
+        flagged, marked = tmp_path / "flag_x.json", tmp_path / "json_x.json"
+        flagged.write_text(json.dumps({**obj, "y": "c"}))
+        marked.write_text(json.dumps({**obj, "x": "", "y": "c"}))
+        code, report = run_json(capsys, [command, "--poset", str(flagged), "--x", ""])
+        assert code == 0
+        _, from_json = run_json(capsys, [command, "--poset", str(marked)])
+        assert report["results"] == from_json["results"]
+        assert main([command, "--poset", marked_file, "--x", ""]) == 1
+        assert capsys.readouterr().err == "error: unknown poset element ''\n"
+
 
 class TestPosetCommand:
     def test_cap_fails_fast_and_names_flag(self, capsys, tmp_path, monkeypatch):
@@ -794,6 +812,24 @@ class TestErrors:
         assert capsys.readouterr().err == "error: element '0' is given twice\n"
 
     @pytest.mark.parametrize(
+        "command, flag, part, key",
+        [("stanley", "--R", "inputs", "R"), ("probe", "--e", "results", "elements_probed")],
+    )
+    def test_a_list_that_starts_with_a_minus_needs_the_equals_form(
+        self, capsys, tmp_path, command, flag, part, key
+    ):
+        # argparse reads "-1,0" after a space as an option, not a value
+        ground = [-1, 0, 1, 2]
+        bases = [list(b) for b in combinations(ground, 2)]
+        path = tmp_path / "u24.json"
+        path.write_text(json.dumps({"type": "bases", "ground": ground, "bases": bases}))
+        argv = [command, "--matroid", str(path)]
+        assert main(argv + [flag, "-1,0"]) == 1
+        assert "expected one argument" in capsys.readouterr().err
+        code, report = run_json(capsys, argv + [f"{flag}=-1,0"])
+        assert code == 0 and report[part][key] == ["-1", "0"]
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ["selftest", "--bogus"],
@@ -951,6 +987,14 @@ class TestReportContract:
         assert report["findings"][0]["kind"] == (
             "annihilator-containment-counterexample"
         )
+
+    def test_an_empty_element_list_probes_nothing(self, capsys, k23_file):
+        # as --e naming only coloops, or stanley --R "" taking R empty
+        argv = ["probe", "--matroid", k23_file, "--e", ""]
+        code, report = run_json(capsys, argv)
+        assert code == 0
+        assert report["results"]["elements_probed"] == []
+        assert report["findings"] == []
 
 
 class Pair(Record):

@@ -751,15 +751,22 @@ class TestLazyAgainstEager:
     @settings(max_examples=400, deadline=None)
     @given(INTEGER_GRIDS, st.data())
     def test_eliminate(self, grid, data):
-        # the pivot rows end eager: `kernel_vector` back-substitutes on them
+        # the pivot rows end eager: `kernel_vector` back-substitutes on them;
+        # every other row, those past lead at the stop too, is a nonzero
+        # multiple of its eager value, so it is zero where that is
         width = len(grid[0]) if grid else 0
         ncols = data.draw(st.integers(min_value=0, max_value=width))
+        lead = data.draw(st.none() | st.integers(min_value=0, max_value=len(grid)))
         lazy = [list(row) for row in grid]
         eager = [list(row) for row in grid]
-        result = _eliminate(lazy, ncols)
-        assert result == oracle.eager_eliminate(eager, ncols)
+        result = _eliminate(lazy, ncols, lead)
+        assert result == oracle.eager_eliminate(eager, ncols, lead)
         rank = len(result[0])
         assert lazy[:rank] == eager[:rank]
+        for x, y in zip(lazy[rank:], eager[rank:]):
+            k = next((j for j, v in enumerate(y) if v), None)
+            assert not any(x) if k is None else x[k] != 0
+            assert k is None or [u * y[k] for u in x] == [v * x[k] for v in y]
 
     @settings(max_examples=400, deadline=None)
     @given(st.one_of(sparse_symmetric(), symmetric_matrices()))
@@ -808,6 +815,21 @@ class TestKernelWitness:
         ]
         expected = failing[0] if failing else None
         assert kernel_witness(rows, others, ncols) == expected
+
+    def test_stops_at_the_witness_column(self, monkeypatch):
+        # the witness is column 1's vector; the pivots of columns 2 and 3
+        # are right of it, so no update of theirs runs
+        applied = []
+
+        def spy(a, level, pivot_row, c, targets, lo):
+            applied.append(c)
+            return update(a, level, pivot_row, c, targets, lo)
+
+        update = linalg._update
+        monkeypatch.setattr(linalg, "_update", spy)
+        rows = [[1, 2, 0, 0], [0, 0, 1, 1], [0, 0, 0, 1]]
+        assert kernel_witness(rows, [[1, 0, 5, 7]], 4) == (-2, 1, 0, 0)
+        assert applied and all(c < 1 for c in applied)
 
     def test_a_list_in_both_is_not_changed(self):
         rows = [[1, 2, 0, 3], [2, 4, 1, 1], [0, 0, 2, 4]]
