@@ -2,14 +2,24 @@
 """Sweep the open-question probes over a family of small matroids and emit
 the findings as JSON lines.
 
-Probed questions (reported, never asserted):
+Probed questions (reported, never asserted), each through the report
+function of the command that asks it:
   * does the annihilator of a deletion embed into that of the contraction?
+    (`hodge.probe_report`; the first counterexample per matroid)
   * does normalized-sequence equality force the parallel-class ratio
-    condition for non-regular matroids?
+    condition for non-regular matroids? (`stanley.stanley_report`'s
+    finding of an equality without it, on random splits.) Splits
+    with N_0 = 0 or N_r = 0 are skipped: `stanley` counts equality among
+    vanishing terms, which is no evidence about the converse, and this
+    guard stands until ROADMAP item 11 keeps only equality inside the
+    support.
   * does Hard Lefschetz hold in degrees >= 2 at the all-ones point?
+    (`hodge.hodge_report`, where f(1, ..., 1) > 0)
   * does HRR_1 on the facet points of single elements and of pairs agree
     with the facet theorem (`hodge.facet_theorem_scan`, at its default
     subset cap)? One line per matroid of rank >= 2 whose scan disagrees.
+
+Usage: python3 scripts/probe_open_questions.py
 """
 
 import json
@@ -18,16 +28,9 @@ import sys
 
 sys.path.insert(0, "src")
 
-from logcavity.hodge import (
-    _point,
-    _verdicts,
-    annihilator_containment_probe,
-    facet_theorem_scan,
-    hr_inertia,
-    value,
-)
+from logcavity.hodge import facet_theorem_scan, hodge_report, probe_report
 from logcavity.matroids import Matroid
-from logcavity.stanley import ratio_condition_check, stanley_matroid_sequence
+from logcavity.stanley import stanley_report
 from logcavity.zoo import matroid_zoo, random_connected_multigraph
 
 
@@ -36,25 +39,18 @@ def emit(record):
 
 
 def probe_containment(name, m):
-    for e in m.ground:
-        if e in m.coloops() or e in m.loops():
-            continue
-        probe = annihilator_containment_probe(m, e)
-        if not probe.contained:
-            degree, coeffs = probe.counterexample
-            emit(
-                {
-                    "probe": "annihilator-containment",
-                    "matroid": name,
-                    "element": str(e),
-                    "degree": degree,
-                    "witness": [
-                        {"subset": sorted(map(str, s)), "coeff": str(c)}
-                        for s, c in coeffs.items()
-                    ],
-                }
-            )
-            return  # one witness per matroid is enough
+    findings = probe_report(m, m.ground)[1]
+    if findings:  # one witness per matroid is enough
+        first = findings[0]
+        emit(
+            {
+                "probe": "annihilator-containment",
+                "matroid": name,
+                "element": first["element"],
+                "degree": first["degree"],
+                "witness": first["vector"],
+            }
+        )
 
 
 def probe_equality_vs_ratio(name, m, rng):
@@ -62,30 +58,28 @@ def probe_equality_vs_ratio(name, m, rng):
         return
     for _ in range(4):
         r_side = [e for e in m.ground if rng.random() < 0.5]
-        seq = stanley_matroid_sequence(m, r_side)
-        nt = seq.normalized
-        if nt[0] == 0 or nt[-1] == 0:
+        results, findings, _ = stanley_report(m, r_side)
+        counts = results["N"]
+        if counts[0] == 0 or counts[-1] == 0:  # the N_0 = 0 / N_r = 0 guard
             continue
-        equal_somewhere = bool(seq.equality_indices())
-        ratio = ratio_condition_check(m, r_side)
-        if equal_somewhere and not ratio.holds:
+        if findings:  # its one kind: equality without the ratio condition
             emit(
                 {
                     "probe": "equality-without-ratio",
                     "matroid": name,
                     "R": sorted(map(str, r_side)),
-                    "N": list(seq.counts),
+                    "N": counts,
                 }
             )
 
 
 def probe_higher_lefschetz(name, m):
-    # one pair of inertias per degree gives both HL and HRR
-    at = _point(m, [1] * m.n)
-    if value(m, at) <= 0:
-        return
+    ones = [1] * m.n
     for k in range(2, m.rank // 2 + 1):
-        hl, hrr = _verdicts(*hr_inertia(m, k, at))
+        results = hodge_report(m, k, ones)[0]
+        if "hl" not in results:  # f(1, ..., 1) = 0
+            return
+        hl, hrr = results["hl"], results["hrr"]
         emit({"probe": "higher-degree", "matroid": name, "k": k, "hl": hl, "hrr": hrr})
 
 

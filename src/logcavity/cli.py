@@ -1,4 +1,5 @@
-"""Batch command-line surface: parse inputs, dispatch to the library, emit
+"""Batch command-line surface: parse inputs, take each command's verdicts
+from the report function of the module that owns its math, and emit
 deterministic machine-readable reports.
 
 Exit codes: 0 success, 1 input/usage error, 2 a theorem-level invariant
@@ -11,58 +12,27 @@ import json
 import random
 import sys
 from fractions import Fraction
-from math import factorial
 
 from . import __version__
 from .errors import LogcavityError, TooLarge
-from .linalg import Graph, QMatrix, Record, _is_label, _shown, reduced_incidence_matrix
+from .linalg import Graph, QMatrix, Record, _is_label, _shown
 from .matroids import DEFAULT_ELEMENT_CAP, Matroid
-from .polynomials import (
-    MPoly,
-    basis_generating_poly,
-    coefficient_logconcavity,
-    lorentzian_check,
-)
+from .polynomials import MPoly, basis_generating_poly, lorentzian_check
+from .polynomials import lorentzian_report
 from .posets import (
     DEFAULT_EXTENSION_CAP,
     MarkedPoset,
     Poset,
-    extension_extremes,
     kahn_saks_extremal_classify,
-    kahn_saks_positivity,
+    kahn_saks_report,
     kahn_saks_sequence,
-    midway_check,
-    region_partition,
-    stanley_all_positions,
-    stanley_sequence,
+    poset_report,
 )
-from .discriminants import (
-    SubsetSumTable,
-    _check_count,
-    alexandrov_check,
-    mixed_discriminant,
-    mixed_discriminant_gram,
-    mixed_discriminant_perm,
-)
-from .hodge import (
-    _check_degree,
-    _point,
-    _verdicts,
-    annihilator_containment_probe,
-    graded_dims,
-    hr_inertia,
-    in_annihilator,
-    mobius_pairing,
-    socle_check,
-    value,
-)
-from .stanley import (
-    _log_concave,
-    _transversal_sums,
-    g_polynomial,
-    ratio_condition_check,
-    stanley_matroid_sequence,
-)
+from .discriminants import discriminant_report, mixed_discriminant
+from .discriminants import mixed_discriminant_gram, mixed_discriminant_perm
+from .hodge import check_degree, graded_dims, hodge_report, in_annihilator
+from .hodge import mobius_pairing, probe_report
+from .stanley import stanley_report
 from . import zoo
 
 
@@ -264,60 +234,14 @@ def _parse_point(csv, n):
 def cmd_poset(args):
     obj = _load_json(args.poset, "poset")
     p = Poset.from_json(obj)
-    cap = args.cap_extensions
-    results = {"n": p.n}
-    violations = []
-    x = _mark(args, obj, p, "x")
-    if x is not None:
-        seq = stanley_sequence(p, x, cap)
-        results["extensions"] = sum(seq)
-        results["stanley_N"] = seq
-        lc = _log_concave(seq)
-        results["stanley_log_concave"] = lc
-        if not lc:
-            violations.append("stanley poset log-concavity failed")
-    else:
-        table = stanley_all_positions(p, cap)
-        # every extension places each element once; the empty poset has one
-        results["extensions"] = sum(table[p.labels[0]]) if p.n else 1
-        results["position_counts"] = table
-    return RunReport("poset", {"poset": obj}, results, violations=violations)
+    report = poset_report(p, _mark(args, obj, p, "x"), args.cap_extensions)
+    return RunReport("poset", {"poset": obj}, *report)
 
 
 def cmd_kahnsaks(args):
     mp = _load_marked_poset(args)
-    cap = args.cap_extensions
-    seq = kahn_saks_sequence(mp, cap)
-    results = {"N": seq}
-    violations = []
-    lc = _log_concave(seq)
-    results["log_concave"] = lc
-    if not lc:
-        violations.append("kahn-saks log-concavity failed")
-    per_k = {}
-    for k in range(1, len(seq) + 1):
-        zero, reason = kahn_saks_positivity(mp, k)
-        if zero != (seq[k - 1] == 0):
-            violations.append(f"positivity criterion mismatch at k={k}")
-        entry = {"N_k": seq[k - 1], "zero_criterion": zero, "reason": reason}
-        entry.update(midway_check(mp, k))
-        if seq[k - 1] > 0 and 2 <= k <= len(seq) - 1:
-            verdict = kahn_saks_extremal_classify(mp, k, cap)
-            entry["equality"] = verdict.equality
-            entry["ratio"] = verdict.ratio
-            entry["ratio_two_conditions"] = list(verdict.ratio_two_conditions)
-            aligned = (verdict.ratio == 1) == (
-                entry["midway"] or entry["dual_midway"]
-            )
-            if not aligned:
-                violations.append(f"midway biconditional failed at k={k}")
-        per_k[str(k)] = entry
-    results["per_k"] = per_k
-    results["extremes"] = extension_extremes(mp, cap)
-    results["regions"] = region_partition(mp)
-    return RunReport(
-        "kahnsaks", {"poset": mp.to_json()}, results, violations=violations
-    )
+    report = kahn_saks_report(mp, args.cap_extensions)
+    return RunReport("kahnsaks", {"poset": mp.to_json()}, *report)
 
 
 def cmd_matroid(args):
@@ -341,7 +265,7 @@ def cmd_stanley(args):
     if getattr(args, "graph", None):
         graph = Graph.from_json(_load_json(args.graph, "graph"))
     m = _load_matroid(args, graph)
-    # edge j is element j, as the volume route below takes it
+    # edge j is element j, as the volume route of stanley_report takes it
     if getattr(args, "matroid", None) and graph and (
         len(graph.edges) != m.n
         or Matroid.graphic(graph, args.cap_elements).bases != m.bases
@@ -350,67 +274,8 @@ def cmd_stanley(args):
             f"--graph needs the matroid's {m.n} edges and bases, edge j as element j"
         )
     r_labels = _parse_labels(m, args.R)
-    seq = stanley_matroid_sequence(m, r_labels)
-    lc, equal = seq.log_concave(), seq.equality_indices()
-    results = {
-        "N": list(seq.counts),
-        "normalized": [str(x) for x in seq.normalized],
-        "ultra_log_concave": lc,
-        "equality_indices": equal,
-    }
-    violations = [] if lc else ["ultra-log-concavity failed"]
-    findings = []
-    if not m.loops():
-        verdict = ratio_condition_check(m, r_labels)
-        results["ratio_condition"] = {
-            "holds": verdict.holds,
-            "ratio": str(verdict.ratio) if verdict.ratio is not None else None,
-        }
-        if verdict.holds:
-            nt = seq.normalized
-            stepped = all(
-                nt[k] == verdict.ratio * nt[k - 1] for k in range(1, len(nt))
-            )
-            results["ratio_step_verified"] = stepped
-            if not stepped:
-                violations.append("ratio theorem step failed")
-        elif equal:
-            findings.append(
-                {
-                    "kind": "equality-without-ratio-condition",
-                    "detail": "normalized equality holds at "
-                    f"{equal} but the parallel-class ratio "
-                    "condition fails; candidate witness for the open converse",
-                }
-            )
-    deltas = {}
-    r = m.rank
-    q_labels = [e for e in m.ground if e not in set(r_labels)]
-    g = g_polynomial(m, [r_labels, q_labels])
-    tally = None
-    if graph and not graph.has_loop:
-        ri = reduced_incidence_matrix(graph)
-        cols = list(zip(*ri.ints))  # d = 1: the columns of an incidence matrix
-        t_r, t_q = ([cols[m._index[e]] for e in s] for s in (r_labels, q_labels))
-        tally, scale = _transversal_sums([(t_r, r), (t_q, r)], r)
-    for k in range(r + 1):
-        w = factorial(k) * factorial(r - k)
-        b_enum = seq.counts[k] * w
-        delta = b_enum - g.coefficient((k, r - k)) * w
-        if tally is not None:
-            # w tally / scale is r! V(Z(T_R) k times, Z(T_Q) r - k times)
-            delta += abs(b_enum - Fraction(w * tally[k, r - k], scale))
-        deltas[str(k)] = str(delta)
-    results["cross_check_deltas"] = deltas
-    if any(v != "0" for v in deltas.values()):
-        violations.append("basis counting routes disagree")
-    return RunReport(
-        "stanley",
-        {"matroid": m.to_json(), "R": [str(e) for e in r_labels]},
-        results,
-        findings=findings,
-        violations=violations,
-    )
+    inputs = {"matroid": m.to_json(), "R": [str(e) for e in r_labels]}
+    return RunReport("stanley", inputs, *stanley_report(m, r_labels, graph))
 
 
 def cmd_lorentzian(args):
@@ -418,26 +283,12 @@ def cmd_lorentzian(args):
         for flag in ("matroid", "graph"):
             if getattr(args, flag):
                 raise LogcavityError(f"give --poly or --{flag}, not both")
-        f = MPoly.from_json(_load_json(args.poly, "polynomial"))
-        source = {"poly": f.to_json()}
+        source = MPoly.from_json(_load_json(args.poly, "polynomial"))
+        inputs = {"poly": source.to_json()}
     else:
-        m = _load_matroid(args)
-        f = basis_generating_poly(m)
-        source = {"matroid": m.to_json()}
-    report = lorentzian_check(f)
-    results = {
-        "passed": report.passed,
-        "homogeneous": report.homogeneous,
-        "m_convex_support": report.m_convex_support,
-        "hessian_failures": len(report.failures),
-        "coefficient_log_concavity": coefficient_logconcavity(f)
-        if report.homogeneous
-        else None,
-    }
-    violations = []
-    if "matroid" in source and not report.passed:
-        violations.append("basis generating polynomial failed Lorentzian check")
-    return RunReport("lorentzian", source, results, violations=violations)
+        source = _load_matroid(args)
+        inputs = {"matroid": source.to_json()}
+    return RunReport("lorentzian", inputs, *lorentzian_report(source))
 
 
 def cmd_discriminant(args):
@@ -453,99 +304,21 @@ def cmd_discriminant(args):
         if isinstance(mult, bool) or not isinstance(mult, int) or mult < 1:
             raise LogcavityError(f"'mult' must be an integer >= 1, got {_shown(mult)}")
         given.append((QMatrix.from_json(entry["matrix"]), mult))
-    _check_count([a for a, _ in given], sum(mult for _, mult in given))
-    mats = [a for a, mult in given for _ in range(mult)]
-    table = SubsetSumTable(mats)
-    value = table.discriminant(range(len(mats)))
-    results = {"value": str(value), "n": mats[0].rows, "count": len(mats)}
-    violations = []
-    # one inertia per distinct matrix, shared with alexandrov_check below
-    if all(map(table.psd, range(len(mats)))):
-        if value < 0:
-            violations.append("positivity failed for PSD tuple")
-        results["psd_inputs"] = True
-    else:
-        results["psd_inputs"] = False
-    if len(mats) >= 2:  # the value took n matrices, each n x n
-        x, y, rest = mats[0], mats[1], range(2, len(mats))
-        # the inequality's hypotheses: PSD fixed matrices, symmetric X and Y
-        if all(map(table.psd, rest)) and x.is_symmetric and y.is_symmetric:
-            rep = alexandrov_check(table)
-            results["alexandrov"] = {
-                "lhs": str(rep.lhs),
-                "rhs": str(rep.rhs),
-                "equal": rep.equal,
-                "lambda": str(rep.lam) if rep.lam is not None else None,
-            }
-            if rep.lhs < rep.rhs:
-                violations.append("alexandrov inequality failed")
-    return RunReport("discriminant", {"tuple": obj}, results, violations=violations)
+    return RunReport("discriminant", {"tuple": obj}, *discriminant_report(given))
 
 
 def cmd_hodge(args):
     m = _load_matroid(args)
-    k = args.k
-    _check_degree(m, k)
+    check_degree(m, args.k)  # before the point: with both faults, k is named
     point = _parse_point(getattr(args, "point", None), m.n)
-    dims = graded_dims(m)
-    results = {"graded_dims": dims, "k": k}
-    violations = []
-    count, iner = mobius_pairing(m, k)
-    results["mobius_pairing"] = {"flats": count, "inertia": iner._values()}
-    # one pair of inertias gives In(Q^k), and HL and HRR where f > 0
-    at = _point(m, point)
-    block, bordered = hr_inertia(m, k, at)
-    results["hr_form_inertia"] = block._values()
-    if value(m, at) > 0:
-        results["hl"], results["hrr"] = _verdicts(block, bordered)
-        if k == 1 and all(x > 0 for x in point) and not results["hrr"]:
-            violations.append("HRR_1 failed at a strictly positive point")
-    # for S = [] the rank bound reads k < rank; under it the check holds
-    if k < m.rank:
-        results["socle_trivial"] = socle_check(m, k, [])
-    return RunReport(
-        "hodge",
-        {"matroid": m.to_json(), "k": k, "point": [str(x) for x in point]},
-        results,
-        violations=violations,
-    )
+    inputs = {"matroid": m.to_json(), "k": args.k, "point": [str(x) for x in point]}
+    return RunReport("hodge", inputs, *hodge_report(m, args.k, point))
 
 
 def cmd_probe(args):
     m = _load_matroid(args)
-    findings = []
-    results = {"elements_probed": []}
-    coloops = m.coloops()
     elements = list(m.ground) if args.e is None else _parse_labels(m, args.e)
-    # clones share a verdict (their swap carries M\e, M/e to M\f, M/f); a
-    # counterexample depends on row order, so only "contained" is copied
-    classes, contained = m.clone_classes(), set()
-    for e in elements:
-        if e in coloops:
-            continue
-        results["elements_probed"].append(str(e))
-        if classes[m._index[e]] in contained:
-            continue
-        probe = annihilator_containment_probe(m, e)
-        if probe.contained:
-            contained.add(classes[m._index[e]])
-        else:
-            k, coeffs = probe.counterexample
-            findings.append(
-                {
-                    "kind": "annihilator-containment-counterexample",
-                    "element": str(e),
-                    "degree": k,
-                    "vector": [
-                        {"subset": sorted(map(str, s)), "coeff": str(c)}
-                        for s, c in coeffs.items()
-                    ],
-                }
-            )
-    results["containment_holds_everywhere"] = not findings
-    return RunReport(
-        "probe", {"matroid": m.to_json()}, results, findings=findings
-    )
+    return RunReport("probe", {"matroid": m.to_json()}, *probe_report(m, elements))
 
 
 def cmd_selftest(args):

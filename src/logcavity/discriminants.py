@@ -161,3 +161,32 @@ def alexandrov_check(table: SubsetSumTable) -> AlexandrovReport:
         if a and all(a * v == b * u for u, v in zip(fx, fy)):
             lam = Fraction(b, a)
     return AlexandrovReport(lhs, rhs, lhs == rhs, lam, lam is not None)
+
+
+def discriminant_report(given):
+    """(results, findings, violations) of the `discriminant` command for the
+    (matrix, multiplicity) pairs given; Alexandrov's inequality is checked
+    where its hypotheses hold: symmetric X and Y, the first two, PSD rest."""
+    _check_count([a for a, _ in given], sum(mult for _, mult in given))
+    mats = [a for a, mult in given for _ in range(mult)]
+    table = SubsetSumTable(mats)
+    value = table.discriminant(range(len(mats)))
+    results = {"value": str(value), "n": mats[0].rows, "count": len(mats)}
+    violations = []
+    # one inertia per distinct matrix, shared with alexandrov_check below
+    results["psd_inputs"] = all(map(table.psd, range(len(mats))))
+    if results["psd_inputs"] and value < 0:
+        violations.append("positivity failed for PSD tuple")
+    if len(mats) >= 2:  # the value took n matrices, each n x n
+        x, y, rest = mats[0], mats[1], range(2, len(mats))
+        if all(map(table.psd, rest)) and x.is_symmetric and y.is_symmetric:
+            rep = alexandrov_check(table)
+            results["alexandrov"] = {
+                "lhs": str(rep.lhs),
+                "rhs": str(rep.rhs),
+                "equal": rep.equal,
+                "lambda": str(rep.lam) if rep.lam is not None else None,
+            }
+            if rep.lhs < rep.rhs:
+                violations.append("alexandrov inequality failed")
+    return results, [], violations

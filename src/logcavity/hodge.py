@@ -156,7 +156,7 @@ def hr_inertia(m: Matroid, k, point):
     S_2k and U = b S_2k-1 in the integer sums, with a, b > 0: scaling
     the whole by 1/a and the congruence diag(I, (a/b) I) show that
     [[(-1)^k S_2k, S_2k-1], [S_2k-1^T, 0]] has the same two inertias."""
-    _check_degree(m, k)
+    check_degree(m, k)
     basis = _basis(m, k)
     lower = _basis(m, k - 1) if k else []
     sign = (-1) ** k
@@ -179,7 +179,8 @@ def _pairing(m: Matroid, rows, cols, size, point):
     return [[table.get(a | b, 0) for b in cols] for a in rows]
 
 
-def _check_degree(m: Matroid, k):
+def check_degree(m: Matroid, k):
+    """Raise unless k is a degree of the Hodge-Riemann statements on m."""
     if not 0 <= 2 * k <= m.rank:
         raise LogcavityError(f"need 0 <= 2k <= rank, got k={_shown(k)}, rank={m.rank}")
 
@@ -207,7 +208,7 @@ def hr_form(m: Matroid, k, point) -> QMatrix:
     selected basis of the degree-k piece, deg(a b l^p) being p! d^(a|b) f.
     No command reads the matrix (`hr_inertia` takes its inertia from the
     integer sums); the benchmark's per-layer metrics time it by this name."""
-    _check_degree(m, k)
+    check_degree(m, k)
     point = _point(m, point)
     basis, p = _basis(m, k), m.rank - 2 * k
     weight = Fraction((-1) ** k * math.factorial(p), point[0] ** p)
@@ -374,7 +375,7 @@ def mobius_pairing(m: Matroid, k):
     Entry (F, G) is 1 iff rank(F join G) = 2k = rank(M). For 2k = r that is
     E_k on flats, whose rows and columns are the same rank-k flats in the
     same order; for 2k < r, rank(F | G) <= 2k < r, so the pairing is zero."""
-    _check_degree(m, k)
+    check_degree(m, k)
     ev = evaluation(m, k)
     count = len(ev.firsts)
     if 2 * k < m.rank:
@@ -436,3 +437,62 @@ def annihilator_containment_probe(m: Matroid, e) -> ContainmentProbe:
         coeffs = {m._labels(avoiding[i]): x for i, x in zip(firsts.values(), v) if x}
         return ContainmentProbe(e, False, (k, coeffs))
     return ContainmentProbe(e, True, None)
+
+
+def hodge_report(m: Matroid, k, point):
+    """(results, findings, violations) of the `hodge` command in degree k at
+    the rational point: the graded dimensions, the Moebius pairing, the
+    inertia of Q^k and, where f(point) > 0, HL and HRR, HRR_1 being a
+    theorem at a strictly positive point; below the rank, the socle."""
+    check_degree(m, k)
+    results = {"graded_dims": graded_dims(m), "k": k}
+    violations = []
+    count, iner = mobius_pairing(m, k)
+    results["mobius_pairing"] = {"flats": count, "inertia": iner._values()}
+    # one pair of inertias gives In(Q^k), and HL and HRR where f > 0
+    at = _point(m, point)
+    block, bordered = hr_inertia(m, k, at)
+    results["hr_form_inertia"] = block._values()
+    if value(m, at) > 0:
+        results["hl"], results["hrr"] = _verdicts(block, bordered)
+        if k == 1 and all(x > 0 for x in point) and not results["hrr"]:
+            violations.append("HRR_1 failed at a strictly positive point")
+    # for S = [] the rank bound reads k < rank; under it the check holds
+    if k < m.rank:
+        results["socle_trivial"] = socle_check(m, k, [])
+    return results, [], violations
+
+
+def probe_report(m: Matroid, elements):
+    """(results, findings, violations) of the `probe` command: the
+    containment probe at each non-coloop of elements, in order, a
+    counterexample being a finding, never a violation."""
+    findings, probed = [], []
+    coloops = m.coloops()
+    # clones share a verdict (their swap carries M\e, M/e to M\f, M/f); a
+    # counterexample depends on row order, so only "contained" is copied
+    classes, contained = m.clone_classes(), set()
+    for e in elements:
+        if e in coloops:
+            continue
+        probed.append(str(e))
+        if classes[m._index[e]] in contained:
+            continue
+        probe = annihilator_containment_probe(m, e)
+        if probe.contained:
+            contained.add(classes[m._index[e]])
+        else:
+            k, coeffs = probe.counterexample
+            findings.append(
+                {
+                    "kind": "annihilator-containment-counterexample",
+                    "element": str(e),
+                    "degree": k,
+                    "vector": [
+                        {"subset": sorted(map(str, s)), "coeff": str(c)}
+                        for s, c in coeffs.items()
+                    ],
+                }
+            )
+    results = {"elements_probed": probed, "containment_holds_everywhere": not findings}
+    return results, findings, []

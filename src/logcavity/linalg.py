@@ -65,6 +65,13 @@ def _bits(mask):
         mask ^= low
 
 
+def _log_concave(seq):
+    """seq[k] seq[k] >= seq[k - 1] seq[k + 1] at every inner index k."""
+    return all(
+        seq[k] * seq[k] >= seq[k - 1] * seq[k + 1] for k in range(1, len(seq) - 1)
+    )
+
+
 def _is_label(x):
     """Whether x is an element label: a JSON string or integer. Python takes
     True, 1.0 and 1 for one dict key, so booleans and decimals are not."""

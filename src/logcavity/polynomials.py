@@ -337,6 +337,27 @@ def lorentzian_check(f: MPoly) -> LorentzianReport:
     return LorentzianReport(mcx and not failures, True, mcx, failures)
 
 
+def lorentzian_report(source):
+    """(results, findings, violations) of the `lorentzian` command for an
+    MPoly or a Matroid. A matroid's basis generating polynomial is
+    Lorentzian (Brändén and Huh), so its failing is a violation."""
+    f = basis_generating_poly(source) if isinstance(source, Matroid) else source
+    report = lorentzian_check(f)
+    results = {
+        "passed": report.passed,
+        "homogeneous": report.homogeneous,
+        "m_convex_support": report.m_convex_support,
+        "hessian_failures": len(report.failures),
+        "coefficient_log_concavity": coefficient_logconcavity(f)
+        if report.homogeneous
+        else None,
+    }
+    violations = []
+    if isinstance(source, Matroid) and not report.passed:
+        violations.append("basis generating polynomial failed Lorentzian check")
+    return results, [], violations
+
+
 def coefficient_logconcavity(f: MPoly) -> bool:
     """Normalized-coefficient log-concavity: with f = sum c_a/a! x^a, checks
     c_a^2 >= c_{a+ei-ej} c_{a-ei+ej} over the whole degree simplex. The right

@@ -12,7 +12,7 @@ from functools import cached_property
 
 from .errors import LogcavityError, TooLarge
 from .linalg import Record, _bits, _expect, _fresh_label, _json_labels, _label_index
-from .linalg import _shown
+from .linalg import _log_concave, _shown
 
 DEFAULT_EXTENSION_CAP = 3_628_800  # 10!
 
@@ -498,3 +498,54 @@ def extension_extremes(mp: MarkedPoset, cap=DEFAULT_EXTENSION_CAP):
         "narrow_target": ks.mid.bit_count() + 1,
         "wide_exists": seq[widest - 1] > 0,
     }
+
+
+def poset_report(p: Poset, x, cap=DEFAULT_EXTENSION_CAP):
+    """(results, findings, violations) of the `poset` command: Stanley's
+    sequence at x and its log-concavity, or with no x every element's
+    position counts."""
+    results, violations = {"n": p.n}, []
+    if x is not None:
+        seq = stanley_sequence(p, x, cap)
+        lc = _log_concave(seq)
+        results.update(extensions=sum(seq), stanley_N=seq, stanley_log_concave=lc)
+        if not lc:
+            violations.append("stanley poset log-concavity failed")
+    else:
+        table = stanley_all_positions(p, cap)
+        # every extension places each element once; the empty poset has one
+        results["extensions"] = sum(table[p.labels[0]]) if p.n else 1
+        results["position_counts"] = table
+    return results, [], violations
+
+
+def kahn_saks_report(mp: MarkedPoset, cap=DEFAULT_EXTENSION_CAP):
+    """(results, findings, violations) of the `kahnsaks` command: per k,
+    the zero criterion must agree with N_k = 0, and at an inner positive N_k
+    the ratio is 1 exactly when a midway property holds."""
+    seq = kahn_saks_sequence(mp, cap)
+    lc = _log_concave(seq)
+    violations = [] if lc else ["kahn-saks log-concavity failed"]
+    per_k = {}
+    for k in range(1, len(seq) + 1):
+        zero, reason = kahn_saks_positivity(mp, k)
+        if zero != (seq[k - 1] == 0):
+            violations.append(f"positivity criterion mismatch at k={k}")
+        entry = {"N_k": seq[k - 1], "zero_criterion": zero, "reason": reason}
+        entry.update(midway_check(mp, k))
+        if seq[k - 1] > 0 and 2 <= k <= len(seq) - 1:
+            verdict = kahn_saks_extremal_classify(mp, k, cap)
+            entry["equality"] = verdict.equality
+            entry["ratio"] = verdict.ratio
+            entry["ratio_two_conditions"] = list(verdict.ratio_two_conditions)
+            if (verdict.ratio == 1) != (entry["midway"] or entry["dual_midway"]):
+                violations.append(f"midway biconditional failed at k={k}")
+        per_k[str(k)] = entry
+    results = {
+        "N": seq,
+        "log_concave": lc,
+        "per_k": per_k,
+        "extremes": extension_extremes(mp, cap),
+        "regions": region_partition(mp),
+    }
+    return results, [], violations

@@ -11,17 +11,11 @@ from collections import Counter
 from fractions import Fraction
 from itertools import product
 
-from .errors import LogcavityError, TooLarge
-from .linalg import QMatrix, Record, _bits, _fresh_label, _scaled
-from .matroids import Matroid
+from .errors import LogcavityError
+from .linalg import QMatrix, Record, _bits, _fresh_label, _log_concave, _scaled
+from .linalg import reduced_incidence_matrix
+from .matroids import DEFAULT_ELEMENT_CAP, Matroid, _check_elements
 from .polynomials import basis_generating_poly
-
-
-def _log_concave(seq):
-    """seq[k] seq[k] >= seq[k - 1] seq[k + 1] at every inner index k."""
-    return all(
-        seq[k] * seq[k] >= seq[k - 1] * seq[k + 1] for k in range(1, len(seq) - 1)
-    )
 
 
 class StanleySequence(Record):
@@ -195,10 +189,10 @@ class MasonReport(Record):
     _fields = ("independent_counts", "log_concave", "construction_identity")
 
 
-def mason_sequence(m: Matroid, element_cap=12) -> MasonReport:
-    """Independent-set counts with the truncated-sum cross-check."""
-    if m.n > element_cap:
-        raise TooLarge(f"mason check capped at {element_cap} elements")
+def mason_sequence(m: Matroid, cap=DEFAULT_ELEMENT_CAP) -> MasonReport:
+    """Independent-set counts with the truncated-sum cross-check, for a
+    matroid of at most cap elements."""
+    _check_elements(m.n, cap)
     r = m.rank
     counts = tuple(len(m.independent_subsets(k)) for k in range(r + 1))
     lc = _log_concave(counts)
@@ -254,3 +248,63 @@ def g_polynomial(m: Matroid, subsets):
     masks = [m._mask(s) for s in subsets]
     a = QMatrix([[mask >> i & 1 for mask in masks] for i in range(m.n)], len(masks))
     return basis_generating_poly(m).substitute_linear(a)
+
+
+def stanley_report(m: Matroid, R, graph=None):
+    """(results, findings, violations) of the `stanley` command for the
+    split R, Q of m, whose graph, if given, has edge j as element j: an
+    equality index without the ratio condition is a finding, and a failed
+    theorem or cross-check of the basis counts a violation."""
+    seq = stanley_matroid_sequence(m, R)
+    lc, equal = seq.log_concave(), seq.equality_indices()
+    results = {
+        "N": list(seq.counts),
+        "normalized": [str(x) for x in seq.normalized],
+        "ultra_log_concave": lc,
+        "equality_indices": equal,
+    }
+    violations = [] if lc else ["ultra-log-concavity failed"]
+    findings = []
+    if not m.loops():
+        verdict = ratio_condition_check(m, R)
+        results["ratio_condition"] = {
+            "holds": verdict.holds,
+            "ratio": str(verdict.ratio) if verdict.ratio is not None else None,
+        }
+        if verdict.holds:
+            nt = seq.normalized
+            stepped = all(nt[k] == verdict.ratio * nt[k - 1] for k in range(1, len(nt)))
+            results["ratio_step_verified"] = stepped
+            if not stepped:
+                violations.append("ratio theorem step failed")
+        elif equal:
+            findings.append(
+                {
+                    "kind": "equality-without-ratio-condition",
+                    "detail": "normalized equality holds at "
+                    f"{equal} but the parallel-class ratio "
+                    "condition fails; candidate witness for the open converse",
+                }
+            )
+    deltas = {}
+    r = m.rank
+    q_labels = [e for e in m.ground if e not in set(R)]
+    g = g_polynomial(m, [R, q_labels])
+    tally = None
+    if graph and not graph.has_loop:
+        ri = reduced_incidence_matrix(graph)
+        cols = list(zip(*ri.ints))  # d = 1: the columns of an incidence matrix
+        t_r, t_q = ([cols[m._index[e]] for e in s] for s in (R, q_labels))
+        tally, scale = _transversal_sums([(t_r, r), (t_q, r)], r)
+    for k in range(r + 1):
+        w = math.factorial(k) * math.factorial(r - k)
+        b_enum = seq.counts[k] * w
+        delta = b_enum - g.coefficient((k, r - k)) * w
+        if tally is not None:
+            # w tally / scale is r! V(Z(T_R) k times, Z(T_Q) r - k times)
+            delta += abs(b_enum - Fraction(w * tally[k, r - k], scale))
+        deltas[str(k)] = str(delta)
+    results["cross_check_deltas"] = deltas
+    if any(v != "0" for v in deltas.values()):
+        violations.append("basis counting routes disagree")
+    return results, findings, violations

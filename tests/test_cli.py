@@ -166,7 +166,7 @@ class TestDiscriminantCommand:
         def failing(*args):
             raise LogcavityError("the check failed")
 
-        monkeypatch.setattr(cli, "alexandrov_check", failing)
+        monkeypatch.setattr(discriminants, "alexandrov_check", failing)
         path = tmp_path / "tuple.json"
         path.write_text(json.dumps({"mats": [{"matrix": I2}, {"matrix": I2}]}))
         assert main(["discriminant", "--tuple", str(path)]) == 1
@@ -268,13 +268,13 @@ class TestHodgeCommand:
         # In(Q^k), HL and HRR equal what the library's checks give, on the
         # zoo in every degree at seeded points, some with f <= 0 (no HL or
         # HRR then), and each report runs `hr_inertia` once
-        runs = []
+        runs, hr_inertia = [], hodge.hr_inertia
 
         def counted(m, k, point):
             runs.append(k)
-            return hodge.hr_inertia(m, k, point)
+            return hr_inertia(m, k, point)
 
-        monkeypatch.setattr(cli, "hr_inertia", counted)
+        monkeypatch.setattr(hodge, "hr_inertia", counted)
         path, nonpositive = tmp_path / "m.json", 0
         for name, m in sorted(matroid_zoo().items()):
             path.write_text(json.dumps(m.to_json()))
@@ -1660,7 +1660,7 @@ class TestProbeClones:
             for classes in (Matroid.clone_classes, lambda m: tuple(range(m.n))):
                 probe = mock.Mock(wraps=hodge.annihilator_containment_probe)
                 with mock.patch.object(
-                    cli, "annihilator_containment_probe", probe
+                    hodge, "annihilator_containment_probe", probe
                 ), mock.patch.object(Matroid, "clone_classes", classes):
                     assert main(argv) == 0
                 out.append((report.read_text(), probe.call_count))

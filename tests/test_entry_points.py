@@ -8,13 +8,16 @@ a method of it runs, when an `__init__` has an instance of it as `self`, or
 when a C function is called while one is the exception being handled.
 
 The digests must equal `tests/golden/report_digests.json`, which
-`python3 scripts/report_digests.py` regenerates after an intended change.
+`python3 scripts/report_digests.py` regenerates after an intended change, and
+the sha256 of each script run's stdout must equal its entry in
+`tests/golden/script_digests.json`, keyed by the run's argv.
 What never ran must be NEVER_RUN, each name for a reason that holds, and defs
 nested in those; a listed name that runs or is gone fails too.
 """
 
 import ast
 import contextlib
+import hashlib
 import importlib
 import io
 import json
@@ -28,6 +31,7 @@ pytestmark = pytest.mark.skipif(sys.version_info < (3, 11), reason="needs co_qua
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "logcavity"
 GOLDEN = ROOT / "tests" / "golden" / "report_digests.json"
+SCRIPT_GOLDEN = ROOT / "tests" / "golden" / "script_digests.json"
 RUNS = ["probe_open_questions.py"], ["find_ratio_two_witness.py", "--trials", "200"]
 UNCOUNTED = {"<listcomp>", "<setcomp>", "<dictcomp>", "<genexpr>", "<lambda>"}
 
@@ -75,7 +79,8 @@ NEVER_RUN = {
 
 @pytest.fixture(scope="module")
 def run():
-    """(the digest object, the names of the package that ran)."""
+    """(the digest object, the names of the package that ran, {argv: the
+    sha256 of that script run's stdout})."""
     stems = {}
     for path in PACKAGE.glob("*.py"):
         module = f"logcavity.{path.stem}".removesuffix(".__init__")
@@ -100,20 +105,24 @@ def run():
 
     saved = sys.getprofile(), sys.argv, list(sys.path), sys.dont_write_bytecode
     sys.modules["logcavity.cli"]._parser.cache_clear()  # else an earlier test built it
+    scripts = {}
     try:
         with contextlib.redirect_stdout(io.StringIO()) as out:
             sys.setprofile(hook)
             runpy.run_path(str(ROOT / "scripts" / "report_digests.py"))["main"]()
-            digests = json.loads(out.getvalue())
-            for argv in RUNS:
-                sys.argv = list(argv)
+        digests = json.loads(out.getvalue())
+        for argv in RUNS:
+            sys.argv = list(argv)
+            with contextlib.redirect_stdout(io.StringIO()) as out:
                 runpy.run_path(str(ROOT / "scripts" / argv[0]), run_name="__main__")
+            scripts[" ".join(argv)] = hashlib.sha256(out.getvalue().encode()).hexdigest()
     finally:
         sys.setprofile(saved[0])
         sys.argv, sys.path[:], sys.dont_write_bytecode = saved[1:]
     # a method that ran credits its class, and every class around that
     parts = [name.split(".") for name in ran]
-    return digests, {".".join(p[:i]) for p in parts for i in range(2, len(p) + 1)}
+    names = {".".join(p[:i]) for p in parts for i in range(2, len(p) + 1)}
+    return digests, names, scripts
 
 
 def definitions(node, prefix=""):
@@ -145,6 +154,10 @@ def test_reports_match_the_golden_digests(run):
     keys = digests.keys() | golden.keys()
     changed = sorted(k for k in keys if digests.get(k) != golden.get(k))
     assert not changed, f"report bytes changed at {changed}"
+
+
+def test_script_output_matches_the_golden_digests(run):
+    assert run[2] == json.loads(SCRIPT_GOLDEN.read_text())
 
 
 def test_what_never_runs_is_allowlisted_for_a_reason_that_holds(run):

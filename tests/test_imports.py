@@ -1,6 +1,8 @@
 """No module of the package imports a name it never uses, importing the
 package loads none of its modules, and importing the CLI loads no module
-that only slows every start.
+that only slows every start. Neither the scripts nor the CLI import a private
+name of the modules that own the math: they call its public report
+functions. `posets` loads none of the matroid modules.
 
 `__init__.py` re-exports nothing: callers import the submodules. An import
 marked `# noqa: F401` on its line is kept on purpose and allowed.
@@ -15,8 +17,10 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "logcavity"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "logcavity"
 MODULES = sorted(PACKAGE.glob("*.py"))
+SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
 
 
 def unused_imports(source):
@@ -80,3 +84,54 @@ def test_cli_import_loads_no_dataclasses_or_inspect():
     loaded = loaded_by("logcavity.cli")
     assert "logcavity.cli" in loaded
     assert {"dataclasses", "inspect"}.isdisjoint(loaded)
+
+
+def private_imports(source):
+    """(module, name) of each `_`-prefixed name the source imports by `from
+    module import`; a relative module keeps its leading dots."""
+    return [
+        ("." * node.level + (node.module or ""), alias.name)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+
+
+def test_finds_a_private_import():
+    source = "\n".join(
+        [
+            "from logcavity.hodge import _point, value",
+            "from . import _x",
+            "from .stanley import _log_concave",
+            "import logcavity._y",
+        ]
+    )
+    assert private_imports(source) == [
+        ("logcavity.hodge", "_point"),
+        (".", "_x"),
+        (".stanley", "_log_concave"),
+    ]
+
+
+def test_scripts_import_no_private_name():
+    found = [
+        (path.name, module, name)
+        for path in SCRIPTS
+        for module, name in private_imports(path.read_text())
+        if module.partition(".")[0] == "logcavity"
+    ]
+    assert found == []
+
+
+def test_cli_imports_no_private_name_of_the_math_modules():
+    owners = {".hodge", ".posets", ".stanley", ".discriminants", ".polynomials"}
+    found = private_imports((PACKAGE / "cli.py").read_text())
+    assert [f for f in found if f[0] in owners] == []
+
+
+def test_posets_import_loads_no_matroid_module():
+    loaded = loaded_by("logcavity.posets")
+    assert "logcavity.posets" in loaded
+    kept_out = {"logcavity.stanley", "logcavity.matroids", "logcavity.polynomials"}
+    assert kept_out.isdisjoint(loaded)

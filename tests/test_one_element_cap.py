@@ -1,13 +1,19 @@
 """A matroid's size meets its cap in one place: `matroids._check_elements`
 is the one function of `matroids.py` that constructs `TooLarge`, and each
 constructor calls it before any loop or call beyond reading its arguments.
-`cli.py` constructs no `TooLarge`: it passes --cap-elements on to the
-constructors instead of counting the elements of an input itself."""
+`cli.py` and `stanley.py` construct no `TooLarge`: the CLI passes
+--cap-elements on to the constructors instead of counting the elements of an
+input itself, and `stanley.mason_sequence` takes its cap through
+`_check_elements`, so its failure names the flag too."""
 
 import ast
 from pathlib import Path
 
 import pytest
+
+from logcavity.errors import TooLarge
+from logcavity.matroids import Matroid
+from logcavity.stanley import mason_sequence
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "logcavity"
 CONSTRUCTORS = ["from_bases", "uniform", "graphic", "linear"]
@@ -100,8 +106,17 @@ def test_matroids_checks_the_size_in_one_function():
     ]
 
 
-def test_cli_constructs_no_too_large():
-    assert too_large_builders((PACKAGE / "cli.py").read_text()) == []
+@pytest.mark.parametrize("module", ["cli.py", "stanley.py"])
+def test_constructs_no_too_large(module):
+    assert too_large_builders((PACKAGE / module).read_text()) == []
+
+
+def test_mason_sequence_takes_the_element_cap():
+    # one basis {0}, built by Matroid(...), which checks no cap itself
+    assert mason_sequence(Matroid(tuple(range(16)), [1])).construction_identity
+    with pytest.raises(TooLarge, match="over the --cap-elements limit 16"):
+        mason_sequence(Matroid(tuple(range(17)), [1]))
+    assert mason_sequence(Matroid(tuple(range(17)), [1]), cap=17).log_concave
 
 
 @pytest.mark.parametrize("name", CONSTRUCTORS)
