@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from . import __version__
 from .errors import LogcavityError, TooLarge
-from .linalg import Graph, QMatrix, Record, _is_label, _shown
+from .linalg import Graph, QMatrix, Record, _check_digits, _is_label, _shown
 from .matroids import DEFAULT_ELEMENT_CAP, Matroid
 from .polynomials import MPoly, basis_generating_poly, lorentzian_check
 from .polynomials import lorentzian_report
@@ -228,6 +228,8 @@ def _parse_point(csv, n):
     try:
         return tuple(Fraction(p) for p in parts)
     except (ValueError, ZeroDivisionError):
+        for part in parts:
+            _check_digits(part, "a point coordinate")
         raise LogcavityError("point coordinates must be rationals like 0, 1, 3/2")
 
 

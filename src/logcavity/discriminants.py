@@ -131,6 +131,21 @@ class AlexandrovReport(Record):
     _fields = ("lhs", "rhs", "equal", "lam", "proportional")
 
 
+def _alexandrov_failure(table):
+    """The first failed hypothesis of Alexandrov's inequality on the table, as
+    a message, or None: n >= 2, each fixed one symmetric then PSD, X, Y symmetric."""
+    mats = table.mats
+    if table.n < 2:
+        return "needs X and Y, so n >= 2"
+    for p in range(2, table.n):
+        if not mats[p].is_symmetric:
+            return "fixed matrices must be symmetric"
+        if not table.psd(p):
+            return "fixed matrices must be PSD"
+    if not (mats[0].is_symmetric and mats[1].is_symmetric):
+        return "X and Y must be symmetric"
+
+
 def alexandrov_check(table: SubsetSumTable) -> AlexandrovReport:
     """Alexandrov's inequality for mixed discriminants, with exact equality
     detection and proportionality extraction, for the table's matrices: X at
@@ -141,17 +156,9 @@ def alexandrov_check(table: SubsetSumTable) -> AlexandrovReport:
     discriminant is computed twice."""
     mats, n = table.mats, table.n
     _check_count(mats, len(mats))  # X, Y and n - 2 fixed matrices, all n x n
-    if n < 2:
-        raise LogcavityError("Alexandrov check: needs X and Y, so n >= 2")
-    x, y = mats[:2]
+    if failed := _alexandrov_failure(table):
+        raise LogcavityError("Alexandrov check: " + failed)
     rest = range(2, n)
-    for p in rest:
-        if not mats[p].is_symmetric:
-            raise LogcavityError("Alexandrov check: fixed matrices must be symmetric")
-        if not table.psd(p):
-            raise LogcavityError("Alexandrov check: fixed matrices must be PSD")
-    if not (x.is_symmetric and y.is_symmetric):
-        raise LogcavityError("Alexandrov check: X and Y must be symmetric")
     mixed, xx, yy = map(table.discriminant, (range(n), [0, 0, *rest], [1, 1, *rest]))
     lhs, rhs, lam = mixed * mixed, xx * yy, None
     if lhs == rhs:
@@ -177,16 +184,14 @@ def discriminant_report(given):
     results["psd_inputs"] = all(map(table.psd, range(len(mats))))
     if results["psd_inputs"] and value < 0:
         violations.append("positivity failed for PSD tuple")
-    if len(mats) >= 2:  # the value took n matrices, each n x n
-        x, y, rest = mats[0], mats[1], range(2, len(mats))
-        if all(map(table.psd, rest)) and x.is_symmetric and y.is_symmetric:
-            rep = alexandrov_check(table)
-            results["alexandrov"] = {
-                "lhs": str(rep.lhs),
-                "rhs": str(rep.rhs),
-                "equal": rep.equal,
-                "lambda": str(rep.lam) if rep.lam is not None else None,
-            }
-            if rep.lhs < rep.rhs:
-                violations.append("alexandrov inequality failed")
+    if _alexandrov_failure(table) is None:
+        rep = alexandrov_check(table)
+        results["alexandrov"] = {
+            "lhs": str(rep.lhs),
+            "rhs": str(rep.rhs),
+            "equal": rep.equal,
+            "lambda": str(rep.lam) if rep.lam is not None else None,
+        }
+        if rep.lhs < rep.rhs:
+            violations.append("alexandrov inequality failed")
     return results, [], violations

@@ -444,10 +444,9 @@ def hodge_report(m: Matroid, k, point):
     the rational point: the graded dimensions, the Moebius pairing, the
     inertia of Q^k and, where f(point) > 0, HL and HRR, HRR_1 being a
     theorem at a strictly positive point; below the rank, the socle."""
-    check_degree(m, k)
+    count, iner = mobius_pairing(m, k)  # first, as it checks the degree
     results = {"graded_dims": graded_dims(m), "k": k}
     violations = []
-    count, iner = mobius_pairing(m, k)
     results["mobius_pairing"] = {"flats": count, "inertia": iner._values()}
     # one pair of inertias gives In(Q^k), and HL and HRR where f > 0
     at = _point(m, point)

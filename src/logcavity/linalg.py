@@ -108,11 +108,11 @@ def _fresh_label(base, existing):
 
 
 class Record:
-    """An immutable record of the values named by the class attribute
-    _fields: set positionally, compared with records of the same type only,
-    hashed and shown by those values. Frozen dataclasses, without importing
-    `dataclasses` (and with it `inspect`) at every start. Subclasses keep the
-    __dict__ that functools.cached_property fills."""
+    """The base of every immutable value type: the values named by the class
+    attribute _fields, set positionally, compared with records of the same
+    type only, hashed and shown by those values. Frozen dataclasses, without
+    importing `dataclasses` (and with it `inspect`) at every start. Only
+    subclasses without __slots__ keep the __dict__ cached_property fills."""
 
     __slots__ = ()
     _fields = ()
@@ -145,14 +145,15 @@ class Record:
         return f"{type(self).__name__}({shown})"
 
 
-class QMatrix:
+class QMatrix(Record):
     """Immutable dense rational matrix, row-major: ints is the matrix times d,
     the lcm of its entries' reduced denominators (1 for an integer matrix),
-    so (d, cols, ints) is canonical (cols tells apart matrices with no rows);
-    m holds the entries as Fractions. It has no indexing and no arithmetic:
-    callers build the int rows they need."""
+    so the fields (d, cols, ints) are canonical (cols tells apart matrices
+    with no rows); m holds the entries as Fractions. It has no indexing and no
+    arithmetic: callers build the int rows they need."""
 
     __slots__ = ("d", "ints", "rows", "cols")
+    _fields = ("d", "cols", "ints")
 
     def __init__(self, rows_of_entries, cols=0):
         """cols is the width of a matrix with no rows; the rows set it otherwise."""
@@ -162,29 +163,13 @@ class QMatrix:
             cols = len(ints[0])
             if any(len(r) != cols for r in ints):
                 raise LogcavityError("matrix rows have unequal lengths")
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "ints", tuple(map(tuple, ints)))
+        super().__init__(d, cols, tuple(map(tuple, ints)))
         object.__setattr__(self, "rows", len(ints))
-        object.__setattr__(self, "cols", cols)
-
-    def __setattr__(self, *a):
-        raise AttributeError("QMatrix is immutable")
 
     @property
     def m(self):
         """The entries as rows of Fractions, each ints entry over d."""
         return tuple(tuple(Fraction(x, self.d) for x in row) for row in self.ints)
-
-    def __eq__(self, other):
-        if not isinstance(other, QMatrix):
-            return False
-        return (self.d, self.cols, self.ints) == (other.d, other.cols, other.ints)
-
-    def __hash__(self):
-        return hash((self.d, self.cols, self.ints))
-
-    def __repr__(self):
-        return "QMatrix(%s)" % "; ".join(" ".join(str(x) for x in r) for r in self.m)
 
     @property
     def is_square(self):

@@ -141,19 +141,20 @@ def _is_basis_family(masks):
     return _exchange_failure(masks) is None
 
 
-class Matroid:
+class Matroid(Record):
     __slots__ = (
         "ground", "_index", "bases", "rank", "_indep", "_cl", "_evals", "_tables"
     )
+    _fields = ("ground", "bases")
 
     def __init__(self, ground, basis_masks):
-        object.__setattr__(self, "ground", tuple(ground))
-        index = _label_index(self.ground, "matroid ground labels")
-        object.__setattr__(self, "_index", index)
+        ground = tuple(ground)
+        index = _label_index(ground, "matroid ground labels")
         masks = tuple(sorted(set(basis_masks)))
         if not masks:
             raise LogcavityError("a matroid must have at least one basis")
-        object.__setattr__(self, "bases", masks)
+        super().__init__(ground, masks)
+        object.__setattr__(self, "_index", index)
         object.__setattr__(self, "rank", masks[0].bit_count())
         # the independence complex (_independent), built on first use
         object.__setattr__(self, "_indep", None)
@@ -163,9 +164,6 @@ class Matroid:
         # each on first use; per instance, as the ground order sets each mask
         object.__setattr__(self, "_evals", {})
         object.__setattr__(self, "_tables", {})
-
-    def __setattr__(self, *a):
-        raise AttributeError("Matroid is immutable")
 
     def __repr__(self):
         return f"Matroid(n={self.n}, rank={self.rank}, bases={len(self.bases)})"

@@ -16,11 +16,11 @@ from .linalg import integer_inertia
 from .matroids import Matroid, _is_basis_family
 
 
-class MPoly:
+class MPoly(Record):
     __slots__ = ("nvars", "terms")
+    _fields = ("nvars", "terms")
 
     def __init__(self, nvars, terms):
-        object.__setattr__(self, "nvars", nvars)
         clean = {}
         for exp, c in terms.items():
             c = _q(c)
@@ -33,35 +33,11 @@ class MPoly:
                     "nonnegative entries"
                 )
             clean[exp] = clean[exp] + c if exp in clean else c
-        object.__setattr__(
-            self, "terms", {e: c for e, c in clean.items() if c}
-        )
-
-    def __setattr__(self, *a):
-        raise AttributeError("MPoly is immutable")
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, MPoly)
-            and self.nvars == other.nvars
-            and self.terms == other.terms
-        )
+        super().__init__(nvars, {e: c for e, c in clean.items() if c})
 
     def __hash__(self):
+        """Record's hash, with the dict terms read as a frozenset."""
         return hash((self.nvars, frozenset(self.terms.items())))
-
-    def __repr__(self):
-        if not self.terms:
-            return "MPoly(0)"
-        bits = []
-        for exp, c in sorted(self.terms.items()):
-            mono = "*".join(
-                f"x{i}^{e}" if e > 1 else f"x{i}"
-                for i, e in enumerate(exp)
-                if e
-            )
-            bits.append(f"{c}*{mono}" if mono else str(c))
-        return "MPoly(" + " + ".join(bits) + ")"
 
     def is_zero(self):
         return not self.terms

@@ -17,30 +17,28 @@ from .linalg import _log_concave, _shown
 DEFAULT_EXTENSION_CAP = 3_628_800  # 10!
 
 
-class Poset:
+class Poset(Record):
     """Immutable finite poset.
 
     leq is stored reflexively and transitively closed; construction rejects
-    relation lists whose closure violates antisymmetry.
+    relation lists whose closure violates antisymmetry. Posets are equal if
+    their labelled presentations are: the same labels in order and up-masks.
     """
 
     __slots__ = ("labels", "_index", "up", "down", "n", "_lattice")
+    _fields = ("labels", "up")
 
     def __init__(self, labels, up_masks):
-        object.__setattr__(self, "labels", tuple(labels))
+        super().__init__(tuple(labels), tuple(up_masks))
         object.__setattr__(self, "n", len(self.labels))
         index = _label_index(self.labels, "poset element labels")
         object.__setattr__(self, "_index", index)
-        object.__setattr__(self, "up", tuple(up_masks))
         down = [0] * self.n
         for i, above in enumerate(self.up):
             for j in _bits(above):
                 down[j] |= 1 << i
         object.__setattr__(self, "down", tuple(down))
         object.__setattr__(self, "_lattice", None)
-
-    def __setattr__(self, *a):
-        raise AttributeError("Poset is immutable")
 
     @staticmethod
     def from_relations(elements, relations):

@@ -1452,10 +1452,10 @@ class TestDigitLimit:
     of the number, not a traceback."""
 
     @staticmethod
-    def error_line(capsys, tmp_path, command, flag, text):
+    def error_line(capsys, tmp_path, command, flag, text, *more):
         path = tmp_path / "input.json"
         path.write_text(text)
-        code = main([command, flag, str(path)])
+        code = main([command, flag, str(path), *more])
         captured = capsys.readouterr()
         assert code == 1 and captured.out == ""
         assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
@@ -1496,6 +1496,16 @@ class TestDigitLimit:
         line = self.error_line(capsys, tmp_path, "discriminant", "--tuple", text)
         assert line == (
             f"error: a matrix entry {entry[:40]!r}... exceeds the {LIMIT}-digit limit"
+        )
+
+    def test_point_coordinate(self, capsys, tmp_path):
+        # the coordinate is a rational, too long to read, not a malformed one
+        k3 = '{"vertices": 3, "edges": [[0, 1], [1, 2], [0, 2]]}'
+        point = f"1,1,{PAST_LIMIT}"
+        line = self.error_line(capsys, tmp_path, "hodge", "--graph", k3, "--point", point)
+        assert line == (
+            f"error: a point coordinate {PAST_LIMIT[:40]!r}... exceeds the "
+            f"{LIMIT}-digit limit"
         )
 
     @pytest.mark.parametrize("key", ["num", "den"])

@@ -50,13 +50,9 @@ NEVER_RUN = {
         posets.Poset.extensions stanley.B_count stanley.mason_sequence zoo.loopless_zoo
         stanley.mixed_volume_zonotopes stanley.zonotope_volume""".split(), ACCEPTANCE),
     **dict.fromkeys("""
-        linalg.QMatrix.__eq__ linalg.QMatrix.__repr__ linalg.QMatrix.__setattr__
-        linalg.Record.__eq__ linalg.Record.__hash__ linalg.Record.__repr__
-        linalg.Record.__setattr__ matroids.Matroid.__eq__ matroids.Matroid.__hash__
-        matroids.Matroid.__repr__ matroids.Matroid.__setattr__
-        polynomials.MPoly.__eq__ polynomials.MPoly.__hash__
-        polynomials.MPoly.__repr__ polynomials.MPoly.__setattr__
-        posets.Poset.__setattr__""".split(), DUNDER),
+        linalg.Record.__eq__ linalg.Record.__repr__ linalg.Record.__setattr__
+        matroids.Matroid.__eq__ matroids.Matroid.__hash__ matroids.Matroid.__repr__
+        polynomials.MPoly.__hash__""".split(), DUNDER),
     **dict.fromkeys("""
         hodge.hr_form hodge.hl_check hodge.hrr_check linalg.kernel_basis
         linalg.row_space_basis_indices polynomials.MPoly.partial
@@ -66,7 +62,7 @@ NEVER_RUN = {
         posets._IdealLattice.adjacent_count""".split(), ITEM_11),
     "linalg.QMatrix.to_json": FREEZE,
     "hodge._positive_point": VIA + "hodge.hl_check, hodge.hrr_check",
-    "linalg.QMatrix.m": VIA + "linalg.QMatrix.__repr__, linalg.QMatrix.to_json",
+    "linalg.QMatrix.m": VIA + "linalg.QMatrix.to_json",
     "linalg.laplacian": VIA + "linalg.spanning_tree_count",
     "matroids.Matroid._key": VIA + "matroids.Matroid.__eq__, matroids.Matroid.__hash__",
     "matroids.Matroid.basis_label_sets": VIA + "matroids.Matroid._key",
