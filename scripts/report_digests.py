@@ -27,7 +27,10 @@ exit 1 with no report (a poset with no "elements", `poset --cap-extensions
 1` on a 3-element antichain, a 5000-digit matrix entry and a string
 "nvars"), and three empty flag values, each read as written (`poset --x
 ""` and `kahnsaks --x ""` on a poset with an element "", and `probe --e
-""`, which probes no element). It prints one JSON object,
+""`, which probes no element), and numbers written as decimals, exponents
+and with a `_`, which still read (a `discriminant` with the entries "2.5e-1",
+"1E3", "1_0" and "-0.5", and `hodge --point 1e2,1/2,0.25`). It prints one
+JSON object,
 {"<workload>/<seed>/<op id>": [exit code, sha256 of the report]}, where
 the digest is null for an operation that wrote no report. Two checkouts
 give the same answers on the batches iff they print the same object.
@@ -110,6 +113,9 @@ def fixed_ops():
     huge = matrix([["1" * 5000]])  # past int's digit limit, as a string
     # "" < a < b and c apart; the JSON marks b and c, the flags mark ""
     empty = marked(["", "a", "b", "c"], [["", "a"], ["a", "b"]], "b", "c")
+    a = matrix([["2.5e-1", "-0.5"], ["-0.5", "1E3"]])
+    forms = {"mats": [{"matrix": a}, {"matrix": matrix([["1_0", "0"], ["0", "1"]])}]}
+    k3 = {"vertices": 3, "edges": [[0, 1], [1, 2], [0, 2]]}
     ops = [
         ("matroid", {"--graph": k4}, ["--format", "csv"]),
         ("hodge", {"--graph": k23}, ["--k", "2", "--format", "csv"]),
@@ -144,6 +150,9 @@ def fixed_ops():
         ("poset", empty, ["--x", ""]),  # stanley_N of ""
         ("kahnsaks", empty, ["--x", ""]),  # x = "", y = c from the JSON
         ("probe", {"--graph": k4}, ["--e", ""]),  # probes no element
+        # number forms that still read: decimals, exponents and a _
+        ("discriminant", {"--tuple": forms}, []),
+        ("hodge", {"--graph": k3}, ["--k", "1", "--point", "1e2,1/2,0.25"]),
     ]
     return [
         {"id": f"fixed-{i}", "cmd": cmd, "files": files, "args": args}

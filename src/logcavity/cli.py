@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from . import __version__
 from .errors import LogcavityError, TooLarge
-from .linalg import Graph, QMatrix, Record, _check_digits, _is_label, _shown
+from .linalg import Graph, QMatrix, Record, _is_label, _rational, _shown
 from .matroids import DEFAULT_ELEMENT_CAP, Matroid
 from .polynomials import MPoly, basis_generating_poly, lorentzian_check
 from .polynomials import lorentzian_report
@@ -222,15 +222,11 @@ def _parse_labels(m: Matroid, csv):
 def _parse_point(csv, n):
     if csv is None:
         return tuple(Fraction(1) for _ in range(n))
-    parts = [s.strip() for s in csv.split(",")]
+    parts = [s.strip() for s in csv.split(",")] if csv else []  # "": no coordinates
     if len(parts) != n:
         raise LogcavityError(f"point needs {n} coordinates, got {len(parts)}")
-    try:
-        return tuple(Fraction(p) for p in parts)
-    except (ValueError, ZeroDivisionError):
-        for part in parts:
-            _check_digits(part, "a point coordinate")
-        raise LogcavityError("point coordinates must be rationals like 0, 1, 3/2")
+    expected = "point coordinates must be rationals like 0, 1, 3/2"
+    return tuple(_rational(p, "a point coordinate", expected) for p in parts)
 
 
 def cmd_poset(args):
@@ -471,6 +467,12 @@ def main(argv=None) -> int:
         # only a cap is named: every other message says what was wrong
         name = "TooLarge: " if isinstance(e, TooLarge) else ""
         sys.stderr.write(f"error: {name}{e}\n")
+        return 1
+    except ValueError as e:  # only str() of a result past int's digit limit
+        if "for integer string conversion;" not in str(e):
+            raise
+        limit = sys.get_int_max_str_digits()
+        sys.stderr.write(f"error: a report number exceeds the {limit}-digit limit\n")
         return 1
 
 

@@ -16,6 +16,7 @@ from itertools import combinations, compress
 from .errors import LogcavityError
 
 _RATIO = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")  # read by int as by Fraction
+_NUMBER = re.compile(r"([\d_.]+)(?:[eE][-+]?([\d_]+))?")  # a mantissa, its e±N
 
 
 def _q(x) -> Fraction:
@@ -41,20 +42,44 @@ def _expect(value, kind, what):
 
 
 def _check_digits(text, what):
-    """Raise an input error if a number in the string text has more digits
-    than Python's int reads from text (a limit since 3.10.7; 0: none)."""
+    """Raise an input error if a number written in the string text is past
+    int's digit limit (none where sys has no get_int_max_str_digits): its
+    mantissa's digits (a _ between two joins them; a leading point counts
+    as its 0) plus N for an exponent e±N. The bound is on the written form,
+    so nothing is built first; under it, numerator and denominator print."""
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    runs = re.findall(r"[\d_]+", text)  # int skips the _ between digits
-    if limit and max((len(r) - r.count("_") for r in runs), default=0) > limit:
-        raise LogcavityError(f"{what} {text[:40]!r}... exceeds the {limit}-digit limit")
+    if not limit or len(text) <= limit and "e" not in text and "E" not in text:
+        return  # no limit, or no exponent and no more digits than characters
+    for mantissa, power in _NUMBER.findall(text):
+        digits = len(re.sub("[_.]", "", mantissa)) + mantissa.startswith(".")
+        power = power.replace("_", "") or "0"
+        if len(power) > limit or digits + int(power) > limit:
+            shown = f"{what} {text[:40]!r}..."
+            raise LogcavityError(f"{shown} exceeds the {limit}-digit limit")
 
 
-def _entry(x):
-    """x as Fraction(str(x)) reads it, by int for the text -?digits(/digits)?."""
-    if ratio := _RATIO.fullmatch(str(x)):
-        num, den = ratio.groups()
-        return int(num) if den is None else Fraction(int(num), int(den))
-    return Fraction(str(x))
+def _rational(text, what, expected):
+    """The one reader of a rational in CLI input: text as Fraction reads it (by
+    int for -?digits(/digits)?), digits checked first; else the error expected."""
+    _check_digits(text, what)
+    try:
+        if ratio := _RATIO.fullmatch(text):
+            num, den = ratio.groups()
+            return int(num) if den is None else Fraction(int(num), int(den))
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise LogcavityError(expected) from None
+
+
+def _json_int(value, what):
+    """A JSON integer, or a string int reads, its digits checked first."""
+    if isinstance(value, str):
+        _check_digits(value, what)
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    return _expect(value, int, what)
 
 
 def _bits(mask):
@@ -201,13 +226,8 @@ class QMatrix(Record):
             shown = f"{_shown(r)}x{_shown(c)}"
             raise LogcavityError(f"a matrix needs sizes of at least 0, got {shown}")
         entries = _expect(obj["entries"], list, "matrix 'entries'")
-        flat = []
-        for x in entries:
-            try:
-                flat.append(_entry(x))
-            except (ValueError, ZeroDivisionError):
-                _check_digits(str(x), "a matrix entry")
-                raise LogcavityError("matrix entries must be rationals like 3 or -1/2")
+        expected = "matrix entries must be rationals like 3 or -1/2"
+        flat = [_rational(str(x), "a matrix entry", expected) for x in entries]
         if len(flat) != r * c:
             raise LogcavityError(
                 f"a {_shown(r)}x{_shown(c)} matrix needs {_shown(r * c)} entries, "

@@ -11,7 +11,7 @@ from fractions import Fraction
 from itertools import product
 
 from .errors import LogcavityError
-from .linalg import QMatrix, Record, _bits, _check_digits, _expect, _q, _scaled, _shown
+from .linalg import QMatrix, Record, _bits, _expect, _json_int, _q, _scaled, _shown
 from .linalg import integer_inertia
 from .matroids import Matroid, _is_basis_family
 
@@ -158,17 +158,6 @@ class MPoly(Record):
             shown = _shown(nvars)
             raise LogcavityError(f"a polynomial needs 0 or more variables, got {shown}")
         return MPoly(nvars, terms)
-
-
-def _json_int(value, what):
-    """An int, given as a JSON integer or a string of one; else an input
-    error naming what."""
-    if isinstance(value, str):
-        try:
-            return int(value)
-        except ValueError:
-            _check_digits(value, what)
-    return _expect(value, int, what)
 
 
 def basis_generating_poly(m: Matroid) -> MPoly:

@@ -218,6 +218,16 @@ class TestHodgeCommand:
         assert code == 0
         assert report["results"]["hrr"] is True  # edge 0 is not a bridge
 
+    def test_an_empty_point_is_read_as_written(self, capsys, tmp_path, k23_file):
+        # "" is the point with no coordinates, as "--R ''" is R empty
+        path = tmp_path / "empty.json"
+        path.write_text('{"type": "bases", "ground": [], "bases": [[]]}')
+        argv = ["hodge", "--matroid", str(path), "--k", "0", "--point", ""]
+        code, report = run_json(capsys, argv)
+        assert code == 0 and report["inputs"]["point"] == []
+        assert main(["hodge", "--matroid", k23_file, "--point", ""]) == 1
+        assert capsys.readouterr().err == "error: point needs 6 coordinates, got 0\n"
+
     @pytest.mark.parametrize(
         "flags", [["--point", "1/0,1,1,1,1,1"], ["--k", "-1"]], ids=["zero-den", "k<0"]
     )
@@ -1442,6 +1452,8 @@ class TestInputsReadAsWritten:
 # Python's int-from-text digit limit, which Pythons before 3.10.7 lack (0)
 LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 PAST_LIMIT = "7" * (LIMIT + 700)
+DIAGONAL = {"rows": 2, "cols": 2, "entries": ["7" * 4000, "0", "0", "7" * 4000]}
+NINES = {"exp": [2], "num": "9" * LIMIT, "den": "1"}
 
 
 @pytest.mark.skipif(not LIMIT, reason="this Python reads ints of any length")
@@ -1507,6 +1519,70 @@ class TestDigitLimit:
             f"error: a point coordinate {PAST_LIMIT[:40]!r}... exceeds the "
             f"{LIMIT}-digit limit"
         )
+
+    @pytest.mark.parametrize(
+        "coordinate",
+        [f"1e{LIMIT}", f"1e-{2 * LIMIT}", "0e100000000", f".1e-{LIMIT - 1}"],
+        ids=["exponent", "negative", "zero-mantissa", "leading-point"],
+    )
+    def test_a_written_exponent_counts_its_digits(self, capsys, tmp_path, coordinate):
+        # N of e±N counts on top of the mantissa, so no 10^N is built: a
+        # point coordinate and a matrix entry both fail fast
+        k3 = '{"vertices": 3, "edges": [[0, 1], [1, 2], [0, 2]]}'
+        point = f"1,1,{coordinate}"
+        line = self.error_line(capsys, tmp_path, "hodge", "--graph", k3, "--point", point)
+        limit = f"exceeds the {LIMIT}-digit limit"
+        assert line == f"error: a point coordinate {coordinate!r}... {limit}"
+        matrix = {"rows": 1, "cols": 1, "entries": [coordinate]}
+        text = json.dumps({"mats": [{"matrix": matrix}]})
+        line = self.error_line(capsys, tmp_path, "discriminant", "--tuple", text)
+        assert line == f"error: a matrix entry {coordinate!r}... {limit}"
+
+    @pytest.mark.parametrize(
+        "entry, value",
+        [
+            (f"1e{LIMIT - 1}", str(10 ** (LIMIT - 1))),
+            (f"1e-{LIMIT - 1}", f"1/{10 ** (LIMIT - 1)}"),
+            (f"1_0e{LIMIT - 2}", str(10 ** (LIMIT - 1))),
+            (f".5e-{LIMIT - 2}", f"1/{2 * 10 ** (LIMIT - 2)}"),
+        ],
+        ids=["exponent", "negative", "underscore", "leading-point"],
+    )
+    def test_an_exponent_within_the_limit_reads(self, capsys, tmp_path, entry, value):
+        # at the bound, the value's numerator and denominator still print
+        path = tmp_path / "tuple.json"
+        matrix = {"rows": 1, "cols": 1, "entries": [entry]}
+        path.write_text(json.dumps({"mats": [{"matrix": matrix}]}))
+        code, report = run_json(capsys, ["discriminant", "--tuple", str(path)])
+        assert code == 0 and report["results"]["value"] == value
+
+    @pytest.mark.parametrize(
+        "command, flag, payload",
+        [
+            # det of [[a, 0], [0, a]] has 8000 digits
+            ("discriminant", "--tuple", {"mats": [{"matrix": DIAGONAL, "mult": 2}]}),
+            # two like terms of LIMIT nines add up to LIMIT + 1 digits
+            ("lorentzian", "--poly", {"nvars": 1, "terms": [NINES, NINES]}),
+        ],
+        ids=["discriminant", "lorentzian"],
+    )
+    def test_a_report_number_past_the_limit(
+        self, capsys, tmp_path, command, flag, payload
+    ):
+        # each input number is within the limit, a result is not
+        text = json.dumps(payload)
+        line = self.error_line(capsys, tmp_path, command, flag, text)
+        assert line == f"error: a report number exceeds the {LIMIT}-digit limit"
+
+    def test_other_value_errors_propagate(self, tmp_path, monkeypatch):
+        # only the int-to-string limit is an input error; any other
+        # ValueError is a fault of the program, and shows as one
+        def fail(args):
+            raise ValueError("something else")
+
+        monkeypatch.setattr(cli, "cmd_selftest", fail)
+        with pytest.raises(ValueError, match="something else"):
+            main(["selftest"])
 
     @pytest.mark.parametrize("key", ["num", "den"])
     def test_polynomial_coefficient_string(self, capsys, tmp_path, key):

@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 from itertools import combinations
 
@@ -11,7 +12,7 @@ from logcavity import linalg
 from logcavity.errors import LogcavityError
 from logcavity.linalg import (
     _eliminate,
-    _entry,
+    _rational,
     _scaled,
     Graph,
     Inertia,
@@ -258,6 +259,24 @@ class TestIntegerDets:
         assert integer_dets([[5], [0], [-2]], 1) == [5, 0, -2]
 
 
+NOT_RATIONAL = "matrix entries must be rationals like 3 or -1/2"
+
+
+def _short_exponent(text):
+    """Whether every exponent in text has at most 3 digits: past the digit
+    limit the reader fails first, where Fraction builds 10^N."""
+    return not re.search(r"[eE][-+]?[\d_]{4}", text)
+
+
+# rationals as int and Fraction write them, and near misses: signs, points,
+# exponents, a _ and a slash in every place, ASCII digits as the fast path's
+D = "[0-9]"
+NEAR_RATIONAL = (
+    f" ?[-+]?{D}{{0,3}}(_{D})?(\\.{D}{{0,3}})?([eE][-+]?{D}{{1,3}}(_{D})?)?"
+    f"(/[-+]?{D}{{0,3}})? ?"
+)
+
+
 def _read_alike(x):
     """Whether the matrix entry x reads as Fraction(str(x)) reads it: an
     equal value, or a failure of both."""
@@ -266,8 +285,9 @@ def _read_alike(x):
     except (ValueError, ZeroDivisionError):
         expected = None
     try:
-        value = _entry(x)
-    except (ValueError, ZeroDivisionError):
+        value = _rational(str(x), "a matrix entry", NOT_RATIONAL)
+    except LogcavityError as e:
+        assert str(e) == NOT_RATIONAL
         value = None
     if expected is None:
         with pytest.raises(LogcavityError, match="matrix entries must be rationals"):
@@ -290,7 +310,9 @@ class TestEntryParse:
     @settings(max_examples=300, deadline=None)
     @given(
         st.one_of(
-            st.text(alphabet="0123456789-+/. e_\u0663\u00b2", max_size=8),
+            st.text(alphabet="0123456789-+/. e_\u0663\u00b2", max_size=8).filter(
+                _short_exponent
+            ),
             st.integers(min_value=-(10**30), max_value=10**30),
         )
     )
@@ -299,8 +321,22 @@ class TestEntryParse:
 
     def test_ints_stay_ints(self):
         # the QMatrix makes each a Fraction; no rational is parsed on the way
-        assert [type(_entry(x)) for x in ("12", "-3", 4)] == [int, int, int]
-        assert _entry("6/4") == Fraction(3, 2)
+        read = [_rational(str(x), "an entry", NOT_RATIONAL) for x in ("12", "-3", 4)]
+        assert [type(x) for x in read] == [int, int, int]
+        assert _rational("6/4", "an entry", NOT_RATIONAL) == Fraction(3, 2)
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        st.one_of(
+            st.text(alphabet="0123456789-+/.eE_ ", max_size=10),
+            st.from_regex(NEAR_RATIONAL, fullmatch=True),
+            st.from_regex(f"[-+]?{D}{{1,3}}(/[-+]?{D}{{1,3}})?", fullmatch=True),
+        ).filter(_short_exponent)
+    )
+    def test_reader_against_fraction(self, text):
+        # the int route of -?digits(/digits)? and the Fraction route agree:
+        # the same value, or an input error exactly where Fraction fails
+        assert _read_alike(text)
 
 
 class TestScaled:
