@@ -187,35 +187,30 @@ def _load_marked_poset(args) -> MarkedPoset:
 
 
 def _mark(args, obj, p, key):
-    """The mark from its flag, which names the element whose label prints
-    as it (no two print alike), else from the poset JSON, where it must be
-    an element label if it is there."""
-    flag = getattr(args, key, None)
-    if flag is not None:
-        by_str = {str(lab): lab for lab in p.labels}
-        if flag not in by_str:
-            raise LogcavityError(f"unknown poset element {_shown(flag)}")
-        return by_str[flag]
-    value = obj.get(key)
-    if key in obj and not _is_label(value):
-        raise LogcavityError(
-            f"poset mark '{key}' must be an element label, got {_shown(value)}"
-        )
-    return value
+    """The label of the element the mark names, from its flag, else from the
+    poset JSON, where it must be an element label if it is there; None if
+    neither gives it."""
+    value = getattr(args, key, None)
+    if value is None:
+        value = obj.get(key)
+        if key in obj and not _is_label(value):
+            raise LogcavityError(
+                f"poset mark '{key}' must be an element label, got {_shown(value)}"
+            )
+    return None if value is None else p.labels[p.index(value)]
 
 
 def _parse_labels(m: Matroid, csv):
     if csv is None:
         raise LogcavityError("an element list like --R '1,4,5' is required")
     raw = [s.strip() for s in csv.split(",") if s.strip()]
-    by_str = {str(g): g for g in m.ground}
     out = []
     for item in raw:
-        if item not in by_str:
+        if item not in m._index:  # a string: the index finds it by printed form
             raise LogcavityError(f"element {_shown(item)} is not in the ground set")
-        if by_str[item] in out:
+        if (label := m.ground[m._index[item]]) in out:
             raise LogcavityError(f"element {_shown(item)} is given twice")
-        out.append(by_str[item])
+        out.append(label)
     return out
 
 

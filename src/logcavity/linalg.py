@@ -46,15 +46,17 @@ def _check_digits(text, what):
     int's digit limit (none where sys has no get_int_max_str_digits): its
     mantissa's digits (a _ between two joins them; a leading point counts
     as its 0) plus N for an exponent e±N. The bound is on the written form,
-    so nothing is built first; under it, numerator and denominator print."""
+    so nothing is built first; under it, numerator and denominator print.
+    A text of at most 640 characters and no e or E passes every limit: 640,
+    sys.int_info.str_digits_check_threshold, is the least Python accepts."""
+    if len(text) <= 640 and "e" not in text and "E" not in text:
+        return
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if not limit or len(text) <= limit and "e" not in text and "E" not in text:
-        return  # no limit, or no exponent and no more digits than characters
-    for mantissa, power in _NUMBER.findall(text):
+    for mantissa, power in _NUMBER.findall(text) if limit else ():
         digits = len(re.sub("[_.]", "", mantissa)) + mantissa.startswith(".")
         power = power.replace("_", "") or "0"
         if len(power) > limit or digits + int(power) > limit:
-            shown = f"{what} {text[:40]!r}..."
+            shown = f"{what} {text[:40]!r}{'...' * (len(text) > 40)}"
             raise LogcavityError(f"{shown} exceeds the {limit}-digit limit")
 
 
@@ -115,12 +117,12 @@ def _json_labels(value, what):
 
 
 def _label_index(labels, what):
-    """{label: its position}, if no two labels are equal or print alike (the
-    CLI and the reports name an element by its printed label); else an input
-    error naming the label."""
-    index, printed = {}, {}
+    """{label: its position, str(label): the same}, if no two labels are equal
+    or print alike; else an input error naming the label. The one naming rule:
+    a reference r, in any input or call, names the element at index[str(r)]."""
+    index = {}
     for i, lab in enumerate(labels):
-        if index.setdefault(lab, i) != i or printed.setdefault(str(lab), i) != i:
+        if index.setdefault(lab, i) != i or index.setdefault(str(lab), i) != i:
             shown = _shown(str(lab))
             raise LogcavityError(f"{what} must be distinct; two print as {shown}")
     return index

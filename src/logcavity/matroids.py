@@ -49,12 +49,13 @@ def _down_closure(masks, rank):
 
 
 def _label_mask(index, labels, unknown="unknown element {}"):
-    """The mask of the labels' positions in index; a label not in it raises."""
+    """The mask of the positions the labels name in index, a `_label_index`,
+    each by its printed form; a label that names none raises."""
     mask = 0
     for e in labels:
-        if e not in index:
+        if (i := index.get(str(e))) is None:
             raise LogcavityError(unknown.format(_shown(e)))
-        mask |= 1 << index[e]
+        mask |= 1 << i
     return mask
 
 
@@ -189,7 +190,7 @@ class Matroid(Record):
     def from_bases(ground, bases, cap=DEFAULT_ELEMENT_CAP):
         ground = tuple(ground)
         _check_elements(len(ground), cap)
-        index = {lab: i for i, lab in enumerate(ground)}
+        index = _label_index(ground, "matroid ground labels")
         masks = []
         for b in bases:
             mask = _label_mask(index, b, "basis element {} not in ground set")
@@ -388,11 +389,8 @@ class Matroid(Record):
             )
         if kind == "bases":
             ground = _json_labels(obj["ground"], "matroid 'ground'")
-            index = {str(g): g for g in ground}
-            bases = (  # read one by one, after from_bases checks the cap
-                [index.get(str(e), e) for e in _json_labels(b, "a basis")]
-                for b in _expect(obj["bases"], list, "matroid 'bases'")
-            )
+            bases = _expect(obj["bases"], list, "matroid 'bases'")
+            bases = (_json_labels(b, "a basis") for b in bases)  # after the cap check
             return Matroid.from_bases(ground, bases, cap)
         raise LogcavityError(f"unknown matroid type {_shown(kind)}")
 

@@ -46,12 +46,13 @@ class Poset(Record):
         index = _label_index(labels, "poset element labels")
         n = len(labels)
         up = [1 << i for i in range(n)]
-        for a, b in relations:
-            if a not in index or b not in index:
+        for a, b in relations:  # each endpoint by its printed form
+            i, j = index.get(str(a)), index.get(str(b))
+            if i is None or j is None:
                 raise LogcavityError(
                     f"relation mentions unknown element {_shown(a)} or {_shown(b)}"
                 )
-            up[index[a]] |= 1 << index[b]
+            up[i] |= 1 << j
         # Warshall, A theorem on Boolean matrices, J. ACM 1962
         for k in range(n):
             for i in range(n):
@@ -68,7 +69,7 @@ class Poset(Record):
 
     def index(self, label):
         try:
-            return self._index[label]
+            return self._index[str(label)]
         except KeyError:
             raise LogcavityError(f"unknown poset element {_shown(label)}") from None
 
@@ -76,7 +77,7 @@ class Poset(Record):
         return self.up[self.index(a)] >> self.index(b) & 1 == 1
 
     def lt(self, a, b):
-        return a != b and self.leq(a, b)
+        return self.index(a) != self.index(b) and self.leq(a, b)
 
     def strict_up_mask(self, i):
         return self.up[i] & ~(1 << i)
@@ -265,6 +266,7 @@ class MarkedPoset(Record):
     _fields = ("poset", "x", "y")
 
     def __init__(self, poset, x, y):
+        x, y = (poset.labels[poset.index(mark)] for mark in (x, y))
         if x == y:
             raise LogcavityError("marks x and y must be distinct")
         if poset.lt(y, x):

@@ -420,6 +420,101 @@ class TestPosetMarks:
         assert capsys.readouterr().err == "error: unknown poset element ''\n"
 
 
+LABELS = [0, 1, 2, 3, 10, "a", "b", "7", "x1"]  # ints and strings; none print alike
+
+
+def distinct_labels(size):
+    labels = st.sampled_from(LABELS)
+    return st.lists(labels, min_size=size, max_size=size, unique_by=str)
+
+
+def either_name(draw, label):
+    """label as written in a file: the label itself or its printed form."""
+    return draw(st.sampled_from([label, str(label)]))
+
+
+@st.composite
+def named_posets(draw):
+    """A marked poset JSON whose references are labels, and the same poset
+    with each relation endpoint and mark written as label or printed form."""
+    labels = draw(distinct_labels(draw(st.integers(min_value=2, max_value=5))))
+    pairs = list(combinations(range(len(labels)), 2))  # i < j: no cycle
+    relations = draw(st.lists(st.sampled_from(pairs), max_size=4))
+    marks = draw(st.sampled_from(pairs))  # y is not below x
+    plain, mixed = {"elements": labels}, {"elements": labels}
+    plain["relations"] = [[labels[i] for i in r] for r in relations]
+    mixed["relations"] = [[either_name(draw, labels[i]) for i in r] for r in relations]
+    plain["x"], plain["y"] = (labels[i] for i in marks)
+    mixed["x"], mixed["y"] = (either_name(draw, labels[i]) for i in marks)
+    return plain, mixed
+
+
+@st.composite
+def named_matroids(draw):
+    """A `bases` matroid JSON whose basis entries are labels, the same with
+    each entry written as label or printed form, and a --R for it."""
+    m = draw(small_matroids())
+    labels = draw(distinct_labels(m.n))
+    bases = [[labels[i] for i in range(m.n) if b >> i & 1] for b in m.bases]
+    plain = {"ground": labels, "bases": bases}
+    written = [[either_name(draw, e) for e in b] for b in bases]
+    mixed = {"ground": labels, "bases": written}
+    r_side = draw(st.lists(st.sampled_from(labels), unique=True)) if labels else []
+    return plain, mixed, ",".join(map(str, r_side))
+
+
+class TestOneNamingRule:
+    """A basis entry, a relation endpoint, a mark or a flag names an element
+    by its printed label: written as the label or as its printed form, every
+    reference reads to the same instance and the same report."""
+
+    @staticmethod
+    def run(obj, command, flag, extra=()):
+        """The exit code and stdout of command on obj, given by flag."""
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "input.json"
+            path.write_text(json.dumps(obj))
+            with redirect_stdout(io.StringIO()) as out:
+                code = main([command, flag, str(path), *extra])
+        return code, out.getvalue()
+
+    @settings(max_examples=60, deadline=None)
+    @given(named_posets())
+    @example(  # a relation and a mark that name the int 1 as "1"
+        (
+            {"elements": [1, 2, 3], "relations": [[1, 2]], "x": 1, "y": 2},
+            {"elements": [1, 2, 3], "relations": [["1", 2]], "x": "1", "y": 2},
+        )
+    )
+    def test_poset_references(self, posets):
+        kahnsaks = [self.run(obj, "kahnsaks", "--poset") for obj in posets]
+        assert kahnsaks[0][0] == 0 and kahnsaks[1] == kahnsaks[0]
+        # poset echoes its file as written, so only the results must agree
+        unmarked = [{k: obj[k] for k in ("elements", "relations")} for obj in posets]
+        x_flag = ["--x", str(posets[0]["x"])]
+        for variant, extra in ((posets, ()), (unmarked, ()), (unmarked, x_flag)):
+            runs = [self.run(obj, "poset", "--poset", extra) for obj in variant]
+            assert [code for code, _ in runs] == [0, 0]
+            results = [json.loads(out)["results"] for _, out in runs]
+            assert results[1] == results[0]
+
+    @settings(max_examples=40, deadline=None)
+    @given(named_matroids())
+    @example(  # a basis entry that names the int 1 as "1"
+        (
+            {"ground": [1, 2, 3], "bases": [[1, 2]]},
+            {"ground": [1, 2, 3], "bases": [["1", 2]]},
+            "1,3",
+        )
+    )
+    def test_matroid_references(self, matroids):
+        plain, mixed, r_side = matroids
+        for command, extra in (("matroid", ()), ("stanley", ("--R", r_side))):
+            runs = [self.run(obj, command, "--matroid", extra) for obj in (plain, mixed)]
+            assert runs[1] == runs[0]
+            assert command == "stanley" or runs[0][0] == 0
+
+
 class TestPosetCommand:
     def test_cap_fails_fast_and_names_flag(self, capsys, tmp_path, monkeypatch):
         # 11! extensions exceed the default cap of 10!; the prefix count of
@@ -1527,16 +1622,17 @@ class TestDigitLimit:
     )
     def test_a_written_exponent_counts_its_digits(self, capsys, tmp_path, coordinate):
         # N of e±N counts on top of the mantissa, so no 10^N is built: a
-        # point coordinate and a matrix entry both fail fast
+        # point coordinate and a matrix entry both fail fast, echoed whole
+        # with no "..." as no text was cut
         k3 = '{"vertices": 3, "edges": [[0, 1], [1, 2], [0, 2]]}'
         point = f"1,1,{coordinate}"
         line = self.error_line(capsys, tmp_path, "hodge", "--graph", k3, "--point", point)
         limit = f"exceeds the {LIMIT}-digit limit"
-        assert line == f"error: a point coordinate {coordinate!r}... {limit}"
+        assert line == f"error: a point coordinate {coordinate!r} {limit}"
         matrix = {"rows": 1, "cols": 1, "entries": [coordinate]}
         text = json.dumps({"mats": [{"matrix": matrix}]})
         line = self.error_line(capsys, tmp_path, "discriminant", "--tuple", text)
-        assert line == f"error: a matrix entry {coordinate!r}... {limit}"
+        assert line == f"error: a matrix entry {coordinate!r} {limit}"
 
     @pytest.mark.parametrize(
         "entry, value",

@@ -103,6 +103,15 @@ class TestConstruction:
             build()
         assert str(excinfo.value) == message
 
+    def test_a_reference_names_an_element_by_its_printed_label(self):
+        # "1" names the int 1; True names the label "True", not the int 1
+        # that it equals
+        m = Matroid.from_bases([1, 2, "True"], [["1", 2], [2, True]])
+        assert m.basis_label_sets() == {frozenset({1, 2}), frozenset({2, "True"})}
+        assert m.rank_of(["1", "True"]) == 1
+        with pytest.raises(LogcavityError, match="basis element 1.0 not in ground set"):
+            Matroid.from_bases([1, 2], [[1.0]])
+
     def test_literal_five_basis_list_is_valid(self):
         m = Matroid.from_bases(
             [1, 2, 3, 4, 5],

@@ -110,6 +110,18 @@ class TestPosetBasics:
         p = Poset.from_relations([1, 2, 3], [(1, 2), (2, 3)])
         assert p.leq(1, 3)
 
+    def test_a_reference_names_an_element_by_its_printed_label(self):
+        # "1" names the int 1, in a relation, a query and a mark alike
+        p = Poset.from_relations([1, 2, 3], [("1", 2), (2, 3)])
+        assert p == Poset.from_relations([1, 2, 3], [(1, 2), (2, 3)])
+        assert p.leq("1", 3) and not p.lt("1", 1)
+        assert MarkedPoset(p, "1", "3") == MarkedPoset(p, 1, 3)
+        with pytest.raises(LogcavityError, match="marks x and y must be distinct"):
+            MarkedPoset(p, "1", 1)
+        # a reference is read by its printed form only: True names "True"
+        q = Poset.from_relations([1, "True"], [(True, 1)])
+        assert q.lt("True", 1) and not q.leq(1, True)
+
     def test_chain_single_extension(self):
         assert CHAIN3.count_extensions() == 1
 
