@@ -29,8 +29,9 @@ exit 1 with no report (a poset with no "elements", `poset --cap-extensions
 ""` and `kahnsaks --x ""` on a poset with an element "", and `probe --e
 ""`, which probes no element), and numbers written as decimals, exponents
 and with a `_`, which still read (a `discriminant` with the entries "2.5e-1",
-"1E3", "1_0" and "-0.5", and `hodge --point 1e2,1/2,0.25`). It prints one
-JSON object,
+"1E3", "1_0" and "-0.5", and `hodge --point 1e2,1/2,0.25`), and `lorentzian`
+on x^(2^63) + y^(2^63), an exponent past a machine word. It prints one JSON
+object,
 {"<workload>/<seed>/<op id>": [exit code, sha256 of the report]}, where
 the digest is null for an operation that wrote no report. Two checkouts
 give the same answers on the batches iff they print the same object.
@@ -116,6 +117,10 @@ def fixed_ops():
     a = matrix([["2.5e-1", "-0.5"], ["-0.5", "1E3"]])
     forms = {"mats": [{"matrix": a}, {"matrix": matrix([["1_0", "0"], ["0", "1"]])}]}
     k3 = {"vertices": 3, "edges": [[0, 1], [1, 2], [0, 2]]}
+
+    def power(i):  # x_i^(2^63) in two variables
+        return {"exp": [2**63 * (j == i) for j in range(2)], "num": "1", "den": "1"}
+
     ops = [
         ("matroid", {"--graph": k4}, ["--format", "csv"]),
         ("hodge", {"--graph": k23}, ["--k", "2", "--format", "csv"]),
@@ -153,6 +158,8 @@ def fixed_ops():
         # number forms that still read: decimals, exponents and a _
         ("discriminant", {"--tuple": forms}, []),
         ("hodge", {"--graph": k3}, ["--k", "1", "--point", "1e2,1/2,0.25"]),
+        # an exponent past a machine word: the Hessians take no factorial
+        ("lorentzian", {"--poly": {"nvars": 2, "terms": [power(0), power(1)]}}, []),
     ]
     return [
         {"id": f"fixed-{i}", "cmd": cmd, "files": files, "args": args}

@@ -155,6 +155,8 @@ def _load_json(path, what):
         raise LogcavityError(f"{what} file cannot be read: {e}")
     except json.JSONDecodeError as e:
         raise LogcavityError(f"{what} file is not valid JSON: {e}")
+    except RecursionError:  # arrays or objects nested past the decoder's depth
+        raise LogcavityError(f"{what} file nests its JSON too deeply to read")
     except ValueError:  # int() refused a JSON integer past Python's digit limit
         limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
         raise LogcavityError(f"{what} file has an integer of over {limit} digits")

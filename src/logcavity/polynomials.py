@@ -250,21 +250,26 @@ def m_convex(support) -> bool:
 
 
 class LorentzianReport(Record):
-    """failures: the order-(d-2) exponents alpha whose Hessian test failed."""
-
-    _fields = ("passed", "homogeneous", "m_convex_support", "failures")
+    _fields = (
+        "passed",
+        "homogeneous",
+        "m_convex_support",
+        "failures",  # the order-(d-2) exponents alpha whose Hessian test failed
+        "coefficient_log_concave",  # None for f not homogeneous
+    )
 
 
 def _hessian_rows(f: MPoly):
     """(d, {alpha: int rows}) over the exponents alpha of order deg f - 2
-    with a nonzero partial, for homogeneous f: the constant Hessian of the
-    quadratic d^alpha f times d, the lcm of f's coefficient denominators, on
-    the variables of d^alpha f in increasing order (it is zero elsewhere),
-    read off the terms: entry (i, j) is gamma! c_gamma, gamma = alpha+e_i+e_j."""
+    with a nonzero partial, for homogeneous f: the coefficient of x^alpha in
+    d_i d_j f, entry (i, j) = c_gamma gamma_i (gamma_j - [i = j]) for
+    gamma = alpha + e_i + e_j, times d, the lcm of f's coefficient
+    denominators, on the variables of d^alpha f in increasing order (it is
+    zero elsewhere). That is the constant Hessian of the quadratic d^alpha f
+    over alpha! > 0, so it has the same inertia, and no factorial is taken."""
     d, (coeffs,) = _scaled([f.terms.values()])
     entries = {}
     for gamma, c in zip(f.terms, coeffs):
-        weight = c * math.prod(map(math.factorial, gamma))
         occur = [i for i, g in enumerate(gamma) if g]
         for s, i in enumerate(occur):
             for j in occur[s + (gamma[i] < 2) :]:  # (i, i) needs gamma_i >= 2
@@ -272,12 +277,18 @@ def _hessian_rows(f: MPoly):
                 alpha[i] -= 1
                 alpha[j] -= 1
                 h = entries.setdefault(tuple(alpha), {})
-                h[i, j] = h[j, i] = weight
+                h[i, j] = h[j, i] = c * gamma[i] * (gamma[j] - (i == j))
     rows = {}
     for alpha, h in sorted(entries.items()):
         occur = sorted({i for i, _ in h})
         rows[alpha] = tuple(tuple(h.get((i, j), 0) for j in occur) for i in occur)
     return d, rows
+
+
+def _minors_nonpositive(h):
+    """Every 2 x 2 principal minor of the symmetric rows h is <= 0."""
+    n = len(h)
+    return all(h[i][i] * h[j][j] <= h[i][j] ** 2 for i in range(n) for j in range(i))
 
 
 def lorentzian_check(f: MPoly) -> LorentzianReport:
@@ -286,20 +297,24 @@ def lorentzian_check(f: MPoly) -> LorentzianReport:
     alpha of order d - 2 the constant Hessian of the quadratic d^alpha f has
     exactly one positive eigenvalue. M-convexity passes to the support of
     every partial, so the recursive definition needs no other check. Each
-    Hessian H is tested as int rows times d > 0 on the variables S of d^alpha
-    f, which keeps its inertia: zero outside S, H is congruent to H_S + 0."""
+    Hessian H is tested as the int rows of `_hessian_rows`, a positive
+    multiple of it, on the variables S of d^alpha f, which keeps its inertia:
+    zero outside S, H is congruent to H_S + 0. The same blocks give
+    coefficient log-concavity, as their 2 x 2 minors."""
     if not f.has_nonneg_coefficients():
         raise LogcavityError("Lorentzian candidates need nonnegative coefficients")
     if f.is_zero():
-        return LorentzianReport(True, True, True, ())
+        return LorentzianReport(True, True, True, (), True)
     if not f.is_homogeneous():
-        return LorentzianReport(False, False, False, ())
+        return LorentzianReport(False, False, False, (), None)
     mcx = m_convex(f.support())
     hessians = _hessian_rows(f)[1]
     # one elimination per distinct Hessian: on U(r, n) every partial has the same
-    n_pos = {h: integer_inertia(h, len(h))[1].n_pos for h in set(hessians.values())}
+    blocks = set(hessians.values())
+    n_pos = {h: integer_inertia(h, len(h))[1].n_pos for h in blocks}
     failures = tuple(alpha for alpha, h in hessians.items() if n_pos[h] != 1)
-    return LorentzianReport(mcx and not failures, True, mcx, failures)
+    concave = all(map(_minors_nonpositive, blocks))
+    return LorentzianReport(mcx and not failures, True, mcx, failures, concave)
 
 
 def lorentzian_report(source):
@@ -313,9 +328,7 @@ def lorentzian_report(source):
         "homogeneous": report.homogeneous,
         "m_convex_support": report.m_convex_support,
         "hessian_failures": len(report.failures),
-        "coefficient_log_concavity": coefficient_logconcavity(f)
-        if report.homogeneous
-        else None,
+        "coefficient_log_concavity": report.coefficient_log_concave,
     }
     violations = []
     if isinstance(source, Matroid) and not report.passed:
@@ -325,35 +338,15 @@ def lorentzian_report(source):
 
 def coefficient_logconcavity(f: MPoly) -> bool:
     """Normalized-coefficient log-concavity: with f = sum c_a/a! x^a, checks
-    c_a^2 >= c_{a+ei-ej} c_{a-ei+ej} over the whole degree simplex. The right
-    side vanishes unless both beta = a+ei-ej and gamma = beta-2ei+2ej lie in
-    the support, so only such support pairs are visited."""
+    c_a^2 >= c_{a+ei-ej} c_{a-ei+ej} over the whole degree simplex, as the
+    2 x 2 principal minors of the blocks of `_hessian_rows`: for a = alpha +
+    e_i + e_j, beta = alpha + 2e_i and gamma = alpha + 2e_j, the block B of
+    alpha, scaled by d, gives d^2 (c_a^2 - c_beta c_gamma) = alpha!^2 (B_ij^2 -
+    B_ii B_jj). A pair with beta or gamma off the support has a zero diagonal
+    entry, and its minor is -B_ij^2 <= 0."""
     if not f.is_homogeneous():
         raise LogcavityError("coefficient log-concavity needs a homogeneous polynomial")
-    c = {
-        e: coeff * math.prod(map(math.factorial, e))
-        for e, coeff in f.terms.items()
-    }
-    for beta, cb in c.items():
-        for i, bi in enumerate(beta):
-            if bi < 2:
-                continue
-            for j in range(f.nvars):
-                if j == i:
-                    continue
-                gamma = list(beta)
-                gamma[i] -= 2
-                gamma[j] += 2
-                cg = c.get(tuple(gamma))
-                if cg is None:
-                    continue
-                alpha = list(beta)
-                alpha[i] -= 1
-                alpha[j] += 1
-                ca = c.get(tuple(alpha), 0)
-                if ca * ca < cb * cg:
-                    return False
-    return True
+    return all(map(_minors_nonpositive, _hessian_rows(f)[1].values()))
 
 
 def polarization_af_analog_check(f: MPoly, vectors) -> bool:

@@ -896,6 +896,28 @@ class TestErrors:
         assert err.startswith("error: matroid file cannot be read: ")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "command, flag, what, text",
+        [
+            ("poset", "--poset", "poset", '{"elements": %s, "relations": []}'),
+            ("kahnsaks", "--poset", "poset", '{"elements": %s, "x": 0, "y": 1}'),
+            ("matroid", "--matroid", "matroid", '{"ground": [0], "bases": %s}'),
+            ("matroid", "--graph", "graph", '{"vertices": 2, "edges": %s}'),
+            ("discriminant", "--tuple", "matrix tuple", '{"mats": %s}'),
+            ("lorentzian", "--poly", "polynomial", '{"nvars": 1, "terms": %s}'),
+        ],
+    )
+    def test_deeply_nested_json_is_an_input_error(
+        self, capsys, tmp_path, command, flag, what, text
+    ):
+        # nested past the recursion limit, the decoder raised RecursionError
+        path = tmp_path / "input.json"
+        path.write_text(text % ("[" * 100_000 + "]" * 100_000))
+        assert main([command, flag, str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {what} file nests its JSON too deeply to read\n"
+
     def test_unwritable_report_is_an_input_error(self, capsys, tmp_path, k23_file):
         out = tmp_path / "missing" / "report.json"
         assert main(["matroid", "--matroid", k23_file, "--out", str(out)]) == 1
@@ -1937,6 +1959,40 @@ class TestFailFast:
             argv = ["stanley", "--graph", str(graph), "--R", ""]
             reports.append(self.run(tmp_path, argv, 5))
         assert reports[1] == reports[0] and reports[0][0] == 0
+
+    @staticmethod
+    def powers(exponent, *terms):
+        """x^E + y^E plus the given (exp, num, den) terms, as polynomial JSON."""
+        terms = [([exponent, 0], 1, 1), ([0, exponent], 1, 1), *terms]
+        terms = [{"exp": e, "num": str(n), "den": str(d)} for e, n, d in terms]
+        return json.dumps({"nvars": 2, "terms": terms})
+
+    def test_a_large_exponent_takes_no_factorial(self, tmp_path):
+        # x^E + y^E + (3/2) x^(E-1) y: the Hessian entries were gamma! c_gamma,
+        # and E = 10^6 took 55 s; the results are those of E = 4
+        results = []
+        for exponent in (4, 10**6):
+            path = tmp_path / f"poly{exponent}.json"
+            path.write_text(self.powers(exponent, ([exponent - 1, 1], 3, 2)))
+            argv = ["lorentzian", "--poly", str(path)]
+            code, out, err = self.run(tmp_path, argv, 5)
+            assert (code, err) == (0, "")
+            results.append(json.loads(out)["results"])
+        assert results[1] == results[0] == {
+            "passed": False,
+            "homogeneous": True,
+            "m_convex_support": False,
+            "hessian_failures": 0,
+            "coefficient_log_concavity": True,
+        }
+
+    def test_an_exponent_past_a_machine_word(self, tmp_path):
+        # math.factorial(2^63) raised OverflowError
+        path = tmp_path / "poly.json"
+        path.write_text(self.powers(2**63))
+        code, out, err = self.run(tmp_path, ["lorentzian", "--poly", str(path)], 5)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["results"]["hessian_failures"] == 0
 
     def test_a_negative_vertex_count_is_an_input_error(self, capsys, tmp_path):
         graph = tmp_path / "graph.json"

@@ -46,7 +46,7 @@ NEVER_RUN = {
     **dict.fromkeys("""
         linalg.Graph.is_connected linalg.inertia linalg.spanning_tree_count
         polynomials.MPoly.degree polynomials.MPoly.hessian_at
-        polynomials.polarization_af_analog_check
+        polynomials.coefficient_logconcavity polynomials.polarization_af_analog_check
         posets.Poset.extensions stanley.B_count stanley.mason_sequence zoo.loopless_zoo
         stanley.mixed_volume_zonotopes stanley.zonotope_volume""".split(), ACCEPTANCE),
     **dict.fromkeys("""

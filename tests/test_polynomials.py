@@ -274,7 +274,7 @@ class TestCoefficientLogConcavity:
         assert not coefficient_logconcavity(f)
 
 
-# Properties pairing the exact Lorentzian certificate and the support-pair
+# Properties pairing the exact Lorentzian certificate and the Hessian-minor
 # coefficient log-concavity with the slow routes in tests/lorentzian_oracle.py,
 # on homogeneous polynomials with n <= 4 and d <= 4 (zoo substitutions reach
 # the zoo's ranks, which are at most 4).
@@ -367,8 +367,8 @@ class TestOracleProperties:
             g = oracle.partial_multi(f, alpha)
             if not g.is_zero():
                 expected[alpha] = (g, g.hessian_at((1,) * n))
-        # the Hessians lorentzian_check tests, as int rows times d, each on
-        # the variables that occur in its partial
+        # the Hessians lorentzian_check tests, as int rows times d / alpha!,
+        # each on the variables that occur in its partial
         d, rows = _hessian_rows(f)
         assert rows.keys() == expected.keys()
         for alpha, (g, full) in expected.items():
@@ -379,7 +379,8 @@ class TestOracleProperties:
             for a, i in enumerate(support):
                 for b, j in enumerate(support):
                     embedded[i][j] = h[a][b]
-            assert scale(QMatrix(embedded), Fraction(1, d)) == full
+            alpha_factorial = math.prod(map(math.factorial, alpha))
+            assert scale(QMatrix(embedded), Fraction(alpha_factorial, d)) == full
             outside = [full.m[i] for i in range(n) if i not in support]
             assert all(x == 0 for row in outside for x in row)
 
@@ -446,6 +447,19 @@ class TestOracleProperties:
     @given(st.one_of(NONNEG_POLYS, SIGNED_POLYS))
     def test_support_pairs_match_whole_simplex(self, f):
         assert coefficient_logconcavity(f) == oracle.simplex_logconcavity(f)
+
+    @settings(max_examples=200, deadline=None)
+    @given(NONNEG_POLYS)
+    @example(MPoly(2, {(2, 0): 1, (1, 1): 2, (0, 2): 1}))  # (x + y)^2: minor 0
+    @example(MPoly(2, {(2, 0): 1, (0, 1): 1}))  # not homogeneous
+    def test_certificate_minors_match_whole_simplex(self, f):
+        report = lorentzian_check(f)
+        if f.is_homogeneous():
+            assert report.coefficient_log_concave == oracle.simplex_logconcavity(f)
+        else:
+            assert report.coefficient_log_concave is None
+        # a Lorentzian polynomial has ultra-log-concave coefficients
+        assert not report.passed or report.coefficient_log_concave is True
 
 
 class TestAFAnalog:
