@@ -30,8 +30,10 @@ exit 1 with no report (a poset with no "elements", `poset --cap-extensions
 ""`, which probes no element), and numbers written as decimals, exponents
 and with a `_`, which still read (a `discriminant` with the entries "2.5e-1",
 "1E3", "1_0" and "-0.5", and `hodge --point 1e2,1/2,0.25`), and `lorentzian`
-on x^(2^63) + y^(2^63), an exponent past a machine word. It prints one JSON
-object,
+on x^(2^63) + y^(2^63), an exponent past a machine word, and last `hodge`
+then `matroid --cap-elements 3` on one graph's bytes, so the second must not
+find the first's matroid under its cap, and `lorentzian` on the
+non-homogeneous x^2 + y. It prints one JSON object,
 {"<workload>/<seed>/<op id>": [exit code, sha256 of the report]}, where
 the digest is null for an operation that wrote no report. Two checkouts
 give the same answers on the batches iff they print the same object.
@@ -121,6 +123,8 @@ def fixed_ops():
     def power(i):  # x_i^(2^63) in two variables
         return {"exp": [2**63 * (j == i) for j in range(2)], "num": "1", "den": "1"}
 
+    x2_plus_y = [{"exp": e, "num": "1", "den": "1"} for e in ([2, 0], [0, 1])]
+
     ops = [
         ("matroid", {"--graph": k4}, ["--format", "csv"]),
         ("hodge", {"--graph": k23}, ["--k", "2", "--format", "csv"]),
@@ -160,6 +164,12 @@ def fixed_ops():
         ("hodge", {"--graph": k3}, ["--k", "1", "--point", "1e2,1/2,0.25"]),
         # an exponent past a machine word: the Hessians take no factorial
         ("lorentzian", {"--poly": {"nvars": 2, "terms": [power(0), power(1)]}}, []),
+        # the same graph's bytes under a cap below its 6 edges, right after a
+        # build at the default cap: the cap is in the key of the kept matroid
+        ("hodge", {"--graph": k4}, []),
+        ("matroid", {"--graph": k4}, ["--cap-elements", "3"]),
+        # x^2 + y, not homogeneous: coefficient log-concavity is not asked
+        ("lorentzian", {"--poly": {"nvars": 2, "terms": x2_plus_y}}, []),
     ]
     return [
         {"id": f"fixed-{i}", "cmd": cmd, "files": files, "args": args}

@@ -4,10 +4,16 @@ deterministic machine-readable reports.
 
 Exit codes: 0 success, 1 input/usage error, 2 a theorem-level invariant
 failed on the given instance (the signal worth grepping for).
+
+The matroid of a --matroid or --graph input is kept until another is built,
+keyed by (flag, exact file bytes, --cap-elements), so back-to-back commands on
+one input share its flats, evaluations and row bases in one matroid's memory; no
+report changes, as a Matroid is immutable and its tables follow from its bases.
 """
 
 import argparse
 import functools
+import io
 import json
 import random
 import sys
@@ -147,11 +153,22 @@ class _InputObject(dict):
         raise LogcavityError(f"{self.what} JSON has no key {key!r}")
 
 
-def _load_json(path, what):
+def _read(path, what):
     try:
-        with open(path, encoding="utf-8") as fh:
-            obj = json.load(fh, object_hook=lambda d: _InputObject(what, d))
-    except (OSError, UnicodeDecodeError) as e:  # missing, a directory, not UTF-8
+        with open(path, "rb") as fh:
+            return fh.read()
+    except OSError as e:  # missing, a directory
+        raise LogcavityError(f"{what} file cannot be read: {e}")
+
+
+def _load_json(path, what, data=None):
+    """The JSON object of the file at path, or of its bytes data, read as a
+    text file: UTF-8, newlines translated, as error positions count them."""
+    data = _read(path, what) if data is None else data
+    try:
+        text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read()
+        obj = json.loads(text, object_hook=lambda d: _InputObject(what, d))
+    except UnicodeDecodeError as e:  # not UTF-8
         raise LogcavityError(f"{what} file cannot be read: {e}")
     except json.JSONDecodeError as e:
         raise LogcavityError(f"{what} file is not valid JSON: {e}")
@@ -171,12 +188,20 @@ def _load_matroid(args, graph=None) -> Matroid:
     under --cap-elements, which the constructor checks before any work."""
     if graph is None and args.matroid and args.graph:  # else the caller checks the pair
         raise LogcavityError("give --matroid or --graph, not both")
-    if args.matroid:
-        return Matroid.from_json(_load_json(args.matroid, "matroid"), args.cap_elements)
-    if args.graph:
-        graph = graph or Graph.from_json(_load_json(args.graph, "graph"))
+    if args.matroid or (graph is None and args.graph):
+        flag = "matroid" if args.matroid else "graph"
+        return _built(flag, _read(getattr(args, flag), flag), args.cap_elements)
+    if graph is not None:  # stanley's, read by the caller
         return Matroid.graphic(graph, args.cap_elements)
     raise LogcavityError("a --matroid or --graph file is required")
+
+
+@functools.lru_cache(maxsize=1)
+def _built(flag, data, cap):
+    """The matroid of a --matroid or --graph file's bytes, under the cap."""
+    if flag == "matroid":
+        return Matroid.from_json(_load_json(None, flag, data), cap)
+    return Matroid.graphic(Graph.from_json(_load_json(None, flag, data)), cap)
 
 
 def _load_marked_poset(args) -> MarkedPoset:

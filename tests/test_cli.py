@@ -9,7 +9,7 @@ import sys
 import time
 import tempfile
 import tracemalloc
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
@@ -2020,3 +2020,146 @@ class TestFailFast:
             "got 3000000\n"
         )
         assert peak < 1_000_000 and seconds < 0.5
+
+
+def run_cli(argv):
+    """(exit code, stdout, stderr) of one in-process `main` call."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def reuse_bundle(flag, path, m):
+    """The commands the workloads run on one matroid input, and the other
+    commands that read one, as argv tuples: --k 2 where 2k <= rank."""
+    point = ",".join(f"{i + 1}/{i + 2}" for i in range(m.n))
+    tails = [
+        ["matroid"],
+        ["probe"],
+        ["hodge", "--k", "1"],
+        ["hodge", "--k", "1", "--point", point],
+        ["lorentzian"],
+        ["stanley", f"--R={m.ground[0]}"],
+    ]
+    if m.rank >= 4:
+        tails.append(["hodge", "--k", "2"])
+    return [(tail[0], flag, path, *tail[1:]) for tail in tails]
+
+
+class TestMatroidReuse:
+    """`main` keeps the last matroid it built from a --matroid or --graph
+    file, keyed by the flag, the file's bytes and --cap-elements, so that
+    back-to-back commands on one input share its tables. No report, exit
+    code or error line may tell whether a command found it kept."""
+
+    @pytest.fixture(scope="class")
+    def expected(self, tmp_path_factory):
+        """{input name: {argv: (code, stdout, stderr) with the memo cleared
+        first}}, over the zoo as --matroid files and two graphs as --graph."""
+        directory = tmp_path_factory.mktemp("reuse")
+        inputs = {n: ("--matroid", m, m.to_json()) for n, m in matroid_zoo().items()}
+        for name, g in (("k4", k4_graph()), ("k23", k23_graph())):
+            inputs[f"{name}_graph"] = ("--graph", Matroid.graphic(g), g.to_json())
+        out = {}
+        for name, (flag, m, obj) in inputs.items():
+            path = directory / f"{name}.json"
+            path.write_text(json.dumps(obj))
+            out[name] = {}
+            for argv in reuse_bundle(flag, str(path), m):
+                cli._built.cache_clear()
+                out[name][argv] = run_cli(list(argv))
+        return out
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.data())
+    def test_reports_do_not_depend_on_the_commands_before(self, expected, data):
+        names = st.lists(st.sampled_from(sorted(expected)), min_size=1, max_size=3)
+        ops = [
+            (name, argv)
+            for name in data.draw(names)
+            for argv in data.draw(st.permutations(list(expected[name])))
+        ]
+        if data.draw(st.booleans()):  # the bundles interleaved
+            ops = data.draw(st.permutations(ops))
+        for name, argv in ops:
+            assert run_cli(list(argv)) == expected[name][argv], argv
+
+    def test_a_repeated_command_builds_no_evaluation_again(self, k23_file):
+        argv = ["hodge", "--matroid", k23_file, "--k", "2"]
+        cli._built.cache_clear()
+        with mock.patch.object(
+            hodge, "graded_evaluation", wraps=hodge.graded_evaluation
+        ) as built:
+            first = run_cli(argv)
+            calls = built.call_count
+            assert run_cli(argv) == first
+        assert calls > 0 and built.call_count == calls
+
+    def test_a_lower_cap_on_the_same_bytes_is_still_too_large(self, k23_file):
+        argv = ["hodge", "--matroid", k23_file]
+        first = run_cli(argv)
+        assert first[0] == 0 and run_cli(argv) == first
+        for cap, code in (("5", 1), ("6", 0), ("5", 1)):
+            done = run_cli(["matroid", "--matroid", k23_file, "--cap-elements", cap])
+            assert done[0] == code
+        line = "error: TooLarge: matroid has 6 elements, over the --cap-elements limit 5"
+        assert done == (1, "", line + "\n")
+        assert run_cli(argv) == first
+
+    def test_the_flag_is_in_the_key(self, tmp_path):
+        path = tmp_path / "k4.json"
+        path.write_text(json.dumps(k4_graph().to_json()))
+        assert run_cli(["matroid", "--graph", str(path)])[0] == 0
+        done = run_cli(["matroid", "--matroid", str(path)])
+        assert done == (1, "", "error: matroid JSON has no key 'ground'\n")
+
+    def test_a_file_rewritten_in_place_gives_the_new_matroid(self, tmp_path):
+        path = tmp_path / "m.json"
+        argv = ["matroid", "--matroid", str(path)]
+        counts = []
+        for n in (3, 4, 3):
+            path.write_text(json.dumps(Matroid.uniform(2, n).to_json()))
+            done = run_cli(argv)
+            cli._built.cache_clear()
+            assert run_cli(argv) == done
+            counts.append(json.loads(done[1])["results"]["bases"])
+        assert counts == [3, 6, 3]
+
+    def test_a_failing_build_fails_the_same_way_each_time(self, tmp_path, k23_file):
+        path = tmp_path / "no_exchange.json"
+        bases = {"type": "bases", "ground": [0, 1, 2, 3], "bases": [[0, 1], [2, 3]]}
+        path.write_text(json.dumps(bases))
+        kept = run_cli(["matroid", "--matroid", k23_file])
+        line = "error: exchange fails for bases [0, 1] and [2, 3]\n"
+        for _ in range(2):
+            assert run_cli(["hodge", "--matroid", str(path)]) == (1, "", line)
+        assert run_cli(["matroid", "--matroid", k23_file]) == kept
+
+    @pytest.mark.parametrize(
+        "command, flag",
+        [("matroid", "--matroid"), ("matroid", "--graph"), ("poset", "--poset")],
+    )
+    @pytest.mark.parametrize("kind", ["missing", "not-utf8"])
+    def test_unreadable_files_keep_their_error_lines(
+        self, tmp_path, command, flag, kind
+    ):
+        path = tmp_path / "input.json"
+        if kind == "missing":
+            reason = f"[Errno 2] No such file or directory: {str(path)!r}"
+        else:
+            path.write_bytes(b'{"a": "\xff"}')
+            reason = "'utf-8' codec can't decode byte 0xff in position 7: "
+            reason += "invalid start byte"
+        line = f"error: {flag[2:]} file cannot be read: {reason}\n"
+        for _ in range(2):
+            assert run_cli([command, flag, str(path)]) == (1, "", line)
+
+    @pytest.mark.parametrize("flag", ["--matroid", "--graph"])
+    def test_json_errors_count_a_crlf_as_one_newline(self, tmp_path, flag):
+        # as a file opened as text reads it: x is char 7, not 8
+        path = tmp_path / "crlf.json"
+        path.write_bytes(b'{"a":\r\n x}')
+        line = "file is not valid JSON: Expecting value: line 2 column 2 (char 7)"
+        done = run_cli(["matroid", flag, str(path)])
+        assert done == (1, "", f"error: {flag[2:]} {line}\n")
