@@ -32,8 +32,10 @@ and with a `_`, which still read (a `discriminant` with the entries "2.5e-1",
 "1E3", "1_0" and "-0.5", and `hodge --point 1e2,1/2,0.25`), and `lorentzian`
 on x^(2^63) + y^(2^63), an exponent past a machine word, and last `hodge`
 then `matroid --cap-elements 3` on one graph's bytes, so the second must not
-find the first's matroid under its cap, and `lorentzian` on the
-non-homogeneous x^2 + y. It prints one JSON object,
+find the first's matroid under its cap, `lorentzian` on the
+non-homogeneous x^2 + y, and `hodge --k 2` on K(2,3) at 1,-1,-1,1,1,-1, where
+f > 0 and Q^1 is singular, so HRR_2 takes the bordered elimination. It prints
+one JSON object,
 {"<workload>/<seed>/<op id>": [exit code, sha256 of the report]}, where
 the digest is null for an operation that wrote no report. Two checkouts
 give the same answers on the batches iff they print the same object.
@@ -170,6 +172,8 @@ def fixed_ops():
         ("matroid", {"--graph": k4}, ["--cap-elements", "3"]),
         # x^2 + y, not homogeneous: coefficient log-concavity is not asked
         ("lorentzian", {"--poly": {"nvars": 2, "terms": x2_plus_y}}, []),
+        # f > 0 but In(Q^1) = (2, 1, 3): degree 2 falls back to the border
+        ("hodge", {"--graph": k23}, ["--k", "2", "--point", "1,-1,-1,1,1,-1"]),
     ]
     return [
         {"id": f"fixed-{i}", "cmd": cmd, "files": files, "args": args}

@@ -9,6 +9,7 @@ The matroid of a --matroid or --graph input is kept until another is built,
 keyed by (flag, exact file bytes, --cap-elements), so back-to-back commands on
 one input share its flats, evaluations and row bases in one matroid's memory; no
 report changes, as a Matroid is immutable and its tables follow from its bases.
+Its echo in a report's inputs, `to_json` rendered by `_text`, is kept with it.
 """
 
 import argparse
@@ -56,6 +57,20 @@ _quote = json.encoder.encode_basestring_ascii
 _LITERALS = {True: "true", False: "false", None: "null"}
 
 
+class _Echo:
+    """A matroid's echo in a report's inputs: its `to_json` as `_text`
+    renders it, made once per indentation and kept as text, so that every
+    command on a kept matroid reports the one rendering."""
+
+    def __init__(self, m: Matroid):
+        self.m, self.texts = m, {}
+
+    def text(self, pad):
+        if pad not in self.texts:
+            self.texts[pad] = _text(self.m.to_json(), pad)
+        return self.texts[pad]
+
+
 def _text(value, pad=""):
     """json.dumps(_tree(value), sort_keys=True, indent=2), its lines after the
     first indented by pad, with no tree built for dicts and lists."""
@@ -78,6 +93,8 @@ def _text(value, pad=""):
             v = int.__repr__(v)
         elif kind is bool or v is None:
             v = _LITERALS[v]
+        elif kind is _Echo:
+            v = v.text(inner)
         else:
             v = _text(v, inner)
         parts.append(head + v)
@@ -183,25 +200,30 @@ def _load_json(path, what, data=None):
     return obj
 
 
-def _load_matroid(args, graph=None) -> Matroid:
-    """The --matroid, else the cycle matroid of graph or the --graph, built
-    under --cap-elements, which the constructor checks before any work."""
+def _load_matroid(args, graph=None):
+    """(matroid, its `_Echo`): the --matroid, else the cycle matroid of graph
+    or the --graph, built under --cap-elements, which the constructor checks
+    before any work."""
     if graph is None and args.matroid and args.graph:  # else the caller checks the pair
         raise LogcavityError("give --matroid or --graph, not both")
     if args.matroid or (graph is None and args.graph):
         flag = "matroid" if args.matroid else "graph"
         return _built(flag, _read(getattr(args, flag), flag), args.cap_elements)
     if graph is not None:  # stanley's, read by the caller
-        return Matroid.graphic(graph, args.cap_elements)
+        m = Matroid.graphic(graph, args.cap_elements)
+        return m, _Echo(m)
     raise LogcavityError("a --matroid or --graph file is required")
 
 
 @functools.lru_cache(maxsize=1)
 def _built(flag, data, cap):
-    """The matroid of a --matroid or --graph file's bytes, under the cap."""
+    """(the matroid of a --matroid or --graph file's bytes, under the cap,
+    its `_Echo`)."""
     if flag == "matroid":
-        return Matroid.from_json(_load_json(None, flag, data), cap)
-    return Matroid.graphic(Graph.from_json(_load_json(None, flag, data)), cap)
+        m = Matroid.from_json(_load_json(None, flag, data), cap)
+    else:
+        m = Matroid.graphic(Graph.from_json(_load_json(None, flag, data)), cap)
+    return m, _Echo(m)
 
 
 def _load_marked_poset(args) -> MarkedPoset:
@@ -265,7 +287,7 @@ def cmd_kahnsaks(args):
 
 
 def cmd_matroid(args):
-    m = _load_matroid(args)
+    m, echo = _load_matroid(args)
     data = m.parallel_data()
     results = {
         "ground": list(m.ground),
@@ -277,14 +299,14 @@ def cmd_matroid(args):
         "flats_per_rank": m.flats().rank_counts(),
         "graded_dims": graded_dims(m),
     }
-    return RunReport("matroid", {"matroid": m.to_json()}, results)
+    return RunReport("matroid", {"matroid": echo}, results)
 
 
 def cmd_stanley(args):
     graph = None
     if getattr(args, "graph", None):
         graph = Graph.from_json(_load_json(args.graph, "graph"))
-    m = _load_matroid(args, graph)
+    m, echo = _load_matroid(args, graph)
     # edge j is element j, as the volume route of stanley_report takes it
     if getattr(args, "matroid", None) and graph and (
         len(graph.edges) != m.n
@@ -294,7 +316,7 @@ def cmd_stanley(args):
             f"--graph needs the matroid's {m.n} edges and bases, edge j as element j"
         )
     r_labels = _parse_labels(m, args.R)
-    inputs = {"matroid": m.to_json(), "R": [str(e) for e in r_labels]}
+    inputs = {"matroid": echo, "R": [str(e) for e in r_labels]}
     return RunReport("stanley", inputs, *stanley_report(m, r_labels, graph))
 
 
@@ -306,8 +328,8 @@ def cmd_lorentzian(args):
         source = MPoly.from_json(_load_json(args.poly, "polynomial"))
         inputs = {"poly": source.to_json()}
     else:
-        source = _load_matroid(args)
-        inputs = {"matroid": source.to_json()}
+        source, echo = _load_matroid(args)
+        inputs = {"matroid": echo}
     return RunReport("lorentzian", inputs, *lorentzian_report(source))
 
 
@@ -328,17 +350,17 @@ def cmd_discriminant(args):
 
 
 def cmd_hodge(args):
-    m = _load_matroid(args)
+    m, echo = _load_matroid(args)
     check_degree(m, args.k)  # before the point: with both faults, k is named
     point = _parse_point(getattr(args, "point", None), m.n)
-    inputs = {"matroid": m.to_json(), "k": args.k, "point": [str(x) for x in point]}
+    inputs = {"matroid": echo, "k": args.k, "point": [str(x) for x in point]}
     return RunReport("hodge", inputs, *hodge_report(m, args.k, point))
 
 
 def cmd_probe(args):
-    m = _load_matroid(args)
+    m, echo = _load_matroid(args)
     elements = list(m.ground) if args.e is None else _parse_labels(m, args.e)
-    return RunReport("probe", {"matroid": m.to_json()}, *probe_report(m, elements))
+    return RunReport("probe", {"matroid": echo}, *probe_report(m, elements))
 
 
 def cmd_selftest(args):

@@ -37,13 +37,19 @@ class GradedEvaluation(Record):
     order; col_flats: the rank-(r-k) flats by first appearance among the
     sorted (r-k)-sets; entries: 1 at (F, G) iff rank(F | G) = r, so E_(r-k)
     on flats is their transpose. dim A^k is their rank, and the rows at
-    basis_positions (the greedy row basis, taken on first use) a basis."""
+    basis_positions (the greedy row basis, taken on first use) a basis, and
+    pairing_inertia, taken on first use too, is the inertia of entries,
+    the Moebius pairing in the middle degree."""
 
     _fields = ("k", "row_masks", "firsts", "col_flats", "entries")
 
     @cached_property
     def basis_positions(self):
         return tuple(self.firsts[i] for i in integer_row_basis(self.entries))
+
+    @cached_property
+    def pairing_inertia(self):
+        return integer_inertia(self.entries, len(self.firsts))[1]
 
     @property
     def dimension(self):
@@ -125,7 +131,10 @@ def _sums(m: Matroid, size, point):
     outside S of x_i d^(S+i) f, so each size is summed, in integers and
     exactly divided, from the one above, down from 1 on the bases or the
     nearest size kept for the point in m's tables; only the sizes asked
-    for are kept."""
+    for are kept, and only for the last point asked, so a new point drops
+    the sums of the one before."""
+    if point not in m._tables:
+        m._tables.clear()
     r, levels = m.rank, m._tables.setdefault(point, {})
     top = min((s for s in levels if s >= size), default=r)
     sums = levels[top] if top in levels else dict.fromkeys(m.bases, 1)
@@ -150,21 +159,51 @@ def value(m: Matroid, point) -> Fraction:
 
 
 def hr_inertia(m: Matroid, k, point):
-    """(In(Q^k), In([[Q^k, U], [U^T, 0]])) by one `integer_inertia`, with
-    U(a, b) = deg(a b l^(r-2k+1)) pairing degree k with k-1 (no columns
-    when k = 0). deg(a b l^p) = p! d^(a|b) f(point), so Q^k = a (-1)^k
-    S_2k and U = b S_2k-1 in the integer sums, with a, b > 0: scaling
-    the whole by 1/a and the congruence diag(I, (a/b) I) show that
-    [[(-1)^k S_2k, S_2k-1], [S_2k-1^T, 0]] has the same two inertias."""
+    """(In(Q^k), In([[Q^k, U], [U^T, 0]])), with U(a, b) = deg(a b l^(r-2k+1))
+    pairing degree k with k-1 (no columns when k = 0). deg(a b l^p) = p!
+    d^(a|b) f(point), so Q^k = a (-1)^k S_2k and U = b S_2k-1 in the integer
+    sums, with a, b > 0: scaling the whole by 1/a and the congruence
+    diag(I, (a/b) I) show that [[(-1)^k S_2k, S_2k-1], [S_2k-1^T, 0]] has the
+    same two inertias, which one `integer_inertia` of it gives.
+
+    Where Q^(k-1) is non-degenerate, the second inertia is read off In(Q^k)
+    and In(Q^(k-1)) instead, each eliminated alone, by the Lefschetz
+    decomposition A^k = P^k (+) l A^(k-1) (Huybrechts, Complex Geometry,
+    2005, 1.2 and 3.3). Proof: for x, y of degree k-1, Q^k(l x, l y) =
+    (-1)^k deg(x y l^(r-2k+2)) = -Q^(k-1)(x, y). If U y = 0, then
+    Q^(k-1)(x, y) = -(-1)^k U(l x, y) = 0 for every x, so y = 0: U has rank
+    d = dim A^(k-1), l is injective on A^(k-1), and Q^k on L = l A^(k-1) is
+    -Q^(k-1), non-degenerate. So A^k = L (+) P with P the Q^k-orthogonal of
+    L, the x with Q^k(x, l y) = (-1)^k U(x, y) = 0 for all y: P = ker U^T,
+    the primitive classes, and In(Q^k) = In(Q^k on P) + In(-Q^(k-1)). The
+    rule of `_verdicts`, In(bordered) = In(Q^k on P) + (d, d, 0) at rank d,
+    then reads (n+(Q^k) - n-(Q^(k-1)) + d, n-(Q^k) - n+(Q^(k-1)) + d,
+    n0(Q^k)). The scales are positive, so the integer rows keep all of it."""
     check_degree(m, k)
-    basis = _basis(m, k)
-    lower = _basis(m, k - 1) if k else []
-    sign = (-1) ** k
-    q = _pairing(m, basis, basis, 2 * k, point)
-    u = _pairing(m, basis, lower, 2 * k - 1, point)
-    rows = [[sign * x for x in qr] + ur for qr, ur in zip(q, u)]
+    q = _form(m, k, point)  # first, so that the size-(2k-2) sums descend from it
+    below = _form_inertia(m, k - 1, point) if k else Inertia(0, 0, 0)
+    if not below.n_zero:
+        block = integer_inertia(q, len(q))[1]
+        pos, neg, zero = block._values()
+        d = below.dimension
+        return block, Inertia(pos - below.n_neg + d, neg - below.n_pos + d, zero)
+    lower = _basis(m, k - 1)
+    u = _pairing(m, _basis(m, k), lower, 2 * k - 1, point)
+    rows = [qr + ur for qr, ur in zip(q, u)]
     rows += [list(col) + [0] * len(lower) for col in zip(*u)]
-    return integer_inertia(rows, len(basis))
+    return integer_inertia(rows, len(q))
+
+
+def _form(m: Matroid, k, point):
+    """Q^k on the basis of degree k, as the int rows (-1)^k S_2k."""
+    basis, sign = _basis(m, k), (-1) ** k
+    return [[sign * x for x in row] for row in _pairing(m, basis, basis, 2 * k, point)]
+
+
+def _form_inertia(m: Matroid, k, point):
+    """In(Q^k), by one `integer_inertia` of `_form`."""
+    q = _form(m, k, point)
+    return integer_inertia(q, len(q))[1]
 
 
 def _basis(m: Matroid, k):
@@ -235,7 +274,12 @@ def _verdicts(block: Inertia, bordered: Inertia):
     the kernel of U^T: for U of any rank rho, In([[Q, U], [U^T, 0]]) =
     In(Q on ker U^T) + (rho, rho, cols(U) - rho) (Haynsworth 1968;
     Chabrillac and Crouzeix 1984), so exactly when the bordered matrix has
-    rows(Q) positives."""
+    rows(Q) positives. Where Q^(k-1) is non-degenerate, `hr_inertia` reads
+    the bordered inertia off the Lefschetz decomposition A^k = P^k (+)
+    l A^(k-1), orthogonal for Q^k, on whose second part Q^k is -Q^(k-1):
+    there rho = dim A^(k-1), and n+(Q^k) - n-(Q^(k-1)) + rho = dim A^k says
+    that Q^k has dim P^k positives beyond those of -Q^(k-1), that is, that
+    it is positive definite on P^k."""
     return block.n_zero == 0, bordered.n_pos == block.dimension
 
 
@@ -380,7 +424,7 @@ def mobius_pairing(m: Matroid, k):
     count = len(ev.firsts)
     if 2 * k < m.rank:
         return count, Inertia(0, 0, count)
-    return count, integer_inertia(ev.entries, count)[1]
+    return count, ev.pairing_inertia
 
 
 class ContainmentProbe(Record):

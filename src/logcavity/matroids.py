@@ -161,8 +161,9 @@ class Matroid(Record):
         object.__setattr__(self, "_indep", None)
         # closures of the independent sets by size (_flats), each on first use
         object.__setattr__(self, "_cl", {})
-        # hodge's tables by degree (evaluation) and by integer point (_sums),
-        # each on first use; per instance, as the ground order sets each mask
+        # hodge's tables by degree (evaluation) and for the last integer point
+        # asked (_sums), each on first use; per instance, as the ground order
+        # sets each mask
         object.__setattr__(self, "_evals", {})
         object.__setattr__(self, "_tables", {})
 

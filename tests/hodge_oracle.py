@@ -11,9 +11,12 @@ monomial; the containment probe takes `Fraction` kernels and sums on the
 minors; the Moebius pairing walks the full lattice of flats; E_k is taken
 whole, every independent k-set against every independent (r-k)-set, and an
 annihilator test scans every independent (r-k)-set; the inverse-Hessian
-identity solves H x = g. The library reads derivative values off the basis
-masks, decides In(Q^k) and HRR_k by one integer bordered inertia and socle
-triviality by a column containment, reads dim A^(r-k) off E_k on one row
+identity solves H x = g; the bordered inertia of HRR_k is one integer
+elimination of the whole bordered form, in every case. The library reads
+derivative values off the basis masks, decides In(Q^k) and HRR_k from
+In(Q^k) and In(Q^(k-1)) by the Lefschetz decomposition, eliminating the
+bordered form only where Q^(k-1) is singular, and socle triviality by a
+column containment, reads dim A^(r-k) off E_k on one row
 and column per flat, tests annihilator membership by the coefficients
 summed per flat against E_k on flats, the inverse Hessian by two integer
 determinants, runs the probe inside M by one echelon of the deletion rows
@@ -29,8 +32,9 @@ from itertools import combinations
 import linalg_oracle
 import lorentzian_oracle
 import matroid_oracle
-from logcavity.hodge import facet_point, graded_evaluation
-from logcavity.linalg import Inertia, QMatrix, _bits, inertia, kernel_basis
+from logcavity.hodge import _pairing, facet_point, graded_evaluation
+from logcavity.linalg import Inertia, QMatrix, _bits, inertia, integer_inertia
+from logcavity.linalg import kernel_basis
 from logcavity.matroids import FlatLattice
 from logcavity.polynomials import MPoly, basis_generating_poly
 from linalg_oracle import apply, identity, product, scale, solve, transpose
@@ -98,6 +102,20 @@ def hr_form(m, k, point):
     """Q^k on the selected basis of degree k."""
     basis = _basis(m, k)
     return scale(QMatrix(pairing(m, basis, basis, point)), (-1) ** k)
+
+
+def bordered_inertia(m, k, at):
+    """(In(Q^k), In([[Q^k, U], [U^T, 0]])) at the integer point at, by one
+    `integer_inertia` of the bordered form built from the library's integer
+    sums: Q^k = (-1)^k S_2k and U = S_2k-1, as `hr_inertia` scales them."""
+    basis = _basis(m, k)
+    lower = _basis(m, k - 1) if k else []
+    sign = (-1) ** k
+    q = _pairing(m, basis, basis, 2 * k, at)
+    u = _pairing(m, basis, lower, 2 * k - 1, at)
+    rows = [[sign * x for x in qr] + ur for qr, ur in zip(q, u)]
+    rows += [list(col) + [0] * len(lower) for col in zip(*u)]
+    return integer_inertia(rows, len(basis))
 
 
 def positive_on_kernel(q, u):

@@ -238,17 +238,20 @@ class TestHodgeCommand:
 
     @pytest.mark.parametrize("k", [1, 2])
     def test_one_elimination_per_hr_degree(self, capsys, k23_file, monkeypatch, k):
-        # one for In(Q^k), HL_k and HRR_k, and one for the Moebius pairing
-        # in the middle degree only: below it (here k = 1, rank 4) the
-        # pairing is zero by rank
-        leads = []
+        # Q^(k-1) is non-degenerate at this point, so In(Q^k), HL_k and HRR_k
+        # take one elimination of Q^(k-1) and one of Q^k, each square with
+        # no border rows, and the Moebius pairing one in the middle degree
+        # only: below it (here k = 1, rank 4) the pairing is zero by rank.
+        # The memo is cleared, so that no kept matroid holds the pairing.
+        shapes = []
         original = hodge.integer_inertia
 
         def counted(rows, lead):
-            leads.append(lead)
+            shapes.append((len(rows), lead))
             return original(rows, lead)
 
         monkeypatch.setattr(hodge, "integer_inertia", counted)
+        cli._built.cache_clear()
         point = "1,1/2,2,3/4,1,5/3"
         code, report = run_json(
             capsys, ["hodge", "--matroid", k23_file, "--k", str(k), "--point", point]
@@ -256,7 +259,8 @@ class TestHodgeCommand:
         assert code == 0 and "hrr" in report["results"]
         flats = report["results"]["mobius_pairing"]["flats"]
         dims = report["results"]["graded_dims"]
-        assert leads == ([flats] if 2 * k == len(dims) - 1 else []) + [dims[k]]
+        leads = ([flats] if 2 * k == len(dims) - 1 else []) + [dims[k - 1], dims[k]]
+        assert shapes == [(lead, lead) for lead in leads]
 
     @pytest.mark.parametrize(
         "name, matroid",
@@ -2095,6 +2099,59 @@ class TestMatroidReuse:
             calls = built.call_count
             assert run_cli(argv) == first
         assert calls > 0 and built.call_count == calls
+
+    def test_a_kept_echo_is_rendered_once(self, tmp_path):
+        # one to_json and one rendering serve the bundle's echoes, in JSON
+        # and in CSV, and each report has the bytes of a run with the memo
+        # cleared
+        m = matroid_zoo()["graphic_k23"]
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(m.to_json()))
+        bundle = [
+            list(argv) + fmt
+            for argv in reuse_bundle("--matroid", str(path), m)
+            for fmt in ([], ["--format", "csv"])
+        ]
+        fresh = []
+        for argv in bundle:
+            cli._built.cache_clear()
+            fresh.append(run_cli(argv))
+        cli._built.cache_clear()
+        tree, text = m.to_json(), cli._text
+        rendered = []
+
+        def counted(value, pad=""):
+            rendered.append(value == tree)
+            return text(value, pad)
+
+        with mock.patch.object(
+            Matroid, "to_json", autospec=True, side_effect=Matroid.to_json
+        ) as to_json, mock.patch.object(cli, "_text", counted):
+            assert [run_cli(argv) for argv in bundle] == fresh
+        assert to_json.call_count == 1 and sum(rendered) == 1
+        assert all(code == 0 for code, _, _ in fresh)
+
+    def test_points_keep_one_table(self, tmp_path):
+        # a new --point drops the sums of the point before, so a hundred
+        # points on one file keep one point's tables, and every report has
+        # the bytes of a fresh run
+        path = tmp_path / "u48.json"
+        path.write_text(json.dumps(Matroid.uniform(4, 8).to_json()))
+        bundle = [
+            ["hodge", "--matroid", str(path), "--k", str(1 + i % 2),
+             "--point", ",".join(str(Fraction(i + j, j + 1)) for j in range(8))]
+            for i in range(100)
+        ]
+        fresh = []
+        for argv in bundle:
+            cli._built.cache_clear()
+            fresh.append(run_cli(argv))
+        cli._built.cache_clear()
+        assert [run_cli(argv) for argv in bundle] == fresh
+        data, cap = path.read_bytes(), matroids.DEFAULT_ELEMENT_CAP
+        kept = cli._built("matroid", data, cap)[0]
+        assert cli._built.cache_info().misses == 1
+        assert len(kept._tables) == 1
 
     def test_a_lower_cap_on_the_same_bytes_is_still_too_large(self, k23_file):
         argv = ["hodge", "--matroid", k23_file]

@@ -108,6 +108,16 @@ class TestMatroidTables:
         assert _sums(other, 1, at)[0] is not _sums(m, 1, at)[0]
         assert set(m._tables) == set(other._tables) == {at}
 
+    def test_a_new_point_drops_the_last_points_sums(self):
+        # only the last point's sums are kept, and a point asked again is
+        # summed again to the same values
+        m = Matroid.uniform(3, 6)
+        points = [_point(m, [i + 1, 1, 2, 1, 1, i]) for i in range(5)]
+        first = [dict(_sums(m, 1, at)[0]) for at in points]
+        assert list(m._tables) == [points[-1]]
+        assert [_sums(m, 1, at)[0] for at in points] == first
+        assert list(m._tables) == [points[-1]]
+
     def test_tables_go_with_their_matroid(self):
         m = Matroid.uniform(2, 3)
         assert hrr_check(m, 1, [1, 1, 1])
@@ -233,6 +243,19 @@ class TestHRForm:
         hess = basis_generating_poly(MK4).hessian_at(point)
         scale = linalg_oracle.scale
         assert scale(q, -1) == scale(hess, math.factorial(MK4.rank - 2))
+
+    def test_the_middle_pairing_is_eliminated_once(self, monkeypatch):
+        # the inertia is kept on the matroid's E_2 on flats
+        m = Matroid.graphic(k23_graph())
+        leads, original = [], hodge.integer_inertia
+
+        def counted(rows, lead):
+            leads.append(lead)
+            return original(rows, lead)
+
+        monkeypatch.setattr(hodge, "integer_inertia", counted)
+        assert mobius_pairing(m, 2) == mobius_pairing(m, 2) == (15, Inertia(6, 6, 3))
+        assert leads == [15]
 
     def test_degree_too_high(self):
         with pytest.raises(LogcavityError, match="need 0 <= 2k <= rank, got k=2"):
@@ -388,6 +411,19 @@ class TestMobius:
         count, iner = mobius_pairing(Matroid.uniform(2, 2), 1)
         assert count == 2
         assert iner == Inertia(1, 1, 0)
+
+    def test_the_middle_pairing_is_eliminated_once(self, monkeypatch):
+        # the inertia is kept on the matroid's E_2 on flats
+        m = Matroid.graphic(k23_graph())
+        leads, original = [], hodge.integer_inertia
+
+        def counted(rows, lead):
+            leads.append(lead)
+            return original(rows, lead)
+
+        monkeypatch.setattr(hodge, "integer_inertia", counted)
+        assert mobius_pairing(m, 2) == mobius_pairing(m, 2) == (15, Inertia(6, 6, 3))
+        assert leads == [15]
 
     def test_degree_too_high(self):
         with pytest.raises(LogcavityError, match="need 0 <= 2k <= rank, got k=2"):
@@ -853,3 +889,72 @@ class TestOracleProperties:
                 answer = in_row_order(probe.contained, probe.counterexample)
                 expected = in_row_order(*oracle.containment_probe(m, e))
                 assert answer == expected, (name, e)
+
+
+# coordinates of either sign, zero one time in three, so that f(point) or
+# In(Q^(k-1)) is often singular and `hr_inertia` falls back to the border
+SIGNED = st.one_of(
+    st.just(Fraction(0)),
+    st.fractions(min_value=-2, max_value=2, max_denominator=3),
+    st.fractions(min_value=-2, max_value=2, max_denominator=3),
+)
+
+
+class TestLefschetzRoute:
+    """`hr_inertia` reads the bordered inertia off In(Q^k) and In(Q^(k-1))
+    where Q^(k-1) is non-degenerate, and eliminates the bordered form of
+    `oracle.bordered_inertia` only where it is singular."""
+
+    @staticmethod
+    def shapes(monkeypatch):
+        """The (rows, lead) of each `integer_inertia` that hodge runs."""
+        seen, original = [], hodge.integer_inertia
+
+        def counted(rows, lead):
+            seen.append((len(rows), lead))
+            return original(rows, lead)
+
+        monkeypatch.setattr(hodge, "integer_inertia", counted)
+        return seen
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(ZOO, small_matroids(), parallel_multigraphs()), st.data())
+    def test_matches_the_bordered_elimination(self, m, data):
+        point = [data.draw(SIGNED) for _ in range(m.n)]
+        at = _point(m, point)
+        for k in range(m.rank // 2 + 1):
+            assert hr_inertia(m, k, at) == oracle.bordered_inertia(m, k, at), k
+
+    def test_k23_falls_back_where_q1_is_singular(self, monkeypatch):
+        # f > 0 at this point, but Q^1 has three zeros, so degree 2 takes
+        # the bordered form: Q^1 alone, then Q^2 bordered by the six rows of
+        # degree 1; HL_2 holds and HRR_2 fails
+        at = _point(MK23, [1, -1, -1, 1, 1, -1])
+        assert hodge.value(MK23, at) > 0
+        assert hodge._form_inertia(MK23, 1, at) == Inertia(2, 1, 3)
+        dims = graded_dims(MK23)
+        shapes = self.shapes(monkeypatch)
+        pair = hr_inertia(MK23, 2, at)
+        assert shapes == [(dims[1], dims[1]), (dims[2] + dims[1], dims[2])]
+        assert pair == (Inertia(6, 6, 0), Inertia(8, 7, 3))
+        assert pair == oracle.bordered_inertia(MK23, 2, at)
+        assert _verdicts(*pair) == (True, False)
+
+    def test_k23_hrr2_fails_on_the_lefschetz_route(self, monkeypatch):
+        # at the all-ones point Q^1 is non-degenerate: two square
+        # eliminations, no border, and the pair the bordered form gives
+        at = _point(MK23, [1] * MK23.n)
+        dims = graded_dims(MK23)
+        shapes = self.shapes(monkeypatch)
+        pair = hr_inertia(MK23, 2, at)
+        assert shapes == [(dims[1], dims[1]), (dims[2], dims[2])]
+        assert pair == (Inertia(6, 6, 0), Inertia(11, 7, 0))
+        assert pair == oracle.bordered_inertia(MK23, 2, at)
+        assert _verdicts(*pair) == (True, False)
+
+    def test_degree_zero_is_one_square_elimination(self, monkeypatch):
+        # no degree -1: In(Q^0) is both inertias
+        at = _point(U23, [1, -2, 1])
+        shapes = self.shapes(monkeypatch)
+        block, bordered = hr_inertia(U23, 0, at)
+        assert shapes == [(1, 1)] and block == bordered == Inertia(0, 1, 0)
