@@ -486,17 +486,29 @@ def build_parser():
 
     p = sub.add_parser("selftest", help="run the pinned fixtures")
     common(p)
+    for name, p in sub.choices.items():
+        p.set_defaults(command=name)
     return parser
 
 
 @functools.cache
 def _parser():
-    return build_parser()
+    """(the parser, {command name: its subparser})."""
+    parser = build_parser()
+    (sub,) = [a for a in parser._actions if a.dest == "command"]
+    return parser, sub.choices
 
 
 def main(argv=None) -> int:
+    parser, commands = _parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = _parser().parse_args(argv)
+        # a command's flags are parsed by its subparser alone, in one pass;
+        # it sets the command, as the whole parser's dispatch would
+        if argv and argv[0] in commands:
+            args = commands[argv[0]].parse_args(argv[1:])
+        else:  # --help, --version, no command or an unknown one
+            args = parser.parse_args(argv)
     except SystemExit as e:
         # --help and --version exit 0; argparse reports usage errors as 2,
         # which is the theorem-failure code here

@@ -37,15 +37,20 @@ class GradedEvaluation(Record):
     order; col_flats: the rank-(r-k) flats by first appearance among the
     sorted (r-k)-sets; entries: 1 at (F, G) iff rank(F | G) = r, so E_(r-k)
     on flats is their transpose. dim A^k is their rank, and the rows at
-    basis_positions (the greedy row basis, taken on first use) a basis, and
+    basis_positions (the greedy row basis, taken on first use) a basis,
     pairing_inertia, taken on first use too, is the inertia of entries,
-    the Moebius pairing in the middle degree."""
+    the Moebius pairing in the middle degree, and col_index, also taken on
+    first use, maps each column flat to its position."""
 
     _fields = ("k", "row_masks", "firsts", "col_flats", "entries")
 
     @cached_property
     def basis_positions(self):
         return tuple(self.firsts[i] for i in integer_row_basis(self.entries))
+
+    @cached_property
+    def col_index(self):
+        return {f: j for j, f in enumerate(self.col_flats)}
 
     @cached_property
     def pairing_inertia(self):
@@ -131,11 +136,8 @@ def _sums(m: Matroid, size, point):
     outside S of x_i d^(S+i) f, so each size is summed, in integers and
     exactly divided, from the one above, down from 1 on the bases or the
     nearest size kept for the point in m's tables; only the sizes asked
-    for are kept, and only for the last point asked, so a new point drops
-    the sums of the one before."""
-    if point not in m._tables:
-        m._tables.clear()
-    r, levels = m.rank, m._tables.setdefault(point, {})
+    for are kept, and only for the last point asked (`_kept`)."""
+    r, levels = m.rank, _kept(m, point)[0]
     top = min((s for s in levels if s >= size), default=r)
     sums = levels[top] if top in levels else dict.fromkeys(m.bases, 1)
     for s in range(top, size, -1):
@@ -150,6 +152,16 @@ def _sums(m: Matroid, size, point):
         sums = {a: x // (r - s + 1) for a, x in sums.items()}
     levels[size] = sums
     return sums, point[0] ** (r - size)
+
+
+def _kept(m: Matroid, point):
+    """({size: sums of `_sums`}, {j: In(Q^j) of `_form_inertia`}) kept in
+    m's tables for the integer point. Only the last point asked is kept, so
+    a new point drops both tables of the one before."""
+    if point not in m._tables:
+        m._tables.clear()
+        m._tables[point] = {}, {}
+    return m._tables[point]
 
 
 def value(m: Matroid, point) -> Fraction:
@@ -167,7 +179,7 @@ def hr_inertia(m: Matroid, k, point):
     same two inertias, which one `integer_inertia` of it gives.
 
     Where Q^(k-1) is non-degenerate, the second inertia is read off In(Q^k)
-    and In(Q^(k-1)) instead, each eliminated alone, by the Lefschetz
+    and In(Q^(k-1)) instead, each from `_form_inertia`, by the Lefschetz
     decomposition A^k = P^k (+) l A^(k-1) (Huybrechts, Complex Geometry,
     2005, 1.2 and 3.3). Proof: for x, y of degree k-1, Q^k(l x, l y) =
     (-1)^k deg(x y l^(r-2k+2)) = -Q^(k-1)(x, y). If U y = 0, then
@@ -178,20 +190,40 @@ def hr_inertia(m: Matroid, k, point):
     the primitive classes, and In(Q^k) = In(Q^k on P) + In(-Q^(k-1)). The
     rule of `_verdicts`, In(bordered) = In(Q^k on P) + (d, d, 0) at rank d,
     then reads (n+(Q^k) - n-(Q^(k-1)) + d, n-(Q^k) - n+(Q^(k-1)) + d,
-    n0(Q^k)). The scales are positive, so the integer rows keep all of it."""
+    n0(Q^k)). The scales are positive, so the integer rows keep all of it.
+
+    In the middle degree 2k = r, In(Q^k) is read off the Moebius pairing,
+    with no Q^k built. There a = 1 and S_r is 1 on each basis, so Q^k =
+    (-1)^k S[I, I], where S is E_k on flats, symmetric in this degree (its
+    rows and columns are the rank-k flats in one order, `mobius_pairing`),
+    and I is its greedy row basis: Q^k(a, b) = 1 iff a | b is a basis, for
+    a, b the first k-sets of the flats at I. Lemma: let S be symmetric of
+    rank d and I index d independent rows. Then S = C S[I, I] C^T with C of
+    full column rank d, so S[I, I] is non-singular and In(S) = In(S[I, I])
+    + (0, 0, n - d). Proof: every row of S is a combination of the rows at
+    I, so S = C S[I, :] with C[I, :] the identity. Taking the columns at I,
+    S[:, I] = C S[I, I], and by symmetry S[I, :] = S[:, I]^T = S[I, I] C^T,
+    so S = C S[I, I] C^T. Its rank d is at most that of the d x d S[I, I],
+    which is non-singular. Completing C to an invertible P = [C D] gives S
+    = P diag(S[I, I], 0) P^T, and Sylvester's law of inertia ends it. So
+    In(Q^k) is (n+, n-, 0) of the pairing's inertia, swapped for odd k.
+    Where Q^(k-1) is singular it still takes the bordered elimination,
+    whose lead block is Q^k: its rows are built there only."""
     check_degree(m, k)
-    q = _form(m, k, point)  # first, so that the size-(2k-2) sums descend from it
+    _sums(m, 2 * k, point)  # first, so that the size-(2k-2) sums descend from it
     below = _form_inertia(m, k - 1, point) if k else Inertia(0, 0, 0)
     if not below.n_zero:
-        block = integer_inertia(q, len(q))[1]
+        block = _form_inertia(m, k, point)
         pos, neg, zero = block._values()
         d = below.dimension
         return block, Inertia(pos - below.n_neg + d, neg - below.n_pos + d, zero)
-    lower = _basis(m, k - 1)
+    q, lower = _form(m, k, point), _basis(m, k - 1)
     u = _pairing(m, _basis(m, k), lower, 2 * k - 1, point)
     rows = [qr + ur for qr, ur in zip(q, u)]
     rows += [list(col) + [0] * len(lower) for col in zip(*u)]
-    return integer_inertia(rows, len(q))
+    block, whole = integer_inertia(rows, len(q))
+    _kept(m, point)[1].setdefault(k, block)
+    return block, whole
 
 
 def _form(m: Matroid, k, point):
@@ -201,9 +233,18 @@ def _form(m: Matroid, k, point):
 
 
 def _form_inertia(m: Matroid, k, point):
-    """In(Q^k), by one `integer_inertia` of `_form`."""
-    q = _form(m, k, point)
-    return integer_inertia(q, len(q))[1]
+    """In(Q^k), kept with the point's sums (`_kept`): in the middle degree
+    2k = r, the pairing's inertia, less its zeros and swapped for odd k
+    (`hr_inertia`), and below it one `integer_inertia` of `_form`."""
+    kept = _kept(m, point)[1]
+    if k not in kept:
+        if 2 * k == m.rank:
+            pos, neg, _ = evaluation(m, k).pairing_inertia._values()
+            kept[k] = Inertia(neg, pos, 0) if k % 2 else Inertia(pos, neg, 0)
+        else:
+            q = _form(m, k, point)
+            kept[k] = integer_inertia(q, len(q))[1]
+    return kept[k]
 
 
 def _basis(m: Matroid, k):
@@ -418,7 +459,13 @@ def mobius_pairing(m: Matroid, k):
 
     Entry (F, G) is 1 iff rank(F join G) = 2k = rank(M). For 2k = r that is
     E_k on flats, whose rows and columns are the same rank-k flats in the
-    same order; for 2k < r, rank(F | G) <= 2k < r, so the pairing is zero."""
+    same order; for 2k < r, rank(F | G) <= 2k < r, so the pairing is zero.
+
+    In the middle degree it also gives In(Q^k) at every point, as `hr_inertia`
+    proves: Q^k is (-1)^k times this pairing restricted to its greedy row
+    basis, which keeps its positives and negatives and drops its zeros. So
+    the one elimination kept on E_k on flats serves both the pairing and
+    every point's form, and no Q^k of the middle degree is eliminated."""
     check_degree(m, k)
     ev = evaluation(m, k)
     count = len(ev.firsts)
@@ -454,7 +501,25 @@ def annihilator_containment_probe(m: Matroid, e) -> ContainmentProbe:
     first vector that fails is v_f at the least f with some rho(c)_f != 0, where
     `kernel_witness`'s one elimination of both, pivoting on deletion rows, stops.
     It is reported by its nonzero coefficients, in row order, keyed by their
-    rows' label sets: the shape `in_annihilator` takes. A loop has M/e = M\\e."""
+    rows' label sets: the shape `in_annihilator` takes. A loop has M/e = M\\e.
+
+    A flat g that holds e is a contraction row only where e is a coloop of
+    g; else it is a deletion row, and its copy among the contraction rows is
+    left out. Proof that nothing changes: its rho is 0, as it is a deletion
+    row. In the elimination the copy and its twin, an earlier row, take the
+    same steps, so they are zero in the same columns: the copy is never the
+    first nonzero row of a column below the pivots while its twin is there,
+    and once its twin pivots, the copy is cleared to zero. So no pivot and
+    no stopping column moves. A degree left with no contraction row holds.
+    The test: e is a coloop of g iff g - e is a flat. (If it is, e is not
+    in cl(g - e), so rank(g - e) = rank(g) - 1; if e is not a coloop, g - e
+    spans g, which holds e.) With a the first (r-k)-set spanning g, that is
+    iff e is in a and cl(a - e) = g - e: a - e spans a rank-(r-k-1) flat
+    inside g - e, which is that flat iff g - e is one; and if e is not in a,
+    a spans g inside g - e. So one lookup in the closures of the
+    independent (r-k-1)-sets decides it, and a - e, one size smaller than
+    any key there when e is not in a, finds none. Each degree's column map
+    is kept on E_(r-k) on flats, so every element shares it."""
     bit = m._mask([e])
     if e in m.coloops():
         raise LogcavityError(
@@ -466,15 +531,15 @@ def annihilator_containment_probe(m: Matroid, e) -> ContainmentProbe:
         ev, co = evaluation(m, k), evaluation(m, m.rank - k)
         avoiding = [a for a in ev.row_masks if not a & bit]
         firsts = _first_per_flat(m._flats(k), avoiding)
-        column = {f: j for j, f in enumerate(co.col_flats)}
-        picks = [column[f] for f in firsts]
+        picks = [co.col_index[f] for f in firsts]
+        closures = m._flats(m.rank - k - 1)
         deletion, contraction = [], []
-        for g, row in zip(ev.col_flats, co.entries):
-            picked = [row[j] for j in picks]
-            if g & bit:
-                contraction.append(picked)
-            if not g & bit or m._rank_mask(g ^ bit) == m.rank - k:
-                deletion.append(picked)
+        for g, i, row in zip(ev.col_flats, co.firsts, co.entries):
+            # co.row_masks[i] is the first (r-k)-set spanning g
+            coloop = closures.get(co.row_masks[i] ^ bit) == g ^ bit
+            (contraction if coloop else deletion).append([row[j] for j in picks])
+        if not contraction:
+            continue
         v = kernel_witness(deletion, contraction, len(picks))
         if v is None:
             continue

@@ -240,9 +240,11 @@ class TestHodgeCommand:
     def test_one_elimination_per_hr_degree(self, capsys, k23_file, monkeypatch, k):
         # Q^(k-1) is non-degenerate at this point, so In(Q^k), HL_k and HRR_k
         # take one elimination of Q^(k-1) and one of Q^k, each square with
-        # no border rows, and the Moebius pairing one in the middle degree
-        # only: below it (here k = 1, rank 4) the pairing is zero by rank.
-        # The memo is cleared, so that no kept matroid holds the pairing.
+        # no border rows. In the middle degree (here k = 2, rank 4) In(Q^k)
+        # is read off the Moebius pairing, so its one elimination, of the
+        # rank-k flats, stands for Q^k; below it (k = 1) the pairing is zero
+        # by rank. The memo is cleared, so that no kept matroid holds the
+        # pairing or an inertia.
         shapes = []
         original = hodge.integer_inertia
 
@@ -259,7 +261,8 @@ class TestHodgeCommand:
         assert code == 0 and "hrr" in report["results"]
         flats = report["results"]["mobius_pairing"]["flats"]
         dims = report["results"]["graded_dims"]
-        leads = ([flats] if 2 * k == len(dims) - 1 else []) + [dims[k - 1], dims[k]]
+        middle = 2 * k == len(dims) - 1
+        leads = [flats, dims[k - 1]] if middle else [dims[k - 1], dims[k]]
         assert shapes == [(lead, lead) for lead in leads]
 
     @pytest.mark.parametrize(
@@ -1287,6 +1290,48 @@ class TestParserReuse:
         assert capsys.readouterr().out == first
 
 
+class TestOneParse:
+    """A command's flags are parsed by its subparser alone, in one pass,
+    into the namespace the whole parser gives; the whole parser keeps
+    --help, --version and names that are no command."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["hodge", "--matroid", "m.json", "--po", "1,2,3", "--k=2"],
+            ["hodge", "--graph=g.json", "--point=-1,0,1/2", "--format", "csv"],
+            ["probe", "--matroid", "a.json", "--matroid", "b.json", "--e", "1"],
+            ["stanley", "--graph", "g.json", "--R", "0,1", "--report", "r.json"],
+            ["stanley", "--matroid", "m.json", "--R=", "--out", "o", "--rep", "r"],
+            ["kahnsaks", "--poset", "p.json", "--x", "a", "--y=b", "--cap-ext", "9"],
+            ["poset", "--poset", "p.json"],
+            ["lorentzian", "--poly", "p.json", "--cap-elements", "3"],
+            ["discriminant", "--tuple", "t.json", "--format=json"],
+            ["matroid", "--matroid", "m.json", "--cap-elements", "0"],
+            ["selftest"],
+        ],
+    )
+    def test_args_are_the_whole_parsers(self, monkeypatch, argv):
+        seen = []
+
+        def command(args):
+            seen.append(vars(args))
+            return RunReport(argv[0], {}, {})
+
+        monkeypatch.setattr(cli, f"cmd_{argv[0]}", command)
+        monkeypatch.setattr(cli, "_emit", lambda report, args: 0)
+        passes = mock.patch.object(
+            cli.argparse.ArgumentParser,
+            "parse_known_args",
+            autospec=True,
+            side_effect=cli.argparse.ArgumentParser.parse_known_args,
+        )
+        with passes as parsed:
+            assert main(argv) == 0
+        assert parsed.call_count == 1
+        assert seen == [vars(cli.build_parser().parse_args(argv))]
+
+
 class TestLinearInput:
     def argv(self, tmp_path, matrix, ground=None):
         obj = {"type": "linear", "matrix": matrix}
@@ -2152,6 +2197,45 @@ class TestMatroidReuse:
         kept = cli._built("matroid", data, cap)[0]
         assert cli._built.cache_info().misses == 1
         assert len(kept._tables) == 1
+        # two points alternating: each command drops the other point's sums
+        # and form inertias, and every report is still a fresh run's; the
+        # last point keeps the sums and the inertias it took
+        points = [bundle[0][-1], bundle[1][-1]]
+        alternating = [
+            bundle[0][:4] + [str(k), "--point", p]
+            for k in (1, 2, 2, 1, 2)
+            for p in points
+        ]
+        fresh = []
+        for argv in alternating:
+            cli._built.cache_clear()
+            fresh.append(run_cli(argv))
+        cli._built.cache_clear()
+        assert [run_cli(argv) for argv in alternating] == fresh
+        kept = cli._built("matroid", data, cap)[0]
+        at = hodge._point(kept, points[1].split(","))
+        assert list(kept._tables) == [at]
+        sums, inertias = kept._tables[at]
+        assert sorted(sums) == [0, 2, 4] and sorted(inertias) == [1, 2]
+
+    def test_degree_two_reads_degree_ones_form_inertia(self, k23_file, monkeypatch):
+        # In(Q^1) is kept with the point's sums, so `hodge --k 2` after
+        # `hodge --k 1` at one point eliminates only the Moebius pairing,
+        # and its report has the bytes of a fresh run
+        argv = ["hodge", "--matroid", k23_file, "--point", "1,1/2,2,3/4,1,5/3"]
+        cli._built.cache_clear()
+        fresh = run_cli(argv + ["--k", "2"])
+        cli._built.cache_clear()
+        assert run_cli(argv + ["--k", "1"])[0] == 0
+        shapes, original = [], hodge.integer_inertia
+
+        def counted(rows, lead):
+            shapes.append((len(rows), lead))
+            return original(rows, lead)
+
+        monkeypatch.setattr(hodge, "integer_inertia", counted)
+        assert run_cli(argv + ["--k", "2"]) == fresh
+        assert shapes == [(15, 15)]
 
     def test_a_lower_cap_on_the_same_bytes_is_still_too_large(self, k23_file):
         argv = ["hodge", "--matroid", k23_file]

@@ -854,20 +854,48 @@ class TestOracleProperties:
         assert answer == in_row_order(*oracle.containment_probe(m, e))
 
     def test_a_row_of_both_minors(self, monkeypatch):
-        # a column flat that holds e and keeps its rank without it gives one
-        # row list to both the deletion and the contraction; the witness
-        # search copies it, so the witness is still the kernel route's
-        shared = []
+        # a column flat that holds e and keeps its rank without it is a
+        # deletion row only, as its copy among the contraction rows could
+        # not fail: each column flat gives one row to one list, so no row is
+        # in both, and the witness is still the kernel route's
+        calls = []
 
         def spy(rows, others, ncols):
-            shared.append(any(r is c for r in rows for c in others))
+            calls.append((rows, others))
             return kernel_witness(rows, others, ncols)
 
         monkeypatch.setattr(hodge, "kernel_witness", spy)
         probe = annihilator_containment_probe(MK4, 0)
-        assert shared[0] and not probe.contained
+        assert calls and not probe.contained
+        rows, others = calls[0]  # degree 1
+        flats = evaluation(MK4, 1).col_flats
+        assert not any(r is c for r in rows for c in others)
+        assert len(rows) + len(others) == len(flats)
+        assert 0 < len(others) < sum(1 for g in flats if g & 1)
         answer = in_row_order(probe.contained, probe.counterexample)
         assert answer == in_row_order(*oracle.containment_probe(MK4, 0))
+
+    def test_an_element_with_a_parallel_partner_eliminates_nothing(
+        self, monkeypatch
+    ):
+        # each flat of rank >= 1 that holds e holds its partner, so e is a
+        # coloop of none: no degree keeps a contraction row, and the probe
+        # holds without a `kernel_witness`
+        calls = []
+
+        def spy(rows, others, ncols):
+            calls.append(ncols)
+            return kernel_witness(rows, others, ncols)
+
+        monkeypatch.setattr(hodge, "kernel_witness", spy)
+        probed = []
+        for name, m in {**PROBE_MATROIDS, "tripled_u23": tripled_u23()}.items():
+            for e in set().union(*(c for c in m.parallel_data().classes if len(c) > 1)):
+                probe = annihilator_containment_probe(m, e)
+                assert (probe.contained, probe.counterexample) == (True, None)
+                assert oracle.containment_probe(m, e) == (True, None), (name, e)
+                probed.append(name)
+        assert calls == [] and set(probed) == {"multigraph", "tripled_u23"}
 
     def test_probe_of_a_loop_is_contained(self):
         m = matroid_zoo()["with_loop"]
@@ -925,32 +953,60 @@ class TestLefschetzRoute:
         for k in range(m.rank // 2 + 1):
             assert hr_inertia(m, k, at) == oracle.bordered_inertia(m, k, at), k
 
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.one_of(ZOO, small_matroids(), parallel_multigraphs(loops=True)),
+        st.data(),
+    )
+    def test_the_middle_form_is_read_off_the_pairing(self, m, data):
+        # at 2k = r, In(Q^k) is the pairing's inertia less its zeros, and
+        # swapped for odd k: the elimination of `_form` and the Fraction
+        # form agree with it; an odd rank is truncated to the even one below
+        if m.rank % 2:
+            m = m.truncate()
+        k = m.rank // 2
+        point = [data.draw(SIGNED) for _ in range(m.n)]
+        at = _point(m, point)
+        read = hodge._form_inertia(m, k, at)
+        q = hodge._form(m, k, at)
+        assert read == integer_inertia(q, len(q))[1]
+        assert read == inertia(oracle.hr_form(m, k, point))
+        assert read.n_zero == 0 and read.dimension == graded_dims(m)[k]
+
     def test_k23_falls_back_where_q1_is_singular(self, monkeypatch):
         # f > 0 at this point, but Q^1 has three zeros, so degree 2 takes
-        # the bordered form: Q^1 alone, then Q^2 bordered by the six rows of
-        # degree 1; HL_2 holds and HRR_2 fails
-        at = _point(MK23, [1, -1, -1, 1, 1, -1])
-        assert hodge.value(MK23, at) > 0
-        assert hodge._form_inertia(MK23, 1, at) == Inertia(2, 1, 3)
-        dims = graded_dims(MK23)
+        # the bordered form: Q^2 bordered by the six rows of degree 1, and
+        # In(Q^1), kept for the point, is not eliminated again; HL_2 holds
+        # and HRR_2 fails
+        m = Matroid.graphic(k23_graph())  # nothing kept from other tests
+        at = _point(m, [1, -1, -1, 1, 1, -1])
+        assert hodge.value(m, at) > 0
+        assert hodge._form_inertia(m, 1, at) == Inertia(2, 1, 3)
+        dims = graded_dims(m)
         shapes = self.shapes(monkeypatch)
-        pair = hr_inertia(MK23, 2, at)
-        assert shapes == [(dims[1], dims[1]), (dims[2] + dims[1], dims[2])]
+        pair = hr_inertia(m, 2, at)
+        assert shapes == [(dims[2] + dims[1], dims[2])]
         assert pair == (Inertia(6, 6, 0), Inertia(8, 7, 3))
-        assert pair == oracle.bordered_inertia(MK23, 2, at)
+        assert pair == oracle.bordered_inertia(m, 2, at)
         assert _verdicts(*pair) == (True, False)
 
     def test_k23_hrr2_fails_on_the_lefschetz_route(self, monkeypatch):
-        # at the all-ones point Q^1 is non-degenerate: two square
-        # eliminations, no border, and the pair the bordered form gives
-        at = _point(MK23, [1] * MK23.n)
-        dims = graded_dims(MK23)
+        # at the all-ones point Q^1 is non-degenerate: one square
+        # elimination of Q^1, and In(Q^2) read off the Moebius pairing, whose
+        # one elimination is of the 15 rank-2 flats; no Q^2 and no border,
+        # and the pair the bordered form gives
+        m = Matroid.graphic(k23_graph())
+        at = _point(m, [1] * m.n)
+        dims = graded_dims(m)
         shapes = self.shapes(monkeypatch)
-        pair = hr_inertia(MK23, 2, at)
-        assert shapes == [(dims[1], dims[1]), (dims[2], dims[2])]
+        pair = hr_inertia(m, 2, at)
+        assert shapes == [(dims[1], dims[1]), (15, 15)]
+        assert (dims[2], dims[2]) not in shapes
         assert pair == (Inertia(6, 6, 0), Inertia(11, 7, 0))
-        assert pair == oracle.bordered_inertia(MK23, 2, at)
+        assert pair == oracle.bordered_inertia(m, 2, at)
         assert _verdicts(*pair) == (True, False)
+        shapes.clear()
+        assert hr_inertia(m, 2, at) == pair and shapes == []
 
     def test_degree_zero_is_one_square_elimination(self, monkeypatch):
         # no degree -1: In(Q^0) is both inertias
