@@ -34,8 +34,11 @@ on x^(2^63) + y^(2^63), an exponent past a machine word, and last `hodge`
 then `matroid --cap-elements 3` on one graph's bytes, so the second must not
 find the first's matroid under its cap, `lorentzian` on the
 non-homogeneous x^2 + y, and `hodge --k 2` on K(2,3) at 1,-1,-1,1,1,-1, where
-f > 0 and Q^1 is singular, so HRR_2 takes the bordered elimination. It prints
-one JSON object,
+f > 0 and Q^1 is singular, so HRR_2 takes the bordered elimination. Last,
+`hodge --k 2` on a rank-5 graph with a parallel pair, at a point where f > 0
+and Q^1 is singular, takes that elimination below the middle degree, where
+In(Q^2) comes from a square elimination of its own. It prints one JSON
+object,
 {"<workload>/<seed>/<op id>": [exit code, sha256 of the report]}, where
 the digest is null for an operation that wrote no report. Two checkouts
 give the same answers on the batches iff they print the same object.
@@ -126,6 +129,9 @@ def fixed_ops():
         return {"exp": [2**63 * (j == i) for j in range(2)], "num": "1", "den": "1"}
 
     x2_plus_y = [{"exp": e, "num": "1", "den": "1"} for e in ([2, 0], [0, 1])]
+    # rank 5, dims 1, 8, 24, 24, 8, 1; edges 3 and 6 are parallel
+    edges = [[0, 5], [5, 1], [5, 4], [1, 2], [4, 3], [1, 4], [2, 1], [3, 0], [0, 2]]
+    rank5 = {"vertices": 6, "edges": edges}
 
     ops = [
         ("matroid", {"--graph": k4}, ["--format", "csv"]),
@@ -174,6 +180,9 @@ def fixed_ops():
         ("lorentzian", {"--poly": {"nvars": 2, "terms": x2_plus_y}}, []),
         # f > 0 but In(Q^1) = (2, 1, 3): degree 2 falls back to the border
         ("hodge", {"--graph": k23}, ["--k", "2", "--point", "1,-1,-1,1,1,-1"]),
+        # f > 0 and In(Q^1) = (3, 4, 1), below the middle degree 5/2: In(Q^2)
+        # = (12, 12, 0) and the bordered form (15, 16, 1), so HRR_2 fails
+        ("hodge", {"--graph": rank5}, ["--k", "2", "--point", "0,-1,1,1,2,0,1,-1,1"]),
     ]
     return [
         {"id": f"fixed-{i}", "cmd": cmd, "files": files, "args": args}

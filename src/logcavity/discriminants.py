@@ -47,7 +47,7 @@ class SubsetSumTable:
         a, i = self.mats[p], self.where[p]
         if i not in self.psds:
             symmetric = a.is_symmetric
-            self.psds[i] = symmetric and integer_inertia(a.ints, a.rows)[1].n_neg == 0
+            self.psds[i] = symmetric and integer_inertia(a.ints).n_neg == 0
         return self.psds[i]
 
     def discriminant(self, positions) -> Fraction:

@@ -54,7 +54,7 @@ class GradedEvaluation(Record):
 
     @cached_property
     def pairing_inertia(self):
-        return integer_inertia(self.entries, len(self.firsts))[1]
+        return integer_inertia(self.entries)
 
     @property
     def dimension(self):
@@ -176,10 +176,11 @@ def hr_inertia(m: Matroid, k, point):
     d^(a|b) f(point), so Q^k = a (-1)^k S_2k and U = b S_2k-1 in the integer
     sums, with a, b > 0: scaling the whole by 1/a and the congruence
     diag(I, (a/b) I) show that [[(-1)^k S_2k, S_2k-1], [S_2k-1^T, 0]] has the
-    same two inertias, which one `integer_inertia` of it gives.
+    same two inertias. In(Q^k) is always `_form_inertia`'s; where Q^(k-1)
+    is singular, the second is one `integer_inertia` of the bordered rows.
 
     Where Q^(k-1) is non-degenerate, the second inertia is read off In(Q^k)
-    and In(Q^(k-1)) instead, each from `_form_inertia`, by the Lefschetz
+    and In(Q^(k-1)), each from `_form_inertia`, by the Lefschetz
     decomposition A^k = P^k (+) l A^(k-1) (Huybrechts, Complex Geometry,
     2005, 1.2 and 3.3). Proof: for x, y of degree k-1, Q^k(l x, l y) =
     (-1)^k deg(x y l^(r-2k+2)) = -Q^(k-1)(x, y). If U y = 0, then
@@ -206,14 +207,13 @@ def hr_inertia(m: Matroid, k, point):
     so S = C S[I, I] C^T. Its rank d is at most that of the d x d S[I, I],
     which is non-singular. Completing C to an invertible P = [C D] gives S
     = P diag(S[I, I], 0) P^T, and Sylvester's law of inertia ends it. So
-    In(Q^k) is (n+, n-, 0) of the pairing's inertia, swapped for odd k.
-    Where Q^(k-1) is singular it still takes the bordered elimination,
-    whose lead block is Q^k: its rows are built there only."""
+    In(Q^k) is (n+, n-, 0) of the pairing's inertia, swapped for odd k,
+    and its rows are built only where the bordered fallback needs them."""
     check_degree(m, k)
     _sums(m, 2 * k, point)  # first, so that the size-(2k-2) sums descend from it
     below = _form_inertia(m, k - 1, point) if k else Inertia(0, 0, 0)
+    block = _form_inertia(m, k, point)
     if not below.n_zero:
-        block = _form_inertia(m, k, point)
         pos, neg, zero = block._values()
         d = below.dimension
         return block, Inertia(pos - below.n_neg + d, neg - below.n_pos + d, zero)
@@ -221,9 +221,7 @@ def hr_inertia(m: Matroid, k, point):
     u = _pairing(m, _basis(m, k), lower, 2 * k - 1, point)
     rows = [qr + ur for qr, ur in zip(q, u)]
     rows += [list(col) + [0] * len(lower) for col in zip(*u)]
-    block, whole = integer_inertia(rows, len(q))
-    _kept(m, point)[1].setdefault(k, block)
-    return block, whole
+    return block, integer_inertia(rows)
 
 
 def _form(m: Matroid, k, point):
@@ -242,8 +240,7 @@ def _form_inertia(m: Matroid, k, point):
             pos, neg, _ = evaluation(m, k).pairing_inertia._values()
             kept[k] = Inertia(neg, pos, 0) if k % 2 else Inertia(pos, neg, 0)
         else:
-            q = _form(m, k, point)
-            kept[k] = integer_inertia(q, len(q))[1]
+            kept[k] = integer_inertia(_form(m, k, point))
     return kept[k]
 
 

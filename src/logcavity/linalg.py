@@ -407,15 +407,12 @@ def det(m: QMatrix) -> Fraction:
     return Fraction(integer_det(m.ints), m.d**m.rows)
 
 
-def integer_inertia(rows, lead):
-    """(In of the leading lead x lead block, In of the whole) of a symmetric
-    int matrix given as rows (copied, not changed), by congruence
-    diagonalization (Sylvester's law): diagonal pivots, and the row+column
-    addition congruence where the diagonal is zero. Both are taken inside
-    the leading block until it is zero, which gives its In, then over all
-    rows; every step is a congruence of the whole (Haynsworth 1968). The
-    k-th LDL^T pivot is pivot_k / pivot_(k-1), so its sign is the product
-    of theirs. The pivot row and column are deleted, so no update touches a
+def integer_inertia(rows) -> Inertia:
+    """In of a symmetric int matrix given as rows (copied, not changed), by
+    congruence diagonalization (Sylvester's law): diagonal pivots, and the
+    row+column addition congruence where the diagonal is zero. The k-th
+    LDL^T pivot is pivot_k / pivot_(k-1), so its sign is the product of
+    theirs. The pivot row and column are deleted, so no update touches a
     retired column.
 
     The update is the lazy one of `_update` (Bareiss 1968) on the upper
@@ -430,26 +427,21 @@ def integer_inertia(rows, lead):
     level = [1] * n
     signs = [0, 0]  # positive and negative LDL^T pivots so far
     prev = 1
-    block = None
-    lim = lead
 
     def eager(i):  # the whole row i at level prev; a[0] itself if already there
         row = a[i] if level[i] == prev else [x * prev // level[i] for x in a[i]]
         return [a[k][i - k] * prev // level[k] for k in range(i)] + row if i else row
 
     while True:
-        for piv in range(lim):
+        for piv in range(n):
             if a[piv][0]:
                 y = eager(piv)
                 break
         else:
-            pairs = combinations(range(lim), 2)
+            pairs = combinations(range(n), 2)
             off = next(((i, j) for i, j in pairs if a[i][j - i]), None)
             if off is None:
-                if lim == n:
-                    break
-                block, lim = Inertia(*signs, lim), n
-                continue
+                return Inertia(*signs, n)
             piv, j = off
             y = [u + v for u, v in zip(eager(piv), eager(j))]
             y[piv] += y[j]
@@ -466,9 +458,6 @@ def integer_inertia(rows, lead):
                 a[k] = [(x * p - f * t) // lvl for x, t in zip(a[k], y[k:])]
                 level[k] = p
         prev = p
-        lim -= 1
-    whole = Inertia(*signs, n)
-    return block or whole, whole
 
 
 def inertia(m: QMatrix) -> Inertia:
@@ -476,7 +465,7 @@ def inertia(m: QMatrix) -> Inertia:
     positive d, which keeps the integer copy symmetric and congruent."""
     if not m.is_symmetric:
         raise LogcavityError("inertia requires a symmetric matrix")
-    return integer_inertia(m.ints, m.rows)[1]
+    return integer_inertia(m.ints)
 
 
 def rank_of_matrix(m: QMatrix) -> int:

@@ -311,7 +311,7 @@ def lorentzian_check(f: MPoly) -> LorentzianReport:
     hessians = _hessian_rows(f)[1]
     # one elimination per distinct Hessian: on U(r, n) every partial has the same
     blocks = set(hessians.values())
-    n_pos = {h: integer_inertia(h, len(h))[1].n_pos for h in blocks}
+    n_pos = {h: integer_inertia(h).n_pos for h in blocks}
     failures = tuple(alpha for alpha, h in hessians.items() if n_pos[h] != 1)
     concave = all(map(_minors_nonpositive, blocks))
     return LorentzianReport(mcx and not failures, True, mcx, failures, concave)

@@ -105,17 +105,18 @@ def hr_form(m, k, point):
 
 
 def bordered_inertia(m, k, at):
-    """(In(Q^k), In([[Q^k, U], [U^T, 0]])) at the integer point at, by one
-    `integer_inertia` of the bordered form built from the library's integer
-    sums: Q^k = (-1)^k S_2k and U = S_2k-1, as `hr_inertia` scales them."""
+    """(In(Q^k), In([[Q^k, U], [U^T, 0]])) at the integer point at, by two
+    `integer_inertia` calls, of Q^k and of the bordered form, both built
+    from the library's integer sums: Q^k = (-1)^k S_2k and U = S_2k-1, as
+    `hr_inertia` scales them."""
     basis = _basis(m, k)
     lower = _basis(m, k - 1) if k else []
     sign = (-1) ** k
-    q = _pairing(m, basis, basis, 2 * k, at)
+    q = [[sign * x for x in qr] for qr in _pairing(m, basis, basis, 2 * k, at)]
     u = _pairing(m, basis, lower, 2 * k - 1, at)
-    rows = [[sign * x for x in qr] + ur for qr, ur in zip(q, u)]
+    rows = [qr + ur for qr, ur in zip(q, u)]
     rows += [list(col) + [0] * len(lower) for col in zip(*u)]
-    return integer_inertia(rows, len(basis))
+    return integer_inertia(q), integer_inertia(rows)
 
 
 def positive_on_kernel(q, u):

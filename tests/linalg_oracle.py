@@ -336,28 +336,22 @@ def _raise(a, level, rows, to):
         level[i] = to
 
 
-def full_row_inertia(rows, lead):
+def full_row_inertia(rows):
     """What `linalg.integer_inertia` returns, by the lazy update on whole
-    rows: the same pivot rules (the leading block first, the first nonzero
-    diagonal, else the row+column congruence after raising every row to
-    prev), with the pivot row popped and its column deleted."""
+    rows: the same pivot rules (the first nonzero diagonal, else the
+    row+column congruence after raising every row to prev), with the pivot
+    row popped and its column deleted."""
     a = [list(row) for row in rows]
     level = [1] * len(a)
     signs = [0, 0]
     prev = 1
-    block = None
-    lim = lead
     while True:
-        piv = next((i for i in range(lim) if a[i][i]), None)
+        piv = next((i for i in range(len(a)) if a[i][i]), None)
         if piv is None:
-            pairs = combinations(range(lim), 2)
+            pairs = combinations(range(len(a)), 2)
             off = next(((i, j) for i, j in pairs if a[i][j]), None)
             if off is None:
-                block = block or Inertia(*signs, lim)
-                if lim == len(a):
-                    break
-                lim = len(a)
-                continue
+                return Inertia(*signs, len(a))
             _raise(a, level, range(len(a)), prev)
             i, j = off
             a[i] = [x + y for x, y in zip(a[i], a[j])]
@@ -373,5 +367,3 @@ def full_row_inertia(rows, lead):
         for row in a:
             del row[piv]
         prev = p
-        lim -= 1
-    return block, Inertia(*signs, len(a))

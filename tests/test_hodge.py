@@ -249,9 +249,9 @@ class TestHRForm:
         m = Matroid.graphic(k23_graph())
         leads, original = [], hodge.integer_inertia
 
-        def counted(rows, lead):
-            leads.append(lead)
-            return original(rows, lead)
+        def counted(rows):
+            leads.append(len(rows))
+            return original(rows)
 
         monkeypatch.setattr(hodge, "integer_inertia", counted)
         assert mobius_pairing(m, 2) == mobius_pairing(m, 2) == (15, Inertia(6, 6, 3))
@@ -417,9 +417,9 @@ class TestMobius:
         m = Matroid.graphic(k23_graph())
         leads, original = [], hodge.integer_inertia
 
-        def counted(rows, lead):
-            leads.append(lead)
-            return original(rows, lead)
+        def counted(rows):
+            leads.append(len(rows))
+            return original(rows)
 
         monkeypatch.setattr(hodge, "integer_inertia", counted)
         assert mobius_pairing(m, 2) == mobius_pairing(m, 2) == (15, Inertia(6, 6, 3))
@@ -782,8 +782,8 @@ class TestOracleProperties:
         bordered += [col + (0,) * u.cols for col in zip(*u.m)]
         d = math.lcm(*(x.denominator for row in bordered for x in row))
         rows = [[int(x * d) for x in row] for row in bordered]
-        block, whole = integer_inertia(rows, q.rows)
-        assert block == inertia(q)
+        assert integer_inertia([row[: q.rows] for row in rows[: q.rows]]) == inertia(q)
+        whole = integer_inertia(rows)
         assert (whole.n_pos == q.rows) == oracle.positive_on_kernel(q, u)
 
     @settings(max_examples=80, deadline=None)
@@ -935,12 +935,12 @@ class TestLefschetzRoute:
 
     @staticmethod
     def shapes(monkeypatch):
-        """The (rows, lead) of each `integer_inertia` that hodge runs."""
+        """The rows of each `integer_inertia` that hodge runs."""
         seen, original = [], hodge.integer_inertia
 
-        def counted(rows, lead):
-            seen.append((len(rows), lead))
-            return original(rows, lead)
+        def counted(rows):
+            seen.append(len(rows))
+            return original(rows)
 
         monkeypatch.setattr(hodge, "integer_inertia", counted)
         return seen
@@ -969,13 +969,14 @@ class TestLefschetzRoute:
         at = _point(m, point)
         read = hodge._form_inertia(m, k, at)
         q = hodge._form(m, k, at)
-        assert read == integer_inertia(q, len(q))[1]
+        assert read == integer_inertia(q)
         assert read == inertia(oracle.hr_form(m, k, point))
         assert read.n_zero == 0 and read.dimension == graded_dims(m)[k]
 
     def test_k23_falls_back_where_q1_is_singular(self, monkeypatch):
         # f > 0 at this point, but Q^1 has three zeros, so degree 2 takes
-        # the bordered form: Q^2 bordered by the six rows of degree 1, and
+        # the bordered form: Q^2 bordered by the six rows of degree 1, after
+        # In(Q^2) is read off the Moebius pairing of the 15 rank-2 flats;
         # In(Q^1), kept for the point, is not eliminated again; HL_2 holds
         # and HRR_2 fails
         m = Matroid.graphic(k23_graph())  # nothing kept from other tests
@@ -985,10 +986,32 @@ class TestLefschetzRoute:
         dims = graded_dims(m)
         shapes = self.shapes(monkeypatch)
         pair = hr_inertia(m, 2, at)
-        assert shapes == [(dims[2] + dims[1], dims[2])]
+        assert shapes == [15, dims[2] + dims[1]]
         assert pair == (Inertia(6, 6, 0), Inertia(8, 7, 3))
         assert pair == oracle.bordered_inertia(m, 2, at)
         assert _verdicts(*pair) == (True, False)
+
+    def test_off_the_middle_the_fallback_eliminates_q2_then_the_border(
+        self, monkeypatch
+    ):
+        # rank 5, dims 1, 8, 24, 24, 8, 1, with edges 3 and 6 parallel: f > 0
+        # at this point and Q^1 has a zero, so degree 2 falls back below the
+        # middle degree; Q^1 and Q^2 are each eliminated once, square, and
+        # kept for the point, then the bordered form is eliminated whole
+        edges = [(0, 5), (5, 1), (5, 4), (1, 2), (4, 3), (1, 4), (2, 1), (3, 0), (0, 2)]
+        m = Matroid.graphic(Graph(6, edges))
+        at = _point(m, [0, -1, 1, 1, 2, 0, 1, -1, 1])
+        assert hodge.value(m, at) > 0 and graded_dims(m) == [1, 8, 24, 24, 8, 1]
+        shapes = self.shapes(monkeypatch)
+        pair = hr_inertia(m, 2, at)
+        assert shapes == [8, 24, 24 + 8]
+        assert hodge._form_inertia(m, 1, at) == Inertia(3, 4, 1)
+        assert pair == (Inertia(12, 12, 0), Inertia(15, 16, 1))
+        assert pair == oracle.bordered_inertia(m, 2, at)
+        assert _verdicts(*pair) == (True, False)
+        assert sorted(hodge._kept(m, at)[1]) == [1, 2]
+        shapes.clear()
+        assert hr_inertia(m, 2, at) == pair and shapes == [24 + 8]
 
     def test_k23_hrr2_fails_on_the_lefschetz_route(self, monkeypatch):
         # at the all-ones point Q^1 is non-degenerate: one square
@@ -1000,8 +1023,8 @@ class TestLefschetzRoute:
         dims = graded_dims(m)
         shapes = self.shapes(monkeypatch)
         pair = hr_inertia(m, 2, at)
-        assert shapes == [(dims[1], dims[1]), (15, 15)]
-        assert (dims[2], dims[2]) not in shapes
+        assert shapes == [dims[1], 15]
+        assert dims[2] not in shapes
         assert pair == (Inertia(6, 6, 0), Inertia(11, 7, 0))
         assert pair == oracle.bordered_inertia(m, 2, at)
         assert _verdicts(*pair) == (True, False)
@@ -1013,4 +1036,4 @@ class TestLefschetzRoute:
         at = _point(U23, [1, -2, 1])
         shapes = self.shapes(monkeypatch)
         block, bordered = hr_inertia(U23, 0, at)
-        assert shapes == [(1, 1)] and block == bordered == Inertia(0, 1, 0)
+        assert shapes == [1] and block == bordered == Inertia(0, 1, 0)
